@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import NonIntegrable, ZeroFunction
+from .errors import NonIntegrable, QuadratureFailure, ZeroFunction
 from .forms import PowerForm
 from .params import Params, sphere_area
 
@@ -259,7 +259,13 @@ def _star_integral(p: Params, u, grid: RadialGrid) -> float:
     values = r ** (-p.alpha) * np.abs(u.eval(r)) ** p.pstar * r ** (p.N - 1)
     integrand = _star_power_form(p, u)
     extra = _star_extra(p, u) if integrand is not None else 0.0
-    return sphere_area(p.N) * _corrected_integral(grid, values, integrand, extra)
+    out = sphere_area(p.N) * _corrected_integral(grid, values, integrand, extra)
+    if not (math.isfinite(out) and out >= 0.0):
+        # the analytic head/tail corrections can swamp the quadrature as alpha -> 2
+        raise QuadratureFailure(
+            f"weighted star norm at N={p.N}, alpha={p.alpha}: the corrected "
+            f"star integral is {out!r}, not finite and nonnegative")
+    return out
 
 
 def weighted_star_norm(p: Params, u, grid: RadialGrid | None = None) -> float:
@@ -272,7 +278,7 @@ def rayleigh_quotient(p: Params, u, grid: RadialGrid | None = None) -> float:
     """Quotient ||u||^2 / ||u||_*^2 whose infimum is the sharp constant."""
     grid = grid or default_grid()
     star = weighted_star_norm(p, u, grid)
-    if star == 0.0 or not np.isfinite(star):
+    if star == 0.0:
         raise ZeroFunction("star norm vanishes; quotient undefined")
     return weighted_hessian_norm_sq(p, u, grid) / star ** 2
 

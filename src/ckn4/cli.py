@@ -11,6 +11,7 @@ import argparse
 import concurrent.futures as cf
 import io
 import json
+import math
 import os
 import sys
 
@@ -53,17 +54,21 @@ def _gaussian():
 
 def load_h_csv(path: str):
     """Two-column CSV (r, h(r)), optional header; zero outside the sample range."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ValueError(f"--h-file {path}: cannot read: {exc.strerror or exc}") from exc
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.replace(",", " ").split()
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError:
-                continue  # header
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        parts = line.replace(",", " ").split()
+        try:
+            rows.append((float(parts[0]), float(parts[1])))
+        except ValueError:
+            continue  # header
     data = np.array(sorted(rows))
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError(f"{path}: need at least two (r, h) rows")
@@ -290,7 +295,13 @@ def _alpha_scan_values(text: str) -> list[str]:
         a0, a1, step = (float(x) for x in text.split(":"))
     except ValueError as exc:
         raise ValueError(f"bad --scan-alpha {text!r}; expected a0:a1:step") from exc
+    if not all(map(math.isfinite, (a0, a1, step))):
+        raise ValueError(f"bad --scan-alpha {text!r}; a0, a1 and step must be finite")
+    if step == 0.0:
+        raise ValueError(f"bad --scan-alpha {text!r}; step must be nonzero")
     n = int(round((a1 - a0) / step))
+    if n < 0:
+        raise ValueError(f"bad --scan-alpha {text!r}; the step's sign points away from a1")
     return [f"{a0 + i * step:.12g}" for i in range(n + 1)]
 
 

@@ -41,6 +41,10 @@ class NonIntegrable(CknError):
     pass
 
 
+class QuadratureFailure(CknError):
+    """A corrected quadrature of a nonnegative integrand is not finite and nonnegative."""
+
+
 class ZeroFunction(CknError):
     pass
 

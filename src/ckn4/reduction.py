@@ -245,7 +245,8 @@ class PerturbationProblem:
         self.tangent_norm = math.sqrt(float(self.scale * d_poly @ self.problem.A @ d_poly))
 
         self.r_of_s = self.s ** p.q
-        self.h_sup = float(np.max(np.abs(self._h_values(1.0)))) if h is not None else 0.0
+        self.h_phys = self._h_values(1.0)           # physical-frame h on the grid
+        self.h_sup = float(np.max(np.abs(self.h_phys)))
 
         D = self.G * (1.0 - (p.pstar - 1.0) / mu)       # scale*(mu_i - mu2) with mu2 = p*-1
         K = np.zeros((kept + 1, kept + 1))
@@ -281,7 +282,7 @@ class PerturbationProblem:
         p = self.params
         u_vals = self.bub_vals + c @ self.phi
         f = (1.0 + eps * hvals) * np.maximum(u_vals, 0.0) ** (p.pstar - 1.0)
-        nonlinear = self.star_scale * (self.phi * self.wq) @ f
+        nonlinear = self.star_scale * (self.phi @ (self.wq * f))
         return self.bU + self.G * c - nonlinear, u_vals
 
 
@@ -346,9 +347,8 @@ def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = No
     `refuse_factor` (the perturbation is too large for the fixed point).
     """
     eps = pp.eps if eps is None else float(eps)
-    cacheable = (tol == 1e-10 and max_iter == 100)
-    key = (lam, eps)
-    if cacheable and key in pp._cache:
+    key = (lam, eps, tol, max_iter, refuse_factor)
+    if key in pp._cache:
         return pp._cache[key]
     if abs(eps) * pp.h_sup > 1.0:
         raise ContractionFailure(f"|eps| sup|h| = {abs(eps) * pp.h_sup:.3f} exceeds 1")
@@ -391,8 +391,7 @@ def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = No
                            omega_norm=omega_norm, residual=residual,
                            unprojected_residual=unproj, converged=converged,
                            problem=pp)
-    if cacheable:
-        pp._cache[key] = out
+    pp._cache[key] = out
     return out
 
 
@@ -419,16 +418,12 @@ def reduced_energy(pp: PerturbationProblem, lam: float, eps: float | None = None
     bub_vals = bub.eval(pp.s)
     lbub_vals = bub.radial_laplacian(p.M).eval(pp.s)
     # transported correction: nu^{(M-4)/2} w(nu s); operator picks nu^2
-    psi_nu, lpsi_nu = pp.problem.basis.applied(nu * pp.s)
-    cpoly = pp.X @ result.coeffs
+    w_vals, _, _, lw_vals = pp.problem.basis.series(pp.X @ result.coeffs, nu * pp.s)
     pre = nu ** ((p.M - 4.0) / 2.0)
-    w_vals = pre * (cpoly @ psi_nu)
-    lw_vals = pre * nu * nu * (cpoly @ lpsi_nu)
-    lap_u = lbub_vals + lw_vals
+    lap_u = lbub_vals + pre * nu * nu * lw_vals
     norm_sq = pp.scale * float(pp.wq @ lap_u ** 2)
-    u_vals = bub_vals + w_vals
-    hvals = np.zeros_like(pp.s) if pp.h is None else np.asarray(pp.h(pp.r_of_s), dtype=float)
-    star = pp.star_scale * float(pp.wq @ ((1.0 + eps * hvals) * np.maximum(u_vals, 0.0) ** p.pstar))
+    u_vals = bub_vals + pre * w_vals
+    star = pp.star_scale * float(pp.wq @ ((1.0 + eps * pp.h_phys) * np.maximum(u_vals, 0.0) ** p.pstar))
     return 0.5 * norm_sq - star / p.pstar
 
 
@@ -476,8 +471,8 @@ def find_perturbed_solution(pp: PerturbationProblem,
     final = solve_correction(pp, lam_star)
     energy = reduced_energy(pp, lam_star, result=final)
     nu = lam_star ** (1.0 / p.q)
-    psi_nu = pp.problem.basis.values(nu * pp.s)
-    u_vals = _bubble_form(p, lam_star).eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * (pp.X @ final.coeffs) @ psi_nu
+    w_vals = final.omega_hat().eval(nu * pp.s)
+    u_vals = _bubble_form(p, lam_star).eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * w_vals
     return {
         "lambda_star": float(lam_star),
         "energy": float(energy),

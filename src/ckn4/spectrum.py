@@ -22,6 +22,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legder, legval
 from scipy.special import roots_legendre
 
 from .errors import EigensolveFailure, GridTooCoarse, InconsistentKernel
@@ -178,7 +179,7 @@ class ModeBasis:
         c0 = a * a + ap + (M - 1.0) * a * inv_s - nu * inv_s * inv_s
         c1 = 2.0 * a * tp + tpp + (M - 1.0) * tp * inv_s
         c2 = tp * tp
-        return t, a, ap, tp, c0, c1, c2
+        return t, a, ap, tp, tpp, c0, c1, c2
 
     def values(self, s: np.ndarray) -> np.ndarray:
         """Matrix (m, n) of trial values."""
@@ -200,9 +201,26 @@ class ModeBasis:
     def applied(self, s: np.ndarray):
         """(psi, T_k psi) with T_k psi = psi'' + (M-1)psi'/s - nu psi/s^2."""
         E = np.exp(self._log_envelope(s))
-        t, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
+        t, _, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
         P, dP, d2P = self._legendre(t, orders=2)
         return E * P, E * (c0 * P + c1 * dP + c2 * d2P)
+
+    def series(self, coeffs: np.ndarray, s: np.ndarray):
+        """(X, X', X'', T_k X) at s for the combination X = sum_j coeffs[j] psi_j.
+
+        The Legendre part is summed in coefficient space by Clenshaw's
+        recurrence, so no (m, n) basis matrix is formed.
+        """
+        E = np.exp(self._log_envelope(s))
+        t, a, ap, tp, tpp, c0, c1, c2 = self._operator_coeffs(s)
+        dcoeffs = legder(coeffs)
+        P = legval(t, coeffs)
+        dP = legval(t, dcoeffs)
+        d2P = legval(t, legder(dcoeffs))
+        return (E * P,
+                E * (a * P + tp * dP),
+                E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P),
+                E * (c0 * P + c1 * dP + c2 * d2P))
 
     def weighted_rows(self, s: np.ndarray, log_weight: np.ndarray,
                       log_pot: np.ndarray | None = None):
@@ -213,7 +231,7 @@ class ModeBasis:
         even when s^{M-1} or the envelope overflow on their own.
         """
         lnE = self._log_envelope(s)
-        t, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
+        t, _, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
         P, dP, d2P = self._legendre(t, orders=2)
         stiff_scale = np.exp(lnE + 0.5 * log_weight)
         rows_stiff = stiff_scale * (c0 * P + c1 * dP + c2 * d2P)
@@ -250,7 +268,7 @@ class ModeProblem:
         nu = weight_lambda ** (1.0 / self.params.q)
         return _log_potential(self.params.M, nu, s)
 
-    def weighted_mass(self, weight_lambda: float, chunk: int = 4096) -> np.ndarray:
+    def weighted_mass(self, weight_lambda: float) -> np.ndarray:
         nu = weight_lambda ** (1.0 / self.params.q)
         _, B = _chunked_matrices(self.basis, self.grid, self.params.M, nu, stiffness=False)
         return B
@@ -394,18 +412,16 @@ class SobolevModeFunction:
         self.coeffs = np.asarray(coeffs, dtype=float)
 
     def eval(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = self.coeffs @ self.basis.values(s)
-        return out if out.size > 1 else float(out[0])
+        return self.deriv(s, 0)
 
     def __call__(self, s):
         return self.eval(s)
 
     def deriv(self, s, order: int = 1):
+        if order not in (0, 1, 2):
+            raise ValueError("mode functions support derivatives up to order 2")
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        psi, dpsi, d2psi = self.basis.values_and_derivs(s)
-        mat = {1: dpsi, 2: d2psi}[order]
-        out = self.coeffs @ mat
+        out = self.basis.series(self.coeffs, s)[order]
         return out if out.size > 1 else float(out[0])
 
     def to_radial(self, p: Params) -> "RadialModeFunction":

@@ -100,6 +100,22 @@ def test_scan_alpha(capsys, monkeypatch):
     assert [r["data"]["kernel_dim"] for r in reps] == [1, 28, 1]
 
 
+@pytest.mark.parametrize("spec", ["1:2:0", "1.5:1:0.25", "1:2:0.5:1", "1:inf:0.5"])
+def test_scan_alpha_rejects_bad_range(capsys, spec):
+    code, out, err = run(capsys, "kernel", f"--scan-alpha={spec}")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --scan-alpha") and "Traceback" not in err
+
+
+def test_verify_extremal_star_integral_failure_is_typed(capsys):
+    # near alpha -> 2 the head/tail-corrected star integral comes out negative
+    code, out, err = run(capsys, "verify-extremal", "--N", "5", "--alpha", "1.97068")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: QuadratureFailure") and "alpha=1.97068" in err
+
+
 def test_remainder_csv(capsys):
     code, out, _ = run(capsys, "remainder", "--N", "5", "--alpha", "1",
                        "--nodes", "128", "--t-values", "0.001", "--format", "csv")
@@ -138,3 +154,11 @@ def test_h_file_loading(tmp_path):
     rr = np.logspace(-2, 1, 50)
     assert np.allclose(h(rr), BUILTIN_H["exp_bump"](rr), atol=2e-4)
     assert h(1e6) == 0.0
+
+
+def test_missing_h_file(capsys, tmp_path):
+    missing = tmp_path / "absent.csv"
+    code, out, err = run(capsys, "perturb", "--h-file", str(missing))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --h-file") and str(missing) in err

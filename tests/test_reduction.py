@@ -161,6 +161,15 @@ def test_contraction_guard(p51):
         solve_correction(pp, 1.0)
 
 
+def test_correction_cache_keeps_refuse_factor(p51):
+    # a result cached under the default refuse_factor must not stand in for
+    # a call whose stricter refuse_factor rejects the same iteration
+    pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=96)
+    assert solve_correction(pp, 1.0).converged
+    with pytest.raises(ContractionFailure):
+        solve_correction(pp, 1.0, refuse_factor=1e-6)
+
+
 def test_gamma_flat_at_zero_eps(p51):
     pp0 = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 0.0, nodes=160)
     lams = np.logspace(-1, 1, 7)

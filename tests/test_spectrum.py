@@ -4,10 +4,12 @@ import pytest
 from ckn4.emden import sobolev_bubble
 from ckn4.errors import GridTooCoarse
 from ckn4.forms import PowerForm
-from ckn4.params import normalization_constant, validate_params
+from ckn4.params import mode_lambda, normalization_constant, validate_params
 from ckn4.profiles import extremal_U, kernel_Z0, kernel_Zk_radial
 from ckn4.spectrum import (
     ModeBasis,
+    SGrid,
+    SobolevModeFunction,
     assemble_mode_problem,
     kernel_residual,
     mode_eigenvalues,
@@ -203,3 +205,24 @@ def test_extreme_effective_dimension():
     res = mode_eigenvalues(p, 0, n_eigs=3, nodes=128)
     assert abs(res.eigenvalues[0] - 1.0) < 1e-6
     assert abs(res.eigenvalues[1] - (p.pstar - 1.0)) < 1e-6
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
+def test_series_matches_basis_matrices(N, a, k):
+    # Clenshaw-summed combination against coeffs @ (m, n) basis matrices, at
+    # the scales nu s that the reduced energy evaluates; (5, -0.99) has M near
+    # 4 and (12, 1.9) has M above 200
+    p = validate_params(N, a)
+    lam_k, _ = mode_lambda(k, p.N)
+    basis = ModeBasis(p.M, p.q ** 2 * lam_k, 96)
+    coeffs = np.random.default_rng(k).standard_normal(basis.m)
+    fn = SobolevModeFunction(basis, coeffs)
+    s = SGrid.build(basis.m, M=p.M).s[::7]
+    for nu in (10.0 ** (-2.0 / p.q), 1.0, 10.0 ** (2.0 / p.q)):
+        x = nu * s
+        _, lpsi = basis.applied(x)
+        want = [coeffs @ mat for mat in basis.values_and_derivs(x)] + [coeffs @ lpsi]
+        got = [fn.eval(x), fn.deriv(x, 1), fn.deriv(x, 2), basis.series(coeffs, x)[3]]
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
