@@ -60,11 +60,12 @@ def load_h_csv(path: str):
     except OSError as exc:
         raise ValueError(f"--h-file {path}: cannot read: {exc.strerror or exc}") from exc
     rows = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(lines, 1):
         parts = line.replace(",", " ").split()
+        if not parts:
+            continue
+        if len(parts) < 2:
+            raise ValueError(f"--h-file {path}: line {lineno}: need two columns r,h(r)")
         try:
             rows.append((float(parts[0]), float(parts[1])))
         except ValueError:
@@ -290,6 +291,9 @@ COMMANDS = {
 }
 
 
+MAX_SCAN_POINTS = 10_000
+
+
 def _alpha_scan_values(text: str) -> list[str]:
     try:
         a0, a1, step = (float(x) for x in text.split(":"))
@@ -299,9 +303,13 @@ def _alpha_scan_values(text: str) -> list[str]:
         raise ValueError(f"bad --scan-alpha {text!r}; a0, a1 and step must be finite")
     if step == 0.0:
         raise ValueError(f"bad --scan-alpha {text!r}; step must be nonzero")
-    n = int(round((a1 - a0) / step))
-    if n < 0:
+    ratio = (a1 - a0) / step
+    if ratio < -0.5:
         raise ValueError(f"bad --scan-alpha {text!r}; the step's sign points away from a1")
+    # round(ratio) + 1 points; checked before any list is built
+    if not ratio < MAX_SCAN_POINTS - 0.5:
+        raise ValueError(f"bad --scan-alpha {text!r}; more than {MAX_SCAN_POINTS} points")
+    n = int(round(ratio))
     return [f"{a0 + i * step:.12g}" for i in range(n + 1)]
 
 

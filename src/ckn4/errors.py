@@ -61,10 +61,6 @@ class InconsistentKernel(CknError):
     pass
 
 
-class NoConvergence(CknError):
-    pass
-
-
 class OnManifold(CknError):
     pass
 

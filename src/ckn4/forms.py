@@ -47,9 +47,6 @@ class PowerForm:
     def single(cls, gamma, w, e0, coef=1.0, a=0, b=0, m=0) -> "PowerForm":
         return cls(gamma, w, e0, {(a, b, m): float(coef)})
 
-    def copy(self) -> "PowerForm":
-        return PowerForm(self.gamma, self.w, self.e0, self.terms)
-
     def _compact(self) -> "PowerForm":
         self.terms = {k: c for k, c in self.terms.items() if c != 0.0}
         return self
@@ -117,12 +114,6 @@ class PowerForm:
                 key = (a + 1, b + 1, m + 1)
                 out[key] = out.get(key, 0.0) + ce
         return PowerForm(g, w, self.e0, out)._compact()
-
-    def nth_deriv(self, n: int) -> "PowerForm":
-        f = self
-        for _ in range(n):
-            f = f.deriv()
-        return f
 
     def radial_laplacian(self, N: float, lam_k: float = 0.0) -> "PowerForm":
         """f'' + (N-1) f'/r - lam_k f/r^2."""

@@ -24,7 +24,7 @@ from .errors import ContractionFailure, NoInteriorExtremum, OnManifold, ZeroFunc
 from .forms import PowerForm
 from .params import Params, best_constant_radial, normalization_constant, sphere_area
 from .profiles import dilation_tangent, extremal_U
-from .spectrum import ModeProblem, SobolevModeFunction, assemble_mode_problem, _solve_pencil
+from .spectrum import ModeProblem, SGrid, SobolevModeFunction, assemble_mode_problem, _solve_pencil
 
 __all__ = [
     "ManifoldFit",
@@ -219,7 +219,9 @@ class PerturbationProblem:
         self.scale = self.problem.alpha_scale          # omega q^{-3}
         self.star_scale = sphere_area(p.N) * p.q       # omega q
 
-        grid = self.problem.grid
+        # u_+^{p*-1} and h(r/lam) are not polynomial in the pencil's Jacobi
+        # variable, so the nonlinear integrals use the composite log grid
+        grid = SGrid.build(nodes, M=p.M)
         self.s = grid.s
         self.wq = grid.w * self.s ** (p.M - 1.0)
         # spectral basis values and applied operator on the grid

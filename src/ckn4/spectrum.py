@@ -12,18 +12,23 @@ t = (s^2-1)/(s^2+1), where sigma0 and the decay power are the indicial
 exponents of T_k at zero and infinity.  Both closed-form eigenfunctions of
 the continuum problem lie in the span exactly, the stiffness matrix needs
 only second derivatives, and the discrete pencil is symmetric by
-construction.  Quadrature is composite Gauss-Legendre in ln s, dense where
-the mapped Legendre polynomials oscillate.
+construction.  Under the same map every stiffness and mass integrand is a
+polynomial of degree at most 2m in t times the Jacobi weight
+(1-t)^{delta-2} (1+t)^{delta}, so the pencil is assembled exactly on an
+(m+8)-node Gauss-Jacobi rule (Golub & Welsch 1969), one rule per mode.  A
+scale-shifted potential (1 + nu^2 s^2)^{-4}, nu != 1, is analytic but not
+polynomial in t and gets an oversampled rule whose extra nodes grow as nu
+moves away from 1.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial.legendre import legder, legval
-from scipy.special import roots_legendre
+from scipy.special import betaln, roots_jacobi, roots_legendre
 
 from .errors import EigensolveFailure, GridTooCoarse, InconsistentKernel
 from .params import (
@@ -37,11 +42,13 @@ from .profiles import RadialProfile
 
 __all__ = [
     "SGrid",
+    "JacobiRule",
     "ModeBasis",
     "ModeProblem",
     "SpectrumResult",
     "assemble_mode_problem",
     "mode_eigenvalues",
+    "exact_eigenvalues",
     "verify_kernel",
     "kernel_residual",
     "mu3_estimate",
@@ -52,7 +59,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SGrid:
-    """Composite Gauss-Legendre rule in u = ln s for int_0^inf f(s) ds."""
+    """Composite Gauss-Legendre rule in u = ln s for int_0^inf f(s) ds.
+
+    For integrands that are not polynomial in t, such as the nonlinear
+    terms of the reduction; the pencil itself uses JacobiRule.
+    """
 
     u: np.ndarray
     s: np.ndarray
@@ -95,6 +106,74 @@ class SGrid:
     @property
     def n(self) -> int:
         return self.s.size
+
+
+MAX_RULE_NODES = 4096       # caps a scale-shifted rule: 1/370 < nu < 370 at m = 400
+
+
+@dataclass(frozen=True)
+class JacobiRule:
+    """Gauss-Jacobi rule for int_0^inf f(s) ds under t = (s^2-1)/(s^2+1).
+
+    Exact when f(s) ds = P(t) (1-t)^{delta-2} (1+t)^{delta} dt with P a
+    polynomial of degree below 2n.  The weights are kept as logarithms: the
+    divided-out Jacobi factor (1-t)^{-delta} overflows for large delta.
+    """
+
+    s: np.ndarray
+    u: np.ndarray          # ln s
+    log_w: np.ndarray      # ln of the weights for int f(s) ds
+
+    @classmethod
+    def build(cls, n: int, delta: float) -> "JacobiRule":
+        a, b = delta - 2.0, delta
+        t, _ = roots_jacobi(n, a, b)
+        lm, lp = np.log1p(-t), np.log1p(t)
+        u = 0.5 * (lp - lm)
+        # ds = dt / (s (1-t)^2); dividing out the Jacobi weight leaves
+        # W / (s (1-t)^delta (1+t)^delta)
+        log_w = _log_christoffel(t, a, b) - u - delta * (lm + lp)
+        return cls(s=np.exp(u), u=u, log_w=log_w)
+
+    @property
+    def n(self) -> int:
+        return self.s.size
+
+
+def _log_christoffel(t: np.ndarray, a: float, b: float) -> np.ndarray:
+    """ln of the Gauss-Jacobi weights at the nodes t, as -ln sum_k p_k(t)^2.
+
+    The p_k, k < n, are the orthonormal Jacobi polynomials.  A sum of
+    positive terms, each weight is accurate to a few ulp; the weights of
+    scipy's roots_jacobi lose up to 8e-9 relative at 168 nodes and 2e-7 at
+    408 as a approaches -1 (M near 4), which the pencil would carry.  Nodes
+    whose terms grow large (large a, b) are rescaled, the scale kept as a
+    logarithm.
+    """
+    n = t.size
+    k = np.arange(1.0, n)
+    ab = a + b
+    diag = np.empty(n)
+    diag[0] = (b - a) / (ab + 2.0)
+    diag[1:] = (b * b - a * a) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+    off = np.zeros(n)
+    off[1:] = (2.0 / (2.0 * k + ab) * np.sqrt((k + a) * (k + b) / (2.0 * k + ab + 1.0))
+               * np.sqrt(k * (k + ab) / (2.0 * k + ab - 1.0)))
+    log_mu0 = (ab + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0)
+    p_prev = np.zeros_like(t)
+    p = np.full_like(t, math.exp(-0.5 * log_mu0))
+    total = p * p
+    log_scale = np.zeros_like(t)
+    for j in range(n - 1):
+        p_prev, p = p, ((t - diag[j]) * p - off[j] * p_prev) / off[j + 1]
+        total += p * p
+        big = np.abs(p) > 1e100
+        if big.any():
+            p[big] *= 1e-100
+            p_prev[big] *= 1e-100
+            total[big] *= 1e-200
+            log_scale[big] += 200.0 * math.log(10.0)
+    return -np.log(total) - log_scale
 
 
 class ModeBasis:
@@ -250,7 +329,7 @@ class ModeProblem:
     k: int
     lambda_k: float
     basis: ModeBasis
-    grid: SGrid
+    grid: JacobiRule       # the (m+8)-node rule the pencil is exact on
     A: np.ndarray          # stiffness int (T psi_i)(T psi_j) s^{M-1} ds
     B: np.ndarray          # weighted mass with the sharp potential, weight scale nu_w
     weight_lambda: float = 1.0
@@ -268,9 +347,25 @@ class ModeProblem:
         nu = weight_lambda ** (1.0 / self.params.q)
         return _log_potential(self.params.M, nu, s)
 
+    def rule(self, weight_lambda: float = 1.0) -> JacobiRule:
+        """Quadrature for integrals against the potential at weight scale weight_lambda."""
+        nu = weight_lambda ** (1.0 / self.params.q)
+        if nu == 1.0:
+            return self.grid
+        # (1 + nu^2 s^2)^{-4} has its pole at t = -(nu^2+1)/(nu^2-1), on the
+        # Bernstein ellipse rho = (1+nu)/|1-nu|: the error beyond the
+        # polynomial part falls like rho^{-2n}, so 20/ln(rho) extra nodes
+        # reach rounding (measured against 1.5x the nodes, 0.01 <= nu <= 100)
+        n = self.basis.m + 8 + math.ceil(20.0 / math.log((1.0 + nu) / abs(1.0 - nu)))
+        if n > MAX_RULE_NODES:
+            raise GridTooCoarse(f"weight scale {weight_lambda:g} needs a {n}-node rule, "
+                                f"more than {MAX_RULE_NODES}")
+        return JacobiRule.build(n, self.basis.delta)
+
     def weighted_mass(self, weight_lambda: float) -> np.ndarray:
         nu = weight_lambda ** (1.0 / self.params.q)
-        _, B = _chunked_matrices(self.basis, self.grid, self.params.M, nu, stiffness=False)
+        _, B = _gram_matrices(self.basis, self.rule(weight_lambda), self.params.M, nu,
+                              stiffness=False)
         return B
 
 
@@ -289,38 +384,25 @@ def _log_potential(M: float, nu: float, s: np.ndarray) -> np.ndarray:
     return math.log(P4) + 4.0 * math.log(nu) - 8.0 * _log_hypot1(nu * s)
 
 
-def _chunked_matrices(basis: ModeBasis, grid: SGrid, M: float, nu: float,
-                      stiffness: bool = True, chunk: int = 4096):
-    m = basis.m
-    A = np.zeros((m, m)) if stiffness else None
-    B = np.zeros((m, m))
-    for lo in range(0, grid.n, chunk):
-        sl = slice(lo, min(lo + chunk, grid.n))
-        s = grid.s[sl]
-        log_w = np.log(grid.w[sl]) + (M - 1.0) * grid.u[sl]
-        rows_mass, rows_stiff = basis.weighted_rows(s, log_w, _log_potential(M, nu, s))
-        if stiffness:
-            A += rows_stiff @ rows_stiff.T
-        B += rows_mass @ rows_mass.T
-    if stiffness:
-        A = 0.5 * (A + A.T)
-    return A, 0.5 * (B + B.T)
+def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, nu: float,
+                   stiffness: bool = True):
+    log_w = rule.log_w + (M - 1.0) * rule.u
+    rows_mass, rows_stiff = basis.weighted_rows(rule.s, log_w, _log_potential(M, nu, rule.s))
+    B = rows_mass @ rows_mass.T
+    A = rows_stiff @ rows_stiff.T if stiffness else None
+    return A, B
 
 
-def assemble_mode_problem(p: Params, k: int, nodes: int = 160,
-                          grid: SGrid | None = None,
-                          weight_lambda: float = 1.0) -> ModeProblem:
+def assemble_mode_problem(p: Params, k: int, nodes: int = 160) -> ModeProblem:
     """Build the weak-form pencil (A, B) for mode k with `nodes` trial functions."""
     if nodes < 64:
         raise GridTooCoarse(f"need at least 64 trial functions, got {nodes}")
     lam_k, _ = mode_lambda(k, p.N)
     nu_coeff = p.q ** 2 * lam_k
     basis = ModeBasis(p.M, nu_coeff, nodes)
-    grid = grid or SGrid.build(nodes, M=p.M)
-    nu = weight_lambda ** (1.0 / p.q)
-    A, B = _chunked_matrices(basis, grid, p.M, nu)
-    return ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid,
-                       A=A, B=B, weight_lambda=weight_lambda)
+    grid = JacobiRule.build(nodes + 8, basis.delta)
+    A, B = _gram_matrices(basis, grid, p.M, 1.0)
+    return ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid, A=A, B=B)
 
 
 def _solve_pencil(A: np.ndarray, B: np.ndarray, drop: float = 1e-13):
@@ -353,8 +435,9 @@ class SpectrumResult:
     def alignment(self, i: int, exact_fn) -> float:
         """Weighted-inner-product alignment of eigenvector i with a closed form."""
         pr = self.problem
-        s, u, w = pr.grid.s, pr.grid.u, pr.grid.w
-        log_w = np.log(w) + (pr.params.M - 1.0) * u + pr.log_potential(s, pr.weight_lambda)
+        rule = pr.rule(pr.weight_lambda)
+        s = rule.s
+        log_w = rule.log_w + (pr.params.M - 1.0) * rule.u + pr.log_potential(s, pr.weight_lambda)
         fnum = self.eigenfunction(i).eval(np.atleast_1d(s))
         fex = np.asarray(exact_fn(s), dtype=float)
 
@@ -371,17 +454,27 @@ class SpectrumResult:
         return abs(num) / den
 
 
+def exact_eigenvalues(p: Params, k: int, n: int) -> np.ndarray:
+    """The n smallest mode-k eigenvalues of the continuum problem, in closed form.
+
+    mu_{k,j} = prod_{i<4} (2l + M - 4 + 2i) / ((M-4)(M-2)M(M+2)) with
+    l = sigma0(k) + j, the Paneitz spectrum on S^M (Beckner, Ann. Math. 138,
+    1993) in the effective dimension; an oracle for the discrete pencil.
+    """
+    M = p.M
+    lam_k, _ = mode_lambda(k, p.N)
+    ell = ModeBasis(M, p.q ** 2 * lam_k, n).sigma0 + np.arange(n)
+    num = (2 * ell + M - 4) * (2 * ell + M - 2) * (2 * ell + M) * (2 * ell + M + 2)
+    return num / ((M - 4) * (M - 2) * M * (M + 2))
+
+
 def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160,
-                     grid: SGrid | None = None, weight_lambda: float = 1.0,
+                     weight_lambda: float = 1.0,
                      problem: ModeProblem | None = None) -> SpectrumResult:
     """Smallest eigenvalues of the mode-k pencil with discrete residual norms."""
-    pr = problem
-    if pr is None:
-        pr = assemble_mode_problem(p, k, nodes=nodes, grid=grid, weight_lambda=weight_lambda)
-    elif weight_lambda != pr.weight_lambda:
-        pr = ModeProblem(params=pr.params, k=pr.k, lambda_k=pr.lambda_k, basis=pr.basis,
-                         grid=pr.grid, A=pr.A, B=pr.weighted_mass(weight_lambda),
-                         weight_lambda=weight_lambda)
+    pr = problem or assemble_mode_problem(p, k, nodes=nodes)
+    if weight_lambda != pr.weight_lambda:
+        pr = replace(pr, B=pr.weighted_mass(weight_lambda), weight_lambda=weight_lambda)
     mu, X, kept = _solve_pencil(pr.A, pr.B)
     if kept < n_eigs:
         raise EigensolveFailure(f"only {kept} stable directions, need {n_eigs}")
@@ -487,14 +580,13 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
     """
     info = even_alpha_info(p)
     target = p.pstar - 1.0
-    grid = SGrid.build(nodes, M=p.M)
     modes = []
     kernel_dim = 0
     for k in range(k_max + 1):
         lam_k, mult = mode_lambda(k, p.N)
         nu = p.q ** 2 * lam_k
         analytic = (k == 0) or abs(nu - (p.M - 1.0)) < 1e-9
-        result = mode_eigenvalues(p, k, n_eigs=n_eigs, nodes=nodes, grid=grid)
+        result = mode_eigenvalues(p, k, n_eigs=n_eigs, nodes=nodes)
         dist = float(np.min(np.abs(result.eigenvalues - target)) / target)
         numeric = dist < tol
         if numeric != analytic:

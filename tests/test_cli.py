@@ -108,6 +108,31 @@ def test_scan_alpha_rejects_bad_range(capsys, spec):
     assert err.startswith("error: bad --scan-alpha") and "Traceback" not in err
 
 
+def test_scan_alpha_point_cap(capsys, monkeypatch):
+    # 10^12 points must be refused before the alpha list or the worker pool
+    # exists; the guards turn an uncapped build into an immediate failure
+    # instead of a list that exhausts memory
+    import builtins
+
+    from ckn4 import cli
+
+    def guarded_range(*args):
+        r = builtins.range(*args)
+        if len(r) > cli.MAX_SCAN_POINTS:
+            raise AssertionError(f"alpha list of {len(r)} points built")
+        return r
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("worker pool created")
+
+    monkeypatch.setattr(cli, "range", guarded_range, raising=False)
+    monkeypatch.setattr(cli.cf, "ThreadPoolExecutor", no_pool)
+    code, out, err = run(capsys, "kernel", "--scan-alpha=0:1:1e-12")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: bad --scan-alpha") and "10000 points" in err
+
+
 def test_verify_extremal_star_integral_failure_is_typed(capsys):
     # near alpha -> 2 the head/tail-corrected star integral comes out negative
     code, out, err = run(capsys, "verify-extremal", "--N", "5", "--alpha", "1.97068")
@@ -162,3 +187,13 @@ def test_missing_h_file(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err.startswith("error: --h-file") and str(missing) in err
+
+
+def test_h_file_one_column_line(capsys, tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("1.0\n2.0,3\n")
+    code, out, err = run(capsys, "perturb", "--h-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and f"{path}: line 1" in err
+    assert "Traceback" not in err

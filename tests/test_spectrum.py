@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import betaln, logsumexp
 
 from ckn4.emden import sobolev_bubble
 from ckn4.errors import GridTooCoarse
@@ -7,10 +10,12 @@ from ckn4.forms import PowerForm
 from ckn4.params import mode_lambda, normalization_constant, validate_params
 from ckn4.profiles import extremal_U, kernel_Z0, kernel_Zk_radial
 from ckn4.spectrum import (
+    JacobiRule,
     ModeBasis,
     SGrid,
     SobolevModeFunction,
     assemble_mode_problem,
+    exact_eigenvalues,
     kernel_residual,
     mode_eigenvalues,
     mu3_estimate,
@@ -226,3 +231,77 @@ def test_series_matches_basis_matrices(N, a, k):
         got = [fn.eval(x), fn.deriv(x, 1), fn.deriv(x, 2), basis.series(coeffs, x)[3]]
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
+def test_eigenvalues_match_closed_form(N, a, k):
+    # (5, -0.99) has M near 4, where the s^{3-M} tail once escaped the
+    # quadrature window and mu_1 came out 0.63 with no error raised
+    p = validate_params(N, a)
+    res = mode_eigenvalues(p, k, n_eigs=5, nodes=160)
+    assert np.max(np.abs(res.eigenvalues / exact_eigenvalues(p, k, 5) - 1.0)) <= 1e-7
+
+
+@pytest.mark.parametrize("delta, n", [(1.0035, 168), (1.0035, 408), (2.7, 168), (100.0, 168)])
+def test_jacobi_rule_is_exact(delta, n):
+    # (1+t)^j against the Jacobi weight, j < 2n, in s: the rule must integrate
+    # 2^{2d+j} s^{2d+2j+1} (1+s^2)^{-2d-j} to 2^{2d+j-1} B(d+j+1, d-1) exactly.
+    # delta = 1.0035 is mode 0 at M = 4.007, where scipy's Gauss-Jacobi
+    # weights alone miss these integrals by up to 5e-9 relative
+    rule = JacobiRule.build(n, delta)
+    for j in range(0, 2 * n, 7):
+        log_f = ((2 * delta + j) * math.log(2.0) + (2 * delta + 2 * j + 1) * rule.u
+                 - (2 * delta + j) * np.logaddexp(0.0, 2.0 * rule.u))
+        want = (2 * delta + j - 1) * math.log(2.0) + betaln(delta + j + 1, delta - 1)
+        assert abs(logsumexp(rule.log_w + log_f) - want) <= 1e-10
+
+
+def _composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
+    """(A, B) of pr's basis on the composite log grid, the reference assembly."""
+    M = pr.params.M
+    grid = SGrid.build(pr.basis.m, M=M)
+    A = np.zeros((pr.basis.m, pr.basis.m))
+    B = np.zeros_like(A)
+    for lo in range(0, grid.n, chunk):
+        sl = slice(lo, lo + chunk)
+        log_w = np.log(grid.w[sl]) + (M - 1.0) * grid.u[sl]
+        rows_mass, rows_stiff = pr.basis.weighted_rows(
+            grid.s[sl], log_w, pr.log_potential(grid.s[sl], weight_lambda))
+        A += rows_stiff @ rows_stiff.T
+        B += rows_mass @ rows_mass.T
+    return A, B
+
+
+def _max_rel(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("m", [160, 400])
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("N, a", PARAM_SETS)
+def test_pencil_matches_composite_grid(N, a, k, m):
+    pr = assemble_mode_problem(validate_params(N, a), k, nodes=m)
+    assert pr.grid.n == m + 8
+    A, B = _composite_grid_pencil(pr)
+    assert _max_rel(pr.A, A) <= 1e-9
+    assert _max_rel(pr.B, B) <= 1e-9
+
+
+@pytest.mark.parametrize("nu", [None, 0.02, 50.0])
+@pytest.mark.parametrize("N, a", PARAM_SETS)
+def test_scaled_mass_matches_composite_grid(N, a, nu):
+    # the shifted potential is not polynomial in t: the oversampled rule;
+    # None is weight_lambda = 2, the others put nu = weight_lambda^{1/q} far from 1
+    p = validate_params(N, a)
+    weight_lambda = 2.0 if nu is None else nu ** p.q
+    pr = assemble_mode_problem(p, 0, nodes=400)
+    _, B = _composite_grid_pencil(pr, weight_lambda=weight_lambda)
+    assert _max_rel(pr.weighted_mass(weight_lambda), B) <= 1e-9
+
+
+def test_scaled_mass_refuses_far_scale():
+    p = validate_params(5, 1)
+    pr = assemble_mode_problem(p, 0)
+    with pytest.raises(GridTooCoarse):
+        pr.weighted_mass(1e3 ** p.q)
