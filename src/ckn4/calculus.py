@@ -11,14 +11,13 @@ R^N definitions.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import roots_legendre
 
-from .errors import NonIntegrable, QuadratureFailure, ZeroFunction
+from .errors import QuadratureFailure, ZeroFunction
 from .forms import PowerForm
 from .params import Params, sphere_area
 
@@ -26,6 +25,8 @@ __all__ = [
     "RadialGrid",
     "SampledRadial",
     "default_grid",
+    "hessian_integral",
+    "star_integral",
     "weighted_hessian_norm_sq",
     "weighted_star_norm",
     "rayleigh_quotient",
@@ -42,7 +43,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    map_kind: str
     r_min: float
     r_max: float
 
@@ -57,42 +57,13 @@ class RadialGrid:
         a, b = math.log(r_min), math.log(r_max)
         t = 0.5 * (a + b) + 0.5 * (b - a) * x
         r = np.exp(t)
-        return cls(nodes=r, weights=0.5 * (b - a) * w * r, map_kind="log", r_min=r_min, r_max=r_max)
-
-    @classmethod
-    def algebraic(cls, scale: float = 1.0, n: int = 512, r_max: float = 1e8) -> "RadialGrid":
-        """Rational map r = L(1+x)/(1-x) of (-1, 1) onto (0, infinity), truncated."""
-        x, w = roots_legendre(n)
-        xmax = (r_max - scale) / (r_max + scale)
-        x = 0.5 * (xmax - (-1.0)) * (x + 1.0) - 1.0
-        w = 0.5 * (xmax + 1.0) * w
-        r = scale * (1.0 + x) / (1.0 - x)
-        dr = 2.0 * scale / (1.0 - x) ** 2
-        return cls(nodes=r, weights=w * dr, map_kind="alg", r_min=float(r[0]), r_max=r_max)
-
-    @classmethod
-    def from_json(cls, text: str) -> "RadialGrid":
-        cfg = json.loads(text) if isinstance(text, str) else dict(text)
-        kind = cfg.get("map", "log")
-        if kind == "log":
-            return cls.log_gauss(cfg.get("r_min", 1e-6), cfg.get("r_max", 1e6), cfg.get("n", 512))
-        if kind == "alg":
-            return cls.algebraic(cfg.get("scale", 1.0), cfg.get("n", 512), cfg.get("r_max", 1e8))
-        raise ValueError(f"unknown grid map {kind!r}")
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"r_min": self.r_min, "r_max": self.r_max, "n": self.n, "map": self.map_kind},
-            sort_keys=True,
-        )
+        return cls(nodes=r, weights=0.5 * (b - a) * w * r, r_min=r_min, r_max=r_max)
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
 
     def coarsened(self) -> "RadialGrid":
-        if self.map_kind == "log":
-            return RadialGrid.log_gauss(self.r_min, self.r_max, max(32, self.n // 2))
-        return RadialGrid.algebraic(n=max(32, self.n // 2), r_max=self.r_max)
+        return RadialGrid.log_gauss(self.r_min, self.r_max, max(32, self.n // 2))
 
 
 _DEFAULT = None
@@ -203,15 +174,15 @@ class SampledRadial:
 # -- functionals ---------------------------------------------------------------
 
 
-def _lap_values(p: Params, u, r: np.ndarray) -> np.ndarray:
-    return u.deriv(r, 2) + (p.N - 1) * u.deriv(r, 1) / r
+def _lap_values(dim: float, u, r: np.ndarray) -> np.ndarray:
+    return u.deriv(r, 2) + (dim - 1) * u.deriv(r, 1) / r
 
 
-def _lap_form(p: Params, u) -> PowerForm | None:
+def _lap_form(dim: float, u) -> PowerForm | None:
     form = getattr(u, "form", None)
     if form is None:
         return None
-    return form.radial_laplacian(p.N)
+    return form.radial_laplacian(dim)
 
 
 def _corrected_integral(grid: RadialGrid, values: np.ndarray,
@@ -219,8 +190,6 @@ def _corrected_integral(grid: RadialGrid, values: np.ndarray,
     """Quadrature plus analytic head/tail of int r^extra * form when available."""
     out = grid.integrate(values)
     if form is not None:
-        if form.tail_exponent(extra) >= -1.0:
-            raise NonIntegrable("integrand does not decay at infinity")
         out += form.head_integral(grid.r_min, extra)
         out += form.tail_integral(grid.r_max, extra)
     return out
@@ -232,46 +201,57 @@ def _star_power_form(p: Params, u) -> PowerForm | None:
     if form is None or len(form.terms) != 1:
         return None
     ((a, b, m), c) = next(iter(form.terms.items()))
-    coef = abs(c) ** p.pstar
+    try:
+        coef = abs(c) ** p.pstar
+    except OverflowError:
+        raise QuadratureFailure(
+            f"star integral at N={p.N}, alpha={p.alpha}: |c|^p* of the closed-form "
+            f"profile overflows (c={c!r}, p*={p.pstar!r})") from None
     # fractional net power p*(a*g - b) rides along as the extra power
     return PowerForm(form.gamma, form.w, p.pstar * (form.e0 - m), {(0, 0, 0): coef})
 
 
-def _star_extra(p: Params, u) -> float:
+def _star_extra(p: Params, u, dim: float, weight_pow: float) -> float:
     form = u.form
     ((a, b, m), c) = next(iter(form.terms.items()))
-    return p.pstar * (a * form.gamma - b) + (p.N - 1.0 - p.alpha)
+    return p.pstar * (a * form.gamma - b) + (dim - 1.0 + weight_pow)
+
+
+def hessian_integral(dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
+    """int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr, without the sphere factor."""
+    r = grid.nodes
+    lap = _lap_values(dim, u, r)
+    values = r ** weight_pow * lap ** 2 * r ** (dim - 1)
+    lf = _lap_form(dim, u)
+    integrand = (lf * lf) if lf is not None else None
+    return _corrected_integral(grid, values, integrand, weight_pow + dim - 1.0)
+
+
+def star_integral(p: Params, dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
+    """int r^weight_pow |u|^{p*} r^{dim-1} dr, without the sphere factor."""
+    r = grid.nodes
+    values = r ** weight_pow * np.abs(u.eval(r)) ** p.pstar * r ** (dim - 1)
+    integrand = _star_power_form(p, u)
+    extra = _star_extra(p, u, dim, weight_pow) if integrand is not None else 0.0
+    return _corrected_integral(grid, values, integrand, extra)
 
 
 def weighted_hessian_norm_sq(p: Params, u, grid: RadialGrid | None = None) -> float:
     """Squared norm omega int r^alpha (u'' + (N-1)u'/r)^2 r^{N-1} dr."""
     grid = grid or default_grid()
-    r = grid.nodes
-    lap = _lap_values(p, u, r)
-    values = r ** p.alpha * lap ** 2 * r ** (p.N - 1)
-    lf = _lap_form(p, u)
-    integrand = (lf * lf) if lf is not None else None
-    return sphere_area(p.N) * _corrected_integral(grid, values, integrand, p.alpha + p.N - 1.0)
-
-
-def _star_integral(p: Params, u, grid: RadialGrid) -> float:
-    r = grid.nodes
-    values = r ** (-p.alpha) * np.abs(u.eval(r)) ** p.pstar * r ** (p.N - 1)
-    integrand = _star_power_form(p, u)
-    extra = _star_extra(p, u) if integrand is not None else 0.0
-    out = sphere_area(p.N) * _corrected_integral(grid, values, integrand, extra)
-    if not (math.isfinite(out) and out >= 0.0):
-        # the analytic head/tail corrections can swamp the quadrature as alpha -> 2
-        raise QuadratureFailure(
-            f"weighted star norm at N={p.N}, alpha={p.alpha}: the corrected "
-            f"star integral is {out!r}, not finite and nonnegative")
-    return out
+    return sphere_area(p.N) * hessian_integral(p.N, p.alpha, u, grid)
 
 
 def weighted_star_norm(p: Params, u, grid: RadialGrid | None = None) -> float:
     """Norm (omega int r^{-alpha} |u|^{p*} r^{N-1} dr)^{1/p*}."""
     grid = grid or default_grid()
-    return _star_integral(p, u, grid) ** (1.0 / p.pstar)
+    out = sphere_area(p.N) * star_integral(p, p.N, -p.alpha, u, grid)
+    if not (math.isfinite(out) and out >= 0.0):
+        # the analytic head/tail corrections can swamp the quadrature as alpha -> 2
+        raise QuadratureFailure(
+            f"weighted star norm at N={p.N}, alpha={p.alpha}: the corrected "
+            f"star integral is {out!r}, not finite and nonnegative")
+    return out ** (1.0 / p.pstar)
 
 
 def rayleigh_quotient(p: Params, u, grid: RadialGrid | None = None) -> float:
@@ -287,8 +267,8 @@ def inner_alpha(p: Params, u, v, grid: RadialGrid | None = None) -> float:
     """Inner product omega int r^alpha (lap u)(lap v) r^{N-1} dr."""
     grid = grid or default_grid()
     r = grid.nodes
-    values = r ** p.alpha * _lap_values(p, u, r) * _lap_values(p, v, r) * r ** (p.N - 1)
-    fu, fv = _lap_form(p, u), _lap_form(p, v)
+    values = r ** p.alpha * _lap_values(p.N, u, r) * _lap_values(p.N, v, r) * r ** (p.N - 1)
+    fu, fv = _lap_form(p.N, u), _lap_form(p.N, v)
     integrand = None
     if fu is not None and fv is not None and fu.gamma == fv.gamma and fu.w == fv.w:
         integrand = fu * fv
@@ -315,7 +295,7 @@ def energy_J(p: Params, eps: float, h, u, grid: RadialGrid | None = None) -> flo
     form = getattr(u, "form", None)
     if form is not None and len(form.terms) == 1 and next(iter(form.terms.values())) >= 0:
         integrand = _star_power_form(p, u)
-        extra = _star_extra(p, u)
+        extra = _star_extra(p, u, p.N, -p.alpha)
     base = sphere_area(p.N) * _corrected_integral(grid, values, integrand, extra)
     out = 0.5 * weighted_hessian_norm_sq(p, u, grid) - base / p.pstar
     if eps != 0.0 and h is not None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures as cf
-import io
+import copy
 import json
 import math
 import os
@@ -84,12 +84,11 @@ def load_h_csv(path: str):
 
 
 def _resolve_h(args):
-    if getattr(args, "h_file", None):
+    if args.h_file:
         return load_h_csv(args.h_file)
-    name = getattr(args, "h", "exp_bump")
-    if name not in reduction.BUILTIN_H:
-        raise ValueError(f"unknown builtin h {name!r}; have {sorted(reduction.BUILTIN_H)}")
-    return reduction.BUILTIN_H[name]
+    if args.h not in reduction.BUILTIN_H:
+        raise ValueError(f"unknown builtin h {args.h!r}; have {sorted(reduction.BUILTIN_H)}")
+    return reduction.BUILTIN_H[args.h]
 
 
 # -- commands -------------------------------------------------------------------
@@ -327,12 +326,12 @@ def _run_one(name, args) -> dict:
 
 
 def _emit(report, args) -> int:
-    csv_rows = report.pop("_csv", None)
-    if args.format == "csv" and csv_rows is not None:
-        buf = io.StringIO()
-        for row in csv_rows:
-            buf.write(",".join(str(x) for x in row) + "\n")
-        text = buf.getvalue()
+    """Write one report, or a scan's list of them, to --out or stdout; return the exit code."""
+    scan = isinstance(report, list)
+    reports = report if scan else [report]
+    csv_rows = [rep.pop("_csv", None) for rep in reports]
+    if not scan and getattr(args, "format", "json") == "csv" and csv_rows[0] is not None:
+        text = "".join(",".join(str(x) for x in row) + "\n" for row in csv_rows[0])
     else:
         text = json.dumps(report, sort_keys=True, indent=2, default=float) + "\n"
     if args.out:
@@ -340,9 +339,34 @@ def _emit(report, args) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if isinstance(report, dict):
-        return 0 if report.get("passed", False) else 1
-    return 0 if all(r.get("passed", False) for r in report) else 1
+    return 0 if all(rep["passed"] for rep in reports) else 1
+
+
+ALPHA_COMMANDS = ("constants", "verify-extremal", "transform-check", "spectrum", "kernel",
+                  "remainder", "perturb")
+
+# every flag with the subcommands whose code reads it
+FLAGS = [
+    ("--N", dict(type=int, default=5), tuple(COMMANDS)),
+    ("--alpha", dict(type=str, default="1", help="weight exponent as an exact decimal string"),
+     ALPHA_COMMANDS),
+    ("--scan-alpha", dict(type=str, default=None, metavar="a0:a1:step"), ALPHA_COMMANDS),
+    ("--lam", dict(type=float, default=1.0), ("verify-extremal",)),
+    ("--perturb-amplitude", dict(type=float, default=1.0), ("verify-extremal",)),
+    ("--mode", dict(type=int, default=0), ("spectrum",)),
+    ("--num-eigs", dict(type=int, default=6), ("spectrum",)),
+    ("--nodes", dict(type=int, default=160), ("spectrum", "kernel", "remainder", "perturb")),
+    ("--k-max", dict(type=int, default=4), ("kernel",)),
+    ("--t-values", dict(type=str, default="0.01,0.001"), ("remainder",)),
+    ("--eps", dict(type=float, default=1e-3), ("perturb",)),
+    ("--h", dict(type=str, default="exp_bump"), ("perturb",)),
+    ("--h-file", dict(type=str, default=None), ("perturb",)),
+    ("--a", dict(type=float, default=0.0, help="two-block displacement"),
+     ("branch",)),
+    ("--grid-n", dict(type=int, default=200), ("branch",)),
+    ("--out", dict(type=str, default=None), tuple(COMMANDS)),
+    ("--format", dict(choices=("json", "csv"), default="json"), ("remainder", "perturb")),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -351,27 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification workflows for the weighted fourth-order inequality toolkit",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--N", type=int, default=5)
-        sp.add_argument("--alpha", type=str, default="1",
-                        help="weight exponent as an exact decimal string")
-        sp.add_argument("--mode", type=int, default=0)
-        sp.add_argument("--num-eigs", type=int, default=6)
-        sp.add_argument("--nodes", type=int, default=160)
-        sp.add_argument("--eps", type=float, default=1e-3)
-        sp.add_argument("--h", type=str, default="exp_bump")
-        sp.add_argument("--h-file", type=str, default=None)
-        sp.add_argument("--out", type=str, default=None)
-        sp.add_argument("--format", choices=("json", "csv"), default="json")
-        sp.add_argument("--scan-alpha", type=str, default=None, metavar="a0:a1:step")
-        sp.add_argument("--lam", type=float, default=1.0)
-        sp.add_argument("--perturb-amplitude", type=float, default=1.0)
-        sp.add_argument("--k-max", type=int, default=4)
-        sp.add_argument("--t-values", type=str, default="0.01,0.001")
-        sp.add_argument("--a", type=float, default=0.0,
-                        help="two-block displacement for the branch command")
-        sp.add_argument("--grid-n", type=int, default=200)
+    # no abbreviations: a prefix of another command's flag (verify-extremal --a
+    # for --alpha) would otherwise be read instead of refused
+    parsers = {name: sub.add_parser(name, allow_abbrev=False) for name in COMMANDS}
+    for flag, kwargs, commands in FLAGS:
+        for name in commands:
+            parsers[name].add_argument(flag, **kwargs)
     return ap
 
 
@@ -379,31 +388,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     name = args.command
     try:
-        if args.scan_alpha:
-            alphas = _alpha_scan_values(args.scan_alpha)
-            workers = int(os.environ.get("CKN_LAB_THREADS", "0")) or min(8, len(alphas))
+        scan = getattr(args, "scan_alpha", None)
+        if not scan:
+            return _emit(_run_one(name, args), args)
+        alphas = _alpha_scan_values(scan)
+        workers = int(os.environ.get("CKN_LAB_THREADS", "0")) or min(8, len(alphas))
 
-            def run_alpha(a):
-                import copy
-                sub_args = copy.copy(args)
-                sub_args.alpha = a
-                sub_args.scan_alpha = None
-                return _run_one(name, sub_args)
+        def run_alpha(a):
+            sub_args = copy.copy(args)
+            sub_args.alpha = a
+            sub_args.scan_alpha = None
+            return _run_one(name, sub_args)
 
-            with cf.ThreadPoolExecutor(max_workers=workers) as pool:
-                reports = list(pool.map(run_alpha, alphas))
-            for rep in reports:
-                rep.pop("_csv", None)
-            ok = all(r["passed"] for r in reports)
-            text = json.dumps(reports, sort_keys=True, indent=2, default=float) + "\n"
-            if args.out:
-                with open(args.out, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
-            return 0 if ok else 1
-        report = _run_one(name, args)
-        return _emit(report, args)
+        with cf.ThreadPoolExecutor(max_workers=workers) as pool:
+            reports = list(pool.map(run_alpha, alphas))
+        return _emit(reports, args)
     except CknError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2

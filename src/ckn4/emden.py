@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import RadialGrid, default_grid
+from .calculus import RadialGrid, default_grid, hessian_integral, star_integral
 from .forms import PowerForm
 from .params import Params, normalization_constant
 from .profiles import ProfileKind, RadialProfile
@@ -28,15 +28,17 @@ __all__ = [
 
 
 class ComposedRadial:
-    """v(s) = u(s^q) (power > 0) with chain-rule derivatives up to order 2."""
+    """amp * u((scale * s)^power) (power > 0) with chain-rule derivatives up to order 2."""
 
-    def __init__(self, u, power: float):
+    def __init__(self, u, power: float, scale: float = 1.0, amp: float = 1.0):
         self.u = u
         self.power = float(power)
+        self.scale = float(scale)
+        self.amp = float(amp)
 
     def eval(self, s):
         s = np.asarray(s, dtype=float)
-        return self.u.eval(s ** self.power)
+        return self.amp * self.u.eval((self.scale * s) ** self.power)
 
     def __call__(self, s):
         return self.eval(s)
@@ -44,13 +46,14 @@ class ComposedRadial:
     def deriv(self, s, order: int = 1):
         s = np.asarray(s, dtype=float)
         q = self.power
-        r = s ** q
-        dr = q * s ** (q - 1.0)
+        rr = self.scale * s
+        r = rr ** q
+        dr = q * rr ** (q - 1.0) * self.scale
         if order == 1:
-            return self.u.deriv(r, 1) * dr
+            return self.amp * self.u.deriv(r, 1) * dr
         if order == 2:
-            d2r = q * (q - 1.0) * s ** (q - 2.0)
-            return self.u.deriv(r, 2) * dr ** 2 + self.u.deriv(r, 1) * d2r
+            d2r = q * (q - 1.0) * rr ** (q - 2.0) * self.scale * self.scale
+            return self.amp * (self.u.deriv(r, 2) * dr ** 2 + self.u.deriv(r, 1) * d2r)
         raise ValueError("composed profiles support derivatives up to order 2")
 
 
@@ -62,7 +65,7 @@ def sobolev_bubble(p: Params, lam: float = 1.0, amplitude: float | None = None) 
     A = normalization_constant(p) if amplitude is None else float(amplitude)
     nu = lam ** (1.0 / p.q)
     coef = A * nu ** ((p.M - 4.0) / 2.0)
-    form = PowerForm.single(2.0, nu ** 2, -(p.M - 4.0) / 2.0, coef=coef)
+    form = PowerForm.single(2.0, nu * nu, -(p.M - 4.0) / 2.0, coef=coef)
     return RadialProfile(params=p, kind=ProfileKind.CUSTOM, lam=lam, amplitude=A, form=form)
 
 
@@ -84,37 +87,9 @@ def induced_sobolev_grid(p: Params, grid: RadialGrid) -> RadialGrid:
     return RadialGrid(
         nodes=grid.nodes ** (1.0 / q),
         weights=grid.weights * grid.nodes ** (1.0 / q - 1.0) / q,
-        map_kind=grid.map_kind,
         r_min=grid.r_min ** (1.0 / q),
         r_max=grid.r_max ** (1.0 / q),
     )
-
-
-def _hess_integral(dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
-    """int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr with form corrections."""
-    r = grid.nodes
-    lap = u.deriv(r, 2) + (dim - 1.0) * u.deriv(r, 1) / r
-    out = grid.integrate(r ** weight_pow * lap ** 2 * r ** (dim - 1.0))
-    form = getattr(u, "form", None)
-    if form is not None:
-        f = form.radial_laplacian(dim)
-        extra = weight_pow + dim - 1.0
-        prod = f * f
-        out += prod.head_integral(grid.r_min, extra) + prod.tail_integral(grid.r_max, extra)
-    return out
-
-
-def _abs_power_integral(p: Params, weight_pow: float, dim: float, u, grid: RadialGrid) -> float:
-    """int r^weight_pow |u|^{p*} r^{dim-1} dr with form corrections."""
-    r = grid.nodes
-    out = grid.integrate(r ** weight_pow * np.abs(u.eval(r)) ** p.pstar * r ** (dim - 1.0))
-    form = getattr(u, "form", None)
-    if form is not None and len(form.terms) == 1:
-        ((a, b, m), c) = next(iter(form.terms.items()))
-        f = PowerForm(form.gamma, form.w, p.pstar * (form.e0 - m), {(0, 0, 0): abs(c) ** p.pstar})
-        extra = p.pstar * (a * form.gamma - b) + weight_pow + dim - 1.0
-        out += f.head_integral(grid.r_min, extra) + f.tail_integral(grid.r_max, extra)
-    return out
 
 
 def norm_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[float, float, float]:
@@ -124,9 +99,9 @@ def norm_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[f
     rhs = q^{-3} int (v'' + (M-1)v'/s)^2 s^{M-1} ds,  v(s) = u(s^q).
     """
     grid = grid or default_grid()
-    lhs = _hess_integral(float(p.N), p.alpha, u, grid)
+    lhs = hessian_integral(p.N, p.alpha, u, grid)
     v = to_sobolev(p, u)
-    rhs = _hess_integral(p.M, 0.0, v, induced_sobolev_grid(p, grid)) / p.q ** 3
+    rhs = hessian_integral(p.M, 0.0, v, induced_sobolev_grid(p, grid)) / p.q ** 3
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return lhs, rhs, rel
 
@@ -138,8 +113,8 @@ def star_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[f
     rhs = q * int |v|^{2M/(M-4)} s^{M-1} ds,  v(s) = u(s^q).
     """
     grid = grid or default_grid()
-    lhs = _abs_power_integral(p, -p.alpha, float(p.N), u, grid)
+    lhs = star_integral(p, p.N, -p.alpha, u, grid)
     v = to_sobolev(p, u)
-    rhs = p.q * _abs_power_integral(p, 0.0, p.M, v, induced_sobolev_grid(p, grid))
+    rhs = p.q * star_integral(p, p.M, 0.0, v, induced_sobolev_grid(p, grid))
     rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
     return lhs, rhs, rel

@@ -42,7 +42,7 @@ class NonIntegrable(CknError):
 
 
 class QuadratureFailure(CknError):
-    """A corrected quadrature of a nonnegative integrand is not finite and nonnegative."""
+    """A corrected nonnegative integral overflows or is not finite and nonnegative."""
 
 
 class ZeroFunction(CknError):

@@ -174,10 +174,6 @@ class PowerForm:
                 out += c * w ** (e - j) * _gen_binom(e, j) * (-(r_hi ** q) / q)
         return out
 
-    def tail_exponent(self, extra: float = 0.0) -> float:
-        """Largest power governing decay at infinity."""
-        return max(p + self.gamma * e for _, p, e in self._exponents(extra))
-
     def integral(self, extra: float = 0.0) -> float:
         """Exact int_0^inf r^extra * self through Beta functions (oracle path)."""
         g, w = self.gamma, self.w

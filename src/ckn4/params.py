@@ -201,7 +201,12 @@ def best_constant_radial_report(p: Params) -> dict:
 def normalization_constant(p: Params) -> float:
     """Amplitude making the extremal profile an exact solution of the equation."""
     K = (p.N - 4.0 + p.alpha) * (p.N - 2.0) * (p.N - p.alpha) * (p.N + 2.0 - 2.0 * p.alpha)
-    return K ** ((p.N - 4.0 + p.alpha) / (8.0 - 4.0 * p.alpha))
+    try:
+        return K ** ((p.N - 4.0 + p.alpha) / (8.0 - 4.0 * p.alpha))
+    except OverflowError:
+        raise MOutOfRange(
+            f"normalization constant at N={p.N}, alpha={p.alpha} (M={p.M:.6g}) "
+            f"overflows the float range") from None
 
 
 def spherical_multiplicity(k: int, N: int) -> int:

@@ -20,8 +20,8 @@ from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq, minimize_scalar
 
 from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
+from .emden import ComposedRadial, sobolev_bubble
 from .errors import ContractionFailure, NoInteriorExtremum, OnManifold, ZeroFunction
-from .forms import PowerForm
 from .params import Params, best_constant_radial, normalization_constant, sphere_area
 from .profiles import dilation_tangent, extremal_U
 from .spectrum import ModeProblem, SGrid, SobolevModeFunction, assemble_mode_problem, _solve_pencil
@@ -231,7 +231,7 @@ class PerturbationProblem:
         del psi, lpsi
 
         C = normalization_constant(p)
-        self.bubble = _bubble_form(p, 1.0)
+        self.bubble = sobolev_bubble(p, 1.0).form
         self.bub_vals = self.bubble.eval(self.s)
         self.lbub_vals = self.bubble.radial_laplacian(p.M).eval(self.s)
 
@@ -309,33 +309,11 @@ class CorrectionResult:
         pp = self.problem
         return SobolevModeFunction(pp.problem.basis, pp.X @ self.coeffs)
 
-    def omega_radial(self):
+    def omega_radial(self) -> ComposedRadial:
         """Physical correction P_lam(w) on the weighted side."""
-        pp = self.problem
-        p = pp.params
-        fn = self.omega_hat()
-        lam = self.lam
-        pre = lam ** ((p.N - 4.0 + p.alpha) / 2.0)
-        iq = 1.0 / p.q
-
-        class _Omega:
-            def eval(self, r):
-                r = np.asarray(r, dtype=float)
-                return pre * fn.eval((lam * r) ** iq)
-
-            __call__ = eval
-
-            def deriv(self, r, order: int = 1):
-                r = np.asarray(r, dtype=float)
-                rr = lam * r
-                s = rr ** iq
-                ds = iq * rr ** (iq - 1.0) * lam
-                if order == 1:
-                    return pre * fn.deriv(s, 1) * ds
-                d2s = iq * (iq - 1.0) * rr ** (iq - 2.0) * lam * lam
-                return pre * (fn.deriv(s, 2) * ds ** 2 + fn.deriv(s, 1) * d2s)
-
-        return _Omega()
+        p = self.problem.params
+        pre = self.lam ** ((p.N - 4.0 + p.alpha) / 2.0)
+        return ComposedRadial(self.omega_hat(), 1.0 / p.q, scale=self.lam, amp=pre)
 
 
 def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = None,
@@ -397,13 +375,6 @@ def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = No
     return out
 
 
-def _bubble_form(p: Params, lam: float) -> PowerForm:
-    C = normalization_constant(p)
-    nu = lam ** (1.0 / p.q)
-    return PowerForm.single(2.0, nu * nu, -(p.M - 4.0) / 2.0,
-                            coef=C * nu ** ((p.M - 4.0) / 2.0))
-
-
 def reduced_energy(pp: PerturbationProblem, lam: float, eps: float | None = None,
                    result: CorrectionResult | None = None) -> float:
     """Physical-frame energy of U_lam + correction at scale lam.
@@ -416,7 +387,7 @@ def reduced_energy(pp: PerturbationProblem, lam: float, eps: float | None = None
     eps = pp.eps if eps is None else float(eps)
     result = result or solve_correction(pp, lam, eps)
     nu = lam ** (1.0 / p.q)
-    bub = _bubble_form(p, lam)
+    bub = sobolev_bubble(p, lam).form
     bub_vals = bub.eval(pp.s)
     lbub_vals = bub.radial_laplacian(p.M).eval(pp.s)
     # transported correction: nu^{(M-4)/2} w(nu s); operator picks nu^2
@@ -474,7 +445,7 @@ def find_perturbed_solution(pp: PerturbationProblem,
     energy = reduced_energy(pp, lam_star, result=final)
     nu = lam_star ** (1.0 / p.q)
     w_vals = final.omega_hat().eval(nu * pp.s)
-    u_vals = _bubble_form(p, lam_star).eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * w_vals
+    u_vals = sobolev_bubble(p, lam_star).form.eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * w_vals
     return {
         "lambda_star": float(lam_star),
         "energy": float(energy),

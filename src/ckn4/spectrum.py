@@ -30,6 +30,7 @@ import numpy as np
 from numpy.polynomial.legendre import legder, legval
 from scipy.special import betaln, roots_jacobi, roots_legendre
 
+from .emden import ComposedRadial, from_sobolev
 from .errors import EigensolveFailure, GridTooCoarse, InconsistentKernel
 from .params import (
     Params,
@@ -53,7 +54,6 @@ __all__ = [
     "kernel_residual",
     "mu3_estimate",
     "SobolevModeFunction",
-    "RadialModeFunction",
 ]
 
 
@@ -517,35 +517,9 @@ class SobolevModeFunction:
         out = self.basis.series(self.coeffs, s)[order]
         return out if out.size > 1 else float(out[0])
 
-    def to_radial(self, p: Params) -> "RadialModeFunction":
-        return RadialModeFunction(self, p)
-
-
-class RadialModeFunction:
-    """The same function pulled back to the weighted side, u(r) = X(r^{1/q})."""
-
-    def __init__(self, fn: SobolevModeFunction, p: Params):
-        self.fn = fn
-        self.p = p
-
-    def eval(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.fn.eval(r ** (1.0 / self.p.q))
-
-    def __call__(self, r):
-        return self.eval(r)
-
-    def deriv(self, r, order: int = 1):
-        r = np.asarray(r, dtype=float)
-        iq = 1.0 / self.p.q
-        s = r ** iq
-        ds = iq * r ** (iq - 1.0)
-        if order == 1:
-            return self.fn.deriv(s, 1) * ds
-        if order == 2:
-            d2s = iq * (iq - 1.0) * r ** (iq - 2.0)
-            return self.fn.deriv(s, 2) * ds ** 2 + self.fn.deriv(s, 1) * d2s
-        raise ValueError("radial pullbacks support derivatives up to order 2")
+    def to_radial(self, p: Params) -> ComposedRadial:
+        """The same function pulled back to the weighted side, u(r) = X(r^{1/q})."""
+        return from_sobolev(p, self)
 
 
 def kernel_residual(p: Params, profile: RadialProfile, k: int, mu: float | None = None) -> float:

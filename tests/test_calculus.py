@@ -171,13 +171,3 @@ def test_sampled_radial():
     assert s.eval(1e6) == 0.0
     with pytest.raises(ValueError):
         SampledRadial(np.array([1.0, np.nan]), 0.1, 1.0)
-
-
-def test_grid_json_roundtrip():
-    g = RadialGrid.log_gauss(1e-5, 1e5, 128)
-    g2 = RadialGrid.from_json(g.to_json())
-    assert np.allclose(g.nodes, g2.nodes)
-    assert np.allclose(g.weights, g2.weights)
-    ga = RadialGrid.algebraic(n=64)
-    vals = np.exp(-ga.nodes)
-    assert ga.integrate(vals) == pytest.approx(1.0, rel=1e-6)

@@ -1,9 +1,12 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ckn4.cli import load_h_csv, main
+from ckn4.cli import COMMANDS, build_parser, load_h_csv, main
 from ckn4.reduction import BUILTIN_H
 
 
@@ -197,3 +200,80 @@ def test_h_file_one_column_line(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and f"{path}: line 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--N", "12", "--alpha", "1.99"],
+    ["verify-extremal", "--N", "12", "--alpha", "1.93644"],
+    ["transform-check", "--N", "12", "--alpha", "1.93644"],
+])
+def test_float_range_edge_is_typed(capsys, argv):
+    # the normalization constant, or |c|^{p*} of the extremal's coefficient,
+    # overflows a float at these points
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    assert "N=12" in err and f"alpha={argv[-1]}" in err
+
+
+# the flags each subcommand's code reads
+COMMAND_FLAGS = {
+    "constants": {"--N", "--alpha"},
+    "verify-extremal": {"--N", "--alpha", "--lam", "--perturb-amplitude"},
+    "transform-check": {"--N", "--alpha"},
+    "spectrum": {"--N", "--alpha", "--mode", "--num-eigs", "--nodes"},
+    "kernel": {"--N", "--alpha", "--k-max", "--nodes"},
+    "remainder": {"--N", "--alpha", "--nodes", "--t-values"},
+    "perturb": {"--N", "--alpha", "--eps", "--h", "--h-file", "--nodes"},
+    "branch": {"--N", "--a", "--grid-n"},
+}
+
+
+def expected_flags(name):
+    flags = COMMAND_FLAGS[name] | {"--out"}
+    if "--alpha" in flags:
+        flags |= {"--scan-alpha"}
+    if name in ("remainder", "perturb"):
+        flags |= {"--format"}
+    return flags
+
+
+def test_help_lists_only_the_flags_each_command_reads(capsys):
+    total = 0
+    for name in COMMANDS:
+        with pytest.raises(SystemExit) as exc:
+            main([name, "--help"])
+        assert exc.value.code == 0
+        listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
+        assert listed == expected_flags(name), name
+        total += len(listed)
+    assert total == 47
+
+
+@pytest.mark.parametrize("argv", [
+    ["constants", "--grid-n", "7"],
+    ["verify-extremal", "--a", "0.3"],       # no abbreviation of --alpha either
+    ["transform-check", "--format", "csv"],
+    ["spectrum", "--eps", "5"],
+    ["kernel", "--mode", "1"],
+    ["remainder", "--k-max", "2"],
+    ["perturb", "--lam", "2"],
+    ["branch", "--alpha", "1"],
+])
+def test_unread_flag_is_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_readme_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    argvs = [shlex.split(line, comments=True) for line in block.splitlines()
+             if line.startswith("ckn4 ")]
+    assert {argv[1] for argv in argvs} == set(COMMANDS)
+    parser = build_parser()
+    for argv in argvs:
+        assert parser.parse_args(argv[1:]).command == argv[1]

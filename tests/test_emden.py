@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ckn4.emden import (
+    ComposedRadial,
     from_sobolev,
     norm_identity_check,
     sobolev_bubble,
@@ -80,6 +81,20 @@ def test_constant_chain_matches_corrected_closed_form(rng):
         pref = ((2.0 - p.alpha) / 2.0) ** ((4 * p.N - 4 - 2 * p.alpha) / (p.N - p.alpha))
         closed = pref * sphere_area(p.N) ** ((4 - 2 * p.alpha) / (p.N - p.alpha)) * sobolev_constant_C(p.M)
         assert best_constant_radial(p) == pytest.approx(closed, rel=1e-12)
+
+
+@pytest.mark.parametrize("N,a", PARAM_SETS)
+def test_composed_radial_scale_and_amplitude(N, a):
+    # lam^{(N-4+alpha)/2} v((lam r)^{1/q}) with v the s-side bubble is the
+    # dilated extremal U_lam, derivatives included
+    p = validate_params(N, a)
+    lam = 2.5
+    u = ComposedRadial(sobolev_bubble(p), 1.0 / p.q, scale=lam, amp=lam ** (p.decay_exp / 2.0))
+    want = extremal_U(p, lam)
+    r = np.logspace(-2, 2, 40)
+    assert np.allclose(u.eval(r), want.eval(r), rtol=1e-12, atol=0.0)
+    for order in (1, 2):
+        assert np.allclose(u.deriv(r, order), want.deriv(r, order), rtol=1e-11, atol=0.0)
 
 
 def test_bubble_profile_matches_transform():
