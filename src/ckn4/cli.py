@@ -257,6 +257,8 @@ def cmd_perturb(args) -> dict:
     rep.pop("result")
     return {
         "data": {"N": p.N, "alpha": p.alpha, "eps": args.eps, **rep, "gamma_curve": curve},
+        "diagnostics": {"quad_nodes": int(pp.s.size), "basis_size": pp.problem.basis.m,
+                        "kept_rank": pp.kept},
         "checks": checks,
         "csv": [("lam", "gamma")] + [(row["lam"], row["gamma"]) for row in curve],
     }

@@ -42,7 +42,7 @@ class NonIntegrable(CknError):
 
 
 class QuadratureFailure(CknError):
-    """A corrected nonnegative integral overflows or is not finite and nonnegative."""
+    """A quadrature overflows, or a corrected nonnegative integral is not finite and nonnegative."""
 
 
 class ZeroFunction(CknError):

@@ -21,7 +21,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
 from .emden import ComposedRadial, sobolev_bubble
-from .errors import ContractionFailure, NoInteriorExtremum, OnManifold, ZeroFunction
+from .errors import ContractionFailure, NoInteriorExtremum, OnManifold, QuadratureFailure, ZeroFunction
 from .params import Params, best_constant_radial, normalization_constant, sphere_area
 from .profiles import dilation_tangent, extremal_U
 from .spectrum import ModeProblem, SGrid, SobolevModeFunction, assemble_mode_problem, _solve_pencil
@@ -208,12 +208,10 @@ class PerturbationProblem:
         self.params = params
         self.h = h
         self.eps = float(eps)
-        self.nodes = nodes
         p = params
 
         self.problem: ModeProblem = assemble_mode_problem(p, 0, nodes=nodes)
         mu, X, kept = _solve_pencil(self.problem.A, self.problem.B, drop=drop)
-        self.mu = mu
         self.X = X                      # (m_poly, kept) B-orthonormal columns
         self.kept = kept
         self.scale = self.problem.alpha_scale          # omega q^{-3}
@@ -223,27 +221,29 @@ class PerturbationProblem:
         # variable, so the nonlinear integrals use the composite log grid
         grid = SGrid.build(nodes, M=p.M)
         self.s = grid.s
-        self.wq = grid.w * self.s ** (p.M - 1.0)
-        # spectral basis values and applied operator on the grid
+        with np.errstate(over="ignore"):
+            self.wq = grid.w * self.s ** (p.M - 1.0)
+        if not np.isfinite(self.wq).all():
+            raise QuadratureFailure(
+                f"perturbation grid at N={p.N}, alpha={p.alpha} (M={p.M:.6g}): the weight "
+                f"s^(M-1) overflows the float range at ln s = {grid.u[-1]:.4g}")
+        bubble = sobolev_bubble(p, 1.0).form
+        self.bub_vals = bubble.eval(self.s)
+        self.lbub_vals = bubble.radial_laplacian(p.M).eval(self.s)
+        # spectral basis values on the grid; the applied operator enters only bU
         psi, lpsi = self.problem.basis.applied(self.s)
         self.phi = X.T @ psi            # (kept, n)
-        self.lphi = X.T @ lpsi
+        self.bU = self.scale * (X.T @ (lpsi @ (self.wq * self.lbub_vals)))
         del psi, lpsi
 
         C = normalization_constant(p)
-        self.bubble = sobolev_bubble(p, 1.0).form
-        self.bub_vals = self.bubble.eval(self.s)
-        self.lbub_vals = self.bubble.radial_laplacian(p.M).eval(self.s)
-
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
-        self.bU = self.scale * (self.lphi * self.wq) @ self.lbub_vals
         # dilation tangent at scale 1 on the s side: -c * E * t = -c * psi_1
         c_tan = C * (p.N - 4.0 + p.alpha) / 2.0
         d_poly = np.zeros(X.shape[0])
         if X.shape[0] > 1:
             d_poly[1] = -c_tan
         self.d = self.scale * (X.T @ (self.problem.A @ d_poly))
-        self.d_poly = d_poly
         self.tangent_norm = math.sqrt(float(self.scale * d_poly @ self.problem.A @ d_poly))
 
         self.r_of_s = self.s ** p.q
@@ -261,7 +261,6 @@ class PerturbationProblem:
         # unperturbed energy of the extremal, from the same quadrature
         star0 = self.star_scale * float(self.wq @ np.maximum(self.bub_vals, 0.0) ** p.pstar)
         norm0 = self.scale * float(self.wq @ self.lbub_vals ** 2)
-        self.norm_U_sq = norm0
         self.unperturbed_energy = 0.5 * norm0 - star0 / p.pstar
 
     # -- helpers ---------------------------------------------------------------

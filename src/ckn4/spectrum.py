@@ -62,37 +62,36 @@ class SGrid:
     """Composite Gauss-Legendre rule in u = ln s for int_0^inf f(s) ds.
 
     For integrands that are not polynomial in t, such as the nonlinear
-    terms of the reduction; the pencil itself uses JacobiRule.
+    terms of the reduction; the pencil itself uses JacobiRule.  Panels of
+    panel_pts nodes, sized to what each zone of u resolves: min(1, 96/m)
+    wide for |u| < 8, where ModeBasis(m) functions (degree < m in t = tanh u)
+    oscillate at most about m radians per unit u; half a unit for
+    8 < |u| < 12, where the Gamma curve's scale transport (|ln nu| =
+    |ln lam|/q) carries the correction's outer oscillations at small q; a
+    unit beyond, for the algebraic tails of the bubble and the correction.
     """
 
     u: np.ndarray
     s: np.ndarray
     w: np.ndarray          # weights including ds = s du
-    u_min: float
-    u_max: float
 
     @classmethod
-    def build(cls, m: int, M: float | None = None, u_min: float | None = None,
-              u_max: float | None = None, panel_pts: int = 64) -> "SGrid":
-        # stiffness integrands decay like s^{3-M}: the window must widen as
-        # M approaches 4 and may shrink for large effective dimensions
-        if u_max is None:
-            u_max = 60.0 if M is None else float(np.clip(34.0 / (M - 4.0), 12.0, 150.0))
-        if u_min is None:
-            u_min = -40.0 if M is None else -max(12.0, min(40.0, 170.0 / M))
-        hc = min(0.25, 24.0 / max(m, 64))
+    def build(cls, m: int, M: float, panel_pts: int = 64) -> "SGrid":
+        # the reduced-energy integrand |Delta u|^2 s^{M-1} decays like s^{3-M}:
+        # the window must widen as M approaches 4 and may shrink for large M
+        u_max = float(np.clip(34.0 / (M - 4.0), 12.0, 150.0))
+        u_min = -max(12.0, min(40.0, 170.0 / M))
         zones = [
             (u_min, -12.0, 1.0),
-            (-12.0, -8.0, 0.25),
-            (-8.0, 8.0, hc),
-            (8.0, 12.0, 0.25),
+            (-12.0, -8.0, 0.5),
+            (-8.0, 8.0, min(1.0, 96.0 / m)),
+            (8.0, 12.0, 0.5),
             (12.0, u_max, 1.0),
         ]
-        zones = [(a, b, h) for a, b, h in zones if b > a]
         x, wref = roots_legendre(panel_pts)
         us, ws = [], []
         for a, b, h in zones:
-            npan = max(1, int(math.ceil((b - a) / h)))
+            npan = int(math.ceil((b - a) / h))       # none when u_max = 12
             edges = np.linspace(a, b, npan + 1)
             mid = 0.5 * (edges[:-1] + edges[1:])
             half = 0.5 * (edges[1:] - edges[:-1])
@@ -101,7 +100,7 @@ class SGrid:
         u = np.concatenate(us)
         w = np.concatenate(ws)
         s = np.exp(u)
-        return cls(u=u, s=s, w=w * s, u_min=u_min, u_max=u_max)
+        return cls(u=u, s=s, w=w * s)
 
     @property
     def n(self) -> int:

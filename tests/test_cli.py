@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from ckn4.cli import COMMANDS, build_parser, load_h_csv, main
+from ckn4.params import validate_params
 from ckn4.reduction import BUILTIN_H
+from ckn4.spectrum import SGrid
 
 
 def run(capsys, *argv):
@@ -171,6 +173,21 @@ def test_perturb_command(capsys, tmp_path):
     assert rep["data"]["residual"] < 1e-6
     assert rep["data"]["positive"]
     assert len(rep["data"]["gamma_curve"]) == 33
+    diag = rep["diagnostics"]
+    assert diag["quad_nodes"] == SGrid.build(128, M=validate_params(5, 1).M).n
+    assert diag["basis_size"] == 128
+    assert 0 < diag["kept_rank"] <= diag["basis_size"]
+
+
+@pytest.mark.parametrize("N, a", [("5", "1.9"), ("10", "1.8")])
+def test_perturb_large_M_is_typed(capsys, N, a):
+    # M = 62 and 82: s^(M-1) overflows at the grid's outer edge
+    code, out, err = run(capsys, "perturb", "--N", N, "--alpha", a)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: QuadratureFailure: perturbation grid")
+    assert f"N={N}" in err and "M=" in err
+    assert "infs or NaNs" not in err and "Traceback" not in err
 
 
 def test_h_file_loading(tmp_path):

@@ -19,7 +19,7 @@ from ckn4.reduction import (
     remainder_scan,
     solve_correction,
 )
-from ckn4.spectrum import mode_eigenvalues
+from ckn4.spectrum import SGrid, mode_eigenvalues
 
 
 @pytest.fixture(scope="module")
@@ -177,6 +177,32 @@ def test_gamma_flat_at_zero_eps(p51):
     assert g.max() - g.min() < 1e-9 * abs(pp0.unperturbed_energy)
     with pytest.raises(NoInteriorExtremum):
         find_perturbed_solution(pp0, lam_grid=np.logspace(-1, 1, 9))
+
+
+@pytest.mark.parametrize("N, a", [(5, 1.0), (6, -1.0), (7, -2.0)])
+def test_perturbation_grid_converged(monkeypatch, N, a):
+    # Gamma on the default rule against the same zones with twice the nodes
+    # per panel
+    p = validate_params(N, a)
+    lams = (1e-2, 1.0, 1e2)
+
+    def gammas():
+        pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=220)
+        return pp, np.array([reduced_energy(pp, lam) for lam in lams])
+
+    pp, coarse = gammas()
+    build = SGrid.build.__func__
+    monkeypatch.setattr(SGrid, "build", classmethod(
+        lambda cls, m, **kw: build(cls, m, **kw, panel_pts=128)))
+    fine_pp, fine = gammas()
+    assert fine_pp.s.size == 2 * pp.s.size
+    assert np.max(np.abs(coarse - fine) / np.abs(fine)) <= 1e-12
+
+
+def test_perturbation_grid_size(p51):
+    # the composite rule before it was sized to the basis had 12 096 nodes here
+    pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=220)
+    assert pp.s.size <= 12096 // 2
 
 
 def test_gamma_limits(pp51):
