@@ -6,7 +6,12 @@ at scale 1 with weight h(x/lam), because the scaling map is an isometry of
 every functional involved except the explicit h-term.  The discrete space
 is the spectral basis of the mode-0 linearized pencil, in which the frozen
 Jacobian of the fixed-point map is diagonal plus a one-dimensional border.
-Reported energies are still evaluated in the physical frame, so scaling
+The quadratic terms of the reduced energy are exact in that basis: the
+bubble is C psi_0, so its alpha-products come from the pencil's stiffness
+matrix, and scaling is an isometry of the alpha-norm.  Only the star and h
+terms are integrated, on a composite log grid whose window is derived from
+their decay and the scales in LAM_RANGE.  The star term of the reduced
+energy is evaluated in the physical frame at each scale, so scaling
 invariance is measured, not assumed.
 """
 
@@ -193,6 +198,9 @@ def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list
 
 # -- perturbation problem -------------------------------------------------------
 
+# scales at which reduced_energy may place the bubble; the grid is sized to it
+LAM_RANGE = (1e-3, 1e3)
+
 
 class PerturbationProblem:
     """Discretization of the correction equation for a given (h, eps).
@@ -218,8 +226,10 @@ class PerturbationProblem:
         self.star_scale = sphere_area(p.N) * p.q       # omega q
 
         # u_+^{p*-1} and h(r/lam) are not polynomial in the pencil's Jacobi
-        # variable, so the nonlinear integrals use the composite log grid
-        grid = SGrid.build(nodes, M=p.M)
+        # variable, so the star-type integrals use the composite log grid,
+        # wide enough for the bubble at every scale in LAM_RANGE
+        shift = max(abs(math.log(lam)) for lam in LAM_RANGE) / p.q
+        grid = SGrid.build(nodes, M=p.M, shift=shift)
         self.s = grid.s
         with np.errstate(over="ignore"):
             self.wq = grid.w * self.s ** (p.M - 1.0)
@@ -227,17 +237,15 @@ class PerturbationProblem:
             raise QuadratureFailure(
                 f"perturbation grid at N={p.N}, alpha={p.alpha} (M={p.M:.6g}): the weight "
                 f"s^(M-1) overflows the float range at ln s = {grid.u[-1]:.4g}")
-        bubble = sobolev_bubble(p, 1.0).form
-        self.bub_vals = bubble.eval(self.s)
-        self.lbub_vals = bubble.radial_laplacian(p.M).eval(self.s)
-        # spectral basis values on the grid; the applied operator enters only bU
-        psi, lpsi = self.problem.basis.applied(self.s)
-        self.phi = X.T @ psi            # (kept, n)
-        self.bU = self.scale * (X.T @ (lpsi @ (self.wq * self.lbub_vals)))
-        del psi, lpsi
+        self.bub_vals = sobolev_bubble(p, 1.0).form.eval(self.s)
+        self.phi = X.T @ self.problem.basis.values(self.s)      # (kept, n)
 
         C = normalization_constant(p)
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
+        # the bubble is C psi_0 (sigma0 = 0 in mode 0): its alpha-products
+        # with the basis are read off the stiffness matrix exactly
+        self.bU = self.scale * C * (X.T @ self.problem.A[:, 0])
+        self.norm0 = self.scale * C * C * float(self.problem.A[0, 0])
         # dilation tangent at scale 1 on the s side: -c * E * t = -c * psi_1
         c_tan = C * (p.N - 4.0 + p.alpha) / 2.0
         d_poly = np.zeros(X.shape[0])
@@ -258,12 +266,14 @@ class PerturbationProblem:
         self._K_lu = lu_factor(K)
         self._cache: dict = {}
 
-        # unperturbed energy of the extremal, from the same quadrature
         star0 = self.star_scale * float(self.wq @ np.maximum(self.bub_vals, 0.0) ** p.pstar)
-        norm0 = self.scale * float(self.wq @ self.lbub_vals ** 2)
-        self.unperturbed_energy = 0.5 * norm0 - star0 / p.pstar
+        self.unperturbed_energy = 0.5 * self.norm0 - star0 / p.pstar
 
     # -- helpers ---------------------------------------------------------------
+
+    def norm_sq(self, c: np.ndarray) -> float:
+        """||U_lam + w_lam||^2 for the correction w = sum_i c_i phi_i, at every lam."""
+        return self.norm0 + 2.0 * float(c @ self.bU) + float(self.G @ (c * c))
 
     def _h_values(self, lam: float) -> np.ndarray:
         if self.h is None:
@@ -376,27 +386,27 @@ def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = No
 
 def reduced_energy(pp: PerturbationProblem, lam: float, eps: float | None = None,
                    result: CorrectionResult | None = None) -> float:
-    """Physical-frame energy of U_lam + correction at scale lam.
+    """Energy of U_lam + correction at scale lam, for lam in LAM_RANGE.
 
-    Every integral is evaluated on the fixed quadrature grid with the
-    scale-dependent integrands, so invariance under scaling is a measured
-    property of the discretization rather than an identity of the code.
+    Scaling is an isometry of the alpha-norm, so the quadratic part is
+    taken in coefficient space (PerturbationProblem.norm_sq).
+    The star term is integrated on the fixed grid with the physical-frame
+    integrand at scale lam, so its invariance under scaling is measured.
     """
     p = pp.params
+    lo, hi = LAM_RANGE
+    if not lo <= lam <= hi:
+        raise QuadratureFailure(
+            f"reduced energy at N={p.N}, alpha={p.alpha}, lambda={lam:g}: the perturbation "
+            f"grid covers the bubble only for lambda in [{lo:g}, {hi:g}]")
     eps = pp.eps if eps is None else float(eps)
     result = result or solve_correction(pp, lam, eps)
+    # transported correction: nu^{(M-4)/2} w(nu s)
     nu = lam ** (1.0 / p.q)
-    bub = sobolev_bubble(p, lam).form
-    bub_vals = bub.eval(pp.s)
-    lbub_vals = bub.radial_laplacian(p.M).eval(pp.s)
-    # transported correction: nu^{(M-4)/2} w(nu s); operator picks nu^2
-    w_vals, _, _, lw_vals = pp.problem.basis.series(pp.X @ result.coeffs, nu * pp.s)
-    pre = nu ** ((p.M - 4.0) / 2.0)
-    lap_u = lbub_vals + pre * nu * nu * lw_vals
-    norm_sq = pp.scale * float(pp.wq @ lap_u ** 2)
-    u_vals = bub_vals + pre * w_vals
+    w_vals = pp.problem.basis.series(pp.X @ result.coeffs, nu * pp.s)
+    u_vals = sobolev_bubble(p, lam).form.eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * w_vals
     star = pp.star_scale * float(pp.wq @ ((1.0 + eps * pp.h_phys) * np.maximum(u_vals, 0.0) ** p.pstar))
-    return 0.5 * norm_sq - star / p.pstar
+    return 0.5 * pp.norm_sq(result.coeffs) - star / p.pstar
 
 
 def find_perturbed_solution(pp: PerturbationProblem,

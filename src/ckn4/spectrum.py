@@ -61,28 +61,39 @@ __all__ = [
 class SGrid:
     """Composite Gauss-Legendre rule in u = ln s for int_0^inf f(s) ds.
 
-    For integrands that are not polynomial in t, such as the nonlinear
-    terms of the reduction; the pencil itself uses JacobiRule.  Panels of
-    panel_pts nodes, sized to what each zone of u resolves: min(1, 96/m)
-    wide for |u| < 8, where ModeBasis(m) functions (degree < m in t = tanh u)
-    oscillate at most about m radians per unit u; half a unit for
-    8 < |u| < 12, where the Gamma curve's scale transport (|ln nu| =
-    |ln lam|/q) carries the correction's outer oscillations at small q; a
-    unit beyond, for the algebraic tails of the bubble and the correction.
+    For the star-type integrals of the reduction (u_+^{p*}, u_+^{p*-1} phi_i,
+    h(r/lam) times either), which are not polynomial in t; the pencil
+    itself uses JacobiRule.  Each of these integrands, with the bubble at
+    scale nu, is (2 cosh(u - ln nu))^{-M} in du times a bounded factor, so
+    the window [-u_max, u_max] is derived from that decay (half_width).
+    Panels of panel_pts nodes, sized to what each zone of u resolves:
+    min(1, 96/m) wide for |u| < 8, where ModeBasis(m) functions (degree < m
+    in t = tanh u) oscillate at most about m radians per unit u; half a
+    unit for 8 < |u| < 12, where the Gamma curve's scale transport (|ln nu|
+    = |ln lam|/q) carries the correction's outer oscillations at small q; a
+    unit beyond, for the tails.
     """
 
     u: np.ndarray
     s: np.ndarray
     w: np.ndarray          # weights including ds = s du
 
+    @staticmethod
+    def half_width(M: float, shift: float = 0.0) -> float:
+        """u_max for star-type integrands whose centre |ln nu| is at most shift.
+
+        Past a distance d from its centre, (2 cosh d)^{-M} is below e^{-32}
+        (1.3e-14) of the peak 2^{-M} once cosh d >= e^{32/M}; the share of
+        the integral it leaves out is smaller still.  Never below 12, the
+        end of the zones that resolve the trial functions.
+        """
+        return max(12.0, shift + math.acosh(math.exp(32.0 / M)))
+
     @classmethod
-    def build(cls, m: int, M: float, panel_pts: int = 64) -> "SGrid":
-        # the reduced-energy integrand |Delta u|^2 s^{M-1} decays like s^{3-M}:
-        # the window must widen as M approaches 4 and may shrink for large M
-        u_max = float(np.clip(34.0 / (M - 4.0), 12.0, 150.0))
-        u_min = -max(12.0, min(40.0, 170.0 / M))
+    def build(cls, m: int, M: float, shift: float = 0.0, panel_pts: int = 64) -> "SGrid":
+        u_max = cls.half_width(M, shift)
         zones = [
-            (u_min, -12.0, 1.0),
+            (-u_max, -12.0, 1.0),
             (-12.0, -8.0, 0.5),
             (-8.0, 8.0, min(1.0, 96.0 / m)),
             (8.0, 12.0, 0.5),
@@ -283,22 +294,24 @@ class ModeBasis:
         P, dP, d2P = self._legendre(t, orders=2)
         return E * P, E * (c0 * P + c1 * dP + c2 * d2P)
 
-    def series(self, coeffs: np.ndarray, s: np.ndarray):
-        """(X, X', X'', T_k X) at s for the combination X = sum_j coeffs[j] psi_j.
+    def series(self, coeffs: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
+        """Derivative `order` (0, 1 or 2) at s of X = sum_j coeffs[j] psi_j.
 
         The Legendre part is summed in coefficient space by Clenshaw's
-        recurrence, so no (m, n) basis matrix is formed.
+        recurrence, so no (m, n) basis matrix is formed; only the order + 1
+        Legendre series the derivative reads are summed.
         """
         E = np.exp(self._log_envelope(s))
-        t, a, ap, tp, tpp, c0, c1, c2 = self._operator_coeffs(s)
-        dcoeffs = legder(coeffs)
+        t, a, ap, tp, tpp = self._frame_coeffs(s)
         P = legval(t, coeffs)
+        if order == 0:
+            return E * P
+        dcoeffs = legder(coeffs)
         dP = legval(t, dcoeffs)
+        if order == 1:
+            return E * (a * P + tp * dP)
         d2P = legval(t, legder(dcoeffs))
-        return (E * P,
-                E * (a * P + tp * dP),
-                E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P),
-                E * (c0 * P + c1 * dP + c2 * d2P))
+        return E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P)
 
     def weighted_rows(self, s: np.ndarray, log_weight: np.ndarray,
                       log_pot: np.ndarray | None = None):
@@ -513,7 +526,7 @@ class SobolevModeFunction:
         if order not in (0, 1, 2):
             raise ValueError("mode functions support derivatives up to order 2")
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = self.basis.series(self.coeffs, s)[order]
+        out = self.basis.series(self.coeffs, s, order)
         return out if out.size > 1 else float(out[0])
 
     def to_radial(self, p: Params) -> ComposedRadial:

@@ -1,10 +1,39 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from ckn4.params import validate_params
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
+
+
+def wide_log_rule(m, M, panel_pts=256):
+    """(u, s, w): composite Gauss-Legendre rule in u = ln s, w including ds = s du.
+
+    Wide enough for stiffness-type integrands (T X)^2 s^{M-1}, which decay
+    like s^{3-M}: the window clip(34/(M-4), 12, 150) upward and
+    max(12, min(40, 170/M)) downward, with the trial-function zones of
+    SGrid.  A reference for the exact pencil and the coefficient-space
+    norms, independent of SGrid's star-term window.
+    """
+    u_max = float(np.clip(34.0 / (M - 4.0), 12.0, 150.0))
+    u_min = -max(12.0, min(40.0, 170.0 / M))
+    zones = [(u_min, -12.0, 1.0), (-12.0, -8.0, 0.5), (-8.0, 8.0, min(1.0, 96.0 / m)),
+             (8.0, 12.0, 0.5), (12.0, u_max, 1.0)]
+    x, wref = roots_legendre(panel_pts)
+    us, ws = [], []
+    for a, b, h in zones:
+        edges = np.linspace(a, b, int(math.ceil((b - a) / h)) + 1)
+        mid = 0.5 * (edges[:-1] + edges[1:])
+        half = 0.5 * (edges[1:] - edges[:-1])
+        us.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
+        ws.append((half[:, None] * wref[None, :]).ravel())
+    u = np.concatenate(us)
+    s = np.exp(u)
+    return u, s, np.concatenate(ws) * s
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import shlex
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 from ckn4.cli import COMMANDS, build_parser, load_h_csv, main
 from ckn4.params import validate_params
-from ckn4.reduction import BUILTIN_H
+from ckn4.reduction import BUILTIN_H, LAM_RANGE
 from ckn4.spectrum import SGrid
 
 
@@ -174,9 +175,21 @@ def test_perturb_command(capsys, tmp_path):
     assert rep["data"]["positive"]
     assert len(rep["data"]["gamma_curve"]) == 33
     diag = rep["diagnostics"]
-    assert diag["quad_nodes"] == SGrid.build(128, M=validate_params(5, 1).M).n
+    p = validate_params(5, 1)
+    assert diag["quad_nodes"] == SGrid.build(128, M=p.M, shift=math.log(LAM_RANGE[1]) / p.q).n
     assert diag["basis_size"] == 128
     assert 0 < diag["kept_rank"] <= diag["basis_size"]
+
+
+@pytest.mark.parametrize("N, a", [("9", "-4.8"), ("4", "0.0504")])
+def test_perturb_next_to_M4(capsys, N, a):
+    # M = 4.06 and 4.05: with |Delta u|^2 integrated on a truncated window,
+    # the residual check failed and lambda* landed on the curve's end, 0.0178
+    code, out, _ = run(capsys, "perturb", "--N", N, "--alpha", a)
+    assert code == 0
+    rep = json.loads(out)
+    assert 0.1 < rep["data"]["lambda_star"] < 10.0
+    assert rep["data"]["residual"] < 1e-6
 
 
 @pytest.mark.parametrize("N, a", [("5", "1.9"), ("10", "1.8")])

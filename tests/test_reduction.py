@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from ckn4.calculus import inner_alpha, weighted_H, weighted_hessian_norm_sq
-from ckn4.errors import ContractionFailure, NoInteriorExtremum, OnManifold
+from ckn4.emden import sobolev_bubble
+from ckn4.errors import ContractionFailure, NoInteriorExtremum, OnManifold, QuadratureFailure
 from ckn4.params import validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U, kernel_Z0
 from ckn4.reduction import (
@@ -20,6 +21,7 @@ from ckn4.reduction import (
     solve_correction,
 )
 from ckn4.spectrum import SGrid, mode_eigenvalues
+from conftest import PARAM_SETS, wide_log_rule
 
 
 @pytest.fixture(scope="module")
@@ -200,9 +202,63 @@ def test_perturbation_grid_converged(monkeypatch, N, a):
 
 
 def test_perturbation_grid_size(p51):
-    # the composite rule before it was sized to the basis had 12 096 nodes here
+    # 12 096 nodes before the rule was sized to the basis, 6 048 before its
+    # window was sized to the star terms
     pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=220)
-    assert pp.s.size <= 12096 // 2
+    assert pp.s.size <= 3392
+
+
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(9, -4.8)])
+def test_star_window_converged(monkeypatch, N, a):
+    # Gamma at the ends of LAM_RANGE and at 1 against the same rule with its
+    # window widened by 10 units of ln s at each end; (9, -4.8) has M near 4
+    # and q = 0.29, the widest transport
+    p = validate_params(N, a)
+    lams = (1e-3, 1.0, 1e3)
+
+    def gammas():
+        pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+        return pp, np.array([reduced_energy(pp, lam) for lam in lams])
+
+    pp, narrow = gammas()
+    half_width = SGrid.half_width
+    monkeypatch.setattr(SGrid, "half_width", staticmethod(
+        lambda M, shift=0.0: half_width(M, shift) + 10.0))
+    wide_pp, wide = gammas()
+    assert np.log(wide_pp.s[-1] / pp.s[-1]) > 9.0 and np.log(pp.s[0] / wide_pp.s[0]) > 9.0
+    assert np.max(np.abs(narrow - wide) / np.abs(wide)) <= 1e-12
+
+
+@pytest.mark.parametrize("N, a", PARAM_SETS)
+def test_coefficient_norm_matches_quadrature(N, a):
+    # ||U_lam + w_lam||^2 from the pencil against |Delta u|^2 integrated in
+    # the physical frame at scale lam on a rule wide enough for its s^{3-M}
+    # tail
+    p = validate_params(N, a)
+    pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    basis = pp.problem.basis
+    u, s, w = wide_log_rule(basis.m, p.M)
+    wq = w * s ** (p.M - 1.0)
+    for lam in (1e-2, 1.0, 1e2):
+        res = solve_correction(pp, lam)
+        coeffs = pp.X @ res.coeffs
+        nu = lam ** (1.0 / p.q)
+        lap_u = sobolev_bubble(p, lam).form.radial_laplacian(p.M).eval(s)
+        for lo in range(0, s.size, 4096):
+            sl = slice(lo, lo + 4096)
+            _, lpsi = basis.applied(nu * s[sl])
+            lap_u[sl] += nu ** ((p.M - 4.0) / 2.0 + 2.0) * (coeffs @ lpsi)
+        want = pp.scale * float(wq @ lap_u ** 2)
+        assert abs(pp.norm_sq(res.coeffs) / want - 1.0) <= 1e-10
+
+
+def test_reduced_energy_outside_range_is_typed(pp51):
+    for lam in (1e-4, 1e4):
+        with pytest.raises(QuadratureFailure) as err:
+            reduced_energy(pp51, lam)
+        msg = str(err.value)
+        assert "N=5" in msg and "alpha=1" in msg and f"lambda={lam:g}" in msg
+        assert "[0.001, 1000]" in msg
 
 
 def test_gamma_limits(pp51):

@@ -12,7 +12,6 @@ from ckn4.profiles import extremal_U, kernel_Z0, kernel_Zk_radial
 from ckn4.spectrum import (
     JacobiRule,
     ModeBasis,
-    SGrid,
     SobolevModeFunction,
     assemble_mode_problem,
     exact_eigenvalues,
@@ -21,7 +20,7 @@ from ckn4.spectrum import (
     mu3_estimate,
     verify_kernel,
 )
-from conftest import PARAM_SETS, random_valid_params
+from conftest import PARAM_SETS, random_valid_params, wide_log_rule
 
 
 def test_constant_identity(rng):
@@ -223,12 +222,11 @@ def test_series_matches_basis_matrices(N, a, k):
     basis = ModeBasis(p.M, p.q ** 2 * lam_k, 96)
     coeffs = np.random.default_rng(k).standard_normal(basis.m)
     fn = SobolevModeFunction(basis, coeffs)
-    s = SGrid.build(basis.m, M=p.M).s[::7]
+    s = wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7]
     for nu in (10.0 ** (-2.0 / p.q), 1.0, 10.0 ** (2.0 / p.q)):
         x = nu * s
-        _, lpsi = basis.applied(x)
-        want = [coeffs @ mat for mat in basis.values_and_derivs(x)] + [coeffs @ lpsi]
-        got = [fn.eval(x), fn.deriv(x, 1), fn.deriv(x, 2), basis.series(coeffs, x)[3]]
+        want = [coeffs @ mat for mat in basis.values_and_derivs(x)]
+        got = [fn.eval(x), fn.deriv(x, 1), fn.deriv(x, 2)]
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
 
@@ -258,18 +256,16 @@ def test_jacobi_rule_is_exact(delta, n):
 
 
 def _composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
-    """(A, B) of pr's basis on the composite log grid, the reference assembly."""
+    """(A, B) of pr's basis on the wide composite log rule, the reference assembly."""
     M = pr.params.M
-    # 256-point panels: the central density of the composite rule this test
-    # was written against, at least twice its density elsewhere
-    grid = SGrid.build(pr.basis.m, M=M, panel_pts=256)
+    u, s, w = wide_log_rule(pr.basis.m, M)
     A = np.zeros((pr.basis.m, pr.basis.m))
     B = np.zeros_like(A)
-    for lo in range(0, grid.n, chunk):
+    for lo in range(0, s.size, chunk):
         sl = slice(lo, lo + chunk)
-        log_w = np.log(grid.w[sl]) + (M - 1.0) * grid.u[sl]
+        log_w = np.log(w[sl]) + (M - 1.0) * u[sl]
         rows_mass, rows_stiff = pr.basis.weighted_rows(
-            grid.s[sl], log_w, pr.log_potential(grid.s[sl], weight_lambda))
+            s[sl], log_w, pr.log_potential(s[sl], weight_lambda))
         A += rows_stiff @ rows_stiff.T
         B += rows_mass @ rows_mass.T
     return A, B
