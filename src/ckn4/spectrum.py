@@ -79,7 +79,7 @@ class SGrid:
     w: np.ndarray          # weights including ds = s du
 
     @staticmethod
-    def half_width(M: float, shift: float = 0.0) -> float:
+    def half_width(M: float, shift: float) -> float:
         """u_max for star-type integrands whose centre |ln nu| is at most shift.
 
         Past a distance d from its centre, (2 cosh d)^{-M} is below e^{-32}
@@ -90,7 +90,7 @@ class SGrid:
         return max(12.0, shift + math.acosh(math.exp(32.0 / M)))
 
     @classmethod
-    def build(cls, m: int, M: float, shift: float = 0.0, panel_pts: int = 64) -> "SGrid":
+    def build(cls, m: int, M: float, shift: float, panel_pts: int = 64) -> "SGrid":
         u_max = cls.half_width(M, shift)
         zones = [
             (-u_max, -12.0, 1.0),
