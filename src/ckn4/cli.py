@@ -251,7 +251,7 @@ def cmd_perturb(args) -> dict:
                rep["contraction_factor"], TOLERANCES["contraction"]),
         _check("residual_small", rep["residual"] <= TOLERANCES["perturb_residual"],
                rep["residual"], TOLERANCES["perturb_residual"]),
-        _check("solution_positive", rep["positive"], rep["u_min_on_grid"], 0.0),
+        _check("solution_positive", rep["positive"], rep["min_ratio_to_bubble"], 0.0),
     ]
     curve = rep.pop("gamma_curve")
     rep.pop("result")

@@ -21,8 +21,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.legendre import legval
 from scipy.linalg import lu_factor, lu_solve
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
 from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
 from .emden import ComposedRadial, sobolev_bubble
@@ -98,20 +99,32 @@ class ManifoldFit:
     lam: float
     dist: float
     converged: bool
-    starts_used: int
     candidates: list
 
 
-def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None,
-                     starts: tuple = tuple(2.0 ** k for k in range(-6, 7))) -> ManifoldFit:
+# the scan in x = ln lam: the scales 2^-7.5 to 2^7.5 in steps of 2^(1/4)
+SCAN_HALF_WIDTH = 7.5 * math.log(2.0)
+SCAN_POINTS = 61
+
+
+def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFit:
     """Minimize ||u - c U_lam|| over (c, lam).
 
-    c is eliminated in closed form through c*(lam) = <u, U_lam>/||U||^2 and
-    the remaining profile maximization over ln(lam) runs from a ladder of
-    starts with local refinement.  The returned distance is the direct
-    quadrature of the optimal residual, so on-manifold inputs come back at
-    rounding level rather than at the cancellation floor of the quotient
-    formula.
+    c is eliminated in closed form through c*(lam) = <u, U_lam>/||U||^2,
+    which leaves the maximization of g(x)^2 = <u, U_lam>^2 over x = ln lam.
+    g is evaluated on one uniform scan of |x| <= 7.5 ln 2 with step ln 2 / 4
+    (61 points).  Measured at 28 points with N <= 12 and M from 4.02 to 202,
+    the full width at half maximum of g^2 in ln lam for u = U_1 is at least
+    0.81 (narrowest near (N, alpha) = (12, -3)), so every peak spans more
+    than four steps.  At fixed M that width falls like q = (M-2)/(N-2),
+    because ln lam = q ln nu (it is 0.37 at (24, -8)); a single peak is
+    still bracketed there, but two peaks closer than a few steps merge.
+    Each discrete local maximum of g^2 is polished by one brentq on the
+    stationarity condition dg/dx = 0 between its neighbouring scan points,
+    and the candidate with the smallest directly integrated distance wins.  That distance is the
+    direct quadrature of the optimal residual, so on-manifold inputs come
+    back at rounding level rather than at the cancellation floor of the
+    quotient formula.
     """
     grid = grid or _wide_grid()
     r = grid.nodes
@@ -131,29 +144,21 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None,
         lap_t = dilation_tangent(p, lam).form.radial_laplacian(p.N).eval(r)
         return lam * float(weight @ (lap_u * lap_t))
 
-    def neg_sq(x):
-        g = overlap(x)
-        return -g * g
-
+    xs = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
+    g2 = np.array([overlap(x) for x in xs]) ** 2
+    # discrete local maxima; a plateau counts once, at its right end
+    left = np.concatenate(([True], g2[1:] >= g2[:-1]))
+    right = np.concatenate((g2[:-1] > g2[1:], [True]))
+    peaks = np.flatnonzero(left & right)
     cands = []
-    for lam0 in starts:
-        x0 = math.log(lam0)
-        res = minimize_scalar(neg_sq, bounds=(x0 - 1.5 * math.log(2), x0 + 1.5 * math.log(2)),
-                              method="bounded", options={"xatol": 1e-12})
-        xs = res.x
-        # value-based search localizes only to sqrt(eps); polish on the
-        # stationarity condition <u, dU/dlam> = 0, which crosses steeply
-        hw = 1e-3
-        while hw < 0.7:
-            fa, fb = overlap_slope(xs - hw), overlap_slope(xs + hw)
-            if fa == 0.0 or fb == 0.0 or fa * fb < 0:
-                if fa * fb < 0:
-                    xs = brentq(overlap_slope, xs - hw, xs + hw, xtol=1e-14)
-                break
-            hw *= 4.0
-        lam = math.exp(xs)
-        c = overlap(xs) / norm_U_sq
-        dist_sq = float(weight @ (lap_u - c * lap_U(lam)) ** 2)
+    for i in peaks:
+        a, b = xs[max(i - 1, 0)], xs[min(i + 1, SCAN_POINTS - 1)]
+        fa, fb = overlap_slope(a), overlap_slope(b)
+        x = brentq(overlap_slope, a, b, xtol=1e-14) if fa * fb < 0 else xs[i]
+        lam = math.exp(x)
+        lap_l = lap_U(lam)
+        c = float(weight @ (lap_u * lap_l)) / norm_U_sq
+        dist_sq = float(weight @ (lap_u - c * lap_l) ** 2)
         cands.append((max(dist_sq, 0.0), c, lam))
     cands.sort(key=lambda t: t[0])
     # deduplicate local minima for the report
@@ -163,7 +168,6 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None,
             uniq.append((d2, c, lam))
     d2, c, lam = cands[0]
     return ManifoldFit(c=c, lam=lam, dist=math.sqrt(d2), converged=True,
-                       starts_used=len(starts),
                        candidates=[{"c": cc, "lam": ll, "dist": math.sqrt(dd)} for dd, cc, ll in uniq])
 
 
@@ -182,10 +186,30 @@ def remainder_quotient(p: Params, u, grid: RadialGrid | None = None,
     return (norm_sq - S * star ** 2) / fit.dist ** 2
 
 
+class _Sampled:
+    """A radial function's value and first two derivatives, taken once at nodes r."""
+
+    def __init__(self, f, r: np.ndarray):
+        self.r = r
+        self.jet = (f.eval(r), f.deriv(r, 1), f.deriv(r, 2))
+
+    def eval(self, r):
+        return self.deriv(r, 0)
+
+    def deriv(self, r, order: int = 1):
+        if r is not self.r:
+            raise ValueError("sampled only at the nodes it was built on")
+        return self.jet[order]
+
+
 def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list[dict]:
-    """Quotient along u(t) = U_1 + t w for the given offsets t."""
+    """Quotient along u(t) = U_1 + t w for the given offsets t.
+
+    w is sampled on the grid once; every t reuses those samples.
+    """
     grid = grid or _wide_grid()
     U = extremal_U(p)
+    w = _Sampled(w, grid.nodes)
     out = []
     for t in t_list:
         u = RadialCombination([U, w], [1.0, float(t)])
@@ -452,9 +476,14 @@ def find_perturbed_solution(pp: PerturbationProblem,
         lam_star = brentq(l_hat_of, la, lb, xtol=1e-14, rtol=1e-14)
     final = solve_correction(pp, lam_star)
     energy = reduced_energy(pp, lam_star, result=final)
-    nu = lam_star ** (1.0 / p.q)
-    w_vals = final.omega_hat().eval(nu * pp.s)
-    u_vals = sobolev_bubble(p, lam_star).form.eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * w_vals
+    # in mode 0, psi_j = E P_j(t) and the bubble is C psi_0, so at every
+    # scale (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j P_j(t)/C, a polynomial
+    # in t = (s^2-1)/(s^2+1) of degree below m, whose minimum over all of
+    # [-1, 1] is sampled at 16 m + 1 Chebyshev-Lobatto points (ends included)
+    n_t = 16 * pp.problem.basis.m
+    t = np.cos(np.pi * np.arange(n_t + 1) / n_t)
+    ratio = 1.0 + legval(t, pp.X @ final.coeffs) / normalization_constant(p)
+    min_ratio = float(ratio.min())
     return {
         "lambda_star": float(lam_star),
         "energy": float(energy),
@@ -464,8 +493,8 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "projected_residual": final.residual,
         "iterations": final.iterations,
         "contraction_factor": final.contraction_factor,
-        "u_min_on_grid": float(u_vals.min()),
-        "positive": bool(u_vals.min() > 0.0),
+        "min_ratio_to_bubble": min_ratio,
+        "positive": min_ratio > 0.0,
         "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],
         "result": final,
     }

@@ -277,23 +277,6 @@ class ModeBasis:
         P, _, _ = self._legendre(t, orders=0)
         return E * P
 
-    def values_and_derivs(self, s: np.ndarray):
-        """(psi, psi', psi'') matrices of shape (m, n)."""
-        E = np.exp(self._log_envelope(s))
-        t, a, ap, tp, tpp = self._frame_coeffs(s)
-        P, dP, d2P = self._legendre(t, orders=2)
-        psi = E * P
-        dpsi = E * (a * P + tp * dP)
-        d2psi = E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P)
-        return psi, dpsi, d2psi
-
-    def applied(self, s: np.ndarray):
-        """(psi, T_k psi) with T_k psi = psi'' + (M-1)psi'/s - nu psi/s^2."""
-        E = np.exp(self._log_envelope(s))
-        t, _, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
-        P, dP, d2P = self._legendre(t, orders=2)
-        return E * P, E * (c0 * P + c1 * dP + c2 * d2P)
-
     def series(self, coeffs: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Derivative `order` (0, 1 or 2) at s of X = sum_j coeffs[j] psi_j.
 

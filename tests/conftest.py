@@ -36,6 +36,33 @@ def wide_log_rule(m, M, panel_pts=256):
     return u, s, np.concatenate(ws) * s
 
 
+def values_and_derivs(basis, s):
+    """(psi, psi', psi'') matrices of shape (m, n) of a ModeBasis.
+
+    A reference for ModeBasis.series, which sums one combination of them
+    by Clenshaw's recurrence without forming the matrices.
+    """
+    E = np.exp(basis._log_envelope(s))
+    t, a, ap, tp, tpp = basis._frame_coeffs(s)
+    P, dP, d2P = basis._legendre(t, orders=2)
+    psi = E * P
+    dpsi = E * (a * P + tp * dP)
+    d2psi = E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P)
+    return psi, dpsi, d2psi
+
+
+def applied(basis, s):
+    """(psi, T_k psi) with T_k psi = psi'' + (M-1)psi'/s - nu psi/s^2, shape (m, n).
+
+    A reference for the rows ModeBasis.weighted_rows assembles the pencil
+    from, without the quadrature weight.
+    """
+    E = np.exp(basis._log_envelope(s))
+    t, _, _, _, _, c0, c1, c2 = basis._operator_coeffs(s)
+    P, dP, d2P = basis._legendre(t, orders=2)
+    return E * P, E * (c0 * P + c1 * dP + c2 * d2P)
+
+
 @pytest.fixture(scope="session")
 def param_sets():
     return [validate_params(N, a) for N, a in PARAM_SETS]

@@ -6,10 +6,11 @@ import pytest
 from ckn4.calculus import inner_alpha, weighted_H, weighted_hessian_norm_sq
 from ckn4.emden import sobolev_bubble
 from ckn4.errors import ContractionFailure, NoInteriorExtremum, OnManifold, QuadratureFailure
-from ckn4.params import validate_params
+from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U, kernel_Z0
 from ckn4.reduction import (
     BUILTIN_H,
+    SCAN_HALF_WIDTH,
     PerturbationProblem,
     RadialCombination,
     dist_to_manifold,
@@ -19,9 +20,10 @@ from ckn4.reduction import (
     remainder_quotient,
     remainder_scan,
     solve_correction,
+    _wide_grid,
 )
 from ckn4.spectrum import SGrid, mode_eigenvalues
-from conftest import PARAM_SETS, wide_log_rule
+from conftest import PARAM_SETS, applied, wide_log_rule
 
 
 @pytest.fixture(scope="module")
@@ -84,8 +86,51 @@ def test_dist_brute_force_oracle(p51, phi3_unit):
 def test_dist_z0(p51):
     fit = dist_to_manifold(p51, kernel_Z0(p51))
     assert np.isfinite(fit.dist) and fit.dist > 0.1
-    assert fit.starts_used == 13
     assert len(fit.candidates) >= 1
+
+
+def test_dist_two_bubbles_global_maximum(p51):
+    # the fit against a brute-force 4001-point scan of the same range of
+    # ln lam, with the distance integrated directly at each scale
+    u = RadialCombination([extremal_U(p51, 0.05), extremal_U(p51, 20.0)], [1.0, 0.5])
+    fit = dist_to_manifold(p51, u)
+    grid = _wide_grid()
+    r = grid.nodes
+    weight = sphere_area(p51.N) * grid.weights * r ** (p51.alpha + p51.N - 1)
+    lap_u = u.deriv(r, 2) + (p51.N - 1) * u.deriv(r, 1) / r
+    lap_1 = extremal_U(p51).form.radial_laplacian(p51.N).eval(r)
+    norm_U_sq = float(weight @ lap_1 ** 2)
+    best = np.inf
+    for x in np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, 4001):
+        lap_l = extremal_U(p51, math.exp(x)).form.radial_laplacian(p51.N).eval(r)
+        c = float(weight @ (lap_u * lap_l)) / norm_U_sq
+        best = min(best, math.sqrt(float(weight @ (lap_u - c * lap_l) ** 2)))
+    assert fit.dist <= best * (1.0 + 1e-8)
+    assert abs(math.log(fit.lam / 0.05)) < 0.1          # the larger bubble's peak
+
+
+@pytest.mark.parametrize("lam", [0.01, 150.0])
+def test_dist_near_range_ends(p51, lam):
+    u = extremal_U(p51, lam, amplitude=3.0 * normalization_constant(p51))
+    fit = dist_to_manifold(p51, u)
+    assert fit.c == pytest.approx(3.0, rel=1e-10)
+    assert fit.lam == pytest.approx(lam, rel=1e-10)
+
+
+def test_dist_profile_evaluations(monkeypatch, p51, phi3_unit):
+    # one scan and one bracket per peak: the 13-start ladder with its polish
+    # built the extremal 498 times for this fit
+    import ckn4.reduction as reduction
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return extremal_U(*args, **kwargs)
+
+    u = RadialCombination([extremal_U(p51), phi3_unit], [1.0, 1e-2])
+    monkeypatch.setattr(reduction, "extremal_U", counted)
+    dist_to_manifold(p51, u)
+    assert len(calls) <= 100
 
 
 def test_quotient_nonnegative_and_on_manifold_error(p51):
@@ -102,6 +147,24 @@ def test_remainder_scan_limit(p51, modes51, phi3_unit):
     assert abs(rows[-1]["quotient"] - target) < 0.05 * target
     # the quotient approaches the limit monotonically-ish from below here
     assert abs(rows[0]["quotient"] - target) < 0.1 * target
+
+
+def test_remainder_scan_samples_direction_once(p51, phi3_unit):
+    # the direction's value and two derivatives are taken once for all t
+    calls = []
+
+    class Counted:
+        def eval(self, r):
+            calls.append(0)
+            return phi3_unit.eval(r)
+
+        def deriv(self, r, order=1):
+            calls.append(order)
+            return phi3_unit.deriv(r, order)
+
+    rows = remainder_scan(p51, Counted(), [1e-2, 1e-3])
+    assert sorted(calls) == [0, 1, 2]
+    assert rows == remainder_scan(p51, phi3_unit, [1e-2, 1e-3])
 
 
 def test_remainder_scan_higher_modes(p51, modes51):
@@ -246,7 +309,7 @@ def test_coefficient_norm_matches_quadrature(N, a):
         lap_u = sobolev_bubble(p, lam).form.radial_laplacian(p.M).eval(s)
         for lo in range(0, s.size, 4096):
             sl = slice(lo, lo + 4096)
-            _, lpsi = basis.applied(nu * s[sl])
+            _, lpsi = applied(basis, nu * s[sl])
             lap_u[sl] += nu ** ((p.M - 4.0) / 2.0 + 2.0) * (coeffs @ lpsi)
         want = pp.scale * float(wq @ lap_u ** 2)
         assert abs(pp.norm_sq(res.coeffs) / want - 1.0) <= 1e-10
@@ -303,6 +366,35 @@ def test_find_perturbed_solution(p51, pp51):
     assert rep["contraction_factor"] < 0.9
     assert 0.01 < rep["lambda_star"] < 100.0
     assert abs(rep["l"]) < 1e-10
+
+
+@pytest.mark.parametrize("N, a", [(6, -1.0), (5, 1.0), (7, -2.0)])
+def test_min_ratio_to_bubble(monkeypatch, N, a):
+    # the positivity measure is the minimum of (U_lam + w_lam)/U_lam over all
+    # of (0, inf): it agrees with the ratio summed on the reduction's grid
+    # and does not move when that grid's window is widened by 10 units of
+    # ln s at each end
+    p = validate_params(N, a)
+
+    def solution():
+        pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+        return pp, find_perturbed_solution(pp)
+
+    pp, rep = solution()
+    lam = rep["lambda_star"]
+    nu = lam ** (1.0 / p.q)
+    bubble = sobolev_bubble(p, lam).form.eval(pp.s)
+    w = nu ** ((p.M - 4.0) / 2.0) * rep["result"].omega_hat().eval(nu * pp.s)
+    on_grid = float(np.min((bubble + w) / bubble))
+    assert 0.0 < rep["min_ratio_to_bubble"] <= on_grid + 1e-14
+    assert rep["min_ratio_to_bubble"] == pytest.approx(on_grid, abs=1e-6)
+    assert rep["positive"]
+    half_width = SGrid.half_width
+    monkeypatch.setattr(SGrid, "half_width", staticmethod(
+        lambda M, shift: half_width(M, shift) + 10.0))
+    wide_pp, wide = solution()
+    assert wide_pp.s.size > pp.s.size
+    assert abs(wide["min_ratio_to_bubble"] - rep["min_ratio_to_bubble"]) <= 1e-12
 
 
 def test_independent_residual_oracle(p51, pp51):
