@@ -197,6 +197,7 @@ def cmd_spectrum(args) -> dict:
             "N": p.N, "alpha": p.alpha, "k": args.mode,
             "eigenvalues": [float(v) for v in res.eigenvalues],
             "residuals": [float(v) for v in res.residual_norms],
+            "exact_rel_errors": [float(v) for v in spectrum.exact_rel_errors(p, args.mode, res.eigenvalues)],
             "nodes": res.nodes,
             "kept_rank": res.kept_rank,
         },

@@ -127,12 +127,30 @@ class PowerForm:
 
     def eval(self, r):
         r = np.asarray(r, dtype=float)
-        wr = 1.0 + self.w * r ** self.gamma
+        with np.errstate(over="ignore", invalid="ignore"):
+            wr = 1.0 + self.w * r ** self.gamma
+            out = np.zeros_like(r)
+            for (a, b, m), c in self.terms.items():
+                p = a * self.gamma - b
+                out = out + c * r ** p * wr ** (self.e0 - m)
+            if not math.isfinite(out.sum()):
+                out = self._eval_in_logs(r.reshape(-1), wr.reshape(-1)).reshape(r.shape)
+        return out if out.shape else float(out)
+
+    def _eval_in_logs(self, r: np.ndarray, wr: np.ndarray) -> np.ndarray:
+        """eval, with each non-finite term entry taken as c exp(p ln r + e ln wr).
+
+        At large r and gamma, r^p overflows before the decaying (1 + w r^g)^e
+        can cut it down; finite entries keep the plain arithmetic.
+        """
         out = np.zeros_like(r)
         for (a, b, m), c in self.terms.items():
-            p = a * self.gamma - b
-            out = out + c * r ** p * wr ** (self.e0 - m)
-        return out if out.shape else float(out)
+            p, e = a * self.gamma - b, self.e0 - m
+            term = c * r ** p * wr ** e
+            bad = ~np.isfinite(term)
+            term[bad] = c * np.exp(p * np.log(r[bad]) + e * np.log(wr[bad]))
+            out = out + term
+        return out
 
     def term_magnitude(self, r):
         """Sum of absolute term values; the scale for relative residuals."""

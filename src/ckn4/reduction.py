@@ -6,6 +6,12 @@ at scale 1 with weight h(x/lam), because the scaling map is an isometry of
 every functional involved except the explicit h-term.  The discrete space
 is the spectral basis of the mode-0 linearized pencil, in which the frozen
 Jacobian of the fixed-point map is diagonal plus a one-dimensional border.
+U_1 is nondegenerate, so only the dilation tangent's diagonal entry is near
+zero, and each step is solved in closed form: every other row is eliminated
+directly, leaving a 2x2 system in the tangent coefficient and the
+multiplier.  The loop makes no scipy LAPACK call: numpy and scipy each
+carry their own OpenBLAS thread pool, and a LAPACK call right after numpy's
+BLAS work waits for the other pool.
 The quadratic terms of the reduced energy are exact in that basis: the
 bubble is C psi_0, so its alpha-products come from the pencil's stiffness
 matrix, and scaling is an isometry of the alpha-norm.  Only the star and h
@@ -22,12 +28,12 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legval
-from scipy.linalg import lu_factor, lu_solve
 from scipy.optimize import brentq
 
 from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
 from .emden import ComposedRadial, sobolev_bubble
-from .errors import ContractionFailure, NoInteriorExtremum, OnManifold, QuadratureFailure, ZeroFunction
+from .errors import (ContractionFailure, EigensolveFailure, NoInteriorExtremum, OnManifold,
+                     QuadratureFailure, ZeroFunction)
 from .params import Params, best_constant_radial, normalization_constant, sphere_area
 from .profiles import dilation_tangent, extremal_U
 from .spectrum import ModeProblem, SGrid, SobolevModeFunction, assemble_mode_problem, _solve_pencil
@@ -98,7 +104,7 @@ class ManifoldFit:
     c: float
     lam: float
     dist: float
-    converged: bool
+    converged: bool               # every local maximum of the scan was polished
     candidates: list
 
 
@@ -151,10 +157,17 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFi
     right = np.concatenate((g2[:-1] > g2[1:], [True]))
     peaks = np.flatnonzero(left & right)
     cands = []
+    polished = True
     for i in peaks:
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, SCAN_POINTS - 1)]
         fa, fb = overlap_slope(a), overlap_slope(b)
-        x = brentq(overlap_slope, a, b, xtol=1e-14) if fa * fb < 0 else xs[i]
+        if fa * fb < 0:
+            x = brentq(overlap_slope, a, b, xtol=1e-14)
+        else:
+            # no sign change (a peak at the scan's end, or a non-finite slope):
+            # the scan point stands, and the fit does not count as converged
+            x = xs[i]
+            polished = False
         lam = math.exp(x)
         lap_l = lap_U(lam)
         c = float(weight @ (lap_u * lap_l)) / norm_U_sq
@@ -167,7 +180,7 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFi
         if not any(abs(math.log(lam / l2)) < 1e-4 for _, _, l2 in uniq):
             uniq.append((d2, c, lam))
     d2, c, lam = cands[0]
-    return ManifoldFit(c=c, lam=lam, dist=math.sqrt(d2), converged=True,
+    return ManifoldFit(c=c, lam=lam, dist=math.sqrt(d2), converged=polished,
                        candidates=[{"c": cc, "lam": ll, "dist": math.sqrt(dd)} for dd, cc, ll in uniq])
 
 
@@ -224,6 +237,8 @@ def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list
 
 # scales at which reduced_energy may place the bubble; the grid is sized to it
 LAM_RANGE = (1e-3, 1e3)
+# smallest |D_i|/G_i = |1 - mu2/mu_i| the Jacobian's elimination accepts off the tangent
+PIVOT_FLOOR = 1e-6
 
 
 class PerturbationProblem:
@@ -282,12 +297,23 @@ class PerturbationProblem:
         self.h_phys = self._h_values(1.0)           # physical-frame h on the grid
         self.h_sup = float(np.max(np.abs(self.h_phys)))
 
-        D = self.G * (1.0 - (p.pstar - 1.0) / mu)       # scale*(mu_i - mu2) with mu2 = p*-1
-        K = np.zeros((kept + 1, kept + 1))
-        K[np.diag_indices(kept)] = D
-        K[:kept, kept] = -self.d
-        K[kept, :kept] = self.d
-        self._K_lu = lu_factor(K)
+        # frozen Jacobian [[diag(D), -d], [d^T, 0]], solved by _solve_jacobian;
+        # D_i = scale*(mu_i - mu2) with mu2 = p*-1 is near zero only at the tangent
+        D = self.D = self.G * (1.0 - (p.pstar - 1.0) / mu)
+        j = self.i_tan = int(np.argmax(np.abs(self.d) / np.sqrt(self.G)))
+        ratios = np.abs(D) / self.G
+        others = np.arange(kept) != j
+        second = float(ratios[others].min())
+        if int(np.argmin(ratios)) != j or second < PIVOT_FLOOR:
+            raise EigensolveFailure(
+                f"perturbation Jacobian at N={p.N}, alpha={p.alpha} (M={p.M:.6g}): the "
+                f"elimination needs one near-zero |D_i|/G_i, at the tangent index {j}; "
+                f"|D_j|/G_j = {ratios[j]:.3e}, smallest other = {second:.3e} "
+                f"(floor {PIVOT_FLOOR:g})")
+        self._inv_D = np.zeros(kept)
+        self._inv_D[others] = 1.0 / D[others]
+        self._d_over_D = self.d * self._inv_D
+        self._schur = float(self._d_over_D @ self.d)      # sum_{i != j} d_i^2 / D_i
         self._cache: dict = {}
 
         star0 = self.star_scale * float(self.wq @ np.maximum(self.bub_vals, 0.0) ** p.pstar)
@@ -306,11 +332,23 @@ class PerturbationProblem:
 
     def basis_tangent_overlaps(self) -> float:
         """Largest normalized overlap of a non-tangent basis mode with the tangent."""
-        norms = np.sqrt(self.G)
-        overlaps = np.abs(self.d) / (norms * self.tangent_norm)
-        i_tan = int(np.argmax(overlaps))
-        rest = np.delete(overlaps, i_tan)
-        return float(rest.max())
+        overlaps = np.abs(self.d) / (np.sqrt(self.G) * self.tangent_norm)
+        return float(np.delete(overlaps, self.i_tan).max())
+
+    def _solve_jacobian(self, r: np.ndarray, r_l: float):
+        """(x, l) with D_i x_i - d_i l = r_i and d . x = r_l, in O(kept) work.
+
+        Rows i != i_tan give x_i = (r_i + d_i l)/D_i; what is left is the
+        2x2 system [[D_j, -d_j], [d_j, sum_{i!=j} d_i^2/D_i]] in (x_j, l).
+        """
+        j = self.i_tan
+        D_j, d_j = float(self.D[j]), float(self.d[j])
+        det = D_j * self._schur + d_j * d_j
+        b = r_l - float(self._d_over_D @ r)
+        l = (D_j * b - d_j * r[j]) / det
+        x = self._inv_D * r + self._d_over_D * l
+        x[j] = (self._schur * r[j] + d_j * b) / det
+        return x, l
 
     def _residual(self, c: np.ndarray, hvals: np.ndarray, eps: float):
         """<u, phi_i>_alpha - int (1+eps h)|x|^{-a} u_+^{p*-1} phi_i, u = U_1 + w."""
@@ -376,13 +414,10 @@ def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = No
     converged = False
     for it in range(1, max_iter + 1):
         res, _ = pp._residual(c, hvals, eps)
-        rhs = np.empty(kept + 1)
-        rhs[:kept] = -(res - l_hat * pp.d)
-        rhs[kept] = -(pp.d @ c)
-        delta = lu_solve(pp._K_lu, rhs)
-        c = c + delta[:kept]
-        l_hat = l_hat + delta[kept]
-        step = math.sqrt(float(np.sum((sqrtG * delta[:kept]) ** 2)) + delta[kept] ** 2)
+        dc, dl = pp._solve_jacobian(-(res - l_hat * pp.d), -float(pp.d @ c))
+        c = c + dc
+        l_hat = l_hat + dl
+        step = math.sqrt(float(np.sum((sqrtG * dc) ** 2)) + dl ** 2)
         iterations = it
         if prev_step is not None and prev_step > 0:
             ratio = step / prev_step

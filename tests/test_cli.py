@@ -86,6 +86,9 @@ def test_spectrum_command(capsys):
     assert len(data["eigenvalues"]) == 4
     assert data["eigenvalues"][0] == pytest.approx(1.0, abs=1e-8)
     assert len(data["residuals"]) == 4
+    # the discretization error against the closed-form spectrum
+    assert len(data["exact_rel_errors"]) == 4
+    assert max(data["exact_rel_errors"]) <= 1e-7
 
 
 def test_kernel_command(capsys):
@@ -94,6 +97,7 @@ def test_kernel_command(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["data"]["kernel_dim"] == 28
+    assert all(0.0 <= mode["exact_rel_error_max"] <= 1e-7 for mode in rep["data"]["modes"])
 
 
 def test_scan_alpha(capsys, monkeypatch):

@@ -1,13 +1,16 @@
+import copy
 import math
 
 import numpy as np
 import pytest
 
+import ckn4.reduction as reduction
 from ckn4.calculus import inner_alpha, weighted_H, weighted_hessian_norm_sq
 from ckn4.emden import sobolev_bubble
-from ckn4.errors import ContractionFailure, NoInteriorExtremum, OnManifold, QuadratureFailure
+from ckn4.errors import (ContractionFailure, EigensolveFailure, NoInteriorExtremum, OnManifold,
+                         QuadratureFailure)
 from ckn4.params import normalization_constant, sphere_area, validate_params
-from ckn4.profiles import PolyGaussProfile, extremal_U, kernel_Z0
+from ckn4.profiles import PolyGaussProfile, dilation_tangent, extremal_U, kernel_Z0
 from ckn4.reduction import (
     BUILTIN_H,
     SCAN_HALF_WIDTH,
@@ -117,6 +120,21 @@ def test_dist_near_range_ends(p51, lam):
     assert fit.lam == pytest.approx(lam, rel=1e-10)
 
 
+def test_dist_outside_scan_not_converged(p51):
+    # the peak of g^2 lies beyond the scan's end, so no bracket polishes it
+    fit = dist_to_manifold(p51, extremal_U(p51, 512.0))
+    assert not fit.converged
+    assert fit.lam == pytest.approx(math.exp(SCAN_HALF_WIDTH), rel=1e-12)
+
+
+@pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
+def test_tangent_laplacian_finite_on_wide_grid(lam):
+    # gamma = 9.68: r^p overflows at r = 1e14 before (1 + w r^gamma)^e cuts it down
+    p = validate_params(12, -7.68064)
+    vals = dilation_tangent(p, lam).form.radial_laplacian(p.N).eval(_wide_grid().nodes)
+    assert np.isfinite(vals).all()
+
+
 def test_dist_profile_evaluations(monkeypatch, p51, phi3_unit):
     # one scan and one bracket per peak: the 13-start ladder with its polish
     # built the extremal 498 times for this fit
@@ -218,6 +236,55 @@ def test_correction_linear_response_oracle(pp51):
 
 def test_correction_orthogonal_basis(pp51):
     assert pp51.basis_tangent_overlaps() < 1e-8
+
+
+def test_tangent_index_shared(pp51):
+    # the elimination's pivot-free row and basis_tangent_overlaps' excluded
+    # mode are one index: the largest normalized overlap with the tangent
+    overlaps = np.abs(pp51.d) / np.sqrt(pp51.G)
+    assert pp51.i_tan == int(np.argmax(overlaps))
+    assert pp51.i_tan == int(np.argmin(np.abs(pp51.D) / pp51.G))
+    moved = copy.copy(pp51)
+    moved.i_tan = (pp51.i_tan + 1) % pp51.kept
+    assert moved.basis_tangent_overlaps() > 0.99
+
+
+def _backward_error(K, x, b):
+    """Componentwise (Oettli-Prager) backward error of x as a solution of K x = b."""
+    return float(np.max(np.abs(b - K @ x) / (np.abs(K) @ np.abs(x) + np.abs(b))))
+
+
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(9, -4.8), (4, 0.0504), (12, -7), (10, 1.7)])
+def test_jacobian_closed_form_backward_error(N, a):
+    pp = PerturbationProblem(validate_params(N, a), BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    k = pp.kept
+    K = np.zeros((k + 1, k + 1))
+    K[np.diag_indices(k)] = pp.D
+    K[:k, k] = -pp.d
+    K[k, :k] = pp.d
+    res, _ = pp._residual(np.zeros(k), pp._h_values(1.0), pp.eps)
+    rng = np.random.default_rng(8)
+    # the first fixed-point step's right-hand side, and a random one on the G scale
+    for b in (np.append(-res, 0.0), np.append(rng.standard_normal(k) * np.sqrt(pp.G), 1.0)):
+        x, l = pp._solve_jacobian(b[:k], b[k])
+        assert _backward_error(K, np.append(x, l), b) <= 1e-14
+
+
+@pytest.mark.parametrize("offset", [0.0, 1e-8])
+def test_jacobian_second_small_pivot_is_typed(monkeypatch, p51, offset):
+    # a second (near-)zero D_i: at mu_3 itself (argmin leaves the tangent),
+    # or 1e-8 above mu_2 (below the pivot floor, the tangent still smallest)
+    solve_pencil = reduction._solve_pencil
+
+    def patched(A, B, drop=1e-13):
+        mu, X, kept = solve_pencil(A, B, drop=drop)
+        mu = mu.copy()
+        mu[2] = (p51.pstar - 1.0) * (1.0 + offset)
+        return mu, X, kept
+
+    monkeypatch.setattr(reduction, "_solve_pencil", patched)
+    with pytest.raises(EigensolveFailure, match=r"perturbation Jacobian at N=5, alpha=1\.0 \(M=8\)"):
+        PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=96)
 
 
 def test_contraction_guard(p51):
