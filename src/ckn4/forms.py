@@ -24,6 +24,9 @@ from .errors import NonIntegrable
 
 __all__ = ["PowerForm"]
 
+# |ln x| of the normal double range, with a margin: e^-700 = 9.9e-305
+LOG_NORMAL = 700.0
+
 
 def _gen_binom(e: float, j: int) -> float:
     out = 1.0
@@ -127,30 +130,53 @@ class PowerForm:
 
     def eval(self, r):
         r = np.asarray(r, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            wr = 1.0 + self.w * r ** self.gamma
-            out = np.zeros_like(r)
-            for (a, b, m), c in self.terms.items():
-                p = a * self.gamma - b
-                out = out + c * r ** p * wr ** (self.e0 - m)
-            if not math.isfinite(out.sum()):
-                out = self._eval_in_logs(r.reshape(-1), wr.reshape(-1)).reshape(r.shape)
-        return out if out.shape else float(out)
-
-    def _eval_in_logs(self, r: np.ndarray, wr: np.ndarray) -> np.ndarray:
-        """eval, with each non-finite term entry taken as c exp(p ln r + e ln wr).
-
-        At large r and gamma, r^p overflows before the decaying (1 + w r^g)^e
-        can cut it down; finite entries keep the plain arithmetic.
-        """
+        if not self._factors_in_range(r):
+            return self._eval_in_logs(r)
+        wr = 1.0 + self.w * r ** self.gamma
         out = np.zeros_like(r)
         for (a, b, m), c in self.terms.items():
-            p, e = a * self.gamma - b, self.e0 - m
-            term = c * r ** p * wr ** e
-            bad = ~np.isfinite(term)
-            term[bad] = c * np.exp(p * np.log(r[bad]) + e * np.log(wr[bad]))
-            out = out + term
-        return out
+            p = a * self.gamma - b
+            out = out + c * r ** p * wr ** (self.e0 - m)
+        return out if out.shape else float(out)
+
+    def _factors_in_range(self, r: np.ndarray) -> bool:
+        """Whether 1 + w r^g and every factor r^p, (1 + w r^g)^e is a normal float on r.
+
+        Past |ln| = LOG_NORMAL a factor overflows, or underflows into the
+        subnormals and keeps only a few digits, so the product of the two
+        factors can be NaN, or finite and wrong.
+        """
+        if r.size == 0 or self.w <= 0.0:
+            return True
+        lo, hi = float(r.min()), float(r.max())
+        if not (lo > 0.0 and math.isfinite(hi)):
+            return True
+        ln_r = max(-math.log(lo), math.log(hi))
+        # ln(1 + w r^g) <= ln 2 + max(0, ln w + g ln r) on [lo, hi]
+        ln_w = math.log(self.w)
+        ln_wr = math.log(2.0) + max(0.0, ln_w + self.gamma * math.log(lo),
+                                    ln_w + self.gamma * math.log(hi))
+        return ln_wr <= LOG_NORMAL and all(
+            abs(a * self.gamma - b) * ln_r <= LOG_NORMAL and abs(self.e0 - m) * ln_wr <= LOG_NORMAL
+            for a, b, m in self.terms)
+
+    def _eval_in_logs(self, r: np.ndarray):
+        """eval for r > 0 and w > 0, with each term entry whose factors leave the
+        normal range taken as c exp(p ln r + e ln(1 + w r^g)); the other entries
+        keep the plain arithmetic."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            wr = 1.0 + self.w * r ** self.gamma
+            ln_r = np.log(r)
+            ln_wr = np.logaddexp(0.0, math.log(self.w) + self.gamma * ln_r)
+            out = np.zeros(r.shape)
+            for (a, b, m), c in self.terms.items():
+                p, e = a * self.gamma - b, self.e0 - m
+                lp, le = p * ln_r, e * ln_wr
+                term = np.array(c * r ** p * wr ** e)
+                far = (np.abs(lp) > LOG_NORMAL) | (np.abs(le) > LOG_NORMAL) | (ln_wr > LOG_NORMAL)
+                term[far] = c * np.exp(lp[far] + le[far])
+                out = out + term
+        return out if out.shape else float(out)
 
     def term_magnitude(self, r):
         """Sum of absolute term values; the scale for relative residuals."""

@@ -1,6 +1,7 @@
 import copy
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -128,11 +129,21 @@ def test_dist_outside_scan_not_converged(p51):
 
 
 @pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
-def test_tangent_laplacian_finite_on_wide_grid(lam):
-    # gamma = 9.68: r^p overflows at r = 1e14 before (1 + w r^gamma)^e cuts it down
+def test_tangent_laplacian_on_wide_grid(lam):
+    # gamma = 9.68: towards r = 1e14, r^p overflows (NaN) or (1 + w r^gamma)^e
+    # underflows into the subnormals (finite, but 64 times off at r = 1.9e11)
     p = validate_params(12, -7.68064)
-    vals = dilation_tangent(p, lam).form.radial_laplacian(p.N).eval(_wide_grid().nodes)
+    form = dilation_tangent(p, lam).form.radial_laplacian(p.N)
+    r = _wide_grid().nodes
+    vals = form.eval(r)
     assert np.isfinite(vals).all()
+    with mpmath.workdps(50):
+        g, w, e0 = (mpmath.mpf(v) for v in (form.gamma, form.w, form.e0))
+        for i in range(1500, r.size, 23):
+            x = mpmath.mpf(r[i])
+            exact = float(sum(mpmath.mpf(c) * x ** (a * g - b) * (1 + w * x ** g) ** (e0 - m)
+                              for (a, b, m), c in form.terms.items()))
+            assert abs(vals[i] - exact) <= 1e-9 * abs(exact)
 
 
 def test_dist_profile_evaluations(monkeypatch, p51, phi3_unit):
