@@ -256,10 +256,13 @@ def cmd_perturb(args) -> dict:
     ]
     curve = rep.pop("gamma_curve")
     rep.pop("result")
+    diagnostics = {"quad_nodes": int(pp.s.size), "basis_size": pp.problem.basis.m,
+                   "kept_rank": pp.kept,
+                   "energy_window_nodes": rep.pop("energy_window_nodes"),
+                   "lambda_star_polished": rep.pop("lambda_star_polished")}
     return {
         "data": {"N": p.N, "alpha": p.alpha, "eps": args.eps, **rep, "gamma_curve": curve},
-        "diagnostics": {"quad_nodes": int(pp.s.size), "basis_size": pp.problem.basis.m,
-                        "kept_rank": pp.kept},
+        "diagnostics": diagnostics,
         "checks": checks,
         "csv": [("lam", "gamma")] + [(row["lam"], row["gamma"]) for row in curve],
     }

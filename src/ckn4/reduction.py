@@ -11,14 +11,22 @@ zero, and each step is solved in closed form: every other row is eliminated
 directly, leaving a 2x2 system in the tangent coefficient and the
 multiplier.  The loop makes no scipy LAPACK call: numpy and scipy each
 carry their own OpenBLAS thread pool, and a LAPACK call right after numpy's
-BLAS work waits for the other pool.
+BLAS work waits for the other pool.  The scales of the Gamma curve are
+solved as one block (solve_corrections): their fixed-point sweeps run in
+lockstep over an (L, kept) coefficient block, two matrix products per
+sweep, and each scale stops at its own tolerance.
 The quadratic terms of the reduced energy are exact in that basis: the
 bubble is C psi_0, so its alpha-products come from the pencil's stiffness
 matrix, and scaling is an isometry of the alpha-norm.  Only the star and h
 terms are integrated, on a composite log grid whose window is derived from
-their decay and the scales in LAM_RANGE.  The star term of the reduced
-energy is evaluated in the physical frame at each scale, so scaling
-invariance is measured, not assumed.
+their decay and the scales in LAM_RANGE.  The fixed point's residual is
+summed over that whole grid: the high pencil modes live in its tails, where
+u_+^{p*-1} phi_i is not bounded by the bubble's decay.  The star term of
+the reduced energy is (2 cosh(ln s + ln nu))^{-M} times a bounded factor,
+so at each scale it is summed only on the nodes within SGrid.reach(M) of
+its centre, all scales as one block (reduced_energies).  It is evaluated
+in the physical frame at each scale, so scaling invariance is measured,
+not assumed.
 """
 
 from __future__ import annotations
@@ -46,7 +54,9 @@ __all__ = [
     "PerturbationProblem",
     "CorrectionResult",
     "solve_correction",
+    "solve_corrections",
     "reduced_energy",
+    "reduced_energies",
     "find_perturbed_solution",
     "RadialCombination",
     "BUILTIN_H",
@@ -269,7 +279,9 @@ class PerturbationProblem:
         # wide enough for the bubble at every scale in LAM_RANGE
         shift = max(abs(math.log(lam)) for lam in LAM_RANGE) / p.q
         grid = SGrid.build(nodes, M=p.M, shift=shift)
+        self.u = grid.u
         self.s = grid.s
+        self.reach = SGrid.reach(p.M)
         with np.errstate(over="ignore"):
             self.wq = grid.w * self.s ** (p.M - 1.0)
         if not np.isfinite(self.wq).all():
@@ -321,42 +333,79 @@ class PerturbationProblem:
 
     # -- helpers ---------------------------------------------------------------
 
-    def norm_sq(self, c: np.ndarray) -> float:
-        """||U_lam + w_lam||^2 for the correction w = sum_i c_i phi_i, at every lam."""
-        return self.norm0 + 2.0 * float(c @ self.bU) + float(self.G @ (c * c))
+    def norm_sq(self, c: np.ndarray):
+        """||U_lam + w_lam||^2 for the correction w = sum_i c_i phi_i, at every lam.
 
-    def _h_values(self, lam: float) -> np.ndarray:
+        c is one coefficient vector (kept,) or a block (L, kept), one per row.
+        """
+        return self.norm0 + 2.0 * (c @ self.bU) + (c * c) @ self.G
+
+    def _h_values(self, lam) -> np.ndarray:
+        """h(r/lam) on the grid: shape (n,) for one scale, (L, n) for L scales."""
+        r = self.r_of_s / np.asarray(lam, dtype=float)[..., None]
         if self.h is None:
-            return np.zeros_like(self.s)
-        return np.asarray(self.h(self.r_of_s / lam), dtype=float)
+            return np.zeros(r.shape)
+        return np.asarray(self.h(r.ravel()), dtype=float).reshape(r.shape)
+
+    def energy_window(self, lams: np.ndarray):
+        """Grid nodes of each scale's star term: indices (n_w, L) and a mask of those inside.
+
+        At scale lam the integrand is (2 cosh(ln s + ln nu))^{-M} times a
+        bounded factor, nu = lam^{1/q}, so it is integrated on the nodes
+        with |ln s + ln nu| <= SGrid.reach(M).  Column l holds n_w
+        consecutive nodes around its window, n_w the largest window; the
+        mask drops the nodes of a smaller window's column that lie outside it.
+        """
+        centre = -np.log(lams) / self.params.q
+        lo = np.searchsorted(self.u, centre - self.reach, side="left")
+        hi = np.searchsorted(self.u, centre + self.reach, side="right")
+        n_w = int((hi - lo).max())
+        idx = np.minimum(lo, self.u.size - n_w) + np.arange(n_w)[:, None]
+        return idx, (idx >= lo) & (idx < hi)
 
     def basis_tangent_overlaps(self) -> float:
         """Largest normalized overlap of a non-tangent basis mode with the tangent."""
         overlaps = np.abs(self.d) / (np.sqrt(self.G) * self.tangent_norm)
         return float(np.delete(overlaps, self.i_tan).max())
 
-    def _solve_jacobian(self, r: np.ndarray, r_l: float):
+    def _solve_jacobian(self, r: np.ndarray, r_l):
         """(x, l) with D_i x_i - d_i l = r_i and d . x = r_l, in O(kept) work.
 
         Rows i != i_tan give x_i = (r_i + d_i l)/D_i; what is left is the
         2x2 system [[D_j, -d_j], [d_j, sum_{i!=j} d_i^2/D_i]] in (x_j, l).
+        r is one right-hand side (kept,) with a scalar r_l, or a block
+        (L, kept) with r_l of shape (L,), solved row by row.
         """
         j = self.i_tan
         D_j, d_j = float(self.D[j]), float(self.d[j])
         det = D_j * self._schur + d_j * d_j
-        b = r_l - float(self._d_over_D @ r)
-        l = (D_j * b - d_j * r[j]) / det
-        x = self._inv_D * r + self._d_over_D * l
-        x[j] = (self._schur * r[j] + d_j * b) / det
+        r_j = r[..., j]
+        b = r_l - r @ self._d_over_D
+        l = (D_j * b - d_j * r_j) / det
+        x = self._inv_D * r + self._d_over_D * np.expand_dims(l, -1)
+        x[..., j] = (self._schur * r_j + d_j * b) / det
         return x, l
 
-    def _residual(self, c: np.ndarray, hvals: np.ndarray, eps: float):
-        """<u, phi_i>_alpha - int (1+eps h)|x|^{-a} u_+^{p*-1} phi_i, u = U_1 + w."""
-        p = self.params
-        u_vals = self.bub_vals + c @ self.phi
-        f = (1.0 + eps * hvals) * np.maximum(u_vals, 0.0) ** (p.pstar - 1.0)
-        nonlinear = self.star_scale * (self.phi @ (self.wq * f))
-        return self.bU + self.G * c - nonlinear, u_vals
+    def _forcing(self, lams, eps: float) -> np.ndarray:
+        """star_scale wq (1 + eps h(r/lam)), the nonlinear term's weight at each scale."""
+        f = self._h_values(lams)
+        f *= eps
+        f += 1.0
+        f *= self.star_scale * self.wq
+        return f
+
+    def _residual(self, c: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        """<u, phi_i>_alpha - int (1+eps h)|x|^{-a} u_+^{p*-1} phi_i, u = U_1 + w.
+
+        c is (kept,) with forcing (n,), or a block (L, kept) with forcing
+        (L, n) from _forcing; the residual has the shape of c.
+        """
+        f = c @ self.phi
+        f += self.bub_vals
+        np.maximum(f, 0.0, out=f)
+        f **= self.params.pstar - 1.0
+        f *= forcing
+        return self.bU + self.G * c - f @ self.phi.T
 
 
 @dataclass
@@ -392,80 +441,123 @@ def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = No
                      refuse_factor: float = 0.9) -> CorrectionResult:
     """Fixed-point iteration for the constrained correction at scale lam.
 
+    The one-scale case of solve_corrections.
+    """
+    return solve_corrections(pp, [lam], eps, tol, max_iter, refuse_factor)[0]
+
+
+def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
+                      tol: float = 1e-10, max_iter: int = 100,
+                      refuse_factor: float = 0.9) -> list[CorrectionResult]:
+    """Fixed-point iteration for the constrained correction at every scale in lams.
+
     Iterates the frozen-Jacobian map for (w, l) with the orthogonality
     constraint <w, tangent> = 0 until the update norm drops below `tol`.
+    The scales not yet in pp's cache are iterated in lockstep: each sweep
+    takes the residuals of all of them as two matrix products over the
+    (L, kept) coefficient block, and each scale leaves the sweeps at its
+    own convergence, with its own iteration count and contraction factor.
     Raises ContractionFailure when the observed contraction factor reaches
-    `refuse_factor` (the perturbation is too large for the fixed point).
+    `refuse_factor` (the perturbation is too large for the fixed point);
+    after every scale has been swept it names the first failing one in the
+    order of lams.  The other results are cached either way.
     """
     eps = pp.eps if eps is None else float(eps)
-    key = (lam, eps, tol, max_iter, refuse_factor)
-    if key in pp._cache:
-        return pp._cache[key]
+    lams = [float(lam) for lam in np.atleast_1d(lams)]
+    keys = [(lam, eps, tol, max_iter, refuse_factor) for lam in lams]
+    todo = list(dict.fromkeys(lam for lam, key in zip(lams, keys) if key not in pp._cache))
+    if not todo:
+        return [pp._cache[key] for key in keys]
     if abs(eps) * pp.h_sup > 1.0:
         raise ContractionFailure(f"|eps| sup|h| = {abs(eps) * pp.h_sup:.3f} exceeds 1")
-    kept = pp.kept
-    hvals = pp._h_values(lam)
-    c = np.zeros(kept)
-    l_hat = 0.0
     sqrtG = np.sqrt(pp.G)
-    prev_step = None
-    factor = 0.0
-    iterations = 0
-    converged = False
+    at = np.arange(len(todo))                # positions in todo of the scales still iterated
+    forcing = pp._forcing(todo, eps)
+    c = np.zeros((len(todo), pp.kept))
+    l_hat = np.zeros(len(todo))
+    prev_step = np.zeros(len(todo))
+    factor = np.zeros(len(todo))
+    failures = {}                            # position in todo -> message
     for it in range(1, max_iter + 1):
-        res, _ = pp._residual(c, hvals, eps)
-        dc, dl = pp._solve_jacobian(-(res - l_hat * pp.d), -float(pp.d @ c))
-        c = c + dc
-        l_hat = l_hat + dl
-        step = math.sqrt(float(np.sum((sqrtG * dc) ** 2)) + dl ** 2)
-        iterations = it
-        if prev_step is not None and prev_step > 0:
-            ratio = step / prev_step
-            factor = max(factor, ratio)
-            if ratio >= refuse_factor and step > tol:
-                raise ContractionFailure(
-                    f"contraction factor {ratio:.3f} >= {refuse_factor} at scale {lam}")
+        res = pp._residual(c, forcing)
+        dc, dl = pp._solve_jacobian(-(res - l_hat[:, None] * pp.d), -(c @ pp.d))
+        c += dc
+        l_hat += dl
+        step = np.sqrt(np.sum((sqrtG * dc) ** 2, axis=1) + dl * dl)
+        ratio = np.divide(step, prev_step, out=np.zeros_like(step), where=prev_step > 0)
+        factor = np.fmax(factor, ratio)
+        failed = (ratio >= refuse_factor) & (step > tol)
+        for i, r in zip(at[failed], ratio[failed]):
+            failures[int(i)] = f"contraction factor {r:.3f} >= {refuse_factor} at scale {todo[i]}"
         prev_step = step
-        if step < tol:
-            converged = True
+        converged = step < tol
+        done = (converged | (it == max_iter)) & ~failed
+        if done.any():
+            res = pp._residual(c[done], forcing[done])
+            proj = res - l_hat[done, None] * pp.d
+            residual = np.sqrt(np.sum(proj ** 2 / pp.G, axis=1))
+            unproj = np.sqrt(np.sum(res ** 2 / pp.G, axis=1))
+            for k, i in enumerate(np.flatnonzero(done)):
+                lam = todo[at[i]]
+                pp._cache[(lam, eps, tol, max_iter, refuse_factor)] = CorrectionResult(
+                    lam=lam, eps=eps, coeffs=c[i].copy(), l=lam * float(l_hat[i]),
+                    iterations=it, contraction_factor=float(factor[i]),
+                    omega_norm=math.sqrt(float(np.sum(pp.G * c[i] ** 2))),
+                    residual=float(residual[k]), unprojected_residual=float(unproj[k]),
+                    converged=bool(converged[i]), problem=pp)
+        going = ~(done | failed)
+        if not going.any():
             break
-    res, _ = pp._residual(c, hvals, eps)
-    proj = res - l_hat * pp.d
-    residual = math.sqrt(float(np.sum(proj ** 2 / pp.G)))
-    unproj = math.sqrt(float(np.sum(res ** 2 / pp.G)))
-    omega_norm = math.sqrt(float(np.sum(pp.G * c ** 2)))
-    out = CorrectionResult(lam=float(lam), eps=eps, coeffs=c, l=float(lam) * l_hat,
-                           iterations=iterations, contraction_factor=factor,
-                           omega_norm=omega_norm, residual=residual,
-                           unprojected_residual=unproj, converged=converged,
-                           problem=pp)
-    pp._cache[key] = out
-    return out
+        if not going.all():
+            at, forcing, c, l_hat, prev_step, factor = (
+                a[going] for a in (at, forcing, c, l_hat, prev_step, factor))
+    if failures:
+        raise ContractionFailure(failures[min(failures)])
+    return [pp._cache[key] for key in keys]
 
 
 def reduced_energy(pp: PerturbationProblem, lam: float, eps: float | None = None,
                    result: CorrectionResult | None = None) -> float:
     """Energy of U_lam + correction at scale lam, for lam in LAM_RANGE.
 
+    The one-scale case of reduced_energies.
+    """
+    return float(reduced_energies(pp, [lam], eps, None if result is None else [result])[0])
+
+
+def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
+                     results: list | None = None) -> np.ndarray:
+    """Energy of U_lam + correction at every scale in lams, each in LAM_RANGE.
+
     Scaling is an isometry of the alpha-norm, so the quadratic part is
     taken in coefficient space (PerturbationProblem.norm_sq).
-    The star term is integrated on the fixed grid with the physical-frame
-    integrand at scale lam, so its invariance under scaling is measured.
+    The star term is integrated with the physical-frame integrand at scale
+    lam, on the grid nodes of that scale's window
+    (PerturbationProblem.energy_window), so its invariance under scaling is
+    measured.  The transported corrections of all scales are summed as one
+    block by ModeBasis.series.
     """
     p = pp.params
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
     lo, hi = LAM_RANGE
-    if not lo <= lam <= hi:
-        raise QuadratureFailure(
-            f"reduced energy at N={p.N}, alpha={p.alpha}, lambda={lam:g}: the perturbation "
-            f"grid covers the bubble only for lambda in [{lo:g}, {hi:g}]")
+    for lam in lams:
+        if not lo <= lam <= hi:
+            raise QuadratureFailure(
+                f"reduced energy at N={p.N}, alpha={p.alpha}, lambda={lam:g}: the perturbation "
+                f"grid covers the bubble only for lambda in [{lo:g}, {hi:g}]")
     eps = pp.eps if eps is None else float(eps)
-    result = result or solve_correction(pp, lam, eps)
+    results = results or solve_corrections(pp, lams, eps)
+    c = np.array([res.coeffs for res in results])          # (L, kept)
+    idx, inside = pp.energy_window(lams)
+    s = pp.s[idx]
     # transported correction: nu^{(M-4)/2} w(nu s)
-    nu = lam ** (1.0 / p.q)
-    w_vals = pp.problem.basis.series(pp.X @ result.coeffs, nu * pp.s)
-    u_vals = sobolev_bubble(p, lam).form.eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * w_vals
-    star = pp.star_scale * float(pp.wq @ ((1.0 + eps * pp.h_phys) * np.maximum(u_vals, 0.0) ** p.pstar))
-    return 0.5 * pp.norm_sq(result.coeffs) - star / p.pstar
+    nu = lams ** (1.0 / p.q)
+    u_vals = nu ** ((p.M - 4.0) / 2.0) * pp.problem.basis.series(pp.X @ c.T, nu * s)
+    for k, lam in enumerate(lams):
+        u_vals[:, k] += sobolev_bubble(p, lam).form.eval(s[:, k])
+    weight = np.where(inside, pp.wq[idx] * (1.0 + eps * pp.h_phys[idx]), 0.0)
+    star = pp.star_scale * np.sum(weight * np.maximum(u_vals, 0.0) ** p.pstar, axis=0)
+    return 0.5 * pp.norm_sq(c) - star / p.pstar
 
 
 def find_perturbed_solution(pp: PerturbationProblem,
@@ -473,15 +565,16 @@ def find_perturbed_solution(pp: PerturbationProblem,
                             flat_tol: float = 1e-10) -> dict:
     """Locate an interior extremum of the reduced energy and assemble the solution.
 
-    The reduced curve is sampled on a log grid, the extremum refined by a
-    parabolic fit and then polished by a root solve on the multiplier l(lam)
-    (l is proportional to the derivative of the curve).  When the curve is
-    numerically constant NoInteriorExtremum is raised.
+    The reduced curve is sampled on a log grid, all of its scales as one
+    block, the extremum refined by a parabolic fit and then polished by a
+    root solve on the multiplier l(lam) (l is proportional to the
+    derivative of the curve).  When l does not change sign across the
+    bracket the parabolic scale stands, and lambda_star_polished says so.
+    When the curve is numerically constant NoInteriorExtremum is raised.
     """
     p = pp.params
     lam_grid = np.logspace(-2, 2, 33) if lam_grid is None else np.asarray(lam_grid, dtype=float)
-    results = [solve_correction(pp, lam) for lam in lam_grid]
-    gammas = np.array([reduced_energy(pp, lam, result=res) for lam, res in zip(lam_grid, results)])
+    gammas = reduced_energies(pp, lam_grid, results=solve_corrections(pp, lam_grid))
     E0 = pp.unperturbed_energy
     span = float(gammas.max() - gammas.min())
     if span < flat_tol * max(1.0, abs(E0)):
@@ -506,8 +599,8 @@ def find_perturbed_solution(pp: PerturbationProblem,
 
     lam_star = lam_par
     la, lb = lam_grid[i_star - 1], lam_grid[i_star + 1]
-    fa, fb = l_hat_of(la), l_hat_of(lb)
-    if fa * fb < 0:
+    polished = l_hat_of(la) * l_hat_of(lb) < 0
+    if polished:
         lam_star = brentq(l_hat_of, la, lb, xtol=1e-14, rtol=1e-14)
     final = solve_correction(pp, lam_star)
     energy = reduced_energy(pp, lam_star, result=final)
@@ -519,8 +612,10 @@ def find_perturbed_solution(pp: PerturbationProblem,
     t = np.cos(np.pi * np.arange(n_t + 1) / n_t)
     ratio = 1.0 + legval(t, pp.X @ final.coeffs) / normalization_constant(p)
     min_ratio = float(ratio.min())
+    window_nodes = pp.energy_window(np.append(lam_grid, lam_star))[0].shape[0]
     return {
         "lambda_star": float(lam_star),
+        "lambda_star_polished": bool(polished),
         "energy": float(energy),
         "omega_norm": final.omega_norm,
         "l": final.l,
@@ -530,6 +625,7 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "contraction_factor": final.contraction_factor,
         "min_ratio_to_bubble": min_ratio,
         "positive": min_ratio > 0.0,
+        "energy_window_nodes": window_nodes,
         "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],
         "result": final,
     }

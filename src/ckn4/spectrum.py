@@ -27,7 +27,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial.legendre import legder, legval
+from numpy.polynomial.legendre import legder
 from scipy.special import betaln, roots_jacobi, roots_legendre
 
 from .emden import ComposedRadial, from_sobolev
@@ -80,15 +80,23 @@ class SGrid:
     w: np.ndarray          # weights including ds = s du
 
     @staticmethod
-    def half_width(M: float, shift: float) -> float:
-        """u_max for star-type integrands whose centre |ln nu| is at most shift.
+    def reach(M: float) -> float:
+        """Distance in u from its centre beyond which a star-type integrand is negligible.
 
         Past a distance d from its centre, (2 cosh d)^{-M} is below e^{-32}
         (1.3e-14) of the peak 2^{-M} once cosh d >= e^{32/M}; the share of
-        the integral it leaves out is smaller still.  Never below 12, the
-        end of the zones that resolve the trial functions.
+        the integral it leaves out is smaller still.
         """
-        return max(12.0, shift + math.acosh(math.exp(32.0 / M)))
+        return math.acosh(math.exp(32.0 / M))
+
+    @staticmethod
+    def half_width(M: float, shift: float) -> float:
+        """u_max for star-type integrands whose centre |ln nu| is at most shift.
+
+        The reach past the farthest centre, and never below 12, the end of
+        the zones that resolve the trial functions.
+        """
+        return max(12.0, shift + SGrid.reach(M))
 
     @classmethod
     def build(cls, m: int, M: float, shift: float, panel_pts: int = 64) -> "SGrid":
@@ -281,20 +289,22 @@ class ModeBasis:
     def series(self, coeffs: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Derivative `order` (0, 1 or 2) at s of X = sum_j coeffs[j] psi_j.
 
-        The Legendre part is summed in coefficient space by Clenshaw's
-        recurrence, so no (m, n) basis matrix is formed; only the order + 1
-        Legendre series the derivative reads are summed.
+        coeffs is (m,) with s of any shape, or a block (m, L) of L series
+        with s of shape (n, L), column l evaluated at s[:, l]; the result
+        has the shape of s.  The Legendre part is summed in coefficient
+        space by Clenshaw's recurrence, so no (m, n) basis matrix is formed;
+        only the order + 1 Legendre series the derivative reads are summed.
         """
         E = np.exp(self._log_envelope(s))
         t, a, ap, tp, tpp = self._frame_coeffs(s)
-        P = legval(t, coeffs)
+        P = _legendre_sum(coeffs, t)
         if order == 0:
             return E * P
         dcoeffs = legder(coeffs)
-        dP = legval(t, dcoeffs)
+        dP = _legendre_sum(dcoeffs, t)
         if order == 1:
             return E * (a * P + tp * dP)
-        d2P = legval(t, legder(dcoeffs))
+        d2P = _legendre_sum(legder(dcoeffs), t)
         return E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P)
 
     def weighted_rows(self, s: np.ndarray, log_weight: np.ndarray,
@@ -363,6 +373,28 @@ class ModeProblem:
         _, B = _gram_matrices(self.basis, self.rule(weight_lambda), self.params.M, nu,
                               stiffness=False)
         return B
+
+
+def _legendre_sum(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k coeffs[k] P_k(t) by Clenshaw's recurrence, in place.
+
+    b_k = c_k + (2k+1)/(k+1) t b_{k+1} - (k+1)/(k+2) b_{k+2} from b_m =
+    b_{m+1} = 0 down to b_0, the sum.  coeffs[k] broadcasts against t, so
+    a block (m, L) sums L series at the columns of t (n, L) in one pass
+    over three preallocated buffers.
+    """
+    shape = np.broadcast_shapes(t.shape, coeffs.shape[1:])
+    b1 = np.zeros(shape)
+    b2 = np.zeros(shape)
+    tb = np.empty(shape)
+    for k in range(coeffs.shape[0] - 1, -1, -1):
+        np.multiply(t, b1, out=tb)
+        tb *= (2 * k + 1) / (k + 1)
+        b2 *= -(k + 1) / (k + 2)
+        b2 += tb
+        b2 += coeffs[k]
+        b1, b2 = b2, b1
+    return b1
 
 
 def _log_hypot1(s: np.ndarray) -> np.ndarray:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_legendre
 
+from ckn4.emden import sobolev_bubble
 from ckn4.params import validate_params
 
 # the five working parameter pairs exercised across the suite
@@ -61,6 +62,22 @@ def applied(basis, s):
     t, _, _, _, _, c0, c1, c2 = basis._operator_coeffs(s)
     P, dP, d2P = basis._legendre(t, orders=2)
     return E * P, E * (c0 * P + c1 * dP + c2 * d2P)
+
+
+def full_grid_energy(pp, lam, result):
+    """Reduced energy at scale lam with the star term summed over every node of pp's grid.
+
+    A reference for reduction.reduced_energies, which integrates each
+    scale only on its own window; the correction is summed from the
+    (m, n) basis matrix, independent of ModeBasis.series.
+    """
+    p = pp.params
+    nu = lam ** (1.0 / p.q)
+    w_vals = (pp.X @ result.coeffs) @ pp.problem.basis.values(nu * pp.s)
+    u_vals = sobolev_bubble(p, lam).form.eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * w_vals
+    star = pp.star_scale * float(
+        pp.wq @ ((1.0 + result.eps * pp.h_phys) * np.maximum(u_vals, 0.0) ** p.pstar))
+    return 0.5 * pp.norm_sq(result.coeffs) - star / p.pstar
 
 
 @pytest.fixture(scope="session")

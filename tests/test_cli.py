@@ -183,6 +183,21 @@ def test_perturb_command(capsys, tmp_path):
     assert diag["quad_nodes"] == SGrid.build(128, M=p.M, shift=math.log(LAM_RANGE[1]) / p.q).n
     assert diag["basis_size"] == 128
     assert 0 < diag["kept_rank"] <= diag["basis_size"]
+    # lambda* came from the root solve on l, and each scale's star term from
+    # a window of the grid: at M = 8 it spans 2 arccosh(e^4) = 9.4 of ln s
+    assert diag["lambda_star_polished"] is True
+    assert 0 < diag["energy_window_nodes"] < diag["quad_nodes"]
+    assert "lambda_star_polished" not in rep["data"] and "energy_window_nodes" not in rep["data"]
+
+
+def test_perturb_contraction_failure_names_first_scale(capsys):
+    # M = 55: the fixed point diverges at the smallest scale of the Gamma
+    # curve, and the lockstep solve names that scale as the sequential one did
+    code, out, err = run(capsys, "perturb", "--N", "10", "--alpha", "1.7")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ContractionFailure: contraction factor")
+    assert err.rstrip().endswith("at scale 0.01")
 
 
 @pytest.mark.parametrize("N, a", [("9", "-4.8"), ("4", "0.0504")])

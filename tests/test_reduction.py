@@ -20,14 +20,16 @@ from ckn4.reduction import (
     dist_to_manifold,
     find_perturbed_solution,
     h_weighted_star_norm,
+    reduced_energies,
     reduced_energy,
     remainder_quotient,
     remainder_scan,
     solve_correction,
+    solve_corrections,
     _wide_grid,
 )
 from ckn4.spectrum import SGrid, mode_eigenvalues
-from conftest import PARAM_SETS, applied, wide_log_rule
+from conftest import PARAM_SETS, applied, full_grid_energy, wide_log_rule
 
 
 @pytest.fixture(scope="module")
@@ -273,7 +275,7 @@ def test_jacobian_closed_form_backward_error(N, a):
     K[np.diag_indices(k)] = pp.D
     K[:k, k] = -pp.d
     K[k, :k] = pp.d
-    res, _ = pp._residual(np.zeros(k), pp._h_values(1.0), pp.eps)
+    res = pp._residual(np.zeros(k), pp._forcing(1.0, pp.eps))
     rng = np.random.default_rng(8)
     # the first fixed-point step's right-hand side, and a random one on the G scale
     for b in (np.append(-res, 0.0), np.append(rng.standard_normal(k) * np.sqrt(pp.G), 1.0)):
@@ -311,6 +313,39 @@ def test_correction_cache_keeps_refuse_factor(p51):
     assert solve_correction(pp, 1.0).converged
     with pytest.raises(ContractionFailure):
         solve_correction(pp, 1.0, refuse_factor=1e-6)
+
+
+@pytest.mark.parametrize("N, a", PARAM_SETS)
+def test_lockstep_matches_single_scale(N, a):
+    # every column of the lockstep block on the default curve grid against
+    # the same scale solved alone with a fresh cache, relative to the
+    # solution U_lam + w_lam: far from h the correction itself sits at the
+    # rounding floor of the fixed point, which is set by the bubble
+    pp = PerturbationProblem(validate_params(N, a), BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    lams = np.logspace(-2, 2, 33)
+    block = solve_corrections(pp, lams)
+    assert all(solve_correction(pp, lam) is res for lam, res in zip(lams, block))
+    for lam, res in zip(lams, block):
+        pp._cache.clear()
+        one = solve_correction(pp, lam)
+        diff = math.sqrt(float(np.sum(pp.G * (res.coeffs - one.coeffs) ** 2)))
+        assert diff <= 1e-12 * math.sqrt(pp.norm_sq(one.coeffs))
+        assert (res.iterations, res.converged) == (one.iterations, one.converged)
+
+
+def test_lockstep_failure_names_first_scale(p51):
+    # at eps = 1 the observed contraction factor is 0.1252, then 0.1303 at
+    # lam = 0.9 and 0.1276 at lam = 1: under a refuse factor of 0.1265,
+    # lam = 1 fails at the second sweep and lam = 0.9 only at the third,
+    # yet the block names the first failing scale in its order, as the
+    # scale-by-scale solve would
+    pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1.0, nodes=96)
+    with pytest.raises(ContractionFailure, match=r"factor 0\.130 >= 0\.1265 at scale 0\.9$"):
+        solve_corrections(pp, [0.9, 1.0, 0.5], refuse_factor=0.1265)
+    with pytest.raises(ContractionFailure, match=r"factor 0\.128 >= 0\.1265 at scale 1\.0$"):
+        solve_correction(pp, 1.0, refuse_factor=0.1265)
+    # the scale that passed was cached, the failing ones were not
+    assert [key[0] for key in pp._cache] == [0.5]
 
 
 def test_gamma_flat_at_zero_eps(p51):
@@ -362,12 +397,29 @@ def test_star_window_converged(monkeypatch, N, a):
         return pp, np.array([reduced_energy(pp, lam) for lam in lams])
 
     pp, narrow = gammas()
-    half_width = SGrid.half_width
+    # each scale's energy window widens with the reach, the grid's with both
+    half_width, reach = SGrid.half_width, SGrid.reach
     monkeypatch.setattr(SGrid, "half_width", staticmethod(
         lambda M, shift: half_width(M, shift) + 10.0))
+    monkeypatch.setattr(SGrid, "reach", staticmethod(lambda M: reach(M) + 10.0))
     wide_pp, wide = gammas()
     assert np.log(wide_pp.s[-1] / pp.s[-1]) > 9.0 and np.log(pp.s[0] / wide_pp.s[0]) > 9.0
+    assert wide_pp.reach == pp.reach + 10.0
     assert np.max(np.abs(narrow - wide) / np.abs(wide)) <= 1e-12
+
+
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(9, -4.8), (4, 0.0504)])
+def test_windowed_energy_matches_full_grid(N, a):
+    # each scale's star term on its own window against the sum over the
+    # whole grid, at the ends of LAM_RANGE and between
+    pp = PerturbationProblem(validate_params(N, a), BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    lams = np.array([1e-3, 1e-2, 1.0, 1e2, 1e3])
+    results = solve_corrections(pp, lams)
+    got = reduced_energies(pp, lams, results=results)
+    want = np.array([full_grid_energy(pp, lam, res) for lam, res in zip(lams, results)])
+    assert np.max(np.abs(got / want - 1.0)) <= 1e-13
+    _, inside = pp.energy_window(lams)
+    assert inside.sum(axis=0).max() < pp.s.size
 
 
 @pytest.mark.parametrize("N, a", PARAM_SETS)
@@ -444,6 +496,17 @@ def test_find_perturbed_solution(p51, pp51):
     assert rep["contraction_factor"] < 0.9
     assert 0.01 < rep["lambda_star"] < 100.0
     assert abs(rep["l"]) < 1e-10
+    assert rep["lambda_star_polished"]
+
+
+def test_unpolished_lambda_star_is_reported(pp51):
+    # a curve grid wholly below lambda* brackets no sign change of l: the
+    # parabolic scale stands, and the report says it was not polished
+    grid = np.logspace(-2, -0.5, 7)
+    rep = find_perturbed_solution(pp51, lam_grid=grid)
+    assert not rep["lambda_star_polished"]
+    assert grid[-3] <= rep["lambda_star"] <= grid[-1]
+    assert abs(rep["l"]) > 1e-10
 
 
 @pytest.mark.parametrize("N, a", [(6, -1.0), (5, 1.0), (7, -2.0)])

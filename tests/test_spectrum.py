@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.legendre import legder, legval
 from scipy.special import betaln, logsumexp
 
 from ckn4.emden import sobolev_bubble
@@ -229,6 +230,33 @@ def test_series_matches_basis_matrices(N, a, k):
         got = [fn.eval(x), fn.deriv(x, 1), fn.deriv(x, 2)]
         for g, w in zip(got, want):
             assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
+def test_series_block_matches_columns_and_legval(N, a, k):
+    # a block of L series, column l at the nodes s[:, l], as the reduced
+    # energies sum one per scale, against one call per column and against
+    # numpy's legval/legder on the same frame fields
+    p = validate_params(N, a)
+    lam_k, _ = mode_lambda(k, p.N)
+    basis = ModeBasis(p.M, p.q ** 2 * lam_k, 96)
+    nus = 10.0 ** (np.linspace(-2.0, 2.0, 5) / p.q)
+    coeffs = np.random.default_rng(k).standard_normal((basis.m, nus.size))
+    x = nus * wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7, None]
+    E = np.exp(basis._log_envelope(x))
+    t, a_, ap, tp, tpp = basis._frame_coeffs(x)
+    dc = legder(coeffs)
+    P, dP, d2P = (legval(t, c, tensor=False) for c in (coeffs, dc, legder(dc)))
+    want = [E * P, E * (a_ * P + tp * dP),
+            E * ((a_ * a_ + ap) * P + (2.0 * a_ * tp + tpp) * dP + tp * tp * d2P)]
+    for order in (0, 1, 2):
+        got = basis.series(coeffs, x, order)
+        cols = np.column_stack([basis.series(coeffs[:, l], x[:, l], order)
+                                for l in range(nus.size)])
+        scale = np.max(np.abs(want[order]), axis=0)
+        assert np.max(np.abs(got - cols) / scale) <= 1e-13
+        assert np.max(np.abs(got - want[order]) / scale) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
