@@ -191,8 +191,9 @@ def test_perturb_command(capsys, tmp_path):
 
 
 def test_perturb_contraction_failure_names_first_scale(capsys):
-    # M = 55: the fixed point diverges at the smallest scale of the Gamma
-    # curve, and the lockstep solve names that scale as the sequential one did
+    # M = 55: the fixed point fails its contraction check at the smallest
+    # scale of the Gamma curve, and the lockstep solve names that scale as
+    # the scale-by-scale one did
     code, out, err = run(capsys, "perturb", "--N", "10", "--alpha", "1.7")
     assert code == 2
     assert out == ""
