@@ -259,7 +259,9 @@ def cmd_perturb(args) -> dict:
     diagnostics = {"quad_nodes": int(pp.s.size), "basis_size": pp.problem.basis.m,
                    "kept_rank": pp.kept,
                    "energy_window_nodes": rep.pop("energy_window_nodes"),
-                   "lambda_star_polished": rep.pop("lambda_star_polished")}
+                   "lambda_star_polished": rep.pop("lambda_star_polished"),
+                   "polish_scales": rep.pop("polish_scales"),
+                   "polish_l_ratio": rep.pop("polish_l_ratio")}
     return {
         "data": {"N": p.N, "alpha": p.alpha, "eps": args.eps, **rep, "gamma_curve": curve},
         "diagnostics": diagnostics,
@@ -390,8 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    # the parser is built once per process, on the first call
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
+    args = _PARSER.parse_args(argv)
     name = args.command
     try:
         scan = getattr(args, "scan_alpha", None)

@@ -14,7 +14,11 @@ carry their own OpenBLAS thread pool, and a LAPACK call right after numpy's
 BLAS work waits for the other pool.  The scales of the Gamma curve are
 solved as one block (solve_corrections): their fixed-point sweeps run in
 lockstep over an (L, kept) coefficient block, two matrix products per
-sweep, and each scale stops at its own tolerance.
+sweep, and each scale stops at its own tolerance, or at the rounding floor
+of ||U_lam + w||_alpha where that norm is huge.  lambda* is polished the
+same way: the multiplier l, proportional to Gamma', is analytic in ln lam,
+so it is sampled at Chebyshev-Lobatto scales of the bracket, all as one
+block, and lambda* is the root of its Chebyshev interpolant.
 The quadratic terms of the reduced energy are exact in that basis: the
 bubble is C psi_0, so its alpha-products come from the pencil's stiffness
 matrix, and scaling is an isometry of the alpha-norm.  Only the star and h
@@ -35,6 +39,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.polynomial.chebyshev import Chebyshev
 from numpy.polynomial.legendre import legval
 from scipy.optimize import brentq
 
@@ -249,6 +254,15 @@ def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list
 LAM_RANGE = (1e-3, 1e3)
 # smallest |D_i|/G_i = |1 - mu2/mu_i| the Jacobian's elimination accepts off the tangent
 PIVOT_FLOOR = 1e-6
+# a fixed-point step at most this many ulps of ||U_lam + w||_alpha is rounding
+# noise and counts as converged: at (10, 1.7), where that norm is 5.6e17, the
+# step stalls at up to 5.8 ulps of it; at the PARAM_SETS the floor is below 1e-12
+STEP_FLOOR_ULPS = 64.0
+# Chebyshev-Lobatto scales in ln lam across the bracket of lambda*, ends
+# included: against brentq on l itself at the five PARAM_SETS, (9, -4.8),
+# (4, 0.0504) and (12, -7), lambda* agrees to 8.1e-8 with 8 points, 7.0e-10
+# with 10, 2.0e-11 with 12 and 6.5e-12 with 16, where l's own rounding sets in
+POLISH_POINTS = 12
 
 
 class PerturbationProblem:
@@ -452,7 +466,9 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
     """Fixed-point iteration for the constrained correction at every scale in lams.
 
     Iterates the frozen-Jacobian map for (w, l) with the orthogonality
-    constraint <w, tangent> = 0 until the update norm drops below `tol`.
+    constraint <w, tangent> = 0 until the update norm drops below `tol`,
+    or below STEP_FLOOR_ULPS ulps of ||U_lam + w||_alpha when that is larger:
+    such a step is rounding noise.
     The scales not yet in pp's cache are iterated in lockstep: each sweep
     takes the residuals of all of them as two matrix products over the
     (L, kept) coefficient block, and each scale leaves the sweeps at its
@@ -486,11 +502,13 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
         step = np.sqrt(np.sum((sqrtG * dc) ** 2, axis=1) + dl * dl)
         ratio = np.divide(step, prev_step, out=np.zeros_like(step), where=prev_step > 0)
         factor = np.fmax(factor, ratio)
-        failed = (ratio >= refuse_factor) & (step > tol)
+        # the absolute tol, or the step's rounding floor where the solution is huge
+        tol_l = np.maximum(tol, STEP_FLOOR_ULPS * np.finfo(float).eps * np.sqrt(pp.norm_sq(c)))
+        failed = (ratio >= refuse_factor) & (step > tol_l)
         for i, r in zip(at[failed], ratio[failed]):
             failures[int(i)] = f"contraction factor {r:.3f} >= {refuse_factor} at scale {todo[i]}"
         prev_step = step
-        converged = step < tol
+        converged = step < tol_l
         done = (converged | (it == max_iter)) & ~failed
         if done.any():
             res = pp._residual(c[done], forcing[done])
@@ -566,11 +584,20 @@ def find_perturbed_solution(pp: PerturbationProblem,
     """Locate an interior extremum of the reduced energy and assemble the solution.
 
     The reduced curve is sampled on a log grid, all of its scales as one
-    block, the extremum refined by a parabolic fit and then polished by a
-    root solve on the multiplier l(lam) (l is proportional to the
-    derivative of the curve).  When l does not change sign across the
-    bracket the parabolic scale stands, and lambda_star_polished says so.
-    When the curve is numerically constant NoInteriorExtremum is raised.
+    block, and the extremum refined by a parabolic fit.  It is then
+    polished on the multiplier l(lam), which is proportional to the
+    derivative of the curve and analytic in x = ln lam: l/lam is solved at
+    POLISH_POINTS Chebyshev-Lobatto points in x across the bracket of
+    neighbouring curve scales (the ends are curve scales, so POLISH_POINTS
+    - 2 new ones, one block), and lambda* is the root of its Chebyshev
+    interpolant, found by brentq without further fixed-point solves.  The
+    solution at lambda* is then solved from a zero start, as every scale is,
+    so its iterations and contraction factor mean what they mean elsewhere.
+    When l does not change sign across the bracket the parabolic scale
+    stands, and lambda_star_polished says so.  polish_scales counts the new
+    scales, polish_l_ratio is |l(lambda*)| over the larger |l| at the
+    bracket's ends.  When the curve is numerically constant
+    NoInteriorExtremum is raised.
     """
     p = pp.params
     lam_grid = np.logspace(-2, 2, 33) if lam_grid is None else np.asarray(lam_grid, dtype=float)
@@ -593,15 +620,23 @@ def find_perturbed_solution(pp: PerturbationProblem,
     else:
         lam_par = float(lam_grid[i_star])
 
-    def l_hat_of(lam: float) -> float:
-        res = solve_correction(pp, lam)
-        return res.l / lam
-
     lam_star = lam_par
-    la, lb = lam_grid[i_star - 1], lam_grid[i_star + 1]
-    polished = l_hat_of(la) * l_hat_of(lb) < 0
+    la, lb = float(lam_grid[i_star - 1]), float(lam_grid[i_star + 1])
+    ends = solve_corrections(pp, [la, lb])
+    polished = ends[0].l * ends[1].l < 0
+    polish_scales = 0
     if polished:
-        lam_star = brentq(l_hat_of, la, lb, xtol=1e-14, rtol=1e-14)
+        # Chebyshev-Lobatto points in ln lam, from xa up to xb; the ends are
+        # set to the curve's own scales so that they are cache hits
+        xa, xb = math.log(la), math.log(lb)
+        xs = 0.5 * (xa + xb) - 0.5 * (xb - xa) * np.cos(np.pi * np.arange(POLISH_POINTS)
+                                                         / (POLISH_POINTS - 1))
+        lams = np.exp(xs)
+        lams[0], lams[-1] = la, lb
+        l_hat = [res.l / res.lam for res in solve_corrections(pp, lams)]
+        cheb = Chebyshev.fit(xs, l_hat, POLISH_POINTS - 1, domain=[xa, xb])
+        lam_star = math.exp(brentq(cheb, xa, xb, xtol=1e-15))
+        polish_scales = POLISH_POINTS - 2
     final = solve_correction(pp, lam_star)
     energy = reduced_energy(pp, lam_star, result=final)
     # in mode 0, psi_j = E P_j(t) and the bubble is C psi_0, so at every
@@ -613,6 +648,7 @@ def find_perturbed_solution(pp: PerturbationProblem,
     ratio = 1.0 + legval(t, pp.X @ final.coeffs) / normalization_constant(p)
     min_ratio = float(ratio.min())
     window_nodes = pp.energy_window(np.append(lam_grid, lam_star))[0].shape[0]
+    l_ends = max(abs(ends[0].l), abs(ends[1].l))
     return {
         "lambda_star": float(lam_star),
         "lambda_star_polished": bool(polished),
@@ -626,6 +662,8 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "min_ratio_to_bubble": min_ratio,
         "positive": min_ratio > 0.0,
         "energy_window_nodes": window_nodes,
+        "polish_scales": polish_scales,
+        "polish_l_ratio": abs(final.l) / l_ends if l_ends > 0.0 else 0.0,
         "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],
         "result": final,
     }

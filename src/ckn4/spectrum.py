@@ -237,6 +237,20 @@ class ModeBasis:
             out = out + self.sigma0 * np.log(s)
         return out
 
+    @staticmethod
+    def _map(s: np.ndarray) -> np.ndarray:
+        """Map value t = (s^2-1)/(s^2+1), in z = s^{-2} for s > 1 as in _frame_coeffs."""
+        t = np.empty_like(s)
+        low = s <= 1.0
+        if np.any(low):
+            s2 = s[low] * s[low]
+            t[low] = (s2 - 1.0) / (s2 + 1.0)
+        if np.any(~low):
+            sl = s[~low]
+            z = 1.0 / (sl * sl)
+            t[~low] = (1.0 - z) / (1.0 + z)
+        return t
+
     def _frame_coeffs(self, s: np.ndarray):
         """Map value t and the rational coefficient fields, overflow-safe.
 
@@ -245,7 +259,7 @@ class ModeBasis:
         leave the representable range.
         """
         sig, dl = self.sigma0, self.delta
-        t = np.empty_like(s)
+        t = self._map(s)
         a = np.empty_like(s)
         ap = np.empty_like(s)
         tp = np.empty_like(s)
@@ -254,7 +268,6 @@ class ModeBasis:
         if np.any(low):
             ss = s[low]
             s2 = ss * ss
-            t[low] = (s2 - 1.0) / (s2 + 1.0)
             a[low] = sig / ss + 2.0 * (1.0 - dl) * ss / (1.0 + s2)
             ap[low] = -sig / s2 + 2.0 * (1.0 - dl) * (1.0 - s2) / (1.0 + s2) ** 2
             tp[low] = 4.0 * ss / (1.0 + s2) ** 2
@@ -263,7 +276,6 @@ class ModeBasis:
             sl = s[~low]
             z = 1.0 / (sl * sl)
             zp = 1.0 + z
-            t[~low] = (1.0 - z) / zp
             a[~low] = sig / sl + 2.0 * (1.0 - dl) / (sl * zp)
             ap[~low] = -sig * z + 2.0 * (1.0 - dl) * z * (z - 1.0) / zp ** 2
             tp[~low] = 4.0 * (z / sl) / zp ** 2
@@ -282,8 +294,7 @@ class ModeBasis:
     def values(self, s: np.ndarray) -> np.ndarray:
         """Matrix (m, n) of trial values."""
         E = np.exp(self._log_envelope(s))
-        t, *_ = self._frame_coeffs(s)
-        P, _, _ = self._legendre(t, orders=0)
+        P, _, _ = self._legendre(self._map(s), orders=0)
         return E * P
 
     def series(self, coeffs: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
@@ -296,10 +307,10 @@ class ModeBasis:
         only the order + 1 Legendre series the derivative reads are summed.
         """
         E = np.exp(self._log_envelope(s))
+        if order == 0:
+            return E * _legendre_sum(coeffs, self._map(s))
         t, a, ap, tp, tpp = self._frame_coeffs(s)
         P = _legendre_sum(coeffs, t)
-        if order == 0:
-            return E * P
         dcoeffs = legder(coeffs)
         dP = _legendre_sum(dcoeffs, t)
         if order == 1:

@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from ckn4.emden import sobolev_bubble
 from ckn4.params import validate_params
+from ckn4.reduction import solve_correction
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
@@ -78,6 +80,16 @@ def full_grid_energy(pp, lam, result):
     star = pp.star_scale * float(
         pp.wq @ ((1.0 + result.eps * pp.h_phys) * np.maximum(u_vals, 0.0) ** p.pstar))
     return 0.5 * pp.norm_sq(result.coeffs) - star / p.pstar
+
+
+def brentq_lambda_star(pp, la, lb):
+    """Root of the multiplier l(lam) on [la, lb] by brentq on l/lam.
+
+    A reference for find_perturbed_solution's polish, which finds the root
+    of a Chebyshev interpolant of l/lam on one block of scales; here every
+    scale brentq tries is its own one-scale fixed-point solve.
+    """
+    return brentq(lambda lam: solve_correction(pp, lam).l / lam, la, lb, xtol=1e-14, rtol=1e-14)
 
 
 @pytest.fixture(scope="session")

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from ckn4 import reduction
 from ckn4.cli import COMMANDS, build_parser, load_h_csv, main
 from ckn4.params import validate_params
 from ckn4.reduction import BUILTIN_H, LAM_RANGE
@@ -186,19 +187,38 @@ def test_perturb_command(capsys, tmp_path):
     # lambda* came from the root solve on l, and each scale's star term from
     # a window of the grid: at M = 8 it spans 2 arccosh(e^4) = 9.4 of ln s
     assert diag["lambda_star_polished"] is True
+    assert diag["polish_scales"] == reduction.POLISH_POINTS - 2
+    assert 0.0 <= diag["polish_l_ratio"] < 1e-10
     assert 0 < diag["energy_window_nodes"] < diag["quad_nodes"]
     assert "lambda_star_polished" not in rep["data"] and "energy_window_nodes" not in rep["data"]
 
 
-def test_perturb_contraction_failure_names_first_scale(capsys):
-    # M = 55: the fixed point fails its contraction check at the smallest
-    # scale of the Gamma curve, and the lockstep solve names that scale as
-    # the scale-by-scale one did
-    code, out, err = run(capsys, "perturb", "--N", "10", "--alpha", "1.7")
+def test_perturb_contraction_failure_names_first_scale(capsys, tmp_path):
+    # h = 1 with eps = -0.9 scales the nonlinearity by 0.1 at every scale:
+    # the solution is 0.1^{-1/2} U_lam, too far from U_lam for the frozen
+    # Jacobian, whose iteration grows by a factor 1.27 per sweep at every
+    # scale; the lockstep solve names the smallest scale of the Gamma curve
+    h_file = tmp_path / "h.csv"
+    h_file.write_text("r,h\n1e-200,1\n1e200,1\n")
+    code, out, err = run(capsys, "perturb", "--N", "5", "--alpha", "1",
+                         "--h-file", str(h_file), "--eps", "-0.9")
     assert code == 2
     assert out == ""
-    assert err.startswith("error: ContractionFailure: contraction factor")
+    assert err.startswith("error: ContractionFailure: contraction factor 1.27")
     assert err.rstrip().endswith("at scale 0.01")
+
+
+def test_perturb_converges_to_rounding_floor(capsys):
+    # M = 55, ||U||_alpha = 5.6e17: the fixed point contracts by 1e-3 or less
+    # per sweep and then stalls at the rounding floor of that norm, far above
+    # the absolute tol; such a step counts as converged, so the report is
+    # produced and only the absolute residual check fails
+    code, out, _ = run(capsys, "perturb", "--N", "10", "--alpha", "1.7")
+    assert code == 1
+    rep = json.loads(out)
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] == ["residual_small"]
+    assert rep["data"]["contraction_factor"] < 1e-2
+    assert rep["diagnostics"]["lambda_star_polished"]
 
 
 @pytest.mark.parametrize("N, a", [("9", "-4.8"), ("4", "0.0504")])

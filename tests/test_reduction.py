@@ -29,7 +29,7 @@ from ckn4.reduction import (
     _wide_grid,
 )
 from ckn4.spectrum import SGrid, mode_eigenvalues
-from conftest import PARAM_SETS, applied, full_grid_energy, wide_log_rule
+from conftest import PARAM_SETS, applied, brentq_lambda_star, full_grid_energy, wide_log_rule
 
 
 @pytest.fixture(scope="module")
@@ -499,12 +499,41 @@ def test_find_perturbed_solution(p51, pp51):
     assert rep["lambda_star_polished"]
 
 
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(9, -4.8), (4, 0.0504), (12, -7.0)])
+def test_block_polish_matches_brentq(N, a):
+    # the root of the Chebyshev interpolant of l/lam against brentq on l
+    # itself, in the curve cell that holds lambda*
+    pp = PerturbationProblem(validate_params(N, a), BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    rep = find_perturbed_solution(pp)
+    assert rep["lambda_star_polished"]
+    grid = np.logspace(-2, 2, 33)
+    j = int(np.searchsorted(grid, rep["lambda_star"]))
+    lam_ref = brentq_lambda_star(pp, grid[j - 1], grid[j])
+    assert abs(rep["lambda_star"] / lam_ref - 1.0) <= 1e-10
+    energy_ref = reduced_energy(pp, lam_ref, result=solve_correction(pp, lam_ref))
+    assert abs(rep["energy"] / energy_ref - 1.0) <= 1e-14
+
+
+def test_block_polish_work(p51):
+    # after the curve, the polish solves its POLISH_POINTS - 2 interior
+    # scales and the final solve one more: no scale is solved twice
+    pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    solve_corrections(pp, np.logspace(-2, 2, 33))
+    assert len(pp._cache) == 33
+    rep = find_perturbed_solution(pp)
+    assert rep["lambda_star_polished"]
+    assert len(pp._cache) == 33 + reduction.POLISH_POINTS - 2 + 1
+    assert rep["polish_scales"] == reduction.POLISH_POINTS - 2
+    assert rep["polish_l_ratio"] < 1e-10
+
+
 def test_unpolished_lambda_star_is_reported(pp51):
     # a curve grid wholly below lambda* brackets no sign change of l: the
     # parabolic scale stands, and the report says it was not polished
     grid = np.logspace(-2, -0.5, 7)
     rep = find_perturbed_solution(pp51, lam_grid=grid)
     assert not rep["lambda_star_polished"]
+    assert rep["polish_scales"] == 0
     assert grid[-3] <= rep["lambda_star"] <= grid[-1]
     assert abs(rep["l"]) > 1e-10
 
