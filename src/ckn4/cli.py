@@ -8,11 +8,9 @@ tolerances used and are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures as cf
 import copy
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -258,7 +256,6 @@ def cmd_perturb(args) -> dict:
     rep.pop("result")
     diagnostics = {"quad_nodes": int(pp.s.size), "basis_size": pp.problem.basis.m,
                    "kept_rank": pp.kept,
-                   "energy_window_nodes": rep.pop("energy_window_nodes"),
                    "lambda_star_polished": rep.pop("lambda_star_polished"),
                    "polish_scales": rep.pop("polish_scales"),
                    "polish_l_ratio": rep.pop("polish_l_ratio")}
@@ -406,17 +403,12 @@ def main(argv=None) -> int:
         scan = getattr(args, "scan_alpha", None)
         if not scan:
             return _emit(_run_one(name, args), args)
-        alphas = _alpha_scan_values(scan)
-        workers = int(os.environ.get("CKN_LAB_THREADS", "0")) or min(8, len(alphas))
-
-        def run_alpha(a):
+        reports = []
+        for a in _alpha_scan_values(scan):
             sub_args = copy.copy(args)
             sub_args.alpha = a
             sub_args.scan_alpha = None
-            return _run_one(name, sub_args)
-
-        with cf.ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(run_alpha, alphas))
+            reports.append(_run_one(name, sub_args))
         return _emit(reports, args)
     except CknError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")

@@ -78,13 +78,13 @@ class PowerForm:
             return NotImplemented
         if self.gamma != other.gamma or self.w != other.w:
             raise ValueError("cannot add forms with different bases")
-        shift = other.e0 - self.e0
-        ishift = round(shift)
-        if abs(shift - ishift) > 1e-12:
+        de = other.e0 - self.e0
+        ide = round(de)
+        if abs(de - ide) > 1e-12:
             raise ValueError("cannot add forms whose base exponents differ non-integrally")
         out = dict(self.terms)
         for (a, b, m), c in other.terms.items():
-            key = (a, b, m - ishift)
+            key = (a, b, m - ide)
             out[key] = out.get(key, 0.0) + c
         return PowerForm(self.gamma, self.w, self.e0, out)._compact()
 

@@ -22,15 +22,16 @@ block, and lambda* is the root of its Chebyshev interpolant.
 The quadratic terms of the reduced energy are exact in that basis: the
 bubble is C psi_0, so its alpha-products come from the pencil's stiffness
 matrix, and scaling is an isometry of the alpha-norm.  Only the star and h
-terms are integrated, on a composite log grid whose window is derived from
-their decay and the scales in LAM_RANGE.  The fixed point's residual is
-summed over that whole grid: the high pencil modes live in its tails, where
-u_+^{p*-1} phi_i is not bounded by the bubble's decay.  The star term of
-the reduced energy is (2 cosh(ln s + ln nu))^{-M} times a bounded factor,
-so at each scale it is summed only on the nodes within SGrid.reach(M) of
-its centre, all scales as one block (reduced_energies).  It is evaluated
-in the physical frame at each scale, so scaling invariance is measured,
-not assumed.
+terms are integrated, on SGrid's composite log grid at scale 1, where the
+bubble sits at ln s = 0 for every lam, so its window |ln s| <= 12 serves
+every scale.  The fixed point's residual is summed over that whole grid:
+the high pencil modes live in its tails, where u_+^{p*-1} phi_i is not
+bounded by the bubble's decay.  The star term of the reduced energy is
+summed in the same frame, from the fixed point's own arrays: one (L, kept)
+@ (kept, n) product for all scales, as in a residual sweep
+(reduced_energies).  The program so assumes the dilation invariance of
+the reduced energy; the tests measure it, against the star term
+integrated in the physical frame on a grid widened to each scale.
 """
 
 from __future__ import annotations
@@ -70,7 +71,11 @@ __all__ = [
 
 
 def exp_bump(r):
-    r = np.asarray(r, dtype=float)
+    """h(r) = e^{-r} r^2/(1+r^2).
+
+    r is capped at 1e150, where e^{-r} is already 0, so that r*r stays finite.
+    """
+    r = np.minimum(np.asarray(r, dtype=float), 1e150)
     return np.exp(-r) * r * r / (1.0 + r * r)
 
 
@@ -250,8 +255,6 @@ def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list
 
 # -- perturbation problem -------------------------------------------------------
 
-# scales at which reduced_energy may place the bubble; the grid is sized to it
-LAM_RANGE = (1e-3, 1e3)
 # smallest |D_i|/G_i = |1 - mu2/mu_i| the Jacobian's elimination accepts off the tangent
 PIVOT_FLOOR = 1e-6
 # a fixed-point step at most this many ulps of ||U_lam + w||_alpha is rounding
@@ -289,13 +292,9 @@ class PerturbationProblem:
         self.star_scale = sphere_area(p.N) * p.q       # omega q
 
         # u_+^{p*-1} and h(r/lam) are not polynomial in the pencil's Jacobi
-        # variable, so the star-type integrals use the composite log grid,
-        # wide enough for the bubble at every scale in LAM_RANGE
-        shift = max(abs(math.log(lam)) for lam in LAM_RANGE) / p.q
-        grid = SGrid.build(nodes, M=p.M, shift=shift)
-        self.u = grid.u
+        # variable, so the star-type integrals use the composite log grid
+        grid = SGrid.build(nodes)
         self.s = grid.s
-        self.reach = SGrid.reach(p.M)
         with np.errstate(over="ignore"):
             self.wq = grid.w * self.s ** (p.M - 1.0)
         if not np.isfinite(self.wq).all():
@@ -320,8 +319,7 @@ class PerturbationProblem:
         self.tangent_norm = math.sqrt(float(self.scale * d_poly @ self.problem.A @ d_poly))
 
         self.r_of_s = self.s ** p.q
-        self.h_phys = self._h_values(1.0)           # physical-frame h on the grid
-        self.h_sup = float(np.max(np.abs(self.h_phys)))
+        self.h_sup = float(np.max(np.abs(self._h_values(1.0))))
 
         # frozen Jacobian [[diag(D), -d], [d^T, 0]], solved by _solve_jacobian;
         # D_i = scale*(mu_i - mu2) with mu2 = p*-1 is near zero only at the tangent
@@ -342,7 +340,8 @@ class PerturbationProblem:
         self._schur = float(self._d_over_D @ self.d)      # sum_{i != j} d_i^2 / D_i
         self._cache: dict = {}
 
-        star0 = self.star_scale * float(self.wq @ np.maximum(self.bub_vals, 0.0) ** p.pstar)
+        # the star term with no correction and eps = 0
+        star0 = float(self._star(np.zeros(kept), self.star_scale * self.wq))
         self.unperturbed_energy = 0.5 * self.norm0 - star0 / p.pstar
 
     # -- helpers ---------------------------------------------------------------
@@ -360,22 +359,6 @@ class PerturbationProblem:
         if self.h is None:
             return np.zeros(r.shape)
         return np.asarray(self.h(r.ravel()), dtype=float).reshape(r.shape)
-
-    def energy_window(self, lams: np.ndarray):
-        """Grid nodes of each scale's star term: indices (n_w, L) and a mask of those inside.
-
-        At scale lam the integrand is (2 cosh(ln s + ln nu))^{-M} times a
-        bounded factor, nu = lam^{1/q}, so it is integrated on the nodes
-        with |ln s + ln nu| <= SGrid.reach(M).  Column l holds n_w
-        consecutive nodes around its window, n_w the largest window; the
-        mask drops the nodes of a smaller window's column that lie outside it.
-        """
-        centre = -np.log(lams) / self.params.q
-        lo = np.searchsorted(self.u, centre - self.reach, side="left")
-        hi = np.searchsorted(self.u, centre + self.reach, side="right")
-        n_w = int((hi - lo).max())
-        idx = np.minimum(lo, self.u.size - n_w) + np.arange(n_w)[:, None]
-        return idx, (idx >= lo) & (idx < hi)
 
     def basis_tangent_overlaps(self) -> float:
         """Largest normalized overlap of a non-tangent basis mode with the tangent."""
@@ -408,18 +391,30 @@ class PerturbationProblem:
         f *= self.star_scale * self.wq
         return f
 
+    def _u_plus(self, c: np.ndarray) -> np.ndarray:
+        """(U_1 + w)_+ on the grid for the correction w = sum_i c_i phi_i, one row per row of c."""
+        f = c @ self.phi
+        f += self.bub_vals
+        np.maximum(f, 0.0, out=f)
+        return f
+
     def _residual(self, c: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         """<u, phi_i>_alpha - int (1+eps h)|x|^{-a} u_+^{p*-1} phi_i, u = U_1 + w.
 
         c is (kept,) with forcing (n,), or a block (L, kept) with forcing
         (L, n) from _forcing; the residual has the shape of c.
         """
-        f = c @ self.phi
-        f += self.bub_vals
-        np.maximum(f, 0.0, out=f)
+        f = self._u_plus(c)
         f **= self.params.pstar - 1.0
         f *= forcing
         return self.bU + self.G * c - f @ self.phi.T
+
+    def _star(self, c: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        """int (1+eps h)|x|^{-a} u_+^{p*}, u = U_1 + w, with c and forcing as in _residual."""
+        f = self._u_plus(c)
+        f **= self.params.pstar
+        f *= forcing
+        return f.sum(axis=-1)
 
 
 @dataclass
@@ -536,7 +531,7 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
 
 def reduced_energy(pp: PerturbationProblem, lam: float, eps: float | None = None,
                    result: CorrectionResult | None = None) -> float:
-    """Energy of U_lam + correction at scale lam, for lam in LAM_RANGE.
+    """Energy of U_lam + correction at scale lam.
 
     The one-scale case of reduced_energies.
     """
@@ -545,37 +540,22 @@ def reduced_energy(pp: PerturbationProblem, lam: float, eps: float | None = None
 
 def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
                      results: list | None = None) -> np.ndarray:
-    """Energy of U_lam + correction at every scale in lams, each in LAM_RANGE.
+    """Energy of U_lam + correction at every scale in lams.
 
-    Scaling is an isometry of the alpha-norm, so the quadratic part is
-    taken in coefficient space (PerturbationProblem.norm_sq).
-    The star term is integrated with the physical-frame integrand at scale
-    lam, on the grid nodes of that scale's window
-    (PerturbationProblem.energy_window), so its invariance under scaling is
-    measured.  The transported corrections of all scales are summed as one
-    block by ModeBasis.series.
+    Scaling is an isometry of both terms but the explicit h-weight, so each
+    is taken in the scale-1 frame the fixed point works in: the quadratic
+    part in coefficient space (PerturbationProblem.norm_sq), the star term
+    summed on the fixed point's grid with the weight 1 + eps h(r/lam), all
+    scales as one (L, kept) @ (kept, n) product.  The dilation invariance
+    this assumes is measured by the tests, against the star term
+    integrated in the physical frame at scale lam.
     """
     p = pp.params
     lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    lo, hi = LAM_RANGE
-    for lam in lams:
-        if not lo <= lam <= hi:
-            raise QuadratureFailure(
-                f"reduced energy at N={p.N}, alpha={p.alpha}, lambda={lam:g}: the perturbation "
-                f"grid covers the bubble only for lambda in [{lo:g}, {hi:g}]")
     eps = pp.eps if eps is None else float(eps)
     results = results or solve_corrections(pp, lams, eps)
     c = np.array([res.coeffs for res in results])          # (L, kept)
-    idx, inside = pp.energy_window(lams)
-    s = pp.s[idx]
-    # transported correction: nu^{(M-4)/2} w(nu s)
-    nu = lams ** (1.0 / p.q)
-    u_vals = nu ** ((p.M - 4.0) / 2.0) * pp.problem.basis.series(pp.X @ c.T, nu * s)
-    for k, lam in enumerate(lams):
-        u_vals[:, k] += sobolev_bubble(p, lam).form.eval(s[:, k])
-    weight = np.where(inside, pp.wq[idx] * (1.0 + eps * pp.h_phys[idx]), 0.0)
-    star = pp.star_scale * np.sum(weight * np.maximum(u_vals, 0.0) ** p.pstar, axis=0)
-    return 0.5 * pp.norm_sq(c) - star / p.pstar
+    return 0.5 * pp.norm_sq(c) - pp._star(c, pp._forcing(lams, eps)) / p.pstar
 
 
 def find_perturbed_solution(pp: PerturbationProblem,
@@ -647,7 +627,6 @@ def find_perturbed_solution(pp: PerturbationProblem,
     t = np.cos(np.pi * np.arange(n_t + 1) / n_t)
     ratio = 1.0 + legval(t, pp.X @ final.coeffs) / normalization_constant(p)
     min_ratio = float(ratio.min())
-    window_nodes = pp.energy_window(np.append(lam_grid, lam_star))[0].shape[0]
     l_ends = max(abs(ends[0].l), abs(ends[1].l))
     return {
         "lambda_star": float(lam_star),
@@ -661,7 +640,6 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "contraction_factor": final.contraction_factor,
         "min_ratio_to_bubble": min_ratio,
         "positive": min_ratio > 0.0,
-        "energy_window_nodes": window_nodes,
         "polish_scales": polish_scales,
         "polish_l_ratio": abs(final.l) / l_ends if l_ends > 0.0 else 0.0,
         "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],

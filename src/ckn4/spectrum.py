@@ -64,43 +64,27 @@ class SGrid:
 
     For the star-type integrals of the reduction (u_+^{p*}, u_+^{p*-1} phi_i,
     h(r/lam) times either), which are not polynomial in t; the pencil
-    itself uses JacobiRule.  Each of these integrands, with the bubble at
-    scale nu, is (2 cosh(u - ln nu))^{-M} in du times a bounded factor, so
-    the window [-u_max, u_max] is derived from that decay (half_width).
-    Panels of panel_pts nodes, sized to what each zone of u resolves:
-    min(1, 96/m) wide for |u| < 8, where ModeBasis(m) functions (degree < m
-    in t = tanh u) oscillate at most about m radians per unit u; half a
-    unit for 8 < |u| < 12, where the Gamma curve's scale transport (|ln nu|
-    = |ln lam|/q) carries the correction's outer oscillations at small q; a
-    unit beyond, for the tails.
+    itself uses JacobiRule.  The reduction takes them at scale 1, where the
+    bubble is centred at u = 0 whatever lam is, so the window is fixed at
+    |u| <= HALF_WIDTH: each integrand is (2 cosh u)^{-M} in du times a
+    bounded factor, below e^{-32} of its peak past arccosh(e^{32/M}), which
+    is at most 8.7 for M >= 4.  Panels of panel_pts nodes, sized to what
+    each zone of u resolves: min(1, 96/m) wide for |u| < 8, where
+    ModeBasis(m) functions (degree < m in t = tanh u) oscillate at most
+    about m radians per unit u; half a unit for 8 < |u| < 12, where the
+    high modes' tails still oscillate; a unit beyond, for a window widened
+    past 12.
     """
+
+    HALF_WIDTH = 12.0
 
     u: np.ndarray
     s: np.ndarray
     w: np.ndarray          # weights including ds = s du
 
-    @staticmethod
-    def reach(M: float) -> float:
-        """Distance in u from its centre beyond which a star-type integrand is negligible.
-
-        Past a distance d from its centre, (2 cosh d)^{-M} is below e^{-32}
-        (1.3e-14) of the peak 2^{-M} once cosh d >= e^{32/M}; the share of
-        the integral it leaves out is smaller still.
-        """
-        return math.acosh(math.exp(32.0 / M))
-
-    @staticmethod
-    def half_width(M: float, shift: float) -> float:
-        """u_max for star-type integrands whose centre |ln nu| is at most shift.
-
-        The reach past the farthest centre, and never below 12, the end of
-        the zones that resolve the trial functions.
-        """
-        return max(12.0, shift + SGrid.reach(M))
-
     @classmethod
-    def build(cls, m: int, M: float, shift: float, panel_pts: int = 64) -> "SGrid":
-        u_max = cls.half_width(M, shift)
+    def build(cls, m: int, panel_pts: int = 64) -> "SGrid":
+        u_max = cls.HALF_WIDTH
         zones = [
             (-u_max, -12.0, 1.0),
             (-12.0, -8.0, 0.5),
@@ -300,11 +284,10 @@ class ModeBasis:
     def series(self, coeffs: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Derivative `order` (0, 1 or 2) at s of X = sum_j coeffs[j] psi_j.
 
-        coeffs is (m,) with s of any shape, or a block (m, L) of L series
-        with s of shape (n, L), column l evaluated at s[:, l]; the result
-        has the shape of s.  The Legendre part is summed in coefficient
-        space by Clenshaw's recurrence, so no (m, n) basis matrix is formed;
-        only the order + 1 Legendre series the derivative reads are summed.
+        coeffs is (m,) and s of any shape; the result has the shape of s.
+        The Legendre part is summed in coefficient space by Clenshaw's
+        recurrence, so no (m, n) basis matrix is formed; only the order + 1
+        Legendre series the derivative reads are summed.
         """
         E = np.exp(self._log_envelope(s))
         if order == 0:
@@ -372,7 +355,7 @@ class ModeProblem:
         # (1 + nu^2 s^2)^{-4} has its pole at t = -(nu^2+1)/(nu^2-1), on the
         # Bernstein ellipse rho = (1+nu)/|1-nu|: the error beyond the
         # polynomial part falls like rho^{-2n}, so 20/ln(rho) extra nodes
-        # reach rounding (measured against 1.5x the nodes, 0.01 <= nu <= 100)
+        # bring it to rounding (measured against 1.5x the nodes, 0.01 <= nu <= 100)
         n = self.basis.m + 8 + math.ceil(20.0 / math.log((1.0 + nu) / abs(1.0 - nu)))
         if n > MAX_RULE_NODES:
             raise GridTooCoarse(f"weight scale {weight_lambda:g} needs a {n}-node rule, "
@@ -390,14 +373,11 @@ def _legendre_sum(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     """sum_k coeffs[k] P_k(t) by Clenshaw's recurrence, in place.
 
     b_k = c_k + (2k+1)/(k+1) t b_{k+1} - (k+1)/(k+2) b_{k+2} from b_m =
-    b_{m+1} = 0 down to b_0, the sum.  coeffs[k] broadcasts against t, so
-    a block (m, L) sums L series at the columns of t (n, L) in one pass
-    over three preallocated buffers.
+    b_{m+1} = 0 down to b_0, the sum, over three preallocated buffers.
     """
-    shape = np.broadcast_shapes(t.shape, coeffs.shape[1:])
-    b1 = np.zeros(shape)
-    b2 = np.zeros(shape)
-    tb = np.empty(shape)
+    b1 = np.zeros(t.shape)
+    b2 = np.zeros(t.shape)
+    tb = np.empty(t.shape)
     for k in range(coeffs.shape[0] - 1, -1, -1):
         np.multiply(t, b1, out=tb)
         tb *= (2 * k + 1) / (k + 1)

@@ -5,25 +5,18 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
-from ckn4.emden import sobolev_bubble
-from ckn4.params import validate_params
+from ckn4.params import normalization_constant, validate_params
 from ckn4.reduction import solve_correction
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
 
 
-def wide_log_rule(m, M, panel_pts=256):
-    """(u, s, w): composite Gauss-Legendre rule in u = ln s, w including ds = s du.
+def log_rule(m, u_min, u_max, panel_pts):
+    """(u, s, w): composite Gauss-Legendre rule in u = ln s on [u_min, u_max], w including ds = s du.
 
-    Wide enough for stiffness-type integrands (T X)^2 s^{M-1}, which decay
-    like s^{3-M}: the window clip(34/(M-4), 12, 150) upward and
-    max(12, min(40, 170/M)) downward, with the trial-function zones of
-    SGrid.  A reference for the exact pencil and the coefficient-space
-    norms, independent of SGrid's star-term window.
+    The trial-function zones of SGrid, with unit panels past |u| = 12.
     """
-    u_max = float(np.clip(34.0 / (M - 4.0), 12.0, 150.0))
-    u_min = -max(12.0, min(40.0, 170.0 / M))
     zones = [(u_min, -12.0, 1.0), (-12.0, -8.0, 0.5), (-8.0, 8.0, min(1.0, 96.0 / m)),
              (8.0, 12.0, 0.5), (12.0, u_max, 1.0)]
     x, wref = roots_legendre(panel_pts)
@@ -37,6 +30,18 @@ def wide_log_rule(m, M, panel_pts=256):
     u = np.concatenate(us)
     s = np.exp(u)
     return u, s, np.concatenate(ws) * s
+
+
+def wide_log_rule(m, M, panel_pts=256):
+    """log_rule wide enough for stiffness-type integrands (T X)^2 s^{M-1}.
+
+    They decay like s^{3-M}: the window clip(34/(M-4), 12, 150) upward and
+    max(12, min(40, 170/M)) downward.  A reference for the exact pencil and
+    the coefficient-space norms, independent of SGrid's star-term window.
+    """
+    u_max = float(np.clip(34.0 / (M - 4.0), 12.0, 150.0))
+    u_min = -max(12.0, min(40.0, 170.0 / M))
+    return log_rule(m, u_min, u_max, panel_pts)
 
 
 def values_and_derivs(basis, s):
@@ -67,18 +72,33 @@ def applied(basis, s):
 
 
 def full_grid_energy(pp, lam, result):
-    """Reduced energy at scale lam with the star term summed over every node of pp's grid.
+    """Reduced energy at scale lam with the star term integrated in the physical frame.
 
-    A reference for reduction.reduced_energies, which integrates each
-    scale only on its own window; the correction is summed from the
-    (m, n) basis matrix, independent of ModeBasis.series.
+    A reference for reduction.reduced_energies, which sums the star term in
+    the scale-1 frame of the fixed point and so assumes its dilation
+    invariance.  Here the bubble U_lam sits at ln s = -ln nu, nu =
+    lam^{1/q}, and h at r = s^q, on a rule of its own whose window
+    |ln s| <= 12 + |ln nu| + arccosh(e^{32/M}) reaches past that centre by
+    the distance beyond which (2 cosh)^{-M} is below e^{-32} of its peak.
+    With U_lam = C nu^{(M-4)/2} (1 + nu^2 s^2)^{-(M-4)/2}, U_lam^{p*}
+    s^{M-1} ds = C^{p*} (2 cosh(ln s + ln nu))^{-M} d(ln s), and in mode 0
+    (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j P_j(t(nu s))/C: the correction
+    is summed from the (m, n) Legendre matrix, independent of
+    ModeBasis.series, and no factor leaves the float range.
     """
     p = pp.params
-    nu = lam ** (1.0 / p.q)
-    w_vals = (pp.X @ result.coeffs) @ pp.problem.basis.values(nu * pp.s)
-    u_vals = sobolev_bubble(p, lam).form.eval(pp.s) + nu ** ((p.M - 4.0) / 2.0) * w_vals
-    star = pp.star_scale * float(
-        pp.wq @ ((1.0 + result.eps * pp.h_phys) * np.maximum(u_vals, 0.0) ** p.pstar))
+    basis = pp.problem.basis
+    ln_nu = math.log(lam) / p.q
+    half = 12.0 + abs(ln_nu) + math.acosh(math.exp(32.0 / p.M))
+    u, s, w = log_rule(basis.m, -half, half, panel_pts=64)
+    x = u + ln_nu                                        # ln(nu s)
+    C = normalization_constant(p)
+    P, _, _ = basis._legendre(basis._map(np.exp(x)), orders=0)
+    ratio = 1.0 + (pp.X @ result.coeffs) @ P / C
+    h = 0.0 if pp.h is None else np.asarray(pp.h(s ** p.q), dtype=float)
+    star = pp.star_scale * C ** p.pstar * float(np.sum(
+        w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.eps * h)
+        * np.maximum(ratio, 0.0) ** p.pstar))
     return 0.5 * pp.norm_sq(result.coeffs) - star / p.pstar
 
 

@@ -9,6 +9,7 @@ import math
 import time
 
 import numpy as np
+from conftest import full_grid_energy
 
 from ckn4.calculus import (
     RadialGrid,
@@ -186,9 +187,11 @@ def test_criterion_8_lyapunov_schmidt():
     r_half = solve_correction(pp, 1.0, eps=eps / 2.0)
     ratio = res.omega_norm / r_half.omega_norm
 
+    # Gamma_0 in the physical frame: the program sums it at scale 1, where
+    # its span is 0 by construction
     pp0 = PerturbationProblem(p, h, 0.0, nodes=220)
     lams = np.logspace(-1, 1, 9)
-    g0 = np.array([reduced_energy(pp0, lam) for lam in lams])
+    g0 = np.array([full_grid_energy(pp0, lam, solve_correction(pp0, lam)) for lam in lams])
     gamma0_span = float(g0.max() - g0.min())
 
     E0 = pp.unperturbed_energy

@@ -1,5 +1,4 @@
 import json
-import math
 import re
 import shlex
 from pathlib import Path
@@ -9,8 +8,7 @@ import pytest
 
 from ckn4 import reduction
 from ckn4.cli import COMMANDS, build_parser, load_h_csv, main
-from ckn4.params import validate_params
-from ckn4.reduction import BUILTIN_H, LAM_RANGE
+from ckn4.reduction import BUILTIN_H
 from ckn4.spectrum import SGrid
 
 
@@ -101,8 +99,7 @@ def test_kernel_command(capsys):
     assert all(0.0 <= mode["exact_rel_error_max"] <= 1e-7 for mode in rep["data"]["modes"])
 
 
-def test_scan_alpha(capsys, monkeypatch):
-    monkeypatch.setenv("CKN_LAB_THREADS", "2")
+def test_scan_alpha(capsys):
     code, out, _ = run(capsys, "kernel", "--N", "7",
                        "--scan-alpha=-2.5:-1.5:0.5", "--k-max", "2", "--nodes", "96")
     assert code == 0
@@ -120,9 +117,9 @@ def test_scan_alpha_rejects_bad_range(capsys, spec):
 
 
 def test_scan_alpha_point_cap(capsys, monkeypatch):
-    # 10^12 points must be refused before the alpha list or the worker pool
-    # exists; the guards turn an uncapped build into an immediate failure
-    # instead of a list that exhausts memory
+    # 10^12 points must be refused before the alpha list exists or any
+    # report runs; the guards turn an uncapped build into an immediate
+    # failure instead of a list that exhausts memory
     import builtins
 
     from ckn4 import cli
@@ -133,11 +130,11 @@ def test_scan_alpha_point_cap(capsys, monkeypatch):
             raise AssertionError(f"alpha list of {len(r)} points built")
         return r
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("worker pool created")
+    def no_report(*args, **kwargs):
+        raise AssertionError("per-alpha report started")
 
     monkeypatch.setattr(cli, "range", guarded_range, raising=False)
-    monkeypatch.setattr(cli.cf, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(cli, "_run_one", no_report)
     code, out, err = run(capsys, "kernel", "--scan-alpha=0:1:1e-12")
     assert code == 2
     assert out == ""
@@ -180,17 +177,23 @@ def test_perturb_command(capsys, tmp_path):
     assert rep["data"]["positive"]
     assert len(rep["data"]["gamma_curve"]) == 33
     diag = rep["diagnostics"]
-    p = validate_params(5, 1)
-    assert diag["quad_nodes"] == SGrid.build(128, M=p.M, shift=math.log(LAM_RANGE[1]) / p.q).n
+    assert diag["quad_nodes"] == SGrid.build(128).n
     assert diag["basis_size"] == 128
     assert 0 < diag["kept_rank"] <= diag["basis_size"]
-    # lambda* came from the root solve on l, and each scale's star term from
-    # a window of the grid: at M = 8 it spans 2 arccosh(e^4) = 9.4 of ln s
+    # lambda* came from the root solve on l
     assert diag["lambda_star_polished"] is True
     assert diag["polish_scales"] == reduction.POLISH_POINTS - 2
     assert 0.0 <= diag["polish_l_ratio"] < 1e-10
-    assert 0 < diag["energy_window_nodes"] < diag["quad_nodes"]
-    assert "lambda_star_polished" not in rep["data"] and "energy_window_nodes" not in rep["data"]
+    assert "energy_window_nodes" not in diag
+    assert "lambda_star_polished" not in rep["data"]
+
+
+def test_perturb_at_large_q_prints_no_warning(capsys):
+    # at (3, 1.95) q = 40 and exp_bump is evaluated out to r = e^480, where
+    # r*r once overflowed; a RuntimeWarning would raise here
+    code, _, err = run(capsys, "perturb", "--N", "3", "--alpha", "1.95")
+    assert code in (0, 1, 2)
+    assert "Warning" not in err and "Traceback" not in err
 
 
 def test_perturb_contraction_failure_names_first_scale(capsys, tmp_path):
