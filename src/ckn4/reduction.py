@@ -319,7 +319,6 @@ class PerturbationProblem:
         self.tangent_norm = math.sqrt(float(self.scale * d_poly @ self.problem.A @ d_poly))
 
         self.r_of_s = self.s ** p.q
-        self.h_sup = float(np.max(np.abs(self._h_values(1.0))))
 
         # frozen Jacobian [[diag(D), -d], [d^T, 0]], solved by _solve_jacobian;
         # D_i = scale*(mu_i - mu2) with mu2 = p*-1 is near zero only at the tangent
@@ -384,9 +383,16 @@ class PerturbationProblem:
         return x, l
 
     def _forcing(self, lams, eps: float) -> np.ndarray:
-        """star_scale wq (1 + eps h(r/lam)), the nonlinear term's weight at each scale."""
+        """star_scale wq (1 + eps h(r/lam)), the nonlinear term's weight at each scale.
+
+        Raises ContractionFailure where |eps h| exceeds 1 on the grid at one
+        of the scales: the weight would change sign.
+        """
         f = self._h_values(lams)
         f *= eps
+        sup = float(np.max(np.abs(f)))
+        if sup > 1.0:
+            raise ContractionFailure(f"|eps| sup|h| = {sup:.3f} exceeds 1")
         f += 1.0
         f *= self.star_scale * self.wq
         return f
@@ -479,8 +485,6 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
     todo = list(dict.fromkeys(lam for lam, key in zip(lams, keys) if key not in pp._cache))
     if not todo:
         return [pp._cache[key] for key in keys]
-    if abs(eps) * pp.h_sup > 1.0:
-        raise ContractionFailure(f"|eps| sup|h| = {abs(eps) * pp.h_sup:.3f} exceeds 1")
     sqrtG = np.sqrt(pp.G)
     at = np.arange(len(todo))                # positions in todo of the scales still iterated
     forcing = pp._forcing(todo, eps)

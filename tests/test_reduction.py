@@ -348,6 +348,18 @@ def test_lockstep_failure_names_first_scale(p51):
     assert [key[0] for key in pp._cache] == [0.5]
 
 
+def test_weight_sign_checked_at_every_scale(p51):
+    # h = 2 only past r = 1e11, beyond the grid's r = s^q <= e^24 at scale 1
+    # but within r/lam at lam = 0.01: there 1 + eps h = -0.8 changes sign
+    def h(r):
+        return np.where(np.asarray(r) > 1e11, 2.0, 0.0)
+
+    pp = PerturbationProblem(p51, h, -0.9, nodes=96)
+    assert solve_correction(pp, 1.0).converged
+    with pytest.raises(ContractionFailure, match=r"\|eps\| sup\|h\| = 1\.800 exceeds 1"):
+        solve_correction(pp, 0.01)
+
+
 def test_gamma_flat_at_zero_eps(p51):
     pp0 = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 0.0, nodes=160)
     lams = np.logspace(-1, 1, 7)
