@@ -398,7 +398,7 @@ class PerturbationProblem:
         return f
 
     def _u_plus(self, c: np.ndarray) -> np.ndarray:
-        """(U_1 + w)_+ on the grid for the correction w = sum_i c_i phi_i, one row per row of c."""
+        """(U_1 + w)_+ on the grid, w = sum_i c_i phi_i; one row per row of c."""
         f = c @ self.phi
         f += self.bub_vals
         np.maximum(f, 0.0, out=f)

@@ -71,9 +71,9 @@ class SGrid:
     is at most 8.7 for M >= 4.  Panels of panel_pts nodes, sized to what
     each zone of u resolves: min(1, 96/m) wide for |u| < 8, where
     ModeBasis(m) functions (degree < m in t = tanh u) oscillate at most
-    about m radians per unit u; half a unit for 8 < |u| < 12, where the
-    high modes' tails still oscillate; a unit beyond, for a window widened
-    past 12.
+    about m radians per unit u; half a unit for 8 < |u| < 12, the tails
+    where the fixed point's residual still sums the high pencil modes; a
+    unit beyond, for a window widened past 12.
     """
 
     HALF_WIDTH = 12.0

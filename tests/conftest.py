@@ -13,9 +13,10 @@ PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
 
 
 def log_rule(m, u_min, u_max, panel_pts):
-    """(u, s, w): composite Gauss-Legendre rule in u = ln s on [u_min, u_max], w including ds = s du.
+    """(u, s, w): composite Gauss-Legendre rule in u = ln s on [u_min, u_max].
 
-    The trial-function zones of SGrid, with unit panels past |u| = 12.
+    w includes ds = s du.  The trial-function zones of SGrid, with unit
+    panels past |u| = 12.
     """
     zones = [(u_min, -12.0, 1.0), (-12.0, -8.0, 0.5), (-8.0, 8.0, min(1.0, 96.0 / m)),
              (8.0, 12.0, 0.5), (12.0, u_max, 1.0)]
