@@ -27,11 +27,11 @@ bubble sits at ln s = 0 for every lam, so its window |ln s| <= 12 serves
 every scale.  The fixed point's residual is summed over that whole grid:
 the high pencil modes live in its tails, where u_+^{p*-1} phi_i is not
 bounded by the bubble's decay.  The star term of the reduced energy is
-summed in the same frame, from the fixed point's own arrays: one (L, kept)
-@ (kept, n) product for all scales, as in a residual sweep
-(reduced_energies).  The program so assumes the dilation invariance of
-the reduced energy; the tests measure it, against the star term
-integrated in the physical frame on a grid widened to each scale.
+summed in the same frame, from the fixed point's own arrays, when each
+scale converges, with the weight it iterated with (reduced_energies).
+The program so assumes the dilation invariance of the reduced energy; the
+tests measure it, against the star term integrated in the physical frame
+on a grid widened to each scale.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from numpy.polynomial.legendre import legval
 from scipy.optimize import brentq
 
 from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
@@ -266,28 +265,33 @@ STEP_FLOOR_ULPS = 64.0
 # (4, 0.0504) and (12, -7), lambda* agrees to 8.1e-8 with 8 points, 7.0e-10
 # with 10, 2.0e-11 with 12 and 6.5e-12 with 16, where l's own rounding sets in
 POLISH_POINTS = 12
+# largest change of (U_lam + w)/U_lam at a point that rounding-level changes
+# of the correction's coefficients may cause where positivity is judged
+POSITIVITY_TOL = 1e-6
 
 
 class PerturbationProblem:
     """Discretization of the correction equation for a given (h, eps).
 
     The working basis is the spectral basis {phi_i} of the mode-0 pencil at
-    scale 1: it is orthogonal in the alpha-inner product with
+    scale 1, the trial functions themselves scaled to unit weighted mass,
+    phi_i = x_i psi_i: it is orthogonal in the alpha-inner product with
     <phi_i, phi_i> = scale * mu_i, contains the extremal and the dilation
     tangent exactly, and makes the frozen Jacobian diagonal plus border.
     """
 
-    def __init__(self, params: Params, h, eps: float, nodes: int = 220,
-                 drop: float = 1e-13):
+    def __init__(self, params: Params, h, eps: float, nodes: int = 220):
         self.params = params
         self.h = h
         self.eps = float(eps)
         p = params
 
         self.problem: ModeProblem = assemble_mode_problem(p, 0, nodes=nodes)
-        mu, X, kept = _solve_pencil(self.problem.A, self.problem.B, drop=drop)
-        self.X = X                      # (m_poly, kept) B-orthonormal columns
-        self.kept = kept
+        A = self.problem.A
+        basis = self.problem.basis
+        mu, x, _ = _solve_pencil(A, self.problem.B, self.problem.label)
+        self.x = x                      # phi_i = x_i psi_i, B-orthonormal
+        self.kept = kept = mu.size
         self.scale = self.problem.alpha_scale          # omega q^{-3}
         self.star_scale = sphere_area(p.N) * p.q       # omega q
 
@@ -302,21 +306,19 @@ class PerturbationProblem:
                 f"perturbation grid at N={p.N}, alpha={p.alpha} (M={p.M:.6g}): the weight "
                 f"s^(M-1) overflows the float range at ln s = {grid.u[-1]:.4g}")
         self.bub_vals = sobolev_bubble(p, 1.0).form.eval(self.s)
-        self.phi = X.T @ self.problem.basis.values(self.s)      # (kept, n)
+        self.phi = x[:, None] * basis.values(self.s)           # (kept, n)
 
         C = normalization_constant(p)
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
-        # the bubble is C psi_0 (sigma0 = 0 in mode 0): its alpha-products
-        # with the basis are read off the stiffness matrix exactly
-        self.bU = self.scale * C * (X.T @ self.problem.A[:, 0])
-        self.norm0 = self.scale * C * C * float(self.problem.A[0, 0])
-        # dilation tangent at scale 1 on the s side: -c * E * t = -c * psi_1
-        c_tan = C * (p.N - 4.0 + p.alpha) / 2.0
-        d_poly = np.zeros(X.shape[0])
-        if X.shape[0] > 1:
-            d_poly[1] = -c_tan
-        self.d = self.scale * (X.T @ (self.problem.A @ d_poly))
-        self.tangent_norm = math.sqrt(float(self.scale * d_poly @ self.problem.A @ d_poly))
+        # the bubble is C E = (C/p0) psi_0 (sigma0 = 0 in mode 0): its
+        # alpha-products with the basis are read off the stiffness matrix
+        c0 = C / basis.p0
+        self.bU = self.scale * c0 * x * A[:, 0]
+        self.norm0 = self.scale * c0 * c0 * float(A[0, 0])
+        # dilation tangent at scale 1 on the s side: -c E t = -c (b1/p0) psi_1
+        c1 = C * (p.N - 4.0 + p.alpha) / 2.0 * basis.b1 / basis.p0
+        self.d = -self.scale * c1 * x * A[:, 1]
+        self.tangent_norm = abs(c1) * math.sqrt(self.scale * float(A[1, 1]))
 
         self.r_of_s = self.s ** p.q
 
@@ -436,13 +438,14 @@ class CorrectionResult:
     omega_norm: float
     residual: float               # dual norm of the projected residual
     unprojected_residual: float
+    star: float                   # int (1 + eps h(r/lam)) |x|^{-a} u_+^{p*} in the scale-1 frame
     converged: bool
     problem: PerturbationProblem
 
     def omega_hat(self) -> SobolevModeFunction:
         """Correction in the transported frame, as a function of s."""
         pp = self.problem
-        return SobolevModeFunction(pp.problem.basis, pp.X @ self.coeffs)
+        return SobolevModeFunction(pp.problem.basis, pp.x * self.coeffs)
 
     def omega_radial(self) -> ComposedRadial:
         """Physical correction P_lam(w) on the weighted side."""
@@ -511,6 +514,7 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
         done = (converged | (it == max_iter)) & ~failed
         if done.any():
             res = pp._residual(c[done], forcing[done])
+            star = pp._star(c[done], forcing[done])
             proj = res - l_hat[done, None] * pp.d
             residual = np.sqrt(np.sum(proj ** 2 / pp.G, axis=1))
             unproj = np.sqrt(np.sum(res ** 2 / pp.G, axis=1))
@@ -521,7 +525,7 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
                     iterations=it, contraction_factor=float(factor[i]),
                     omega_norm=math.sqrt(float(np.sum(pp.G * c[i] ** 2))),
                     residual=float(residual[k]), unprojected_residual=float(unproj[k]),
-                    converged=bool(converged[i]), problem=pp)
+                    star=float(star[k]), converged=bool(converged[i]), problem=pp)
         going = ~(done | failed)
         if not going.any():
             break
@@ -549,17 +553,17 @@ def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
     Scaling is an isometry of both terms but the explicit h-weight, so each
     is taken in the scale-1 frame the fixed point works in: the quadratic
     part in coefficient space (PerturbationProblem.norm_sq), the star term
-    summed on the fixed point's grid with the weight 1 + eps h(r/lam), all
-    scales as one (L, kept) @ (kept, n) product.  The dilation invariance
-    this assumes is measured by the tests, against the star term
-    integrated in the physical frame at scale lam.
+    as summed by solve_corrections on the fixed point's grid with the weight
+    1 + eps h(r/lam) it iterated with (CorrectionResult.star), so that
+    weight is built once per scale.  The dilation invariance this assumes
+    is measured by the tests, against the star term integrated in the
+    physical frame at scale lam.  results, when given, are the solutions at
+    lams; otherwise they are solved here.
     """
-    p = pp.params
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    eps = pp.eps if eps is None else float(eps)
     results = results or solve_corrections(pp, lams, eps)
     c = np.array([res.coeffs for res in results])          # (L, kept)
-    return 0.5 * pp.norm_sq(c) - pp._star(c, pp._forcing(lams, eps)) / p.pstar
+    star = np.array([res.star for res in results])
+    return 0.5 * pp.norm_sq(c) - star / pp.params.pstar
 
 
 def find_perturbed_solution(pp: PerturbationProblem,
@@ -580,7 +584,10 @@ def find_perturbed_solution(pp: PerturbationProblem,
     When l does not change sign across the bracket the parabolic scale
     stands, and lambda_star_polished says so.  polish_scales counts the new
     scales, polish_l_ratio is |l(lambda*)| over the larger |l| at the
-    bracket's ends.  When the curve is numerically constant
+    bracket's ends.  min_ratio_to_bubble is the minimum of (U + w)/U over
+    the points of the half-line where the fixed point determines it to
+    POSITIVITY_TOL; positivity_reach is the largest |ln s| among them, None
+    when that is all of it.  When the curve is numerically constant
     NoInteriorExtremum is raised.
     """
     p = pp.params
@@ -623,14 +630,28 @@ def find_perturbed_solution(pp: PerturbationProblem,
         polish_scales = POLISH_POINTS - 2
     final = solve_correction(pp, lam_star)
     energy = reduced_energy(pp, lam_star, result=final)
-    # in mode 0, psi_j = E P_j(t) and the bubble is C psi_0, so at every
-    # scale (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j P_j(t)/C, a polynomial
-    # in t = (s^2-1)/(s^2+1) of degree below m, whose minimum over all of
-    # [-1, 1] is sampled at 16 m + 1 Chebyshev-Lobatto points (ends included)
-    n_t = 16 * pp.problem.basis.m
+    # in mode 0, psi_j = E p_j(t) and the bubble is C E, so at every scale
+    # (U_lam + w_lam)/U_lam = 1 + sum_j x_j c_j p_j(t)/C, a polynomial in
+    # t = (s^2-1)/(s^2+1) = tanh(ln s) of degree below m, sampled at 16 m + 1
+    # Chebyshev-Lobatto points of [-1, 1] (ends included).  Its minimum is
+    # taken where the fixed point determines it: a change of every c_j by
+    # the step's rounding floor moves it by at most `spread`, and points
+    # where that exceeds POSITIVITY_TOL are left out.  At the PARAM_SETS none
+    # is; at large M the alpha-norm leaves the Galerkin solution's tails
+    # free: at (10, 1.7), M = 55.3, the ratio is 0.98 at ln s = -2 and below
+    # -400 at -2.4, and only |ln s| <= 1.22 is kept
+    basis = pp.problem.basis
+    C = normalization_constant(p)
+    n_t = 16 * basis.m
     t = np.cos(np.pi * np.arange(n_t + 1) / n_t)
-    ratio = 1.0 + legval(t, pp.X @ final.coeffs) / normalization_constant(p)
-    min_ratio = float(ratio.min())
+    ratio = 1.0 + basis.poly_sum(pp.x * final.coeffs, t) / C
+    floor = STEP_FLOOR_ULPS * np.finfo(float).eps * math.sqrt(float(pp.norm_sq(final.coeffs)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spread = floor / C * basis.families[0].abs_sum(pp.x / np.sqrt(pp.G), t)
+    determined = spread <= max(POSITIVITY_TOL, float(np.nanmin(spread)))
+    min_ratio = float(ratio[determined].min())
+    with np.errstate(divide="ignore"):
+        reach = None if determined.all() else float(np.max(np.abs(np.arctanh(t[determined]))))
     l_ends = max(abs(ends[0].l), abs(ends[1].l))
     return {
         "lambda_star": float(lam_star),
@@ -644,6 +665,7 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "contraction_factor": final.contraction_factor,
         "min_ratio_to_bubble": min_ratio,
         "positive": min_ratio > 0.0,
+        "positivity_reach": reach,
         "polish_scales": polish_scales,
         "polish_l_ratio": abs(final.l) / l_ends if l_ends > 0.0 else 0.0,
         "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import roots_legendre
+from scipy.special import gammaln, roots_legendre
 
 from ckn4.params import normalization_constant, validate_params
 from ckn4.reduction import solve_correction
@@ -45,15 +45,51 @@ def wide_log_rule(m, M, panel_pts=256):
     return log_rule(m, u_min, u_max, panel_pts)
 
 
+def jacobi_rows(basis, t, order=0):
+    """(m, n) matrix of the order-th t-derivative of the basis polynomials p_j at t.
+
+    p_j = P_j^{(d,d)} / sqrt(h_j), d = basis.delta, with the closed-form norm
+    h_j = 2^{2d+1} Gamma(j+d+1)^2 / ((2j+2d+1) j! Gamma(j+2d+1)); the i-th
+    derivative of P_j^{(d,d)} is Gamma(j+2d+1+i) / (2^i Gamma(j+2d+1))
+    P_{j-i}^{(d+i,d+i)}.  The classical P_j^{(a,a)} come from their
+    unnormalized three-term recurrence (DLMF 18.9.2), which
+    test_rows_and_series_match_jacobi_reference checks against scipy's
+    eval_jacobi: a reference for ModeBasis independent of its orthonormal
+    recurrence, and O(m n) where eval_jacobi is O(m^2 n).
+    """
+    d = basis.delta
+    a = d + order
+    t = np.asarray(t, dtype=float)
+    P = np.zeros((basis.m, t.size))
+    n_rows = basis.m - order
+    if n_rows > 0:
+        P[order] = 1.0
+    if n_rows > 1:
+        P[order + 1] = (a + 1.0) * t
+    for n in range(1, n_rows - 1):
+        # 2(n+1)(n+2a+1)(2n+2a) P_{n+1} = (2n+2a+1)(2n+2a+2)(2n+2a) t P_n
+        #                                 - 2(n+a)^2 (2n+2a+2) P_{n-1}
+        k = 2.0 * n + 2.0 * a
+        P[order + n + 1] = ((k + 1.0) * (k + 2.0) * k * t * P[order + n]
+                            - 2.0 * (n + a) ** 2 * (k + 2.0) * P[order + n - 1]) / (
+                               2.0 * (n + 1.0) * (n + 2.0 * a + 1.0) * k)
+    j = np.arange(basis.m)[:, None]
+    log_h = ((2 * d + 1) * math.log(2.0) + 2 * gammaln(j + d + 1) - np.log(2 * j + 2 * d + 1)
+             - gammaln(j + 1) - gammaln(j + 2 * d + 1))
+    log_c = gammaln(j + 2 * d + 1 + order) - order * math.log(2.0) - gammaln(j + 2 * d + 1)
+    return P * np.exp(log_c - 0.5 * log_h)
+
+
 def values_and_derivs(basis, s):
     """(psi, psi', psi'') matrices of shape (m, n) of a ModeBasis.
 
     A reference for ModeBasis.series, which sums one combination of them
-    by Clenshaw's recurrence without forming the matrices.
+    by Clenshaw's recurrence without forming the matrices; the polynomials
+    come from jacobi_rows.
     """
     E = np.exp(basis._log_envelope(s))
     t, a, ap, tp, tpp = basis._frame_coeffs(s)
-    P, dP, d2P = basis._legendre(t, orders=2)
+    P, dP, d2P = (jacobi_rows(basis, t, i) for i in range(3))
     psi = E * P
     dpsi = E * (a * P + tp * dP)
     d2psi = E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P)
@@ -64,11 +100,12 @@ def applied(basis, s):
     """(psi, T_k psi) with T_k psi = psi'' + (M-1)psi'/s - nu psi/s^2, shape (m, n).
 
     A reference for the rows ModeBasis.weighted_rows assembles the pencil
-    from, without the quadrature weight.
+    from, without the quadrature weight; the polynomials come from
+    jacobi_rows.
     """
     E = np.exp(basis._log_envelope(s))
     t, _, _, _, _, c0, c1, c2 = basis._operator_coeffs(s)
-    P, dP, d2P = basis._legendre(t, orders=2)
+    P, dP, d2P = (jacobi_rows(basis, t, i) for i in range(3))
     return E * P, E * (c0 * P + c1 * dP + c2 * d2P)
 
 
@@ -83,8 +120,8 @@ def full_grid_energy(pp, lam, result):
     the distance beyond which (2 cosh)^{-M} is below e^{-32} of its peak.
     With U_lam = C nu^{(M-4)/2} (1 + nu^2 s^2)^{-(M-4)/2}, U_lam^{p*}
     s^{M-1} ds = C^{p*} (2 cosh(ln s + ln nu))^{-M} d(ln s), and in mode 0
-    (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j P_j(t(nu s))/C: the correction
-    is summed from the (m, n) Legendre matrix, independent of
+    (U_lam + w_lam)/U_lam = 1 + sum_j x_j c_j p_j(t(nu s))/C: the correction
+    is summed from the (m, n) matrix of jacobi_rows, independent of
     ModeBasis.series, and no factor leaves the float range.
     """
     p = pp.params
@@ -94,8 +131,8 @@ def full_grid_energy(pp, lam, result):
     u, s, w = log_rule(basis.m, -half, half, panel_pts=64)
     x = u + ln_nu                                        # ln(nu s)
     C = normalization_constant(p)
-    P, _, _ = basis._legendre(basis._map(np.exp(x)), orders=0)
-    ratio = 1.0 + (pp.X @ result.coeffs) @ P / C
+    P = jacobi_rows(basis, basis._map(np.exp(x)))
+    ratio = 1.0 + (pp.x * result.coeffs) @ P / C
     h = 0.0 if pp.h is None else np.asarray(pp.h(s ** p.q), dtype=float)
     star = pp.star_scale * C ** p.pstar * float(np.sum(
         w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.eps * h)

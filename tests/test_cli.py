@@ -90,6 +90,26 @@ def test_spectrum_command(capsys):
     assert max(data["exact_rel_errors"]) <= 1e-7
 
 
+def test_spectrum_and_kernel_diagnostics(capsys):
+    # a deterministic diagnostics block: the rule's and the basis's sizes
+    # and the couplings the diagonal read was certified with
+    argv = ["spectrum", "--N", "5", "--alpha", "1", "--mode", "2", "--nodes", "96"]
+    _, out1, _ = run(capsys, *argv)
+    _, out2, _ = run(capsys, *argv)
+    assert out1 == out2
+    diag = json.loads(out1)["diagnostics"]
+    assert set(diag) == {"quad_nodes", "basis_size", "stiffness_coupling", "mass_coupling"}
+    assert diag["quad_nodes"] == 104 and diag["basis_size"] == 96
+    assert 0.0 <= diag["stiffness_coupling"] <= 1e-9 and 0.0 <= diag["mass_coupling"] <= 1e-9
+    argv = ["kernel", "--N", "5", "--alpha", "1", "--k-max", "2", "--nodes", "96"]
+    _, out1, _ = run(capsys, *argv)
+    _, out2, _ = run(capsys, *argv)
+    assert out1 == out2
+    for mode in json.loads(out1)["data"]["modes"]:
+        assert mode["diagnostics"]["basis_size"] == 96
+        assert mode["diagnostics"]["stiffness_coupling"] <= 1e-9
+
+
 def test_kernel_command(capsys):
     code, out, _ = run(capsys, "kernel", "--N", "7", "--alpha", "-2",
                        "--k-max", "3", "--nodes", "96")
@@ -185,6 +205,7 @@ def test_perturb_command(capsys, tmp_path):
     assert diag["polish_scales"] == reduction.POLISH_POINTS - 2
     assert 0.0 <= diag["polish_l_ratio"] < 1e-10
     assert "energy_window_nodes" not in diag
+    assert diag["positivity_reach"] is None          # judged on the whole half-line
     assert "lambda_star_polished" not in rep["data"]
 
 

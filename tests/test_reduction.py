@@ -289,11 +289,11 @@ def test_jacobian_second_small_pivot_is_typed(monkeypatch, p51, offset):
     # or 1e-8 above mu_2 (below the pivot floor, the tangent still smallest)
     solve_pencil = reduction._solve_pencil
 
-    def patched(A, B, drop=1e-13):
-        mu, X, kept = solve_pencil(A, B, drop=drop)
+    def patched(A, B, where):
+        mu, x, couplings = solve_pencil(A, B, where)
         mu = mu.copy()
         mu[2] = (p51.pstar - 1.0) * (1.0 + offset)
-        return mu, X, kept
+        return mu, x, couplings
 
     monkeypatch.setattr(reduction, "_solve_pencil", patched)
     with pytest.raises(EigensolveFailure, match=r"perturbation Jacobian at N=5, alpha=1\.0 \(M=8\)"):
@@ -441,7 +441,7 @@ def test_coefficient_norm_matches_quadrature(N, a):
     wq = w * s ** (p.M - 1.0)
     for lam in (1e-2, 1.0, 1e2):
         res = solve_correction(pp, lam)
-        coeffs = pp.X @ res.coeffs
+        coeffs = pp.x * res.coeffs
         nu = lam ** (1.0 / p.q)
         lap_u = sobolev_bubble(p, lam).form.radial_laplacian(p.M).eval(s)
         for lo in range(0, s.size, 4096):
@@ -575,6 +575,38 @@ def test_min_ratio_to_bubble(monkeypatch, N, a):
     wide_pp, wide = solution()
     assert wide_pp.s.size > pp.s.size
     assert abs(wide["min_ratio_to_bubble"] - rep["min_ratio_to_bubble"]) <= 1e-12
+
+
+def test_positivity_judged_where_determined():
+    # at (10, 1.7), M = 55.3, the alpha-norm leaves the Galerkin solution's
+    # tails free: past |ln s| of about 1.2 a rounding-level change of its
+    # coefficients moves (U + w)/U by more than POSITIVITY_TOL, and there the
+    # ratio runs to -400 and below; inside it stays near the 0.996 that the
+    # rank-cut Legendre basis once gave on the whole half-line
+    p = validate_params(10, 1.7)
+    rep = find_perturbed_solution(PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160))
+    assert 1.0 < rep["positivity_reach"] < 1.5
+    assert 0.99 < rep["min_ratio_to_bubble"] < 1.0 and rep["positive"]
+
+
+def test_forcing_built_once_per_scale(monkeypatch, p51):
+    # the weight 1 + eps h(r/lam) of each scale is built once, by the solve
+    # that iterates with it; the reduced energy reuses that solve's star term
+    built = []
+    forcing = PerturbationProblem._forcing
+
+    def counting(self, lams, eps):
+        built.extend(np.atleast_1d(lams).tolist())
+        return forcing(self, lams, eps)
+
+    monkeypatch.setattr(PerturbationProblem, "_forcing", counting)
+    pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=96)
+    rep = find_perturbed_solution(pp)
+    assert len(built) == len(set(built)) == 33 + rep["polish_scales"] + 1
+    res = rep["result"]
+    c = res.coeffs[None, :]
+    star = pp._star(c, forcing(pp, [res.lam], res.eps))
+    assert res.star == pytest.approx(float(star[0]), rel=1e-14)
 
 
 def test_independent_residual_oracle(p51, pp51):

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from numpy.polynomial.legendre import legder, legval
-from scipy.special import betaln, logsumexp
+import scipy.linalg
+from scipy.special import betaln, eval_jacobi, gammaln, logsumexp
+
+import ckn4.spectrum as spectrum
 
 from ckn4.emden import sobolev_bubble
-from ckn4.errors import GridTooCoarse
+from ckn4.errors import EigensolveFailure, GridTooCoarse
 from ckn4.forms import PowerForm
 from ckn4.params import mode_lambda, normalization_constant, validate_params
 from ckn4.profiles import extremal_U, kernel_Z0, kernel_Zk_radial
@@ -21,7 +23,8 @@ from ckn4.spectrum import (
     mu3_estimate,
     verify_kernel,
 )
-from conftest import PARAM_SETS, random_valid_params, values_and_derivs, wide_log_rule
+from conftest import (PARAM_SETS, applied, jacobi_rows, random_valid_params, values_and_derivs,
+                      wide_log_rule)
 
 
 def test_constant_identity(rng):
@@ -94,9 +97,15 @@ def test_eigenvector_weighted_orthogonality(spectrum_51):
 
 
 def test_lambda_independence(spectrum_51):
+    # the pencil with the potential at weight scale 2 is not diagonal: solved
+    # by a dense generalized eigensolve, independent of the diagonal read.
+    # Its reciprocal pencil (B_2, A) gives the smallest mu as its largest
+    # eigenvalues, to rounding relative to them; eigh(A, B_2) carries an
+    # absolute error of about eps * mu_max into them
     p, res = spectrum_51
-    res2 = mode_eigenvalues(p, 0, n_eigs=5, weight_lambda=2.0, problem=res.problem)
-    assert np.max(np.abs(res2.eigenvalues - res.eigenvalues)) < 1e-6
+    pr = res.problem
+    mu2 = 1.0 / scipy.linalg.eigh(pr.weighted_mass(2.0), pr.A, eigvals_only=True)[::-1][:5]
+    assert np.max(np.abs(mu2 - res.eigenvalues)) < 1e-6
 
 
 def test_refinement_convergence():
@@ -232,11 +241,44 @@ def test_series_matches_basis_matrices(N, a, k):
             assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
 
 
+def _extended_sums(delta, coeffs, t):
+    """sum_j coeffs[j] p_j^{(i)}(t), i = 0, 1, 2, by the forward recurrence in long double.
+
+    The orthonormal Jacobi (d, d) recurrence and the derivative map
+    d/dt p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, written out
+    here and run in extended precision: a near-exact reference for the
+    double-precision Clenshaw sums.
+    """
+    LD = np.longdouble
+    t, c, d = t.astype(LD), coeffs.astype(LD), LD(delta)
+    out = []
+    for i in range(3):
+        if i:
+            n = np.arange(1, c.size, dtype=LD)
+            c = c[1:] * np.sqrt(n * (n + 2 * (d + i - 1) + 1))
+        a = d + i
+        k = np.arange(c.size + 1, dtype=LD)
+        off = (2 / (2 * k + 2 * a) * (k + a) / np.sqrt(2 * k + 2 * a + 1)
+               * np.sqrt(k * (k + 2 * a) / (2 * k + 2 * a - 1)))       # off[0] = 0
+        log_mu0 = (2 * a + 1) * np.log(LD(2)) + LD(betaln(float(a) + 1, float(a) + 1))
+        prev, cur = np.zeros(t.shape, LD), np.full(t.shape, np.exp(-log_mu0 / 2))
+        total = c[0] * cur
+        for j in range(1, c.size):
+            prev, cur = cur, (t * cur - off[j - 1] * prev) / off[j]
+            total += c[j] * cur
+        out.append(total.astype(float))
+    return out
+
+
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
 def test_series_block_matches_columns_and_legval(N, a, k):
     # L series, column l of a coefficient block at the nodes s[:, l], one
-    # call per column, against numpy's legval/legder on the same frame fields
+    # call per column, against the same series with its polynomial sums
+    # taken in extended precision (_extended_sums).  The basis was Legendre
+    # and this compared numpy's legval, the same Clenshaw algorithm, to
+    # 1e-13; against the extended-precision sums the worst is 1.4e-13, at
+    # (5, -0.99) in mode 2, from the double-precision sums near t = +-1
     p = validate_params(N, a)
     lam_k, _ = mode_lambda(k, p.N)
     basis = ModeBasis(p.M, p.q ** 2 * lam_k, 96)
@@ -245,15 +287,67 @@ def test_series_block_matches_columns_and_legval(N, a, k):
     x = nus * wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7, None]
     E = np.exp(basis._log_envelope(x))
     t, a_, ap, tp, tpp = basis._frame_coeffs(x)
-    dc = legder(coeffs)
-    P, dP, d2P = (legval(t, c, tensor=False) for c in (coeffs, dc, legder(dc)))
+    P, dP, d2P = (np.column_stack(cols) for cols in zip(
+        *(_extended_sums(basis.delta, coeffs[:, l], t[:, l]) for l in range(nus.size))))
     want = [E * P, E * (a_ * P + tp * dP),
             E * ((a_ * a_ + ap) * P + (2.0 * a_ * tp + tpp) * dP + tp * tp * d2P)]
     for order in (0, 1, 2):
         cols = np.column_stack([basis.series(coeffs[:, l], x[:, l], order)
                                 for l in range(nus.size)])
         scale = np.max(np.abs(want[order]), axis=0)
-        assert np.max(np.abs(cols - want[order]) / scale) <= 1e-13
+        assert np.max(np.abs(cols - want[order]) / scale) <= 2e-13
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("N, a", PARAM_SETS)
+def test_rows_and_series_match_jacobi_reference(N, a, k):
+    # the pencil's weighted rows on its own rule, and series of orders 0-2,
+    # against conftest's reference, whose polynomials are first checked
+    # against scipy's eval_jacobi and the closed-form norms on the rule's nodes
+    p = validate_params(N, a)
+    pr = assemble_mode_problem(p, k, nodes=96)
+    basis, rule = pr.basis, pr.grid
+    t = basis._map(rule.s)
+    j = np.arange(basis.m)[:, None]
+    d = basis.delta
+    log_h = ((2 * d + 1) * math.log(2.0) + 2 * gammaln(j + d + 1) - np.log(2 * j + 2 * d + 1)
+             - gammaln(j + 1) - gammaln(j + 2 * d + 1))
+    for i in range(3):
+        log_c = gammaln(j + 2 * d + 1 + i) - i * math.log(2.0) - gammaln(j + 2 * d + 1)
+        want = np.where(j >= i, eval_jacobi(np.maximum(j - i, 0), d + i, d + i, t)
+                        * np.exp(log_c - 0.5 * log_h), 0.0)
+        got = jacobi_rows(basis, t, i)
+        scale = np.max(np.abs(want[i:]), axis=1, keepdims=True)
+        assert np.max(np.abs(got[i:] - want[i:]) / scale) <= 1e-12
+    log_w = rule.log_w + (p.M - 1.0) * rule.u
+    log_pot = pr.log_potential(rule.s)
+    got = basis.weighted_rows(rule.s, log_w, log_pot)
+    psi, tpsi = applied(basis, rule.s)
+    want = (psi * np.exp(0.5 * (log_w + log_pot)), tpsi * np.exp(0.5 * log_w))
+    for g, w in zip(got, want):
+        assert np.max(np.abs(g - w) / np.max(np.abs(w), axis=1, keepdims=True)) <= 1e-12
+    coeffs = np.random.default_rng(k).standard_normal(basis.m)
+    s = wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7]
+    for order, mat in enumerate(values_and_derivs(basis, s)):
+        w = coeffs @ mat
+        assert np.max(np.abs(basis.series(coeffs, s, order) - w)) <= 1e-12 * np.max(np.abs(w))
+
+
+def test_off_diagonal_stiffness_is_typed(monkeypatch):
+    # a stiffness matrix that is not diagonal must not be read as if it were
+    gram = spectrum._gram_matrices
+
+    def coupled(*args, **kwargs):
+        A, B = gram(*args, **kwargs)
+        if A is not None:
+            A = A.copy()
+            A[3, 5] = A[5, 3] = 1e-6 * math.sqrt(A[3, 3] * A[5, 5])
+        return A, B
+
+    monkeypatch.setattr(spectrum, "_gram_matrices", coupled)
+    with pytest.raises(EigensolveFailure, match=r"N=5, alpha=1\.0, mode 0, 104 nodes: "
+                                                r"stiffness coupling 1\.000e-06 exceeds 1e-09"):
+        mode_eigenvalues(validate_params(5, 1), 0, nodes=96)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
