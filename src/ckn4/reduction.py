@@ -634,19 +634,19 @@ def find_perturbed_solution(pp: PerturbationProblem,
     # (U_lam + w_lam)/U_lam = 1 + sum_j x_j c_j p_j(t)/C, a polynomial in
     # t = (s^2-1)/(s^2+1) = tanh(ln s) of degree below m, sampled at 16 m + 1
     # Chebyshev-Lobatto points of [-1, 1] (ends included).  Its minimum is
-    # taken where the fixed point determines it: a change of every c_j by
-    # the step's rounding floor moves it by at most `spread`, and points
-    # where that exceeds POSITIVITY_TOL are left out.  At the PARAM_SETS none
-    # is; at large M the alpha-norm leaves the Galerkin solution's tails
-    # free: at (10, 1.7), M = 55.3, the ratio is 0.98 at ln s = -2 and below
-    # -400 at -2.4, and only |ln s| <= 1.22 is kept
+    # taken where the fixed point determines it: changes of the c_j whose
+    # alpha-norms are each the step's rounding floor move it by at most
+    # `spread`, and points where that exceeds POSITIVITY_TOL are left out.
+    # At the PARAM_SETS none is; at large M the alpha-norm leaves the
+    # Galerkin solution's tails free: at (10, 1.7), M = 55.3, the ratio is
+    # 0.98 at ln s = -2 and below -400 at -2.4, and only |ln s| <= 1.22 is kept
     basis = pp.problem.basis
     C = normalization_constant(p)
     n_t = 16 * basis.m
     t = np.cos(np.pi * np.arange(n_t + 1) / n_t)
-    ratio = 1.0 + basis.poly_sum(pp.x * final.coeffs, t) / C
     floor = STEP_FLOOR_ULPS * np.finfo(float).eps * math.sqrt(float(pp.norm_sq(final.coeffs)))
     with np.errstate(over="ignore", invalid="ignore"):
+        ratio = 1.0 + basis.poly_sum(pp.x * final.coeffs, t) / C
         spread = floor / C * basis.families[0].abs_sum(pp.x / np.sqrt(pp.G), t)
     determined = spread <= max(POSITIVITY_TOL, float(np.nanmin(spread)))
     min_ratio = float(ratio[determined].min())

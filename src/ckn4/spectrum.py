@@ -228,7 +228,6 @@ class _SymmetricJacobi:
     """
 
     def __init__(self, n: int, a: float):
-        self.n = n
         _, off, log_mu0 = _jacobi_recurrence(n + 2, a, a)
         self.off = off
         self.p0 = math.exp(-0.5 * log_mu0)
@@ -247,8 +246,7 @@ class _SymmetricJacobi:
         """sum_k coeffs[k] p_k(t) by Clenshaw's recurrence, in place.
 
         b_k = c_k + t b_{k+1}/off[k+1] - off[k+1]/off[k+2] b_{k+2} from
-        b_n = b_{n+1} = 0 down to b_0; the sum is p_0 b_0.  coeffs may be
-        shorter than n.
+        b_n = b_{n+1} = 0 down to b_0, n = coeffs.size; the sum is p_0 b_0.
         """
         off = self.off
         b1 = np.zeros(t.shape)
