@@ -259,8 +259,7 @@ def cmd_perturb(args) -> dict:
                    "kept_rank": pp.kept,
                    "lambda_star_polished": rep.pop("lambda_star_polished"),
                    "polish_scales": rep.pop("polish_scales"),
-                   "polish_l_ratio": rep.pop("polish_l_ratio"),
-                   "positivity_reach": rep.pop("positivity_reach")}
+                   "polish_l_ratio": rep.pop("polish_l_ratio")}
     return {
         "data": {"N": p.N, "alpha": p.alpha, "eps": args.eps, **rep, "gamma_curve": curve},
         "diagnostics": diagnostics,

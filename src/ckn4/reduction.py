@@ -49,7 +49,8 @@ from .errors import (ContractionFailure, EigensolveFailure, NoInteriorExtremum, 
                      QuadratureFailure, ZeroFunction)
 from .params import Params, best_constant_radial, normalization_constant, sphere_area
 from .profiles import dilation_tangent, extremal_U
-from .spectrum import ModeProblem, SGrid, SobolevModeFunction, assemble_mode_problem, _solve_pencil
+from .spectrum import (ModeProblem, SGrid, SobolevModeFunction, _solve_pencil, _solve_pencil_cut,
+                       assemble_mode_problem)
 
 __all__ = [
     "ManifoldFit",
@@ -265,9 +266,10 @@ STEP_FLOOR_ULPS = 64.0
 # (4, 0.0504) and (12, -7), lambda* agrees to 8.1e-8 with 8 points, 7.0e-10
 # with 10, 2.0e-11 with 12 and 6.5e-12 with 16, where l's own rounding sets in
 POLISH_POINTS = 12
-# largest change of (U_lam + w)/U_lam at a point that rounding-level changes
-# of the correction's coefficients may cause where positivity is judged
-POSITIVITY_TOL = 1e-6
+# smallest mass, relative to the largest, of a Legendre direction the
+# perturbation's working basis keeps where the diagonal basis does not fix
+# (U + w)/U pointwise (PerturbationProblem)
+MASS_CUT = 1e-13
 
 
 class PerturbationProblem:
@@ -275,9 +277,11 @@ class PerturbationProblem:
 
     The working basis is the spectral basis {phi_i} of the mode-0 pencil at
     scale 1, the trial functions themselves scaled to unit weighted mass,
-    phi_i = x_i psi_i: it is orthogonal in the alpha-inner product with
-    <phi_i, phi_i> = scale * mu_i, contains the extremal and the dilation
-    tangent exactly, and makes the frozen Jacobian diagonal plus border.
+    phi_i = x_i psi_i, or at large M the pencil's eigenvectors on a cut of
+    the trial space (_solve_pencil_cut): it is orthogonal in the
+    alpha-inner product with <phi_i, phi_i> = scale * mu_i, contains the
+    extremal and the dilation tangent, and makes the frozen Jacobian
+    diagonal plus border.
     """
 
     def __init__(self, params: Params, h, eps: float, nodes: int = 220):
@@ -290,8 +294,6 @@ class PerturbationProblem:
         A = self.problem.A
         basis = self.problem.basis
         mu, x, _ = _solve_pencil(A, self.problem.B, self.problem.label)
-        self.x = x                      # phi_i = x_i psi_i, B-orthonormal
-        self.kept = kept = mu.size
         self.scale = self.problem.alpha_scale          # omega q^{-3}
         self.star_scale = sphere_area(p.N) * p.q       # omega q
 
@@ -306,18 +308,38 @@ class PerturbationProblem:
                 f"perturbation grid at N={p.N}, alpha={p.alpha} (M={p.M:.6g}): the weight "
                 f"s^(M-1) overflows the float range at ln s = {grid.u[-1]:.4g}")
         self.bub_vals = sobolev_bubble(p, 1.0).form.eval(self.s)
-        self.phi = x[:, None] * basis.values(self.s)           # (kept, n)
+
+        # phi_i = E sum_k W_ki p_k(t) with p_k of self.family, = sum_j X_ji psi_j.
+        # In the diagonal basis W = X = diag(x), and (U + w)/U = 1 + sum_j
+        # x_j c_j p_j(t)/C; |p_j| peaks at t = 1 (delta > 1 in mode 0), so a
+        # change of c_j by a given alpha-norm, relative to the bubble's, moves
+        # the ratio by up to gain_j = (p_j(1)/p_0)/sqrt(mu_j) times that.
+        # Where a gain_j^2 exceeds 1/MASS_CUT (at most 5e5 at the PARAM_SETS,
+        # 1e54 at (10, 1.7), M = 55.3) the ratio is not fixed pointwise, and
+        # the working basis is the pencil's on the Legendre directions whose
+        # mass is at least MASS_CUT of the largest (103 of 160 there)
+        fam = basis.families[0]
+        with np.errstate(over="ignore"):
+            gain_sq = (fam.rows(np.ones(1), basis.m)[:, 0] / fam.p0) ** 2 / mu
+        if gain_sq.max() * MASS_CUT <= 1.0:
+            self.family, self.W = fam, np.diag(x)
+            self.X = self.W
+            self.phi = x[:, None] * basis.values(self.s)          # (kept, n)
+        else:
+            mu, self.W, self.X, self.family = _solve_pencil_cut(self.problem, MASS_CUT)
+            self.phi = self.W.T @ basis.values(self.s, self.family)
+        self.kept = kept = mu.size
 
         C = normalization_constant(p)
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
         # the bubble is C E = (C/p0) psi_0 (sigma0 = 0 in mode 0): its
         # alpha-products with the basis are read off the stiffness matrix
         c0 = C / basis.p0
-        self.bU = self.scale * c0 * x * A[:, 0]
+        self.bU = self.scale * c0 * (self.X.T @ A[:, 0])
         self.norm0 = self.scale * c0 * c0 * float(A[0, 0])
         # dilation tangent at scale 1 on the s side: -c E t = -c (b1/p0) psi_1
         c1 = C * (p.N - 4.0 + p.alpha) / 2.0 * basis.b1 / basis.p0
-        self.d = -self.scale * c1 * x * A[:, 1]
+        self.d = -self.scale * c1 * (self.X.T @ A[:, 1])
         self.tangent_norm = abs(c1) * math.sqrt(self.scale * float(A[1, 1]))
 
         self.r_of_s = self.s ** p.q
@@ -445,7 +467,7 @@ class CorrectionResult:
     def omega_hat(self) -> SobolevModeFunction:
         """Correction in the transported frame, as a function of s."""
         pp = self.problem
-        return SobolevModeFunction(pp.problem.basis, pp.x * self.coeffs)
+        return SobolevModeFunction(pp.problem.basis, pp.X @ self.coeffs)
 
     def omega_radial(self) -> ComposedRadial:
         """Physical correction P_lam(w) on the weighted side."""
@@ -584,10 +606,7 @@ def find_perturbed_solution(pp: PerturbationProblem,
     When l does not change sign across the bracket the parabolic scale
     stands, and lambda_star_polished says so.  polish_scales counts the new
     scales, polish_l_ratio is |l(lambda*)| over the larger |l| at the
-    bracket's ends.  min_ratio_to_bubble is the minimum of (U + w)/U over
-    the points of the half-line where the fixed point determines it to
-    POSITIVITY_TOL; positivity_reach is the largest |ln s| among them, None
-    when that is all of it.  When the curve is numerically constant
+    bracket's ends.  When the curve is numerically constant
     NoInteriorExtremum is raised.
     """
     p = pp.params
@@ -630,28 +649,14 @@ def find_perturbed_solution(pp: PerturbationProblem,
         polish_scales = POLISH_POINTS - 2
     final = solve_correction(pp, lam_star)
     energy = reduced_energy(pp, lam_star, result=final)
-    # in mode 0, psi_j = E p_j(t) and the bubble is C E, so at every scale
-    # (U_lam + w_lam)/U_lam = 1 + sum_j x_j c_j p_j(t)/C, a polynomial in
-    # t = (s^2-1)/(s^2+1) = tanh(ln s) of degree below m, sampled at 16 m + 1
-    # Chebyshev-Lobatto points of [-1, 1] (ends included).  Its minimum is
-    # taken where the fixed point determines it: changes of the c_j whose
-    # alpha-norms are each the step's rounding floor move it by at most
-    # `spread`, and points where that exceeds POSITIVITY_TOL are left out.
-    # At the PARAM_SETS none is; at large M the alpha-norm leaves the
-    # Galerkin solution's tails free: at (10, 1.7), M = 55.3, the ratio is
-    # 0.98 at ln s = -2 and below -400 at -2.4, and only |ln s| <= 1.22 is kept
-    basis = pp.problem.basis
-    C = normalization_constant(p)
-    n_t = 16 * basis.m
+    # in mode 0 the bubble is C E and w = E sum_k (W c)_k p_k(t), so at every
+    # scale (U_lam + w_lam)/U_lam = 1 + sum_k (W c)_k p_k(t)/C, a polynomial
+    # in t = (s^2-1)/(s^2+1) of degree below m, whose minimum over all of
+    # [-1, 1] is sampled at 16 m + 1 Chebyshev-Lobatto points (ends included)
+    n_t = 16 * pp.problem.basis.m
     t = np.cos(np.pi * np.arange(n_t + 1) / n_t)
-    floor = STEP_FLOOR_ULPS * np.finfo(float).eps * math.sqrt(float(pp.norm_sq(final.coeffs)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        ratio = 1.0 + basis.poly_sum(pp.x * final.coeffs, t) / C
-        spread = floor / C * basis.families[0].abs_sum(pp.x / np.sqrt(pp.G), t)
-    determined = spread <= max(POSITIVITY_TOL, float(np.nanmin(spread)))
-    min_ratio = float(ratio[determined].min())
-    with np.errstate(divide="ignore"):
-        reach = None if determined.all() else float(np.max(np.abs(np.arctanh(t[determined]))))
+    ratio = 1.0 + pp.family.sum(pp.W @ final.coeffs, t) / normalization_constant(p)
+    min_ratio = float(ratio.min())
     l_ends = max(abs(ends[0].l), abs(ends[1].l))
     return {
         "lambda_star": float(lam_star),
@@ -665,7 +670,6 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "contraction_factor": final.contraction_factor,
         "min_ratio_to_bubble": min_ratio,
         "positive": min_ratio > 0.0,
-        "positivity_reach": reach,
         "polish_scales": polish_scales,
         "polish_l_ratio": abs(final.l) / l_ends if l_ends > 0.0 else 0.0,
         "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],

@@ -221,7 +221,7 @@ def _jacobi_rows(t: np.ndarray, n: int, p0, off) -> np.ndarray:
 
 
 class _SymmetricJacobi:
-    """The orthonormal Jacobi P^{(a,a)} family p_k, k < n: rows and Clenshaw sums.
+    """The orthonormal Jacobi P^{(a,a)} family p_k, k < n: rows and sums.
 
     The weight is even, so the recurrence is t p_k = off[k+1] p_{k+1} +
     off[k] p_{k-1}.
@@ -231,35 +231,40 @@ class _SymmetricJacobi:
         _, off, log_mu0 = _jacobi_recurrence(n + 2, a, a)
         self.off = off
         self.p0 = math.exp(-0.5 * log_mu0)
+        # r_k = p_k(1)/p_{k-1}(1) in closed form, from P_k(1) = binom(k+a, k) and the norms
+        k = np.arange(1.0, n)
+        self.ratio = np.sqrt((2.0 * k + 2.0 * a + 1.0) * (k + 2.0 * a)
+                             / ((2.0 * k + 2.0 * a - 1.0) * k))
+        self.damp = 1.0 / off[1:n] - self.ratio
 
-    def abs_sum(self, weights: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """sum_k weights[k] |p_k(t)| by the forward recurrence, one row at a time."""
-        off = self.off
-        prev, cur = np.zeros(t.shape), np.full(t.shape, self.p0)
-        total = weights[0] * cur
-        for k in range(1, weights.shape[0]):
-            prev, cur = cur, (t * cur - off[k - 1] * prev) / off[k]
-            total += weights[k] * np.abs(cur)
-        return total
+    def rows(self, t: np.ndarray, n: int) -> np.ndarray:
+        """(n, t.size) values p_k(t), k < n."""
+        return _jacobi_rows(t, n, [self.p0], [self.off])[0]
 
     def sum(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """sum_k coeffs[k] p_k(t) by Clenshaw's recurrence, in place.
+        """sum_k coeffs[k] p_k(t) by a forward recurrence in h = 1 - |t| (Reinsch's modification).
 
-        b_k = c_k + t b_{k+1}/off[k+1] - off[k+1]/off[k+2] b_{k+2} from
-        b_n = b_{n+1} = 0 down to b_0, n = coeffs.size; the sum is p_0 b_0.
+        With D_k = p_k - r_k p_{k-1}, the recurrence at t and at 1 give p_k =
+        r_k p_{k-1} + D_k, D_k = (1/off[k] - r_k) D_{k-1} - h p_{k-1}/off[k],
+        D_0 = 0: its terms vanish with h instead of cancelling as t nears
+        +-1, where Clenshaw's sum loses up to 800 ulps of the series.  p_k(-t)
+        = (-1)^k p_k(t) gives t < 0.
         """
         off = self.off
-        b1 = np.zeros(t.shape)
-        b2 = np.zeros(t.shape)
-        tb = np.empty(t.shape)
-        for k in range(coeffs.shape[0] - 1, -1, -1):
-            np.multiply(t, b1, out=tb)
-            tb /= off[k + 1]
-            b2 *= -off[k + 1] / off[k + 2]
-            b2 += tb
-            b2 += coeffs[k]
-            b1, b2 = b2, b1
-        return self.p0 * b1
+        h = 1.0 - np.abs(t)
+        p = np.full(t.shape, self.p0)
+        D = np.zeros(t.shape)
+        tmp = np.empty(t.shape)
+        parts = [coeffs[0] * p, np.zeros(t.shape)]       # even and odd k
+        for k in range(1, coeffs.shape[0]):
+            np.multiply(h, p, out=tmp)
+            tmp /= off[k]
+            D *= self.damp[k - 1]
+            D -= tmp
+            p *= self.ratio[k - 1]
+            p += D
+            parts[k % 2] += coeffs[k] * p
+        return parts[0] + np.sign(t) * parts[1]
 
 
 class ModeBasis:
@@ -310,7 +315,7 @@ class ModeBasis:
         return P
 
     def poly_sum(self, coeffs: np.ndarray, t: np.ndarray, order: int = 0) -> np.ndarray:
-        """Derivative `order` in t of sum_j coeffs[j] p_j(t), by Clenshaw's recurrence."""
+        """Derivative `order` in t of sum_j coeffs[j] p_j(t), summed in coefficient space."""
         for i in range(order):
             coeffs = coeffs[1:] * self._dscale[i][1:coeffs.shape[0]]
         return self.families[order].sum(coeffs, t)
@@ -377,17 +382,17 @@ class ModeBasis:
         c2 = tp * tp
         return t, a, ap, tp, tpp, c0, c1, c2
 
-    def values(self, s: np.ndarray) -> np.ndarray:
-        """Matrix (m, n) of trial values."""
-        E = np.exp(self._log_envelope(s))
-        return E * self._poly_rows(self._map(s), 0)[0]
+    def values(self, s: np.ndarray, family: "_SymmetricJacobi | None" = None) -> np.ndarray:
+        """Matrix (m, n) of trial values; with `family`, E times its p_k(t) instead."""
+        family = family or self.families[0]
+        return np.exp(self._log_envelope(s)) * family.rows(self._map(s), self.m)
 
     def series(self, coeffs: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Derivative `order` (0, 1 or 2) at s of X = sum_j coeffs[j] psi_j.
 
         coeffs is (m,) and s of any shape; the result has the shape of s.
-        The polynomial part is summed in coefficient space by Clenshaw's
-        recurrence, in the (delta+i, delta+i) family for its i-th t
+        The polynomial part is summed in coefficient space
+        (_SymmetricJacobi.sum), in the (delta+i, delta+i) family for its i-th t
         derivative, so no (m, n) basis matrix is formed; only the order + 1
         series the derivative reads are summed.
         """
@@ -557,6 +562,34 @@ def _solve_pencil(A: np.ndarray, B: np.ndarray, where: str):
         raise EigensolveFailure(f"pencil at {where}: mu_{j + 1} = {mu[j + 1]:.6g} does not "
                                 f"exceed mu_{j} = {mu[j]:.6g}")
     return mu, 1.0 / np.sqrt(b), couplings
+
+
+def _solve_pencil_cut(pr: ModeProblem, cut: float):
+    """Eigenpairs of the pencil on the Legendre directions its mass controls.
+
+    The functions E p_k(t), p_k the orthonormal Legendre polynomials, k < m,
+    span the trial space too.  The pencil is solved densely on the
+    eigenvectors of their mass matrix whose mass exceeds `cut` times the
+    largest; the others, polynomials large where the weight is negligible,
+    are left out.  Returns (mu, W, X, family): the eigenvalues, the
+    B-orthonormal eigenvectors as coefficients W of the E p_k and X of the
+    trial functions psi_j, and the Legendre family.
+    """
+    basis, rule = pr.basis, pr.grid
+    family = _SymmetricJacobi(basis.m, 0.0)
+    t = basis._map(rule.s)
+    log_weight = rule.log_w + (pr.params.M - 1.0) * rule.u + pr.log_potential(rule.s)
+    env = np.exp(basis._log_envelope(rule.s) + 0.5 * log_weight)
+    rows = env * family.rows(t, basis.m)
+    # E p_k = sum_j L_jk psi_j, read off the mass products on the exact rule
+    L = (env * basis.families[0].rows(t, basis.m)) @ rows.T / np.diag(pr.B)[:, None]
+    lam, V = np.linalg.eigh(rows @ rows.T)
+    keep = lam > lam[-1] * cut
+    T = V[:, keep] / np.sqrt(lam[keep])
+    K = T.T @ (L.T @ pr.A @ L) @ T
+    mu, Y = np.linalg.eigh(0.5 * (K + K.T))
+    W = T @ Y
+    return mu, W, L @ W, family
 
 
 @dataclass

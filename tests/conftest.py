@@ -120,7 +120,7 @@ def full_grid_energy(pp, lam, result):
     the distance beyond which (2 cosh)^{-M} is below e^{-32} of its peak.
     With U_lam = C nu^{(M-4)/2} (1 + nu^2 s^2)^{-(M-4)/2}, U_lam^{p*}
     s^{M-1} ds = C^{p*} (2 cosh(ln s + ln nu))^{-M} d(ln s), and in mode 0
-    (U_lam + w_lam)/U_lam = 1 + sum_j x_j c_j p_j(t(nu s))/C: the correction
+    (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j p_j(t(nu s))/C: the correction
     is summed from the (m, n) matrix of jacobi_rows, independent of
     ModeBasis.series, and no factor leaves the float range.
     """
@@ -132,7 +132,7 @@ def full_grid_energy(pp, lam, result):
     x = u + ln_nu                                        # ln(nu s)
     C = normalization_constant(p)
     P = jacobi_rows(basis, basis._map(np.exp(x)))
-    ratio = 1.0 + (pp.x * result.coeffs) @ P / C
+    ratio = 1.0 + (pp.X @ result.coeffs) @ P / C
     h = 0.0 if pp.h is None else np.asarray(pp.h(s ** p.q), dtype=float)
     star = pp.star_scale * C ** p.pstar * float(np.sum(
         w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.eps * h)

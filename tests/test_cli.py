@@ -205,7 +205,6 @@ def test_perturb_command(capsys, tmp_path):
     assert diag["polish_scales"] == reduction.POLISH_POINTS - 2
     assert 0.0 <= diag["polish_l_ratio"] < 1e-10
     assert "energy_window_nodes" not in diag
-    assert diag["positivity_reach"] is None          # judged on the whole half-line
     assert "lambda_star_polished" not in rep["data"]
 
 

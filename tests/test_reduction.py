@@ -441,7 +441,7 @@ def test_coefficient_norm_matches_quadrature(N, a):
     wq = w * s ** (p.M - 1.0)
     for lam in (1e-2, 1.0, 1e2):
         res = solve_correction(pp, lam)
-        coeffs = pp.x * res.coeffs
+        coeffs = pp.X @ res.coeffs
         nu = lam ** (1.0 / p.q)
         lap_u = sobolev_bubble(p, lam).form.radial_laplacian(p.M).eval(s)
         for lo in range(0, s.size, 4096):
@@ -577,16 +577,21 @@ def test_min_ratio_to_bubble(monkeypatch, N, a):
     assert abs(wide["min_ratio_to_bubble"] - rep["min_ratio_to_bubble"]) <= 1e-12
 
 
-def test_positivity_judged_where_determined():
-    # at (10, 1.7), M = 55.3, the alpha-norm leaves the Galerkin solution's
-    # tails free: past |ln s| of about 1.2 a rounding-level change of its
-    # coefficients moves (U + w)/U by more than POSITIVITY_TOL, and there the
-    # ratio runs to -400 and below; inside it stays near the 0.996 that the
-    # rank-cut Legendre basis once gave on the whole half-line
+def test_large_M_working_basis_is_cut(pp51):
+    # at (10, 1.7), M = 55.3, the diagonal basis does not fix (U + w)/U
+    # pointwise (its p_j reach 1e27 times p_0 at t = 1 per unit alpha-norm),
+    # so the working basis is the pencil's on the Legendre directions the
+    # mass controls: fewer than m, holding the bubble at mu = 1 and the
+    # dilation tangent.  At (5, 1) the diagonal basis stands, uncut
+    assert pp51.family is pp51.problem.basis.families[0]
+    assert pp51.kept == pp51.problem.basis.m
     p = validate_params(10, 1.7)
-    rep = find_perturbed_solution(PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160))
-    assert 1.0 < rep["positivity_reach"] < 1.5
-    assert 0.99 < rep["min_ratio_to_bubble"] < 1.0 and rep["positive"]
+    pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    assert pp.family is not pp.problem.basis.families[0]
+    assert 64 < pp.kept < 160
+    assert pp.G[0] / pp.scale == pytest.approx(1.0, rel=1e-10)
+    assert np.sum(pp.bU ** 2 / pp.G) == pytest.approx(pp.norm0, rel=1e-9)
+    assert np.sum(pp.d ** 2 / pp.G) == pytest.approx(pp.tangent_norm ** 2, rel=1e-9)
 
 
 def test_forcing_built_once_per_scale(monkeypatch, p51):

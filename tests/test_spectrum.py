@@ -275,10 +275,7 @@ def _extended_sums(delta, coeffs, t):
 def test_series_block_matches_columns_and_legval(N, a, k):
     # L series, column l of a coefficient block at the nodes s[:, l], one
     # call per column, against the same series with its polynomial sums
-    # taken in extended precision (_extended_sums).  The basis was Legendre
-    # and this compared numpy's legval, the same Clenshaw algorithm, to
-    # 1e-13; against the extended-precision sums the worst is 1.4e-13, at
-    # (5, -0.99) in mode 2, from the double-precision sums near t = +-1
+    # taken in extended precision (_extended_sums)
     p = validate_params(N, a)
     lam_k, _ = mode_lambda(k, p.N)
     basis = ModeBasis(p.M, p.q ** 2 * lam_k, 96)
@@ -295,7 +292,7 @@ def test_series_block_matches_columns_and_legval(N, a, k):
         cols = np.column_stack([basis.series(coeffs[:, l], x[:, l], order)
                                 for l in range(nus.size)])
         scale = np.max(np.abs(want[order]), axis=0)
-        assert np.max(np.abs(cols - want[order]) / scale) <= 2e-13
+        assert np.max(np.abs(cols - want[order]) / scale) <= 1e-13
 
 
 @pytest.mark.parametrize("k", [0, 2])
