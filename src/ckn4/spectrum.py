@@ -22,7 +22,11 @@ off-diagonal couplings of both matrices must stay below COUPLING_TOL,
 which bounds the eigenvalue error by its square.  Every stiffness and mass
 integrand is a polynomial of degree at most 2m in t times the Jacobi
 weight (1-t)^{delta-2} (1+t)^{delta}, so the pencil is assembled exactly on
-an (m+8)-node Gauss-Jacobi rule (Golub & Welsch 1969), one rule per mode.
+an (m+8)-node Gauss-Jacobi rule, one rule per mode: its nodes are the
+eigenvalues of the Jacobi matrix of the three-term recurrence (Golub &
+Welsch, Math. Comp. 23, 1969), found by LAPACK's MRRR tridiagonal solver
+(Dhillon & Parlett, Linear Algebra Appl. 387, 2004), and its weights are
+the Christoffel sums of the same recurrence at those nodes.
 A scale-shifted potential (1 + nu^2 s^2)^{-4}, nu != 1, is analytic but not
 polynomial in t, its mass matrix is not diagonal, and it gets an
 oversampled rule whose extra nodes grow as nu moves away from 1.
@@ -34,7 +38,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betaln, roots_jacobi, roots_legendre
+from scipy.linalg import eigvalsh_tridiagonal
+from scipy.special import betaln, roots_legendre
 
 from .emden import ComposedRadial, from_sobolev
 from .errors import EigensolveFailure, GridTooCoarse, InconsistentKernel, QuadratureFailure
@@ -125,8 +130,13 @@ class JacobiRule:
     """Gauss-Jacobi rule for int_0^inf f(s) ds under t = (s^2-1)/(s^2+1).
 
     Exact when f(s) ds = P(t) (1-t)^{delta-2} (1+t)^{delta} dt with P a
-    polynomial of degree below 2n.  The weights are kept as logarithms: the
-    divided-out Jacobi factor (1-t)^{-delta} overflows for large delta.
+    polynomial of degree below 2n.  The nodes t are the eigenvalues of the
+    Jacobi matrix of the P^{(delta-2, delta)} recurrence (Golub-Welsch), by
+    LAPACK's MRRR solver (stemr); the weights are the Christoffel sums of the
+    same recurrence at those nodes (_log_christoffel).  The weights are kept
+    as logarithms: the divided-out Jacobi factor (1-t)^{-delta} overflows
+    for large delta.  QuadratureFailure when a node is not strictly inside
+    (-1, 1), where s would be 0 or infinite.
     """
 
     s: np.ndarray
@@ -136,11 +146,11 @@ class JacobiRule:
     @classmethod
     def build(cls, n: int, delta: float) -> "JacobiRule":
         a, b = delta - 2.0, delta
-        with np.errstate(all="ignore"):      # its Newton polish divides 0/0 at extreme delta
-            t, _ = roots_jacobi(n, a, b)
-        if not np.isfinite(t).all():
+        diag, off, _ = _jacobi_recurrence(n, a, b)
+        t = eigvalsh_tridiagonal(diag, off[1:], lapack_driver="stemr")
+        if not (np.abs(t) < 1.0).all():
             raise QuadratureFailure(f"Gauss-Jacobi rule with {n} nodes at delta={delta:.6g}: "
-                                    f"scipy's roots_jacobi returned non-finite nodes")
+                                    f"a node is not strictly inside (-1, 1)")
         lm, lp = np.log1p(-t), np.log1p(t)
         u = 0.5 * (lp - lm)
         # ds = dt / (s (1-t)^2); dividing out the Jacobi weight leaves
@@ -175,28 +185,38 @@ def _jacobi_recurrence(n: int, a: float, b: float):
 def _log_christoffel(t: np.ndarray, a: float, b: float) -> np.ndarray:
     """ln of the Gauss-Jacobi weights at the nodes t, as -ln sum_k p_k(t)^2.
 
-    The p_k, k < n, are the orthonormal Jacobi polynomials.  A sum of
-    positive terms, each weight is accurate to a few ulp; the weights of
-    scipy's roots_jacobi lose up to 8e-9 relative at 168 nodes and 2e-7 at
-    408 as a approaches -1 (M near 4), which the pencil would carry.  Nodes
-    whose terms grow large (large a, b) are rescaled, the scale kept as a
-    logarithm.
+    The p_k, k < n, are the orthonormal Jacobi polynomials, run by the same
+    recurrence whose Jacobi matrix gave the nodes.  A sum of positive terms,
+    each weight is accurate to a few ulp; the Golub-Welsch weights, squared
+    first components of the eigenvectors, and those of scipy's roots_jacobi
+    (up to 8e-9 relative at 168 nodes and 2e-7 at 408 as a approaches -1,
+    M near 4) are not.  Nodes whose terms grow large (large a, b) are
+    rescaled, the scale kept as a logarithm.  The test for that runs once
+    per block of steps: with |t| < 1 a step multiplies max(|p_j|, |p_{j-1}|)
+    by at most g_j = max(1, (1 + |diag_j| + off_j) / off_{j+1}), and a block
+    ends before the product of its g_j would pass 1e50, so no value passes
+    1e150 and no square overflows.
     """
     n = t.size
     diag, off, log_mu0 = _jacobi_recurrence(n, a, b)
+    growth = np.log(np.maximum(1.0, (1.0 + np.abs(diag[:-1]) + off[:-1]) / off[1:]))
+    budget, spent = 50.0 * math.log(10.0), 0.0
     p_prev = np.zeros_like(t)
     p = np.full_like(t, math.exp(-0.5 * log_mu0))
     total = p * p
     log_scale = np.zeros_like(t)
     for j in range(n - 1):
+        spent += growth[j]
+        if spent > budget:
+            spent = growth[j]
+            big = np.maximum(np.abs(p), np.abs(p_prev)) > 1e100
+            if big.any():
+                p[big] *= 1e-100
+                p_prev[big] *= 1e-100
+                total[big] *= 1e-200
+                log_scale[big] += 200.0 * math.log(10.0)
         p_prev, p = p, ((t - diag[j]) * p - off[j] * p_prev) / off[j + 1]
         total += p * p
-        big = np.abs(p) > 1e100
-        if big.any():
-            p[big] *= 1e-100
-            p_prev[big] *= 1e-100
-            total[big] *= 1e-200
-            log_scale[big] += 200.0 * math.log(10.0)
     return -np.log(total) - log_scale
 
 
@@ -248,7 +268,9 @@ class _SymmetricJacobi:
         r_k p_{k-1} + D_k, D_k = (1/off[k] - r_k) D_{k-1} - h p_{k-1}/off[k],
         D_0 = 0: its terms vanish with h instead of cancelling as t nears
         +-1, where Clenshaw's sum loses up to 800 ulps of the series.  p_k(-t)
-        = (-1)^k p_k(t) gives t < 0.
+        = (-1)^k p_k(t) gives t < 0.  The sum stops at the last nonzero
+        coefficient: an eigenvector of the diagonal pencil, x_j e_j, costs
+        j + 1 terms, not m.
         """
         off = self.off
         h = 1.0 - np.abs(t)
@@ -256,7 +278,8 @@ class _SymmetricJacobi:
         D = np.zeros(t.shape)
         tmp = np.empty(t.shape)
         parts = [coeffs[0] * p, np.zeros(t.shape)]       # even and odd k
-        for k in range(1, coeffs.shape[0]):
+        nonzero = np.flatnonzero(coeffs)
+        for k in range(1, nonzero[-1] + 1 if nonzero.size else 1):
             np.multiply(h, p, out=tmp)
             tmp /= off[k]
             D *= self.damp[k - 1]
@@ -382,10 +405,11 @@ class ModeBasis:
         c2 = tp * tp
         return t, a, ap, tp, tpp, c0, c1, c2
 
-    def values(self, s: np.ndarray, family: "_SymmetricJacobi | None" = None) -> np.ndarray:
-        """Matrix (m, n) of trial values; with `family`, E times its p_k(t) instead."""
+    def values(self, s: np.ndarray, family: "_SymmetricJacobi | None" = None,
+               rows: int | None = None) -> np.ndarray:
+        """Matrix (rows, n) of the first `rows` (all m) trial values; with `family`, E p_k(t)."""
         family = family or self.families[0]
-        return np.exp(self._log_envelope(s)) * family.rows(self._map(s), self.m)
+        return np.exp(self._log_envelope(s)) * family.rows(self._map(s), rows or self.m)
 
     def series(self, coeffs: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
         """Derivative `order` (0, 1 or 2) at s of X = sum_j coeffs[j] psi_j.
@@ -394,7 +418,8 @@ class ModeBasis:
         The polynomial part is summed in coefficient space
         (_SymmetricJacobi.sum), in the (delta+i, delta+i) family for its i-th t
         derivative, so no (m, n) basis matrix is formed; only the order + 1
-        series the derivative reads are summed.
+        series the derivative reads are summed, each up to its last nonzero
+        coefficient.
         """
         E = np.exp(self._log_envelope(s))
         if order == 0:
@@ -666,8 +691,8 @@ def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160,
     X[np.arange(n_eigs), np.arange(n_eigs)] = x[:n_eigs]
     # sign normalization: positive at the first interior point where the
     # eigenfunction is resolvably nonzero
-    probe = pr.basis.values(np.array([0.3, 1.0, 3.0]))
-    vals = X.T @ probe
+    probe = pr.basis.values(np.array([0.3, 1.0, 3.0]), rows=n_eigs)
+    vals = X[:n_eigs].T @ probe
     for i in range(n_eigs):
         nz = vals[i][np.abs(vals[i]) > 1e-300]
         if nz.size and nz[0] < 0:

@@ -8,7 +8,7 @@ from scipy.special import betaln, eval_jacobi, gammaln, logsumexp
 import ckn4.spectrum as spectrum
 
 from ckn4.emden import sobolev_bubble
-from ckn4.errors import EigensolveFailure, GridTooCoarse
+from ckn4.errors import EigensolveFailure, GridTooCoarse, QuadratureFailure
 from ckn4.forms import PowerForm
 from ckn4.params import mode_lambda, normalization_constant, validate_params
 from ckn4.profiles import extremal_U, kernel_Z0, kernel_Zk_radial
@@ -357,18 +357,58 @@ def test_eigenvalues_match_closed_form(N, a, k):
     assert np.max(np.abs(res.eigenvalues / exact_eigenvalues(p, k, 5) - 1.0)) <= 1e-7
 
 
-@pytest.mark.parametrize("delta, n", [(1.0035, 168), (1.0035, 408), (2.7, 168), (100.0, 168)])
+@pytest.mark.parametrize("delta, n", [(1.0035, 168), (1.0035, 408), (1 + 1e-9, 408), (2.7, 168),
+                                      (100.0, 168), (1000.0, 408)])
 def test_jacobi_rule_is_exact(delta, n):
     # (1+t)^j against the Jacobi weight, j < 2n, in s: the rule must integrate
     # 2^{2d+j} s^{2d+2j+1} (1+s^2)^{-2d-j} to 2^{2d+j-1} B(d+j+1, d-1) exactly.
     # delta = 1.0035 is mode 0 at M = 4.007, where scipy's Gauss-Jacobi
-    # weights alone miss these integrals by up to 5e-9 relative
+    # weights alone miss these integrals by up to 5e-9 relative; at
+    # delta = 1000 scipy's roots_jacobi returns NaN nodes
     rule = JacobiRule.build(n, delta)
     for j in range(0, 2 * n, 7):
         log_f = ((2 * delta + j) * math.log(2.0) + (2 * delta + 2 * j + 1) * rule.u
                  - (2 * delta + j) * np.logaddexp(0.0, 2.0 * rule.u))
         want = (2 * delta + j - 1) * math.log(2.0) + betaln(delta + j + 1, delta - 1)
         assert abs(logsumexp(rule.log_w + log_f) - want) <= 1e-10
+
+
+def test_jacobi_rule_refuses_node_at_end():
+    # at delta = 1 + 2^-52 (M = 4 + 4e-16) the node nearest t = 1 rounds to
+    # 1, where s is infinite: a typed failure, not a log1p(-1) warning
+    with pytest.raises(QuadratureFailure, match=r"68 nodes at delta=1: a node is not strictly "
+                                                r"inside \(-1, 1\)"):
+        JacobiRule.build(68, 1 + 2 ** -52)
+
+
+@pytest.mark.parametrize("delta", [1.0035, 7.5, 120.0])
+def test_series_sum_stops_at_last_nonzero(delta):
+    # trailing zero coefficients change no bit of the sum: e_j padded to m
+    # and a random head padded to m, against the same heads cut to j + 1 terms
+    fam = spectrum._SymmetricJacobi(96, delta)
+    t = np.concatenate([np.linspace(-1.0, 1.0, 201), [-1 + 1e-12, -1e-300, 0.0, 1 - 1e-12]])
+    head = np.random.default_rng(0).standard_normal(96)
+    for j in (0, 1, 2, 5, 40, 95):
+        for c in (np.eye(96)[j] * 0.7, np.where(np.arange(96) <= j, head, 0.0)):
+            assert np.array_equal(fam.sum(c, t), fam.sum(c[:j + 1], t))
+    assert np.array_equal(fam.sum(np.zeros(96), t), np.zeros(t.size))
+
+
+@pytest.mark.parametrize("k", [0, 1, 3])
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
+def test_sign_probe_matches_full_probe(N, a, k):
+    # the sign of each eigenvector is read from its own n_eigs probe rows; a
+    # reference that probes all m trial functions must give the same signs
+    res = mode_eigenvalues(validate_params(N, a), k, n_eigs=6, nodes=96)
+    pr = res.problem
+    X = np.zeros_like(res.coefficients)
+    X[np.arange(6), np.arange(6)] = 1.0 / np.sqrt(np.diag(pr.B))[:6]
+    vals = X.T @ pr.basis.values(np.array([0.3, 1.0, 3.0]))
+    for i in range(6):
+        nz = vals[i][np.abs(vals[i]) > 1e-300]
+        if nz.size and nz[0] < 0:
+            X[:, i] = -X[:, i]
+    assert np.array_equal(res.coefficients, X)
 
 
 def _composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
