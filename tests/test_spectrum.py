@@ -384,13 +384,17 @@ def test_jacobi_rule_refuses_node_at_end():
 @pytest.mark.parametrize("delta", [1.0035, 7.5, 120.0])
 def test_series_sum_stops_at_last_nonzero(delta):
     # trailing zero coefficients change no bit of the sum: e_j padded to m
-    # and a random head padded to m, against the same heads cut to j + 1 terms
+    # and a random head padded to m, against the same heads cut to j + 1
+    # terms; both still sum term j, against the basis rows
     fam = spectrum._SymmetricJacobi(96, delta)
     t = np.concatenate([np.linspace(-1.0, 1.0, 201), [-1 + 1e-12, -1e-300, 0.0, 1 - 1e-12]])
     head = np.random.default_rng(0).standard_normal(96)
     for j in (0, 1, 2, 5, 40, 95):
         for c in (np.eye(96)[j] * 0.7, np.where(np.arange(96) <= j, head, 0.0)):
-            assert np.array_equal(fam.sum(c, t), fam.sum(c[:j + 1], t))
+            got = fam.sum(c, t)
+            assert np.array_equal(got, fam.sum(c[:j + 1], t))
+            want = c[:j + 1] @ fam.rows(t, j + 1)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert np.array_equal(fam.sum(np.zeros(96), t), np.zeros(t.size))
 
 
