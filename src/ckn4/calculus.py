@@ -11,6 +11,7 @@ R^N definitions.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -52,12 +53,11 @@ class RadialGrid:
 
     @classmethod
     def log_gauss(cls, r_min: float = 1e-6, r_max: float = 1e6, n: int = 512) -> "RadialGrid":
-        """Gauss-Legendre in ln r; weights include the dr = r d(ln r) factor."""
-        x, w = roots_legendre(n)
-        a, b = math.log(r_min), math.log(r_max)
-        t = 0.5 * (a + b) + 0.5 * (b - a) * x
-        r = np.exp(t)
-        return cls(nodes=r, weights=0.5 * (b - a) * w * r, r_min=r_min, r_max=r_max)
+        """Gauss-Legendre in ln r; weights include the dr = r d(ln r) factor.
+
+        Built once per (r_min, r_max, n) and shared, so its arrays are read-only.
+        """
+        return _log_gauss(float(r_min), float(r_max), int(n))
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
@@ -66,14 +66,19 @@ class RadialGrid:
         return RadialGrid.log_gauss(self.r_min, self.r_max, max(32, self.n // 2))
 
 
-_DEFAULT = None
+@functools.lru_cache(maxsize=None)
+def _log_gauss(r_min: float, r_max: float, n: int) -> RadialGrid:
+    x, w = roots_legendre(n)
+    a, b = math.log(r_min), math.log(r_max)
+    t = 0.5 * (a + b) + 0.5 * (b - a) * x
+    r = np.exp(t)
+    weights = 0.5 * (b - a) * w * r
+    r.flags.writeable = weights.flags.writeable = False
+    return RadialGrid(nodes=r, weights=weights, r_min=r_min, r_max=r_max)
 
 
 def default_grid() -> RadialGrid:
-    global _DEFAULT
-    if _DEFAULT is None:
-        _DEFAULT = RadialGrid.log_gauss()
-    return _DEFAULT
+    return RadialGrid.log_gauss()
 
 
 class SampledRadial:

@@ -224,7 +224,9 @@ def cmd_remainder(args) -> dict:
     nrm = np.sqrt(calculus.weighted_hessian_norm_sq(p, phi3))
     direction = reduction.RadialCombination([phi3], [1.0 / nrm])
     t_list = [float(t) for t in args.t_values.split(",")]
-    curve = reduction.remainder_scan(p, direction, t_list)
+    grid = reduction.wide_grid()
+    curve = reduction.remainder_scan(p, direction, t_list, grid)
+    fits = [{"t": row["t"], **row.pop("fit")} for row in curve]
     target = 1.0 - mu2 / mu3
     q_small = curve[-1]["quotient"]
     rel = abs(q_small / target - 1.0)
@@ -236,6 +238,8 @@ def cmd_remainder(args) -> dict:
             "mu2": mu2, "mu3": mu3, "limit": target,
             "curve": curve,
         },
+        "diagnostics": {"quad_nodes": grid.n, "basis_size": res.diagnostics["basis_size"],
+                        "scan_points": reduction.SCAN_POINTS, "fits": fits},
         "checks": checks,
         "csv": [("t", "quotient", "dist")] + [(row["t"], row["quotient"], row["dist"]) for row in curve],
     }

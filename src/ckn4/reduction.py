@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
-from scipy.optimize import brentq
 
 from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
 from .emden import ComposedRadial, sobolev_bubble
@@ -54,6 +53,7 @@ from .spectrum import (ModeProblem, SGrid, SobolevModeFunction, _solve_pencil, _
 
 __all__ = [
     "ManifoldFit",
+    "wide_grid",
     "dist_to_manifold",
     "remainder_quotient",
     "remainder_scan",
@@ -107,14 +107,9 @@ class RadialCombination:
 
 # -- distance to the two-parameter manifold -----------------------------------
 
-_WIDE = None
-
-
-def _wide_grid() -> RadialGrid:
-    global _WIDE
-    if _WIDE is None:
-        _WIDE = RadialGrid.log_gauss(1e-14, 1e14, 2048)
-    return _WIDE
+def wide_grid() -> RadialGrid:
+    """The log-Gauss rule of the manifold fit and the remainder quotient."""
+    return RadialGrid.log_gauss(1e-14, 1e14, 2048)
 
 
 @dataclass
@@ -126,6 +121,7 @@ class ManifoldFit:
     dist: float
     converged: bool               # every local maximum of the scan was polished
     candidates: list
+    iterations: int               # brentq iterations, summed over the polished maxima
 
 
 # the scan in x = ln lam: the scales 2^-7.5 to 2^7.5 in steps of 2^(1/4)
@@ -152,7 +148,11 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFi
     back at rounding level rather than at the cancellation floor of the
     quotient formula.
     """
-    grid = grid or _wide_grid()
+    # imported here, not with the module: scipy.optimize costs a fresh process
+    # about 0.2 s and 17 MB, and this fit is its only user
+    from scipy.optimize import brentq
+
+    grid = grid or wide_grid()
     r = grid.nodes
     lap_u = u.deriv(r, 2) + (p.N - 1) * u.deriv(r, 1) / r
     weight = sphere_area(p.N) * grid.weights * r ** (p.alpha + p.N - 1)
@@ -178,11 +178,13 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFi
     peaks = np.flatnonzero(left & right)
     cands = []
     polished = True
+    iterations = 0
     for i in peaks:
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, SCAN_POINTS - 1)]
         fa, fb = overlap_slope(a), overlap_slope(b)
         if fa * fb < 0:
-            x = brentq(overlap_slope, a, b, xtol=1e-14)
+            x, info = brentq(overlap_slope, a, b, xtol=1e-14, full_output=True)
+            iterations += info.iterations
         else:
             # no sign change (a peak at the scan's end, or a non-finite slope):
             # the scan point stands, and the fit does not count as converged
@@ -201,13 +203,14 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFi
             uniq.append((d2, c, lam))
     d2, c, lam = cands[0]
     return ManifoldFit(c=c, lam=lam, dist=math.sqrt(d2), converged=polished,
-                       candidates=[{"c": cc, "lam": ll, "dist": math.sqrt(dd)} for dd, cc, ll in uniq])
+                       candidates=[{"c": cc, "lam": ll, "dist": math.sqrt(dd)} for dd, cc, ll in uniq],
+                       iterations=iterations)
 
 
 def remainder_quotient(p: Params, u, grid: RadialGrid | None = None,
                        fit: ManifoldFit | None = None) -> float:
     """Deficit quotient (||u||^2 - S ||u||_*^2) / dist(u, M2)^2."""
-    grid = grid or _wide_grid()
+    grid = grid or wide_grid()
     norm_sq = weighted_hessian_norm_sq(p, u, grid)
     if norm_sq == 0.0:
         raise ZeroFunction("quotient undefined for the zero function")
@@ -238,9 +241,10 @@ class _Sampled:
 def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list[dict]:
     """Quotient along u(t) = U_1 + t w for the given offsets t.
 
-    w is sampled on the grid once; every t reuses those samples.
+    w is sampled on the grid once; every t reuses those samples.  Each row's
+    "fit" holds the manifold fit's converged flag and brentq iterations.
     """
-    grid = grid or _wide_grid()
+    grid = grid or wide_grid()
     U = extremal_U(p)
     w = _Sampled(w, grid.nodes)
     out = []
@@ -249,7 +253,8 @@ def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list
         fit = dist_to_manifold(p, u, grid)
         quot = remainder_quotient(p, u, grid, fit=fit)
         out.append({"t": float(t), "quotient": quot, "dist": fit.dist,
-                    "c": fit.c, "lam": fit.lam})
+                    "c": fit.c, "lam": fit.lam,
+                    "fit": {"converged": fit.converged, "brentq_iterations": fit.iterations}})
     return out
 
 
@@ -317,10 +322,11 @@ class PerturbationProblem:
         # Where a gain_j^2 exceeds 1/MASS_CUT (at most 5e5 at the PARAM_SETS,
         # 1e54 at (10, 1.7), M = 55.3) the ratio is not fixed pointwise, and
         # the working basis is the pencil's on the Legendre directions whose
-        # mass is at least MASS_CUT of the largest (103 of 160 there)
+        # mass is at least MASS_CUT of the largest (103 of 160 there).
+        # p_j(1)/p_0 is the product of the family's closed-form ratios
         fam = basis.families[0]
         with np.errstate(over="ignore"):
-            gain_sq = (fam.rows(np.ones(1), basis.m)[:, 0] / fam.p0) ** 2 / mu
+            gain_sq = np.concatenate(([1.0], np.cumprod(fam.ratio))) ** 2 / mu
         if gain_sq.max() * MASS_CUT <= 1.0:
             self.family, self.W = fam, np.diag(x)
             self.X = self.W
@@ -428,21 +434,22 @@ class PerturbationProblem:
         np.maximum(f, 0.0, out=f)
         return f
 
-    def _residual(self, c: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+    def _residual(self, c: np.ndarray, forcing: np.ndarray,
+                  plus: np.ndarray | None = None) -> np.ndarray:
         """<u, phi_i>_alpha - int (1+eps h)|x|^{-a} u_+^{p*-1} phi_i, u = U_1 + w.
 
         c is (kept,) with forcing (n,), or a block (L, kept) with forcing
-        (L, n) from _forcing; the residual has the shape of c.
+        (L, n) from _forcing; the residual has the shape of c.  plus, when
+        given, is _u_plus(c), computed once by the caller and left unchanged.
         """
-        f = self._u_plus(c)
-        f **= self.params.pstar - 1.0
+        f = (self._u_plus(c) if plus is None else plus) ** (self.params.pstar - 1.0)
         f *= forcing
         return self.bU + self.G * c - f @ self.phi.T
 
-    def _star(self, c: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        """int (1+eps h)|x|^{-a} u_+^{p*}, u = U_1 + w, with c and forcing as in _residual."""
-        f = self._u_plus(c)
-        f **= self.params.pstar
+    def _star(self, c: np.ndarray, forcing: np.ndarray,
+              plus: np.ndarray | None = None) -> np.ndarray:
+        """int (1+eps h)|x|^{-a} u_+^{p*}, u = U_1 + w, with c, forcing and plus as in _residual."""
+        f = (self._u_plus(c) if plus is None else plus) ** self.params.pstar
         f *= forcing
         return f.sum(axis=-1)
 
@@ -535,8 +542,10 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
         converged = step < tol_l
         done = (converged | (it == max_iter)) & ~failed
         if done.any():
-            res = pp._residual(c[done], forcing[done])
-            star = pp._star(c[done], forcing[done])
+            c_done, forcing_done = c[done], forcing[done]
+            plus = pp._u_plus(c_done)
+            res = pp._residual(c_done, forcing_done, plus)
+            star = pp._star(c_done, forcing_done, plus)
             proj = res - l_hat[done, None] * pp.d
             residual = np.sqrt(np.sum(proj ** 2 / pp.G, axis=1))
             unproj = np.sqrt(np.sum(res ** 2 / pp.G, axis=1))
@@ -588,6 +597,21 @@ def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
     return 0.5 * pp.norm_sq(c) - star / pp.params.pstar
 
 
+def _bracketed_root(cheb: Chebyshev, x_near: float) -> float | None:
+    """The real root of cheb in its domain nearest x_near, or None if it has none.
+
+    The roots are the eigenvalues of the colleague matrix (numpy's
+    chebroots); a real root comes out with imaginary part exactly 0.
+    """
+    xa, xb = cheb.domain
+    roots = cheb.roots()
+    roots = roots[roots.imag == 0.0].real
+    roots = roots[(xa <= roots) & (roots <= xb)]
+    if roots.size == 0:
+        return None
+    return float(roots[np.argmin(np.abs(roots - x_near))])
+
+
 def find_perturbed_solution(pp: PerturbationProblem,
                             lam_grid: np.ndarray | None = None,
                             flat_tol: float = 1e-10) -> dict:
@@ -600,11 +624,14 @@ def find_perturbed_solution(pp: PerturbationProblem,
     POLISH_POINTS Chebyshev-Lobatto points in x across the bracket of
     neighbouring curve scales (the ends are curve scales, so POLISH_POINTS
     - 2 new ones, one block), and lambda* is the root of its Chebyshev
-    interpolant, found by brentq without further fixed-point solves.  The
-    solution at lambda* is then solved from a zero start, as every scale is,
-    so its iterations and contraction factor mean what they mean elsewhere.
-    When l does not change sign across the bracket the parabolic scale
-    stands, and lambda_star_polished says so.  polish_scales counts the new
+    interpolant (Boyd's Chebyshev-proxy root finder): an eigenvalue of the
+    interpolant's colleague matrix, with no further fixed-point solves.  Of
+    several real roots in the bracket the one nearest the parabolic scale
+    is taken.  The solution at lambda* is then solved from a zero start, as
+    every scale is, so its iterations and contraction factor mean what they
+    mean elsewhere.  When l does not change sign across the bracket, or the
+    interpolant has no real root in it, the parabolic scale stands, and
+    lambda_star_polished says so.  polish_scales counts the new
     scales, polish_l_ratio is |l(lambda*)| over the larger |l| at the
     bracket's ends.  When the curve is numerically constant
     NoInteriorExtremum is raised.
@@ -645,7 +672,10 @@ def find_perturbed_solution(pp: PerturbationProblem,
         lams[0], lams[-1] = la, lb
         l_hat = [res.l / res.lam for res in solve_corrections(pp, lams)]
         cheb = Chebyshev.fit(xs, l_hat, POLISH_POINTS - 1, domain=[xa, xb])
-        lam_star = math.exp(brentq(cheb, xa, xb, xtol=1e-15))
+        x_star = _bracketed_root(cheb, math.log(lam_par))
+        polished = x_star is not None
+        if polished:
+            lam_star = math.exp(x_star)
         polish_scales = POLISH_POINTS - 2
     final = solve_correction(pp, lam_star)
     energy = reduced_energy(pp, lam_star, result=final)
@@ -679,7 +709,7 @@ def find_perturbed_solution(pp: PerturbationProblem,
 
 def h_weighted_star_norm(p: Params, h, lam: float, grid: RadialGrid | None = None) -> float:
     """Norm || |h|^{1/p*} U_lam ||_* measuring where the perturbation sees the bubble."""
-    grid = grid or _wide_grid()
+    grid = grid or wide_grid()
     r = grid.nodes
     U = extremal_U(p, lam)
     hv = np.abs(np.asarray(h(r), dtype=float))

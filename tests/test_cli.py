@@ -1,12 +1,16 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ckn4 import reduction
+from ckn4 import calculus, reduction
 from ckn4.cli import COMMANDS, build_parser, load_h_csv, main
 from ckn4.reduction import BUILTIN_H
 from ckn4.spectrum import SGrid
@@ -370,3 +374,73 @@ def test_readme_examples_parse():
     parser = build_parser()
     for argv in argvs:
         assert parser.parse_args(argv[1:]).command == argv[1]
+
+
+def test_only_remainder_loads_scipy_optimize():
+    # one fresh interpreter: every other command runs without scipy.optimize
+    # (about 0.2 s and 17 MB of start-up), and remainder, whose manifold fit
+    # uses brentq, loads it, so the first assertion cannot pass vacuously
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from ckn4.cli import main
+        runs = [
+            ["constants", "--N", "5", "--alpha", "1"],
+            ["verify-extremal", "--N", "5", "--alpha", "1"],
+            ["transform-check", "--N", "5", "--alpha", "1"],
+            ["branch", "--N", "8", "--a", "0.3", "--grid-n", "100"],
+            ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "96"],
+            ["kernel", "--N", "5", "--alpha", "1", "--k-max", "2", "--nodes", "96"],
+            ["perturb", "--N", "5", "--alpha", "1", "--nodes", "160"],
+            ["remainder", "--N", "5", "--alpha", "1", "--nodes", "96", "--t-values", "0.01"],
+        ]
+        out = []
+        for argv in runs:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(argv)
+            out.append([argv[0], code, "scipy.optimize" in sys.modules])
+        print(json.dumps(out))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [code for _, code, _ in rows] == [0] * len(rows)
+    assert [name for name, _, loaded in rows if loaded] == ["remainder"]
+
+
+def test_log_gauss_grids_are_shared_and_read_only(capsys, monkeypatch):
+    grid = calculus.RadialGrid.log_gauss(1e-6, 1e6, 256)
+    assert calculus.RadialGrid.log_gauss(n=256) is grid
+    assert calculus.default_grid().coarsened() is grid
+    assert calculus.default_grid() is calculus.default_grid()
+    for a in (grid.nodes, grid.weights):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+    # the report on shared grids against one on grids built afresh each call
+    argv = ("verify-extremal", "--N", "7", "--alpha", "-2")
+    _, shared, _ = run(capsys, *argv)
+    monkeypatch.setattr(calculus, "_log_gauss", calculus._log_gauss.__wrapped__)
+    assert calculus.default_grid() is not calculus.default_grid()
+    _, fresh, _ = run(capsys, *argv)
+    assert fresh == shared
+
+
+def test_remainder_diagnostics(capsys):
+    code, out, _ = run(capsys, "remainder", "--N", "5", "--alpha", "1", "--nodes", "128",
+                       "--t-values", "0.01,0.001")
+    assert code == 0
+    rep = json.loads(out)
+    diag = rep["diagnostics"]
+    assert diag["quad_nodes"] == reduction.wide_grid().n
+    assert diag["basis_size"] == 128
+    assert diag["scan_points"] == reduction.SCAN_POINTS
+    assert [f["t"] for f in diag["fits"]] == [0.01, 0.001]
+    assert all(f["converged"] and f["brentq_iterations"] > 0 for f in diag["fits"])
+    assert all(set(row) == {"t", "quotient", "dist", "c", "lam"} for row in rep["data"]["curve"])
+    _, again, _ = run(capsys, "remainder", "--N", "5", "--alpha", "1", "--nodes", "128",
+                      "--t-values", "0.01,0.001")
+    assert again == out

@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.chebyshev import Chebyshev
 
 import ckn4.reduction as reduction
 from ckn4.calculus import inner_alpha, weighted_H, weighted_hessian_norm_sq
@@ -17,6 +18,7 @@ from ckn4.reduction import (
     SCAN_HALF_WIDTH,
     PerturbationProblem,
     RadialCombination,
+    _bracketed_root,
     dist_to_manifold,
     find_perturbed_solution,
     h_weighted_star_norm,
@@ -26,7 +28,7 @@ from ckn4.reduction import (
     remainder_scan,
     solve_correction,
     solve_corrections,
-    _wide_grid,
+    wide_grid,
 )
 from ckn4.spectrum import SGrid, mode_eigenvalues
 from conftest import PARAM_SETS, applied, brentq_lambda_star, full_grid_energy, wide_log_rule
@@ -100,7 +102,7 @@ def test_dist_two_bubbles_global_maximum(p51):
     # ln lam, with the distance integrated directly at each scale
     u = RadialCombination([extremal_U(p51, 0.05), extremal_U(p51, 20.0)], [1.0, 0.5])
     fit = dist_to_manifold(p51, u)
-    grid = _wide_grid()
+    grid = wide_grid()
     r = grid.nodes
     weight = sphere_area(p51.N) * grid.weights * r ** (p51.alpha + p51.N - 1)
     lap_u = u.deriv(r, 2) + (p51.N - 1) * u.deriv(r, 1) / r
@@ -136,7 +138,7 @@ def test_tangent_laplacian_on_wide_grid(lam):
     # underflows into the subnormals (finite, but 64 times off at r = 1.9e11)
     p = validate_params(12, -7.68064)
     form = dilation_tangent(p, lam).form.radial_laplacian(p.N)
-    r = _wide_grid().nodes
+    r = wide_grid().nodes
     vals = form.eval(r)
     assert np.isfinite(vals).all()
     with mpmath.workdps(50):
@@ -526,6 +528,26 @@ def test_block_polish_matches_brentq(N, a):
     assert abs(rep["energy"] / energy_ref - 1.0) <= 1e-14
 
 
+@pytest.mark.parametrize("f, x_near, want", [
+    (np.sin, 2.5, [0.0]),                                             # one root
+    (lambda x: (x - 0.2) * (x - 2.1) * (x + 3.0), 1.5, [2.1]),        # two: the nearer
+    (lambda x: (x - 0.2) * (x - 2.1) * (x + 3.0), 1.0, [0.2]),
+    (lambda x: x * x + 1.0, 1.0, []),                                 # complex roots only
+    (lambda x: (x + 2.0) * (x - 4.0), 1.0, []),                       # real, outside
+])
+def test_bracketed_root_selection(f, x_near, want):
+    # interpolants built as the polish builds them, on [xa, xb] = [-1, 3]
+    xa, xb = -1.0, 3.0
+    k = np.arange(reduction.POLISH_POINTS)
+    xs = 0.5 * (xa + xb) - 0.5 * (xb - xa) * np.cos(np.pi * k / (reduction.POLISH_POINTS - 1))
+    cheb = Chebyshev.fit(xs, f(xs), reduction.POLISH_POINTS - 1, domain=[xa, xb])
+    x = _bracketed_root(cheb, x_near)
+    if want:
+        assert abs(x - want[0]) < 1e-8
+    else:
+        assert x is None
+
+
 def test_block_polish_work(p51):
     # after the curve, the polish solves its POLISH_POINTS - 2 interior
     # scales and the final solve one more: no scale is solved twice
@@ -592,6 +614,25 @@ def test_large_M_working_basis_is_cut(pp51):
     assert pp.G[0] / pp.scale == pytest.approx(1.0, rel=1e-10)
     assert np.sum(pp.bU ** 2 / pp.G) == pytest.approx(pp.norm0, rel=1e-9)
     assert np.sum(pp.d ** 2 / pp.G) == pytest.approx(pp.tangent_norm ** 2, rel=1e-9)
+
+
+@pytest.mark.parametrize("N, a", [(5, 1.0), (7, -2.0), (3, 1.5), (10, 1.7)])
+def test_gain_closed_form_matches_recurrence(N, a):
+    # the working basis is chosen from p_j(1)/p_0, the product of the
+    # family's closed-form ratios; against the recurrence run at t = 1
+    p = validate_params(N, a)
+    pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    fam = pp.problem.basis.families[0]
+    m = pp.problem.basis.m
+    closed = np.concatenate(([1.0], np.cumprod(fam.ratio)))
+    with np.errstate(over="ignore"):
+        recurrence = fam.rows(np.ones(1), m)[:, 0] / fam.p0
+    finite = np.isfinite(recurrence)
+    assert finite.sum() > m // 2
+    np.testing.assert_allclose(closed[finite], recurrence[finite], rtol=1e-12, atol=0.0)
+    # the same branch as the recurrence would take
+    mu = pp.problem.A.diagonal() / pp.problem.B.diagonal()
+    assert (pp.family is fam) == ((recurrence ** 2 / mu).max() * reduction.MASS_CUT <= 1.0)
 
 
 def test_forcing_built_once_per_scale(monkeypatch, p51):
