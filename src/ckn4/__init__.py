@@ -32,7 +32,6 @@ from .profiles import (
 )
 from .calculus import (
     RadialGrid,
-    SampledRadial,
     weighted_hessian_norm_sq,
     weighted_star_norm,
     rayleigh_quotient,

@@ -2,11 +2,13 @@
 
 The default rule is Gauss-Legendre in t = ln r on [ln r_min, ln r_max];
 all integrands at hand are smooth in t and power-decaying, so the rule
-converges spectrally.  For library profiles the truncated head and tail of
-each integral are added back analytically from the exact power-law
-expansion carried by their term algebra.  The sphere factor omega_{N-1}
-is folded into every full-space integral, so reported norms match the
-R^N definitions.
+converges spectrally.  Its nodes come from Newton's method on the
+three-term recurrence of P_n, started from asymptotic nodes, and its
+weights from P_n' at them (gauss_legendre), in numpy alone.  For library
+profiles the truncated head and tail of each integral are added back
+analytically from the exact power-law expansion carried by their term
+algebra.  The sphere factor omega_{N-1} is folded into every full-space
+integral, so reported norms match the R^N definitions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .errors import QuadratureFailure, ZeroFunction
 from .forms import PowerForm
@@ -24,7 +25,7 @@ from .params import Params, sphere_area
 
 __all__ = [
     "RadialGrid",
-    "SampledRadial",
+    "gauss_legendre",
     "default_grid",
     "hessian_integral",
     "star_integral",
@@ -66,9 +67,62 @@ class RadialGrid:
         return RadialGrid.log_gauss(self.r_min, self.r_max, max(32, self.n // 2))
 
 
+def _legendre(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n and P_n' at x = 1 - y, by the recurrence in y (Reinsch's modification).
+
+    The recurrence runs on P_k and d_k = P_k - P_{k-1}, so near x = 1, where
+    every P_k is close to 1, it keeps the digits that the classical recurrence
+    in x loses to rounding in P_n.
+    """
+    p, d = 1.0 - y, -y
+    for k in range(1, n):
+        d = (k * d - (2.0 * k + 1.0) * y * p) / (k + 1.0)
+        p = p + d
+    # (1 - x^2) P_n' = n (P_{n-1} - x P_n), and P_{n-1} - x P_n = y P_n - d_n
+    return p, n * (y * p - d) / (y * (2.0 - y))
+
+
+@functools.lru_cache(maxsize=None)
+def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """n-node Gauss-Legendre rule on [-1, 1]: ascending nodes and their weights.
+
+    Newton's method on P_n in y = 1 - x, from Tricomi's asymptotic nodes, for
+    the nodes in [0, 1); the rest by symmetry (Hale & Townsend, SIAM J. Sci.
+    Comput. 35, 2013, start from asymptotic nodes the same way).  Newton runs
+    until every step is below 1e-8 of y, then once more, which quadratic
+    convergence takes to rounding level; that step's P_n' gives the weights
+    2 / ((1 - x^2) P_n'^2).  A weight near x = 1 moves by 2 dx / (1 - x^2)
+    relative when its node moves by dx, so the nodes are carried in y, where
+    they keep their full relative accuracy: the weights are within about
+    1e-14 relative of the exact ones up to 2048 nodes, where the same formula
+    at the rounded x would allow 1e-10.  Built once per n and shared, so its
+    arrays are read-only.
+    """
+    theta = math.pi * (4.0 * np.arange(1, (n + 1) // 2 + 1) - 1.0) / (4.0 * n + 2.0)
+    y = 2.0 * np.sin(0.5 * theta) ** 2 + (n - 1.0) / (8.0 * n ** 3) * np.cos(theta)
+    last = False
+    for _ in range(20):
+        p, dp = _legendre(n, y)
+        step = p / dp
+        y = y + step
+        if last:
+            break
+        last = bool((np.abs(step) <= 1e-8 * y).all())
+    else:
+        raise QuadratureFailure(f"Gauss-Legendre rule with {n} nodes: Newton did not converge")
+    x = 1.0 - y
+    w = 2.0 / (dp * dp * y * (2.0 - y))
+    if n % 2:
+        x[-1] = 0.0             # the middle node, exactly
+    nodes = np.concatenate((-x[:n // 2], x[::-1]))
+    weights = np.concatenate((w[:n // 2], w[::-1]))
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
+
+
 @functools.lru_cache(maxsize=None)
 def _log_gauss(r_min: float, r_max: float, n: int) -> RadialGrid:
-    x, w = roots_legendre(n)
+    x, w = gauss_legendre(n)
     a, b = math.log(r_min), math.log(r_max)
     t = 0.5 * (a + b) + 0.5 * (b - a) * x
     r = np.exp(t)
@@ -79,101 +133,6 @@ def _log_gauss(r_min: float, r_max: float, n: int) -> RadialGrid:
 
 def default_grid() -> RadialGrid:
     return RadialGrid.log_gauss()
-
-
-class SampledRadial:
-    """Generic radial function sampled at Chebyshev points in ln r.
-
-    Barycentric interpolation plus spectral differentiation give values and
-    first/second derivatives anywhere inside the sampling window; outside it
-    the function is treated as zero.
-    """
-
-    def __init__(self, values: np.ndarray, r_min: float, r_max: float):
-        values = np.asarray(values, dtype=float)
-        if not np.all(np.isfinite(values)):
-            raise ValueError("samples must be finite")
-        self.values = values
-        self.r_min, self.r_max = float(r_min), float(r_max)
-        n = values.size
-        j = np.arange(n)
-        self.x = np.cos(math.pi * j / (n - 1))
-        self._bw = np.where(j % 2 == 0, 1.0, -1.0)
-        self._bw[0] *= 0.5
-        self._bw[-1] *= 0.5
-        self._D = self._cheb_diff(self.x)
-        self._dvals = [values]
-
-    @classmethod
-    def from_function(cls, fn, r_min: float = 1e-6, r_max: float = 1e6, n: int = 257) -> "SampledRadial":
-        j = np.arange(n)
-        x = np.cos(math.pi * j / (n - 1))
-        a, b = math.log(r_min), math.log(r_max)
-        r = np.exp(0.5 * (a + b) + 0.5 * (b - a) * x)
-        return cls(np.asarray(fn(r), dtype=float), r_min, r_max)
-
-    @staticmethod
-    def _cheb_diff(x: np.ndarray) -> np.ndarray:
-        n = x.size
-        c = np.ones(n)
-        c[0] = c[-1] = 2.0
-        c *= (-1.0) ** np.arange(n)
-        X = x[:, None] - x[None, :] + np.eye(n)
-        D = np.outer(c, 1.0 / c) / X
-        np.fill_diagonal(D, 0.0)
-        np.fill_diagonal(D, -D.sum(axis=1))
-        return D
-
-    def _tvals(self, order: int) -> np.ndarray:
-        while len(self._dvals) <= order:
-            self._dvals.append(self._D @ self._dvals[-1])
-        return self._dvals[order]
-
-    def _bary(self, x, vals):
-        diff = x[:, None] - self.x[None, :]
-        exact = np.isclose(diff, 0.0, atol=1e-15)
-        diff = np.where(exact, 1.0, diff)
-        w = self._bw[None, :] / diff
-        out = (w @ vals) / w.sum(axis=1)
-        hit = exact.any(axis=1)
-        if np.any(hit):
-            idx = exact.argmax(axis=1)
-            out[hit] = vals[idx[hit]]
-        return out
-
-    def _to_x(self, r):
-        a, b = math.log(self.r_min), math.log(self.r_max)
-        return (2.0 * np.log(r) - (a + b)) / (b - a)
-
-    def eval(self, r):
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        x = self._to_x(r)
-        inside = (x >= -1.0) & (x <= 1.0)
-        out = np.zeros_like(r)
-        if np.any(inside):
-            out[inside] = self._bary(x[inside], self.values)
-        return out if out.size > 1 else float(out[0])
-
-    def __call__(self, r):
-        return self.eval(r)
-
-    def deriv(self, r, order: int = 1):
-        """Derivative in r (chain rule through t = ln r); supports order <= 2."""
-        if order > 2:
-            raise ValueError("SampledRadial supports derivatives up to order 2")
-        r = np.atleast_1d(np.asarray(r, dtype=float))
-        x = self._to_x(r)
-        inside = (x >= -1.0) & (x <= 1.0)
-        out = np.zeros_like(r)
-        if np.any(inside):
-            half = 0.5 * (math.log(self.r_max) - math.log(self.r_min))
-            ft = self._bary(x[inside], self._tvals(1)) / half
-            if order == 1:
-                out[inside] = ft / r[inside]
-            else:
-                ftt = self._bary(x[inside], self._tvals(2)) / half ** 2
-                out[inside] = (ftt - ft) / r[inside] ** 2
-        return out if out.size > 1 else float(out[0])
 
 
 # -- functionals ---------------------------------------------------------------

@@ -7,9 +7,9 @@ alpha in (4-N, 2).  Everything else is algebra on top of that pair:
     q  = 2/(2-alpha)                 radial substitution exponent, r = s^q
     M  = 2(N-alpha)/(2-alpha)        effective dimension after substitution
 
-Gamma functions are evaluated through ``scipy.special.gammaln`` so the
-constants stay finite for the large effective dimensions that occur when
-alpha is close to 2.
+Gamma functions are evaluated as logarithms through ``math.lgamma`` (every
+argument is a scalar) so the constants stay finite for the large effective
+dimensions that occur when alpha is close to 2.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     AlphaOutOfRange,
@@ -121,7 +120,7 @@ def validate_params(N, alpha) -> Params:
 
 def sphere_area(N: int) -> float:
     """Surface measure of the unit sphere in R^N."""
-    return float(np.exp(math.log(2.0) + 0.5 * N * math.log(math.pi) - gammaln(0.5 * N)))
+    return float(np.exp(math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)))
 
 
 def sobolev_constant_C_forms(M: float) -> tuple[float, float]:
@@ -133,13 +132,14 @@ def sobolev_constant_C_forms(M: float) -> tuple[float, float]:
     if M <= 4:
         raise MOutOfRange(f"need M > 4, got M={M}")
     poly = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-    main = float(poly * np.exp((4.0 / M) * (2.0 * gammaln(0.5 * M) - math.log(2.0) - gammaln(M))))
+    main = float(poly * np.exp((4.0 / M) * (2.0 * math.lgamma(0.5 * M) - math.log(2.0)
+                                            - math.lgamma(M))))
     # pi^2 * poly * (Gamma(M/2)/Gamma(M))^{4/M} * (2 pi^{M/2}/Gamma(M/2))^{-4/M}
     log_alt = (
         2.0 * math.log(math.pi)
         + math.log(poly)
-        + (4.0 / M) * (gammaln(0.5 * M) - gammaln(M))
-        - (4.0 / M) * (math.log(2.0) + 0.5 * M * math.log(math.pi) - gammaln(0.5 * M))
+        + (4.0 / M) * (math.lgamma(0.5 * M) - math.lgamma(M))
+        - (4.0 / M) * (math.log(2.0) + 0.5 * M * math.log(math.pi) - math.lgamma(0.5 * M))
     )
     return main, float(np.exp(log_alt))
 
@@ -161,7 +161,7 @@ def fourth_order_sobolev_constant(M: float) -> float:
     if M <= 4:
         raise MOutOfRange(f"need M > 4, got M={M}")
     poly = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-    return float(math.pi ** 2 * poly * np.exp((4.0 / M) * (gammaln(0.5 * M) - gammaln(M))))
+    return float(math.pi ** 2 * poly * np.exp((4.0 / M) * (math.lgamma(0.5 * M) - math.lgamma(M))))
 
 
 def best_constant_radial(p: Params) -> float:

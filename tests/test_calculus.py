@@ -1,11 +1,13 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 
 from ckn4.calculus import (
     RadialGrid,
-    SampledRadial,
     energy_J,
+    gauss_legendre,
     inner_alpha,
     rayleigh_quotient,
     weighted_H,
@@ -159,15 +161,53 @@ def test_nonintegrable_detection():
         weighted_hessian_norm_sq(p, slow)
 
 
-def test_sampled_radial():
-    def f(r):
-        return np.exp(-np.asarray(r) ** 2)
+def _mp_gauss_legendre(n, x0):
+    """Nodes and weights of the n-point rule at 40 digits, by Newton from x0.
 
-    s = SampledRadial.from_function(f, 1e-4, 1e4, n=321)
-    r = np.array([0.05, 0.3, 1.0, 4.0])
-    assert np.allclose(s.eval(r), f(r), atol=1e-10)
-    assert np.allclose(s.deriv(r, 1), -2 * r * f(r), atol=1e-6)
-    assert np.allclose(s.deriv(r, 2), (4 * r ** 2 - 2) * f(r), atol=1e-5)
-    assert s.eval(1e6) == 0.0
-    with pytest.raises(ValueError):
-        SampledRadial(np.array([1.0, np.nan]), 0.1, 1.0)
+    The classical recurrence in x at 40 digits: independent of the recurrence
+    in 1 - x that gauss_legendre runs in floats.
+    """
+    out = []
+    with mpmath.workdps(40):
+        for start in x0:
+            x = mpmath.mpf(float(start))
+            for _ in range(3):
+                p0, p1 = mpmath.mpf(1), x
+                for j in range(1, n):
+                    p0, p1 = p1, ((2 * j + 1) * x * p1 - j * p0) / (j + 1)
+                dp = n * (p0 - x * p1) / (1 - x * x)
+                x -= p1 / dp
+            out.append((x, 2 / ((1 - x * x) * dp * dp)))
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 31, 64, 65, 512])
+def test_gauss_legendre_against_mpmath(n):
+    x, w = gauss_legendre(n)
+    # every node up to 65; at 512 the 16 next to the end, where a weight is
+    # most sensitive to its node, and the 4 next to the middle
+    idx = np.arange(n) if n <= 65 else np.r_[n - 16:n, n // 2 - 2:n // 2 + 2]
+    ref = _mp_gauss_legendre(n, x[idx])
+    node_err = max(abs(float(xr - mpmath.mpf(float(x[i])))) for i, (xr, _) in zip(idx, ref))
+    weight_err = max(abs(float(mpmath.mpf(float(w[i])) / wr - 1)) for i, (_, wr) in zip(idx, ref))
+    assert node_err <= 4.4e-16
+    assert weight_err <= 2e-13
+
+
+def test_gauss_legendre_nodes_and_weight_sum():
+    for n in [*range(1, 70), 127, 128, 255, 256, 511, 512, 1000, 2048]:
+        x, w = gauss_legendre(n)
+        xs, _ = roots_legendre(n)
+        assert np.abs(x - xs).max() <= 4.4e-16, n
+        assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1]), n
+        assert abs(w.sum() - 2.0) <= 1e-15, n
+
+
+def test_gauss_legendre_is_shared_and_read_only():
+    x, w = gauss_legendre(64)
+    again = gauss_legendre(64)
+    assert again[0] is x and again[1] is w
+    for a in (x, w):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 1.0

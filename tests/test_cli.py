@@ -376,10 +376,11 @@ def test_readme_examples_parse():
         assert parser.parse_args(argv[1:]).command == argv[1]
 
 
-def test_only_remainder_loads_scipy_optimize():
-    # one fresh interpreter: every other command runs without scipy.optimize
-    # (about 0.2 s and 17 MB of start-up), and remainder, whose manifold fit
-    # uses brentq, loads it, so the first assertion cannot pass vacuously
+def test_scipy_loads_only_for_spectra_and_remainder():
+    # one fresh interpreter, closed-form commands first: they load no scipy
+    # module (about 0.3 s and 30 MB of start-up), spectrum loads scipy.linalg
+    # for its Gauss-Jacobi nodes, so the first assertion cannot pass
+    # vacuously, and scipy.optimize first appears with remainder's manifold fit
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from ckn4.cli import main
@@ -397,7 +398,8 @@ def test_only_remainder_loads_scipy_optimize():
         for argv in runs:
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
-            out.append([argv[0], code, "scipy.optimize" in sys.modules])
+            loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            out.append([argv[0], code, loaded])
         print(json.dumps(out))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -408,7 +410,11 @@ def test_only_remainder_loads_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
     assert [code for _, code, _ in rows] == [0] * len(rows)
-    assert [name for name, _, loaded in rows if loaded] == ["remainder"]
+    loaded = {name: set(mods) for name, _, mods in rows}
+    for name in ("constants", "verify-extremal", "transform-check", "branch"):
+        assert loaded[name] == set(), name
+    assert "scipy.linalg" in loaded["spectrum"]
+    assert [name for name, _, mods in rows if "scipy.optimize" in mods][0] == "remainder"
 
 
 def test_log_gauss_grids_are_shared_and_read_only(capsys, monkeypatch):
