@@ -46,13 +46,15 @@ from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
 from .emden import ComposedRadial, sobolev_bubble
 from .errors import (ContractionFailure, EigensolveFailure, NoInteriorExtremum, OnManifold,
                      QuadratureFailure, ZeroFunction)
+from .forms import PowerForm
 from .params import Params, best_constant_radial, normalization_constant, sphere_area
-from .profiles import dilation_tangent, extremal_U
+from .profiles import RadialProfile, dilation_tangent, extremal_U
 from .spectrum import (ModeProblem, SGrid, SobolevModeFunction, _solve_pencil, _solve_pencil_cut,
                        assemble_mode_problem)
 
 __all__ = [
     "ManifoldFit",
+    "UnitManifold",
     "wide_grid",
     "dist_to_manifold",
     "remainder_quotient",
@@ -105,6 +107,37 @@ class RadialCombination:
         return out
 
 
+# -- Chebyshev-proxy roots ------------------------------------------------------
+
+# Chebyshev-Lobatto points in ln lam across a bracket, ends included, for the
+# polish of lambda* and of the manifold fit's peaks: against brentq on l itself
+# at the five PARAM_SETS, (9, -4.8), (4, 0.0504) and (12, -7), lambda* agrees
+# to 8.1e-8 with 8 points, 7.0e-10 with 10, 2.0e-11 with 12 and 6.5e-12 with
+# 16, where l's own rounding sets in
+POLISH_POINTS = 12
+
+
+def _lobatto(xa: float, xb: float) -> np.ndarray:
+    """The POLISH_POINTS Chebyshev-Lobatto points of [xa, xb], from xa up to xb."""
+    k = np.arange(POLISH_POINTS)
+    return 0.5 * (xa + xb) - 0.5 * (xb - xa) * np.cos(np.pi * k / (POLISH_POINTS - 1))
+
+
+def _bracketed_root(cheb: Chebyshev, x_near: float) -> float | None:
+    """The real root of cheb in its domain nearest x_near, or None if it has none.
+
+    The roots are the eigenvalues of the colleague matrix (numpy's
+    chebroots); a real root comes out with imaginary part exactly 0.
+    """
+    xa, xb = cheb.domain
+    roots = cheb.roots()
+    roots = roots[roots.imag == 0.0].real
+    roots = roots[(xa <= roots) & (roots <= xb)]
+    if roots.size == 0:
+        return None
+    return float(roots[np.argmin(np.abs(roots - x_near))])
+
+
 # -- distance to the two-parameter manifold -----------------------------------
 
 def wide_grid() -> RadialGrid:
@@ -121,15 +154,63 @@ class ManifoldFit:
     dist: float
     converged: bool               # every local maximum of the scan was polished
     candidates: list
-    iterations: int               # brentq iterations, summed over the polished maxima
+    # slopes the polish evaluated: POLISH_POINTS per scan peak, one more per polished peak
+    polish_points: int
 
 
 # the scan in x = ln lam: the scales 2^-7.5 to 2^7.5 in steps of 2^(1/4)
 SCAN_HALF_WIDTH = 7.5 * math.log(2.0)
 SCAN_POINTS = 61
+# scales per block of the scan and the polish, on the 2048-node wide grid:
+# after a spectrum report, remainder --N 5 --alpha 1 raised the process's peak
+# RSS by 6.5 MB with one (61, 2048) block and by 2.0 MB with blocks of 8
+FIT_BLOCK = 8
 
 
-def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFit:
+@dataclass(frozen=True)
+class UnitManifold:
+    """The manifold's member at lam = 1, from which the fit reads every scale.
+
+    With s = (N-4+alpha)/2, U_lam(r) = lam^s U_1(lam r) and the dilation
+    tangent dU_lam/dlam is lam^(s-1) T_1(lam r), so Delta U_lam(r) =
+    lam^(s+2) (Delta U_1)(lam r) and d/dx <u, U_{e^x}> = lam^(s+2) <Delta u,
+    (Delta T_1)(lam r)> with lam = e^x.
+    """
+
+    U: RadialProfile              # U_1
+    lap_U: PowerForm              # Delta U_1
+    lap_T: PowerForm              # Delta T_1
+    power: float                  # s + 2
+    norm_sq: float                # ||U_1||^2 on the fit's grid
+
+    @classmethod
+    def build(cls, p: Params, grid: RadialGrid) -> "UnitManifold":
+        U = extremal_U(p)
+        return cls(U=U, lap_U=U.form.radial_laplacian(p.N),
+                   lap_T=dilation_tangent(p).form.radial_laplacian(p.N),
+                   power=p.decay_exp / 2.0 + 2.0,
+                   norm_sq=weighted_hessian_norm_sq(p, U, grid))
+
+
+def _dilated_products(form: PowerForm, power: float, xs: np.ndarray, r: np.ndarray,
+                      v: np.ndarray) -> np.ndarray:
+    """lam^power sum_j v_j form(lam r_j) at each lam = e^x, FIT_BLOCK scales at a time.
+
+    The sums are numpy reductions, not a matrix-vector product: OpenBLAS
+    threads a (8, 2048) product, and its second thread then spins beside
+    the reports that follow.
+    """
+    lams = np.exp(xs)
+    out = np.empty(lams.size)
+    for k in range(0, lams.size, FIT_BLOCK):
+        rows = form.eval(lams[k:k + FIT_BLOCK, None] * r)
+        rows *= v
+        out[k:k + FIT_BLOCK] = rows.sum(axis=1)
+    return lams ** power * out
+
+
+def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None,
+                     unit: UnitManifold | None = None) -> ManifoldFit:
     """Minimize ||u - c U_lam|| over (c, lam).
 
     c is eliminated in closed form through c*(lam) = <u, U_lam>/||U||^2,
@@ -141,58 +222,65 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFi
     than four steps.  At fixed M that width falls like q = (M-2)/(N-2),
     because ln lam = q ln nu (it is 0.37 at (24, -8)); a single peak is
     still bracketed there, but two peaks closer than a few steps merge.
-    Each discrete local maximum of g^2 is polished by one brentq on the
-    stationarity condition dg/dx = 0 between its neighbouring scan points,
-    and the candidate with the smallest directly integrated distance wins.  That distance is the
-    direct quadrature of the optimal residual, so on-manifold inputs come
-    back at rounding level rather than at the cancellation floor of the
-    quotient formula.
+    The scan and the slopes dg/dx are read off the scale-1 member by
+    dilation (UnitManifold), in blocks of scales, so neither builds a
+    closed form per scale.  Each discrete local maximum of g^2 is polished
+    on the stationarity condition dg/dx = 0, which is analytic in x: the
+    slope is taken at POLISH_POINTS Chebyshev-Lobatto points across the
+    peak's neighbouring scan points, the root nearest the peak of its
+    Chebyshev interpolant is an eigenvalue of the colleague matrix
+    (Boyd's Chebyshev-proxy root finder), and one Newton step on the slope
+    itself refines it, so the fit needs no scipy.  A bracket where the
+    slope does not change sign or is not finite, or whose interpolant has
+    no real root in it, leaves the scan point standing and the fit
+    unconverged.  The candidate with the smallest distance wins.
+    That distance is the direct quadrature of the optimal residual against
+    U_lam built at the candidate's scale, so on-manifold inputs come back
+    at rounding level rather than at the cancellation floor of the quotient
+    formula.  unit, when given, is UnitManifold.build(p, grid), shared by
+    several fits.
     """
-    # imported here, not with the module: scipy.optimize costs a fresh process
-    # about 0.2 s and 17 MB, and this fit is its only user
-    from scipy.optimize import brentq
-
     grid = grid or wide_grid()
+    unit = unit or UnitManifold.build(p, grid)
     r = grid.nodes
     lap_u = u.deriv(r, 2) + (p.N - 1) * u.deriv(r, 1) / r
     weight = sphere_area(p.N) * grid.weights * r ** (p.alpha + p.N - 1)
-    norm_U_sq = weighted_hessian_norm_sq(p, extremal_U(p), grid)
-
-    def lap_U(lam):
-        return extremal_U(p, lam).form.radial_laplacian(p.N).eval(r)
-
-    def overlap(x):
-        return float(weight @ (lap_u * lap_U(math.exp(x))))
-
-    def overlap_slope(x):
-        # d/dx <u, U_{e^x}> = e^x <u, dU/dlam at e^x>
-        lam = math.exp(x)
-        lap_t = dilation_tangent(p, lam).form.radial_laplacian(p.N).eval(r)
-        return lam * float(weight @ (lap_u * lap_t))
+    wlap_u = weight * lap_u
 
     xs = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-    g2 = np.array([overlap(x) for x in xs]) ** 2
+    g2 = _dilated_products(unit.lap_U, unit.power, xs, r, wlap_u) ** 2
     # discrete local maxima; a plateau counts once, at its right end
     left = np.concatenate(([True], g2[1:] >= g2[:-1]))
     right = np.concatenate((g2[:-1] > g2[1:], [True]))
     peaks = np.flatnonzero(left & right)
     cands = []
     polished = True
-    iterations = 0
+    points = 0
     for i in peaks:
         a, b = xs[max(i - 1, 0)], xs[min(i + 1, SCAN_POINTS - 1)]
-        fa, fb = overlap_slope(a), overlap_slope(b)
-        if fa * fb < 0:
-            x, info = brentq(overlap_slope, a, b, xtol=1e-14, full_output=True)
-            iterations += info.iterations
+        xp = _lobatto(a, b)
+        slope = _dilated_products(unit.lap_T, unit.power, xp, r, wlap_u)
+        points += POLISH_POINTS
+        x = None
+        # no sign change: a peak at the scan's end, or a non-finite slope
+        if np.isfinite(slope).all() and slope[0] * slope[-1] < 0:
+            cheb = Chebyshev.fit(xp, slope, POLISH_POINTS - 1, domain=[a, b])
+            x = _bracketed_root(cheb, xs[i])
+        if x is not None:
+            # one Newton step on the slope itself, with the interpolant's
+            # derivative: the slope's complex singularities lie about
+            # pi/gamma off the real axis, so at gamma near 10 the root of
+            # the interpolant is off by up to 1.2e-11 in ln lam
+            fx = _dilated_products(unit.lap_T, unit.power, np.array([x]), r, wlap_u)[0]
+            x = min(max(x - fx / cheb.deriv()(x), a), b)
+            points += 1
         else:
-            # no sign change (a peak at the scan's end, or a non-finite slope):
             # the scan point stands, and the fit does not count as converged
             x = xs[i]
             polished = False
         lam = math.exp(x)
-        lap_l = lap_U(lam)
-        c = float(weight @ (lap_u * lap_l)) / norm_U_sq
+        lap_l = extremal_U(p, lam).form.radial_laplacian(p.N).eval(r)
+        c = float(weight @ (lap_u * lap_l)) / unit.norm_sq
         dist_sq = float(weight @ (lap_u - c * lap_l) ** 2)
         cands.append((max(dist_sq, 0.0), c, lam))
     cands.sort(key=lambda t: t[0])
@@ -204,7 +292,7 @@ def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None) -> ManifoldFi
     d2, c, lam = cands[0]
     return ManifoldFit(c=c, lam=lam, dist=math.sqrt(d2), converged=polished,
                        candidates=[{"c": cc, "lam": ll, "dist": math.sqrt(dd)} for dd, cc, ll in uniq],
-                       iterations=iterations)
+                       polish_points=points)
 
 
 def remainder_quotient(p: Params, u, grid: RadialGrid | None = None,
@@ -241,20 +329,21 @@ class _Sampled:
 def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list[dict]:
     """Quotient along u(t) = U_1 + t w for the given offsets t.
 
-    w is sampled on the grid once; every t reuses those samples.  Each row's
-    "fit" holds the manifold fit's converged flag and brentq iterations.
+    w is sampled on the grid once, and the fit's scale-1 member
+    (UnitManifold) is built once; every t reuses both.  Each row's "fit"
+    holds the manifold fit's converged flag and polish_points.
     """
     grid = grid or wide_grid()
-    U = extremal_U(p)
+    unit = UnitManifold.build(p, grid)
     w = _Sampled(w, grid.nodes)
     out = []
     for t in t_list:
-        u = RadialCombination([U, w], [1.0, float(t)])
-        fit = dist_to_manifold(p, u, grid)
+        u = RadialCombination([unit.U, w], [1.0, float(t)])
+        fit = dist_to_manifold(p, u, grid, unit)
         quot = remainder_quotient(p, u, grid, fit=fit)
         out.append({"t": float(t), "quotient": quot, "dist": fit.dist,
                     "c": fit.c, "lam": fit.lam,
-                    "fit": {"converged": fit.converged, "brentq_iterations": fit.iterations}})
+                    "fit": {"converged": fit.converged, "polish_points": fit.polish_points}})
     return out
 
 
@@ -266,11 +355,6 @@ PIVOT_FLOOR = 1e-6
 # noise and counts as converged: at (10, 1.7), where that norm is 5.6e17, the
 # step stalls at up to 5.8 ulps of it; at the PARAM_SETS the floor is below 1e-12
 STEP_FLOOR_ULPS = 64.0
-# Chebyshev-Lobatto scales in ln lam across the bracket of lambda*, ends
-# included: against brentq on l itself at the five PARAM_SETS, (9, -4.8),
-# (4, 0.0504) and (12, -7), lambda* agrees to 8.1e-8 with 8 points, 7.0e-10
-# with 10, 2.0e-11 with 12 and 6.5e-12 with 16, where l's own rounding sets in
-POLISH_POINTS = 12
 # smallest mass, relative to the largest, of a Legendre direction the
 # perturbation's working basis keeps where the diagonal basis does not fix
 # (U + w)/U pointwise (PerturbationProblem)
@@ -597,21 +681,6 @@ def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
     return 0.5 * pp.norm_sq(c) - star / pp.params.pstar
 
 
-def _bracketed_root(cheb: Chebyshev, x_near: float) -> float | None:
-    """The real root of cheb in its domain nearest x_near, or None if it has none.
-
-    The roots are the eigenvalues of the colleague matrix (numpy's
-    chebroots); a real root comes out with imaginary part exactly 0.
-    """
-    xa, xb = cheb.domain
-    roots = cheb.roots()
-    roots = roots[roots.imag == 0.0].real
-    roots = roots[(xa <= roots) & (roots <= xb)]
-    if roots.size == 0:
-        return None
-    return float(roots[np.argmin(np.abs(roots - x_near))])
-
-
 def find_perturbed_solution(pp: PerturbationProblem,
                             lam_grid: np.ndarray | None = None,
                             flat_tol: float = 1e-10) -> dict:
@@ -666,8 +735,7 @@ def find_perturbed_solution(pp: PerturbationProblem,
         # Chebyshev-Lobatto points in ln lam, from xa up to xb; the ends are
         # set to the curve's own scales so that they are cache hits
         xa, xb = math.log(la), math.log(lb)
-        xs = 0.5 * (xa + xb) - 0.5 * (xb - xa) * np.cos(np.pi * np.arange(POLISH_POINTS)
-                                                         / (POLISH_POINTS - 1))
+        xs = _lobatto(xa, xb)
         lams = np.exp(xs)
         lams[0], lams[-1] = la, lb
         l_hat = [res.l / res.lam for res in solve_corrections(pp, lams)]

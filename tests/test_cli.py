@@ -376,11 +376,11 @@ def test_readme_examples_parse():
         assert parser.parse_args(argv[1:]).command == argv[1]
 
 
-def test_scipy_loads_only_for_spectra_and_remainder():
+def test_no_command_loads_scipy_optimize():
     # one fresh interpreter, closed-form commands first: they load no scipy
-    # module (about 0.3 s and 30 MB of start-up), spectrum loads scipy.linalg
-    # for its Gauss-Jacobi nodes, so the first assertion cannot pass
-    # vacuously, and scipy.optimize first appears with remainder's manifold fit
+    # module (about 0.3 s and 30 MB of start-up); spectrum loads scipy.linalg
+    # for its Gauss-Jacobi nodes, so the scipy checks cannot pass vacuously;
+    # and no command, remainder's manifold fit included, loads scipy.optimize
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from ckn4.cli import main
@@ -414,7 +414,7 @@ def test_scipy_loads_only_for_spectra_and_remainder():
     for name in ("constants", "verify-extremal", "transform-check", "branch"):
         assert loaded[name] == set(), name
     assert "scipy.linalg" in loaded["spectrum"]
-    assert [name for name, _, mods in rows if "scipy.optimize" in mods][0] == "remainder"
+    assert [name for name, _, mods in rows if "scipy.optimize" in mods] == []
 
 
 def test_log_gauss_grids_are_shared_and_read_only(capsys, monkeypatch):
@@ -445,7 +445,9 @@ def test_remainder_diagnostics(capsys):
     assert diag["basis_size"] == 128
     assert diag["scan_points"] == reduction.SCAN_POINTS
     assert [f["t"] for f in diag["fits"]] == [0.01, 0.001]
-    assert all(f["converged"] and f["brentq_iterations"] > 0 for f in diag["fits"])
+    # one scan peak per t, polished from POLISH_POINTS slopes and one Newton step
+    assert all(f["converged"] and f["polish_points"] == reduction.POLISH_POINTS + 1
+               for f in diag["fits"])
     assert all(set(row) == {"t", "quotient", "dist", "c", "lam"} for row in rep["data"]["curve"])
     _, again, _ = run(capsys, "remainder", "--N", "5", "--alpha", "1", "--nodes", "128",
                       "--t-values", "0.01,0.001")

@@ -1,4 +1,5 @@
 import copy
+import functools
 import math
 import warnings
 
@@ -6,6 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial.chebyshev import Chebyshev
+from scipy.optimize import brentq
 
 import ckn4.reduction as reduction
 from ckn4.calculus import inner_alpha, weighted_H, weighted_hessian_norm_sq
@@ -16,9 +18,12 @@ from ckn4.profiles import PolyGaussProfile, dilation_tangent, extremal_U, kernel
 from ckn4.reduction import (
     BUILTIN_H,
     SCAN_HALF_WIDTH,
+    SCAN_POINTS,
     PerturbationProblem,
     RadialCombination,
+    UnitManifold,
     _bracketed_root,
+    _dilated_products,
     dist_to_manifold,
     find_perturbed_solution,
     h_weighted_star_norm,
@@ -151,19 +156,91 @@ def test_tangent_laplacian_on_wide_grid(lam):
 
 
 def test_dist_profile_evaluations(monkeypatch, p51, phi3_unit):
-    # one scan and one bracket per peak: the 13-start ladder with its polish
-    # built the extremal 498 times for this fit
+    # the scan and the polish read every scale off the scale-1 member, so the
+    # fit builds U_1 and T_1 once and one U_lam per peak, for its candidate
     import ckn4.reduction as reduction
-    calls = []
+    calls, tangents = [], []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return extremal_U(*args, **kwargs)
 
+    def counted_tangent(*args, **kwargs):
+        tangents.append(args)
+        return dilation_tangent(*args, **kwargs)
+
     u = RadialCombination([extremal_U(p51), phi3_unit], [1.0, 1e-2])
     monkeypatch.setattr(reduction, "extremal_U", counted)
-    dist_to_manifold(p51, u)
-    assert len(calls) <= 100
+    monkeypatch.setattr(reduction, "dilation_tangent", counted_tangent)
+    fit = dist_to_manifold(p51, u)
+    assert len(fit.candidates) == 1
+    assert len(calls) == 2
+    assert len(tangents) == 1
+
+
+# the points of the block fit's oracles: the PARAM_SETS, gamma = 9.68 (the
+# forms' log-space evaluation), M near 4 and M = 62
+BLOCK_POINTS = PARAM_SETS + [(12, -7.68064), (4, 0.0504), (5, 1.9)]
+
+
+@functools.cache
+def _phi3_unit(N, a):
+    p = validate_params(N, a)
+    f = mode_eigenvalues(p, 0, n_eigs=4, nodes=160).eigenfunction(2).to_radial(p)
+    return RadialCombination([f], [1.0 / math.sqrt(weighted_hessian_norm_sq(p, f))])
+
+
+def _fit_arrays(p, u):
+    grid = wide_grid()
+    r = grid.nodes
+    weight = sphere_area(p.N) * grid.weights * r ** (p.alpha + p.N - 1)
+    lap_u = u.deriv(r, 2) + (p.N - 1) * u.deriv(r, 1) / r
+    return grid, r, weight, lap_u
+
+
+def _direct_slope(p, r, weight, lap_u, x):
+    # d/dx <u, U_{e^x}> from the tangent built at lam = e^x
+    lam = math.exp(x)
+    lap_t = dilation_tangent(p, lam).form.radial_laplacian(p.N).eval(r)
+    return lam * float(weight @ (lap_u * lap_t))
+
+
+@pytest.mark.parametrize("N, a", BLOCK_POINTS)
+def test_block_scan_matches_direct_scales(N, a):
+    # the scan's overlaps and slopes, read off U_1 and T_1 by dilation in
+    # blocks, against the closed forms built at each of the 61 scales
+    p = validate_params(N, a)
+    u = RadialCombination([extremal_U(p), _phi3_unit(N, a)], [1.0, 1e-3])
+    grid, r, weight, lap_u = _fit_arrays(p, u)
+    unit = UnitManifold.build(p, grid)
+    xs = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
+    g = _dilated_products(unit.lap_U, unit.power, xs, r, weight * lap_u)
+    g_ref = np.array([float(weight @ (lap_u * extremal_U(p, math.exp(x)).form
+                                      .radial_laplacian(p.N).eval(r))) for x in xs])
+    assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
+    slope = _dilated_products(unit.lap_T, unit.power, xs, r, weight * lap_u)
+    slope_ref = np.array([_direct_slope(p, r, weight, lap_u, x) for x in xs])
+    assert np.max(np.abs(slope - slope_ref)) <= 2e-13 * np.max(np.abs(slope_ref))
+
+
+@pytest.mark.parametrize("t", [1e-2, 1e-3])
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(12, -7.87232)])
+def test_fit_polish_matches_brentq(N, a, t):
+    # the polished scale against brentq on the directly built slope, in the
+    # two scan steps around the nearest scan point, which hold the root; at
+    # (12, -7.87232) the interpolant's root alone is 1.2e-11 off, and the
+    # Newton step brings it within the bound
+    p = validate_params(N, a)
+    u = RadialCombination([extremal_U(p), _phi3_unit(N, a)], [1.0, t])
+    fit = dist_to_manifold(p, u)
+    assert fit.converged
+    assert fit.polish_points == reduction.POLISH_POINTS + 1
+    _, r, weight, lap_u = _fit_arrays(p, u)
+    step = 2.0 * SCAN_HALF_WIDTH / (SCAN_POINTS - 1)
+    x0 = -SCAN_HALF_WIDTH + step * round((math.log(fit.lam) + SCAN_HALF_WIDTH) / step)
+    x_ref = brentq(lambda x: _direct_slope(p, r, weight, lap_u, x), x0 - step, x0 + step,
+                   xtol=1e-14)
+    assert abs(fit.lam / math.exp(x_ref) - 1.0) <= 1e-13
 
 
 def test_quotient_nonnegative_and_on_manifold_error(p51):
@@ -182,9 +259,16 @@ def test_remainder_scan_limit(p51, modes51, phi3_unit):
     assert abs(rows[0]["quotient"] - target) < 0.1 * target
 
 
-def test_remainder_scan_samples_direction_once(p51, phi3_unit):
-    # the direction's value and two derivatives are taken once for all t
+def test_remainder_scan_samples_direction_once(monkeypatch, p51, phi3_unit):
+    # the direction's value and two derivatives, and the fit's scale-1
+    # member, are taken once for all t
     calls = []
+    builds = []
+    build = UnitManifold.build
+
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
 
     class Counted:
         def eval(self, r):
@@ -195,8 +279,10 @@ def test_remainder_scan_samples_direction_once(p51, phi3_unit):
             calls.append(order)
             return phi3_unit.deriv(r, order)
 
+    monkeypatch.setattr(UnitManifold, "build", counted_build)
     rows = remainder_scan(p51, Counted(), [1e-2, 1e-3])
     assert sorted(calls) == [0, 1, 2]
+    assert len(builds) == 1
     assert rows == remainder_scan(p51, phi3_unit, [1e-2, 1e-3])
 
 
