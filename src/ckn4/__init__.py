@@ -36,7 +36,6 @@ from .calculus import (
     weighted_star_norm,
     rayleigh_quotient,
     inner_alpha,
-    energy_J,
     weighted_H,
 )
 from .emden import to_sobolev, from_sobolev, norm_identity_check, star_identity_check

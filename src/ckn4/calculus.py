@@ -4,10 +4,11 @@ The default rule is Gauss-Legendre in t = ln r on [ln r_min, ln r_max];
 all integrands at hand are smooth in t and power-decaying, so the rule
 converges spectrally.  Its nodes come from Newton's method on the
 three-term recurrence of P_n, started from asymptotic nodes, and its
-weights from P_n' at them (gauss_legendre), in numpy alone.  For library
-profiles the truncated head and tail of each integral are added back
-analytically from the exact power-law expansion carried by their term
-algebra.  The sphere factor omega_{N-1} is folded into every full-space
+weights from P_n' at them (gauss_legendre), in numpy alone.  A library
+profile carries its closed form, and its Hessian integral, and its star
+integral when the form is a single term, are exact Beta sums
+(PowerForm.integral) that touch no grid; the rule serves every other
+function.  The sphere factor omega_{N-1} is folded into every full-space
 integral, so reported norms match the R^N definitions.
 """
 
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureFailure, ZeroFunction
-from .forms import PowerForm
 from .params import Params, sphere_area
 
 __all__ = [
@@ -33,9 +33,8 @@ __all__ = [
     "weighted_star_norm",
     "rayleigh_quotient",
     "inner_alpha",
-    "energy_J",
     "weighted_H",
-    "functional_report",
+    "in_float_range",
 ]
 
 
@@ -62,9 +61,6 @@ class RadialGrid:
 
     def integrate(self, values: np.ndarray) -> float:
         return float(self.weights @ values)
-
-    def coarsened(self) -> "RadialGrid":
-        return RadialGrid.log_gauss(self.r_min, self.r_max, max(32, self.n // 2))
 
 
 def _legendre(n: int, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,80 +138,64 @@ def _lap_values(dim: float, u, r: np.ndarray) -> np.ndarray:
     return u.deriv(r, 2) + (dim - 1) * u.deriv(r, 1) / r
 
 
-def _lap_form(dim: float, u) -> PowerForm | None:
-    form = getattr(u, "form", None)
-    if form is None:
-        return None
-    return form.radial_laplacian(dim)
-
-
-def _corrected_integral(grid: RadialGrid, values: np.ndarray,
-                        form: PowerForm | None, extra: float = 0.0) -> float:
-    """Quadrature plus analytic head/tail of int r^extra * form when available."""
-    out = grid.integrate(values)
-    if form is not None:
-        out += form.head_integral(grid.r_min, extra)
-        out += form.tail_integral(grid.r_max, extra)
-    return out
-
-
-def _star_power_form(p: Params, u) -> PowerForm | None:
-    """|u|^{p*} as a single-term form when u itself is one."""
-    form = getattr(u, "form", None)
-    if form is None or len(form.terms) != 1:
-        return None
-    ((a, b, m), c) = next(iter(form.terms.items()))
-    try:
-        coef = abs(c) ** p.pstar
-    except OverflowError:
+def in_float_range(p: Params, name: str, value: float) -> float:
+    """value, the integral of a positive integrand, if it is a positive float."""
+    if not (math.isfinite(value) and value > 0.0):
         raise QuadratureFailure(
-            f"star integral at N={p.N}, alpha={p.alpha}: |c|^p* of the closed-form "
-            f"profile overflows (c={c!r}, p*={p.pstar!r})") from None
-    # fractional net power p*(a*g - b) rides along as the extra power
-    return PowerForm(form.gamma, form.w, p.pstar * (form.e0 - m), {(0, 0, 0): coef})
+            f"{name} at N={p.N}, alpha={p.alpha}: the integral of a positive "
+            f"integrand is {value!r}, outside the float range")
+    return value
 
 
-def _star_extra(p: Params, u, dim: float, weight_pow: float) -> float:
-    form = u.form
-    ((a, b, m), c) = next(iter(form.terms.items()))
-    return p.pstar * (a * form.gamma - b) + (dim - 1.0 + weight_pow)
+def _exact(p: Params, name: str, form, value: float) -> float:
+    """The exact integral value of a form's positive integrand: 0 for a zero form."""
+    return value if not any(form.terms.values()) else in_float_range(p, name, value)
 
 
-def hessian_integral(dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
-    """int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr, without the sphere factor."""
+def _bilinear(dim: float, weight_pow: float, u, v, grid: RadialGrid) -> float:
+    """int r^weight_pow (lap u)(lap v) r^{dim-1} dr, lap = d^2/dr^2 + (dim-1)/r d/dr.
+
+    A Beta sum when u and v carry forms on one base, else the grid sum.
+    """
+    fu, fv = getattr(u, "form", None), getattr(v, "form", None)
+    if fu is not None and fv is not None and (fu.gamma, fu.w) == (fv.gamma, fv.w):
+        lap = fu.radial_laplacian(dim) * fv.radial_laplacian(dim)
+        return lap.integral(weight_pow + dim - 1.0)
     r = grid.nodes
-    lap = _lap_values(dim, u, r)
-    values = r ** weight_pow * lap ** 2 * r ** (dim - 1)
-    lf = _lap_form(dim, u)
-    integrand = (lf * lf) if lf is not None else None
-    return _corrected_integral(grid, values, integrand, weight_pow + dim - 1.0)
+    lap_u = _lap_values(dim, u, r)
+    lap_v = lap_u if v is u else _lap_values(dim, v, r)
+    return grid.integrate(r ** weight_pow * (lap_u * lap_v) * r ** (dim - 1))
+
+
+def hessian_integral(p: Params, dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
+    """int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr, without the sphere factor."""
+    out = _bilinear(dim, weight_pow, u, u, grid)
+    form = getattr(u, "form", None)
+    return out if form is None else _exact(p, "Hessian integral", form, out)
 
 
 def star_integral(p: Params, dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
-    """int r^weight_pow |u|^{p*} r^{dim-1} dr, without the sphere factor."""
+    """int r^weight_pow |u|^{p*} r^{dim-1} dr, without the sphere factor.
+
+    Exact when u is a single-term form, else the grid sum.
+    """
+    form = getattr(u, "form", None)
+    if form is not None and len(form.terms) == 1:
+        return _exact(p, "star integral", form, form.integral(weight_pow + dim - 1.0, p.pstar))
     r = grid.nodes
-    values = r ** weight_pow * np.abs(u.eval(r)) ** p.pstar * r ** (dim - 1)
-    integrand = _star_power_form(p, u)
-    extra = _star_extra(p, u, dim, weight_pow) if integrand is not None else 0.0
-    return _corrected_integral(grid, values, integrand, extra)
+    return grid.integrate(r ** weight_pow * np.abs(u.eval(r)) ** p.pstar * r ** (dim - 1))
 
 
 def weighted_hessian_norm_sq(p: Params, u, grid: RadialGrid | None = None) -> float:
     """Squared norm omega int r^alpha (u'' + (N-1)u'/r)^2 r^{N-1} dr."""
     grid = grid or default_grid()
-    return sphere_area(p.N) * hessian_integral(p.N, p.alpha, u, grid)
+    return sphere_area(p.N) * hessian_integral(p, p.N, p.alpha, u, grid)
 
 
 def weighted_star_norm(p: Params, u, grid: RadialGrid | None = None) -> float:
     """Norm (omega int r^{-alpha} |u|^{p*} r^{N-1} dr)^{1/p*}."""
     grid = grid or default_grid()
-    out = sphere_area(p.N) * star_integral(p, p.N, -p.alpha, u, grid)
-    if not (math.isfinite(out) and out >= 0.0):
-        # the analytic head/tail corrections can swamp the quadrature as alpha -> 2
-        raise QuadratureFailure(
-            f"weighted star norm at N={p.N}, alpha={p.alpha}: the corrected "
-            f"star integral is {out!r}, not finite and nonnegative")
-    return out ** (1.0 / p.pstar)
+    return (sphere_area(p.N) * star_integral(p, p.N, -p.alpha, u, grid)) ** (1.0 / p.pstar)
 
 
 def rayleigh_quotient(p: Params, u, grid: RadialGrid | None = None) -> float:
@@ -229,14 +209,7 @@ def rayleigh_quotient(p: Params, u, grid: RadialGrid | None = None) -> float:
 
 def inner_alpha(p: Params, u, v, grid: RadialGrid | None = None) -> float:
     """Inner product omega int r^alpha (lap u)(lap v) r^{N-1} dr."""
-    grid = grid or default_grid()
-    r = grid.nodes
-    values = r ** p.alpha * _lap_values(p.N, u, r) * _lap_values(p.N, v, r) * r ** (p.N - 1)
-    fu, fv = _lap_form(p.N, u), _lap_form(p.N, v)
-    integrand = None
-    if fu is not None and fv is not None and fu.gamma == fv.gamma and fu.w == fv.w:
-        integrand = fu * fv
-    return sphere_area(p.N) * _corrected_integral(grid, values, integrand, p.alpha + p.N - 1.0)
+    return sphere_area(p.N) * _bilinear(p.N, p.alpha, u, v, grid or default_grid())
 
 
 def weighted_H(p: Params, h, u, grid: RadialGrid | None = None) -> float:
@@ -246,31 +219,3 @@ def weighted_H(p: Params, h, u, grid: RadialGrid | None = None) -> float:
     hv = h(r) if callable(h) else h.eval(r)
     values = hv * r ** (-p.alpha) * np.maximum(u.eval(r), 0.0) ** p.pstar * r ** (p.N - 1)
     return sphere_area(p.N) * grid.integrate(values) / p.pstar
-
-
-def energy_J(p: Params, eps: float, h, u, grid: RadialGrid | None = None) -> float:
-    """Energy (1/2)||u||^2 - (1/p*) int (1 + eps h) |x|^{-alpha} u_+^{p*}."""
-    grid = grid or default_grid()
-    r = grid.nodes
-    plus = np.maximum(u.eval(r), 0.0) ** p.pstar
-    values = r ** (-p.alpha) * plus * r ** (p.N - 1)
-    integrand = None
-    extra = 0.0
-    form = getattr(u, "form", None)
-    if form is not None and len(form.terms) == 1 and next(iter(form.terms.values())) >= 0:
-        integrand = _star_power_form(p, u)
-        extra = _star_extra(p, u, p.N, -p.alpha)
-    base = sphere_area(p.N) * _corrected_integral(grid, values, integrand, extra)
-    out = 0.5 * weighted_hessian_norm_sq(p, u, grid) - base / p.pstar
-    if eps != 0.0 and h is not None:
-        out -= eps * weighted_H(p, h, u, grid)
-    return out
-
-
-def functional_report(name: str, p: Params, value: float, est_error: float) -> dict:
-    return {
-        "name": name,
-        "params": {"N": p.N, "alpha": p.alpha},
-        "value": value,
-        "est_error": est_error,
-    }

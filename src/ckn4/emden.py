@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .calculus import RadialGrid, default_grid, hessian_integral, star_integral
+from .calculus import RadialGrid, default_grid, hessian_integral, in_float_range, star_integral
 from .forms import PowerForm
 from .params import Params, normalization_constant
 from .profiles import ProfileKind, RadialProfile
@@ -92,6 +92,13 @@ def induced_sobolev_grid(p: Params, grid: RadialGrid) -> RadialGrid:
     )
 
 
+def _relative_gap(p: Params, name: str, lhs: float, rhs: float) -> float:
+    """|lhs - rhs| / max(lhs, rhs) of two integrals of positive integrands."""
+    for side in (lhs, rhs):
+        in_float_range(p, name, side)
+    return abs(lhs - rhs) / max(lhs, rhs)
+
+
 def norm_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[float, float, float]:
     """Both sides of the Hessian-seminorm identity and their relative gap.
 
@@ -99,11 +106,10 @@ def norm_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[f
     rhs = q^{-3} int (v'' + (M-1)v'/s)^2 s^{M-1} ds,  v(s) = u(s^q).
     """
     grid = grid or default_grid()
-    lhs = hessian_integral(p.N, p.alpha, u, grid)
+    lhs = hessian_integral(p, p.N, p.alpha, u, grid)
     v = to_sobolev(p, u)
-    rhs = hessian_integral(p.M, 0.0, v, induced_sobolev_grid(p, grid)) / p.q ** 3
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return lhs, rhs, rel
+    rhs = hessian_integral(p, p.M, 0.0, v, induced_sobolev_grid(p, grid)) / p.q ** 3
+    return lhs, rhs, _relative_gap(p, "norm identity", lhs, rhs)
 
 
 def star_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[float, float, float]:
@@ -116,5 +122,4 @@ def star_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[f
     lhs = star_integral(p, p.N, -p.alpha, u, grid)
     v = to_sobolev(p, u)
     rhs = p.q * star_integral(p, p.M, 0.0, v, induced_sobolev_grid(p, grid))
-    rel = abs(lhs - rhs) / max(abs(lhs), abs(rhs))
-    return lhs, rhs, rel
+    return lhs, rhs, _relative_gap(p, "star identity", lhs, rhs)

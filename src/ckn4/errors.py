@@ -42,7 +42,7 @@ class NonIntegrable(CknError):
 
 
 class QuadratureFailure(CknError):
-    """A quadrature overflows, or a corrected nonnegative integral is not finite and nonnegative."""
+    """A quadrature overflows, or an exact value leaves the float range."""
 
 
 class ZeroFunction(CknError):

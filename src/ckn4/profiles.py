@@ -20,6 +20,7 @@ from .errors import (
     NonpositiveRadius,
     NonpositiveScale,
     OddDimension,
+    QuadratureFailure,
 )
 from .forms import PowerForm
 from .params import Params, normalization_constant, require_even_case, validate_params
@@ -186,6 +187,11 @@ def el_residual_relative(p: Params, u, r):
     else:
         lhs = _generic_lhs(p, u, r)
         scale = np.abs(lhs) + np.abs(rhs)
+    if not np.all(scale > 0.0):
+        raise QuadratureFailure(
+            f"EL residual at N={p.N}, alpha={p.alpha}: both sides are 0 at "
+            f"r = {float(r[~(scale > 0.0)].flat[0])!r} (they underflow, or u vanishes), "
+            f"so no relative residual exists")
     return np.abs(lhs - rhs) / scale
 
 

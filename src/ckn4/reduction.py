@@ -181,7 +181,7 @@ class UnitManifold:
     lap_U: PowerForm              # Delta U_1
     lap_T: PowerForm              # Delta T_1
     power: float                  # s + 2
-    norm_sq: float                # ||U_1||^2 on the fit's grid
+    norm_sq: float                # ||U_1||^2, the exact Beta value (no grid)
 
     @classmethod
     def build(cls, p: Params, grid: RadialGrid) -> "UnitManifold":

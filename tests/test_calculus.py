@@ -6,17 +6,18 @@ from scipy.special import roots_legendre
 
 from ckn4.calculus import (
     RadialGrid,
-    energy_J,
     gauss_legendre,
+    hessian_integral,
     inner_alpha,
     rayleigh_quotient,
+    star_integral,
     weighted_H,
     weighted_hessian_norm_sq,
     weighted_star_norm,
 )
 from ckn4.errors import NonIntegrable, ZeroFunction
 from ckn4.forms import PowerForm
-from ckn4.params import best_constant_radial, sphere_area, validate_params
+from ckn4.params import best_constant_radial, normalization_constant, sphere_area, validate_params
 from ckn4.profiles import (
     PolyGaussProfile,
     RadialProfile,
@@ -29,6 +30,33 @@ from ckn4.profiles import (
 from conftest import PARAM_SETS
 
 
+def _quad_norms(p):
+    """omega int r^a (lap U)^2 r^{N-1} dr and omega int r^-a U^p* r^{N-1} dr by mpmath.quad.
+
+    U = C (1 + r^g)^-beta, g = 2 - a, with its Laplacian worked by hand:
+    lap U = -C beta g r^(g-2) (1+t)^(-beta-2) ((g+N-2)(1+t) - (beta+1) g t),
+    t = r^g; independent of the term algebra and of the Beta sums.
+    """
+    N, a = p.N, mpmath.mpf(p.alpha)
+    g = 2 - a
+    beta = (N - 4 + a) / g
+    C = mpmath.mpf(normalization_constant(p))
+    pstar = 2 * (N - a) / (N - 4 + a)
+
+    def lap(r):
+        t = r ** g
+        return (-C * beta * g * r ** (g - 2) * (1 + t) ** (-beta - 2)
+                * ((g + N - 2) * (1 + t) - (beta + 1) * g * t))
+
+    def U(r):
+        return C * (1 + r ** g) ** (-beta)
+
+    omega = mpmath.mpf(sphere_area(N))
+    hess = mpmath.quad(lambda r: r ** a * lap(r) ** 2 * r ** (N - 1), [0, 1, mpmath.inf])
+    star = mpmath.quad(lambda r: r ** -a * U(r) ** pstar * r ** (N - 1), [0, 1, mpmath.inf])
+    return omega * hess, omega * star
+
+
 @pytest.mark.parametrize("N,a", PARAM_SETS)
 def test_extremal_norm_identities(N, a):
     p = validate_params(N, a)
@@ -39,10 +67,47 @@ def test_extremal_norm_identities(N, a):
     star_p = weighted_star_norm(p, U) ** p.pstar
     assert n2 == pytest.approx(target, rel=1e-8)
     assert star_p == pytest.approx(target, rel=1e-8)
-    # independent oracle: exact Beta-function integral of the term algebra
+    # independent oracle: both integrals by 40-digit adaptive quadrature
+    # (measured at most 1.8e-15 and 3.0e-15 relative)
+    with mpmath.workdps(40):
+        hess, star = _quad_norms(p)
+        assert abs(n2 / hess - 1) <= 5e-14
+        assert abs(star_p / star - 1) <= 5e-14
+
+
+def _mp_beta_sum(form, extra, power=1):
+    """Term-wise 40-digit (c/g) w^-x B(x, y) of int r^extra form, or of |form|^power."""
+    g, w = mpmath.mpf(form.gamma), mpmath.mpf(form.w)
+    out = mpmath.mpf(0)
+    for (a, b, m), c in form.terms.items():
+        x = (power * (a * g - b) + extra + 1) / g
+        y = -power * (form.e0 - m) - x
+        coef = mpmath.mpf(c) if power == 1 else abs(mpmath.mpf(c)) ** power
+        out += coef / g * w ** -x * mpmath.beta(x, y)
+    return out
+
+
+# next to M = 4 (M - 4 about 2e-3, 5e-4 and 2e-3) and at M = 22, 82 and 207;
+# each bound is three to five times the larger error measured at the point
+# (2.0e-13, 4.0e-13, 1.1e-13, 1.1e-14, 7.1e-15 and 1.5e-13)
+@pytest.mark.parametrize("N,a,bound", [
+    (3, 1.001, 1e-12), (6, -1.999, 2e-12), (12, -7.99, 5e-13),
+    (3, 1.9, 5e-14), (10, 1.8, 3e-14), (5, 1.97068, 5e-13),
+])
+def test_beta_integrals_against_mpmath_beta(N, a, bound):
+    p = validate_params(N, a)
+    # lam = 3 puts w = 3^g != 1 into every term
+    U = extremal_U(p, 3.0)
+    grid = RadialGrid.log_gauss()
+    hess = hessian_integral(p, p.N, p.alpha, U, grid)
+    star = star_integral(p, p.N, -p.alpha, U, grid)
     lf = U.form.radial_laplacian(p.N)
-    exact = sphere_area(p.N) * (lf * lf).integral(extra=p.alpha + p.N - 1.0)
-    assert n2 == pytest.approx(exact, rel=1e-12)
+    with mpmath.workdps(40):
+        alpha = mpmath.mpf(p.alpha)
+        want_hess = _mp_beta_sum(lf * lf, alpha + p.N - 1)
+        want_star = _mp_beta_sum(U.form, -alpha + p.N - 1, mpmath.mpf(p.pstar))
+        assert abs(hess / want_hess - 1) <= bound
+        assert abs(star / want_star - 1) <= bound
 
 
 def test_norm_homogeneity_and_dilation_invariance():
@@ -79,6 +144,12 @@ def test_rayleigh_quotient_properties():
 
     with pytest.raises(ZeroFunction):
         rayleigh_quotient(p, Zero())
+    # a zero-amplitude extremal keeps its c = 0 term; its exact integrals are 0
+    with pytest.raises(ZeroFunction):
+        rayleigh_quotient(p, extremal_U(p, 1.0, amplitude=0.0))
+    # positive part: nonpositive functions carry no potential energy
+    neg = extremal_U(p, 1.0, amplitude=-U.amplitude)
+    assert weighted_H(p, lambda r: np.exp(-np.asarray(r)), neg) == 0.0
 
 
 def test_ckn_inequality_on_random_trials(rng):
@@ -104,15 +175,20 @@ def test_inner_alpha_against_adaptive_quadrature():
     p = validate_params(5, 1)
     U = extremal_U(p)
     Z = kernel_Z0(p)
-    lapU = U.form.radial_laplacian(p.N)
-    lapZ = Z.form.radial_laplacian(p.N)
 
-    def integrand(r):
-        return r ** p.alpha * lapU.eval(r) * lapZ.eval(r) * r ** (p.N - 1)
+    def quad_inner(u, v):
+        lap_u = u.form.radial_laplacian(p.N)
+        lap_v = v.form.radial_laplacian(p.N)
+        val, _ = quad(lambda r: r ** p.alpha * lap_u.eval(r) * lap_v.eval(r) * r ** (p.N - 1),
+                      0.0, np.inf, limit=400)
+        return sphere_area(p.N) * val
 
-    val, err = quad(integrand, 0.0, np.inf, limit=400)
-    want = sphere_area(p.N) * val
-    assert inner_alpha(p, U, Z) == pytest.approx(want, rel=1e-8)
+    # U is orthogonal to Z0: both sides are rounding noise, within the
+    # default absolute tolerance of 1e-12 (the Beta sum reads -7.5e-14)
+    assert inner_alpha(p, U, Z) == pytest.approx(quad_inner(U, Z), rel=1e-8)
+    # Z0 and the dilation tangent are parallel: a value well away from 0
+    T = dilation_tangent(p, 1.0)
+    assert inner_alpha(p, Z, T) == pytest.approx(quad_inner(Z, T), rel=1e-8)
 
 
 def test_cauchy_schwarz(rng):
@@ -125,31 +201,12 @@ def test_cauchy_schwarz(rng):
 
 
 def test_quadrature_convergence():
+    # a function without a closed form, so both norms run on the grids
     p = validate_params(7, -2)
-    U = extremal_U(p)
-    base = weighted_hessian_norm_sq(p, U, RadialGrid.log_gauss(n=512))
-    fine = weighted_hessian_norm_sq(p, U, RadialGrid.log_gauss(n=1024))
+    u = PolyGaussProfile([1.0, 0.0, -0.4], 0.8)
+    base = weighted_hessian_norm_sq(p, u, RadialGrid.log_gauss(n=512))
+    fine = weighted_hessian_norm_sq(p, u, RadialGrid.log_gauss(n=1024))
     assert abs(base - fine) < 1e-10 * abs(fine)
-
-
-def test_energy_functional():
-    p = validate_params(5, 1)
-    S = best_constant_radial(p)
-    U = extremal_U(p)
-    target = (0.5 - 1.0 / p.pstar) * S ** (p.pstar / (p.pstar - 2.0))
-    assert energy_J(p, 0.0, None, U) == pytest.approx(target, rel=1e-10)
-
-    def h(r):
-        return np.exp(-np.asarray(r))
-
-    # h == 0 gives the unperturbed energy regardless of eps
-    assert energy_J(p, 0.7, lambda r: np.zeros_like(np.asarray(r)), U) == pytest.approx(
-        energy_J(p, 0.0, None, U), rel=1e-14)
-    assert energy_J(p, 0.3, h, U) == pytest.approx(
-        energy_J(p, 0.0, None, U) - 0.3 * weighted_H(p, h, U), rel=1e-12)
-    # positive part: nonpositive functions carry no potential energy
-    neg = extremal_U(p, 1.0, amplitude=-U.amplitude)
-    assert weighted_H(p, h, neg) == 0.0
 
 
 def test_nonintegrable_detection():

@@ -7,11 +7,13 @@ import sys
 import textwrap
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 from ckn4 import calculus, reduction
 from ckn4.cli import COMMANDS, build_parser, load_h_csv, main
+from ckn4.params import normalization_constant, validate_params
 from ckn4.reduction import BUILTIN_H
 from ckn4.spectrum import SGrid
 
@@ -165,12 +167,50 @@ def test_scan_alpha_point_cap(capsys, monkeypatch):
     assert err.startswith("error: bad --scan-alpha") and "10000 points" in err
 
 
-def test_verify_extremal_star_integral_failure_is_typed(capsys):
-    # near alpha -> 2 the head/tail-corrected star integral comes out negative
+def test_verify_extremal_next_to_alpha_2_passes(capsys):
+    # M = 207: the exact Beta integrals hold the Rayleigh quotient at S
+    # (measured 9.2e-15), where head/tail corrections once made the star
+    # integral negative
     code, out, err = run(capsys, "verify-extremal", "--N", "5", "--alpha", "1.97068")
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error: QuadratureFailure") and "alpha=1.97068" in err
+    assert code == 0 and err == ""
+    checks = {c["name"]: c["value"] for c in json.loads(out)["checks"]}
+    assert checks["rayleigh_matches_best_constant"] <= 1e-8
+
+
+@pytest.mark.parametrize("N,alpha,bound", [("3", "1.99278", 5e-13), ("10", "1.90223", 5e-13)])
+def test_transform_check_extremal_is_exact_next_to_alpha_2(capsys, N, alpha, bound):
+    # every side of both identities is int r^-a U^p* r^{N-1} dr = C^p* B(M/2, M/2) / g,
+    # here 1.1535e-82 and 5.80e100 (measured within 2.4e-13 and 1.5e-13)
+    code, out, err = run(capsys, "transform-check", "--N", N, "--alpha", alpha)
+    assert code == 0 and err == ""
+    p = validate_params(int(N), alpha)
+    with mpmath.workdps(40):
+        want = (mpmath.mpf(normalization_constant(p)) ** p.pstar / p.gamma_exp
+                * mpmath.beta(p.M / 2, p.M / 2))
+        (ext,) = [i for i in json.loads(out)["data"]["identities"] if i["profile"] == "extremal"]
+        for identity in ("norm_identity", "star_identity"):
+            for side in ("lhs", "rhs"):
+                assert abs(ext[identity][side] / want - 1) <= bound, (identity, side)
+
+
+@pytest.mark.parametrize("alpha", ["1.999", "1.0000000000000002"])
+def test_transform_check_underflow_is_typed(capsys, alpha):
+    # at M = 3998 the extremal's exact integrals round to 0; at p* = 1.8e16
+    # the Gaussian's |u|^p* underflows on both grids
+    code, out, err = run(capsys, "transform-check", "--N", "3", "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert err.startswith("error: QuadratureFailure") and "Traceback" not in err
+    assert "N=3" in err and f"alpha={alpha}" in err
+
+
+@pytest.mark.parametrize("alpha", ["1.9999", "1.99999", "1.999999"])
+def test_verify_extremal_underflowing_residual_is_typed(capsys, alpha):
+    # both sides of the Euler-Lagrange equation underflow to 0 on the whole
+    # check grid, so their relative residual is 0/0
+    code, out, err = run(capsys, "verify-extremal", "--N", "3", "--alpha", alpha)
+    assert code == 2 and out == ""
+    assert err.startswith("error: QuadratureFailure: EL residual")
+    assert "N=3" in err and f"alpha={alpha}" in err
 
 
 def test_remainder_csv(capsys):
@@ -420,14 +460,14 @@ def test_no_command_loads_scipy_optimize():
 def test_log_gauss_grids_are_shared_and_read_only(capsys, monkeypatch):
     grid = calculus.RadialGrid.log_gauss(1e-6, 1e6, 256)
     assert calculus.RadialGrid.log_gauss(n=256) is grid
-    assert calculus.default_grid().coarsened() is grid
     assert calculus.default_grid() is calculus.default_grid()
     for a in (grid.nodes, grid.weights):
         assert not a.flags.writeable
         with pytest.raises(ValueError):
             a[0] = 1.0
-    # the report on shared grids against one on grids built afresh each call
-    argv = ("verify-extremal", "--N", "7", "--alpha", "-2")
+    # the report on shared grids against one on grids built afresh each call;
+    # transform-check integrates its Gaussian on them
+    argv = ("transform-check", "--N", "7", "--alpha", "-2")
     _, shared, _ = run(capsys, *argv)
     monkeypatch.setattr(calculus, "_log_gauss", calculus._log_gauss.__wrapped__)
     assert calculus.default_grid() is not calculus.default_grid()

@@ -1,15 +1,27 @@
-"""Property sweep of the mode spectra over the admissible range (hypothesis).
+"""Property sweeps over the admissible range (hypothesis).
 
 Every (N, alpha) with 4-N < alpha < 2, including both ends approached as
-10^-k, in modes 0-4 with 64 or 160 trial functions: the pencil either
-matches the closed-form Paneitz spectrum or raises a typed CknError.  A
-NaN or overflow shows up as a RuntimeWarning, which the suite turns into
-an error.  The examples are derandomized, so every run draws the same ones.
+10^-k.  In modes 0-4 with 64 or 160 trial functions the pencil either
+matches the closed-form Paneitz spectrum or raises a typed CknError.  The
+closed-form reports of verify-extremal and transform-check either pass
+with every norm a positive float, fail a check they name, or stop with a
+typed CknError.  A NaN or overflow shows up as a RuntimeWarning, which the
+suite turns into an error.  The examples are derandomized, so every run
+draws the same ones.
 """
+
+import contextlib
+import io
+import json
+import math
+import traceback
+import warnings
 
 import numpy as np
 from hypothesis import given, seed, settings, strategies as st
 
+from ckn4 import errors
+from ckn4.cli import main
 from ckn4.errors import CknError
 from ckn4.params import validate_params
 from ckn4.spectrum import exact_rel_errors, mode_eigenvalues
@@ -40,3 +52,48 @@ def test_spectrum_matches_closed_form_or_is_typed(point, k_mode, m):
         return
     assert np.isfinite(res.eigenvalues).all()
     assert exact_rel_errors(p, k_mode, res.eigenvalues).max() <= 1e-10
+
+
+CKN_ERRORS = {name for name, obj in vars(errors).items()
+              if isinstance(obj, type) and issubclass(obj, CknError)}
+
+
+def _closed_form_values(command, data):
+    """Every norm, integral and identity side of a closed-form report."""
+    if command == "verify-extremal":
+        return [data["rayleigh_quotient"], data["best_constant_radial"],
+                *(f["value"] for f in data["functionals"])]
+    return [entry[identity][side] for entry in data["identities"]
+            for identity in ("norm_identity", "star_identity") for side in ("lhs", "rhs")]
+
+
+@seed(20261019)
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(point=admissible())
+def test_closed_form_reports_are_right_or_typed(point):
+    N, alpha = point
+    for command in ("verify-extremal", "transform-check"):
+        argv = [command, "--N", str(N), f"--alpha={alpha!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except Exception:
+                    raise AssertionError(f"{argv}: {traceback.format_exc()}") from None
+        assert not caught, (argv, [str(w.message) for w in caught])
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err, argv
+        if code == 2:
+            name = err.removeprefix("error: ").split(":", 1)[0]
+            assert out == "" and name in CKN_ERRORS, (argv, err)
+            continue
+        report = json.loads(out)
+        assert err == "", (argv, err)
+        if code == 1:
+            assert not all(c["passed"] for c in report["checks"]), argv
+            continue
+        assert code == 0, argv
+        values = _closed_form_values(command, report["data"])
+        assert all(math.isfinite(v) and v > 0.0 for v in values), (argv, values)
