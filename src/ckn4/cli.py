@@ -349,6 +349,35 @@ def _emit(report, args) -> int:
     return 0 if all(rep["passed"] for rep in reports) else 1
 
 
+def finite_float(text: str) -> float:
+    """argparse type of the float flags: a finite number, else a usage error naming the flag."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {text!r}")
+    return value
+
+
+# branch --grid-n: below 5 the coarse level's residual block (grid_n-4 nodes a
+# side) is empty; at the cap the fine level's 2*grid_n = 2048 side makes each
+# float field 32 MiB, and a residual holds at most six at once (192 MiB)
+GRID_N_RANGE = (5, 1024)
+
+
+def grid_n(text: str) -> int:
+    """argparse type of --grid-n: an integer in GRID_N_RANGE, checked before any array exists."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+    lo, hi = GRID_N_RANGE
+    if not lo <= n <= hi:
+        raise argparse.ArgumentTypeError(f"need {lo} <= grid_n <= {hi}, got {n}")
+    return n
+
+
 ALPHA_COMMANDS = ("constants", "verify-extremal", "transform-check", "spectrum", "kernel",
                   "remainder", "perturb")
 
@@ -358,19 +387,19 @@ FLAGS = [
     ("--alpha", dict(type=str, default="1", help="weight exponent as an exact decimal string"),
      ALPHA_COMMANDS),
     ("--scan-alpha", dict(type=str, default=None, metavar="a0:a1:step"), ALPHA_COMMANDS),
-    ("--lam", dict(type=float, default=1.0), ("verify-extremal",)),
-    ("--perturb-amplitude", dict(type=float, default=1.0), ("verify-extremal",)),
+    ("--lam", dict(type=finite_float, default=1.0), ("verify-extremal",)),
+    ("--perturb-amplitude", dict(type=finite_float, default=1.0), ("verify-extremal",)),
     ("--mode", dict(type=int, default=0), ("spectrum",)),
     ("--num-eigs", dict(type=int, default=6), ("spectrum",)),
     ("--nodes", dict(type=int, default=160), ("spectrum", "kernel", "remainder", "perturb")),
     ("--k-max", dict(type=int, default=4), ("kernel",)),
     ("--t-values", dict(type=str, default="0.01,0.001"), ("remainder",)),
-    ("--eps", dict(type=float, default=1e-3), ("perturb",)),
+    ("--eps", dict(type=finite_float, default=1e-3), ("perturb",)),
     ("--h", dict(type=str, default="exp_bump"), ("perturb",)),
     ("--h-file", dict(type=str, default=None), ("perturb",)),
-    ("--a", dict(type=float, default=0.0, help="two-block displacement"),
+    ("--a", dict(type=finite_float, default=0.0, help="two-block displacement"),
      ("branch",)),
-    ("--grid-n", dict(type=int, default=200), ("branch",)),
+    ("--grid-n", dict(type=grid_n, default=200), ("branch",)),
     ("--out", dict(type=str, default=None), tuple(COMMANDS)),
     ("--format", dict(choices=("json", "csv"), default="json"), ("remainder", "perturb")),
 ]

@@ -150,6 +150,42 @@ def brentq_lambda_star(pp, la, lb):
     return brentq(lambda lam: solve_correction(pp, lam).l / lam, la, lb, xtol=1e-14, rtol=1e-14)
 
 
+def _diff_1d(G, h, axis):
+    """Fourth-order central first/second differences along one padded axis.
+
+    G carries two ghost layers on the low side of `axis`; the two far rows
+    are consumed by the stencil, so output length is len-4 along that axis.
+    """
+    def sl(k):
+        idx = [slice(None), slice(None)]
+        idx[axis] = slice(k, G.shape[axis] - 4 + k)
+        return G[tuple(idx)]
+
+    f_2, f_1, f0, f1, f2 = (sl(k) for k in range(5))
+    d1 = (f_2 - 8.0 * f_1 + 8.0 * f1 - f2) / (12.0 * h)
+    d2 = (-f_2 + 16.0 * f_1 - 30.0 * f0 + 16.0 * f1 - f2) / (12.0 * h * h)
+    return d1, d2
+
+
+def biradial_lap_two_stage(F, t, h, m):
+    """Two-block radial Laplacian, first and second differences taken apart.
+
+    A reference for profiles._biradial_lap, which folds both differences
+    and the m/t factor into one five-tap stencil per axis: here each axis's
+    d1 and d2 are separate shifted-slice sums over the padded field, and
+    d2 + (m/t) d1 is formed afterwards, the stencil the two-block residual
+    used before.  Same even-reflection ghosts; result shape (n-2, n-2).
+    """
+    n = F.shape[0]
+    G = np.pad(F, ((2, 0), (2, 0)), mode="symmetric")
+    d1a, d2a = _diff_1d(G, h, 0)    # (n-2, n+2)
+    d1b, d2b = _diff_1d(G, h, 1)    # (n+2, n-2)
+    nt = n - 2
+    inv_t = m / t[:nt]
+    return (d2a[:, 2:2 + nt] + d1a[:, 2:2 + nt] * inv_t[:, None]
+            + d2b[2:2 + nt, :] + d1b[2:2 + nt, :] * inv_t[None, :])
+
+
 @pytest.fixture(scope="session")
 def param_sets():
     return [validate_params(N, a) for N, a in PARAM_SETS]

@@ -11,8 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 
-from ckn4 import calculus, reduction
-from ckn4.cli import COMMANDS, build_parser, load_h_csv, main
+from ckn4 import calculus, profiles, reduction
+from ckn4.cli import COMMANDS, FLAGS, build_parser, load_h_csv, main
 from ckn4.params import normalization_constant, validate_params
 from ckn4.reduction import BUILTIN_H
 from ckn4.spectrum import SGrid
@@ -228,6 +228,59 @@ def test_branch_command(capsys):
     assert code == 0
     rep = json.loads(out)
     assert rep["data"]["observed_order"] >= 2.0
+
+
+@pytest.mark.parametrize("grid_n", ["0", "3", "4", "1025", "100000"])
+def test_branch_grid_n_out_of_range_is_usage_error(capsys, monkeypatch, grid_n):
+    # refused while parsing: no profile is built and no array allocated
+    # (100000 once asked numpy for 74.5 GiB)
+    def refuse(*args, **kwargs):
+        raise AssertionError("branch reached the profile with an out-of-range --grid-n")
+
+    monkeypatch.setattr(profiles, "nonradial_branch", refuse)
+    monkeypatch.setattr(profiles, "biradial_residual", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["branch", "--N", "8", "--grid-n", grid_n])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --grid-n" in err and f"got {grid_n}" in err
+    assert "Traceback" not in err
+
+
+def test_branch_source_underflow_is_typed(capsys):
+    # a^2 overflows: the profile, its source and their sups are all 0
+    code, out, err = run(capsys, "branch", "--N", "8", "--a", "1e200")
+    assert code == 2 and out == ""
+    assert err.startswith("error: QuadratureFailure: two-block residual")
+    assert "N=8, a=1e+200, n=200" in err and "Traceback" not in err
+
+
+def test_verify_extremal_zero_amplitude_is_zero_function(capsys):
+    code, out, err = run(capsys, "verify-extremal", "--N", "5", "--alpha", "1",
+                         "--perturb-amplitude", "0")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ZeroFunction: EL residual at N=5")
+
+
+# every float-valued flag of every subcommand that takes it, read off FLAGS,
+# so that a flag added later is covered too
+FLOAT_FLAGS = [(name, flag) for flag, kwargs, names in FLAGS
+               if kwargs.get("type") is float or isinstance(kwargs.get("default"), float)
+               for name in names]
+
+
+def test_float_flags_are_found():
+    assert ("branch", "--a") in FLOAT_FLAGS and ("perturb", "--eps") in FLOAT_FLAGS
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name, flag", FLOAT_FLAGS)
+def test_float_flag_refuses_non_finite(capsys, name, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main([name, f"{flag}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err and "Traceback" not in err
 
 
 def test_perturb_command(capsys, tmp_path):

@@ -15,6 +15,7 @@ from ckn4.errors import (
 from ckn4.params import normalization_constant, validate_params
 from ckn4.profiles import (
     PolyGaussProfile,
+    _biradial_lap,
     biradial_residual,
     dilation_tangent,
     el_residual,
@@ -26,7 +27,7 @@ from ckn4.profiles import (
     profile_from_json,
     profile_to_json,
 )
-from conftest import PARAM_SETS
+from conftest import PARAM_SETS, biradial_lap_two_stage
 
 
 STENCILS = {
@@ -231,3 +232,25 @@ def test_biradial_residual_converges():
         assert sups[1] < 1e-3
         order = math.log2(sups[0] / sups[1])
         assert order >= 2.0
+
+
+@pytest.mark.parametrize("n", [100, 200, 400])
+@pytest.mark.parametrize("N, a", [(8, 0.0), (8, 0.3), (12, 0.45), (10, -0.4)])
+def test_biradial_lap_matches_two_stage_reference(N, a, n):
+    # both stages of the residual against the two-stage reference on the same
+    # input; the sums run in another order, so they agree to rounding (at
+    # most 1.0e-12 of max|field| measured), not bitwise
+    prof = nonradial_branch(N, a)
+    m = N / 2.0 - 1.0
+    h = 6.0 / n
+    t = (np.arange(n) + 0.5) * h
+    V = prof.eval(t[:, None], t[None, :])
+    lap_v = _biradial_lap(V, t, h, m)
+    ref_v = biradial_lap_two_stage(V, t, h, m)
+    assert np.abs(lap_v - ref_v).max() <= 1e-11 * np.abs(ref_v).max()
+    W = lap_v / (t[:n - 2, None] ** 2 + t[None, :n - 2] ** 2)
+    ref_w = biradial_lap_two_stage(W, t[:n - 2], h, m)
+    lap_w = biradial_residual(prof, n=n, return_fields=True)["fields"]["lap_w"]
+    assert lap_w.shape == ref_w.shape == (n - 4, n - 4)
+    assert np.abs(lap_w - ref_w).max() <= 1e-11 * np.abs(ref_w).max()
+

@@ -5,9 +5,11 @@ Every (N, alpha) with 4-N < alpha < 2, including both ends approached as
 matches the closed-form Paneitz spectrum or raises a typed CknError.  The
 closed-form reports of verify-extremal and transform-check either pass
 with every norm a positive float, fail a check they name, or stop with a
-typed CknError.  A NaN or overflow shows up as a RuntimeWarning, which the
-suite turns into an error.  The examples are derandomized, so every run
-draws the same ones.
+typed CknError.  So does `branch` over displacements a in [-0.5, 0.5],
+non-finite and overflowing ones, and grid sizes inside and outside its
+range, or it stops with a usage error.  A NaN or overflow shows up as a
+RuntimeWarning, which the suite turns into an error.  The examples are
+derandomized, so every run draws the same ones.
 """
 
 import contextlib
@@ -21,7 +23,7 @@ import numpy as np
 from hypothesis import given, seed, settings, strategies as st
 
 from ckn4 import errors
-from ckn4.cli import main
+from ckn4.cli import GRID_N_RANGE, main
 from ckn4.errors import CknError
 from ckn4.params import validate_params
 from ckn4.spectrum import exact_rel_errors, mode_eigenvalues
@@ -58,6 +60,23 @@ CKN_ERRORS = {name for name, obj in vars(errors).items()
               if isinstance(obj, type) and issubclass(obj, CknError)}
 
 
+def _run_cli(argv):
+    """(exit code, stdout, stderr) of one report; a traceback or warning fails."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                raise AssertionError(f"{argv}: {traceback.format_exc()}") from None
+    assert not caught, (argv, [str(w.message) for w in caught])
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue(), err.getvalue()
+
+
 def _closed_form_values(command, data):
     """Every norm, integral and identity side of a closed-form report."""
     if command == "verify-extremal":
@@ -74,17 +93,7 @@ def test_closed_form_reports_are_right_or_typed(point):
     N, alpha = point
     for command in ("verify-extremal", "transform-check"):
         argv = [command, "--N", str(N), f"--alpha={alpha!r}"]
-        out, err = io.StringIO(), io.StringIO()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                try:
-                    code = main(argv)
-                except Exception:
-                    raise AssertionError(f"{argv}: {traceback.format_exc()}") from None
-        assert not caught, (argv, [str(w.message) for w in caught])
-        out, err = out.getvalue(), err.getvalue()
-        assert "Traceback" not in err, argv
+        code, out, err = _run_cli(argv)
         if code == 2:
             name = err.removeprefix("error: ").split(":", 1)[0]
             assert out == "" and name in CKN_ERRORS, (argv, err)
@@ -97,3 +106,36 @@ def test_closed_form_reports_are_right_or_typed(point):
         assert code == 0, argv
         values = _closed_form_values(command, report["data"])
         assert all(math.isfinite(v) and v > 0.0 for v in values), (argv, values)
+
+
+LO, HI = GRID_N_RANGE
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(N=st.sampled_from([8, 10, 12]),
+       a=st.floats(-0.5, 0.5) | st.sampled_from([math.nan, math.inf, -math.inf, 1e200]),
+       grid_n=st.integers(LO, 160) | st.sampled_from([-1, 0, LO - 1, HI + 1, 10 ** 6]))
+def test_branch_reports_are_right_or_typed(N, a, grid_n):
+    argv = ["branch", "--N", str(N), f"--a={a!r}", f"--grid-n={grid_n}"]
+    code, out, err = _run_cli(argv)
+    finite_a = math.isfinite(a)
+    if code == 2:
+        assert out == "", argv
+        if finite_a and LO <= grid_n <= HI:
+            name = err.removeprefix("error: ").split(":", 1)[0]
+            assert name in CKN_ERRORS, (argv, err)
+        else:
+            flag = "--grid-n" if finite_a else "--a"
+            assert f"error: argument {flag}:" in err, (argv, err)
+        return
+    assert finite_a and LO <= grid_n <= HI and err == "", (argv, err)
+    report = json.loads(out)
+    data = report["data"]
+    assert data["coarse"]["n"] == grid_n and data["fine"]["n"] == 2 * grid_n
+    values = [data["coarse"]["rel_sup"], data["fine"]["rel_sup"], data["observed_order"]]
+    assert all(math.isfinite(v) for v in values), (argv, values)
+    if code == 1:
+        assert not all(c["passed"] for c in report["checks"]), argv
+    else:
+        assert code == 0 and report["passed"], argv
