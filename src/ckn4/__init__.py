@@ -25,7 +25,6 @@ from .profiles import (
     kernel_Z0,
     kernel_Zk_radial,
     dilation_tangent,
-    el_residual,
     el_residual_relative,
     nonradial_branch,
     biradial_residual,
@@ -35,8 +34,6 @@ from .calculus import (
     weighted_hessian_norm_sq,
     weighted_star_norm,
     rayleigh_quotient,
-    inner_alpha,
-    weighted_H,
 )
 from .emden import to_sobolev, from_sobolev, norm_identity_check, star_identity_check
 from .spectrum import (
@@ -44,7 +41,6 @@ from .spectrum import (
     mode_eigenvalues,
     verify_kernel,
     kernel_residual,
-    mu3_estimate,
 )
 from .reduction import (
     ManifoldFit,

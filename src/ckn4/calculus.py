@@ -32,8 +32,6 @@ __all__ = [
     "weighted_hessian_norm_sq",
     "weighted_star_norm",
     "rayleigh_quotient",
-    "inner_alpha",
-    "weighted_H",
     "in_float_range",
 ]
 
@@ -44,8 +42,6 @@ class RadialGrid:
 
     nodes: np.ndarray
     weights: np.ndarray
-    r_min: float
-    r_max: float
 
     @property
     def n(self) -> int:
@@ -124,7 +120,7 @@ def _log_gauss(r_min: float, r_max: float, n: int) -> RadialGrid:
     r = np.exp(t)
     weights = 0.5 * (b - a) * w * r
     r.flags.writeable = weights.flags.writeable = False
-    return RadialGrid(nodes=r, weights=weights, r_min=r_min, r_max=r_max)
+    return RadialGrid(nodes=r, weights=weights)
 
 
 def default_grid() -> RadialGrid:
@@ -132,10 +128,6 @@ def default_grid() -> RadialGrid:
 
 
 # -- functionals ---------------------------------------------------------------
-
-
-def _lap_values(dim: float, u, r: np.ndarray) -> np.ndarray:
-    return u.deriv(r, 2) + (dim - 1) * u.deriv(r, 1) / r
 
 
 def in_float_range(p: Params, name: str, value: float) -> float:
@@ -152,26 +144,18 @@ def _exact(p: Params, name: str, form, value: float) -> float:
     return value if not any(form.terms.values()) else in_float_range(p, name, value)
 
 
-def _bilinear(dim: float, weight_pow: float, u, v, grid: RadialGrid) -> float:
-    """int r^weight_pow (lap u)(lap v) r^{dim-1} dr, lap = d^2/dr^2 + (dim-1)/r d/dr.
-
-    A Beta sum when u and v carry forms on one base, else the grid sum.
-    """
-    fu, fv = getattr(u, "form", None), getattr(v, "form", None)
-    if fu is not None and fv is not None and (fu.gamma, fu.w) == (fv.gamma, fv.w):
-        lap = fu.radial_laplacian(dim) * fv.radial_laplacian(dim)
-        return lap.integral(weight_pow + dim - 1.0)
-    r = grid.nodes
-    lap_u = _lap_values(dim, u, r)
-    lap_v = lap_u if v is u else _lap_values(dim, v, r)
-    return grid.integrate(r ** weight_pow * (lap_u * lap_v) * r ** (dim - 1))
-
-
 def hessian_integral(p: Params, dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
-    """int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr, without the sphere factor."""
-    out = _bilinear(dim, weight_pow, u, u, grid)
+    """int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr, without the sphere factor.
+
+    A Beta sum when u carries a form, else the grid sum.
+    """
     form = getattr(u, "form", None)
-    return out if form is None else _exact(p, "Hessian integral", form, out)
+    if form is not None:
+        lap = form.radial_laplacian(dim)
+        return _exact(p, "Hessian integral", form, (lap * lap).integral(weight_pow + dim - 1.0))
+    r = grid.nodes
+    lap_u = u.deriv(r, 2) + (dim - 1) * u.deriv(r, 1) / r
+    return grid.integrate(r ** weight_pow * (lap_u * lap_u) * r ** (dim - 1))
 
 
 def star_integral(p: Params, dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
@@ -205,17 +189,3 @@ def rayleigh_quotient(p: Params, u, grid: RadialGrid | None = None) -> float:
     if star == 0.0:
         raise ZeroFunction("star norm vanishes; quotient undefined")
     return weighted_hessian_norm_sq(p, u, grid) / star ** 2
-
-
-def inner_alpha(p: Params, u, v, grid: RadialGrid | None = None) -> float:
-    """Inner product omega int r^alpha (lap u)(lap v) r^{N-1} dr."""
-    return sphere_area(p.N) * _bilinear(p.N, p.alpha, u, v, grid or default_grid())
-
-
-def weighted_H(p: Params, h, u, grid: RadialGrid | None = None) -> float:
-    """Perturbation functional (1/p*) int h |x|^{-alpha} u_+^{p*}."""
-    grid = grid or default_grid()
-    r = grid.nodes
-    hv = h(r) if callable(h) else h.eval(r)
-    values = hv * r ** (-p.alpha) * np.maximum(u.eval(r), 0.0) ** p.pstar * r ** (p.N - 1)
-    return sphere_area(p.N) * grid.integrate(values) / p.pstar

@@ -18,6 +18,7 @@ import numpy as np
 from . import calculus, emden, profiles, reduction, spectrum
 from .errors import CknError
 from .params import (
+    _K_GUARD,
     best_constant_radial,
     best_constant_radial_report,
     even_alpha_info,
@@ -34,7 +35,6 @@ TOLERANCES = {
     "transform_identity": 1e-7,
     "eigenvalue": 1e-4,
     "kernel_match": 1e-3,
-    "lambda_independence": 1e-6,
     "remainder_window": 0.05,
     "contraction": 0.9,
     "perturb_residual": 1e-6,
@@ -149,7 +149,7 @@ def cmd_verify_extremal(args) -> dict:
     return {
         "data": {
             "N": p.N, "alpha": p.alpha, "lam": args.lam,
-            "profile": json.loads(profiles.profile_to_json(U)),
+            "profile": profiles.profile_to_json(U),
             "el_residual_sup": el,
             "rayleigh_quotient": rq,
             "best_constant_radial": S,
@@ -220,9 +220,8 @@ def cmd_remainder(args) -> dict:
     phi3 = res.eigenfunction(2).to_radial(p)
     nrm = np.sqrt(calculus.weighted_hessian_norm_sq(p, phi3))
     direction = reduction.RadialCombination([phi3], [1.0 / nrm])
-    t_list = [float(t) for t in args.t_values.split(",")]
     grid = reduction.wide_grid()
-    curve = reduction.remainder_scan(p, direction, t_list, grid)
+    curve = reduction.remainder_scan(p, direction, args.t_values, grid)
     fits = [{"t": row["t"], **row.pop("fit")} for row in curve]
     target = 1.0 - mu2 / mu3
     q_small = curve[-1]["quotient"]
@@ -360,22 +359,38 @@ def finite_float(text: str) -> float:
     return value
 
 
+def finite_floats(text: str) -> list[float]:
+    """argparse type of a comma-separated list of finite numbers (remainder --t-values)."""
+    return [finite_float(part) for part in text.split(",")]
+
+
+def int_in(lo: int, hi: int):
+    """argparse type of an int flag: an integer in [lo, hi], checked before any array exists."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
+        if not lo <= n <= hi:
+            raise argparse.ArgumentTypeError(f"need {lo} <= value <= {hi}, got {n}")
+        return n
+
+    parse.range = (lo, hi)
+    return parse
+
+
 # branch --grid-n: below 5 the coarse level's residual block (grid_n-4 nodes a
 # side) is empty; at the cap the fine level's 2*grid_n = 2048 side makes each
 # float field 32 MiB, and a residual holds at most six at once (192 MiB)
 GRID_N_RANGE = (5, 1024)
-
-
-def grid_n(text: str) -> int:
-    """argparse type of --grid-n: an integer in GRID_N_RANGE, checked before any array exists."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"need an integer, got {text!r}") from None
-    lo, hi = GRID_N_RANGE
-    if not lo <= n <= hi:
-        raise argparse.ArgumentTypeError(f"need {lo} <= grid_n <= {hi}, got {n}")
-    return n
+# --nodes, the trial functions of a mode pencil: assemble_mode_problem needs 64;
+# at 2048, perturb --N 5 --alpha 1 takes 4.1 s and 885 MB, spectrum 1.4 s and
+# 226 MB (2-vCPU Intel Xeon VM)
+NODES_RANGE = (64, 2048)
+# --num-eigs: mode 0's checks read mu_1 to mu_3
+NUM_EIGS_RANGE = (3, 2048)
+# --mode and --k-max: the spherical-harmonic degrees params.spherical_multiplicity takes
+MODE_RANGE = (0, _K_GUARD)
 
 
 ALPHA_COMMANDS = ("constants", "verify-extremal", "transform-check", "spectrum", "kernel",
@@ -389,17 +404,18 @@ FLAGS = [
     ("--scan-alpha", dict(type=str, default=None, metavar="a0:a1:step"), ALPHA_COMMANDS),
     ("--lam", dict(type=finite_float, default=1.0), ("verify-extremal",)),
     ("--perturb-amplitude", dict(type=finite_float, default=1.0), ("verify-extremal",)),
-    ("--mode", dict(type=int, default=0), ("spectrum",)),
-    ("--num-eigs", dict(type=int, default=6), ("spectrum",)),
-    ("--nodes", dict(type=int, default=160), ("spectrum", "kernel", "remainder", "perturb")),
-    ("--k-max", dict(type=int, default=4), ("kernel",)),
-    ("--t-values", dict(type=str, default="0.01,0.001"), ("remainder",)),
+    ("--mode", dict(type=int_in(*MODE_RANGE), default=0), ("spectrum",)),
+    ("--num-eigs", dict(type=int_in(*NUM_EIGS_RANGE), default=6), ("spectrum",)),
+    ("--nodes", dict(type=int_in(*NODES_RANGE), default=160),
+     ("spectrum", "kernel", "remainder", "perturb")),
+    ("--k-max", dict(type=int_in(*MODE_RANGE), default=4), ("kernel",)),
+    ("--t-values", dict(type=finite_floats, default="0.01,0.001"), ("remainder",)),
     ("--eps", dict(type=finite_float, default=1e-3), ("perturb",)),
     ("--h", dict(type=str, default="exp_bump"), ("perturb",)),
     ("--h-file", dict(type=str, default=None), ("perturb",)),
     ("--a", dict(type=finite_float, default=0.0, help="two-block displacement"),
      ("branch",)),
-    ("--grid-n", dict(type=grid_n, default=200), ("branch",)),
+    ("--grid-n", dict(type=int_in(*GRID_N_RANGE), default=200), ("branch",)),
     ("--out", dict(type=str, default=None), tuple(COMMANDS)),
     ("--format", dict(choices=("json", "csv"), default="json"), ("remainder", "perturb")),
 ]

@@ -40,9 +40,6 @@ class ComposedRadial:
         s = np.asarray(s, dtype=float)
         return self.amp * self.u.eval((self.scale * s) ** self.power)
 
-    def __call__(self, s):
-        return self.eval(s)
-
     def deriv(self, s, order: int = 1):
         s = np.asarray(s, dtype=float)
         q = self.power
@@ -87,8 +84,6 @@ def induced_sobolev_grid(p: Params, grid: RadialGrid) -> RadialGrid:
     return RadialGrid(
         nodes=grid.nodes ** (1.0 / q),
         weights=grid.weights * grid.nodes ** (1.0 / q - 1.0) / q,
-        r_min=grid.r_min ** (1.0 / q),
-        r_max=grid.r_max ** (1.0 / q),
     )
 
 

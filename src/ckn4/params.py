@@ -144,16 +144,9 @@ def sobolev_constant_C_forms(M: float) -> tuple[float, float]:
     return main, float(np.exp(log_alt))
 
 
-def sobolev_constant_C(M: float, check: bool = False) -> float:
-    """Sharp constant C(M) = (M-4)(M-2)M(M+2) [Gamma(M/2)^2 / (2 Gamma(M))]^{4/M}.
-
-    With ``check=True`` the second closed form is evaluated as well and the
-    two are required to agree to 1e-12 relative.
-    """
-    main, alt = sobolev_constant_C_forms(M)
-    if check and abs(main - alt) > 1e-12 * abs(main):
-        raise AssertionError(f"C(M) closed forms disagree at M={M}: {main} vs {alt}")
-    return main
+def sobolev_constant_C(M: float) -> float:
+    """Sharp constant C(M) = (M-4)(M-2)M(M+2) [Gamma(M/2)^2 / (2 Gamma(M))]^{4/M}."""
+    return sobolev_constant_C_forms(M)[0]
 
 
 def fourth_order_sobolev_constant(M: float) -> float:
@@ -229,11 +222,11 @@ def mode_lambda(k: int, N: int) -> tuple[float, int]:
     return float(k * (N - 2 + k)), spherical_multiplicity(k, N)
 
 
-def even_alpha_info(p: Params, tol: float = _EVEN_TOL) -> EvenAlphaInfo:
+def even_alpha_info(p: Params) -> EvenAlphaInfo:
     """Detect alpha = -2(k-1) and report the kernel dimension.
 
     When the Params carry an exact rational alpha the detection is exact;
-    otherwise it uses an absolute tolerance (default 1e-12).
+    otherwise it uses the absolute tolerance _EVEN_TOL.
     """
     k = None
     if p.alpha_exact is not None:
@@ -243,7 +236,7 @@ def even_alpha_info(p: Params, tol: float = _EVEN_TOL) -> EvenAlphaInfo:
             k = 1 + (-int(a)) // 2
     else:
         nearest = round(p.alpha)
-        if abs(p.alpha - nearest) <= tol and nearest <= 0 and nearest % 2 == 0:
+        if abs(p.alpha - nearest) <= _EVEN_TOL and nearest <= 0 and nearest % 2 == 0:
             k = 1 + (-nearest) // 2
     if k is None or k < 1:
         return EvenAlphaInfo(is_even_case=False, k=None, multiplicity=None, kernel_dim=1)

@@ -10,7 +10,6 @@ the two-block profile at alpha = -2 covers the nonradial branch.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 
@@ -35,15 +34,12 @@ __all__ = [
     "kernel_Z0",
     "kernel_Zk_radial",
     "dilation_tangent",
-    "el_residual",
     "el_residual_relative",
     "PolyGaussProfile",
-    "random_trial_profiles",
     "BiradialProfile",
     "nonradial_branch",
     "biradial_residual",
     "profile_to_json",
-    "profile_from_json",
 ]
 
 
@@ -76,9 +72,6 @@ class RadialProfile:
         return self._derivs[order]
 
     def eval(self, r):
-        return self.form.eval(r)
-
-    def __call__(self, r):
         return self.form.eval(r)
 
     def deriv(self, r, order: int = 1):
@@ -152,47 +145,22 @@ def _lhs_form(p: Params, u: RadialProfile) -> PowerForm:
     return inner.radial_laplacian(p.N)
 
 
-def _generic_lhs(p: Params, u, r):
-    """Delta(r^alpha Delta u) for any profile with four derivatives."""
-    r = np.asarray(r, dtype=float)
-    a = p.alpha
-    N = p.N
-    u1, u2, u3, u4 = (u.deriv(r, k) for k in (1, 2, 3, 4))
-    D1 = u2 + (N - 1) * u1 / r
-    D1p = u3 + (N - 1) * u2 / r - (N - 1) * u1 / r ** 2
-    D1pp = u4 + (N - 1) * u3 / r - 2 * (N - 1) * u2 / r ** 2 + 2 * (N - 1) * u1 / r ** 3
-    return r ** a * (D1pp + (N - 1 + 2 * a) * D1p / r + a * (a + N - 2) * D1 / r ** 2)
+def el_residual_relative(p: Params, u: RadialProfile, r):
+    """Residual Delta(|x|^a Delta u) - r^{-a} u_+^{p*-1} at the radii r, relative.
 
-
-def el_residual(p: Params, u, r):
-    """Pointwise residual Delta(|x|^a Delta u) - r^{-a} u_+^{p*-1} at radius r."""
+    Normalized by the magnitude of the terms entering it; the left side is
+    exact through u's form.
+    """
     r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise NonpositiveRadius("residual defined for r > 0")
-    if isinstance(u, RadialProfile):
-        lhs = _lhs_form(p, u).eval(r)
-    else:
-        lhs = _generic_lhs(p, u, r)
-    rhs = r ** (-p.alpha) * np.maximum(u.eval(r), 0.0) ** (p.pstar - 1.0)
-    return lhs - rhs
-
-
-def el_residual_relative(p: Params, u, r):
-    """Residual normalized by the magnitude of the terms entering it."""
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise NonpositiveRadius("residual defined for r > 0")
-    if isinstance(u, RadialProfile) and not any(u.form.terms.values()):
+    if not any(u.form.terms.values()):
         raise ZeroFunction(f"EL residual at N={p.N}, alpha={p.alpha}: the profile is "
                            f"identically 0, so no relative residual exists")
     rhs = r ** (-p.alpha) * np.maximum(u.eval(r), 0.0) ** (p.pstar - 1.0)
-    if isinstance(u, RadialProfile):
-        lhs_form = _lhs_form(p, u)
-        lhs = lhs_form.eval(r)
-        scale = lhs_form.term_magnitude(r) + np.abs(rhs)
-    else:
-        lhs = _generic_lhs(p, u, r)
-        scale = np.abs(lhs) + np.abs(rhs)
+    lhs_form = _lhs_form(p, u)
+    lhs = lhs_form.eval(r)
+    scale = lhs_form.term_magnitude(r) + np.abs(rhs)
     if not np.all(scale > 0.0):
         raise QuadratureFailure(
             f"EL residual at N={p.N}, alpha={p.alpha}: both sides are 0 at "
@@ -224,27 +192,9 @@ class PolyGaussProfile:
         r = np.asarray(r, dtype=float)
         return self.poly(r) * np.exp(-self.b * r * r)
 
-    def __call__(self, r):
-        return self.eval(r)
-
     def deriv(self, r, order: int = 1):
         r = np.asarray(r, dtype=float)
         return self._dpoly(order)(r) * np.exp(-self.b * r * r)
-
-
-def random_trial_profiles(n: int, seed: int = 0, max_degree: int = 3) -> list[PolyGaussProfile]:
-    """Seeded family of smooth rapidly decaying trials (even polynomials x Gaussians)."""
-    rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(n):
-        deg = int(rng.integers(0, max_degree + 1))
-        coeffs = np.zeros(2 * deg + 1)
-        coeffs[::2] = rng.uniform(-1.0, 1.0, size=deg + 1)
-        if abs(coeffs[0]) < 0.1:
-            coeffs[0] = 0.5 * np.sign(coeffs[0] or 1.0)
-        b = rng.uniform(0.3, 3.0)
-        out.append(PolyGaussProfile(coeffs, b))
-    return out
 
 
 # -- nonradial branch at alpha = -2 -------------------------------------------
@@ -317,8 +267,14 @@ def _sup_outside(F: np.ndarray, k0: int, corner: np.ndarray) -> float:
     return float(np.max([abs(e) for part in parts for e in (part.max(), part.min())]))
 
 
-def biradial_residual(profile: BiradialProfile, n: int = 200, box: float = 6.0,
-                      exclude: float = 0.5, return_fields: bool = False) -> dict:
+# the grid covers [0, BIRADIAL_BOX]^2 in (t1, t2); the sups leave out the
+# ball |x| < BIRADIAL_EXCLUDE
+BIRADIAL_BOX = 6.0
+BIRADIAL_EXCLUDE = 0.5
+
+
+def biradial_residual(profile: BiradialProfile, n: int = 200,
+                      return_fields: bool = False) -> dict:
     """Discrete residual of the two-block equation on an offset tensor grid.
 
     Returns the sup of Delta(|x|^{-2} Delta v) - |x|^2 v^{p*-1} relative to
@@ -329,6 +285,7 @@ def biradial_residual(profile: BiradialProfile, n: int = 200, box: float = 6.0,
     """
     pstar = profile.pstar
     m = profile.N / 2.0 - 1.0
+    box, exclude = BIRADIAL_BOX, BIRADIAL_EXCLUDE
     h = box / n
     t = (np.arange(n) + 0.5) * h
     V = profile.eval(t[:, None], t[None, :])
@@ -370,7 +327,8 @@ def biradial_residual(profile: BiradialProfile, n: int = 200, box: float = 6.0,
 # -- serialization -------------------------------------------------------------
 
 
-def profile_to_json(u: RadialProfile) -> str:
+def profile_to_json(u: RadialProfile) -> dict:
+    """The profile's kind, parameters, scale and amplitude as a JSON-ready dict."""
     payload = {
         "kind": u.kind.value,
         "N": u.params.N,
@@ -380,21 +338,4 @@ def profile_to_json(u: RadialProfile) -> str:
     }
     if u.k is not None:
         payload["k"] = u.k
-    return json.dumps(payload, sort_keys=True)
-
-
-def profile_from_json(text: str) -> RadialProfile:
-    payload = json.loads(text)
-    p = validate_params(payload["N"], payload["alpha"])
-    kind = ProfileKind(payload["kind"])
-    if kind is ProfileKind.EXTREMAL_U:
-        return extremal_U(p, payload["lam"])
-    if kind is ProfileKind.EXTREMAL_V:
-        return extremal_U(p, payload["lam"], amplitude=payload["amplitude"])
-    if kind is ProfileKind.KERNEL_Z0:
-        return kernel_Z0(p)
-    if kind is ProfileKind.KERNEL_ZK:
-        return kernel_Zk_radial(p, payload["k"])
-    if kind is ProfileKind.DILATION_TANGENT:
-        return dilation_tangent(p, payload["lam"])
-    raise ValueError(f"cannot reconstruct profile of kind {kind}")
+    return payload

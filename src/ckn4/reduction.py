@@ -43,14 +43,13 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
-from .emden import ComposedRadial, sobolev_bubble
+from .emden import sobolev_bubble
 from .errors import (ContractionFailure, EigensolveFailure, NoInteriorExtremum, OnManifold,
                      QuadratureFailure, ZeroFunction)
 from .forms import PowerForm
 from .params import Params, best_constant_radial, normalization_constant, sphere_area
 from .profiles import RadialProfile, dilation_tangent, extremal_U
-from .spectrum import (ModeProblem, SGrid, SobolevModeFunction, _solve_pencil, _solve_pencil_cut,
-                       assemble_mode_problem)
+from .spectrum import ModeProblem, SGrid, _solve_pencil, _solve_pencil_cut, assemble_mode_problem
 
 __all__ = [
     "ManifoldFit",
@@ -68,7 +67,6 @@ __all__ = [
     "find_perturbed_solution",
     "RadialCombination",
     "BUILTIN_H",
-    "h_weighted_star_norm",
 ]
 
 
@@ -96,9 +94,6 @@ class RadialCombination:
         for w, f in zip(self.weights[1:], self.parts[1:]):
             out = out + w * f.eval(r)
         return out
-
-    def __call__(self, r):
-        return self.eval(r)
 
     def deriv(self, r, order: int = 1):
         out = self.weights[0] * self.parts[0].deriv(r, order)
@@ -430,7 +425,6 @@ class PerturbationProblem:
         # dilation tangent at scale 1 on the s side: -c E t = -c (b1/p0) psi_1
         c1 = C * (p.N - 4.0 + p.alpha) / 2.0 * basis.b1 / basis.p0
         self.d = -self.scale * c1 * (self.X.T @ A[:, 1])
-        self.tangent_norm = abs(c1) * math.sqrt(self.scale * float(A[1, 1]))
 
         self.r_of_s = self.s ** p.q
 
@@ -472,11 +466,6 @@ class PerturbationProblem:
         if self.h is None:
             return np.zeros(r.shape)
         return np.asarray(self.h(r.ravel()), dtype=float).reshape(r.shape)
-
-    def basis_tangent_overlaps(self) -> float:
-        """Largest normalized overlap of a non-tangent basis mode with the tangent."""
-        overlaps = np.abs(self.d) / (np.sqrt(self.G) * self.tangent_norm)
-        return float(np.delete(overlaps, self.i_tan).max())
 
     def _solve_jacobian(self, r: np.ndarray, r_l):
         """(x, l) with D_i x_i - d_i l = r_i and d . x = r_l, in O(kept) work.
@@ -554,17 +543,6 @@ class CorrectionResult:
     star: float                   # int (1 + eps h(r/lam)) |x|^{-a} u_+^{p*} in the scale-1 frame
     converged: bool
     problem: PerturbationProblem
-
-    def omega_hat(self) -> SobolevModeFunction:
-        """Correction in the transported frame, as a function of s."""
-        pp = self.problem
-        return SobolevModeFunction(pp.problem.basis, pp.X @ self.coeffs)
-
-    def omega_radial(self) -> ComposedRadial:
-        """Physical correction P_lam(w) on the weighted side."""
-        p = self.problem.params
-        pre = self.lam ** ((p.N - 4.0 + p.alpha) / 2.0)
-        return ComposedRadial(self.omega_hat(), 1.0 / p.q, scale=self.lam, amp=pre)
 
 
 def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = None,
@@ -681,9 +659,12 @@ def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
     return 0.5 * pp.norm_sq(c) - star / pp.params.pstar
 
 
+# the Gamma curve counts as constant when its span is below FLAT_TOL * max(1, |E0|)
+FLAT_TOL = 1e-10
+
+
 def find_perturbed_solution(pp: PerturbationProblem,
-                            lam_grid: np.ndarray | None = None,
-                            flat_tol: float = 1e-10) -> dict:
+                            lam_grid: np.ndarray | None = None) -> dict:
     """Locate an interior extremum of the reduced energy and assemble the solution.
 
     The reduced curve is sampled on a log grid, all of its scales as one
@@ -710,7 +691,7 @@ def find_perturbed_solution(pp: PerturbationProblem,
     gammas = reduced_energies(pp, lam_grid, results=solve_corrections(pp, lam_grid))
     E0 = pp.unperturbed_energy
     span = float(gammas.max() - gammas.min())
-    if span < flat_tol * max(1.0, abs(E0)):
+    if span < FLAT_TOL * max(1.0, abs(E0)):
         raise NoInteriorExtremum(
             f"reduced energy is constant to {span:.3e}; every scale is critical")
 
@@ -773,13 +754,3 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],
         "result": final,
     }
-
-
-def h_weighted_star_norm(p: Params, h, lam: float, grid: RadialGrid | None = None) -> float:
-    """Norm || |h|^{1/p*} U_lam ||_* measuring where the perturbation sees the bubble."""
-    grid = grid or wide_grid()
-    r = grid.nodes
-    U = extremal_U(p, lam)
-    hv = np.abs(np.asarray(h(r), dtype=float))
-    vals = hv * r ** (-p.alpha) * U.eval(r) ** p.pstar * r ** (p.N - 1)
-    return (sphere_area(p.N) * grid.integrate(vals)) ** (1.0 / p.pstar)

@@ -63,7 +63,6 @@ __all__ = [
     "exact_rel_errors",
     "verify_kernel",
     "kernel_residual",
-    "mu3_estimate",
     "SobolevModeFunction",
 ]
 
@@ -490,9 +489,6 @@ class ModeProblem:
         p = self.params
         return sphere_area(p.N) / p.q ** 3
 
-    def potential(self, s: np.ndarray, weight_lambda: float = 1.0) -> np.ndarray:
-        return np.exp(self.log_potential(s, weight_lambda))
-
     def log_potential(self, s: np.ndarray, weight_lambda: float = 1.0) -> np.ndarray:
         nu = weight_lambda ** (1.0 / self.params.q)
         return _log_potential(self.params.M, nu, s)
@@ -639,27 +635,6 @@ class SpectrumResult:
     def eigenfunction(self, i: int) -> "SobolevModeFunction":
         return SobolevModeFunction(self.problem.basis, self.coefficients[:, i])
 
-    def alignment(self, i: int, exact_fn) -> float:
-        """Weighted-inner-product alignment of eigenvector i with a closed form."""
-        pr = self.problem
-        rule = pr.grid
-        s = rule.s
-        log_w = rule.log_w + (pr.params.M - 1.0) * rule.u + pr.log_potential(s)
-        fnum = self.eigenfunction(i).eval(np.atleast_1d(s))
-        fex = np.asarray(exact_fn(s), dtype=float)
-
-        def wsum(f, g):
-            # assembled in log space; nodes where a factor underflowed to
-            # zero contribute nothing by construction
-            m = (f != 0.0) & (g != 0.0) & np.isfinite(f) & np.isfinite(g)
-            vals = (np.sign(f[m]) * np.sign(g[m])
-                    * np.exp(log_w[m] + np.log(np.abs(f[m])) + np.log(np.abs(g[m]))))
-            return float(vals.sum())
-
-        num = wsum(fnum, fex)
-        den = math.sqrt(wsum(fnum, fnum) * wsum(fex, fex))
-        return abs(num) / den
-
 
 def exact_eigenvalues(p: Params, k: int, n: int) -> np.ndarray:
     """The n smallest mode-k eigenvalues of the continuum problem, in closed form.
@@ -724,9 +699,6 @@ class SobolevModeFunction:
     def eval(self, s):
         return self.deriv(s, 0)
 
-    def __call__(self, s):
-        return self.eval(s)
-
     def deriv(self, s, order: int = 1):
         if order not in (0, 1, 2):
             raise ValueError("mode functions support derivatives up to order 2")
@@ -764,8 +736,9 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
     """Compare the algebraic kernel condition with the discrete spectra.
 
     For each mode k <= k_max the condition q^2 lambda_k in {0, M-1} is
-    checked analytically and against the presence of the eigenvalue p*-1 in
-    the discrete pencil.  Disagreement raises InconsistentKernel.  The total
+    decided exactly, as k = 0 or alpha = -2(k-1) (even_alpha_info), and
+    checked against the presence of the eigenvalue p*-1 in the discrete
+    pencil.  Disagreement raises InconsistentKernel.  The total
     kernel dimension (radial element plus harmonic multiplicities) must
     reproduce the even-case count.
     """
@@ -775,8 +748,7 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
     kernel_dim = 0
     for k in range(k_max + 1):
         lam_k, mult = mode_lambda(k, p.N)
-        nu = p.q ** 2 * lam_k
-        analytic = (k == 0) or abs(nu - (p.M - 1.0)) < 1e-9
+        analytic = k == 0 or info.k == k
         result = mode_eigenvalues(p, k, n_eigs=n_eigs, nodes=nodes)
         dist = float(np.min(np.abs(result.eigenvalues - target)) / target)
         numeric = dist < tol
@@ -806,21 +778,4 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
         "kernel_dim": kernel_dim,
         "is_even_case": info.is_even_case,
         "k_even": info.k,
-    }
-
-
-def mu3_estimate(p: Params, nodes: int = 220, n_eigs: int = 6) -> dict:
-    """Third radial eigenvalue with a refinement error bar and its margin over p*-1."""
-    coarse = mode_eigenvalues(p, 0, n_eigs=n_eigs, nodes=max(64, (2 * nodes) // 3))
-    fine = mode_eigenvalues(p, 0, n_eigs=n_eigs, nodes=nodes)
-    mu3 = float(fine.eigenvalues[2])
-    err = abs(mu3 - float(coarse.eigenvalues[2]))
-    margin = mu3 - (p.pstar - 1.0) - err
-    return {
-        "mu1": float(fine.eigenvalues[0]),
-        "mu2": float(fine.eigenvalues[1]),
-        "mu3": mu3,
-        "err_bar": err,
-        "margin_over_mu2": margin,
-        "nodes": nodes,
     }

@@ -5,8 +5,12 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gammaln, roots_legendre
 
-from ckn4.params import normalization_constant, validate_params
-from ckn4.reduction import solve_correction
+from ckn4.calculus import default_grid
+from ckn4.emden import ComposedRadial
+from ckn4.params import normalization_constant, sphere_area, validate_params
+from ckn4.profiles import PolyGaussProfile, extremal_U
+from ckn4.reduction import solve_correction, wide_grid
+from ckn4.spectrum import SobolevModeFunction
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
@@ -148,6 +152,91 @@ def brentq_lambda_star(pp, la, lb):
     scale brentq tries is its own one-scale fixed-point solve.
     """
     return brentq(lambda lam: solve_correction(pp, lam).l / lam, la, lb, xtol=1e-14, rtol=1e-14)
+
+
+def inner_alpha(p, u, v, grid=None):
+    """Inner product omega int r^alpha (lap u)(lap v) r^{N-1} dr.
+
+    A Beta sum when u and v carry forms on one base, else the sum on the
+    grid (default_grid unless given).  An oracle for the program's norms,
+    which take only u = v (calculus.hessian_integral).
+    """
+    fu, fv = getattr(u, "form", None), getattr(v, "form", None)
+    if fu is not None and fv is not None and (fu.gamma, fu.w) == (fv.gamma, fv.w):
+        lap = fu.radial_laplacian(p.N) * fv.radial_laplacian(p.N)
+        return sphere_area(p.N) * lap.integral(p.alpha + p.N - 1.0)
+    grid = grid or default_grid()
+    r = grid.nodes
+    lap_u = u.deriv(r, 2) + (p.N - 1) * u.deriv(r, 1) / r
+    lap_v = v.deriv(r, 2) + (p.N - 1) * v.deriv(r, 1) / r
+    return sphere_area(p.N) * grid.integrate(r ** p.alpha * (lap_u * lap_v) * r ** (p.N - 1))
+
+
+def weighted_H(p, h, u, grid=None):
+    """Perturbation functional (1/p*) omega int h |x|^{-alpha} u_+^{p*} r^{N-1} dr, on the grid."""
+    grid = grid or default_grid()
+    r = grid.nodes
+    values = h(r) * r ** (-p.alpha) * np.maximum(u.eval(r), 0.0) ** p.pstar * r ** (p.N - 1)
+    return sphere_area(p.N) * grid.integrate(values) / p.pstar
+
+
+def h_weighted_star_norm(p, h, lam, grid=None):
+    """Norm || |h|^{1/p*} U_lam ||_*, where the perturbation sees the bubble, on the wide grid."""
+    grid = grid or wide_grid()
+    r = grid.nodes
+    hv = np.abs(np.asarray(h(r), dtype=float))
+    vals = hv * r ** (-p.alpha) * extremal_U(p, lam).eval(r) ** p.pstar * r ** (p.N - 1)
+    return (sphere_area(p.N) * grid.integrate(vals)) ** (1.0 / p.pstar)
+
+
+def omega_hat(res):
+    """A CorrectionResult's correction in the transported frame, as a function of s."""
+    pp = res.problem
+    return SobolevModeFunction(pp.problem.basis, pp.X @ res.coeffs)
+
+
+def omega_radial(res):
+    """A CorrectionResult's physical correction P_lam(w) on the weighted side."""
+    p = res.problem.params
+    pre = res.lam ** ((p.N - 4.0 + p.alpha) / 2.0)
+    return ComposedRadial(omega_hat(res), 1.0 / p.q, scale=res.lam, amp=pre)
+
+
+def random_trial_profiles(n, seed=0, max_degree=3):
+    """Seeded family of smooth rapidly decaying trials (even polynomials x Gaussians)."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        deg = int(rng.integers(0, max_degree + 1))
+        coeffs = np.zeros(2 * deg + 1)
+        coeffs[::2] = rng.uniform(-1.0, 1.0, size=deg + 1)
+        if abs(coeffs[0]) < 0.1:
+            coeffs[0] = 0.5 * np.sign(coeffs[0] or 1.0)
+        b = rng.uniform(0.3, 3.0)
+        out.append(PolyGaussProfile(coeffs, b))
+    return out
+
+
+def alignment(res, i, exact_fn):
+    """|cos| of the angle between eigenvector i of a SpectrumResult and a closed form.
+
+    In the pencil's weighted mass product on its Gauss-Jacobi rule, assembled
+    in log space; nodes where a factor underflowed to zero contribute nothing.
+    """
+    pr = res.problem
+    rule = pr.grid
+    s = rule.s
+    log_w = rule.log_w + (pr.params.M - 1.0) * rule.u + pr.log_potential(s)
+    fnum = res.eigenfunction(i).eval(np.atleast_1d(s))
+    fex = np.asarray(exact_fn(s), dtype=float)
+
+    def wsum(f, g):
+        m = (f != 0.0) & (g != 0.0) & np.isfinite(f) & np.isfinite(g)
+        vals = (np.sign(f[m]) * np.sign(g[m])
+                * np.exp(log_w[m] + np.log(np.abs(f[m])) + np.log(np.abs(g[m]))))
+        return float(vals.sum())
+
+    return abs(wsum(fnum, fex)) / math.sqrt(wsum(fnum, fnum) * wsum(fex, fex))
 
 
 def _diff_1d(G, h, axis):

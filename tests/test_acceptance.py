@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import scipy.linalg
-from conftest import full_grid_energy
+from conftest import alignment, full_grid_energy, random_trial_profiles
 
 from ckn4.calculus import (
     RadialGrid,
@@ -28,7 +28,6 @@ from ckn4.profiles import (
     el_residual_relative,
     extremal_U,
     nonradial_branch,
-    random_trial_profiles,
 )
 from ckn4.emden import norm_identity_check, sobolev_bubble, star_identity_check
 from ckn4.spectrum import mode_eigenvalues, verify_kernel
@@ -130,7 +129,7 @@ def test_criterion_5_spectrum():
         worst_mu = max(worst_mu, abs(mu[0] - 1.0), abs(mu[1] - target) / target)
         bub = sobolev_bubble(p)
         tangent = lambda s: (1 - s ** 2) * (1 + s ** 2) ** (-(p.M - 2) / 2.0)
-        worst_align = min(worst_align, res.alignment(0, bub.eval), res.alignment(1, tangent))
+        worst_align = min(worst_align, alignment(res, 0, bub.eval), alignment(res, 1, tangent))
         min_margin = min(min_margin, (mu[2] - mu[1]) / mu[1])
         # the pencil at weight scale 2 by a dense generalized eigensolve of its
         # reciprocal (B_2, A), whose largest eigenvalues are 1/mu to rounding

@@ -8,10 +8,8 @@ from ckn4.calculus import (
     RadialGrid,
     gauss_legendre,
     hessian_integral,
-    inner_alpha,
     rayleigh_quotient,
     star_integral,
-    weighted_H,
     weighted_hessian_norm_sq,
     weighted_star_norm,
 )
@@ -25,9 +23,8 @@ from ckn4.profiles import (
     dilation_tangent,
     extremal_U,
     kernel_Z0,
-    random_trial_profiles,
 )
-from conftest import PARAM_SETS
+from conftest import PARAM_SETS, inner_alpha, random_trial_profiles, weighted_H
 
 
 def _quad_norms(p):

@@ -283,6 +283,77 @@ def test_float_flag_refuses_non_finite(capsys, name, flag, value):
     assert f"argument {flag}:" in err and "Traceback" not in err
 
 
+# every int-valued flag, read off FLAGS: each carries its range but --N,
+# whose range is validate_params' (N >= 3, open above)
+INT_FLAGS = [(name, flag, getattr(kwargs["type"], "range", None))
+             for flag, kwargs, names in FLAGS
+             if kwargs.get("type") is int or hasattr(kwargs.get("type"), "range")
+             for name in names]
+
+
+def test_int_flags_are_found():
+    flags = {flag: bounds for _, flag, bounds in INT_FLAGS}
+    assert flags == {"--N": None, "--mode": (0, 20), "--num-eigs": (3, 2048),
+                     "--nodes": (64, 2048), "--k-max": (0, 20), "--grid-n": (5, 1024)}
+
+
+@pytest.mark.parametrize("name, flag, bounds", INT_FLAGS)
+def test_int_flag_range(capsys, monkeypatch, name, flag, bounds):
+    # refused while parsing: no command runs, so no array is allocated
+    def refuse(args):
+        raise AssertionError(f"{name} ran with a refused {flag}")
+
+    monkeypatch.setitem(COMMANDS, name, refuse)
+    parser = build_parser()
+    bad = ["5.5", "x", ""]
+    if bounds is not None:
+        lo, hi = bounds
+        dest = flag[2:].replace("-", "_")
+        assert getattr(parser.parse_args([name, flag, str(lo)]), dest) == lo
+        assert getattr(parser.parse_args([name, flag, str(hi)]), dest) == hi
+        # spectrum --mode 0 --num-eigs 2 once indexed past mu_2, --num-eigs 0
+        # and -3 leaked numpy's messages, --nodes 5000000 ran out of memory
+        # and kernel --k-max -1 reported a kernel dimension of 0
+        bad += [str(v) for v in sorted({lo - 1, hi + 1, -3, 0, 5_000_000})
+                if not lo <= v <= hi]
+    for value in bad:
+        with pytest.raises(SystemExit) as exc:
+            main([name, f"{flag}={value}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err, (value, err)
+
+
+@pytest.mark.parametrize("values", ["nan", "inf,0.01", "0.01,-inf", "0.01,x", ""])
+def test_t_values_refuse_non_finite(capsys, monkeypatch, values):
+    # nan and inf,0.01 once ended in an IndexError traceback from the empty curve
+    def refuse(*args, **kwargs):
+        raise AssertionError("remainder ran with a refused --t-values")
+
+    monkeypatch.setattr(reduction, "remainder_scan", refuse)
+    with pytest.raises(SystemExit) as exc:
+        main(["remainder", "--N", "5", "--alpha", "1", "--nodes", "64", f"--t-values={values}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --t-values:" in err and "Traceback" not in err
+
+
+def test_t_values_parsed_as_floats():
+    args = build_parser().parse_args(["remainder", "--t-values", "0.01,1e-3"])
+    assert args.t_values == [0.01, 0.001]
+    assert build_parser().parse_args(["remainder"]).t_values == [0.01, 0.001]
+
+
+def test_kernel_analytic_side_is_exact(capsys):
+    # q^2 lambda_2 is within 1e-9 of M - 1 here, but only alpha = -2 puts
+    # mode 2 in the kernel; the pencil does find p*-1 in mode 2 (to 4.5e-11),
+    # and the disagreement is named
+    code, out, err = run(capsys, "kernel", "--N", "7", "--alpha=-1.9999999999", "--k-max", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: InconsistentKernel: mode 2: analytic=False numeric=True")
+    assert "Traceback" not in err
+
+
 def test_perturb_command(capsys, tmp_path):
     outfile = tmp_path / "perturb.json"
     code, _, _ = run(capsys, "perturb", "--N", "5", "--alpha", "1",

@@ -1,4 +1,3 @@
-import copy
 import functools
 import math
 import warnings
@@ -10,7 +9,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
 import ckn4.reduction as reduction
-from ckn4.calculus import inner_alpha, weighted_H, weighted_hessian_norm_sq
+from ckn4.calculus import weighted_hessian_norm_sq
 from ckn4.emden import sobolev_bubble
 from ckn4.errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum, OnManifold
 from ckn4.params import normalization_constant, sphere_area, validate_params
@@ -26,7 +25,6 @@ from ckn4.reduction import (
     _dilated_products,
     dist_to_manifold,
     find_perturbed_solution,
-    h_weighted_star_norm,
     reduced_energies,
     reduced_energy,
     remainder_quotient,
@@ -36,7 +34,9 @@ from ckn4.reduction import (
     wide_grid,
 )
 from ckn4.spectrum import SGrid, mode_eigenvalues
-from conftest import PARAM_SETS, applied, brentq_lambda_star, full_grid_energy, wide_log_rule
+from conftest import (PARAM_SETS, applied, brentq_lambda_star, full_grid_energy,
+                      h_weighted_star_norm, inner_alpha, omega_hat, omega_radial, weighted_H,
+                      wide_log_rule)
 
 
 @pytest.fixture(scope="module")
@@ -308,6 +308,11 @@ def test_correction_zero_h(p51):
     assert res.omega_norm < 1e-8
 
 
+def tangent_norm(pp):
+    """||dU_lam/dlam|| at lam = 1, the exact Beta value (no pencil, no grid)."""
+    return math.sqrt(weighted_hessian_norm_sq(pp.params, dilation_tangent(pp.params)))
+
+
 def test_correction_linear_regime(pp51):
     r1 = solve_correction(pp51, 1.0, eps=1e-3)
     r2 = solve_correction(pp51, 1.0, eps=5e-4)
@@ -317,7 +322,7 @@ def test_correction_linear_regime(pp51):
     assert r1.residual < 1e-8
     # constraint: the correction is orthogonal to the dilation tangent
     overlap = float(pp51.d @ r1.coeffs)
-    assert abs(overlap) <= 1e-8 * r1.omega_norm * pp51.tangent_norm
+    assert abs(overlap) <= 1e-8 * r1.omega_norm * tangent_norm(pp51)
 
 
 def test_correction_linear_response_oracle(pp51):
@@ -335,19 +340,23 @@ def test_correction_linear_response_oracle(pp51):
     assert diff8 < 20.0 * res.omega_norm * eps
 
 
+def tangent_overlaps(pp):
+    """|<e_i, dU/dlam>| / (||e_i|| ||dU/dlam||) for every basis mode e_i."""
+    return np.abs(pp.d) / (np.sqrt(pp.G) * tangent_norm(pp))
+
+
 def test_correction_orthogonal_basis(pp51):
-    assert pp51.basis_tangent_overlaps() < 1e-8
+    # every basis mode but the tangent's is orthogonal to the dilation tangent
+    assert np.delete(tangent_overlaps(pp51), pp51.i_tan).max() < 1e-8
 
 
 def test_tangent_index_shared(pp51):
-    # the elimination's pivot-free row and basis_tangent_overlaps' excluded
-    # mode are one index: the largest normalized overlap with the tangent
-    overlaps = np.abs(pp51.d) / np.sqrt(pp51.G)
+    # the elimination's pivot-free row is the basis mode along the dilation
+    # tangent, the largest normalized overlap with it
+    overlaps = tangent_overlaps(pp51)
     assert pp51.i_tan == int(np.argmax(overlaps))
     assert pp51.i_tan == int(np.argmin(np.abs(pp51.D) / pp51.G))
-    moved = copy.copy(pp51)
-    moved.i_tan = (pp51.i_tan + 1) % pp51.kept
-    assert moved.basis_tangent_overlaps() > 0.99
+    assert overlaps[pp51.i_tan] > 0.99
 
 
 def _backward_error(K, x, b):
@@ -579,7 +588,7 @@ def test_h_functional_bound(p51, pp51):
     ratios = []
     for lam in (0.1, 1.0, 10.0):
         res = solve_correction(pp51, lam)
-        omega = res.omega_radial()
+        omega = omega_radial(res)
         U = extremal_U(p51, lam)
         u = RadialCombination([U, omega], [1.0, 1.0])
         lhs = abs(weighted_H(p51, h, u))
@@ -674,7 +683,7 @@ def test_min_ratio_to_bubble(monkeypatch, N, a):
     lam = rep["lambda_star"]
     nu = lam ** (1.0 / p.q)
     bubble = sobolev_bubble(p, lam).form.eval(pp.s)
-    w = nu ** ((p.M - 4.0) / 2.0) * rep["result"].omega_hat().eval(nu * pp.s)
+    w = nu ** ((p.M - 4.0) / 2.0) * omega_hat(rep["result"]).eval(nu * pp.s)
     on_grid = float(np.min((bubble + w) / bubble))
     assert 0.0 < rep["min_ratio_to_bubble"] <= on_grid + 1e-14
     assert rep["min_ratio_to_bubble"] == pytest.approx(on_grid, abs=1e-6)
@@ -699,7 +708,7 @@ def test_large_M_working_basis_is_cut(pp51):
     assert 64 < pp.kept < 160
     assert pp.G[0] / pp.scale == pytest.approx(1.0, rel=1e-10)
     assert np.sum(pp.bU ** 2 / pp.G) == pytest.approx(pp.norm0, rel=1e-9)
-    assert np.sum(pp.d ** 2 / pp.G) == pytest.approx(pp.tangent_norm ** 2, rel=1e-9)
+    assert np.sum(pp.d ** 2 / pp.G) == pytest.approx(tangent_norm(pp) ** 2, rel=1e-9)
 
 
 @pytest.mark.parametrize("N, a", [(5, 1.0), (7, -2.0), (3, 1.5), (10, 1.7)])
@@ -748,7 +757,7 @@ def test_independent_residual_oracle(p51, pp51):
     lam = rep["lambda_star"]
     res = rep["result"] if "result" in rep else None
     res = res or solve_correction(pp51, lam)
-    omega = res.omega_radial()
+    omega = omega_radial(res)
     U = extremal_U(p51, lam)
     u = RadialCombination([U, omega], [1.0, 1.0])
     h = BUILTIN_H["exp_bump"]
