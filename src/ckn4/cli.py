@@ -72,11 +72,13 @@ def load_h_csv(path: str):
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError(f"{path}: need at least two (r, h) rows")
     rr, hh = data[:, 0], data[:, 1]
+    # a knot at r = 0 sits at ln r = -inf, so h is constant from 0 to the next knot
+    with np.errstate(divide="ignore"):
+        log_rr = np.log(rr)
 
     def h(r):
         r = np.asarray(r, dtype=float)
-        out = np.interp(np.log(np.maximum(r, 1e-300)), np.log(rr), hh, left=0.0, right=0.0)
-        return out
+        return np.interp(np.log(np.maximum(r, 1e-300)), log_rr, hh, left=0.0, right=0.0)
 
     return h
 
@@ -259,6 +261,8 @@ def cmd_perturb(args) -> dict:
                    "kept_rank": pp.kept,
                    "lambda_star_polished": rep.pop("lambda_star_polished"),
                    "polish_scales": rep.pop("polish_scales"),
+                   "l_sign_changes": rep.pop("l_sign_changes"),
+                   "l_sign_change_taken": rep.pop("l_sign_change_taken"),
                    "polish_l_ratio": rep.pop("polish_l_ratio")}
     return {
         "data": {"N": p.N, "alpha": p.alpha, "eps": args.eps, **rep, "gamma_curve": curve},

@@ -22,16 +22,20 @@ block, and lambda* is the root of its Chebyshev interpolant.
 The quadratic terms of the reduced energy are exact in that basis: the
 bubble is C psi_0, so its alpha-products come from the pencil's stiffness
 matrix, and scaling is an isometry of the alpha-norm.  Only the star and h
-terms are integrated, on SGrid's composite log grid at scale 1, where the
-bubble sits at ln s = 0 for every lam, so its window |ln s| <= 12 serves
-every scale.  The fixed point's residual is summed over that whole grid:
-the high pencil modes live in its tails, where u_+^{p*-1} phi_i is not
-bounded by the bubble's decay.  The star term of the reduced energy is
-summed in the same frame, from the fixed point's own arrays, when each
-scale converges, with the weight it iterated with (reduced_energies).
-The program so assumes the dilation invariance of the reduced energy; the
-tests measure it, against the star term integrated in the physical frame
-on a grid widened to each scale.
+terms are integrated, at scale 1, on the mode-0 pencil's own (m+8)-node
+Gauss-Jacobi rule: the star measure U_1^{p*} s^{M-1} ds is the rule's
+weight times (1-t)^2, and (U_1 + w)/U_1 is a polynomial in t, so every
+such integrand is the rule's weight times a smooth function of t; h(r/lam)
+is smooth for the built-in h, and a CSV h's kinks, which move with lam,
+converge only algebraically on any rule the scales share.  The fixed
+point works on that ratio and on phi_i/U_1, with the weights of
+int U_1^{p*} f s^{M-1} ds formed in logs.  The star term of the reduced
+energy is summed in the same frame, from the fixed point's own arrays,
+when each scale converges, with the weight it iterated with
+(reduced_energies).  The program so assumes the dilation invariance of
+the reduced energy; the tests measure it, against the star term
+integrated in the physical frame on a composite grid widened to each
+scale.
 """
 
 from __future__ import annotations
@@ -43,13 +47,13 @@ import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
 from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
-from .emden import sobolev_bubble
 from .errors import (ContractionFailure, EigensolveFailure, NoInteriorExtremum, OnManifold,
-                     QuadratureFailure, ZeroFunction)
+                     ZeroFunction)
 from .forms import PowerForm
 from .params import Params, best_constant_radial, normalization_constant, sphere_area
 from .profiles import RadialProfile, dilation_tangent, extremal_U
-from .spectrum import ModeProblem, SGrid, _solve_pencil, _solve_pencil_cut, assemble_mode_problem
+from .spectrum import (JacobiRule, ModeProblem, _log_hypot1, _solve_pencil, _solve_pencil_cut,
+                       assemble_mode_problem)
 
 __all__ = [
     "ManifoldFit",
@@ -354,6 +358,31 @@ STEP_FLOOR_ULPS = 64.0
 # perturbation's working basis keeps where the diagonal basis does not fix
 # (U + w)/U pointwise (PerturbationProblem)
 MASS_CUT = 1e-13
+# nodes per unit of q in the rule of the star-type integrals, when the
+# pencil's own rule has fewer: the built-in h, O(1) wide in ln r, is 1/q wide
+# in ln s.  Against a composite rule in ln s, lambda* at (3, 1.95), q = 40, is
+# off by 4.3e-6 relative on the 168-node pencil rule, 3.1e-9 at 256 nodes and
+# 1.3e-10 at 400; at (3, 1.99), q = 200, by 0.75 at 168 nodes, 6.4e-6 at 800
+# and, at 2 000, less than composite references with other panels differ
+# (3e-9).  Up to q = 20 the pencil's rule holds lambda* within 1e-10
+H_NODES_PER_Q = 10.0
+# ln s of the probe on which the weight's sign is checked besides the rule's
+# nodes, in steps of 1/4; it has no quadrature role
+SIGN_PROBE = np.linspace(-12.0, 12.0, 97)
+
+
+def _star_rule(problem: ModeProblem, q: float) -> JacobiRule:
+    """The rule of the star-type integrals: mode 0's pencil rule, larger where q is.
+
+    The star measure U_1^{p*} s^{M-1} ds is C^{p*} (1-t^2)^delta dt / 2^M,
+    the pencil rule's weight times (1-t)^2, and every star-type integrand is
+    that measure times a smooth function of the ratio (U_1 + w)/U_1, a
+    polynomial in t, and of h(r/lam), r = s^q.  Where q is large the rule is
+    too coarse for h, and one of H_NODES_PER_Q q nodes in the same delta is
+    built.
+    """
+    n = math.ceil(H_NODES_PER_Q * q)
+    return problem.grid if problem.grid.n >= n else JacobiRule.build(n, problem.basis.delta)
 
 
 class PerturbationProblem:
@@ -381,17 +410,13 @@ class PerturbationProblem:
         self.scale = self.problem.alpha_scale          # omega q^{-3}
         self.star_scale = sphere_area(p.N) * p.q       # omega q
 
-        # u_+^{p*-1} and h(r/lam) are not polynomial in the pencil's Jacobi
-        # variable, so the star-type integrals use the composite log grid
-        grid = SGrid.build(nodes)
-        self.s = grid.s
-        with np.errstate(over="ignore"):
-            self.wq = grid.w * self.s ** (p.M - 1.0)
-        if not np.isfinite(self.wq).all():
-            raise QuadratureFailure(
-                f"perturbation grid at N={p.N}, alpha={p.alpha} (M={p.M:.6g}): the weight "
-                f"s^(M-1) overflows the float range at ln s = {grid.u[-1]:.4g}")
-        self.bub_vals = sobolev_bubble(p, 1.0).form.eval(self.s)
+        # the weights wq of int U_1^{p*} f s^{M-1} ds on _star_rule, formed in logs
+        rule = _star_rule(self.problem, p.q)
+        self.s = rule.s
+        C = normalization_constant(p)
+        self.wq = np.exp(rule.log_w + (p.M - 1.0) * rule.u
+                         + p.pstar * (math.log(C) - (p.M - 4.0) * _log_hypot1(rule.s)))
+        t = basis._map(self.s)
 
         # phi_i = E sum_k W_ki p_k(t) with p_k of self.family, = sum_j X_ji psi_j.
         # In the diagonal basis W = X = diag(x), and (U + w)/U = 1 + sum_j
@@ -409,13 +434,12 @@ class PerturbationProblem:
         if gain_sq.max() * MASS_CUT <= 1.0:
             self.family, self.W = fam, np.diag(x)
             self.X = self.W
-            self.phi = x[:, None] * basis.values(self.s)          # (kept, n)
         else:
             mu, self.W, self.X, self.family = _solve_pencil_cut(self.problem, MASS_CUT)
-            self.phi = self.W.T @ basis.values(self.s, self.family)
         self.kept = kept = mu.size
+        # phi_i / U_1 = sum_k W_ki p_k(t) / C on the rule, (kept, n)
+        self.phi = self.W.T @ self.family.rows(t, basis.m) / C
 
-        C = normalization_constant(p)
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
         # the bubble is C E = (C/p0) psi_0 (sigma0 = 0 in mode 0): its
         # alpha-products with the basis are read off the stiffness matrix
@@ -426,7 +450,13 @@ class PerturbationProblem:
         c1 = C * (p.N - 4.0 + p.alpha) / 2.0 * basis.b1 / basis.p0
         self.d = -self.scale * c1 * (self.X.T @ A[:, 1])
 
-        self.r_of_s = self.s ** p.q
+        # at 160 trial functions the rule's nodes reach only |ln s| < 6; the
+        # sign of the weight 1 + eps h(r/lam) is also checked on a fixed probe
+        # out to |ln s| = 12.  Where q is large r = s^q overflows to inf, and h
+        # is taken at infinity there
+        with np.errstate(over="ignore"):
+            self.r_of_s = np.exp(p.q * rule.u)
+            self.r_probe = np.exp(p.q * SIGN_PROBE)
 
         # frozen Jacobian [[diag(D), -d], [d^T, 0]], solved by _solve_jacobian;
         # D_i = scale*(mu_i - mu2) with mu2 = p*-1 is near zero only at the tangent
@@ -448,7 +478,7 @@ class PerturbationProblem:
         self._cache: dict = {}
 
         # the star term with no correction and eps = 0
-        star0 = float(self._star(np.zeros(kept), self.star_scale * self.wq))
+        star0 = self.star_scale * float(self.wq.sum())
         self.unperturbed_energy = 0.5 * self.norm0 - star0 / p.pstar
 
     # -- helpers ---------------------------------------------------------------
@@ -460,9 +490,10 @@ class PerturbationProblem:
         """
         return self.norm0 + 2.0 * (c @ self.bU) + (c * c) @ self.G
 
-    def _h_values(self, lam) -> np.ndarray:
-        """h(r/lam) on the grid: shape (n,) for one scale, (L, n) for L scales."""
-        r = self.r_of_s / np.asarray(lam, dtype=float)[..., None]
+    def _h_values(self, r_of_s: np.ndarray, lam) -> np.ndarray:
+        """h(r/lam) at r = r_of_s: shape (n,) for one scale, (L, n) for L scales."""
+        with np.errstate(over="ignore"):
+            r = r_of_s / np.asarray(lam, dtype=float)[..., None]
         if self.h is None:
             return np.zeros(r.shape)
         return np.asarray(self.h(r.ravel()), dtype=float).reshape(r.shape)
@@ -488,22 +519,24 @@ class PerturbationProblem:
     def _forcing(self, lams, eps: float) -> np.ndarray:
         """star_scale wq (1 + eps h(r/lam)), the nonlinear term's weight at each scale.
 
-        Raises ContractionFailure where |eps h| exceeds 1 on the grid at one
-        of the scales: the weight would change sign.
+        Raises ContractionFailure where |eps h| exceeds 1 at one of the
+        scales, on the rule or on the sign probe: the weight would change
+        sign.
         """
-        f = self._h_values(lams)
+        f = self._h_values(self.r_of_s, lams)
         f *= eps
-        sup = float(np.max(np.abs(f)))
+        probe = self._h_values(self.r_probe, lams)
+        sup = max(float(np.max(np.abs(f))), abs(eps) * float(np.max(np.abs(probe))))
         if sup > 1.0:
             raise ContractionFailure(f"|eps| sup|h| = {sup:.3f} exceeds 1")
         f += 1.0
         f *= self.star_scale * self.wq
         return f
 
-    def _u_plus(self, c: np.ndarray) -> np.ndarray:
-        """(U_1 + w)_+ on the grid, w = sum_i c_i phi_i; one row per row of c."""
+    def _ratio_plus(self, c: np.ndarray) -> np.ndarray:
+        """(U_1 + w)_+ / U_1 on the rule, w = sum_i c_i phi_i; one row per row of c."""
         f = c @ self.phi
-        f += self.bub_vals
+        f += 1.0
         np.maximum(f, 0.0, out=f)
         return f
 
@@ -513,16 +546,18 @@ class PerturbationProblem:
 
         c is (kept,) with forcing (n,), or a block (L, kept) with forcing
         (L, n) from _forcing; the residual has the shape of c.  plus, when
-        given, is _u_plus(c), computed once by the caller and left unchanged.
+        given, is _ratio_plus(c), computed once by the caller and left
+        unchanged.  The weight U_1^{p*} sits in forcing and U_1 in phi, so
+        u_+^{p*-1} phi_i is taken as U_1^{p*} ratio_+^{p*-1} phi_i/U_1.
         """
-        f = (self._u_plus(c) if plus is None else plus) ** (self.params.pstar - 1.0)
+        f = (self._ratio_plus(c) if plus is None else plus) ** (self.params.pstar - 1.0)
         f *= forcing
         return self.bU + self.G * c - f @ self.phi.T
 
     def _star(self, c: np.ndarray, forcing: np.ndarray,
               plus: np.ndarray | None = None) -> np.ndarray:
         """int (1+eps h)|x|^{-a} u_+^{p*}, u = U_1 + w, with c, forcing and plus as in _residual."""
-        f = (self._u_plus(c) if plus is None else plus) ** self.params.pstar
+        f = (self._ratio_plus(c) if plus is None else plus) ** self.params.pstar
         f *= forcing
         return f.sum(axis=-1)
 
@@ -605,7 +640,7 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
         done = (converged | (it == max_iter)) & ~failed
         if done.any():
             c_done, forcing_done = c[done], forcing[done]
-            plus = pp._u_plus(c_done)
+            plus = pp._ratio_plus(c_done)
             res = pp._residual(c_done, forcing_done, plus)
             star = pp._star(c_done, forcing_done, plus)
             proj = res - l_hat[done, None] * pp.d
@@ -659,8 +694,11 @@ def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
     return 0.5 * pp.norm_sq(c) - star / pp.params.pstar
 
 
-# the Gamma curve counts as constant when its span is below FLAT_TOL * max(1, |E0|)
-FLAT_TOL = 1e-10
+# |l| / lam below this many ulps of ||U_lam + w||_alpha / ||T||, T the dilation
+# tangent, is rounding and carries no sign: on the unperturbed problem (eps =
+# 0, where l vanishes in exact arithmetic) it reads at most 469 such ulps over
+# 32 points with N <= 12 and M from 4.0001 to 82, the most at M near 4
+L_FLOOR_ULPS = 4096.0
 
 
 def find_perturbed_solution(pp: PerturbationProblem,
@@ -668,64 +706,82 @@ def find_perturbed_solution(pp: PerturbationProblem,
     """Locate an interior extremum of the reduced energy and assemble the solution.
 
     The reduced curve is sampled on a log grid, all of its scales as one
-    block, and the extremum refined by a parabolic fit.  It is then
-    polished on the multiplier l(lam), which is proportional to the
-    derivative of the curve and analytic in x = ln lam: l/lam is solved at
-    POLISH_POINTS Chebyshev-Lobatto points in x across the bracket of
-    neighbouring curve scales (the ends are curve scales, so POLISH_POINTS
-    - 2 new ones, one block), and lambda* is the root of its Chebyshev
-    interpolant (Boyd's Chebyshev-proxy root finder): an eigenvalue of the
-    interpolant's colleague matrix, with no further fixed-point solves.  Of
-    several real roots in the bracket the one nearest the parabolic scale
-    is taken.  The solution at lambda* is then solved from a zero start, as
-    every scale is, so its iterations and contraction factor mean what they
-    mean elsewhere.  When l does not change sign across the bracket, or the
-    interpolant has no real root in it, the parabolic scale stands, and
-    lambda_star_polished says so.  polish_scales counts the new
-    scales, polish_l_ratio is |l(lambda*)| over the larger |l| at the
-    bracket's ends.  When the curve is numerically constant
-    NoInteriorExtremum is raised.
+    block.  Its extrema are read off the multiplier l(lam), which every
+    curve scale carries: l is proportional to the derivative of the curve
+    and analytic in x = ln lam, and an interior extremum is a sign change
+    of l between curve scales where |l| is above its rounding floor
+    (L_FLOOR_ULPS).  Where l is below that floor at every scale the curve
+    is constant, every scale is critical, and NoInteriorExtremum is raised.
+    Of several sign changes (l_sign_changes) the one whose bracket reaches
+    furthest from E0 is taken (l_sign_change_taken, from 0 in increasing
+    lam).  lambda* is polished across that bracket: l/lam is solved at
+    POLISH_POINTS Chebyshev-Lobatto points in x (the ends are curve scales,
+    so POLISH_POINTS - 2 new ones, one block), and lambda* is the root of
+    its Chebyshev interpolant (Boyd's Chebyshev-proxy root finder): an
+    eigenvalue of the interpolant's colleague matrix, with no further
+    fixed-point solves.  Of several real roots in the bracket the one
+    nearest the secant root of its ends is taken.  When l keeps one sign
+    above its floor, the curve is monotone across the grid: the extremum
+    is refined by a parabolic fit at the interior scale furthest from E0,
+    and lambda_star_polished is false, as it is when the interpolant has no
+    real root in its bracket (the secant root stands).  The solution at
+    lambda* is then solved from a zero start, as every scale is, so its
+    iterations and contraction factor mean what they mean elsewhere.
+    polish_scales counts the new scales, polish_l_ratio is |l(lambda*)|
+    over the larger |l| at the bracket's ends.
     """
     p = pp.params
     lam_grid = np.logspace(-2, 2, 33) if lam_grid is None else np.asarray(lam_grid, dtype=float)
-    gammas = reduced_energies(pp, lam_grid, results=solve_corrections(pp, lam_grid))
+    curve = solve_corrections(pp, lam_grid)
+    gammas = reduced_energies(pp, lam_grid, results=curve)
     E0 = pp.unperturbed_energy
-    span = float(gammas.max() - gammas.min())
-    if span < FLAT_TOL * max(1.0, abs(E0)):
-        raise NoInteriorExtremum(
-            f"reduced energy is constant to {span:.3e}; every scale is critical")
-
     dev = np.abs(gammas - E0)
-    interior = np.arange(1, len(lam_grid) - 1)
-    i_star = int(interior[np.argmax(dev[interior])])
-    x = np.log(lam_grid[i_star - 1:i_star + 2])
-    y = gammas[i_star - 1:i_star + 2]
-    denom = (y[0] - 2.0 * y[1] + y[2])
-    if denom != 0.0:
-        x_par = x[1] - 0.5 * (x[2] - x[0]) * (y[2] - y[0]) / (2.0 * denom)
-        lam_par = float(np.exp(np.clip(x_par, x[0], x[2])))
-    else:
-        lam_par = float(lam_grid[i_star])
 
-    lam_star = lam_par
-    la, lb = float(lam_grid[i_star - 1]), float(lam_grid[i_star + 1])
-    ends = solve_corrections(pp, [la, lb])
-    polished = ends[0].l * ends[1].l < 0
+    l_hat = np.array([res.l / res.lam for res in curve])
+    c = np.array([res.coeffs for res in curve])
+    tangent_norm = math.sqrt(float(np.sum(pp.d ** 2 / pp.G)))
+    floor = L_FLOOR_ULPS * np.finfo(float).eps * np.sqrt(pp.norm_sq(c)) / tangent_norm
+    sig = np.flatnonzero(np.abs(l_hat) > floor)
+    if sig.size == 0:
+        raise NoInteriorExtremum(
+            f"l is below its rounding floor at all {lam_grid.size} scales of the curve "
+            f"(largest |l/lam| {float(np.max(np.abs(l_hat))):.3e}); the reduced energy is "
+            f"constant and every scale is critical")
+    flips = [(int(a), int(b)) for a, b in zip(sig[:-1], sig[1:]) if l_hat[a] * l_hat[b] < 0]
+
     polish_scales = 0
-    if polished:
+    taken = None
+    if flips:
+        taken = int(np.argmax([max(dev[a], dev[b]) for a, b in flips]))
+        ia, ib = flips[taken]
+        la, lb = float(lam_grid[ia]), float(lam_grid[ib])
+        ends = [curve[ia], curve[ib]]
         # Chebyshev-Lobatto points in ln lam, from xa up to xb; the ends are
         # set to the curve's own scales so that they are cache hits
         xa, xb = math.log(la), math.log(lb)
+        x_sec = xa + (xb - xa) * l_hat[ia] / (l_hat[ia] - l_hat[ib])
         xs = _lobatto(xa, xb)
         lams = np.exp(xs)
         lams[0], lams[-1] = la, lb
-        l_hat = [res.l / res.lam for res in solve_corrections(pp, lams)]
-        cheb = Chebyshev.fit(xs, l_hat, POLISH_POINTS - 1, domain=[xa, xb])
-        x_star = _bracketed_root(cheb, math.log(lam_par))
+        l_pol = [res.l / res.lam for res in solve_corrections(pp, lams)]
+        cheb = Chebyshev.fit(xs, l_pol, POLISH_POINTS - 1, domain=[xa, xb])
+        x_star = _bracketed_root(cheb, x_sec)
         polished = x_star is not None
-        if polished:
-            lam_star = math.exp(x_star)
+        lam_star = math.exp(x_star if polished else x_sec)
         polish_scales = POLISH_POINTS - 2
+    else:
+        interior = np.arange(1, len(lam_grid) - 1)
+        i_star = int(interior[np.argmax(dev[interior])])
+        x = np.log(lam_grid[i_star - 1:i_star + 2])
+        y = gammas[i_star - 1:i_star + 2]
+        denom = (y[0] - 2.0 * y[1] + y[2])
+        if denom != 0.0:
+            x_par = x[1] - 0.5 * (x[2] - x[0]) * (y[2] - y[0]) / (2.0 * denom)
+            lam_star = float(np.exp(np.clip(x_par, x[0], x[2])))
+        else:
+            lam_star = float(lam_grid[i_star])
+        ends = [curve[i_star - 1], curve[i_star + 1]]
+        polished = False
     final = solve_correction(pp, lam_star)
     energy = reduced_energy(pp, lam_star, result=final)
     # in mode 0 the bubble is C E and w = E sum_k (W c)_k p_k(t), so at every
@@ -750,6 +806,8 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "min_ratio_to_bubble": min_ratio,
         "positive": min_ratio > 0.0,
         "polish_scales": polish_scales,
+        "l_sign_changes": len(flips),
+        "l_sign_change_taken": taken,
         "polish_l_ratio": abs(final.l) / l_ends if l_ends > 0.0 else 0.0,
         "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],
         "result": final,

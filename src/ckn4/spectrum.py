@@ -26,7 +26,9 @@ an (m+8)-node Gauss-Jacobi rule, one rule per mode: its nodes are the
 eigenvalues of the Jacobi matrix of the three-term recurrence (Golub &
 Welsch, Math. Comp. 23, 1969), found by LAPACK's MRRR tridiagonal solver
 (Dhillon & Parlett, Linear Algebra Appl. 387, 2004), and its weights are
-the Christoffel sums of the same recurrence at those nodes.
+the Christoffel sums of the same recurrence at those nodes.  Mode 0's rule
+also carries the perturbation's star-type integrals (reduction): there the
+star measure U^{p*} s^{M-1} ds is the rule's weight times (1-t)^2.
 A scale-shifted potential (1 + nu^2 s^2)^{-4}, nu != 1, is analytic but not
 polynomial in t, its mass matrix is not diagonal, and it gets an
 oversampled rule whose extra nodes grow as nu moves away from 1.
@@ -39,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import gauss_legendre
 from .emden import ComposedRadial, from_sobolev
 from .errors import EigensolveFailure, GridTooCoarse, InconsistentKernel, QuadratureFailure
 from .params import (
@@ -52,7 +53,6 @@ from .params import (
 from .profiles import RadialProfile
 
 __all__ = [
-    "SGrid",
     "JacobiRule",
     "ModeBasis",
     "ModeProblem",
@@ -65,59 +65,6 @@ __all__ = [
     "kernel_residual",
     "SobolevModeFunction",
 ]
-
-
-@dataclass(frozen=True)
-class SGrid:
-    """Composite Gauss-Legendre rule in u = ln s for int_0^inf f(s) ds.
-
-    For the star-type integrals of the reduction (u_+^{p*}, u_+^{p*-1} phi_i,
-    h(r/lam) times either), which are not polynomial in t; the pencil
-    itself uses JacobiRule.  The reduction takes them at scale 1, where the
-    bubble is centred at u = 0 whatever lam is, so the window is fixed at
-    |u| <= HALF_WIDTH: each integrand is (2 cosh u)^{-M} in du times a
-    bounded factor, below e^{-32} of its peak past arccosh(e^{32/M}), which
-    is at most 8.7 for M >= 4.  Panels of panel_pts nodes, sized to what
-    each zone of u resolves: min(1, 96/m) wide for |u| < 8, where
-    ModeBasis(m) functions (degree < m in t = tanh u) oscillate at most
-    about m radians per unit u; half a unit for 8 < |u| < 12, the tails
-    where the fixed point's residual still sums the high pencil modes; a
-    unit beyond, for a window widened past 12.
-    """
-
-    HALF_WIDTH = 12.0
-
-    u: np.ndarray
-    s: np.ndarray
-    w: np.ndarray          # weights including ds = s du
-
-    @classmethod
-    def build(cls, m: int, panel_pts: int = 64) -> "SGrid":
-        u_max = cls.HALF_WIDTH
-        zones = [
-            (-u_max, -12.0, 1.0),
-            (-12.0, -8.0, 0.5),
-            (-8.0, 8.0, min(1.0, 96.0 / m)),
-            (8.0, 12.0, 0.5),
-            (12.0, u_max, 1.0),
-        ]
-        x, wref = gauss_legendre(panel_pts)
-        us, ws = [], []
-        for a, b, h in zones:
-            npan = int(math.ceil((b - a) / h))       # none when u_max = 12
-            edges = np.linspace(a, b, npan + 1)
-            mid = 0.5 * (edges[:-1] + edges[1:])
-            half = 0.5 * (edges[1:] - edges[:-1])
-            us.append((mid[:, None] + half[:, None] * x[None, :]).ravel())
-            ws.append((half[:, None] * wref[None, :]).ravel())
-        u = np.concatenate(us)
-        w = np.concatenate(ws)
-        s = np.exp(u)
-        return cls(u=u, s=s, w=w * s)
-
-    @property
-    def n(self) -> int:
-        return self.s.size
 
 
 MAX_RULE_NODES = 4096       # caps a scale-shifted rule: 1/370 < nu < 370 at m = 400

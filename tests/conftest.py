@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from ckn4.calculus import default_grid
 from ckn4.emden import ComposedRadial
 from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
-from ckn4.reduction import solve_correction, wide_grid
-from ckn4.spectrum import SobolevModeFunction
+import ckn4.reduction as reduction
+from ckn4.reduction import PerturbationProblem, solve_correction, wide_grid
+from ckn4.spectrum import JacobiRule, SobolevModeFunction
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
@@ -19,8 +21,11 @@ PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
 def log_rule(m, u_min, u_max, panel_pts):
     """(u, s, w): composite Gauss-Legendre rule in u = ln s on [u_min, u_max].
 
-    w includes ds = s du.  The trial-function zones of SGrid, with unit
-    panels past |u| = 12.
+    w includes ds = s du.  Panels min(1, 96/m) wide for |u| < 8, where m
+    trial functions (degree below m in t = tanh u) oscillate at most about
+    m radians per unit u, half a unit for 8 < |u| < 12, and a unit beyond.
+    A composite reference, independent of the Gauss-Jacobi rules the
+    program integrates on.
     """
     zones = [(u_min, -12.0, 1.0), (-12.0, -8.0, 0.5), (-8.0, 8.0, min(1.0, 96.0 / m)),
              (8.0, 12.0, 0.5), (12.0, u_max, 1.0)]
@@ -37,12 +42,31 @@ def log_rule(m, u_min, u_max, panel_pts):
     return u, s, np.concatenate(ws) * s
 
 
+def composite_rule(m, u_min, u_max, panel_pts):
+    """log_rule as a JacobiRule: the same nodes s, u = ln s and log-weights for ds."""
+    u, s, w = log_rule(m, u_min, u_max, panel_pts)
+    return JacobiRule(s=s, u=u, log_w=np.log(w))
+
+
+def perturbation_on(rule, p, h, eps, nodes):
+    """PerturbationProblem whose star-type integrals run on `rule`.
+
+    The program takes them on the mode-0 pencil's own (m+8)-node
+    Gauss-Jacobi rule, or a larger one where q is large
+    (reduction._star_rule); here that choice is replaced, and the pencil and
+    the working basis are built as usual, so the same code runs on a larger
+    Gauss-Jacobi rule or on a composite one (composite_rule).
+    """
+    with mock.patch.object(reduction, "_star_rule", lambda problem, q: rule):
+        return PerturbationProblem(p, h, eps, nodes=nodes)
+
+
 def wide_log_rule(m, M, panel_pts=256):
     """log_rule wide enough for stiffness-type integrands (T X)^2 s^{M-1}.
 
     They decay like s^{3-M}: the window clip(34/(M-4), 12, 150) upward and
     max(12, min(40, 170/M)) downward.  A reference for the exact pencil and
-    the coefficient-space norms, independent of SGrid's star-term window.
+    the coefficient-space norms.
     """
     u_max = float(np.clip(34.0 / (M - 4.0), 12.0, 150.0))
     u_min = -max(12.0, min(40.0, 170.0 / M))

@@ -33,10 +33,10 @@ from ckn4.reduction import (
     solve_corrections,
     wide_grid,
 )
-from ckn4.spectrum import SGrid, mode_eigenvalues
-from conftest import (PARAM_SETS, applied, brentq_lambda_star, full_grid_energy,
-                      h_weighted_star_norm, inner_alpha, omega_hat, omega_radial, weighted_H,
-                      wide_log_rule)
+from ckn4.spectrum import JacobiRule, mode_eigenvalues
+from conftest import (PARAM_SETS, applied, brentq_lambda_star, composite_rule, full_grid_energy,
+                      h_weighted_star_norm, inner_alpha, omega_hat, omega_radial,
+                      perturbation_on, weighted_H, wide_log_rule)
 
 
 @pytest.fixture(scope="module")
@@ -467,49 +467,96 @@ def test_gamma_flat_at_zero_eps(p51):
 
 
 @pytest.mark.parametrize("N, a", [(5, 1.0), (6, -1.0), (7, -2.0)])
-def test_perturbation_grid_converged(monkeypatch, N, a):
-    # Gamma on the default rule against the same zones with twice the nodes
-    # per panel
+def test_perturbation_grid_converged(N, a):
+    # Gamma on the pencil's own (m+8)-node Gauss-Jacobi rule against the
+    # same code on a rule of twice the nodes, and on a composite rule in
+    # ln s with 128-point panels (6 784 nodes at m = 220)
     p = validate_params(N, a)
+    h = BUILTIN_H["exp_bump"]
     lams = (1e-2, 1.0, 1e2)
 
-    def gammas():
-        pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=220)
-        return pp, np.array([reduced_energy(pp, lam) for lam in lams])
+    def gammas(pp):
+        return np.array([reduced_energy(pp, lam) for lam in lams])
 
-    pp, coarse = gammas()
-    build = SGrid.build.__func__
-    monkeypatch.setattr(SGrid, "build", classmethod(
-        lambda cls, m, **kw: build(cls, m, **kw, panel_pts=128)))
-    fine_pp, fine = gammas()
-    assert fine_pp.s.size == 2 * pp.s.size
-    assert np.max(np.abs(coarse - fine) / np.abs(fine)) <= 1e-12
+    pp = PerturbationProblem(p, h, 1e-3, nodes=220)
+    own = gammas(pp)
+    larger = JacobiRule.build(2 * pp.s.size, (p.M - 2.0) / 2.0)
+    for rule in (larger, composite_rule(220, -12.0, 12.0, 128)):
+        ref_pp = perturbation_on(rule, p, h, 1e-3, nodes=220)
+        assert ref_pp.s is rule.s
+        assert np.max(np.abs(own - gammas(ref_pp)) / np.abs(own)) <= 1e-12
 
 
 def test_perturbation_grid_size(p51):
-    # 12 096 nodes before the rule was sized to the basis, 6 048 before its
-    # window was sized to the star terms
+    # the star integrals run on the pencil's own rule, m + 8 nodes: 228 at
+    # m = 220, where the composite log rule it replaced had 3 392 (and
+    # 12 096 before that rule was sized to the basis)
     pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=220)
-    assert pp.s.size <= 3392
+    assert pp.s is pp.problem.grid.s
+    assert pp.s.size == 220 + 8
 
 
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(9, -4.8)])
-def test_star_window_converged(monkeypatch, N, a):
-    # Gamma at lam = 1e-3, 1 and 1e3 against the same rule with its window
-    # widened by 10 units of ln s at each end; (9, -4.8) has M near 4 and
-    # q = 0.29, the widest transport of h(r/lam)
+def test_star_window_converged(N, a):
+    # Gamma at lam = 1e-3, 1 and 1e3 on the rule, whose nodes reach only
+    # |ln s| < 6 or so, against a composite rule over |ln s| <= 22: nothing
+    # of the tails is lost; (9, -4.8) has M near 4 and q = 0.29, the widest
+    # transport of h(r/lam)
     p = validate_params(N, a)
+    h = BUILTIN_H["exp_bump"]
     lams = (1e-3, 1.0, 1e3)
 
-    def gammas():
-        pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
-        return pp, np.array([reduced_energy(pp, lam) for lam in lams])
+    def gammas(pp):
+        return np.array([reduced_energy(pp, lam) for lam in lams])
 
-    pp, narrow = gammas()
-    monkeypatch.setattr(SGrid, "HALF_WIDTH", SGrid.HALF_WIDTH + 10.0)
-    wide_pp, wide = gammas()
-    assert np.log(wide_pp.s[-1] / pp.s[-1]) > 9.0 and np.log(pp.s[0] / wide_pp.s[0]) > 9.0
-    assert np.max(np.abs(narrow - wide) / np.abs(wide)) <= 1e-12
+    pp = PerturbationProblem(p, h, 1e-3, nodes=160)
+    wide = perturbation_on(composite_rule(160, -22.0, 22.0, 64), p, h, 1e-3, nodes=160)
+    assert np.log(wide.s[-1] / pp.s[-1]) > 15.0 and np.log(pp.s[0] / wide.s[0]) > 15.0
+    own = gammas(pp)
+    assert np.max(np.abs(own - gammas(wide)) / np.abs(own)) <= 1e-12
+
+
+@pytest.mark.parametrize("N, a", [(5, 1.0), (7, -2.0), (4, 0.0504), (12, -7.0), (9, -4.8)])
+def test_lambda_star_matches_composite_reference(N, a):
+    # lambda* and the energy on the pencil's own rule against the same solve
+    # with the star integrals on a 38 400-node composite rule in ln s
+    # (|ln s| <= 12, 256-point panels), whose lambda* moves by at most 6e-12
+    # with a wider window or other panels; (9, -4.8) is the worst, at M =
+    # 4.06, where Gamma is flat
+    p = validate_params(N, a)
+    h = BUILTIN_H["exp_bump"]
+    rule = composite_rule(800, -12.0, 12.0, 256)
+    assert rule.s.size == 38400
+    pp = PerturbationProblem(p, h, 1e-3, nodes=160)
+    assert pp.s is pp.problem.grid.s
+    rep = find_perturbed_solution(pp)
+    ref = find_perturbed_solution(perturbation_on(rule, p, h, 1e-3, nodes=160))
+    assert rep["lambda_star_polished"] and ref["lambda_star_polished"]
+    assert abs(rep["lambda_star"] - ref["lambda_star"]) <= 1e-9
+    assert abs(rep["energy"] / ref["energy"] - 1.0) <= 1e-14
+
+
+@pytest.mark.parametrize("N, a", [(3, 1.95), (3, 1.99)])
+def test_star_rule_grows_with_q(N, a):
+    # q = 40 and 200: h(r/lam) = h(s^q/lam) is 1/q wide in ln s, and the
+    # pencil's 168-node rule puts lambda* 4.3e-6 and 0.75 relative off a
+    # composite reference; the star integrals run on a rule of 10 q nodes
+    # instead.  M = 42 and 202: the energy is a difference of two terms of
+    # size ||U||^2 that cancel to 5 % and 1 %, so it is compared on that
+    # scale.  At (3, 1.99) composite references with other panels spread by
+    # 3e-9 in lambda*
+    p = validate_params(N, a)
+    h = BUILTIN_H["exp_bump"]
+    pp = PerturbationProblem(p, h, 1e-3, nodes=160)
+    assert pp.s.size == math.ceil(reduction.H_NODES_PER_Q * p.q) > pp.problem.grid.n
+    rep = find_perturbed_solution(pp)
+    ref = find_perturbed_solution(perturbation_on(composite_rule(800, -12.0, 12.0, 256), p, h,
+                                                  1e-3, nodes=160))
+    assert rep["lambda_star_polished"] and ref["lambda_star_polished"]
+    assert abs(rep["lambda_star"] / ref["lambda_star"] - 1.0) <= 1e-8
+    assert abs(rep["energy"] - ref["energy"]) <= 1e-14 * pp.norm0
+    own = find_perturbed_solution(perturbation_on(pp.problem.grid, p, h, 1e-3, nodes=160))
+    assert abs(own["lambda_star"] / ref["lambda_star"] - 1.0) > 1e-6
 
 
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(9, -4.8), (4, 0.0504), (12, -7.0)])
@@ -668,18 +715,17 @@ def test_unpolished_lambda_star_is_reported(pp51):
 
 
 @pytest.mark.parametrize("N, a", [(6, -1.0), (5, 1.0), (7, -2.0)])
-def test_min_ratio_to_bubble(monkeypatch, N, a):
+def test_min_ratio_to_bubble(N, a):
     # the positivity measure is the minimum of (U_lam + w_lam)/U_lam over all
-    # of (0, inf): it agrees with the ratio summed on the reduction's grid
-    # and does not move when that grid's window is widened by 10 units of
-    # ln s at each end
+    # of (0, inf): it agrees with the ratio summed on the reduction's rule
+    # and does not move when the star integrals run on a composite rule over
+    # |ln s| <= 22, far past the rule's nodes
     p = validate_params(N, a)
 
-    def solution():
-        pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    def solution(pp):
         return pp, find_perturbed_solution(pp)
 
-    pp, rep = solution()
+    pp, rep = solution(PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160))
     lam = rep["lambda_star"]
     nu = lam ** (1.0 / p.q)
     bubble = sobolev_bubble(p, lam).form.eval(pp.s)
@@ -688,9 +734,9 @@ def test_min_ratio_to_bubble(monkeypatch, N, a):
     assert 0.0 < rep["min_ratio_to_bubble"] <= on_grid + 1e-14
     assert rep["min_ratio_to_bubble"] == pytest.approx(on_grid, abs=1e-6)
     assert rep["positive"]
-    monkeypatch.setattr(SGrid, "HALF_WIDTH", SGrid.HALF_WIDTH + 10.0)
-    wide_pp, wide = solution()
-    assert wide_pp.s.size > pp.s.size
+    wide_pp, wide = solution(perturbation_on(composite_rule(160, -22.0, 22.0, 64), p,
+                                             BUILTIN_H["exp_bump"], 1e-3, nodes=160))
+    assert np.log(wide_pp.s[-1] / pp.s[-1]) > 15.0
     assert abs(wide["min_ratio_to_bubble"] - rep["min_ratio_to_bubble"]) <= 1e-12
 
 
