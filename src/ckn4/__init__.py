@@ -43,10 +43,7 @@ from .spectrum import (
     kernel_residual,
 )
 from .reduction import (
-    ManifoldFit,
-    dist_to_manifold,
-    remainder_quotient,
-    remainder_scan,
+    remainder_curve,
     PerturbationProblem,
     solve_correction,
     reduced_energy,

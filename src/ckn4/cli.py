@@ -219,25 +219,27 @@ def cmd_remainder(args) -> dict:
     p = validate_params(args.N, args.alpha)
     res = spectrum.mode_eigenvalues(p, 0, n_eigs=4, nodes=args.nodes)
     mu2, mu3 = float(res.eigenvalues[1]), float(res.eigenvalues[2])
-    phi3 = res.eigenfunction(2).to_radial(p)
-    nrm = np.sqrt(calculus.weighted_hessian_norm_sq(p, phi3))
-    direction = reduction.RadialCombination([phi3], [1.0 / nrm])
-    grid = reduction.wide_grid()
-    curve = reduction.remainder_scan(p, direction, args.t_values, grid)
-    fits = [{"t": row["t"], **row.pop("fit")} for row in curve]
+    curve = reduction.remainder_curve(res, args.t_values)
     target = 1.0 - mu2 / mu3
-    q_small = curve[-1]["quotient"]
+    # judged at the smallest t: the quotient's distance from its limit is O(t)
+    q_small = min(curve, key=lambda row: row["t"])["quotient"]
     rel = abs(q_small / target - 1.0)
     tol = TOLERANCES["remainder_window"]
-    checks = [_check("quotient_near_limit", rel <= tol, rel, tol)]
+    paneitz = abs(target / (8.0 / (p.M + 6.0)) - 1.0)
+    kappa = max(row["curvature"] for row in curve)
+    checks = [
+        _check("quotient_near_limit", rel <= tol, rel, tol),
+        _check("limit_is_paneitz", paneitz <= TOLERANCES["eigenvalue"],
+               paneitz, TOLERANCES["eigenvalue"]),
+        _check("scale_one_is_local_fit", kappa < 0.0, kappa, 0.0),
+    ]
     return {
         "data": {
             "N": p.N, "alpha": p.alpha,
             "mu2": mu2, "mu3": mu3, "limit": target,
             "curve": curve,
         },
-        "diagnostics": {"quad_nodes": grid.n, "basis_size": res.diagnostics["basis_size"],
-                        "scan_points": reduction.SCAN_POINTS, "fits": fits},
+        "diagnostics": res.diagnostics,
         "checks": checks,
         "csv": [("t", "quotient", "dist")] + [(row["t"], row["quotient"], row["dist"]) for row in curve],
     }
@@ -363,9 +365,18 @@ def finite_float(text: str) -> float:
     return value
 
 
-def finite_floats(text: str) -> list[float]:
-    """argparse type of a comma-separated list of finite numbers (remainder --t-values)."""
-    return [finite_float(part) for part in text.split(",")]
+# remainder --t-values: each offset t, relative to ||U_1||, in (0, T_MAX]; there
+# u/U_1 = 1 + v stays above 1 - T_MAX/sqrt(2) > 0.92 (reduction.remainder_curve)
+T_MAX = 0.1
+
+
+def t_values(text: str) -> list[float]:
+    """argparse type of remainder --t-values: comma-separated offsets, each 0 < t <= T_MAX."""
+    values = [finite_float(part) for part in text.split(",")]
+    for t in values:
+        if not 0.0 < t <= T_MAX:
+            raise argparse.ArgumentTypeError(f"need 0 < t <= {T_MAX:g}, got {t!r}")
+    return values
 
 
 def int_in(lo: int, hi: int):
@@ -413,7 +424,7 @@ FLAGS = [
     ("--nodes", dict(type=int_in(*NODES_RANGE), default=160),
      ("spectrum", "kernel", "remainder", "perturb")),
     ("--k-max", dict(type=int_in(*MODE_RANGE), default=4), ("kernel",)),
-    ("--t-values", dict(type=finite_floats, default="0.01,0.001"), ("remainder",)),
+    ("--t-values", dict(type=t_values, default="0.01,0.001"), ("remainder",)),
     ("--eps", dict(type=finite_float, default=1e-3), ("perturb",)),
     ("--h", dict(type=str, default="exp_bump"), ("perturb",)),
     ("--h-file", dict(type=str, default=None), ("perturb",)),

@@ -61,10 +61,6 @@ class InconsistentKernel(CknError):
     pass
 
 
-class OnManifold(CknError):
-    pass
-
-
 class ContractionFailure(CknError):
     pass
 

@@ -1,4 +1,12 @@
-"""Manifold distance, deficit quotients, and the reduced perturbation solve.
+"""The remainder quotient and the reduced perturbation solve, in the mode-0 pencil's frame.
+
+The remainder quotient is taken along u = U_1 + t ||U_1|| w, w the unit
+third eigenfunction of the mode-0 pencil (remainder_curve).  w is
+orthogonal to the bubble and to the dilation tangent, so the nearest point
+of the manifold {c U_lam} is U_1 itself wherever the fit there is a local
+maximum, and dist(u, M) = t ||U_1|| exactly; the deficit is summed on the
+pencil's own rule with its first-order term removed by hand, and needs no
+fit and no radial grid.
 
 The correction equation is solved in the scale-transported frame: solving
 at scale lam with perturbation weight h(x) is the same problem as solving
@@ -46,22 +54,13 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
-from .calculus import RadialGrid, weighted_hessian_norm_sq, weighted_star_norm
-from .errors import (ContractionFailure, EigensolveFailure, NoInteriorExtremum, OnManifold,
-                     ZeroFunction)
-from .forms import PowerForm
-from .params import Params, best_constant_radial, normalization_constant, sphere_area
-from .profiles import RadialProfile, dilation_tangent, extremal_U
-from .spectrum import (JacobiRule, ModeProblem, _log_hypot1, _solve_pencil, _solve_pencil_cut,
-                       assemble_mode_problem)
+from .errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum, QuadratureFailure
+from .params import Params, normalization_constant, sphere_area
+from .spectrum import (JacobiRule, ModeProblem, SpectrumResult, _log_hypot1, _solve_pencil,
+                       _solve_pencil_cut, assemble_mode_problem)
 
 __all__ = [
-    "ManifoldFit",
-    "UnitManifold",
-    "wide_grid",
-    "dist_to_manifold",
-    "remainder_quotient",
-    "remainder_scan",
+    "remainder_curve",
     "PerturbationProblem",
     "CorrectionResult",
     "solve_correction",
@@ -69,7 +68,6 @@ __all__ = [
     "reduced_energy",
     "reduced_energies",
     "find_perturbed_solution",
-    "RadialCombination",
     "BUILTIN_H",
 ]
 
@@ -86,33 +84,13 @@ def exp_bump(r):
 BUILTIN_H = {"exp_bump": exp_bump}
 
 
-class RadialCombination:
-    """Weighted sum of radial profiles sharing eval/deriv."""
-
-    def __init__(self, parts, weights):
-        self.parts = list(parts)
-        self.weights = [float(w) for w in weights]
-
-    def eval(self, r):
-        out = self.weights[0] * self.parts[0].eval(r)
-        for w, f in zip(self.weights[1:], self.parts[1:]):
-            out = out + w * f.eval(r)
-        return out
-
-    def deriv(self, r, order: int = 1):
-        out = self.weights[0] * self.parts[0].deriv(r, order)
-        for w, f in zip(self.weights[1:], self.parts[1:]):
-            out = out + w * f.deriv(r, order)
-        return out
-
-
 # -- Chebyshev-proxy roots ------------------------------------------------------
 
 # Chebyshev-Lobatto points in ln lam across a bracket, ends included, for the
-# polish of lambda* and of the manifold fit's peaks: against brentq on l itself
-# at the five PARAM_SETS, (9, -4.8), (4, 0.0504) and (12, -7), lambda* agrees
-# to 8.1e-8 with 8 points, 7.0e-10 with 10, 2.0e-11 with 12 and 6.5e-12 with
-# 16, where l's own rounding sets in
+# polish of lambda*: against brentq on l itself at the five PARAM_SETS,
+# (9, -4.8), (4, 0.0504) and (12, -7), lambda* agrees to 8.1e-8 with 8
+# points, 7.0e-10 with 10, 2.0e-11 with 12 and 6.5e-12 with 16, where l's
+# own rounding sets in
 POLISH_POINTS = 12
 
 
@@ -137,213 +115,69 @@ def _bracketed_root(cheb: Chebyshev, x_near: float) -> float | None:
     return float(roots[np.argmin(np.abs(roots - x_near))])
 
 
-# -- distance to the two-parameter manifold -----------------------------------
+# -- remainder quotient ---------------------------------------------------------
 
-def wide_grid() -> RadialGrid:
-    """The log-Gauss rule of the manifold fit and the remainder quotient."""
-    return RadialGrid.log_gauss(1e-14, 1e14, 2048)
-
-
-@dataclass
-class ManifoldFit:
-    """Nearest point c*U_lam on the scaled-extremal manifold."""
-
-    c: float
-    lam: float
-    dist: float
-    converged: bool               # every local maximum of the scan was polished
-    candidates: list
-    # slopes the polish evaluated: POLISH_POINTS per scan peak, one more per polished peak
-    polish_points: int
+def _star_weights(p: Params, rule: JacobiRule) -> np.ndarray:
+    """The weights wq of int U_1^{p*} f s^{M-1} ds on rule, formed in logs."""
+    C = normalization_constant(p)
+    return np.exp(rule.log_w + (p.M - 1.0) * rule.u
+                  + p.pstar * (math.log(C) - (p.M - 4.0) * _log_hypot1(rule.s)))
 
 
-# the scan in x = ln lam: the scales 2^-7.5 to 2^7.5 in steps of 2^(1/4)
-SCAN_HALF_WIDTH = 7.5 * math.log(2.0)
-SCAN_POINTS = 61
-# scales per block of the scan and the polish, on the 2048-node wide grid:
-# after a spectrum report, remainder --N 5 --alpha 1 raised the process's peak
-# RSS by 6.5 MB with one (61, 2048) block and by 2.0 MB with blocks of 8
-FIT_BLOCK = 8
+def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
+    """Deficit quotient (||u||^2 - S ||u||_*^2) / dist(u, M)^2 along u = U_1 + t ||U_1|| w.
 
+    res is the mode-0 spectrum, whose solve certified the pencil diagonal,
+    and w = x_2 psi_2 / sqrt(scale mu_3) = psi_2 / ||psi_2|| its third
+    eigenfunction at unit alpha-norm, ||psi_j||^2 = scale A_jj.  In the map
+    value tau = (s^2-1)/(s^2+1), U_1 = c0 psi_0 (c0 = C/p0), the dilation
+    tangent T = dU_{e^x}/dx at x = 0 is -a tau U_1 with a = (M-4)/(2q),
+    proportional to psi_1, and d^2U/dx^2 = ((a^2 + a/q) tau^2 - a/q) U_1.
+    w is alpha-orthogonal to U_1 and to T, so f(x) = <u, U_{e^x}> has f'(0)
+    = 0: c = 1 at scale 1 is a stationary fit, where dist = t ||U_1||
+    exactly and ||u||^2 = (1 + t^2) ||U_1||^2.  Each row's curvature
+    f''(0)/||U_1||^2 = -||T||^2/||U_1||^2 + t <w, d^2U/dx^2>/||U_1|| is
+    exact in the basis; where it is negative the fit is a local best one.
 
-@dataclass(frozen=True)
-class UnitManifold:
-    """The manifold's member at lam = 1, from which the fit reads every scale.
-
-    With s = (N-4+alpha)/2, U_lam(r) = lam^s U_1(lam r) and the dilation
-    tangent dU_lam/dlam is lam^(s-1) T_1(lam r), so Delta U_lam(r) =
-    lam^(s+2) (Delta U_1)(lam r) and d/dx <u, U_{e^x}> = lam^(s+2) <Delta u,
-    (Delta T_1)(lam r)> with lam = e^x.
+    The deficit is formed without cancellation.  S ||U_1||_*^2 = ||U_1||^2,
+    and the first-order term of ||u||_*^{p*}, p* t ||U_1|| <U_1, w>,
+    vanishes, so deficit/||U_1||^2 = t^2 - expm1((2/p*) log1p(D)), with D =
+    int U_1^{p*} g(v) / int U_1^{p*}, g(v) = (1+v)^{p*} - 1 - p* v and v =
+    t ||U_1|| w/U_1, a quadratic in tau.  Both integrals run on the pencil's
+    own Gauss-Jacobi rule, whose weight times (1-tau)^2 is the star measure.
+    v is smallest at tau = 0, where it is above -t/sqrt(2), so 1 + v > 0.92
+    for t <= 0.1.  QuadratureFailure where (1+v)^{p*} overflows, near M = 4,
+    where p* is huge.
     """
-
-    U: RadialProfile              # U_1
-    lap_U: PowerForm              # Delta U_1
-    lap_T: PowerForm              # Delta T_1
-    power: float                  # s + 2
-    norm_sq: float                # ||U_1||^2, the exact Beta value (no grid)
-
-    @classmethod
-    def build(cls, p: Params, grid: RadialGrid) -> "UnitManifold":
-        U = extremal_U(p)
-        return cls(U=U, lap_U=U.form.radial_laplacian(p.N),
-                   lap_T=dilation_tangent(p).form.radial_laplacian(p.N),
-                   power=p.decay_exp / 2.0 + 2.0,
-                   norm_sq=weighted_hessian_norm_sq(p, U, grid))
-
-
-def _dilated_products(form: PowerForm, power: float, xs: np.ndarray, r: np.ndarray,
-                      v: np.ndarray) -> np.ndarray:
-    """lam^power sum_j v_j form(lam r_j) at each lam = e^x, FIT_BLOCK scales at a time.
-
-    The sums are numpy reductions, not a matrix-vector product: OpenBLAS
-    threads a (8, 2048) product, and its second thread then spins beside
-    the reports that follow.
-    """
-    lams = np.exp(xs)
-    out = np.empty(lams.size)
-    for k in range(0, lams.size, FIT_BLOCK):
-        rows = form.eval(lams[k:k + FIT_BLOCK, None] * r)
-        rows *= v
-        out[k:k + FIT_BLOCK] = rows.sum(axis=1)
-    return lams ** power * out
-
-
-def dist_to_manifold(p: Params, u, grid: RadialGrid | None = None,
-                     unit: UnitManifold | None = None) -> ManifoldFit:
-    """Minimize ||u - c U_lam|| over (c, lam).
-
-    c is eliminated in closed form through c*(lam) = <u, U_lam>/||U||^2,
-    which leaves the maximization of g(x)^2 = <u, U_lam>^2 over x = ln lam.
-    g is evaluated on one uniform scan of |x| <= 7.5 ln 2 with step ln 2 / 4
-    (61 points).  Measured at 28 points with N <= 12 and M from 4.02 to 202,
-    the full width at half maximum of g^2 in ln lam for u = U_1 is at least
-    0.81 (narrowest near (N, alpha) = (12, -3)), so every peak spans more
-    than four steps.  At fixed M that width falls like q = (M-2)/(N-2),
-    because ln lam = q ln nu (it is 0.37 at (24, -8)); a single peak is
-    still bracketed there, but two peaks closer than a few steps merge.
-    The scan and the slopes dg/dx are read off the scale-1 member by
-    dilation (UnitManifold), in blocks of scales, so neither builds a
-    closed form per scale.  Each discrete local maximum of g^2 is polished
-    on the stationarity condition dg/dx = 0, which is analytic in x: the
-    slope is taken at POLISH_POINTS Chebyshev-Lobatto points across the
-    peak's neighbouring scan points, the root nearest the peak of its
-    Chebyshev interpolant is an eigenvalue of the colleague matrix
-    (Boyd's Chebyshev-proxy root finder), and one Newton step on the slope
-    itself refines it, so the fit needs no scipy.  A bracket where the
-    slope does not change sign or is not finite, or whose interpolant has
-    no real root in it, leaves the scan point standing and the fit
-    unconverged.  The candidate with the smallest distance wins.
-    That distance is the direct quadrature of the optimal residual against
-    U_lam built at the candidate's scale, so on-manifold inputs come back
-    at rounding level rather than at the cancellation floor of the quotient
-    formula.  unit, when given, is UnitManifold.build(p, grid), shared by
-    several fits.
-    """
-    grid = grid or wide_grid()
-    unit = unit or UnitManifold.build(p, grid)
-    r = grid.nodes
-    lap_u = u.deriv(r, 2) + (p.N - 1) * u.deriv(r, 1) / r
-    weight = sphere_area(p.N) * grid.weights * r ** (p.alpha + p.N - 1)
-    wlap_u = weight * lap_u
-
-    xs = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-    g2 = _dilated_products(unit.lap_U, unit.power, xs, r, wlap_u) ** 2
-    # discrete local maxima; a plateau counts once, at its right end
-    left = np.concatenate(([True], g2[1:] >= g2[:-1]))
-    right = np.concatenate((g2[:-1] > g2[1:], [True]))
-    peaks = np.flatnonzero(left & right)
-    cands = []
-    polished = True
-    points = 0
-    for i in peaks:
-        a, b = xs[max(i - 1, 0)], xs[min(i + 1, SCAN_POINTS - 1)]
-        xp = _lobatto(a, b)
-        slope = _dilated_products(unit.lap_T, unit.power, xp, r, wlap_u)
-        points += POLISH_POINTS
-        x = None
-        # no sign change: a peak at the scan's end, or a non-finite slope
-        if np.isfinite(slope).all() and slope[0] * slope[-1] < 0:
-            cheb = Chebyshev.fit(xp, slope, POLISH_POINTS - 1, domain=[a, b])
-            x = _bracketed_root(cheb, xs[i])
-        if x is not None:
-            # one Newton step on the slope itself, with the interpolant's
-            # derivative: the slope's complex singularities lie about
-            # pi/gamma off the real axis, so at gamma near 10 the root of
-            # the interpolant is off by up to 1.2e-11 in ln lam
-            fx = _dilated_products(unit.lap_T, unit.power, np.array([x]), r, wlap_u)[0]
-            x = min(max(x - fx / cheb.deriv()(x), a), b)
-            points += 1
-        else:
-            # the scan point stands, and the fit does not count as converged
-            x = xs[i]
-            polished = False
-        lam = math.exp(x)
-        lap_l = extremal_U(p, lam).form.radial_laplacian(p.N).eval(r)
-        c = float(weight @ (lap_u * lap_l)) / unit.norm_sq
-        dist_sq = float(weight @ (lap_u - c * lap_l) ** 2)
-        cands.append((max(dist_sq, 0.0), c, lam))
-    cands.sort(key=lambda t: t[0])
-    # deduplicate local minima for the report
-    uniq = []
-    for d2, c, lam in cands:
-        if not any(abs(math.log(lam / l2)) < 1e-4 for _, _, l2 in uniq):
-            uniq.append((d2, c, lam))
-    d2, c, lam = cands[0]
-    return ManifoldFit(c=c, lam=lam, dist=math.sqrt(d2), converged=polished,
-                       candidates=[{"c": cc, "lam": ll, "dist": math.sqrt(dd)} for dd, cc, ll in uniq],
-                       polish_points=points)
-
-
-def remainder_quotient(p: Params, u, grid: RadialGrid | None = None,
-                       fit: ManifoldFit | None = None) -> float:
-    """Deficit quotient (||u||^2 - S ||u||_*^2) / dist(u, M2)^2."""
-    grid = grid or wide_grid()
-    norm_sq = weighted_hessian_norm_sq(p, u, grid)
-    if norm_sq == 0.0:
-        raise ZeroFunction("quotient undefined for the zero function")
-    star = weighted_star_norm(p, u, grid)
-    fit = fit or dist_to_manifold(p, u, grid)
-    if fit.dist < 1e-9 * math.sqrt(norm_sq):
-        raise OnManifold(f"dist {fit.dist:.3e} below tolerance; quotient undefined")
-    S = best_constant_radial(p)
-    return (norm_sq - S * star ** 2) / fit.dist ** 2
-
-
-class _Sampled:
-    """A radial function's value and first two derivatives, taken once at nodes r."""
-
-    def __init__(self, f, r: np.ndarray):
-        self.r = r
-        self.jet = (f.eval(r), f.deriv(r, 1), f.deriv(r, 2))
-
-    def eval(self, r):
-        return self.deriv(r, 0)
-
-    def deriv(self, r, order: int = 1):
-        if r is not self.r:
-            raise ValueError("sampled only at the nodes it was built on")
-        return self.jet[order]
-
-
-def remainder_scan(p: Params, w, t_list, grid: RadialGrid | None = None) -> list[dict]:
-    """Quotient along u(t) = U_1 + t w for the given offsets t.
-
-    w is sampled on the grid once, and the fit's scale-1 member
-    (UnitManifold) is built once; every t reuses both.  Each row's "fit"
-    holds the manifold fit's converged flag and polish_points.
-    """
-    grid = grid or wide_grid()
-    unit = UnitManifold.build(p, grid)
-    w = _Sampled(w, grid.nodes)
-    out = []
-    for t in t_list:
-        u = RadialCombination([unit.U, w], [1.0, float(t)])
-        fit = dist_to_manifold(p, u, grid, unit)
-        quot = remainder_quotient(p, u, grid, fit=fit)
-        out.append({"t": float(t), "quotient": quot, "dist": fit.dist,
-                    "c": fit.c, "lam": fit.lam,
-                    "fit": {"converged": fit.converged, "polish_points": fit.polish_points}})
-    return out
+    pr = res.problem
+    p, basis = pr.params, pr.basis
+    a00, a11, a22 = (float(pr.A[j, j]) for j in range(3))
+    norm_U = normalization_constant(p) / basis.p0 * math.sqrt(pr.alpha_scale * a00)
+    # tau U_1 = c0 b1 psi_1 and tau^2 U_1 = c0 b1 (b2 psi_2 + b1 psi_0): ||T||^2/||U_1||^2
+    # = a^2 b1^2 A_11/A_00, and <w, d^2U/dx^2>/||U_1|| = (a^2 + a/q) b1 b2 sqrt(A_22/A_00)
+    fam = basis.families[0]
+    b1, b2 = basis.b1, float(fam.off[2])
+    a = (p.M - 4.0) / (2.0 * p.q)
+    tangent_sq = a * a * b1 * b1 * a11 / a00
+    bend = (a * a + a / p.q) * b1 * b2 * math.sqrt(a22 / a00)
+    rule = pr.grid
+    wq = _star_weights(p, rule)
+    # ||U_1|| w/U_1 = sqrt(A_00/A_22) p_2(tau)/p0 on the rule, per unit t
+    v1 = math.sqrt(a00 / a22) / basis.p0 * fam.rows(basis._map(rule.s), 3)[2]
+    rows = []
+    for t in t_values:
+        v = t * v1
+        with np.errstate(over="ignore", invalid="ignore"):
+            g = np.expm1(p.pstar * np.log1p(v)) - p.pstar * v
+            D = float(wq @ g) / float(wq.sum())
+        if not math.isfinite(D):
+            raise QuadratureFailure(
+                f"remainder at N={p.N}, alpha={p.alpha} (M={p.M:.6g}), t={t:g}: "
+                f"(1 + v)^p* overflows on the rule, p* = {p.pstar:.6g}")
+        deficit = t * t - math.expm1(2.0 / p.pstar * math.log1p(D))
+        rows.append({"t": float(t), "quotient": deficit / (t * t), "dist": t * norm_U,
+                     "curvature": t * bend - tangent_sq})
+    return rows
 
 
 # -- perturbation problem -------------------------------------------------------
@@ -410,12 +244,11 @@ class PerturbationProblem:
         self.scale = self.problem.alpha_scale          # omega q^{-3}
         self.star_scale = sphere_area(p.N) * p.q       # omega q
 
-        # the weights wq of int U_1^{p*} f s^{M-1} ds on _star_rule, formed in logs
+        # the weights wq of int U_1^{p*} f s^{M-1} ds on _star_rule
         rule = _star_rule(self.problem, p.q)
         self.s = rule.s
         C = normalization_constant(p)
-        self.wq = np.exp(rule.log_w + (p.M - 1.0) * rule.u
-                         + p.pstar * (math.log(C) - (p.M - 4.0) * _log_hypot1(rule.s)))
+        self.wq = _star_weights(p, rule)
         t = basis._map(self.s)
 
         # phi_i = E sum_k W_ki p_k(t) with p_k of self.family, = sum_j X_ji psi_j.

@@ -41,7 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .emden import ComposedRadial, from_sobolev
 from .errors import EigensolveFailure, GridTooCoarse, InconsistentKernel, QuadratureFailure
 from .params import (
     Params,
@@ -652,10 +651,6 @@ class SobolevModeFunction:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         out = self.basis.series(self.coeffs, s, order)
         return out if out.size > 1 else float(out[0])
-
-    def to_radial(self, p: Params) -> ComposedRadial:
-        """The same function pulled back to the weighted side, u(r) = X(r^{1/q})."""
-        return from_sobolev(p, self)
 
 
 def kernel_residual(p: Params, profile: RadialProfile, k: int, mu: float | None = None) -> float:

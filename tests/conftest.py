@@ -1,4 +1,6 @@
+import functools
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -6,12 +8,12 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gammaln, roots_legendre
 
-from ckn4.calculus import default_grid
+from ckn4.calculus import RadialGrid, default_grid
 from ckn4.emden import ComposedRadial
 from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
 import ckn4.reduction as reduction
-from ckn4.reduction import PerturbationProblem, solve_correction, wide_grid
+from ckn4.reduction import PerturbationProblem, solve_correction
 from ckn4.spectrum import JacobiRule, SobolevModeFunction
 
 # the five working parameter pairs exercised across the suite
@@ -205,12 +207,71 @@ def weighted_H(p, h, u, grid=None):
 
 
 def h_weighted_star_norm(p, h, lam, grid=None):
-    """Norm || |h|^{1/p*} U_lam ||_*, where the perturbation sees the bubble, on the wide grid."""
-    grid = grid or wide_grid()
+    """Norm || |h|^{1/p*} U_lam ||_*, where the perturbation sees the bubble, on a wide grid."""
+    grid = grid or RadialGrid.log_gauss(1e-14, 1e14, 2048)
     r = grid.nodes
     hv = np.abs(np.asarray(h(r), dtype=float))
     vals = hv * r ** (-p.alpha) * extremal_U(p, lam).eval(r) ** p.pstar * r ** (p.N - 1)
     return (sphere_area(p.N) * grid.integrate(vals)) ** (1.0 / p.pstar)
+
+
+@functools.cache
+def _star_log_rule():
+    """(z, w): log_rule in z = ln s over |z| <= 40, w the weights for dz."""
+    u, s, w = log_rule(960, -40.0, 40.0, 32)
+    return u, w / s
+
+
+def star_overlaps(p, ratio, xs, slope=False):
+    """<u, U_{e^x}>_alpha / ||U_1||_alpha^2 at each x = ln lam, for u = U_1 ratio(ln s).
+
+    The star form: by the Euler-Lagrange equation of U_lam, <u, U_lam>_alpha
+    = omega q int U_nu^{p*-1} u s^{M-1} ds with nu = lam^{1/q}, and with
+    U_nu = C (nu / (1 + nu^2 s^2))^{(M-4)/2} that is omega q C^{p*} int
+    (2 cosh(z + y))^{-(M+4)/2} (2 cosh z)^{-(M-4)/2} ratio dz, z = ln s,
+    y = x/q; ||U_1||^2 is the same with ratio = 1 at y = 0.  Summed on
+    log_rule, independent of the Gauss-Jacobi rules the program integrates
+    on.  With slope, d/dx of the same instead.  A scan of the manifold fit:
+    the best scale of u maximizes the square.
+    """
+    M = p.M
+    z, w = _star_log_rule()
+    L = lambda v: np.logaddexp(v, -v) - math.log(2.0)       # ln cosh
+    wr = w * ratio(z) * np.exp(-(M - 4.0) / 2.0 * L(z))
+    norm = float(w @ np.exp(-M * L(z)))
+    out = []
+    for x in np.atleast_1d(xs):
+        zy = z + x / p.q
+        f = np.exp(-(M + 4.0) / 2.0 * L(zy))
+        if slope:
+            f *= -(M + 4.0) / (2.0 * p.q) * np.tanh(zy)
+        out.append(float(wr @ f) / norm)
+    return np.array(out)
+
+
+def remainder_ratio(p, t):
+    """u/U_1 as a function of z = ln s, u = U_1 + t ||U_1|| w, w the unit mu_3 mode-0 eigenfunction.
+
+    In the continuum problem psi_j / U_1 = p_j(tanh z) / C, the p_j from
+    jacobi_rows, the mass matrix is a multiple of the identity, and
+    ||psi_j||^2 / ||psi_0||^2 = mu_{j+1}, so ||U_1|| w / U_1 = p_2 / (p_0
+    sqrt(mu_3)) with mu_3 = (M+4)(M+6)/((M-4)(M-2)), the Paneitz value.
+    Returns (ratio, norm_sq): norm_sq = ||u||^2/||U_1||^2 = 1 + 2 t <U_1, w>
+    /||U_1|| + t^2 ||w||^2, with <U_1, w> and ||w||^2 = mu_3 int U_1^{p*-2}
+    w^2 in star form on log_rule.
+    """
+    M = p.M
+    mu3 = (M + 4.0) * (M + 6.0) / ((M - 4.0) * (M - 2.0))
+
+    def v(z):
+        P = jacobi_rows(SimpleNamespace(delta=(M - 2.0) / 2.0, m=3), np.tanh(z))
+        return P[2] / (P[0] * math.sqrt(mu3))
+
+    z, w = _star_log_rule()
+    star = w * np.exp(-M * (np.logaddexp(z, -z) - math.log(2.0)))
+    vz = v(z)
+    mean, mean_sq = float(star @ vz) / star.sum(), float(star @ vz ** 2) / star.sum()
+    return (lambda zz: 1.0 + t * v(zz)), 1.0 + 2.0 * t * mean + t * t * mu3 * mean_sq
 
 
 def omega_hat(res):
@@ -219,11 +280,20 @@ def omega_hat(res):
     return SobolevModeFunction(pp.problem.basis, pp.X @ res.coeffs)
 
 
-def omega_radial(res):
-    """A CorrectionResult's physical correction P_lam(w) on the weighted side."""
-    p = res.problem.params
+def solution_radial(res):
+    """U_lam + P_lam(w) of a CorrectionResult on the weighted side, as one function.
+
+    The bubble is (C/p0) psi_0 in the transported frame, so it is added to
+    the correction's coefficients (omega_hat), and the sum is pulled back
+    to scale lam: lam^{(N-4+alpha)/2} X((lam r)^{1/q}).
+    """
+    pp = res.problem
+    p = pp.params
+    basis = pp.problem.basis
+    coeffs = pp.X @ res.coeffs
+    coeffs[0] += normalization_constant(p) / basis.p0
     pre = res.lam ** ((p.N - 4.0 + p.alpha) / 2.0)
-    return ComposedRadial(omega_hat(res), 1.0 / p.q, scale=res.lam, amp=pre)
+    return ComposedRadial(SobolevModeFunction(basis, coeffs), 1.0 / p.q, scale=res.lam, amp=pre)
 
 
 def random_trial_profiles(n, seed=0, max_degree=3):

@@ -12,11 +12,7 @@ import numpy as np
 import scipy.linalg
 from conftest import alignment, full_grid_energy, random_trial_profiles
 
-from ckn4.calculus import (
-    RadialGrid,
-    rayleigh_quotient,
-    weighted_hessian_norm_sq,
-)
+from ckn4.calculus import RadialGrid, rayleigh_quotient
 from ckn4.params import (
     best_constant_radial,
     fourth_order_sobolev_constant,
@@ -34,10 +30,9 @@ from ckn4.spectrum import mode_eigenvalues, verify_kernel
 from ckn4.reduction import (
     BUILTIN_H,
     PerturbationProblem,
-    RadialCombination,
     find_perturbed_solution,
     reduced_energy,
-    remainder_scan,
+    remainder_curve,
     solve_correction,
 )
 
@@ -168,11 +163,8 @@ def test_criterion_7_remainder_bound():
     p = validate_params(5, 1)
     res = mode_eigenvalues(p, 0, n_eigs=4, nodes=400)
     mu2, mu3 = float(res.eigenvalues[1]), float(res.eigenvalues[2])
-    phi3 = res.eigenfunction(2).to_radial(p)
-    nrm = math.sqrt(weighted_hessian_norm_sq(p, phi3))
-    w = RadialCombination([phi3], [1.0 / nrm])
     target = 1.0 - mu2 / mu3
-    quot = remainder_scan(p, w, [1e-3])[0]["quotient"]
+    quot = remainder_curve(res, [1e-3])[0]["quotient"]
     rel = abs(quot - target) / target
     ok = rel <= 0.05
     _verdict(7, "remainder bound", ok,

@@ -323,13 +323,16 @@ def test_int_flag_range(capsys, monkeypatch, name, flag, bounds):
         assert f"argument {flag}:" in err and "Traceback" not in err, (value, err)
 
 
-@pytest.mark.parametrize("values", ["nan", "inf,0.01", "0.01,-inf", "0.01,x", ""])
+@pytest.mark.parametrize("values", ["nan", "inf,0.01", "0.01,-inf", "0.01,x", "",
+                                    "0", "-0.01", "0.2", "1e300"])
 def test_t_values_refuse_non_finite(capsys, monkeypatch, values):
-    # nan and inf,0.01 once ended in an IndexError traceback from the empty curve
+    # nan and inf,0.01 once ended in an IndexError traceback from the empty
+    # curve, and 1e300 in eight overflow warnings and a NaN quotient; t is
+    # relative to ||U_1|| and must lie in (0, 0.1]
     def refuse(*args, **kwargs):
         raise AssertionError("remainder ran with a refused --t-values")
 
-    monkeypatch.setattr(reduction, "remainder_scan", refuse)
+    monkeypatch.setattr(reduction, "remainder_curve", refuse)
     with pytest.raises(SystemExit) as exc:
         main(["remainder", "--N", "5", "--alpha", "1", "--nodes", "64", f"--t-values={values}"])
     assert exc.value.code == 2
@@ -582,7 +585,7 @@ def test_no_command_loads_scipy_optimize():
     # one fresh interpreter, closed-form commands first: they load no scipy
     # module (about 0.3 s and 30 MB of start-up); spectrum loads scipy.linalg
     # for its Gauss-Jacobi nodes, so the scipy checks cannot pass vacuously;
-    # and no command, remainder's manifold fit included, loads scipy.optimize
+    # and no command loads scipy.optimize
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from ckn4.cli import main
@@ -643,14 +646,53 @@ def test_remainder_diagnostics(capsys):
     assert code == 0
     rep = json.loads(out)
     diag = rep["diagnostics"]
-    assert diag["quad_nodes"] == reduction.wide_grid().n
+    # the pencil's own Gauss-Jacobi rule, m + 8 nodes, and its certified couplings
+    assert diag["quad_nodes"] == 136
     assert diag["basis_size"] == 128
-    assert diag["scan_points"] == reduction.SCAN_POINTS
-    assert [f["t"] for f in diag["fits"]] == [0.01, 0.001]
-    # one scan peak per t, polished from POLISH_POINTS slopes and one Newton step
-    assert all(f["converged"] and f["polish_points"] == reduction.POLISH_POINTS + 1
-               for f in diag["fits"])
-    assert all(set(row) == {"t", "quotient", "dist", "c", "lam"} for row in rep["data"]["curve"])
+    assert set(diag) == {"quad_nodes", "basis_size", "stiffness_coupling", "mass_coupling"}
+    assert max(diag["stiffness_coupling"], diag["mass_coupling"]) <= 1e-9
+    assert all(set(row) == {"t", "quotient", "dist", "curvature"} for row in rep["data"]["curve"])
+    assert [c["name"] for c in rep["checks"]] == ["quotient_near_limit", "limit_is_paneitz",
+                                                 "scale_one_is_local_fit"]
     _, again, _ = run(capsys, "remainder", "--N", "5", "--alpha", "1", "--nodes", "128",
                       "--t-values", "0.01,0.001")
     assert again == out
+
+
+@pytest.mark.parametrize("t_values", ["0.01,0.001", "0.001,0.01"])
+def test_remainder_judged_at_smallest_t(capsys, t_values):
+    code, out, _ = run(capsys, "remainder", "--N", "5", "--alpha", "1", "--t-values", t_values)
+    assert code == 0
+    rep = json.loads(out)
+    row = {row["t"]: row for row in rep["data"]["curve"]}[0.001]
+    check = {c["name"]: c for c in rep["checks"]}["quotient_near_limit"]
+    assert check["value"] == abs(row["quotient"] / rep["data"]["limit"] - 1.0)
+
+
+@pytest.mark.parametrize("N, alpha", [("5", "1"), ("3", "1.5"), ("12", "1.39948"),
+                                      ("8", "-3.90261"), ("5", "1.9"), ("3", "1.99")])
+def test_remainder_limit_is_paneitz(capsys, N, alpha):
+    # 1 - mu2/mu3 = 8/(M+6), the Paneitz spectrum on S^M, to rounding
+    code, out, _ = run(capsys, "remainder", "--N", N, "--alpha", alpha)
+    assert code == 0
+    check = {c["name"]: c for c in json.loads(out)["checks"]}["limit_is_paneitz"]
+    assert check["passed"] and check["value"] <= 1e-14
+
+
+def test_remainder_nonlocal_fit_is_a_named_failure(capsys):
+    # at M - 4 = 2e-4 the curvature at scale 1 turns positive at t = 0.01,
+    # where another scale fits u better and dist = t ||U_1|| would be wrong
+    code, out, _ = run(capsys, "remainder", "--N", "3", "--alpha", "1.0001")
+    assert code == 1
+    failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+    assert failed == ["scale_one_is_local_fit"]
+    code, out, _ = run(capsys, "remainder", "--N", "3", "--alpha", "1.0001", "--t-values", "0.001")
+    assert code == 0
+
+
+def test_remainder_overflow_near_m4_is_typed(capsys):
+    # at M - 4 = 3e-9, p* = 2.4e9 and (1 + v)^p* overflows at t = 0.01
+    code, out, err = run(capsys, "remainder", "--N", "8", "--alpha", "-3.99999999")
+    assert code == 2 and out == ""
+    assert err.startswith("error: QuadratureFailure: remainder at N=8, alpha=-3.99999999")
+    assert "t=0.01" in err and "Traceback" not in err

@@ -9,34 +9,27 @@ from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
 import ckn4.reduction as reduction
-from ckn4.calculus import weighted_hessian_norm_sq
-from ckn4.emden import sobolev_bubble
-from ckn4.errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum, OnManifold
+from ckn4.calculus import RadialGrid, weighted_hessian_norm_sq
+from ckn4.emden import from_sobolev, sobolev_bubble
+from ckn4.errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum
 from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, dilation_tangent, extremal_U, kernel_Z0
 from ckn4.reduction import (
     BUILTIN_H,
-    SCAN_HALF_WIDTH,
-    SCAN_POINTS,
     PerturbationProblem,
-    RadialCombination,
-    UnitManifold,
     _bracketed_root,
-    _dilated_products,
-    dist_to_manifold,
     find_perturbed_solution,
     reduced_energies,
     reduced_energy,
-    remainder_quotient,
-    remainder_scan,
+    remainder_curve,
     solve_correction,
     solve_corrections,
-    wide_grid,
 )
-from ckn4.spectrum import JacobiRule, mode_eigenvalues
-from conftest import (PARAM_SETS, applied, brentq_lambda_star, composite_rule, full_grid_energy,
-                      h_weighted_star_norm, inner_alpha, omega_hat, omega_radial,
-                      perturbation_on, weighted_H, wide_log_rule)
+from ckn4.spectrum import JacobiRule, ModeBasis, mode_eigenvalues
+from conftest import (PARAM_SETS, _star_log_rule, applied, brentq_lambda_star, composite_rule,
+                      full_grid_energy, h_weighted_star_norm, inner_alpha, omega_hat,
+                      perturbation_on, remainder_ratio, solution_radial, star_overlaps,
+                      weighted_H, wide_log_rule)
 
 
 @pytest.fixture(scope="module")
@@ -50,91 +43,118 @@ def modes51(p51):
 
 
 @pytest.fixture(scope="module")
-def phi3_unit(p51, modes51):
-    f = modes51.eigenfunction(2).to_radial(p51)
-    nrm = math.sqrt(weighted_hessian_norm_sq(p51, f))
-    return RadialCombination([f], [1.0 / nrm])
-
-
-@pytest.fixture(scope="module")
 def pp51(p51):
     return PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=180)
 
 
+def _bubble_ratio(p, c, lam):
+    """c U_lam / U_1 as a function of z = ln s: c (cosh z / cosh(z + ln(lam)/q))^{(M-4)/2}."""
+    y = math.log(lam) / p.q
+    ln_2cosh = lambda v: np.logaddexp(v, -v)
+    return lambda z: c * np.exp((p.M - 4.0) / 2.0 * (ln_2cosh(z) - ln_2cosh(z + y)))
+
+
+# the oracle's scan of x = ln lam, step 0.01
+SCAN = np.linspace(-4.0, 4.0, 801)
+
+
+def _best_scale(p, ratio, xs=SCAN):
+    """(x, g(x)/||U_1||^2) at the scan's maximum of g^2, g(x) = <u, U_{e^x}>."""
+    g = star_overlaps(p, ratio, xs)
+    i = int(np.argmax(g * g))
+    return float(xs[i]), float(g[i])
+
+
+def _excess(p, t):
+    """max over the scan of g^2, relative to g(0)^2, minus 1, for u = U_1 + t ||U_1|| w."""
+    g = star_overlaps(p, remainder_ratio(p, t)[0], SCAN)
+    return float(np.max(g * g) / g[400] ** 2 - 1.0), float(SCAN[np.argmax(g * g)])
+
+
+@functools.cache
+def _remainder_rows(N, a, t_values=(1e-2, 1e-3)):
+    p = validate_params(N, a)
+    return remainder_curve(mode_eigenvalues(p, 0, n_eigs=4, nodes=160), t_values)
+
+
 def test_dist_on_manifold(p51):
-    u = extremal_U(p51, 2.0, amplitude=3.0 * extremal_U(p51).amplitude)
-    fit = dist_to_manifold(p51, u)
-    assert fit.c == pytest.approx(3.0, rel=1e-10)
-    assert fit.lam == pytest.approx(2.0, rel=1e-10)
-    assert fit.dist < 1e-8
-    assert fit.converged
-
-
-def test_dist_linear_in_offset(p51, phi3_unit):
-    U = extremal_U(p51)
-    for t in (1e-2, 1e-3):
-        u = RadialCombination([U, phi3_unit], [1.0, t])
-        fit = dist_to_manifold(p51, u)
-        assert fit.dist == pytest.approx(t, rel=5e-3)
-        assert fit.lam == pytest.approx(1.0, rel=1e-2)
-
-
-def test_dist_brute_force_oracle(p51, phi3_unit):
-    # direct scan over a (c, lam) product grid bounds the reported distance
-    U = extremal_U(p51)
-    u = RadialCombination([U, phi3_unit], [1.0, 0.05])
-    fit = dist_to_manifold(p51, u)
-    norm_U = weighted_hessian_norm_sq(p51, U)
-    best = np.inf
-    for lam in np.exp(np.linspace(-0.02, 0.02, 9)):
-        Ul = extremal_U(p51, float(lam))
-        g = inner_alpha(p51, u, Ul)
-        c = g / norm_U
-        d2 = (weighted_hessian_norm_sq(p51, u) - 2 * c * g + c * c * norm_U)
-        best = min(best, math.sqrt(max(d2, 0.0)))
-    assert fit.dist <= best * (1.0 + 1e-8)
-    assert fit.dist == pytest.approx(best, rel=1e-3)
-
-
-def test_dist_z0(p51):
-    fit = dist_to_manifold(p51, kernel_Z0(p51))
-    assert np.isfinite(fit.dist) and fit.dist > 0.1
-    assert len(fit.candidates) >= 1
-
-
-def test_dist_two_bubbles_global_maximum(p51):
-    # the fit against a brute-force 4001-point scan of the same range of
-    # ln lam, with the distance integrated directly at each scale
-    u = RadialCombination([extremal_U(p51, 0.05), extremal_U(p51, 20.0)], [1.0, 0.5])
-    fit = dist_to_manifold(p51, u)
-    grid = wide_grid()
-    r = grid.nodes
-    weight = sphere_area(p51.N) * grid.weights * r ** (p51.alpha + p51.N - 1)
-    lap_u = u.deriv(r, 2) + (p51.N - 1) * u.deriv(r, 1) / r
-    lap_1 = extremal_U(p51).form.radial_laplacian(p51.N).eval(r)
-    norm_U_sq = float(weight @ lap_1 ** 2)
-    best = np.inf
-    for x in np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, 4001):
-        lap_l = extremal_U(p51, math.exp(x)).form.radial_laplacian(p51.N).eval(r)
-        c = float(weight @ (lap_u * lap_l)) / norm_U_sq
-        best = min(best, math.sqrt(float(weight @ (lap_u - c * lap_l) ** 2)))
-    assert fit.dist <= best * (1.0 + 1e-8)
-    assert abs(math.log(fit.lam / 0.05)) < 0.1          # the larger bubble's peak
+    # the oracle's scan recovers c and lam of a point c U_lam of the manifold
+    x_lam = math.log(2.0)
+    xs = np.sort(np.append(SCAN, x_lam))
+    x, c = _best_scale(p51, _bubble_ratio(p51, 3.0, 2.0), xs)
+    assert x == x_lam
+    assert c == pytest.approx(3.0, rel=1e-12)
+    assert abs(9.0 - c * c) < 1e-10           # dist^2 / ||U_1||^2
 
 
 @pytest.mark.parametrize("lam", [0.01, 150.0])
 def test_dist_near_range_ends(p51, lam):
-    u = extremal_U(p51, lam, amplitude=3.0 * normalization_constant(p51))
-    fit = dist_to_manifold(p51, u)
-    assert fit.c == pytest.approx(3.0, rel=1e-10)
-    assert fit.lam == pytest.approx(lam, rel=1e-10)
+    # the same with the bubble far off centre, on a scan of |x| <= 6
+    x_lam = math.log(lam)
+    xs = np.sort(np.append(np.linspace(-6.0, 6.0, 1201), x_lam))
+    x, c = _best_scale(p51, _bubble_ratio(p51, 3.0, lam), xs)
+    assert x == x_lam
+    assert c == pytest.approx(3.0, rel=1e-12)
 
 
-def test_dist_outside_scan_not_converged(p51):
-    # the peak of g^2 lies beyond the scan's end, so no bracket polishes it
-    fit = dist_to_manifold(p51, extremal_U(p51, 512.0))
-    assert not fit.converged
-    assert fit.lam == pytest.approx(math.exp(SCAN_HALF_WIDTH), rel=1e-12)
+def test_dist_linear_in_offset(p51, modes51):
+    # dist = t ||U_1||, with ||U_1|| the exact Beta value, and the oracle's
+    # best scale is 1
+    norm_U = math.sqrt(weighted_hessian_norm_sq(p51, extremal_U(p51)))
+    rows = remainder_curve(modes51, [1e-2, 1e-3])
+    for row in rows:
+        assert row["dist"] == pytest.approx(row["t"] * norm_U, rel=1e-12)
+        assert _best_scale(p51, remainder_ratio(p51, row["t"])[0])[0] == 0.0
+    assert rows[0]["dist"] == pytest.approx(10.0 * rows[1]["dist"], rel=1e-15)
+
+
+def test_dist_brute_force_oracle():
+    # the program's distance against min over the scan of ||u - c*(x) U_{e^x}||,
+    # every term in star form on log_rule: dist^2 = ||u||^2 - g(x)^2/||U_1||^2
+    t = 0.05
+    for N, a in [(5, 1.0), (12, 1.39948), (4, 0.0504)]:
+        p = validate_params(N, a)
+        dist = _remainder_rows(N, a, (t,))[0]["dist"]
+        ratio, norm_sq = remainder_ratio(p, t)
+        g = star_overlaps(p, ratio, SCAN)
+        norm_U = math.sqrt(weighted_hessian_norm_sq(p, extremal_U(p)))
+        best = math.sqrt(norm_sq - float(np.max(g * g))) * norm_U
+        assert dist <= best * (1.0 + 1e-8)
+        assert dist == pytest.approx(best, rel=1e-8)
+
+
+def test_dist_z0(p51, modes51):
+    # w is alpha-orthogonal to Z0, the dilation tangent, and to U_1, in the
+    # stiffness form on a radial grid: why the fit at scale 1 is stationary
+    grid = RadialGrid.log_gauss(1e-8, 1e8, 1024)
+    mu3 = float(modes51.eigenvalues[2])
+    psi2 = from_sobolev(p51, modes51.eigenfunction(2))
+    norm_w = math.sqrt(modes51.problem.alpha_scale * mu3)
+    Z0 = kernel_Z0(p51)
+    for f in (Z0, extremal_U(p51)):
+        cos = inner_alpha(p51, f, psi2, grid) / (norm_w * math.sqrt(inner_alpha(p51, f, f)))
+        assert abs(cos) < 1e-9
+    assert inner_alpha(p51, psi2, psi2, grid) == pytest.approx(norm_w ** 2, rel=1e-9)
+
+
+def test_dist_two_bubbles_global_maximum(p51):
+    # the oracle's scan finds the larger of two bubbles' peaks, the global one
+    ratio_a, ratio_b = _bubble_ratio(p51, 1.0, 0.05), _bubble_ratio(p51, 0.5, 20.0)
+    x, _ = _best_scale(p51, lambda z: ratio_a(z) + ratio_b(z))
+    assert abs(x - math.log(0.05)) < 0.1
+
+
+def test_dist_profile_evaluations(monkeypatch, p51, modes51):
+    # the quotient runs on the pencil's own rule: it builds no rule, no
+    # radial grid and no profile
+    def refuse(*args, **kwargs):
+        raise AssertionError("remainder_curve built a rule or a profile")
+
+    monkeypatch.setattr(JacobiRule, "build", refuse)
+    monkeypatch.setattr(RadialGrid, "log_gauss", refuse)
+    monkeypatch.setattr(ModeBasis, "values", refuse)
+    rows = remainder_curve(modes51, [1e-2, 1e-3])
+    assert [row["t"] for row in rows] == [1e-2, 1e-3]
 
 
 @pytest.mark.parametrize("lam", [0.01, 1.0, 100.0])
@@ -143,7 +163,7 @@ def test_tangent_laplacian_on_wide_grid(lam):
     # underflows into the subnormals (finite, but 64 times off at r = 1.9e11)
     p = validate_params(12, -7.68064)
     form = dilation_tangent(p, lam).form.radial_laplacian(p.N)
-    r = wide_grid().nodes
+    r = RadialGrid.log_gauss(1e-14, 1e14, 2048).nodes
     vals = form.eval(r)
     assert np.isfinite(vals).all()
     with mpmath.workdps(50):
@@ -155,145 +175,84 @@ def test_tangent_laplacian_on_wide_grid(lam):
             assert abs(vals[i] - exact) <= 1e-9 * abs(exact)
 
 
-def test_dist_profile_evaluations(monkeypatch, p51, phi3_unit):
-    # the scan and the polish read every scale off the scale-1 member, so the
-    # fit builds U_1 and T_1 once and one U_lam per peak, for its candidate
-    import ckn4.reduction as reduction
-    calls, tangents = [], []
-
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return extremal_U(*args, **kwargs)
-
-    def counted_tangent(*args, **kwargs):
-        tangents.append(args)
-        return dilation_tangent(*args, **kwargs)
-
-    u = RadialCombination([extremal_U(p51), phi3_unit], [1.0, 1e-2])
-    monkeypatch.setattr(reduction, "extremal_U", counted)
-    monkeypatch.setattr(reduction, "dilation_tangent", counted_tangent)
-    fit = dist_to_manifold(p51, u)
-    assert len(fit.candidates) == 1
-    assert len(calls) == 2
-    assert len(tangents) == 1
-
-
-# the points of the block fit's oracles: the PARAM_SETS, gamma = 9.68 (the
-# forms' log-space evaluation), M near 4 and M = 62
+# the points of the curvature's oracle: the PARAM_SETS, gamma = 9.68, M near
+# 4 and M = 62
 BLOCK_POINTS = PARAM_SETS + [(12, -7.68064), (4, 0.0504), (5, 1.9)]
-
-
-@functools.cache
-def _phi3_unit(N, a):
-    p = validate_params(N, a)
-    f = mode_eigenvalues(p, 0, n_eigs=4, nodes=160).eigenfunction(2).to_radial(p)
-    return RadialCombination([f], [1.0 / math.sqrt(weighted_hessian_norm_sq(p, f))])
-
-
-def _fit_arrays(p, u):
-    grid = wide_grid()
-    r = grid.nodes
-    weight = sphere_area(p.N) * grid.weights * r ** (p.alpha + p.N - 1)
-    lap_u = u.deriv(r, 2) + (p.N - 1) * u.deriv(r, 1) / r
-    return grid, r, weight, lap_u
-
-
-def _direct_slope(p, r, weight, lap_u, x):
-    # d/dx <u, U_{e^x}> from the tangent built at lam = e^x
-    lam = math.exp(x)
-    lap_t = dilation_tangent(p, lam).form.radial_laplacian(p.N).eval(r)
-    return lam * float(weight @ (lap_u * lap_t))
 
 
 @pytest.mark.parametrize("N, a", BLOCK_POINTS)
 def test_block_scan_matches_direct_scales(N, a):
-    # the scan's overlaps and slopes, read off U_1 and T_1 by dilation in
-    # blocks, against the closed forms built at each of the 61 scales
+    # the curvature g''(0)/||U_1||^2 of the scan g(x) = <u, U_{e^x}>, read
+    # off the pencil's diagonal, against a five-point difference of the
+    # oracle's g built at each scale directly
     p = validate_params(N, a)
-    u = RadialCombination([extremal_U(p), _phi3_unit(N, a)], [1.0, 1e-3])
-    grid, r, weight, lap_u = _fit_arrays(p, u)
-    unit = UnitManifold.build(p, grid)
-    xs = np.linspace(-SCAN_HALF_WIDTH, SCAN_HALF_WIDTH, SCAN_POINTS)
-    g = _dilated_products(unit.lap_U, unit.power, xs, r, weight * lap_u)
-    g_ref = np.array([float(weight @ (lap_u * extremal_U(p, math.exp(x)).form
-                                      .radial_laplacian(p.N).eval(r))) for x in xs])
-    assert np.max(np.abs(g - g_ref)) <= 1e-14 * np.max(np.abs(g_ref))
-    slope = _dilated_products(unit.lap_T, unit.power, xs, r, weight * lap_u)
-    slope_ref = np.array([_direct_slope(p, r, weight, lap_u, x) for x in xs])
-    assert np.max(np.abs(slope - slope_ref)) <= 2e-13 * np.max(np.abs(slope_ref))
+    d = 1e-2
+    for row in _remainder_rows(N, a):
+        g = star_overlaps(p, remainder_ratio(p, row["t"])[0], d * np.arange(-2.0, 3.0))
+        ref = (-g[0] + 16.0 * g[1] - 30.0 * g[2] + 16.0 * g[3] - g[4]) / (12.0 * d * d)
+        assert row["curvature"] == pytest.approx(ref, rel=1e-6)
 
 
 @pytest.mark.parametrize("t", [1e-2, 1e-3])
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(12, -7.87232)])
 def test_fit_polish_matches_brentq(N, a, t):
-    # the polished scale against brentq on the directly built slope, in the
-    # two scan steps around the nearest scan point, which hold the root; at
-    # (12, -7.87232) the interpolant's root alone is 1.2e-11 off, and the
-    # Newton step brings it within the bound
+    # the fit's scale, 1, against brentq on the oracle's slope dg/dx across
+    # two scan steps either side; the curvature says it is a maximum
     p = validate_params(N, a)
-    u = RadialCombination([extremal_U(p), _phi3_unit(N, a)], [1.0, t])
-    fit = dist_to_manifold(p, u)
-    assert fit.converged
-    assert fit.polish_points == reduction.POLISH_POINTS + 1
-    _, r, weight, lap_u = _fit_arrays(p, u)
-    step = 2.0 * SCAN_HALF_WIDTH / (SCAN_POINTS - 1)
-    x0 = -SCAN_HALF_WIDTH + step * round((math.log(fit.lam) + SCAN_HALF_WIDTH) / step)
-    x_ref = brentq(lambda x: _direct_slope(p, r, weight, lap_u, x), x0 - step, x0 + step,
-                   xtol=1e-14)
-    assert abs(fit.lam / math.exp(x_ref) - 1.0) <= 1e-13
+    row = _remainder_rows(N, a, (t,))[0]
+    assert row["curvature"] < 0.0
+    ratio = remainder_ratio(p, t)[0]
+    x_ref = brentq(lambda x: float(star_overlaps(p, ratio, [x], slope=True)[0]),
+                   -0.02, 0.02, xtol=1e-15)
+    assert abs(x_ref) <= 1e-13
 
 
-def test_quotient_nonnegative_and_on_manifold_error(p51):
-    g = PolyGaussProfile([1.0, 0.0, 0.2], 1.0)
-    assert remainder_quotient(p51, g) >= 0.0
-    with pytest.raises(OnManifold):
-        remainder_quotient(p51, extremal_U(p51, 1.3))
+@pytest.mark.parametrize("N, a", [(5, 1.0), (8, -3.90261), (12, 1.39948), (3, 1.001),
+                                  (6, -1.999)])
+def test_scale_one_is_best_where_curvature_is_negative(N, a):
+    # the local fit is the global one: no scale of the oracle's scan over
+    # |ln lam| <= 4 beats lam = 1
+    p = validate_params(N, a)
+    for row in _remainder_rows(N, a):
+        assert row["curvature"] < 0.0
+        excess, _ = _excess(p, row["t"])
+        assert excess <= 1e-12
 
 
-def test_remainder_scan_limit(p51, modes51, phi3_unit):
+def test_scale_one_is_not_best_where_curvature_is_positive():
+    # at M - 4 = 2e-4 and t = 1e-2 the curvature at scale 1 is positive, and
+    # the oracle's best scale is lam = e^{-1.23}: dist = t ||U_1|| would be wrong
+    p = validate_params(3, 1.0001)
+    row = _remainder_rows(3, 1.0001, (1e-2,))[0]
+    assert row["curvature"] > 0.0
+    excess, x = _excess(p, 1e-2)
+    assert excess > 1e-12 and abs(x) > 1.0
+
+
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(12, 1.39948), (4, 0.0504), (3, 1.99)])
+def test_quotient_matches_star_oracle(N, a):
+    # the deficit quotient against (||u||^2 - S ||u||_*^2) / (t ||U_1||)^2
+    # summed directly in star form on log_rule: S ||u||_*^2 / ||U_1||^2 =
+    # (int U_1^{p*} ratio^{p*} / int U_1^{p*})^{2/p*}
+    p = validate_params(N, a)
+    z, w = _star_log_rule()
+    star = w * np.exp(-p.M * (np.logaddexp(z, -z) - math.log(2.0)))
+    for row in _remainder_rows(N, a):
+        t = row["t"]
+        ratio, norm_sq = remainder_ratio(p, t)
+        deficit = norm_sq - (float(star @ ratio(z) ** p.pstar) / star.sum()) ** (2.0 / p.pstar)
+        assert row["quotient"] == pytest.approx(deficit / (t * t), rel=1e-8)
+
+
+def test_remainder_scan_limit(p51, modes51):
     mu2, mu3 = float(modes51.eigenvalues[1]), float(modes51.eigenvalues[2])
     target = 1.0 - mu2 / mu3
-    rows = remainder_scan(p51, phi3_unit, [1e-2, 1e-3])
+    rows = remainder_curve(modes51, [1e-2, 1e-3])
     assert abs(rows[-1]["quotient"] - target) < 0.05 * target
-    # the quotient approaches the limit monotonically-ish from below here
     assert abs(rows[0]["quotient"] - target) < 0.1 * target
-
-
-def test_remainder_scan_samples_direction_once(monkeypatch, p51, phi3_unit):
-    # the direction's value and two derivatives, and the fit's scale-1
-    # member, are taken once for all t
-    calls = []
-    builds = []
-    build = UnitManifold.build
-
-    def counted_build(*args):
-        builds.append(args)
-        return build(*args)
-
-    class Counted:
-        def eval(self, r):
-            calls.append(0)
-            return phi3_unit.eval(r)
-
-        def deriv(self, r, order=1):
-            calls.append(order)
-            return phi3_unit.deriv(r, order)
-
-    monkeypatch.setattr(UnitManifold, "build", counted_build)
-    rows = remainder_scan(p51, Counted(), [1e-2, 1e-3])
-    assert sorted(calls) == [0, 1, 2]
-    assert len(builds) == 1
-    assert rows == remainder_scan(p51, phi3_unit, [1e-2, 1e-3])
-
-
-def test_remainder_scan_higher_modes(p51, modes51):
-    # directions with spectral content above mu3 stay above the bound
-    mu2, mu3 = float(modes51.eigenvalues[1]), float(modes51.eigenvalues[2])
-    f4 = modes51.eigenfunction(3).to_radial(p51)
-    nrm = math.sqrt(weighted_hessian_norm_sq(p51, f4))
-    w = RadialCombination([f4], [1.0 / nrm])
-    rows = remainder_scan(p51, w, [1e-3])
-    assert rows[0]["quotient"] >= (1.0 - mu2 / mu3) - 0.05
+    # q(t) - limit is O(t)
+    ratio = (rows[0]["quotient"] - target) / (rows[1]["quotient"] - target)
+    assert 9.0 < ratio < 11.0
 
 
 def test_correction_zero_eps(p51, pp51):
@@ -635,9 +594,7 @@ def test_h_functional_bound(p51, pp51):
     ratios = []
     for lam in (0.1, 1.0, 10.0):
         res = solve_correction(pp51, lam)
-        omega = omega_radial(res)
-        U = extremal_U(p51, lam)
-        u = RadialCombination([U, omega], [1.0, 1.0])
+        u = solution_radial(res)
         lhs = abs(weighted_H(p51, h, u))
         rhs = h_weighted_star_norm(p51, h, lam) ** p51.pstar + res.omega_norm ** p51.pstar
         ratios.append(lhs / rhs)
@@ -803,9 +760,7 @@ def test_independent_residual_oracle(p51, pp51):
     lam = rep["lambda_star"]
     res = rep["result"] if "result" in rep else None
     res = res or solve_correction(pp51, lam)
-    omega = omega_radial(res)
-    U = extremal_U(p51, lam)
-    u = RadialCombination([U, omega], [1.0, 1.0])
+    u = solution_radial(res)
     h = BUILTIN_H["exp_bump"]
     from ckn4.calculus import default_grid, sphere_area
     grid = default_grid()

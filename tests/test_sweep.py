@@ -5,9 +5,10 @@ Every (N, alpha) with 4-N < alpha < 2, including both ends approached as
 matches the closed-form Paneitz spectrum or raises a typed CknError.  The
 closed-form reports of verify-extremal and transform-check either pass
 with every norm a positive float, fail a check they name, or stop with a
-typed CknError.  So does `branch` over displacements a in [-0.5, 0.5],
-non-finite and overflowing ones, and grid sizes inside and outside its
-range, or it stops with a usage error.  A NaN or overflow shows up as a
+typed CknError.  So do `remainder` reports, whose passing quotients must
+also lie within 5 % of the Paneitz limit 8/(M+6).  So does `branch` over
+displacements a in [-0.5, 0.5], non-finite and overflowing ones, and grid
+sizes inside and outside its range, or it stops with a usage error.  A NaN or overflow shows up as a
 RuntimeWarning, which the suite turns into an error.  The examples are
 derandomized, so every run draws the same ones.
 """
@@ -139,3 +140,31 @@ def test_branch_reports_are_right_or_typed(N, a, grid_n):
         assert not all(c["passed"] for c in report["checks"]), argv
     else:
         assert code == 0 and report["passed"], argv
+
+
+@seed(20261021)
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(point=admissible())
+def test_remainder_reports_are_right_or_typed(point):
+    N, alpha = point
+    argv = ["remainder", "--N", str(N), f"--alpha={alpha!r}"]
+    code, out, err = _run_cli(argv)
+    if code == 2:
+        name = err.removeprefix("error: ").split(":", 1)[0]
+        assert out == "" and name in CKN_ERRORS, (argv, err)
+        return
+    report = json.loads(out)
+    assert err == "", (argv, err)
+    if code == 1:
+        assert not all(c["passed"] for c in report["checks"]), argv
+        return
+    assert code == 0, argv
+    # the limit and the quotient at the smallest t against 8/(M+6), the
+    # Paneitz value, and a local fit at every t
+    paneitz = 8.0 / (validate_params(N, alpha).M + 6.0)
+    data = report["data"]
+    assert abs(data["limit"] / paneitz - 1.0) <= 1e-12, argv
+    q_small = min(data["curve"], key=lambda row: row["t"])["quotient"]
+    assert abs(q_small / paneitz - 1.0) <= 0.05, argv
+    for row in data["curve"]:
+        assert row["curvature"] < 0.0 and 0.0 < row["dist"] < math.inf, (argv, row)
