@@ -65,9 +65,12 @@ def load_h_csv(path: str):
         if len(parts) < 2:
             raise ValueError(f"--h-file {path}: line {lineno}: need two columns r,h(r)")
         try:
-            rows.append((float(parts[0]), float(parts[1])))
+            r, hr = float(parts[0]), float(parts[1])
         except ValueError:
             continue  # header
+        if not (math.isfinite(r) and math.isfinite(hr) and r >= 0.0):
+            raise ValueError(f"--h-file {path}: line {lineno}: need finite r >= 0 and h(r)")
+        rows.append((r, hr))
     data = np.array(sorted(rows))
     if data.ndim != 2 or data.shape[0] < 2:
         raise ValueError(f"{path}: need at least two (r, h) rows")

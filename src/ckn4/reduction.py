@@ -188,6 +188,8 @@ PIVOT_FLOOR = 1e-6
 # noise and counts as converged: at (10, 1.7), where that norm is 5.6e17, the
 # step stalls at up to 5.8 ulps of it; at the PARAM_SETS the floor is below 1e-12
 STEP_FLOOR_ULPS = 64.0
+# update norm below which the fixed point counts as converged
+STEP_TOL = 1e-10
 # smallest mass, relative to the largest, of a Legendre direction the
 # perturbation's working basis keeps where the diagonal basis does not fix
 # (U + w)/U pointwise (PerturbationProblem)
@@ -414,22 +416,20 @@ class CorrectionResult:
 
 
 def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = None,
-                     tol: float = 1e-10, max_iter: int = 100,
-                     refuse_factor: float = 0.9) -> CorrectionResult:
+                     max_iter: int = 100, refuse_factor: float = 0.9) -> CorrectionResult:
     """Fixed-point iteration for the constrained correction at scale lam.
 
     The one-scale case of solve_corrections.
     """
-    return solve_corrections(pp, [lam], eps, tol, max_iter, refuse_factor)[0]
+    return solve_corrections(pp, [lam], eps, max_iter, refuse_factor)[0]
 
 
 def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
-                      tol: float = 1e-10, max_iter: int = 100,
-                      refuse_factor: float = 0.9) -> list[CorrectionResult]:
+                      max_iter: int = 100, refuse_factor: float = 0.9) -> list[CorrectionResult]:
     """Fixed-point iteration for the constrained correction at every scale in lams.
 
     Iterates the frozen-Jacobian map for (w, l) with the orthogonality
-    constraint <w, tangent> = 0 until the update norm drops below `tol`,
+    constraint <w, tangent> = 0 until the update norm drops below STEP_TOL,
     or below STEP_FLOOR_ULPS ulps of ||U_lam + w||_alpha when that is larger:
     such a step is rounding noise.
     The scales not yet in pp's cache are iterated in lockstep: each sweep
@@ -443,7 +443,7 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
     """
     eps = pp.eps if eps is None else float(eps)
     lams = [float(lam) for lam in np.atleast_1d(lams)]
-    keys = [(lam, eps, tol, max_iter, refuse_factor) for lam in lams]
+    keys = [(lam, eps, max_iter, refuse_factor) for lam in lams]
     todo = list(dict.fromkeys(lam for lam, key in zip(lams, keys) if key not in pp._cache))
     if not todo:
         return [pp._cache[key] for key in keys]
@@ -463,8 +463,9 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
         step = np.sqrt(np.sum((sqrtG * dc) ** 2, axis=1) + dl * dl)
         ratio = np.divide(step, prev_step, out=np.zeros_like(step), where=prev_step > 0)
         factor = np.fmax(factor, ratio)
-        # the absolute tol, or the step's rounding floor where the solution is huge
-        tol_l = np.maximum(tol, STEP_FLOOR_ULPS * np.finfo(float).eps * np.sqrt(pp.norm_sq(c)))
+        # STEP_TOL, or the step's rounding floor where the solution is huge
+        tol_l = np.maximum(STEP_TOL, STEP_FLOOR_ULPS * np.finfo(float).eps
+                           * np.sqrt(pp.norm_sq(c)))
         failed = (ratio >= refuse_factor) & (step > tol_l)
         for i, r in zip(at[failed], ratio[failed]):
             failures[int(i)] = f"contraction factor {r:.3f} >= {refuse_factor} at scale {todo[i]}"
@@ -481,7 +482,7 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
             unproj = np.sqrt(np.sum(res ** 2 / pp.G, axis=1))
             for k, i in enumerate(np.flatnonzero(done)):
                 lam = todo[at[i]]
-                pp._cache[(lam, eps, tol, max_iter, refuse_factor)] = CorrectionResult(
+                pp._cache[(lam, eps, max_iter, refuse_factor)] = CorrectionResult(
                     lam=lam, eps=eps, coeffs=c[i].copy(), l=lam * float(l_hat[i]),
                     iterations=it, contraction_factor=float(factor[i]),
                     omega_norm=math.sqrt(float(np.sum(pp.G * c[i] ** 2))),

@@ -16,22 +16,20 @@ diagonal, and E p_j, the Gegenbauer C_j^{(delta+1/2)} times the envelope,
 are the eigenfunctions of the continuum problem (the Paneitz spectrum on
 S^M, Beckner, Ann. Math. 138, 1993), so A is diagonal too: the
 mass-orthonormal basis of Shen's spectral-Galerkin methods (SIAM J. Sci.
-Comput. 15, 1994).  The eigenvalues are read off the diagonal, mu_j =
-A_jj / B_jj, and that read is certified on every solve: the normalized
-off-diagonal couplings of both matrices must stay below COUPLING_TOL,
-which bounds the eigenvalue error by its square.  Every stiffness and mass
-integrand is a polynomial of degree at most 2m in t times the Jacobi
-weight (1-t)^{delta-2} (1+t)^{delta}, so the pencil is assembled exactly on
-an (m+8)-node Gauss-Jacobi rule, one rule per mode: its nodes are the
-eigenvalues of the Jacobi matrix of the three-term recurrence (Golub &
-Welsch, Math. Comp. 23, 1969), found by LAPACK's MRRR tridiagonal solver
-(Dhillon & Parlett, Linear Algebra Appl. 387, 2004), and its weights are
-the Christoffel sums of the same recurrence at those nodes.  Mode 0's rule
-also carries the perturbation's star-type integrals (reduction): there the
-star measure U^{p*} s^{M-1} ds is the rule's weight times (1-t)^2.
-A scale-shifted potential (1 + nu^2 s^2)^{-4}, nu != 1, is analytic but not
-polynomial in t, its mass matrix is not diagonal, and it gets an
-oversampled rule whose extra nodes grow as nu moves away from 1.
+Comput. 15, 1994).  The eigenpairs are read off the diagonal, mu_j =
+A_jj / B_jj with eigenvector x_j e_j, x_j = B_jj^{-1/2} > 0, and that read
+is certified on every solve: the normalized off-diagonal couplings of both
+matrices must stay below COUPLING_TOL, which bounds the eigenvalue error by
+its square.  Every stiffness and mass integrand is a polynomial of degree
+at most 2m in t times the Jacobi weight (1-t)^{delta-2} (1+t)^{delta}, so
+the pencil is assembled exactly on an (m+8)-node Gauss-Jacobi rule, one
+rule per mode: its nodes are the eigenvalues of the Jacobi matrix of the
+three-term recurrence (Golub & Welsch, Math. Comp. 23, 1969), found by
+LAPACK's MRRR tridiagonal solver (Dhillon & Parlett, Linear Algebra Appl.
+387, 2004), and its weights are the Christoffel sums of the same
+recurrence at those nodes.  Mode 0's rule also carries the perturbation's
+star-type integrals (reduction): there the star measure U^{p*} s^{M-1} ds
+is the rule's weight times (1-t)^2.
 """
 
 from __future__ import annotations
@@ -62,11 +60,7 @@ __all__ = [
     "exact_rel_errors",
     "verify_kernel",
     "kernel_residual",
-    "SobolevModeFunction",
 ]
-
-
-MAX_RULE_NODES = 4096       # caps a scale-shifted rule: 1/370 < nu < 370 at m = 400
 
 
 @dataclass(frozen=True)
@@ -221,8 +215,8 @@ class _SymmetricJacobi:
         D_0 = 0: its terms vanish with h instead of cancelling as t nears
         +-1, where Clenshaw's sum loses up to 800 ulps of the series.  p_k(-t)
         = (-1)^k p_k(t) gives t < 0.  The sum stops at the last nonzero
-        coefficient: an eigenvector of the diagonal pencil, x_j e_j, costs
-        j + 1 terms, not m.
+        coefficient.  It serves the positivity check of (U + w)/U in
+        reduction.find_perturbed_solution, where t nears +-1 in the tails.
         """
         off = self.off
         h = 1.0 - np.abs(t)
@@ -289,12 +283,6 @@ class ModeBasis:
             P[i, :i] = 0.0
         return P
 
-    def poly_sum(self, coeffs: np.ndarray, t: np.ndarray, order: int = 0) -> np.ndarray:
-        """Derivative `order` in t of sum_j coeffs[j] p_j(t), summed in coefficient space."""
-        for i in range(order):
-            coeffs = coeffs[1:] * self._dscale[i][1:coeffs.shape[0]]
-        return self.families[order].sum(coeffs, t)
-
     def _log_envelope(self, s: np.ndarray) -> np.ndarray:
         # ln E computed as a sum so that s^{sigma0} and (1+s^2)^{1-delta}
         # cannot overflow separately (they can for large modes or large M)
@@ -357,40 +345,12 @@ class ModeBasis:
         c2 = tp * tp
         return t, a, ap, tp, tpp, c0, c1, c2
 
-    def values(self, s: np.ndarray, family: "_SymmetricJacobi | None" = None,
-               rows: int | None = None) -> np.ndarray:
-        """Matrix (rows, n) of the first `rows` (all m) trial values; with `family`, E p_k(t)."""
-        family = family or self.families[0]
-        return np.exp(self._log_envelope(s)) * family.rows(self._map(s), rows or self.m)
+    def weighted_rows(self, s: np.ndarray, log_weight: np.ndarray, log_pot: np.ndarray):
+        """(psi exp((log_weight + log_pot)/2), T_k psi exp(log_weight/2)), in log space.
 
-    def series(self, coeffs: np.ndarray, s: np.ndarray, order: int = 0) -> np.ndarray:
-        """Derivative `order` (0, 1 or 2) at s of X = sum_j coeffs[j] psi_j.
-
-        coeffs is (m,) and s of any shape; the result has the shape of s.
-        The polynomial part is summed in coefficient space
-        (_SymmetricJacobi.sum), in the (delta+i, delta+i) family for its i-th t
-        derivative, so no (m, n) basis matrix is formed; only the order + 1
-        series the derivative reads are summed, each up to its last nonzero
-        coefficient.
-        """
-        E = np.exp(self._log_envelope(s))
-        if order == 0:
-            return E * self.poly_sum(coeffs, self._map(s))
-        t, a, ap, tp, tpp = self._frame_coeffs(s)
-        P = self.poly_sum(coeffs, t)
-        dP = self.poly_sum(coeffs, t, 1)
-        if order == 1:
-            return E * (a * P + tp * dP)
-        d2P = self.poly_sum(coeffs, t, 2)
-        return E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P)
-
-    def weighted_rows(self, s: np.ndarray, log_weight: np.ndarray,
-                      log_pot: np.ndarray | None = None):
-        """(psi, T_k psi) times exp(log_weight/2), assembled in log space.
-
-        Folding the square root of the quadrature weight (and optionally of
-        the potential) into the envelope keeps every factor representable
-        even when s^{M-1} or the envelope overflow on their own.  Raises
+        Folding the square roots of the quadrature weight and the potential
+        into the envelope keeps every factor representable even when
+        s^{M-1} or the envelope overflow on their own.  Raises
         QuadratureFailure where a row is still not finite (p_j overflows
         where the weight underflows, at extreme delta).
         """
@@ -400,10 +360,7 @@ class ModeBasis:
             P, dP, d2P = self._poly_rows(t, orders=2)
             stiff_scale = np.exp(lnE + 0.5 * log_weight)
             rows_stiff = stiff_scale * (c0 * P + c1 * dP + c2 * d2P)
-            if log_pot is None:
-                rows_mass = stiff_scale * P
-            else:
-                rows_mass = np.exp(lnE + 0.5 * (log_weight + log_pot)) * P
+            rows_mass = np.exp(lnE + 0.5 * (log_weight + log_pot)) * P
         if not (np.isfinite(rows_mass).all() and np.isfinite(rows_stiff).all()):
             raise QuadratureFailure(
                 f"mode pencil rows at M={self.M:.6g}, delta={self.delta:.6g}, "
@@ -435,31 +392,6 @@ class ModeProblem:
         p = self.params
         return sphere_area(p.N) / p.q ** 3
 
-    def log_potential(self, s: np.ndarray, weight_lambda: float = 1.0) -> np.ndarray:
-        nu = weight_lambda ** (1.0 / self.params.q)
-        return _log_potential(self.params.M, nu, s)
-
-    def rule(self, weight_lambda: float = 1.0) -> JacobiRule:
-        """Quadrature for integrals against the potential at weight scale weight_lambda."""
-        nu = weight_lambda ** (1.0 / self.params.q)
-        if nu == 1.0:
-            return self.grid
-        # (1 + nu^2 s^2)^{-4} has its pole at t = -(nu^2+1)/(nu^2-1), on the
-        # Bernstein ellipse rho = (1+nu)/|1-nu|: the error beyond the
-        # polynomial part falls like rho^{-2n}, so 20/ln(rho) extra nodes
-        # bring it to rounding (measured against 1.5x the nodes, 0.01 <= nu <= 100)
-        n = self.basis.m + 8 + math.ceil(20.0 / math.log((1.0 + nu) / abs(1.0 - nu)))
-        if n > MAX_RULE_NODES:
-            raise GridTooCoarse(f"weight scale {weight_lambda:g} needs a {n}-node rule, "
-                                f"more than {MAX_RULE_NODES}")
-        return JacobiRule.build(n, self.basis.delta)
-
-    def weighted_mass(self, weight_lambda: float) -> np.ndarray:
-        nu = weight_lambda ** (1.0 / self.params.q)
-        _, B = _gram_matrices(self.basis, self.rule(weight_lambda), self.params.M, nu,
-                              stiffness=False)
-        return B
-
 
 def _log_hypot1(s: np.ndarray) -> np.ndarray:
     """0.5 * log(1 + s^2) without overflow in the square."""
@@ -471,18 +403,16 @@ def _log_hypot1(s: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_potential(M: float, nu: float, s: np.ndarray) -> np.ndarray:
+def _log_potential(M: float, s: np.ndarray) -> np.ndarray:
+    """ln of the sharp potential (M-4)(M-2)M(M+2) (1 + s^2)^{-4}."""
     P4 = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-    return math.log(P4) + 4.0 * math.log(nu) - 8.0 * _log_hypot1(nu * s)
+    return math.log(P4) - 8.0 * _log_hypot1(s)
 
 
-def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, nu: float,
-                   stiffness: bool = True):
+def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float):
     log_w = rule.log_w + (M - 1.0) * rule.u
-    rows_mass, rows_stiff = basis.weighted_rows(rule.s, log_w, _log_potential(M, nu, rule.s))
-    B = rows_mass @ rows_mass.T
-    A = rows_stiff @ rows_stiff.T if stiffness else None
-    return A, B
+    rows_mass, rows_stiff = basis.weighted_rows(rule.s, log_w, _log_potential(M, rule.s))
+    return rows_stiff @ rows_stiff.T, rows_mass @ rows_mass.T
 
 
 def assemble_mode_problem(p: Params, k: int, nodes: int = 160) -> ModeProblem:
@@ -493,7 +423,7 @@ def assemble_mode_problem(p: Params, k: int, nodes: int = 160) -> ModeProblem:
     nu_coeff = p.q ** 2 * lam_k
     basis = ModeBasis(p.M, nu_coeff, nodes)
     grid = JacobiRule.build(nodes + 8, basis.delta)
-    A, B = _gram_matrices(basis, grid, p.M, 1.0)
+    A, B = _gram_matrices(basis, grid, p.M)
     return ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid, A=A, B=B)
 
 
@@ -552,7 +482,7 @@ def _solve_pencil_cut(pr: ModeProblem, cut: float):
     basis, rule = pr.basis, pr.grid
     family = _SymmetricJacobi(basis.m, 0.0)
     t = basis._map(rule.s)
-    log_weight = rule.log_w + (pr.params.M - 1.0) * rule.u + pr.log_potential(rule.s)
+    log_weight = rule.log_w + (pr.params.M - 1.0) * rule.u + _log_potential(pr.params.M, rule.s)
     env = np.exp(basis._log_envelope(rule.s) + 0.5 * log_weight)
     rows = env * family.rows(t, basis.m)
     # E p_k = sum_j L_jk psi_j, read off the mass products on the exact rule
@@ -577,9 +507,6 @@ class SpectrumResult:
     nodes: int
     kept_rank: int                # always the basis size: nothing is cut
     diagnostics: dict             # quad_nodes, basis_size, stiffness/mass coupling
-
-    def eigenfunction(self, i: int) -> "SobolevModeFunction":
-        return SobolevModeFunction(self.problem.basis, self.coefficients[:, i])
 
 
 def exact_eigenvalues(p: Params, k: int, n: int) -> np.ndarray:
@@ -606,10 +533,9 @@ def exact_rel_errors(p: Params, k: int, eigenvalues) -> np.ndarray:
     return np.abs(mu / exact_eigenvalues(p, k, mu.size) - 1.0)
 
 
-def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160,
-                     problem: ModeProblem | None = None) -> SpectrumResult:
-    """Smallest eigenvalues of the mode-k pencil with discrete residual norms."""
-    pr = problem or assemble_mode_problem(p, k, nodes=nodes)
+def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160) -> SpectrumResult:
+    """Smallest mode-k eigenpairs, eigenvector j = B_jj^{-1/2} e_j, and their residual norms."""
+    pr = assemble_mode_problem(p, k, nodes=nodes)
     mu, x, couplings = _solve_pencil(pr.A, pr.B, pr.label)
     m = mu.size
     if m < n_eigs:
@@ -617,14 +543,6 @@ def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160,
     mu = mu[:n_eigs]
     X = np.zeros((m, n_eigs))
     X[np.arange(n_eigs), np.arange(n_eigs)] = x[:n_eigs]
-    # sign normalization: positive at the first interior point where the
-    # eigenfunction is resolvably nonzero
-    probe = pr.basis.values(np.array([0.3, 1.0, 3.0]), rows=n_eigs)
-    vals = X[:n_eigs].T @ probe
-    for i in range(n_eigs):
-        nz = vals[i][np.abs(vals[i]) > 1e-300]
-        if nz.size and nz[0] < 0:
-            X[:, i] = -X[:, i]
     res = np.empty(n_eigs)
     for i in range(n_eigs):
         ax = pr.A @ X[:, i]
@@ -633,24 +551,6 @@ def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160,
     diagnostics = {"quad_nodes": pr.grid.n, "basis_size": m, **couplings}
     return SpectrumResult(problem=pr, eigenvalues=mu, coefficients=X, residual_norms=res,
                           nodes=m, kept_rank=m, diagnostics=diagnostics)
-
-
-class SobolevModeFunction:
-    """Eigenfunction as an analytic combination of trial functions (s side)."""
-
-    def __init__(self, basis: ModeBasis, coeffs: np.ndarray):
-        self.basis = basis
-        self.coeffs = np.asarray(coeffs, dtype=float)
-
-    def eval(self, s):
-        return self.deriv(s, 0)
-
-    def deriv(self, s, order: int = 1):
-        if order not in (0, 1, 2):
-            raise ValueError("mode functions support derivatives up to order 2")
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        out = self.basis.series(self.coeffs, s, order)
-        return out if out.size > 1 else float(out[0])
 
 
 def kernel_residual(p: Params, profile: RadialProfile, k: int, mu: float | None = None) -> float:

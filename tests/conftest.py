@@ -14,7 +14,7 @@ from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
 import ckn4.reduction as reduction
 from ckn4.reduction import PerturbationProblem, solve_correction
-from ckn4.spectrum import JacobiRule, SobolevModeFunction
+from ckn4.spectrum import JacobiRule
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
@@ -111,11 +111,10 @@ def jacobi_rows(basis, t, order=0):
 
 
 def values_and_derivs(basis, s):
-    """(psi, psi', psi'') matrices of shape (m, n) of a ModeBasis.
+    """(psi, psi', psi'') matrices of shape (m, n) of a ModeBasis at the points s (n,).
 
-    A reference for ModeBasis.series, which sums one combination of them
-    by Clenshaw's recurrence without forming the matrices; the polynomials
-    come from jacobi_rows.
+    The polynomials come from jacobi_rows, the envelope and the chain rule
+    from the basis's own map.
     """
     E = np.exp(basis._log_envelope(s))
     t, a, ap, tp, tpp = basis._frame_coeffs(s)
@@ -124,6 +123,59 @@ def values_and_derivs(basis, s):
     dpsi = E * (a * P + tp * dP)
     d2psi = E * ((a * a + ap) * P + (2.0 * a * tp + tpp) * dP + tp * tp * d2P)
     return psi, dpsi, d2psi
+
+
+class ModeFunction:
+    """X = sum_j coeffs[j] psi_j of a ModeBasis as a function of s, derivatives up to order 2.
+
+    Summed from the matrices of values_and_derivs, whose polynomials come
+    from jacobi_rows, not from the program's recurrence; the result has the
+    shape of s.
+    """
+
+    def __init__(self, basis, coeffs):
+        self.basis = basis
+        self.coeffs = np.asarray(coeffs, dtype=float)
+
+    def eval(self, s):
+        return self.deriv(s, 0)
+
+    def deriv(self, s, order=1):
+        s = np.asarray(s, dtype=float)
+        return (self.coeffs @ values_and_derivs(self.basis, s.ravel())[order]).reshape(s.shape)
+
+
+def log_potential(p, s, weight_lambda=1.0):
+    """ln of (M-4)(M-2)M(M+2) nu^4 (1 + nu^2 s^2)^{-4}, nu = weight_lambda^{1/q}.
+
+    At weight scale 1 the pencil's potential; at any other its peak moves
+    to s = 1/nu, it is no longer polynomial in t, and its mass matrix in
+    the diagonal basis is not diagonal.
+    """
+    M = p.M
+    ln_nu = math.log(weight_lambda) / p.q
+    return (math.log((M - 4.0) * (M - 2.0) * M * (M + 2.0)) + 4.0 * ln_nu
+            - 4.0 * np.logaddexp(0.0, 2.0 * (np.log(s) + ln_nu)))
+
+
+def composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
+    """(A, B) of pr's basis on the wide composite log rule, B at weight scale weight_lambda.
+
+    The reference assembly: rule, weight and potential are written here,
+    only the basis rows come from ModeBasis.weighted_rows.
+    """
+    M = pr.params.M
+    u, s, w = wide_log_rule(pr.basis.m, M)
+    A = np.zeros((pr.basis.m, pr.basis.m))
+    B = np.zeros_like(A)
+    for lo in range(0, s.size, chunk):
+        sl = slice(lo, lo + chunk)
+        log_w = np.log(w[sl]) + (M - 1.0) * u[sl]
+        rows_mass, rows_stiff = pr.basis.weighted_rows(
+            s[sl], log_w, log_potential(pr.params, s[sl], weight_lambda))
+        A += rows_stiff @ rows_stiff.T
+        B += rows_mass @ rows_mass.T
+    return A, B
 
 
 def applied(basis, s):
@@ -151,8 +203,8 @@ def full_grid_energy(pp, lam, result):
     With U_lam = C nu^{(M-4)/2} (1 + nu^2 s^2)^{-(M-4)/2}, U_lam^{p*}
     s^{M-1} ds = C^{p*} (2 cosh(ln s + ln nu))^{-M} d(ln s), and in mode 0
     (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j p_j(t(nu s))/C: the correction
-    is summed from the (m, n) matrix of jacobi_rows, independent of
-    ModeBasis.series, and no factor leaves the float range.
+    is summed from the (m, n) matrix of jacobi_rows, and no factor leaves
+    the float range.
     """
     p = pp.params
     basis = pp.problem.basis
@@ -277,7 +329,7 @@ def remainder_ratio(p, t):
 def omega_hat(res):
     """A CorrectionResult's correction in the transported frame, as a function of s."""
     pp = res.problem
-    return SobolevModeFunction(pp.problem.basis, pp.X @ res.coeffs)
+    return ModeFunction(pp.problem.basis, pp.X @ res.coeffs)
 
 
 def solution_radial(res):
@@ -293,7 +345,7 @@ def solution_radial(res):
     coeffs = pp.X @ res.coeffs
     coeffs[0] += normalization_constant(p) / basis.p0
     pre = res.lam ** ((p.N - 4.0 + p.alpha) / 2.0)
-    return ComposedRadial(SobolevModeFunction(basis, coeffs), 1.0 / p.q, scale=res.lam, amp=pre)
+    return ComposedRadial(ModeFunction(basis, coeffs), 1.0 / p.q, scale=res.lam, amp=pre)
 
 
 def random_trial_profiles(n, seed=0, max_degree=3):
@@ -320,8 +372,8 @@ def alignment(res, i, exact_fn):
     pr = res.problem
     rule = pr.grid
     s = rule.s
-    log_w = rule.log_w + (pr.params.M - 1.0) * rule.u + pr.log_potential(s)
-    fnum = res.eigenfunction(i).eval(np.atleast_1d(s))
+    log_w = rule.log_w + (pr.params.M - 1.0) * rule.u + log_potential(pr.params, s)
+    fnum = ModeFunction(pr.basis, res.coefficients[:, i]).eval(s)
     fex = np.asarray(exact_fn(s), dtype=float)
 
     def wsum(f, g):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import scipy.linalg
-from conftest import alignment, full_grid_energy, random_trial_profiles
+from conftest import alignment, composite_grid_pencil, full_grid_energy, random_trial_profiles
 
 from ckn4.calculus import RadialGrid, rayleigh_quotient
 from ckn4.params import (
@@ -126,10 +126,12 @@ def test_criterion_5_spectrum():
         tangent = lambda s: (1 - s ** 2) * (1 + s ** 2) ** (-(p.M - 2) / 2.0)
         worst_align = min(worst_align, alignment(res, 0, bub.eval), alignment(res, 1, tangent))
         min_margin = min(min_margin, (mu[2] - mu[1]) / mu[1])
-        # the pencil at weight scale 2 by a dense generalized eigensolve of its
-        # reciprocal (B_2, A), whose largest eigenvalues are 1/mu to rounding
+        # the pencil at weight scale 2, B_2 on the composite reference rule, by a
+        # dense generalized eigensolve of its reciprocal (B_2, A), whose largest
+        # eigenvalues are 1/mu to rounding
         pr = res.problem
-        mu2 = 1.0 / scipy.linalg.eigh(pr.weighted_mass(2.0), pr.A, eigvals_only=True)[::-1][:4]
+        _, B2 = composite_grid_pencil(pr, weight_lambda=2.0)
+        mu2 = 1.0 / scipy.linalg.eigh(B2, pr.A, eigvals_only=True)[::-1][:4]
         worst_shift = max(worst_shift, float(np.max(np.abs(mu2 - mu))))
     ok = (worst_mu <= 1e-4 and worst_align > 0.999 and min_margin > 0.0
           and worst_shift <= 1e-6)

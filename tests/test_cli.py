@@ -504,6 +504,20 @@ def test_h_file_one_column_line(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("row", ["-1,0.5", "nan,0.5", "inf,0.5", "0.5,nan", "0.5,-inf"])
+def test_h_file_refuses_negative_or_non_finite(capsys, tmp_path, row):
+    # a negative or non-finite value is a usage error that names its line,
+    # not a nan multiplier and a NoInteriorExtremum further on
+    path = tmp_path / "h.csv"
+    path.write_text(f"r,h\n0.1,0\n{row}\n1,1\n2,0\n")
+    with pytest.raises(ValueError, match=f"{path}: line 3: need finite r >= 0 and h"):
+        load_h_csv(str(path))
+    code, out, err = run(capsys, "perturb", "--N", "5", "--alpha", "1", "--h-file", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error: --h-file") and f"{path}: line 3" in err
+    assert "Traceback" not in err and "RuntimeWarning" not in err
+
+
 @pytest.mark.parametrize("argv", [
     ["constants", "--N", "12", "--alpha", "1.99"],
     ["verify-extremal", "--N", "12", "--alpha", "1.93644"],

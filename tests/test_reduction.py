@@ -25,11 +25,11 @@ from ckn4.reduction import (
     solve_correction,
     solve_corrections,
 )
-from ckn4.spectrum import JacobiRule, ModeBasis, mode_eigenvalues
-from conftest import (PARAM_SETS, _star_log_rule, applied, brentq_lambda_star, composite_rule,
-                      full_grid_energy, h_weighted_star_norm, inner_alpha, omega_hat,
-                      perturbation_on, remainder_ratio, solution_radial, star_overlaps,
-                      weighted_H, wide_log_rule)
+from ckn4.spectrum import JacobiRule, mode_eigenvalues
+from conftest import (PARAM_SETS, ModeFunction, _star_log_rule, applied, brentq_lambda_star,
+                      composite_rule, full_grid_energy, h_weighted_star_norm, inner_alpha,
+                      omega_hat, perturbation_on, remainder_ratio, solution_radial,
+                      star_overlaps, weighted_H, wide_log_rule)
 
 
 @pytest.fixture(scope="module")
@@ -128,7 +128,7 @@ def test_dist_z0(p51, modes51):
     # stiffness form on a radial grid: why the fit at scale 1 is stationary
     grid = RadialGrid.log_gauss(1e-8, 1e8, 1024)
     mu3 = float(modes51.eigenvalues[2])
-    psi2 = from_sobolev(p51, modes51.eigenfunction(2))
+    psi2 = from_sobolev(p51, ModeFunction(modes51.problem.basis, modes51.coefficients[:, 2]))
     norm_w = math.sqrt(modes51.problem.alpha_scale * mu3)
     Z0 = kernel_Z0(p51)
     for f in (Z0, extremal_U(p51)):
@@ -145,14 +145,13 @@ def test_dist_two_bubbles_global_maximum(p51):
 
 
 def test_dist_profile_evaluations(monkeypatch, p51, modes51):
-    # the quotient runs on the pencil's own rule: it builds no rule, no
-    # radial grid and no profile
+    # the quotient runs on the pencil's own rule: it builds no rule and no
+    # radial grid
     def refuse(*args, **kwargs):
-        raise AssertionError("remainder_curve built a rule or a profile")
+        raise AssertionError("remainder_curve built a rule or a radial grid")
 
     monkeypatch.setattr(JacobiRule, "build", refuse)
     monkeypatch.setattr(RadialGrid, "log_gauss", refuse)
-    monkeypatch.setattr(ModeBasis, "values", refuse)
     rows = remainder_curve(modes51, [1e-2, 1e-3])
     assert [row["t"] for row in rows] == [1e-2, 1e-3]
 

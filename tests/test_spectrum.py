@@ -15,15 +15,15 @@ from ckn4.profiles import extremal_U, kernel_Z0, kernel_Zk_radial
 from ckn4.spectrum import (
     JacobiRule,
     ModeBasis,
-    SobolevModeFunction,
     assemble_mode_problem,
     exact_eigenvalues,
     kernel_residual,
     mode_eigenvalues,
     verify_kernel,
 )
-from conftest import (PARAM_SETS, alignment, applied, jacobi_rows, random_valid_params,
-                      values_and_derivs, wide_log_rule)
+from conftest import (PARAM_SETS, alignment, applied, composite_grid_pencil, jacobi_rows,
+                      log_potential, random_valid_params, values_and_derivs,
+                      wide_log_rule)
 
 
 def test_constant_identity(rng):
@@ -47,7 +47,7 @@ def test_basis_boundary_behavior():
     nu1 = p.q ** 2 * (p.N - 1)
     b1 = ModeBasis(p.M, nu1, 8)
     assert b1.sigma0 > 0
-    psi1 = b1.values(s_small)
+    psi1, _, _ = values_and_derivs(b1, s_small)
     assert np.all(np.abs(psi1) < 1e-6)                            # vanishes at the origin
 
 
@@ -69,7 +69,7 @@ def test_pencil_symmetry_and_weight_positivity():
     pr = assemble_mode_problem(p, 0, nodes=96)
     defect = np.max(np.abs(pr.A - pr.A.T)) / np.max(np.abs(pr.A))
     assert defect < 1e-8
-    assert np.all(np.exp(pr.log_potential(pr.grid.s)) > 0)
+    assert np.all(np.exp(spectrum._log_potential(p.M, pr.grid.s)) > 0)
     with pytest.raises(GridTooCoarse):
         assemble_mode_problem(p, 0, nodes=32)
 
@@ -96,14 +96,16 @@ def test_eigenvector_weighted_orthogonality(spectrum_51):
 
 
 def test_lambda_independence(spectrum_51):
-    # the pencil with the potential at weight scale 2 is not diagonal: solved
-    # by a dense generalized eigensolve, independent of the diagonal read.
+    # the pencil with the potential at weight scale 2 is not diagonal: its B_2,
+    # assembled on the composite reference rule, is solved by a dense
+    # generalized eigensolve, independent of the diagonal read.
     # Its reciprocal pencil (B_2, A) gives the smallest mu as its largest
     # eigenvalues, to rounding relative to them; eigh(A, B_2) carries an
     # absolute error of about eps * mu_max into them
     p, res = spectrum_51
     pr = res.problem
-    mu2 = 1.0 / scipy.linalg.eigh(pr.weighted_mass(2.0), pr.A, eigvals_only=True)[::-1][:5]
+    _, B2 = composite_grid_pencil(pr, weight_lambda=2.0)
+    mu2 = 1.0 / scipy.linalg.eigh(B2, pr.A, eigvals_only=True)[::-1][:5]
     assert np.max(np.abs(mu2 - res.eigenvalues)) < 1e-6
 
 
@@ -211,33 +213,13 @@ def test_extreme_effective_dimension():
     assert abs(res.eigenvalues[1] - (p.pstar - 1.0)) < 1e-6
 
 
-@pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
-def test_series_matches_basis_matrices(N, a, k):
-    # Clenshaw-summed combination against coeffs @ (m, n) basis matrices, at
-    # the scales nu s of lam = 1e-2, 1 and 1e2; (5, -0.99) has M near 4 and
-    # (12, 1.9) has M above 200
-    p = validate_params(N, a)
-    lam_k, _ = mode_lambda(k, p.N)
-    basis = ModeBasis(p.M, p.q ** 2 * lam_k, 96)
-    coeffs = np.random.default_rng(k).standard_normal(basis.m)
-    fn = SobolevModeFunction(basis, coeffs)
-    s = wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7]
-    for nu in (10.0 ** (-2.0 / p.q), 1.0, 10.0 ** (2.0 / p.q)):
-        x = nu * s
-        want = [coeffs @ mat for mat in values_and_derivs(basis, x)]
-        got = [fn.eval(x), fn.deriv(x, 1), fn.deriv(x, 2)]
-        for g, w in zip(got, want):
-            assert np.max(np.abs(g - w)) <= 1e-10 * np.max(np.abs(w))
-
-
 def _extended_sums(delta, coeffs, t):
     """sum_j coeffs[j] p_j^{(i)}(t), i = 0, 1, 2, by the forward recurrence in long double.
 
     The orthonormal Jacobi (d, d) recurrence and the derivative map
     d/dt p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, written out
     here and run in extended precision: a near-exact reference for the
-    double-precision Clenshaw sums.
+    double-precision sums.
     """
     LD = np.longdouble
     t, c, d = t.astype(LD), coeffs.astype(LD), LD(delta)
@@ -263,34 +245,32 @@ def _extended_sums(delta, coeffs, t):
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
 def test_series_block_matches_columns_and_legval(N, a, k):
-    # L series, column l of a coefficient block at the nodes s[:, l], one
-    # call per column, against the same series with its polynomial sums
-    # taken in extended precision (_extended_sums)
+    # column l of a coefficient block, summed at t(s[:, l]) by the basis's
+    # (delta+i, delta+i) families (_SymmetricJacobi.sum) for the i-th t
+    # derivative, against the same sums in extended precision
+    # (_extended_sums); the nodes span the scales 1e-2..1e2, and (5, -0.99)
+    # has M near 4 and (12, 1.9) has M above 200
     p = validate_params(N, a)
     lam_k, _ = mode_lambda(k, p.N)
     basis = ModeBasis(p.M, p.q ** 2 * lam_k, 96)
     nus = 10.0 ** (np.linspace(-2.0, 2.0, 5) / p.q)
     coeffs = np.random.default_rng(k).standard_normal((basis.m, nus.size))
-    x = nus * wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7, None]
-    E = np.exp(basis._log_envelope(x))
-    t, a_, ap, tp, tpp = basis._frame_coeffs(x)
-    P, dP, d2P = (np.column_stack(cols) for cols in zip(
-        *(_extended_sums(basis.delta, coeffs[:, l], t[:, l]) for l in range(nus.size))))
-    want = [E * P, E * (a_ * P + tp * dP),
-            E * ((a_ * a_ + ap) * P + (2.0 * a_ * tp + tpp) * dP + tp * tp * d2P)]
-    for order in (0, 1, 2):
-        cols = np.column_stack([basis.series(coeffs[:, l], x[:, l], order)
-                                for l in range(nus.size)])
-        scale = np.max(np.abs(want[order]), axis=0)
-        assert np.max(np.abs(cols - want[order]) / scale) <= 1e-13
+    t = basis._map(nus * wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7, None])
+    for l in range(nus.size):
+        c = coeffs[:, l]
+        for order, want in enumerate(_extended_sums(basis.delta, c, t[:, l])):
+            got = basis.families[order].sum(c, t[:, l])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+            if order < 2:
+                c = c[1:] * basis._dscale[order][1:c.size]
 
 
 @pytest.mark.parametrize("k", [0, 2])
 @pytest.mark.parametrize("N, a", PARAM_SETS)
 def test_rows_and_series_match_jacobi_reference(N, a, k):
-    # the pencil's weighted rows on its own rule, and series of orders 0-2,
-    # against conftest's reference, whose polynomials are first checked
-    # against scipy's eval_jacobi and the closed-form norms on the rule's nodes
+    # the pencil's weighted rows on its own rule against conftest's
+    # reference, whose polynomials are first checked against scipy's
+    # eval_jacobi and the closed-form norms on the rule's nodes
     p = validate_params(N, a)
     pr = assemble_mode_problem(p, k, nodes=96)
     basis, rule = pr.basis, pr.grid
@@ -307,17 +287,12 @@ def test_rows_and_series_match_jacobi_reference(N, a, k):
         scale = np.max(np.abs(want[i:]), axis=1, keepdims=True)
         assert np.max(np.abs(got[i:] - want[i:]) / scale) <= 1e-12
     log_w = rule.log_w + (p.M - 1.0) * rule.u
-    log_pot = pr.log_potential(rule.s)
+    log_pot = log_potential(p, rule.s)
     got = basis.weighted_rows(rule.s, log_w, log_pot)
     psi, tpsi = applied(basis, rule.s)
     want = (psi * np.exp(0.5 * (log_w + log_pot)), tpsi * np.exp(0.5 * log_w))
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w) / np.max(np.abs(w), axis=1, keepdims=True)) <= 1e-12
-    coeffs = np.random.default_rng(k).standard_normal(basis.m)
-    s = wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7]
-    for order, mat in enumerate(values_and_derivs(basis, s)):
-        w = coeffs @ mat
-        assert np.max(np.abs(basis.series(coeffs, s, order) - w)) <= 1e-12 * np.max(np.abs(w))
 
 
 def test_off_diagonal_stiffness_is_typed(monkeypatch):
@@ -326,15 +301,25 @@ def test_off_diagonal_stiffness_is_typed(monkeypatch):
 
     def coupled(*args, **kwargs):
         A, B = gram(*args, **kwargs)
-        if A is not None:
-            A = A.copy()
-            A[3, 5] = A[5, 3] = 1e-6 * math.sqrt(A[3, 3] * A[5, 5])
+        A[3, 5] = A[5, 3] = 1e-6 * math.sqrt(A[3, 3] * A[5, 5])
         return A, B
 
     monkeypatch.setattr(spectrum, "_gram_matrices", coupled)
     with pytest.raises(EigensolveFailure, match=r"N=5, alpha=1\.0, mode 0, 104 nodes: "
                                                 r"stiffness coupling 1\.000e-06 exceeds 1e-09"):
         mode_eigenvalues(validate_params(5, 1), 0, nodes=96)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+@pytest.mark.parametrize("N, a", PARAM_SETS)
+def test_eigenvectors_are_scaled_unit_vectors(N, a, k):
+    # eigenvector j is x_j e_j with x_j = B_jj^{-1/2} > 0, bit for bit: the
+    # diagonal read fixes no other sign or scale
+    res = mode_eigenvalues(validate_params(N, a), k, n_eigs=6, nodes=96)
+    want = np.zeros_like(res.coefficients)
+    for j in range(6):
+        want[j, j] = 1.0 / np.sqrt(res.problem.B[j, j])
+    assert np.array_equal(res.coefficients, want)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -388,39 +373,6 @@ def test_series_sum_stops_at_last_nonzero(delta):
     assert np.array_equal(fam.sum(np.zeros(96), t), np.zeros(t.size))
 
 
-@pytest.mark.parametrize("k", [0, 1, 3])
-@pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
-def test_sign_probe_matches_full_probe(N, a, k):
-    # the sign of each eigenvector is read from its own n_eigs probe rows; a
-    # reference that probes all m trial functions must give the same signs
-    res = mode_eigenvalues(validate_params(N, a), k, n_eigs=6, nodes=96)
-    pr = res.problem
-    X = np.zeros_like(res.coefficients)
-    X[np.arange(6), np.arange(6)] = 1.0 / np.sqrt(np.diag(pr.B))[:6]
-    vals = X.T @ pr.basis.values(np.array([0.3, 1.0, 3.0]))
-    for i in range(6):
-        nz = vals[i][np.abs(vals[i]) > 1e-300]
-        if nz.size and nz[0] < 0:
-            X[:, i] = -X[:, i]
-    assert np.array_equal(res.coefficients, X)
-
-
-def _composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
-    """(A, B) of pr's basis on the wide composite log rule, the reference assembly."""
-    M = pr.params.M
-    u, s, w = wide_log_rule(pr.basis.m, M)
-    A = np.zeros((pr.basis.m, pr.basis.m))
-    B = np.zeros_like(A)
-    for lo in range(0, s.size, chunk):
-        sl = slice(lo, lo + chunk)
-        log_w = np.log(w[sl]) + (M - 1.0) * u[sl]
-        rows_mass, rows_stiff = pr.basis.weighted_rows(
-            s[sl], log_w, pr.log_potential(s[sl], weight_lambda))
-        A += rows_stiff @ rows_stiff.T
-        B += rows_mass @ rows_mass.T
-    return A, B
-
-
 def _max_rel(got, want):
     return np.max(np.abs(got - want)) / np.max(np.abs(want))
 
@@ -431,25 +383,6 @@ def _max_rel(got, want):
 def test_pencil_matches_composite_grid(N, a, k, m):
     pr = assemble_mode_problem(validate_params(N, a), k, nodes=m)
     assert pr.grid.n == m + 8
-    A, B = _composite_grid_pencil(pr)
+    A, B = composite_grid_pencil(pr)
     assert _max_rel(pr.A, A) <= 1e-9
     assert _max_rel(pr.B, B) <= 1e-9
-
-
-@pytest.mark.parametrize("nu", [None, 0.02, 50.0])
-@pytest.mark.parametrize("N, a", PARAM_SETS)
-def test_scaled_mass_matches_composite_grid(N, a, nu):
-    # the shifted potential is not polynomial in t: the oversampled rule;
-    # None is weight_lambda = 2, the others put nu = weight_lambda^{1/q} far from 1
-    p = validate_params(N, a)
-    weight_lambda = 2.0 if nu is None else nu ** p.q
-    pr = assemble_mode_problem(p, 0, nodes=400)
-    _, B = _composite_grid_pencil(pr, weight_lambda=weight_lambda)
-    assert _max_rel(pr.weighted_mass(weight_lambda), B) <= 1e-9
-
-
-def test_scaled_mass_refuses_far_scale():
-    p = validate_params(5, 1)
-    pr = assemble_mode_problem(p, 0)
-    with pytest.raises(GridTooCoarse):
-        pr.weighted_mass(1e3 ** p.q)
