@@ -51,13 +51,18 @@ def _gaussian():
 
 
 def load_h_csv(path: str):
-    """Two-column CSV (r, h(r)), optional header; zero outside the sample range."""
+    """Two-column CSV (r, h(r)), optional header; zero outside the sample range.
+
+    Only the first non-blank line may be a header: a later row that does not
+    read as two numbers is a usage error that names its line.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ValueError(f"--h-file {path}: cannot read: {exc.strerror or exc}") from exc
     rows = []
+    header_allowed = True
     for lineno, line in enumerate(lines, 1):
         parts = line.replace(",", " ").split()
         if not parts:
@@ -67,7 +72,12 @@ def load_h_csv(path: str):
         try:
             r, hr = float(parts[0]), float(parts[1])
         except ValueError:
-            continue  # header
+            if header_allowed:
+                header_allowed = False
+                continue
+            raise ValueError(f"--h-file {path}: line {lineno}: r and h(r) are not numbers "
+                             f"(only the first line may be a header)") from None
+        header_allowed = False
         if not (math.isfinite(r) and math.isfinite(hr) and r >= 0.0):
             raise ValueError(f"--h-file {path}: line {lineno}: need finite r >= 0 and h(r)")
         rows.append((r, hr))
@@ -401,10 +411,10 @@ def int_in(lo: int, hi: int):
 # side) is empty; at the cap the fine level's 2*grid_n = 2048 side makes each
 # float field 32 MiB, and a residual holds at most six at once (192 MiB)
 GRID_N_RANGE = (5, 1024)
-# --nodes, the trial functions of a mode pencil: assemble_mode_problem needs 64;
-# at 2048, perturb --N 5 --alpha 1 takes 4.1 s and 885 MB, spectrum 1.4 s and
-# 226 MB (2-vCPU Intel Xeon VM)
-NODES_RANGE = (64, 2048)
+# --nodes, the trial functions of a mode pencil, the range the assembly is sized
+# for: at 2048, perturb --N 5 --alpha 1 takes 4.1 s and 885 MB, spectrum 1.4 s
+# and 226 MB (2-vCPU Intel Xeon VM)
+NODES_RANGE = spectrum.NODES_RANGE
 # --num-eigs: mode 0's checks read mu_1 to mu_3
 NUM_EIGS_RANGE = (3, 2048)
 # --mode and --k-max: the spherical-harmonic degrees params.spherical_multiplicity takes

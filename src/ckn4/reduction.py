@@ -272,8 +272,10 @@ class PerturbationProblem:
         else:
             mu, self.W, self.X, self.family = _solve_pencil_cut(self.problem, MASS_CUT)
         self.kept = kept = mu.size
-        # phi_i / U_1 = sum_k W_ki p_k(t) / C on the rule, (kept, n)
-        self.phi = self.W.T @ self.family.rows(t, basis.m) / C
+        # phi_i / U_1 = sum_k W_ki p_k(t) / C on the rule, (kept, n); in the
+        # diagonal basis x_i p_i(t) / C, the same product without its zeros
+        P = self.family.rows(t, basis.m)
+        self.phi = x[:, None] * P / C if self.family is fam else self.W.T @ P / C
 
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
         # the bubble is C E = (C/p0) psi_0 (sigma0 = 0 in mode 0): its

@@ -27,19 +27,24 @@ rule per mode: its nodes are the eigenvalues of the Jacobi matrix of the
 three-term recurrence (Golub & Welsch, Math. Comp. 23, 1969), found by
 LAPACK's MRRR tridiagonal solver (Dhillon & Parlett, Linear Algebra Appl.
 387, 2004), and its weights are the Christoffel sums of the same
-recurrence at those nodes.  Mode 0's rule also carries the perturbation's
-star-type integrals (reduction): there the star measure U^{p*} s^{M-1} ds
-is the rule's weight times (1-t)^2.
+recurrence at those nodes.  The sums and the trial functions' rows at the
+rule's map values come from one recurrence pass over the degree, stacked
+over all the modes a command assembles (assemble_mode_problems).  Mode
+0's rule also carries the perturbation's star-type integrals (reduction):
+there the star measure U^{p*} s^{M-1} ds is the rule's weight times
+(1-t)^2.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EigensolveFailure, GridTooCoarse, InconsistentKernel, QuadratureFailure
+from .errors import (CknError, EigensolveFailure, GridTooCoarse, InconsistentKernel,
+                     QuadratureFailure)
 from .params import (
     Params,
     even_alpha_info,
@@ -55,6 +60,7 @@ __all__ = [
     "ModeProblem",
     "SpectrumResult",
     "assemble_mode_problem",
+    "assemble_mode_problems",
     "mode_eigenvalues",
     "exact_eigenvalues",
     "exact_rel_errors",
@@ -71,7 +77,7 @@ class JacobiRule:
     polynomial of degree below 2n.  The nodes t are the eigenvalues of the
     Jacobi matrix of the P^{(delta-2, delta)} recurrence (Golub-Welsch), by
     LAPACK's MRRR solver (stemr); the weights are the Christoffel sums of the
-    same recurrence at those nodes (_log_christoffel).  The weights are kept
+    same recurrence at those nodes (_jacobi_pass).  The weights are kept
     as logarithms: the divided-out Jacobi factor (1-t)^{-delta} overflows
     for large delta.  QuadratureFailure when a node is not strictly inside
     (-1, 1), where s would be 0 or infinite.
@@ -83,107 +89,188 @@ class JacobiRule:
 
     @classmethod
     def build(cls, n: int, delta: float) -> "JacobiRule":
-        # imported here, not with the module: scipy.linalg costs a fresh process
-        # about 0.2 s and 28 MB, and the closed-form commands build no Jacobi rule
-        from scipy.linalg import eigvalsh_tridiagonal
-
-        a, b = delta - 2.0, delta
-        diag, off, _ = _jacobi_recurrence(n, a, b)
-        t = eigvalsh_tridiagonal(diag, off[1:], lapack_driver="stemr")
-        if not (np.abs(t) < 1.0).all():
-            raise QuadratureFailure(f"Gauss-Jacobi rule with {n} nodes at delta={delta:.6g}: "
-                                    f"a node is not strictly inside (-1, 1)")
-        lm, lp = np.log1p(-t), np.log1p(t)
-        u = 0.5 * (lp - lm)
-        # ds = dt / (s (1-t)^2); dividing out the Jacobi weight leaves
-        # W / (s (1-t)^delta (1+t)^delta)
-        log_w = _log_christoffel(t, a, b) - u - delta * (lm + lp)
-        return cls(s=np.exp(u), u=u, log_w=log_w)
+        rules, _, failure = _rules_and_rows([delta], n, 0)
+        if failure is not None:
+            raise failure
+        return rules[0]
 
     @property
     def n(self) -> int:
         return self.s.size
 
 
-def _jacobi_recurrence(n: int, a: float, b: float):
+def _jacobi_recurrence(n: int, a, b):
     """(diag, off, log_mu0) of the orthonormal Jacobi P^{(a,b)} polynomials p_k, k < n.
 
     t p_k = off[k+1] p_{k+1} + diag[k] p_k + off[k] p_{k-1} with off[0] = 0,
     and p_0 = exp(-log_mu0/2), log_mu0 the log of the weight's total mass
-    2^{a+b+1} B(a+1, b+1).
+    2^{a+b+1} B(a+1, b+1).  a and b may be arrays of one shape, a family
+    each: diag and off then carry that shape before the degree axis, and
+    log_mu0 has it.  A symmetric family (a = b) has a diagonal of exact zeros.
     """
     # imported here, not with the module: scipy.special costs a fresh process
     # about 0.3 s and 26 MB, and the closed-form commands take no Jacobi recurrence
     from scipy.special import betaln
 
+    a = np.asarray(a, dtype=float)[..., None]
+    b = np.asarray(b, dtype=float)[..., None]
     k = np.arange(1.0, n)
     ab = a + b
-    diag = np.empty(n)
-    diag[0] = (b - a) / (ab + 2.0)
-    diag[1:] = (b * b - a * a) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-    off = np.zeros(n)
-    off[1:] = (2.0 / (2.0 * k + ab) * np.sqrt((k + a) * (k + b) / (2.0 * k + ab + 1.0))
-               * np.sqrt(k * (k + ab) / (2.0 * k + ab - 1.0)))
-    log_mu0 = (ab + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0)
+    diag = np.empty(ab.shape[:-1] + (n,))
+    diag[..., :1] = (b - a) / (ab + 2.0)
+    diag[..., 1:] = (b * b - a * a) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+    off = np.zeros_like(diag)
+    off[..., 1:] = (2.0 / (2.0 * k + ab) * np.sqrt((k + a) * (k + b) / (2.0 * k + ab + 1.0))
+                    * np.sqrt(k * (k + ab) / (2.0 * k + ab - 1.0)))
+    log_mu0 = ((ab + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0))[..., 0]
     return diag, off, log_mu0
 
 
-def _log_christoffel(t: np.ndarray, a: float, b: float) -> np.ndarray:
-    """ln of the Gauss-Jacobi weights at the nodes t, as -ln sum_k p_k(t)^2.
+def _rescale_schedule(diag: np.ndarray, off: np.ndarray) -> dict:
+    """Steps at which _jacobi_pass tests each group's summed family for rescaling.
 
-    The p_k, k < n, are the orthonormal Jacobi polynomials, run by the same
-    recurrence whose Jacobi matrix gave the nodes.  A sum of positive terms,
-    each weight is accurate to a few ulp; the Golub-Welsch weights, squared
-    first components of the eigenvectors, and those of scipy's roots_jacobi
-    (up to 8e-9 relative at 168 nodes and 2e-7 at 408 as a approaches -1,
-    M near 4) are not.  Nodes whose terms grow large (large a, b) are
-    rescaled, the scale kept as a logarithm.  The test for that runs once
-    per block of steps: with |t| < 1 a step multiplies max(|p_j|, |p_{j-1}|)
-    by at most g_j = max(1, (1 + |diag_j| + off_j) / off_{j+1}), and a block
-    ends before the product of its g_j would pass 1e50, so no value passes
-    1e150 and no square overflows.
+    diag and off (G, n) are the summed families' recurrences.  With |t| < 1
+    step j multiplies max(|p_j|, |p_{j-1}|) by at most g_j = max(1, (1 +
+    |diag_j| + off_j) / off_{j+1}); a block of steps ends before the product
+    of its g_j would pass 1e50, and the test runs as the next block starts.
+    Returns {step: [groups]}.
     """
-    n = t.size
-    diag, off, log_mu0 = _jacobi_recurrence(n, a, b)
-    growth = np.log(np.maximum(1.0, (1.0 + np.abs(diag[:-1]) + off[:-1]) / off[1:]))
-    budget, spent = 50.0 * math.log(10.0), 0.0
-    p_prev = np.zeros_like(t)
-    p = np.full_like(t, math.exp(-0.5 * log_mu0))
-    total = p * p
-    log_scale = np.zeros_like(t)
-    for j in range(n - 1):
-        spent += growth[j]
-        if spent > budget:
-            spent = growth[j]
-            big = np.maximum(np.abs(p), np.abs(p_prev)) > 1e100
-            if big.any():
-                p[big] *= 1e-100
-                p_prev[big] *= 1e-100
-                total[big] *= 1e-200
-                log_scale[big] += 200.0 * math.log(10.0)
-        p_prev, p = p, ((t - diag[j]) * p - off[j] * p_prev) / off[j + 1]
-        total += p * p
-    return -np.log(total) - log_scale
+    growth = np.log(np.maximum(1.0, (1.0 + np.abs(diag[:, :-1]) + off[:, :-1]) / off[:, 1:]))
+    budget = 50.0 * math.log(10.0)
+    schedule: dict = {}
+    for g, row in enumerate(growth.tolist()):
+        spent = 0.0
+        for j, step in enumerate(row):
+            spent += step
+            if spent > budget:
+                spent = step
+                schedule.setdefault(j, []).append(g)
+    return schedule
 
 
-def _jacobi_rows(t: np.ndarray, n: int, p0, off) -> np.ndarray:
-    """(F, n, t.size) values p_k(t), k < n, of F symmetric Jacobi families at once.
+def _jacobi_pass(t: np.ndarray, diag: np.ndarray, off: np.ndarray, p0: np.ndarray,
+                 n_rows: int, n_sum: int = 0):
+    """A stack of orthonormal Jacobi families, run through one recurrence over the degree.
 
-    p0 (F,) and off (F, >= n) as in _SymmetricJacobi; one forward recurrence
-    over k serves every family, over contiguous (F, t.size) blocks.
+    Family f of group g is p_k(t[g, f]), k = 0, 1, ..., with the recurrence
+    diag[g, f], off[g, f] of _jacobi_recurrence and the constant p0[g, f];
+    a symmetric family's diagonal is 0, so every element takes the same
+    operations in the same order.  t is (G, F, nodes).
+
+    With n_sum > 0 family 0 of each group is summed, and the first result
+    is ln 1/sum_{k < n_sum} p_k(t)^2, (G, nodes): the log-Christoffel function
+    whose values at the Gauss-Jacobi nodes are the rule's weights.  A sum of
+    positive terms, each weight is accurate to a few ulp; the Golub-Welsch
+    weights, squared first components of the eigenvectors, and those of
+    scipy's roots_jacobi (up to 8e-9 relative at 168 nodes and 2e-7 at 408
+    as a approaches -1, M near 4) are not.  Nodes whose terms grow large
+    (large a, b) are rescaled on _rescale_schedule, the scale kept as a
+    logarithm, so no value passes 1e150 and no square overflows.  The other
+    families give rows; without a sum, every family does, and the first
+    result is None.
+
+    The second result is the rows (G, F', n_rows, nodes), p_k(t), k < n_rows,
+    of the row families.  They are not rescaled: where they overflow the
+    caller's weight has underflowed, and the caller checks its products.
     """
-    p0 = np.asarray(p0, dtype=float)[:, None]
-    off = np.asarray(off, dtype=float)[:, :n].T[:, :, None]      # (n, F, 1)
-    P = np.empty((n, p0.shape[0], t.size))
-    P[0] = p0
-    if n > 1:
-        np.multiply(t, P[0], out=P[1])
-        P[1] /= off[1]
-    for k in range(1, n - 1):
-        np.multiply(t, P[k], out=P[k + 1])
-        P[k + 1] -= off[k] * P[k - 1]
-        P[k + 1] /= off[k + 1]
-    return P.transpose(1, 0, 2)
+    G, F, nodes = t.shape
+    first = 1 if n_sum else 0
+    steps = max(n_sum, n_rows) - 1
+    D = np.moveaxis(diag, -1, 0)[..., None]           # (degree, G, F, 1)
+    O = np.moveaxis(off, -1, 0)[..., None]
+    rows = np.empty((G, F - first, n_rows, nodes))
+    p_prev = np.zeros((G, F, nodes))
+    p = np.empty((G, F, nodes))
+    p[...] = np.asarray(p0, dtype=float)[..., None]
+    new, tmp = np.empty_like(p), np.empty_like(p)
+    if n_rows:
+        rows[:, :, 0] = p[:, first:]
+    log_chr, schedule = None, {}
+    if n_sum:
+        total = p[:, 0] * p[:, 0]
+        sq = np.empty_like(total)
+        log_scale = np.zeros((G, nodes))
+        schedule = _rescale_schedule(diag[:, 0, :n_sum], off[:, 0, :n_sum])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(steps):
+            if j == n_rows - 1:
+                # the rows are done: only the summed families go on
+                t, p, p_prev, new, tmp = (x[:, :1] for x in (t, p, p_prev, new, tmp))
+                D, O = D[:, :, :1], O[:, :, :1]
+            for g in schedule.get(j, ()):
+                pg, qg = p[g, 0], p_prev[g, 0]
+                big = np.maximum(np.abs(pg), np.abs(qg)) > 1e100
+                if big.any():
+                    pg[big] *= 1e-100
+                    qg[big] *= 1e-100
+                    total[g, big] *= 1e-200
+                    log_scale[g, big] += 200.0 * math.log(10.0)
+            np.subtract(t, D[j], out=new)
+            new *= p
+            np.multiply(O[j], p_prev, out=tmp)
+            new -= tmp
+            new /= O[j + 1]
+            p_prev, p, new = p, new, p_prev
+            if j + 1 < n_rows:
+                rows[:, :, j + 1] = p[:, first:]
+            if n_sum:
+                np.multiply(p[:, 0], p[:, 0], out=sq)
+                total += sq
+    if n_sum:
+        log_chr = -np.log(total) - log_scale
+    return log_chr, rows
+
+
+def _gauss_jacobi_nodes(diag: np.ndarray, off: np.ndarray, delta: float) -> np.ndarray:
+    """Nodes of the Gauss-Jacobi rule of the (delta-2, delta) recurrence (diag, off), by stemr."""
+    # imported here, not with the module: scipy.linalg costs a fresh process
+    # about 0.2 s and 28 MB, and the closed-form commands build no Jacobi rule
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    t = eigvalsh_tridiagonal(diag, off[1:], lapack_driver="stemr")
+    if not (np.abs(t) < 1.0).all():
+        raise QuadratureFailure(f"Gauss-Jacobi rule with {t.size} nodes at delta={delta:.6g}: "
+                                f"a node is not strictly inside (-1, 1)")
+    return t
+
+
+def _rules_and_rows(deltas, n: int, m: int):
+    """n-node Gauss-Jacobi rules in each delta and, for m > 0, their basis rows, in one pass.
+
+    The rows are p_k(t), k < m, of the (delta+i, delta+i) families, i = 0, 1,
+    2, at the map values t = _map(s) of each rule's nodes, (G, 3, m, n): the
+    values ModeBasis.weighted_rows takes.  Returns (rules, rows, failure):
+    the rules of the leading deltas whose nodes were found, and the
+    QuadratureFailure of the first one whose nodes were not (None if none),
+    for the caller to raise in that delta's turn.
+    """
+    # family 0 is the rule's (delta-2, delta); the row families follow
+    a_shift, b_shift = ([-2.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 2.0]) if m else ([-2.0], [0.0])
+    d = np.asarray(deltas, dtype=float).reshape(-1, 1)
+    diag, off, log_mu0 = _jacobi_recurrence(n, d + a_shift, d + b_shift)
+    frames, failure = [], None
+    for g, delta in enumerate(deltas):
+        try:
+            t = _gauss_jacobi_nodes(diag[g, 0], off[g, 0], delta)
+        except QuadratureFailure as exc:
+            failure = exc
+            break
+        lm, lp = np.log1p(-t), np.log1p(t)
+        u = 0.5 * (lp - lm)
+        frames.append((t, lm, lp, u, np.exp(u)))
+    G = len(frames)
+    T = np.empty((G, len(a_shift), n))
+    for g, (t, _, _, _, s) in enumerate(frames):
+        T[g, 0] = t
+        T[g, 1:] = ModeBasis._map(s)
+    # p_0 = exp(-log_mu0/2) by libm's exp, as _SymmetricJacobi takes it
+    p0 = np.array([math.exp(-0.5 * v) for v in log_mu0[:G].ravel()]).reshape(G, len(a_shift))
+    log_chr, rows = _jacobi_pass(T, diag[:G], off[:G], p0, m, n)
+    # ds = dt / (s (1-t)^2); dividing out the Jacobi weight leaves
+    # W / (s (1-t)^delta (1+t)^delta)
+    rules = [JacobiRule(s=s, u=u, log_w=log_chr[g] - u - delta * (lm + lp))
+             for g, ((_, lm, lp, u, s), delta) in enumerate(zip(frames, deltas))]
+    return rules, rows, failure
 
 
 class _SymmetricJacobi:
@@ -194,18 +281,19 @@ class _SymmetricJacobi:
     """
 
     def __init__(self, n: int, a: float):
-        _, off, log_mu0 = _jacobi_recurrence(n + 2, a, a)
-        self.off = off
+        self.diag, self.off, log_mu0 = _jacobi_recurrence(n + 2, a, a)
         self.p0 = math.exp(-0.5 * log_mu0)
         # r_k = p_k(1)/p_{k-1}(1) in closed form, from P_k(1) = binom(k+a, k) and the norms
         k = np.arange(1.0, n)
         self.ratio = np.sqrt((2.0 * k + 2.0 * a + 1.0) * (k + 2.0 * a)
                              / ((2.0 * k + 2.0 * a - 1.0) * k))
-        self.damp = 1.0 / off[1:n] - self.ratio
+        self.damp = 1.0 / self.off[1:n] - self.ratio
 
     def rows(self, t: np.ndarray, n: int) -> np.ndarray:
         """(n, t.size) values p_k(t), k < n."""
-        return _jacobi_rows(t, n, [self.p0], [self.off])[0]
+        _, rows = _jacobi_pass(t[None, None], self.diag[None, None], self.off[None, None],
+                               np.array([[self.p0]]), n)
+        return rows[0, 0]
 
     def sum(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
         """sum_k coeffs[k] p_k(t) by a forward recurrence in h = 1 - |t| (Reinsch's modification).
@@ -242,8 +330,6 @@ class ModeBasis:
     psi_j = E(s) p_j(t), E = s^{sigma0} (1+s^2)^{1-delta}, p_j the
     orthonormal Jacobi P^{(delta,delta)} polynomials: E p_j are the
     continuum eigenfunctions, so both pencil matrices are diagonal.
-    Derivatives in t go to the next families through d/dt p_n^{(a,a)} =
-    sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}.
     """
 
     def __init__(self, M: float, nu_coeff: float, m: int):
@@ -252,10 +338,17 @@ class ModeBasis:
         self.m = int(m)
         self.delta = math.sqrt(((M - 2.0) / 2.0) ** 2 + nu_coeff)
         self.sigma0 = self.delta - (M - 2.0) / 2.0
-        # p_j, p_j' and p_j'' come from the (delta+i, delta+i) families, i = 0, 1, 2
-        self.families = [_SymmetricJacobi(self.m - i, self.delta + i) for i in range(3)]
         n = np.arange(self.m, dtype=float)
         self._dscale = [np.sqrt(n * (n + 2.0 * (self.delta + i) + 1.0)) for i in range(2)]
+
+    @functools.cached_property
+    def families(self) -> list:
+        """The (delta+i, delta+i) families, i = 0, 1, 2, whose rows give p_j, p_j' and p_j''.
+
+        Built on first use: the pencil's assembly takes their rows from its
+        own pass (_rules_and_rows), and only the reduction reads a family.
+        """
+        return [_SymmetricJacobi(self.m - i, self.delta + i) for i in range(3)]
 
     @property
     def p0(self) -> float:
@@ -266,22 +359,6 @@ class ModeBasis:
     def b1(self) -> float:
         """The recurrence's first off-diagonal coefficient: t = (b1/p0) p_1."""
         return float(self.families[0].off[1])
-
-    def _poly_rows(self, t: np.ndarray, orders: int) -> np.ndarray:
-        """(orders + 1, m, n): p_j, then p_j' and p_j'' up to the given order.
-
-        The derivative rows are the next families' rows, shifted by the
-        order and scaled; all families run through one recurrence.
-        """
-        m = self.m
-        fams = self.families[:orders + 1]
-        P = _jacobi_rows(t, m, [f.p0 for f in fams], [f.off[:m] for f in fams])
-        scale = np.ones(m)
-        for i in range(1, orders + 1):
-            scale[i:] *= self._dscale[i - 1][1:m - i + 1]
-            P[i, i:] = P[i, :m - i] * scale[i:, None]
-            P[i, :i] = 0.0
-        return P
 
     def _log_envelope(self, s: np.ndarray) -> np.ndarray:
         # ln E computed as a sum so that s^{sigma0} and (1+s^2)^{1-delta}
@@ -345,22 +422,39 @@ class ModeBasis:
         c2 = tp * tp
         return t, a, ap, tp, tpp, c0, c1, c2
 
-    def weighted_rows(self, s: np.ndarray, log_weight: np.ndarray, log_pot: np.ndarray):
+    def weighted_rows(self, s: np.ndarray, log_weight: np.ndarray, log_pot: np.ndarray, P):
         """(psi exp((log_weight + log_pot)/2), T_k psi exp(log_weight/2)), in log space.
 
-        Folding the square roots of the quadrature weight and the potential
-        into the envelope keeps every factor representable even when
-        s^{M-1} or the envelope overflow on their own.  Raises
-        QuadratureFailure where a row is still not finite (p_j overflows
-        where the weight underflows, at extreme delta).
+        P holds the three families' (m, s.size) rows p_k(t), k < m, at t =
+        _map(s), as _rules_and_rows gives them.  Derivatives in t go to the
+        next families through d/dt p_n^{(a,a)} = sqrt(n(n+2a+1))
+        p_{n-1}^{(a+1,a+1)}, by shifting the rows by the order and scaling.
+        The derivative rows are worked in place and end as the two results,
+        so the assembly needs a single temporary of their size.  Folding the
+        square roots of the quadrature weight and the potential into the
+        envelope keeps every factor representable even when s^{M-1} or the
+        envelope overflow on their own.  Raises QuadratureFailure where a row
+        is still not finite (p_j overflows where the weight underflows, at
+        extreme delta).
         """
         lnE = self._log_envelope(s)
-        t, _, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
+        _, _, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
+        m = self.m
+        P, dP, d2P = P
         with np.errstate(over="ignore", invalid="ignore"):
-            P, dP, d2P = self._poly_rows(t, orders=2)
-            stiff_scale = np.exp(lnE + 0.5 * log_weight)
-            rows_stiff = stiff_scale * (c0 * P + c1 * dP + c2 * d2P)
-            rows_mass = np.exp(lnE + 0.5 * (log_weight + log_pot)) * P
+            scale = np.ones(m)
+            for i, R in ((1, dP), (2, d2P)):
+                scale[i:] *= self._dscale[i - 1][1:m - i + 1]
+                R[i:] = R[:m - i] * scale[i:, None]
+                R[:i] = 0.0
+            # E (c0 P + c1 P' + c2 P''), summed in that order in the rows of
+            # P', and the mass rows in those of P''
+            np.multiply(c1, dP, out=dP)
+            dP += c0 * P
+            np.multiply(c2, d2P, out=d2P)
+            dP += d2P
+            rows_stiff = np.multiply(np.exp(lnE + 0.5 * log_weight), dP, out=dP)
+            rows_mass = np.multiply(np.exp(lnE + 0.5 * (log_weight + log_pot)), P, out=d2P)
         if not (np.isfinite(rows_mass).all() and np.isfinite(rows_stiff).all()):
             raise QuadratureFailure(
                 f"mode pencil rows at M={self.M:.6g}, delta={self.delta:.6g}, "
@@ -409,22 +503,64 @@ def _log_potential(M: float, s: np.ndarray) -> np.ndarray:
     return math.log(P4) - 8.0 * _log_hypot1(s)
 
 
-def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float):
+def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, P):
     log_w = rule.log_w + (M - 1.0) * rule.u
-    rows_mass, rows_stiff = basis.weighted_rows(rule.s, log_w, _log_potential(M, rule.s))
+    rows_mass, rows_stiff = basis.weighted_rows(rule.s, log_w, _log_potential(M, rule.s), P)
     return rows_stiff @ rows_stiff.T, rows_mass @ rows_mass.T
+
+
+# --nodes, the trial functions of a mode pencil: the smallest the assembly takes,
+# and the largest the command line takes
+NODES_RANGE = (64, 2048)
+# the most basis rows one assembly pass stacks: one mode's three (m, m+8) blocks
+# at the largest node count, so a pass over several modes holds no more rows
+# than a single mode does there
+PASS_ROWS = 3 * NODES_RANGE[1] * (NODES_RANGE[1] + 8)
+
+
+def _modes_per_pass(nodes: int) -> int:
+    """How many modes of `nodes` trial functions one assembly pass takes."""
+    return max(1, PASS_ROWS // (3 * nodes * (nodes + 8)))
+
+
+def assemble_mode_problems(p: Params, ks, nodes: int = 160):
+    """Yield the weak-form pencils (A, B) of the modes ks, in order, `nodes` trial functions each.
+
+    The modes' rules and basis rows come from one recurrence pass per
+    _modes_per_pass modes (_rules_and_rows); each pencil's weighted rows
+    and Gram products are formed when its turn comes.  A mode that fails to
+    assemble raises in its own turn, so a later mode's failure never
+    pre-empts what the caller does with an earlier one.
+    """
+    if nodes < NODES_RANGE[0]:
+        raise GridTooCoarse(f"need at least {NODES_RANGE[0]} trial functions, got {nodes}")
+    ks = list(ks)
+    size = _modes_per_pass(nodes)
+    for lo in range(0, len(ks), size):
+        # a pass's rows are released before the next pass is made
+        yield from _assemble_pass(p, ks[lo:lo + size], nodes)
+
+
+def _assemble_pass(p: Params, ks: list, nodes: int):
+    """Yield the pencils of the modes ks, assembled from one recurrence pass, in order."""
+    staged, failure = [], None
+    try:
+        for k in ks:
+            lam_k, _ = mode_lambda(k, p.N)
+            staged.append((k, lam_k, ModeBasis(p.M, p.q ** 2 * lam_k, nodes)))
+    except (CknError, ValueError) as exc:
+        failure = exc
+    rules, rows, rule_failure = _rules_and_rows([b.delta for _, _, b in staged], nodes + 8, nodes)
+    for g, ((k, lam_k, basis), grid) in enumerate(zip(staged, rules)):
+        A, B = _gram_matrices(basis, grid, p.M, rows[g])
+        yield ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid, A=A, B=B)
+    if rule_failure is not None or failure is not None:
+        raise rule_failure or failure
 
 
 def assemble_mode_problem(p: Params, k: int, nodes: int = 160) -> ModeProblem:
     """Build the weak-form pencil (A, B) for mode k with `nodes` trial functions."""
-    if nodes < 64:
-        raise GridTooCoarse(f"need at least 64 trial functions, got {nodes}")
-    lam_k, _ = mode_lambda(k, p.N)
-    nu_coeff = p.q ** 2 * lam_k
-    basis = ModeBasis(p.M, nu_coeff, nodes)
-    grid = JacobiRule.build(nodes + 8, basis.delta)
-    A, B = _gram_matrices(basis, grid, p.M)
-    return ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid, A=A, B=B)
+    return next(assemble_mode_problems(p, [k], nodes))
 
 
 # largest normalized off-diagonal entry |K_ij|/sqrt(K_ii K_jj) the diagonal read
@@ -535,7 +671,11 @@ def exact_rel_errors(p: Params, k: int, eigenvalues) -> np.ndarray:
 
 def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160) -> SpectrumResult:
     """Smallest mode-k eigenpairs, eigenvector j = B_jj^{-1/2} e_j, and their residual norms."""
-    pr = assemble_mode_problem(p, k, nodes=nodes)
+    return _read_spectrum(assemble_mode_problem(p, k, nodes=nodes), n_eigs)
+
+
+def _read_spectrum(pr: ModeProblem, n_eigs: int) -> SpectrumResult:
+    """The n_eigs smallest eigenpairs of an assembled pencil, off its diagonal."""
     mu, x, couplings = _solve_pencil(pr.A, pr.B, pr.label)
     m = mu.size
     if m < n_eigs:
@@ -545,8 +685,9 @@ def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160) -> Sp
     X[np.arange(n_eigs), np.arange(n_eigs)] = x[:n_eigs]
     res = np.empty(n_eigs)
     for i in range(n_eigs):
-        ax = pr.A @ X[:, i]
-        bx = pr.B @ X[:, i]
+        # A and B times the eigenvector x_i e_i
+        ax = x[i] * pr.A[:, i]
+        bx = x[i] * pr.B[:, i]
         res[i] = np.linalg.norm(ax - mu[i] * bx) / np.linalg.norm(bx)
     diagnostics = {"quad_nodes": pr.grid.n, "basis_size": m, **couplings}
     return SpectrumResult(problem=pr, eigenvalues=mu, coefficients=X, residual_norms=res,
@@ -580,7 +721,8 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
     For each mode k <= k_max the condition q^2 lambda_k in {0, M-1} is
     decided exactly, as k = 0 or alpha = -2(k-1) (even_alpha_info), and
     checked against the presence of the eigenvalue p*-1 in the discrete
-    pencil.  Disagreement raises InconsistentKernel.  The total
+    pencil, all of whose modes are assembled together
+    (assemble_mode_problems).  Disagreement raises InconsistentKernel.  The total
     kernel dimension (radial element plus harmonic multiplicities) must
     reproduce the even-case count.
     """
@@ -588,10 +730,11 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
     target = p.pstar - 1.0
     modes = []
     kernel_dim = 0
+    problems = assemble_mode_problems(p, range(k_max + 1), nodes)
     for k in range(k_max + 1):
         lam_k, mult = mode_lambda(k, p.N)
         analytic = k == 0 or info.k == k
-        result = mode_eigenvalues(p, k, n_eigs=n_eigs, nodes=nodes)
+        result = _read_spectrum(next(problems), n_eigs)
         dist = float(np.min(np.abs(result.eigenvalues - target)) / target)
         numeric = dist < tol
         if numeric != analytic:
@@ -608,6 +751,7 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
             "exact_rel_error_max": float(exact_rel_errors(p, k, result.eigenvalues).max()),
             "diagnostics": result.diagnostics,
         })
+        del result          # its pencil, before the next mode's is assembled
     if kernel_dim != info.kernel_dim:
         raise InconsistentKernel(
             f"assembled kernel dim {kernel_dim} != expected {info.kernel_dim}")

@@ -13,6 +13,7 @@ from ckn4.emden import ComposedRadial
 from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
 import ckn4.reduction as reduction
+import ckn4.spectrum as spectrum
 from ckn4.reduction import PerturbationProblem, solve_correction
 from ckn4.spectrum import JacobiRule
 
@@ -48,6 +49,44 @@ def composite_rule(m, u_min, u_max, panel_pts):
     """log_rule as a JacobiRule: the same nodes s, u = ln s and log-weights for ds."""
     u, s, w = log_rule(m, u_min, u_max, panel_pts)
     return JacobiRule(s=s, u=u, log_w=np.log(w))
+
+
+def christoffel_rule(n, delta):
+    """(s, u, log_w) of the n-node Gauss-Jacobi rule in delta, its Christoffel sum run alone.
+
+    The nodes come from stemr on the (delta-2, delta) recurrence, and
+    -ln sum_k p_k(t)^2 from a loop over the degree for this one family at
+    those nodes, with the rescaling test once per block of steps: the
+    computation of JacobiRule.build before the assembly stacked its
+    families into one pass, a bit-for-bit reference for that pass.  The
+    fourth item tells whether any term was rescaled.
+    """
+    from scipy.linalg import eigvalsh_tridiagonal
+
+    diag, off, log_mu0 = spectrum._jacobi_recurrence(n, delta - 2.0, delta)
+    t = eigvalsh_tridiagonal(diag, off[1:], lapack_driver="stemr")
+    growth = np.log(np.maximum(1.0, (1.0 + np.abs(diag[:-1]) + off[:-1]) / off[1:]))
+    budget, spent = 50.0 * math.log(10.0), 0.0
+    p_prev = np.zeros_like(t)
+    p = np.full_like(t, math.exp(-0.5 * log_mu0))
+    total = p * p
+    log_scale = np.zeros_like(t)
+    for j in range(n - 1):
+        spent += growth[j]
+        if spent > budget:
+            spent = growth[j]
+            big = np.maximum(np.abs(p), np.abs(p_prev)) > 1e100
+            if big.any():
+                p[big] *= 1e-100
+                p_prev[big] *= 1e-100
+                total[big] *= 1e-200
+                log_scale[big] += 200.0 * math.log(10.0)
+        p_prev, p = p, ((t - diag[j]) * p - off[j] * p_prev) / off[j + 1]
+        total += p * p
+    lm, lp = np.log1p(-t), np.log1p(t)
+    u = 0.5 * (lp - lm)
+    log_w = -np.log(total) - log_scale - u - delta * (lm + lp)
+    return np.exp(u), u, log_w, bool(log_scale.any())
 
 
 def perturbation_on(rule, p, h, eps, nodes):
@@ -158,6 +197,12 @@ def log_potential(p, s, weight_lambda=1.0):
             - 4.0 * np.logaddexp(0.0, 2.0 * (np.log(s) + ln_nu)))
 
 
+def family_rows(basis, s):
+    """(3, m, s.size) rows of a basis's three families at t = _map(s), for weighted_rows."""
+    t = basis._map(s)
+    return np.stack([f.rows(t, basis.m) for f in basis.families])
+
+
 def composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
     """(A, B) of pr's basis on the wide composite log rule, B at weight scale weight_lambda.
 
@@ -172,7 +217,8 @@ def composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
         sl = slice(lo, lo + chunk)
         log_w = np.log(w[sl]) + (M - 1.0) * u[sl]
         rows_mass, rows_stiff = pr.basis.weighted_rows(
-            s[sl], log_w, log_potential(pr.params, s[sl], weight_lambda))
+            s[sl], log_w, log_potential(pr.params, s[sl], weight_lambda),
+            family_rows(pr.basis, s[sl]))
         A += rows_stiff @ rows_stiff.T
         B += rows_mass @ rows_mass.T
     return A, B

@@ -713,6 +713,19 @@ def test_large_M_working_basis_is_cut(pp51):
     assert np.sum(pp.d ** 2 / pp.G) == pytest.approx(tangent_norm(pp) ** 2, rel=1e-9)
 
 
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(10, 1.7)])
+def test_phi_diagonal_product_is_exact(N, a):
+    # in the diagonal basis phi_i/U_1 = x_i p_i(t)/C is formed row by row,
+    # bit for bit the product W^T P / C with W = diag(x) it replaces; the cut
+    # basis at (10, 1.7) still forms that product
+    p = validate_params(N, a)
+    pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
+    basis = pp.problem.basis
+    assert (pp.family is basis.families[0]) == ((N, a) != (10, 1.7))
+    rows = pp.family.rows(basis._map(pp.s), basis.m)
+    assert np.array_equal(pp.phi, pp.W.T @ rows / normalization_constant(p))
+
+
 @pytest.mark.parametrize("N, a", [(5, 1.0), (7, -2.0), (3, 1.5), (10, 1.7)])
 def test_gain_closed_form_matches_recurrence(N, a):
     # the working basis is chosen from p_j(1)/p_0, the product of the

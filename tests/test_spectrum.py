@@ -7,8 +7,10 @@ from scipy.special import betaln, eval_jacobi, gammaln, logsumexp
 
 import ckn4.spectrum as spectrum
 
+from ckn4.cli import MODE_RANGE
 from ckn4.emden import sobolev_bubble
-from ckn4.errors import EigensolveFailure, GridTooCoarse, QuadratureFailure
+from ckn4.errors import (EigensolveFailure, GridTooCoarse, InconsistentKernel,
+                         NegativeMode, QuadratureFailure)
 from ckn4.forms import PowerForm
 from ckn4.params import mode_lambda, normalization_constant, validate_params
 from ckn4.profiles import extremal_U, kernel_Z0, kernel_Zk_radial
@@ -21,9 +23,9 @@ from ckn4.spectrum import (
     mode_eigenvalues,
     verify_kernel,
 )
-from conftest import (PARAM_SETS, alignment, applied, composite_grid_pencil, jacobi_rows,
-                      log_potential, random_valid_params, values_and_derivs,
-                      wide_log_rule)
+from conftest import (PARAM_SETS, alignment, applied, christoffel_rule, composite_grid_pencil,
+                      family_rows, jacobi_rows, log_potential, random_valid_params,
+                      values_and_derivs, wide_log_rule)
 
 
 def test_constant_identity(rng):
@@ -288,7 +290,7 @@ def test_rows_and_series_match_jacobi_reference(N, a, k):
         assert np.max(np.abs(got[i:] - want[i:]) / scale) <= 1e-12
     log_w = rule.log_w + (p.M - 1.0) * rule.u
     log_pot = log_potential(p, rule.s)
-    got = basis.weighted_rows(rule.s, log_w, log_pot)
+    got = basis.weighted_rows(rule.s, log_w, log_pot, family_rows(basis, rule.s))
     psi, tpsi = applied(basis, rule.s)
     want = (psi * np.exp(0.5 * (log_w + log_pot)), tpsi * np.exp(0.5 * log_w))
     for g, w in zip(got, want):
@@ -346,6 +348,128 @@ def test_jacobi_rule_is_exact(delta, n):
                  - (2 * delta + j) * np.logaddexp(0.0, 2.0 * rule.u))
         want = (2 * delta + j - 1) * math.log(2.0) + betaln(delta + j + 1, delta - 1)
         assert abs(logsumexp(rule.log_w + log_f) - want) <= 1e-10
+
+
+@pytest.mark.parametrize("delta", [1.0035, 3.5, 40.0, 1000.0])
+@pytest.mark.parametrize("n", [68, 168, 408])
+def test_jacobi_rule_matches_single_family_loop(n, delta):
+    # the stacked pass gives the rule bit for bit as the Christoffel sum run
+    # alone (conftest.christoffel_rule).  From 168 nodes every delta here
+    # reaches the rescaling test; at 408 nodes and delta = 1000 the terms
+    # pass 1e100 (up to 8e142) and are rescaled
+    diag, off, _ = spectrum._jacobi_recurrence(n, [delta - 2.0], [delta])
+    assert bool(spectrum._rescale_schedule(diag, off)) == (n >= 168 or delta == 1000.0)
+    s, u, log_w, rescaled = christoffel_rule(n, delta)
+    assert rescaled == (n == 408 and delta == 1000.0)
+    rule = JacobiRule.build(n, delta)
+    for got, want in zip((rule.s, rule.u, rule.log_w), (s, u, log_w)):
+        assert np.array_equal(got, want)
+
+
+def _recording(monkeypatch, name):
+    """Wrap spectrum.<name> so that its calls' first arguments are recorded."""
+    calls = []
+    fn = getattr(spectrum, name)
+
+    def record(first, *args, **kwargs):
+        calls.append(first)
+        return fn(first, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("N, a", PARAM_SETS)
+def test_verify_kernel_matches_mode_eigenvalues(monkeypatch, N, a):
+    # verify_kernel assembles all its modes in one pass: each mode's
+    # eigenvalues and diagnostics are bit for bit those of its own assembly
+    p = validate_params(N, a)
+    problems = _recording(monkeypatch, "_read_spectrum")
+    rep = verify_kernel(p, k_max=4)
+    monkeypatch.undo()
+    assert [pr.k for pr in problems] == list(range(5))
+    for k, (pr, mode) in enumerate(zip(problems, rep["modes"])):
+        alone = mode_eigenvalues(p, k, n_eigs=8)
+        assert np.array_equal(spectrum._read_spectrum(pr, 8).eigenvalues, alone.eigenvalues)
+        assert mode["diagnostics"] == alone.diagnostics
+        assert np.array_equal(pr.A, alone.problem.A) and np.array_equal(pr.B, alone.problem.B)
+
+
+def _fail_mode(monkeypatch, p, k, stage):
+    """Make mode k's assembly raise QuadratureFailure: at its rule's nodes or at its rows."""
+    delta = ModeBasis(p.M, p.q ** 2 * mode_lambda(k, p.N)[0], 160).delta
+    if stage == "nodes":
+        nodes = spectrum._gauss_jacobi_nodes
+
+        def fail(diag, off, d):
+            if d == delta:
+                raise QuadratureFailure(f"mode {k}'s nodes")
+            return nodes(diag, off, d)
+
+        monkeypatch.setattr(spectrum, "_gauss_jacobi_nodes", fail)
+    else:
+        rows = ModeBasis.weighted_rows
+
+        def fail(basis, *args):
+            if basis.delta == delta:
+                raise QuadratureFailure(f"mode {k}'s rows")
+            return rows(basis, *args)
+
+        monkeypatch.setattr(ModeBasis, "weighted_rows", fail)
+
+
+@pytest.mark.parametrize("stage", ["nodes", "rows"])
+def test_kernel_first_error_in_mode_order(monkeypatch, stage):
+    # at (8, -3.9999), next to the even weight -4, mode 3's discrete spectrum
+    # holds p*-1 within the fixed matching tolerance (a known false verdict):
+    # the first error, in mode order, as with one assembly per mode.  A
+    # failing assembly of mode 5, in the same pass, must not pre-empt it
+    p = validate_params(8, "-3.9999")
+    _fail_mode(monkeypatch, p, 5, stage)
+    solved = _recording(monkeypatch, "_read_spectrum")
+    with pytest.raises(InconsistentKernel,
+                       match=r"^mode 3: analytic=False numeric=True \(rel dist 3\.47e-05\)$"):
+        verify_kernel(p, k_max=6)
+    assert [pr.k for pr in solved] == [0, 1, 2, 3]
+
+
+@pytest.mark.parametrize("stage", ["nodes", "rows"])
+def test_kernel_assembly_failure_raised_in_its_turn(monkeypatch, stage):
+    # a mode whose assembly fails raises after the earlier modes are solved
+    p = validate_params(5, 1)
+    _fail_mode(monkeypatch, p, 2, stage)
+    solved = _recording(monkeypatch, "_read_spectrum")
+    with pytest.raises(QuadratureFailure, match=f"^mode 2's {stage}$"):
+        verify_kernel(p, k_max=4)
+    assert [pr.k for pr in solved] == [0, 1]
+
+
+def test_mode_error_before_any_assembly():
+    # a mode that fails before its rule is built raises its own error, also
+    # when its pass assembles no mode at all
+    with pytest.raises(NegativeMode, match="got -1"):
+        mode_eigenvalues(validate_params(5, 1), -1)
+
+
+def test_pass_grouping_cap(monkeypatch):
+    # one pass stacks no more rows than one mode's at the largest node count:
+    # every mode of the default 160 nodes fits one pass, one mode at 2048
+    lo, hi = spectrum.NODES_RANGE
+    for m in range(lo, hi + 1):
+        assert spectrum._modes_per_pass(m) * 3 * m * (m + 8) <= spectrum.PASS_ROWS
+    assert spectrum._modes_per_pass(hi) == 1
+    assert spectrum._modes_per_pass(160) >= MODE_RANGE[1] + 1
+    # under a cap of two modes at 64 nodes, five modes take three passes and
+    # give the pencils of one assembly per mode
+    p = validate_params(6, -1)
+    monkeypatch.setattr(spectrum, "PASS_ROWS", 2 * 3 * 64 * 72)
+    passes = _recording(monkeypatch, "_jacobi_pass")
+    problems = list(spectrum.assemble_mode_problems(p, range(5), 64))
+    assert [t.shape for t in passes] == [(2, 4, 72), (2, 4, 72), (1, 4, 72)]
+    monkeypatch.undo()
+    for k, pr in enumerate(problems):
+        alone = assemble_mode_problem(p, k, nodes=64)
+        assert np.array_equal(pr.A, alone.A) and np.array_equal(pr.B, alone.B)
 
 
 def test_jacobi_rule_refuses_node_at_end():
