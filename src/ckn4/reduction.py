@@ -17,9 +17,7 @@ Jacobian of the fixed-point map is diagonal plus a one-dimensional border.
 U_1 is nondegenerate, so only the dilation tangent's diagonal entry is near
 zero, and each step is solved in closed form: every other row is eliminated
 directly, leaving a 2x2 system in the tangent coefficient and the
-multiplier.  The loop makes no scipy LAPACK call: numpy and scipy each
-carry their own OpenBLAS thread pool, and a LAPACK call right after numpy's
-BLAS work waits for the other pool.  The scales of the Gamma curve are
+multiplier, with no LAPACK call.  The scales of the Gamma curve are
 solved as one block (solve_corrections): their fixed-point sweeps run in
 lockstep over an (L, kept) coefficient block, two matrix products per
 sweep, and each scale stops at its own tolerance, or at the rounding floor
@@ -31,16 +29,17 @@ The quadratic terms of the reduced energy are exact in that basis: the
 bubble is C psi_0, so its alpha-products come from the pencil's stiffness
 matrix, and scaling is an isometry of the alpha-norm.  Only the star and h
 terms are integrated, at scale 1, on the mode-0 pencil's own (m+8)-node
-Gauss-Jacobi rule: the star measure U_1^{p*} s^{M-1} ds is the rule's
-weight times (1-t)^2, and (U_1 + w)/U_1 is a polynomial in t, so every
+Gauss-Gegenbauer rule: the star measure U_1^{p*} s^{M-1} ds is the rule's
+weight times (1-t^2)^2, and (U_1 + w)/U_1 is a polynomial in t, so every
 such integrand is the rule's weight times a smooth function of t; h(r/lam)
 is smooth for the built-in h, and a CSV h's kinks, which move with lam,
 converge only algebraically on any rule the scales share.  The fixed
 point works on that ratio and on phi_i/U_1, with the weights of
-int U_1^{p*} f s^{M-1} ds formed in logs.  The star term of the reduced
-energy is summed in the same frame, from the fixed point's own arrays,
-when each scale converges, with the weight it iterated with
-(reduced_energies).  The program so assumes the dilation invariance of
+int U_1^{p*} f s^{M-1} ds formed in logs; in the diagonal basis on the
+pencil's rule phi_i/U_1 comes from the assembly pass's own rows.  The star
+term of the reduced energy is summed in the same frame, from the fixed
+point's own arrays, when each scale converges, with the weight it iterated
+with (reduced_energies).  The program so assumes the dilation invariance of
 the reduced energy; the tests measure it, against the star term
 integrated in the physical frame on a composite grid widened to each
 scale.
@@ -56,8 +55,8 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from .errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum, QuadratureFailure
 from .params import Params, normalization_constant, sphere_area
-from .spectrum import (JacobiRule, ModeProblem, SpectrumResult, _log_hypot1, _solve_pencil,
-                       _solve_pencil_cut, assemble_mode_problem)
+from .spectrum import (JacobiRule, ModeProblem, SpectrumResult, _assembled, _log_hypot1,
+                       _solve_pencil, _solve_pencil_cut)
 
 __all__ = [
     "remainder_curve",
@@ -144,7 +143,8 @@ def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
     vanishes, so deficit/||U_1||^2 = t^2 - expm1((2/p*) log1p(D)), with D =
     int U_1^{p*} g(v) / int U_1^{p*}, g(v) = (1+v)^{p*} - 1 - p* v and v =
     t ||U_1|| w/U_1, a quadratic in tau.  Both integrals run on the pencil's
-    own Gauss-Jacobi rule, whose weight times (1-tau)^2 is the star measure.
+    own Gauss-Gegenbauer rule, whose weight times (1-tau^2)^2 is the star
+    measure.
     v is smallest at tau = 0, where it is above -t/sqrt(2), so 1 + v > 0.92
     for t <= 0.1.  QuadratureFailure where (1+v)^{p*} overflows, near M = 4,
     where p* is huge.
@@ -163,7 +163,7 @@ def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
     rule = pr.grid
     wq = _star_weights(p, rule)
     # ||U_1|| w/U_1 = sqrt(A_00/A_22) p_2(tau)/p0 on the rule, per unit t
-    v1 = math.sqrt(a00 / a22) / basis.p0 * fam.rows(basis._map(rule.s), 3)[2]
+    v1 = math.sqrt(a00 / a22) / basis.p0 * fam.rows(rule.t, 3)[2]
     rows = []
     for t in t_values:
         v = t * v1
@@ -211,7 +211,7 @@ def _star_rule(problem: ModeProblem, q: float) -> JacobiRule:
     """The rule of the star-type integrals: mode 0's pencil rule, larger where q is.
 
     The star measure U_1^{p*} s^{M-1} ds is C^{p*} (1-t^2)^delta dt / 2^M,
-    the pencil rule's weight times (1-t)^2, and every star-type integrand is
+    the pencil rule's weight times (1-t^2)^2, and every star-type integrand is
     that measure times a smooth function of the ratio (U_1 + w)/U_1, a
     polynomial in t, and of h(r/lam), r = s^q.  Where q is large the rule is
     too coarse for h, and one of H_NODES_PER_Q q nodes in the same delta is
@@ -239,7 +239,7 @@ class PerturbationProblem:
         self.eps = float(eps)
         p = params
 
-        self.problem: ModeProblem = assemble_mode_problem(p, 0, nodes=nodes)
+        self.problem, rows = next(_assembled(p, [0], nodes))
         A = self.problem.A
         basis = self.problem.basis
         mu, x, _ = _solve_pencil(A, self.problem.B, self.problem.label)
@@ -251,7 +251,6 @@ class PerturbationProblem:
         self.s = rule.s
         C = normalization_constant(p)
         self.wq = _star_weights(p, rule)
-        t = basis._map(self.s)
 
         # phi_i = E sum_k W_ki p_k(t) with p_k of self.family, = sum_j X_ji psi_j.
         # In the diagonal basis W = X = diag(x), and (U + w)/U = 1 + sum_j
@@ -273,9 +272,13 @@ class PerturbationProblem:
             mu, self.W, self.X, self.family = _solve_pencil_cut(self.problem, MASS_CUT)
         self.kept = kept = mu.size
         # phi_i / U_1 = sum_k W_ki p_k(t) / C on the rule, (kept, n); in the
-        # diagonal basis x_i p_i(t) / C, the same product without its zeros
-        P = self.family.rows(t, basis.m)
-        self.phi = x[:, None] * P / C if self.family is fam else self.W.T @ P / C
+        # diagonal basis x_i p_i(t) / C, the same product without its zeros,
+        # whose rows the assembly pass has made where the rule is the pencil's
+        if self.family is fam:
+            P = rows if rule is self.problem.grid else fam.rows(rule.t, basis.m)
+            self.phi = x[:, None] * P / C
+        else:
+            self.phi = self.W.T @ self.family.rows(rule.t, basis.m) / C
 
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
         # the bubble is C E = (C/p0) psi_0 (sigma0 = 0 in mode 0): its
@@ -623,10 +626,13 @@ def find_perturbed_solution(pp: PerturbationProblem,
     # in mode 0 the bubble is C E and w = E sum_k (W c)_k p_k(t), so at every
     # scale (U_lam + w_lam)/U_lam = 1 + sum_k (W c)_k p_k(t)/C, a polynomial
     # in t = (s^2-1)/(s^2+1) of degree below m, whose minimum over all of
-    # [-1, 1] is sampled at 16 m + 1 Chebyshev-Lobatto points (ends included)
+    # [-1, 1] is sampled at 16 m + 1 Chebyshev-Lobatto points (ends included):
+    # the series is summed at the 8 m + 1 with t >= 0, and its even and odd
+    # parts give it at -t too
     n_t = 16 * pp.problem.basis.m
-    t = np.cos(np.pi * np.arange(n_t + 1) / n_t)
-    ratio = 1.0 + pp.family.sum(pp.W @ final.coeffs, t) / normalization_constant(p)
+    t = np.cos(np.pi * np.arange(n_t // 2 + 1) / n_t)
+    even, odd = pp.family.parts(pp.W @ final.coeffs, t)
+    ratio = 1.0 + np.concatenate((even + odd, even - odd)) / normalization_constant(p)
     min_ratio = float(ratio.min())
     l_ends = max(abs(ends[0].l), abs(ends[1].l))
     return {

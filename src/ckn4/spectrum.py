@@ -21,18 +21,21 @@ A_jj / B_jj with eigenvector x_j e_j, x_j = B_jj^{-1/2} > 0, and that read
 is certified on every solve: the normalized off-diagonal couplings of both
 matrices must stay below COUPLING_TOL, which bounds the eigenvalue error by
 its square.  Every stiffness and mass integrand is a polynomial of degree
-at most 2m in t times the Jacobi weight (1-t)^{delta-2} (1+t)^{delta}, so
-the pencil is assembled exactly on an (m+8)-node Gauss-Jacobi rule, one
-rule per mode: its nodes are the eigenvalues of the Jacobi matrix of the
-three-term recurrence (Golub & Welsch, Math. Comp. 23, 1969), found by
-LAPACK's MRRR tridiagonal solver (Dhillon & Parlett, Linear Algebra Appl.
-387, 2004), and its weights are the Christoffel sums of the same
-recurrence at those nodes.  The sums and the trial functions' rows at the
-rule's map values come from one recurrence pass over the degree, stacked
-over all the modes a command assembles (assemble_mode_problems).  Mode
-0's rule also carries the perturbation's star-type integrals (reduction):
-there the star measure U^{p*} s^{M-1} ds is the rule's weight times
-(1-t)^2.
+at most 2m in t times (1-t)^{delta-2} (1+t)^{delta}, that is (1+t)^2 times
+such a polynomial times the Gegenbauer weight (1-t^2)^{delta-2}, so the
+pencil is assembled exactly on an (m+8)-node Gauss-Gegenbauer rule, one
+rule per mode, with 13 degrees to spare.  The weight is even, so the nodes
+come in pairs +-t: the t >= 0 are seeded from an eigenproblem of half the
+size, polished by a Newton step in h = 1 - |t| (Hale & Townsend, SIAM J.
+Sci. Comput. 35, 2013), and weighted by the Christoffel-Darboux formula
+from the same step, their sum certified against the weight's mass
+(_half_rules), all in numpy.  The trial functions' rows at the nodes t >=
+0 come from one recurrence pass over the degree, stacked over all the
+modes a command assembles (assemble_mode_problems); the rows at -t are
+(-1)^k times those, and their scale carries no power of 1 +- t
+(_log_row_scale), whose sums would cost digits.  Mode 0's rule also
+carries the perturbation's star-type integrals (reduction): there the star
+measure U^{p*} s^{M-1} ds is the rule's weight times (1-t^2)^2.
 """
 
 from __future__ import annotations
@@ -71,21 +74,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JacobiRule:
-    """Gauss-Jacobi rule for int_0^inf f(s) ds under t = (s^2-1)/(s^2+1).
+    """Gauss-Gegenbauer rule for int_0^inf f(s) ds under t = (s^2-1)/(s^2+1).
 
-    Exact when f(s) ds = P(t) (1-t)^{delta-2} (1+t)^{delta} dt with P a
-    polynomial of degree below 2n.  The nodes t are the eigenvalues of the
-    Jacobi matrix of the P^{(delta-2, delta)} recurrence (Golub-Welsch), by
-    LAPACK's MRRR solver (stemr); the weights are the Christoffel sums of the
-    same recurrence at those nodes (_jacobi_pass).  The weights are kept
-    as logarithms: the divided-out Jacobi factor (1-t)^{-delta} overflows
-    for large delta.  QuadratureFailure when a node is not strictly inside
-    (-1, 1), where s would be 0 or infinite.
+    Exact when f(s) ds = P(t) (1-t^2)^{delta-2} dt with P a polynomial of
+    degree below 2n.  The nodes come in pairs +-t, in increasing t, and t
+    holds them exactly so (one node is t = 0 when n is odd); the nodes t >=
+    0 and their weights come from _half_rules, within about 1e-14 relative
+    in 1 - |t| of 40-digit ones.  The weights are kept as logarithms: the
+    divided-out weight (1-t^2)^{2-delta} overflows for large delta.
+    QuadratureFailure when a node is not strictly inside (-1, 1), where s
+    would be 0 or infinite, or when _half_rules cannot certify the rule.
     """
 
     s: np.ndarray
     u: np.ndarray          # ln s
+    t: np.ndarray          # the map values (s^2-1)/(s^2+1)
     log_w: np.ndarray      # ln of the weights for int f(s) ds
+    log_chr: np.ndarray    # ln of the weights for int P(t) (1-t^2)^{delta-2} dt
 
     @classmethod
     def build(cls, n: int, delta: float) -> "JacobiRule":
@@ -99,177 +104,291 @@ class JacobiRule:
         return self.s.size
 
 
-def _jacobi_recurrence(n: int, a, b):
-    """(diag, off, log_mu0) of the orthonormal Jacobi P^{(a,b)} polynomials p_k, k < n.
+_HALF_LOG_PI = 0.5 * math.log(math.pi)
+# ln Gamma(x+1/2)/Gamma(x) = ln(x)/2 + sum_j c_j x^{1-j}, j = 2, 4, ..., 14: the
+# Bernoulli terms (2^{1-j} - 2) B_j / (j(j-1)) of the two Stirling series
+_HALF_GAMMA_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224,
+                      -5461 / 425984)
 
-    t p_k = off[k+1] p_{k+1} + diag[k] p_k + off[k] p_{k-1} with off[0] = 0,
-    and p_0 = exp(-log_mu0/2), log_mu0 the log of the weight's total mass
-    2^{a+b+1} B(a+1, b+1).  a and b may be arrays of one shape, a family
-    each: diag and off then carry that shape before the degree axis, and
-    log_mu0 has it.  A symmetric family (a = b) has a diagonal of exact zeros.
+
+def _log_mu0(a: float) -> float:
+    """ln of the mass sqrt(pi) Gamma(a+1)/Gamma(a+3/2) of the weight (1-t^2)^a on (-1, 1).
+
+    That is 2^{2a+1} B(a+1, a+1), by the duplication formula.  The lgamma
+    difference loses digits to cancellation as a grows (4e-13 at a = 1000),
+    so from a = 8 on ln Gamma(x+1/2)/Gamma(x), x = a+1, is summed from its
+    Stirling series, whose next term is below 4e-16 there; both are within
+    4e-15 of 40-digit mpmath over a > -1.
     """
-    # imported here, not with the module: scipy.special costs a fresh process
-    # about 0.3 s and 26 MB, and the closed-form commands take no Jacobi recurrence
-    from scipy.special import betaln
-
-    a = np.asarray(a, dtype=float)[..., None]
-    b = np.asarray(b, dtype=float)[..., None]
-    k = np.arange(1.0, n)
-    ab = a + b
-    diag = np.empty(ab.shape[:-1] + (n,))
-    diag[..., :1] = (b - a) / (ab + 2.0)
-    diag[..., 1:] = (b * b - a * a) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-    off = np.zeros_like(diag)
-    off[..., 1:] = (2.0 / (2.0 * k + ab) * np.sqrt((k + a) * (k + b) / (2.0 * k + ab + 1.0))
-                    * np.sqrt(k * (k + ab) / (2.0 * k + ab - 1.0)))
-    log_mu0 = ((ab + 1.0) * math.log(2.0) + betaln(a + 1.0, b + 1.0))[..., 0]
-    return diag, off, log_mu0
+    if a < 8.0:
+        return _HALF_LOG_PI + math.lgamma(a + 1.0) - math.lgamma(a + 1.5)
+    x = a + 1.0
+    y = 1.0 / (x * x)
+    tail = 0.0
+    for c in reversed(_HALF_GAMMA_SERIES):
+        tail = tail * y + c
+    return _HALF_LOG_PI - 0.5 * math.log(x) - tail / x
 
 
-def _rescale_schedule(diag: np.ndarray, off: np.ndarray) -> dict:
-    """Steps at which _jacobi_pass tests each group's summed family for rescaling.
+def _jacobi_recurrence(n: int, a):
+    """(off, ratio, log_mu0) of the orthonormal Jacobi P^{(a,a)} polynomials p_k, k < n.
 
-    diag and off (G, n) are the summed families' recurrences.  With |t| < 1
-    step j multiplies max(|p_j|, |p_{j-1}|) by at most g_j = max(1, (1 +
-    |diag_j| + off_j) / off_{j+1}); a block of steps ends before the product
-    of its g_j would pass 1e50, and the test runs as the next block starts.
-    Returns {step: [groups]}.
+    t p_k = off[k+1] p_{k+1} + off[k] p_{k-1} with off[0] = 0: the weight
+    (1-t^2)^a is even, so the diagonal is 0.  ratio[k] = p_k(1)/p_{k-1}(1),
+    k >= 1 (ratio[0] = 1), in closed form from P_k(1) = binom(k+a, k) and the
+    norms, and p_0 = exp(-log_mu0/2), log_mu0 = _log_mu0(a).  a may be an
+    array, a family per element: off and ratio then carry its shape before
+    the degree axis, and log_mu0 has it.  At k = 1 both are taken in their
+    cancelled forms, off[1] = 1/sqrt(3+2a) and ratio[1] = sqrt(3+2a): the
+    textbook forms carry a factor (1+2a)/(1+2a), 0/0 at a = -1/2.
     """
-    growth = np.log(np.maximum(1.0, (1.0 + np.abs(diag[:, :-1]) + off[:, :-1]) / off[:, 1:]))
-    budget = 50.0 * math.log(10.0)
+    a = np.asarray(a, dtype=float)
+    log_mu0 = np.array([_log_mu0(v) for v in a.ravel().tolist()]).reshape(a.shape)
+    a = a[..., None]
+    k = np.arange(2.0, n)
+    c = 2.0 * k + 2.0 * a
+    off = np.zeros(a.shape[:-1] + (n,))
+    ratio = np.ones_like(off)
+    off[..., 2:] = np.sqrt(k * (k + 2.0 * a) / ((c + 1.0) * (c - 1.0)))
+    ratio[..., 2:] = np.sqrt((c + 1.0) * (k + 2.0 * a) / ((c - 1.0) * k))
+    if n > 1:
+        ratio[..., 1] = np.sqrt(3.0 + 2.0 * a[..., 0])
+        off[..., 1] = 1.0 / ratio[..., 1]
+    return off, ratio, log_mu0
+
+
+def _rescale_steps(off: np.ndarray) -> dict:
+    """Steps k at which _newton_step tests each rule's terms for rescaling: {k: [rules]}.
+
+    off (G, n+1) are the rules' recurrences.  With |t| < 1 step k multiplies
+    max(|p_k|, |p_{k-1}|) by at most g_k = max(1, (1 + off[k-1]) / off[k]);
+    a rule's test runs as a step starts after the product of its g_k has
+    passed another 1e50 since the last.  Each rule keeps its own steps, so
+    its nodes do not depend on what it is stacked with.
+    """
+    growth = np.cumsum(np.log(np.maximum(1.0, (1.0 + off[:, :-1]) / off[:, 1:])), axis=1)
+    block = np.floor(growth / (50.0 * math.log(10.0)))
     schedule: dict = {}
-    for g, row in enumerate(growth.tolist()):
-        spent = 0.0
-        for j, step in enumerate(row):
-            spent += step
-            if spent > budget:
-                spent = step
-                schedule.setdefault(j, []).append(g)
+    for g, i in zip(*np.nonzero(np.diff(block, axis=1) > 0)):
+        schedule.setdefault(int(i) + 3, []).append(int(g))
     return schedule
 
 
-def _jacobi_pass(t: np.ndarray, diag: np.ndarray, off: np.ndarray, p0: np.ndarray,
-                 n_rows: int, n_sum: int = 0):
-    """A stack of orthonormal Jacobi families, run through one recurrence over the degree.
+# a Newton step of at most this share of h leaves the node within about 1e-14
+# of it relative (the step squares the error), so the rule is done; a rule
+# whose step stays larger after NEWTON_STEPS steps, or whose weights do not
+# sum to its weight's mass within MASS_TOL relative, is refused.  One step
+# is enough from every seed measured but those of delta within about 1e-8 of
+# 1 at a thousand nodes or more, where the end node's h is below the seeds'
+# absolute accuracy
+NEWTON_TOL = 1e-7
+NEWTON_STEPS = 8
+MASS_TOL = 1e-11
 
-    Family f of group g is p_k(t[g, f]), k = 0, 1, ..., with the recurrence
-    diag[g, f], off[g, f] of _jacobi_recurrence and the constant p0[g, f];
-    a symmetric family's diagonal is 0, so every element takes the same
-    operations in the same order.  t is (G, F, nodes).
 
-    With n_sum > 0 family 0 of each group is summed, and the first result
-    is ln 1/sum_{k < n_sum} p_k(t)^2, (G, nodes): the log-Christoffel function
-    whose values at the Gauss-Jacobi nodes are the rule's weights.  A sum of
-    positive terms, each weight is accurate to a few ulp; the Golub-Welsch
-    weights, squared first components of the eigenvectors, and those of
-    scipy's roots_jacobi (up to 8e-9 relative at 168 nodes and 2e-7 at 408
-    as a approaches -1, M near 4) are not.  Nodes whose terms grow large
-    (large a, b) are rescaled on _rescale_schedule, the scale kept as a
-    logarithm, so no value passes 1e150 and no square overflows.  The other
-    families give rows; without a sum, every family does, and the first
-    result is None.
+def _newton_step(n: int, h: np.ndarray, off: np.ndarray, ratio: np.ndarray,
+                 log_mu0: np.ndarray):
+    """One Newton step on p_n in h = 1 - t, for each rule's nodes t >= 0: (h, step, log_chr).
 
-    The second result is the rows (G, F', n_rows, nodes), p_k(t), k < n_rows,
-    of the row families.  They are not rescaled: where they overflow the
-    caller's weight has underflowed, and the caller checks its products.
+    h (G, ceil(n/2)) are the nodes before the step, off and ratio (G, n+1)
+    the rules' recurrences (_jacobi_recurrence).  The step runs the
+    recurrence in Reinsch's form (as _SymmetricJacobi.parts does), with
+    (1-t^2) p_k' = k (h p_k - D_k), D_k = p_k - ratio[k] p_{k-1}: in h the
+    nodes near t = 1 keep their relative accuracy.  By Christoffel-Darboux
+    sum_{k<n} p_k^2 = off[n] p_n' p_{n-1} = n ratio[n] off[n] p_{n-1}^2 /
+    (1-t^2) at a node, with p_{n-1} taken at the new node to first order
+    from the same pass; log_chr is ln 1/sum_{k<n} p_k(t)^2 there.  Terms
+    that grow large (large delta) are rescaled on _rescale_steps, the scale
+    kept as a logarithm.
     """
-    G, F, nodes = t.shape
-    first = 1 if n_sum else 0
-    steps = max(n_sum, n_rows) - 1
-    D = np.moveaxis(diag, -1, 0)[..., None]           # (degree, G, F, 1)
-    O = np.moveaxis(off, -1, 0)[..., None]
-    rows = np.empty((G, F - first, n_rows, nodes))
-    p_prev = np.zeros((G, F, nodes))
-    p = np.empty((G, F, nodes))
-    p[...] = np.asarray(p0, dtype=float)[..., None]
-    new, tmp = np.empty_like(p), np.empty_like(p)
+    G, half = h.shape
+    damp = np.zeros_like(off)
+    damp[:, 1:] = 1.0 / off[:, 1:] - ratio[:, 1:]
+    back = np.zeros_like(off)
+    back[:, 1:] = off[:, :-1] / off[:, 1:]
+    # (degree, G, 1)
+    O, R, P, B = (np.moveaxis(x, -1, 0)[..., None] for x in (off, ratio, damp, back))
+    checks = _rescale_steps(off)
+    t = 1.0 - h
+    with np.errstate(divide="ignore"):
+        h_off, t_off = h / O, t / O                     # (degree, G, nodes)
+    # (p, D) in Reinsch's form and (q, q_prev) on the plain recurrence, both p_k
+    p, q = np.ones((G, half)), np.ones((G, half))
+    D, q_prev = np.zeros((G, half)), np.zeros((G, half))
+    tmp, new = np.empty_like(p), np.empty_like(p)
+    log_scale = np.zeros((G, half))
+    for k in range(1, n + 1):
+        if k in checks:
+            big = np.zeros((G, half), dtype=bool)
+            g = checks[k]
+            big[g] = np.maximum(np.abs(p[g]), np.abs(D[g])) > 1e100
+            if big.any():
+                for x in (p, D, q, q_prev):
+                    x[big] *= 1e-100
+                log_scale[big] += 100.0 * math.log(10.0)
+        if k == n:
+            p_last, D_last, q_last, q_before = p.copy(), D.copy(), q.copy(), q_prev.copy()
+        np.multiply(h_off[k], p, out=tmp)
+        D *= P[k]
+        D -= tmp
+        p *= R[k]
+        p += D
+        np.multiply(t_off[k], q, out=new)
+        np.multiply(B[k], q_prev, out=tmp)
+        new -= tmp
+        q_prev, q, new = q, new, q_prev
+    one_t2 = h * (2.0 - h)
+    step = p * one_t2 / (n * (h * p - D))        # p_n / p_n'
+    if n % 2:
+        step[:, 0] = 0.0                         # the middle node, t = 0
+    # p_{n-1} at h + step to first order, dp_{n-1}/dh = -p_{n-1}': in Reinsch's
+    # form where t > 1/2, whose terms cancel as t nears 0 (a bias of 5e-14 in
+    # the log-weights there at delta = 100), and on the plain recurrence,
+    # which loses 1/h to cancellation near t = 1, elsewhere
+    near_one = p_last - (n - 1.0) * (h * p_last - D_last) / one_t2 * step
+    near_zero = q_last - (n - 1.0) * (R[n - 1] * q_before - t * q_last) / one_t2 * step
+    last = np.where(t > 0.5, near_one, near_zero)
+    h = h + step
+    log_chr = (log_mu0[:, None] + np.log(h * (2.0 - h)) - np.log(n * R[n] * O[n])
+               - 2.0 * (np.log(np.abs(last)) + log_scale))
+    return h, step, log_chr
+
+
+def _half_rules(n: int, deltas):
+    """The nodes t >= 0 of the n-node Gauss-Gegenbauer rules in each delta, with their weights.
+
+    Each rule's weight is (1-t^2)^a, a = delta - 2, and its Jacobi matrix J
+    (the recurrence's, Golub & Welsch, Math. Comp. 23, 1969) has a zero
+    diagonal, so J^2 splits into its even- and odd-indexed halves, and the
+    squares of the nodes t >= 0 are the eigenvalues of the even half, a
+    tridiagonal matrix of size ceil(n/2): one np.linalg.eigvalsh call over
+    the stack of rules gives the seeds.  The eigenvalues are accurate in t,
+    not in h = 1 - t near t = 1, so each rule takes Newton steps in h
+    (_newton_step) until every step is below NEWTON_TOL of h, one step from
+    every seed but the most extreme.  The rule's weights, its Christoffel
+    numbers, must then sum to the weight's mass exp(log_mu0) within
+    MASS_TOL relative: a certificate that every node and weight is there.
+
+    Returns (h, log_chr, failed): (G, ceil(n/2)) arrays of h = 1 - t and of
+    the log-Christoffel values ln 1/sum_{k<n} p_k(t)^2, in increasing t (for
+    odd n the first node is t = 0 exactly), and for each rule None or the
+    QuadratureFailure that refuses it.
+    """
+    G, half = len(deltas), (n + 1) // 2
+    off, ratio, log_mu0 = _jacobi_recurrence(n + 1, np.asarray(deltas, dtype=float) - 2.0)
+    b = off.copy()
+    b[:, n] = 0.0                   # J is n x n
+    j = np.arange(half)
+    T = np.zeros((G, half, half))
+    T[:, j, j] = b[:, 2 * j] ** 2 + b[:, 2 * j + 1] ** 2
+    T[:, j[1:], j[:-1]] = T[:, j[:-1], j[1:]] = b[:, 2 * j[:-1] + 1] * b[:, 2 * j[:-1] + 2]
+    lam = np.linalg.eigvalsh(T) if G else np.zeros((0, half))
+    log_chr = np.full((G, half), np.nan)
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        h = (1.0 - lam) / (1.0 + np.sqrt(np.maximum(lam, 0.0)))
+        if n % 2:
+            h[:, 0] = 1.0           # the middle node
+        inside = (h > 0.0).all(axis=1)
+        todo, converged = np.flatnonzero(inside), np.zeros(G, dtype=bool)
+        for _ in range(NEWTON_STEPS):
+            if not todo.size:
+                break
+            h[todo], step, log_chr[todo] = _newton_step(n, h[todo], off[todo], ratio[todo],
+                                                       log_mu0[todo])
+            done = (np.abs(step) <= NEWTON_TOL * h[todo]).all(axis=1)
+            converged[todo[done]] = True
+            todo = todo[~done]
+        inside &= (h > 0.0).all(axis=1)
+        w = np.exp(log_chr - log_mu0[:, None])
+        mass = 2.0 * w.sum(axis=1) - (w[:, 0] if n % 2 else 0.0)
+    failed = []
+    for g, delta in enumerate(deltas):
+        where = f"Gauss-Jacobi rule with {n} nodes at delta={delta:.6g}"
+        if not inside[g]:
+            failed.append(QuadratureFailure(f"{where}: a node is not strictly inside (-1, 1)"))
+        elif not converged[g]:
+            failed.append(QuadratureFailure(
+                f"{where}: Newton's steps from the seeds did not settle in {NEWTON_STEPS}"))
+        elif not abs(mass[g] - 1.0) <= MASS_TOL:
+            failed.append(QuadratureFailure(
+                f"{where}: the weights sum to {mass[g]:.17g} of the weight's mass "
+                f"(tolerance {MASS_TOL:g})"))
+        else:
+            failed.append(None)
+    return h, log_chr, failed
+
+
+def _jacobi_pass(t: np.ndarray, off: np.ndarray, p0: np.ndarray, n_rows: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Rows p_k(t), k < n_rows, of a stack of orthonormal Jacobi (a, a) families, in one pass.
+
+    Family f of group g is p_k(t[g, f]), with the recurrence off[g, f] of
+    _jacobi_recurrence and the constant p0[g, f]; t is (G, F, nodes), or (G,
+    1, nodes) for one set of points per group.  One recurrence over the
+    degree runs them all, and every element takes the same operations in the
+    same order, so a family's rows do not depend on what it is stacked with,
+    and its rows at -t are (-1)^k times those at t, bit for bit.  Returns
+    (G, F, n_rows, nodes), written into out when given.  The rows are not
+    rescaled: where they overflow the caller's weight has underflowed, and
+    the caller checks its products.
+    """
+    G, F = off.shape[:2]
+    nodes = t.shape[-1]
+    rows = np.empty((G, F, n_rows, nodes)) if out is None else out
+    O = np.moveaxis(off, -1, 0)[..., None]           # (degree, G, F, 1)
+    p_prev, tmp = np.zeros((G, F, nodes)), np.empty((G, F, nodes))
     if n_rows:
-        rows[:, :, 0] = p[:, first:]
-    log_chr, schedule = None, {}
-    if n_sum:
-        total = p[:, 0] * p[:, 0]
-        sq = np.empty_like(total)
-        log_scale = np.zeros((G, nodes))
-        schedule = _rescale_schedule(diag[:, 0, :n_sum], off[:, 0, :n_sum])
+        rows[:, :, 0] = np.asarray(p0, dtype=float)[..., None]
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(steps):
-            if j == n_rows - 1:
-                # the rows are done: only the summed families go on
-                t, p, p_prev, new, tmp = (x[:, :1] for x in (t, p, p_prev, new, tmp))
-                D, O = D[:, :, :1], O[:, :, :1]
-            for g in schedule.get(j, ()):
-                pg, qg = p[g, 0], p_prev[g, 0]
-                big = np.maximum(np.abs(pg), np.abs(qg)) > 1e100
-                if big.any():
-                    pg[big] *= 1e-100
-                    qg[big] *= 1e-100
-                    total[g, big] *= 1e-200
-                    log_scale[g, big] += 200.0 * math.log(10.0)
-            np.subtract(t, D[j], out=new)
-            new *= p
+        for j in range(n_rows - 1):
+            p, new = rows[:, :, j], rows[:, :, j + 1]
+            np.multiply(t, p, out=new)
             np.multiply(O[j], p_prev, out=tmp)
             new -= tmp
             new /= O[j + 1]
-            p_prev, p, new = p, new, p_prev
-            if j + 1 < n_rows:
-                rows[:, :, j + 1] = p[:, first:]
-            if n_sum:
-                np.multiply(p[:, 0], p[:, 0], out=sq)
-                total += sq
-    if n_sum:
-        log_chr = -np.log(total) - log_scale
-    return log_chr, rows
-
-
-def _gauss_jacobi_nodes(diag: np.ndarray, off: np.ndarray, delta: float) -> np.ndarray:
-    """Nodes of the Gauss-Jacobi rule of the (delta-2, delta) recurrence (diag, off), by stemr."""
-    # imported here, not with the module: scipy.linalg costs a fresh process
-    # about 0.2 s and 28 MB, and the closed-form commands build no Jacobi rule
-    from scipy.linalg import eigvalsh_tridiagonal
-
-    t = eigvalsh_tridiagonal(diag, off[1:], lapack_driver="stemr")
-    if not (np.abs(t) < 1.0).all():
-        raise QuadratureFailure(f"Gauss-Jacobi rule with {t.size} nodes at delta={delta:.6g}: "
-                                f"a node is not strictly inside (-1, 1)")
-    return t
+            p_prev = p
+    return rows
 
 
 def _rules_and_rows(deltas, n: int, m: int):
-    """n-node Gauss-Jacobi rules in each delta and, for m > 0, their basis rows, in one pass.
+    """n-node Gauss-Gegenbauer rules in each delta and, for m > 0, their basis rows, in one pass.
 
     The rows are p_k(t), k < m, of the (delta+i, delta+i) families, i = 0, 1,
-    2, at the map values t = _map(s) of each rule's nodes, (G, 3, m, n): the
-    values ModeBasis.weighted_rows takes.  Returns (rules, rows, failure):
-    the rules of the leading deltas whose nodes were found, and the
-    QuadratureFailure of the first one whose nodes were not (None if none),
-    for the caller to raise in that delta's turn.
+    2, at each rule's map values t, (G, 3, m, n): the values
+    ModeBasis.weighted_rows takes.  The pass runs at the nodes t >= 0, and the
+    rows at -t are mirrored from them with the sign (-1)^k.  Returns (rules,
+    rows, failure): the rules of the leading deltas whose nodes were found,
+    and the QuadratureFailure of the first one whose nodes were not (None if
+    none), for the caller to raise in that delta's turn.
     """
-    # family 0 is the rule's (delta-2, delta); the row families follow
-    a_shift, b_shift = ([-2.0, 0.0, 1.0, 2.0], [0.0, 0.0, 1.0, 2.0]) if m else ([-2.0], [0.0])
-    d = np.asarray(deltas, dtype=float).reshape(-1, 1)
-    diag, off, log_mu0 = _jacobi_recurrence(n, d + a_shift, d + b_shift)
-    frames, failure = [], None
-    for g, delta in enumerate(deltas):
-        try:
-            t = _gauss_jacobi_nodes(diag[g, 0], off[g, 0], delta)
-        except QuadratureFailure as exc:
-            failure = exc
-            break
-        lm, lp = np.log1p(-t), np.log1p(t)
-        u = 0.5 * (lp - lm)
-        frames.append((t, lm, lp, u, np.exp(u)))
-    G = len(frames)
-    T = np.empty((G, len(a_shift), n))
-    for g, (t, _, _, _, s) in enumerate(frames):
-        T[g, 0] = t
-        T[g, 1:] = ModeBasis._map(s)
-    # p_0 = exp(-log_mu0/2) by libm's exp, as _SymmetricJacobi takes it
-    p0 = np.array([math.exp(-0.5 * v) for v in log_mu0[:G].ravel()]).reshape(G, len(a_shift))
-    log_chr, rows = _jacobi_pass(T, diag[:G], off[:G], p0, m, n)
-    # ds = dt / (s (1-t)^2); dividing out the Jacobi weight leaves
-    # W / (s (1-t)^delta (1+t)^delta)
-    rules = [JacobiRule(s=s, u=u, log_w=log_chr[g] - u - delta * (lm + lp))
-             for g, ((_, lm, lp, u, s), delta) in enumerate(zip(frames, deltas))]
+    h, log_chr, failed = _half_rules(n, deltas)
+    G = next((g for g, f in enumerate(failed) if f is not None), len(failed))
+    failure = failed[G] if G < len(failed) else None
+    d = np.asarray(deltas[:G], dtype=float)[:, None]
+    h, log_chr, neg = h[:G], log_chr[:G], n // 2
+    t = 1.0 - h
+    lm, lp = np.log(h), np.log(2.0 - h)          # ln(1-t), ln(1+t)
+    u = 0.5 * (lp - lm)
+    # ds = s dt / (1-t^2); dividing out the weight leaves W / (s (1-t)^delta
+    # (1+t)^(delta-2)), and at -t the same with u and the logs swapped
+    log_w_pos = log_chr - u - d * lm - (d - 2.0) * lp
+    log_w_neg = log_chr + u - d * lp - (d - 2.0) * lm
+
+    def whole(neg_side, pos_side):
+        return np.concatenate((neg_side[:, ::-1][:, :neg], pos_side), axis=1)
+
+    U = whole(-u, u)
+    rules = [JacobiRule(s=np.exp(U[g]), u=U[g], t=tt, log_w=lw, log_chr=lc)
+             for g, (tt, lw, lc) in enumerate(zip(whole(-t, t), whole(log_w_neg, log_w_pos),
+                                                 whole(log_chr, log_chr)))]
+    rows = np.empty((G, 3, m, n))
+    if m:
+        off, _, log_mu0 = _jacobi_recurrence(m, d + np.arange(3.0))
+        # p_0 = exp(-log_mu0/2) by libm's exp, as _SymmetricJacobi takes it
+        p0 = np.array([math.exp(-0.5 * v) for v in log_mu0.ravel().tolist()]).reshape(G, 3)
+        _jacobi_pass(t[:, None], off, p0, m, out=rows[..., neg:])
+        rows[..., :neg] = rows[..., ::-1][..., :neg]
+        rows[:, :, 1::2, :neg] *= -1.0
     return rules, rows, failure
 
 
@@ -281,33 +400,32 @@ class _SymmetricJacobi:
     """
 
     def __init__(self, n: int, a: float):
-        self.diag, self.off, log_mu0 = _jacobi_recurrence(n + 2, a, a)
-        self.p0 = math.exp(-0.5 * log_mu0)
-        # r_k = p_k(1)/p_{k-1}(1) in closed form, from P_k(1) = binom(k+a, k) and the norms
-        k = np.arange(1.0, n)
-        self.ratio = np.sqrt((2.0 * k + 2.0 * a + 1.0) * (k + 2.0 * a)
-                             / ((2.0 * k + 2.0 * a - 1.0) * k))
-        self.damp = 1.0 / self.off[1:n] - self.ratio
+        off, ratio, log_mu0 = _jacobi_recurrence(n + 2, a)
+        self.off = off
+        self.p0 = math.exp(-0.5 * float(log_mu0))
+        # r_k = p_k(1)/p_{k-1}(1), k = 1, ..., n-1
+        self.ratio = ratio[1:n]
+        self.damp = 1.0 / off[1:n] - self.ratio
 
     def rows(self, t: np.ndarray, n: int) -> np.ndarray:
         """(n, t.size) values p_k(t), k < n."""
-        _, rows = _jacobi_pass(t[None, None], self.diag[None, None], self.off[None, None],
-                               np.array([[self.p0]]), n)
-        return rows[0, 0]
+        return _jacobi_pass(t[None, None], self.off[None, None], np.array([[self.p0]]), n)[0, 0]
 
-    def sum(self, coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """sum_k coeffs[k] p_k(t) by a forward recurrence in h = 1 - |t| (Reinsch's modification).
+    def parts(self, coeffs: np.ndarray, t: np.ndarray):
+        """(even, odd): sum_k coeffs[k] p_k(t) over even and over odd k, at t >= 0.
 
-        With D_k = p_k - r_k p_{k-1}, the recurrence at t and at 1 give p_k =
-        r_k p_{k-1} + D_k, D_k = (1/off[k] - r_k) D_{k-1} - h p_{k-1}/off[k],
-        D_0 = 0: its terms vanish with h instead of cancelling as t nears
-        +-1, where Clenshaw's sum loses up to 800 ulps of the series.  p_k(-t)
-        = (-1)^k p_k(t) gives t < 0.  The sum stops at the last nonzero
-        coefficient.  It serves the positivity check of (U + w)/U in
+        The sum at t is even + odd, and at -t, as p_k(-t) = (-1)^k p_k(t), it
+        is even - odd.  A forward recurrence in h = 1 - t (Reinsch's
+        modification): with D_k = p_k - r_k p_{k-1}, the recurrence at t and
+        at 1 give p_k = r_k p_{k-1} + D_k, D_k = (1/off[k] - r_k) D_{k-1} - h
+        p_{k-1}/off[k], D_0 = 0: its terms vanish with h instead of
+        cancelling as t nears 1, where Clenshaw's sum loses up to 800 ulps of
+        the series.  The sum stops at the last nonzero coefficient.  It
+        serves the positivity check of (U + w)/U in
         reduction.find_perturbed_solution, where t nears +-1 in the tails.
         """
         off = self.off
-        h = 1.0 - np.abs(t)
+        h = 1.0 - t
         p = np.full(t.shape, self.p0)
         D = np.zeros(t.shape)
         tmp = np.empty(t.shape)
@@ -321,7 +439,7 @@ class _SymmetricJacobi:
             p *= self.ratio[k - 1]
             p += D
             parts[k % 2] += coeffs[k] * p
-        return parts[0] + np.sign(t) * parts[1]
+        return parts[0], parts[1]
 
 
 class ModeBasis:
@@ -422,22 +540,25 @@ class ModeBasis:
         c2 = tp * tp
         return t, a, ap, tp, tpp, c0, c1, c2
 
-    def weighted_rows(self, s: np.ndarray, log_weight: np.ndarray, log_pot: np.ndarray, P):
-        """(psi exp((log_weight + log_pot)/2), T_k psi exp(log_weight/2)), in log space.
+    def weighted_rows(self, s: np.ndarray, log_scale: np.ndarray, log_pot: np.ndarray, P):
+        """(p exp(log_scale + log_pot/2), (T_k psi / E) exp(log_scale)), in log space.
 
-        P holds the three families' (m, s.size) rows p_k(t), k < m, at t =
-        _map(s), as _rules_and_rows gives them.  Derivatives in t go to the
-        next families through d/dt p_n^{(a,a)} = sqrt(n(n+2a+1))
-        p_{n-1}^{(a+1,a+1)}, by shifting the rows by the order and scaling.
-        The derivative rows are worked in place and end as the two results,
-        so the assembly needs a single temporary of their size.  Folding the
-        square roots of the quadrature weight and the potential into the
-        envelope keeps every factor representable even when s^{M-1} or the
-        envelope overflow on their own.  Raises QuadratureFailure where a row
-        is still not finite (p_j overflows where the weight underflows, at
-        extreme delta).
+        log_scale is ln(c E sqrt(w)) at s, E the envelope, w the quadrature
+        weight with its s^{M-1} and c a constant, so the rows are c psi
+        sqrt(w pot) and c T_k psi sqrt(w); _log_row_scale gives it on a
+        pencil's own rule.  P holds the three families' (m, s.size) rows
+        p_k(t), k < m, at the map values t of s, as _rules_and_rows gives
+        them.  Derivatives in t go to the next families through d/dt
+        p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, by shifting the
+        rows by the order and scaling.  The derivative rows are worked in
+        place and end as the two results, so the assembly needs a single
+        temporary of their size, and the rows of P are left as they were.
+        Folding the square roots of the quadrature weight and the potential
+        into the envelope keeps every factor representable even when s^{M-1}
+        or the envelope overflow on their own.  Raises QuadratureFailure
+        where a row is still not finite (p_j overflows where the weight
+        underflows, at extreme delta).
         """
-        lnE = self._log_envelope(s)
         _, _, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
         m = self.m
         P, dP, d2P = P
@@ -453,8 +574,8 @@ class ModeBasis:
             dP += c0 * P
             np.multiply(c2, d2P, out=d2P)
             dP += d2P
-            rows_stiff = np.multiply(np.exp(lnE + 0.5 * log_weight), dP, out=dP)
-            rows_mass = np.multiply(np.exp(lnE + 0.5 * (log_weight + log_pot)), P, out=d2P)
+            rows_stiff = np.multiply(np.exp(log_scale), dP, out=dP)
+            rows_mass = np.multiply(np.exp(log_scale + 0.5 * log_pot), P, out=d2P)
         if not (np.isfinite(rows_mass).all() and np.isfinite(rows_stiff).all()):
             raise QuadratureFailure(
                 f"mode pencil rows at M={self.M:.6g}, delta={self.delta:.6g}, "
@@ -503,10 +624,33 @@ def _log_potential(M: float, s: np.ndarray) -> np.ndarray:
     return math.log(P4) - 8.0 * _log_hypot1(s)
 
 
+def _log_row_scale(rule: JacobiRule) -> np.ndarray:
+    """ln(2^{delta-1} E sqrt(w)) on a pencil's own rule: ln(W)/2 + 2u.
+
+    E = s^{sigma0} (1+s^2)^{1-delta} is the envelope and w = W_s s^{M-1}
+    the weight of int f s^{M-1} ds, W_s the rule's weights for ds.  With
+    1+s^2 = 2/(1-t), s^2 = (1+t)/(1-t), W_s = W s/(1-t^2)^{delta-1} (W the
+    Christoffel numbers of the weight (1-t^2)^{delta-2}, rule.log_chr) and
+    sigma0 = delta - (M-2)/2, the powers of 1-t and 1+t carrying delta, M
+    and sigma0 cancel exactly, for every mode, and what is left besides is
+    the constant (1-delta) ln 2, which the Gram products take as the factor
+    4^{1-delta} (_gram_matrices).  Summed as floats those terms reach delta
+    |ln(1-t)|, hundreds at large M, and the rounding of their exponentials
+    read a median 1e-13 in 1 - mu2/mu3 (remainder's limit_is_paneitz) near
+    M = 202, against 8.5e-15 with them cancelled.
+    """
+    return 0.5 * rule.log_chr + 2.0 * rule.u
+
+
 def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, P):
-    log_w = rule.log_w + (M - 1.0) * rule.u
-    rows_mass, rows_stiff = basis.weighted_rows(rule.s, log_w, _log_potential(M, rule.s), P)
-    return rows_stiff @ rows_stiff.T, rows_mass @ rows_mass.T
+    rows_mass, rows_stiff = basis.weighted_rows(rule.s, _log_row_scale(rule),
+                                                _log_potential(M, rule.s), P)
+    scale = 4.0 ** (1.0 - basis.delta)
+    A = rows_stiff @ rows_stiff.T
+    B = rows_mass @ rows_mass.T
+    A *= scale
+    B *= scale
+    return A, B
 
 
 # --nodes, the trial functions of a mode pencil: the smallest the assembly takes,
@@ -532,6 +676,16 @@ def assemble_mode_problems(p: Params, ks, nodes: int = 160):
     assemble raises in its own turn, so a later mode's failure never
     pre-empts what the caller does with an earlier one.
     """
+    for problem, _ in _assembled(p, ks, nodes):
+        yield problem
+
+
+def _assembled(p: Params, ks, nodes: int):
+    """assemble_mode_problems, each pencil with its (delta, delta) family's rows on its rule.
+
+    The rows, (m, n) values p_k(t) at the rule's map values, are a view of
+    the pass's buffer, which weighted_rows leaves unchanged in them.
+    """
     if nodes < NODES_RANGE[0]:
         raise GridTooCoarse(f"need at least {NODES_RANGE[0]} trial functions, got {nodes}")
     ks = list(ks)
@@ -542,7 +696,7 @@ def assemble_mode_problems(p: Params, ks, nodes: int = 160):
 
 
 def _assemble_pass(p: Params, ks: list, nodes: int):
-    """Yield the pencils of the modes ks, assembled from one recurrence pass, in order."""
+    """Yield (pencil, family-0 rows) of the modes ks, from one recurrence pass, in order."""
     staged, failure = [], None
     try:
         for k in ks:
@@ -553,7 +707,8 @@ def _assemble_pass(p: Params, ks: list, nodes: int):
     rules, rows, rule_failure = _rules_and_rows([b.delta for _, _, b in staged], nodes + 8, nodes)
     for g, ((k, lam_k, basis), grid) in enumerate(zip(staged, rules)):
         A, B = _gram_matrices(basis, grid, p.M, rows[g])
-        yield ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid, A=A, B=B)
+        problem = ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid, A=A, B=B)
+        yield problem, rows[g, 0]
     if rule_failure is not None or failure is not None:
         raise rule_failure or failure
 
@@ -617,9 +772,9 @@ def _solve_pencil_cut(pr: ModeProblem, cut: float):
     """
     basis, rule = pr.basis, pr.grid
     family = _SymmetricJacobi(basis.m, 0.0)
-    t = basis._map(rule.s)
-    log_weight = rule.log_w + (pr.params.M - 1.0) * rule.u + _log_potential(pr.params.M, rule.s)
-    env = np.exp(basis._log_envelope(rule.s) + 0.5 * log_weight)
+    t = rule.t
+    env = 2.0 ** (1.0 - basis.delta) * np.exp(_log_row_scale(rule)
+                                              + 0.5 * _log_potential(pr.params.M, rule.s))
     rows = env * family.rows(t, basis.m)
     # E p_k = sum_j L_jk psi_j, read off the mass products on the exact rule
     L = (env * basis.families[0].rows(t, basis.m)) @ rows.T / np.diag(pr.B)[:, None]

@@ -3,6 +3,7 @@ import math
 from types import SimpleNamespace
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
@@ -13,9 +14,8 @@ from ckn4.emden import ComposedRadial
 from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
 import ckn4.reduction as reduction
-import ckn4.spectrum as spectrum
 from ckn4.reduction import PerturbationProblem, solve_correction
-from ckn4.spectrum import JacobiRule
+from ckn4.spectrum import JacobiRule, ModeBasis
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
@@ -46,47 +46,72 @@ def log_rule(m, u_min, u_max, panel_pts):
 
 
 def composite_rule(m, u_min, u_max, panel_pts):
-    """log_rule as a JacobiRule: the same nodes s, u = ln s and log-weights for ds."""
-    u, s, w = log_rule(m, u_min, u_max, panel_pts)
-    return JacobiRule(s=s, u=u, log_w=np.log(w))
+    """log_rule as a JacobiRule: the same nodes s, u = ln s and log-weights for ds.
 
-
-def christoffel_rule(n, delta):
-    """(s, u, log_w) of the n-node Gauss-Jacobi rule in delta, its Christoffel sum run alone.
-
-    The nodes come from stemr on the (delta-2, delta) recurrence, and
-    -ln sum_k p_k(t)^2 from a loop over the degree for this one family at
-    those nodes, with the rescaling test once per block of steps: the
-    computation of JacobiRule.build before the assembly stacked its
-    families into one pass, a bit-for-bit reference for that pass.  The
-    fourth item tells whether any term was rescaled.
+    It has no Christoffel numbers in t (log_chr is None), so it carries star
+    integrals but assembles no pencil.
     """
-    from scipy.linalg import eigvalsh_tridiagonal
+    u, s, w = log_rule(m, u_min, u_max, panel_pts)
+    return JacobiRule(s=s, u=u, t=ModeBasis._map(s), log_w=np.log(w), log_chr=None)
 
-    diag, off, log_mu0 = spectrum._jacobi_recurrence(n, delta - 2.0, delta)
-    t = eigvalsh_tridiagonal(diag, off[1:], lapack_driver="stemr")
-    growth = np.log(np.maximum(1.0, (1.0 + np.abs(diag[:-1]) + off[:-1]) / off[1:]))
-    budget, spent = 50.0 * math.log(10.0), 0.0
-    p_prev = np.zeros_like(t)
-    p = np.full_like(t, math.exp(-0.5 * log_mu0))
-    total = p * p
-    log_scale = np.zeros_like(t)
-    for j in range(n - 1):
-        spent += growth[j]
-        if spent > budget:
-            spent = growth[j]
-            big = np.maximum(np.abs(p), np.abs(p_prev)) > 1e100
-            if big.any():
-                p[big] *= 1e-100
-                p_prev[big] *= 1e-100
-                total[big] *= 1e-200
-                log_scale[big] += 200.0 * math.log(10.0)
-        p_prev, p = p, ((t - diag[j]) * p - off[j] * p_prev) / off[j + 1]
-        total += p * p
-    lm, lp = np.log1p(-t), np.log1p(t)
-    u = 0.5 * (lp - lm)
-    log_w = -np.log(total) - log_scale - u - delta * (lm + lp)
-    return np.exp(u), u, log_w, bool(log_scale.any())
+
+# fractional bits of gegenbauer_rule's fixed-point recurrence
+_FIX = 256
+
+
+@functools.cache
+def gegenbauer_rule(n, delta):
+    """(h, log_chr) of the n-node Gauss-Gegenbauer rule in (1-t^2)^{delta-2}, t >= 0, to 40 digits.
+
+    h = 1 - t and the logs of the weights (the Christoffel numbers), as
+    mpmath numbers in increasing t.  A reference for
+    JacobiRule.build independent of its seeds, its Newton step and its
+    weights: the seeds are the eigenvalues of the whole n x n Jacobi matrix
+    (np.linalg.eigvalsh), polished by three Newton steps on the plain
+    three-term recurrence in t, run in fixed point on Python integers with
+    256 fractional bits from coefficients mpmath computes to 60 digits; the
+    weights are (1-t^2) / ((2n+2a+1) off[n]^2 p_{n-1}^2), a = delta - 2, at
+    the polished nodes, and they must sum to the weight's mass
+    sqrt(pi) Gamma(a+1)/Gamma(a+3/2).
+    """
+    with mpmath.workdps(60):
+        a = mpmath.mpf(delta) - 2
+        off = [mpmath.mpf(0), 1 / mpmath.sqrt(3 + 2 * a)] + [
+            mpmath.sqrt(k * (k + 2 * a) / ((2 * k + 2 * a + 1) * (2 * k + 2 * a - 1)))
+            for k in range(2, n + 1)]
+        scale = mpmath.mpf(2) ** _FIX
+        fix = lambda x: int(mpmath.nint(x * scale))
+        off_fix = [fix(b) for b in off]
+        inv_fix = [0] + [fix(1 / b) for b in off[1:]]
+        log_mu0 = (mpmath.log(mpmath.pi) / 2 + mpmath.loggamma(a + 1)
+                   - mpmath.loggamma(a + mpmath.mpf(3) / 2))
+        p0 = fix(mpmath.exp(-log_mu0 / 2))
+        J = np.diag([float(b) for b in off[1:n]], 1)
+        seeds = np.linalg.eigvalsh(J + J.T)[n // 2:]
+        t = np.array([fix(mpmath.mpf(float(x))) for x in seeds], dtype=object)
+
+        def values(t):
+            p_prev, p = np.zeros(t.size, dtype=object), np.full(t.size, p0, dtype=object)
+            for k in range(1, n + 1):
+                p_prev, p = p, ((t * p - off_fix[k - 1] * p_prev) >> _FIX) * inv_fix[k] >> _FIX
+            return [mpmath.mpf(x) / scale for x in p], [mpmath.mpf(x) / scale for x in p_prev]
+
+        kappa = (2 * n + 2 * a + 1) * off[n]
+        for step in range(4):
+            p, p_prev = values(t)
+            T = [mpmath.mpf(x) / scale for x in t]
+            # (1-t^2) p_n' = -n t p_n + kappa p_{n-1}
+            moves = [pn * (1 - x * x) / (-n * x * pn + kappa * pm)
+                     for x, pn, pm in zip(T, p, p_prev)]
+            if step < 3:
+                t = np.array([fix(x - dx) for x, dx in zip(T, moves)], dtype=object)
+        h = [(scale - int(x)) / scale for x in t]
+        assert max(abs(dx) / hh for dx, hh in zip(moves, h)) < mpmath.mpf(10) ** -40
+        log_chr = [mpmath.log(hh * (2 - hh) / (kappa * off[n])) - 2 * mpmath.log(abs(pm))
+                   for hh, pm in zip(h, p_prev)]
+        mass = 2 * sum(mpmath.exp(x) for x in log_chr) - (mpmath.exp(log_chr[0]) if n % 2 else 0)
+        assert abs(mass / mpmath.exp(log_mu0) - 1) < mpmath.mpf(10) ** -40
+    return h, log_chr
 
 
 def perturbation_on(rule, p, h, eps, nodes):
@@ -96,7 +121,7 @@ def perturbation_on(rule, p, h, eps, nodes):
     Gauss-Jacobi rule, or a larger one where q is large
     (reduction._star_rule); here that choice is replaced, and the pencil and
     the working basis are built as usual, so the same code runs on a larger
-    Gauss-Jacobi rule or on a composite one (composite_rule).
+    Gauss-Gegenbauer rule or on a composite one (composite_rule).
     """
     with mock.patch.object(reduction, "_star_rule", lambda problem, q: rule):
         return PerturbationProblem(p, h, eps, nodes=nodes)
@@ -203,6 +228,7 @@ def family_rows(basis, s):
     return np.stack([f.rows(t, basis.m) for f in basis.families])
 
 
+
 def composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
     """(A, B) of pr's basis on the wide composite log rule, B at weight scale weight_lambda.
 
@@ -217,8 +243,8 @@ def composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
         sl = slice(lo, lo + chunk)
         log_w = np.log(w[sl]) + (M - 1.0) * u[sl]
         rows_mass, rows_stiff = pr.basis.weighted_rows(
-            s[sl], log_w, log_potential(pr.params, s[sl], weight_lambda),
-            family_rows(pr.basis, s[sl]))
+            s[sl], pr.basis._log_envelope(s[sl]) + 0.5 * log_w,
+            log_potential(pr.params, s[sl], weight_lambda), family_rows(pr.basis, s[sl]))
         A += rows_stiff @ rows_stiff.T
         B += rows_mass @ rows_mass.T
     return A, B

@@ -125,21 +125,28 @@ def test_kernel_command(capsys):
 
 
 def test_kernel_assembles_its_modes_in_one_pass(capsys, monkeypatch):
-    # kernel --k-max 4 runs one recurrence pass for the rules and rows of all
-    # five mode pencils, (modes, families, nodes) = (5, 4, 168)
+    # kernel --k-max 4 builds the rules of all five mode pencils in one
+    # stacked call, 168 nodes each, and runs one recurrence pass for their
+    # rows: (modes, one set of points, nodes t >= 0) = (5, 1, 84)
     from ckn4 import spectrum
 
-    passes = []
-    run_pass = spectrum._jacobi_pass
+    rules, passes = [], []
+    half_rules, run_pass = spectrum._half_rules, spectrum._jacobi_pass
+
+    def counted_rules(n, deltas):
+        rules.append((n, len(deltas)))
+        return half_rules(n, deltas)
 
     def counted(t, *args, **kwargs):
         passes.append(t.shape)
         return run_pass(t, *args, **kwargs)
 
+    monkeypatch.setattr(spectrum, "_half_rules", counted_rules)
     monkeypatch.setattr(spectrum, "_jacobi_pass", counted)
     code, _, _ = run(capsys, "kernel", "--N", "5", "--alpha", "1", "--k-max", "4")
     assert code == 0
-    assert passes == [(5, 4, 168)]
+    assert rules == [(168, 5)]
+    assert passes == [(5, 1, 84)]
 
 
 @pytest.mark.parametrize("N, alpha, err", [
@@ -656,10 +663,10 @@ def test_readme_examples_parse():
 
 
 def test_no_command_loads_scipy_optimize():
-    # one fresh interpreter, closed-form commands first: they load no scipy
-    # module (about 0.3 s and 30 MB of start-up); spectrum loads scipy.linalg
-    # for its Gauss-Jacobi nodes, so the scipy checks cannot pass vacuously;
-    # and no command loads scipy.optimize
+    # one fresh interpreter runs every command, spectral ones at the default
+    # and at a larger --nodes too: none loads any scipy module (scipy.special
+    # and scipy.linalg alone cost about 0.3 s and 30 MB of start-up), and so
+    # none loads scipy.optimize
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         from ckn4.cli import main
@@ -669,6 +676,7 @@ def test_no_command_loads_scipy_optimize():
             ["transform-check", "--N", "5", "--alpha", "1"],
             ["branch", "--N", "8", "--a", "0.3", "--grid-n", "100"],
             ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "96"],
+            ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "500"],
             ["kernel", "--N", "5", "--alpha", "1", "--k-max", "2", "--nodes", "96"],
             ["perturb", "--N", "5", "--alpha", "1", "--nodes", "160"],
             ["remainder", "--N", "5", "--alpha", "1", "--nodes", "96", "--t-values", "0.01"],
@@ -689,11 +697,7 @@ def test_no_command_loads_scipy_optimize():
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
     assert [code for _, code, _ in rows] == [0] * len(rows)
-    loaded = {name: set(mods) for name, _, mods in rows}
-    for name in ("constants", "verify-extremal", "transform-check", "branch"):
-        assert loaded[name] == set(), name
-    assert "scipy.linalg" in loaded["spectrum"]
-    assert [name for name, _, mods in rows if "scipy.optimize" in mods] == []
+    assert [(name, mods) for name, _, mods in rows if mods] == []
 
 
 def test_log_gauss_grids_are_shared_and_read_only(capsys, monkeypatch):

@@ -716,13 +716,14 @@ def test_large_M_working_basis_is_cut(pp51):
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(10, 1.7)])
 def test_phi_diagonal_product_is_exact(N, a):
     # in the diagonal basis phi_i/U_1 = x_i p_i(t)/C is formed row by row,
-    # bit for bit the product W^T P / C with W = diag(x) it replaces; the cut
-    # basis at (10, 1.7) still forms that product
+    # from the rows of the assembly pass, bit for bit the product W^T P / C
+    # with W = diag(x) and P the family's own rows at the rule's map values;
+    # the cut basis at (10, 1.7) still forms that product
     p = validate_params(N, a)
     pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
     basis = pp.problem.basis
     assert (pp.family is basis.families[0]) == ((N, a) != (10, 1.7))
-    rows = pp.family.rows(basis._map(pp.s), basis.m)
+    rows = pp.family.rows(pp.problem.grid.t, basis.m)
     assert np.array_equal(pp.phi, pp.W.T @ rows / normalization_constant(p))
 
 

@@ -1,9 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.special import betaln, eval_jacobi, gammaln, logsumexp
+from scipy.special import eval_jacobi, gammaln
 
 import ckn4.spectrum as spectrum
 
@@ -23,8 +24,8 @@ from ckn4.spectrum import (
     mode_eigenvalues,
     verify_kernel,
 )
-from conftest import (PARAM_SETS, alignment, applied, christoffel_rule, composite_grid_pencil,
-                      family_rows, jacobi_rows, log_potential, random_valid_params,
+from conftest import (PARAM_SETS, alignment, applied, composite_grid_pencil, family_rows,
+                      gegenbauer_rule, jacobi_rows, log_potential, random_valid_params,
                       values_and_derivs, wide_log_rule)
 
 
@@ -220,7 +221,8 @@ def _extended_sums(delta, coeffs, t):
 
     The orthonormal Jacobi (d, d) recurrence and the derivative map
     d/dt p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, written out
-    here and run in extended precision: a near-exact reference for the
+    here and run in extended precision, with p_0 from the weight's mass
+    2^{2a+1} B(a+1, a+1) by 40-digit mpmath: a near-exact reference for the
     double-precision sums.
     """
     LD = np.longdouble
@@ -234,8 +236,11 @@ def _extended_sums(delta, coeffs, t):
         k = np.arange(c.size + 1, dtype=LD)
         off = (2 / (2 * k + 2 * a) * (k + a) / np.sqrt(2 * k + 2 * a + 1)
                * np.sqrt(k * (k + 2 * a) / (2 * k + 2 * a - 1)))       # off[0] = 0
-        log_mu0 = (2 * a + 1) * np.log(LD(2)) + LD(betaln(float(a) + 1, float(a) + 1))
-        prev, cur = np.zeros(t.shape, LD), np.full(t.shape, np.exp(-log_mu0 / 2))
+        with mpmath.workdps(40):
+            a_mp = mpmath.mpf(delta) + i
+            p0 = LD(float(mpmath.exp(-((2 * a_mp + 1) * mpmath.log(2)
+                                       + mpmath.log(mpmath.beta(a_mp + 1, a_mp + 1))) / 2)))
+        prev, cur = np.zeros(t.shape, LD), np.full(t.shape, p0)
         total = c[0] * cur
         for j in range(1, c.size):
             prev, cur = cur, (t * cur - off[j - 1] * prev) / off[j]
@@ -248,8 +253,8 @@ def _extended_sums(delta, coeffs, t):
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
 def test_series_block_matches_columns_and_legval(N, a, k):
     # column l of a coefficient block, summed at t(s[:, l]) by the basis's
-    # (delta+i, delta+i) families (_SymmetricJacobi.sum) for the i-th t
-    # derivative, against the same sums in extended precision
+    # (delta+i, delta+i) families for the i-th t derivative, as even and odd
+    # parts at |t| (_SymmetricJacobi.parts), against the same sums in extended precision
     # (_extended_sums); the nodes span the scales 1e-2..1e2, and (5, -0.99)
     # has M near 4 and (12, 1.9) has M above 200
     p = validate_params(N, a)
@@ -261,7 +266,8 @@ def test_series_block_matches_columns_and_legval(N, a, k):
     for l in range(nus.size):
         c = coeffs[:, l]
         for order, want in enumerate(_extended_sums(basis.delta, c, t[:, l])):
-            got = basis.families[order].sum(c, t[:, l])
+            even, odd = basis.families[order].parts(c, np.abs(t[:, l]))
+            got = even + np.sign(t[:, l]) * odd
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             if order < 2:
                 c = c[1:] * basis._dscale[order][1:c.size]
@@ -290,7 +296,8 @@ def test_rows_and_series_match_jacobi_reference(N, a, k):
         assert np.max(np.abs(got[i:] - want[i:]) / scale) <= 1e-12
     log_w = rule.log_w + (p.M - 1.0) * rule.u
     log_pot = log_potential(p, rule.s)
-    got = basis.weighted_rows(rule.s, log_w, log_pot, family_rows(basis, rule.s))
+    got = basis.weighted_rows(rule.s, basis._log_envelope(rule.s) + 0.5 * log_w, log_pot,
+                              family_rows(basis, rule.s))
     psi, tpsi = applied(basis, rule.s)
     want = (psi * np.exp(0.5 * (log_w + log_pot)), tpsi * np.exp(0.5 * log_w))
     for g, w in zip(got, want):
@@ -337,33 +344,114 @@ def test_eigenvalues_match_closed_form(N, a, k):
 @pytest.mark.parametrize("delta, n", [(1.0035, 168), (1.0035, 408), (1 + 1e-9, 408), (2.7, 168),
                                       (100.0, 168), (1000.0, 408)])
 def test_jacobi_rule_is_exact(delta, n):
-    # (1+t)^j against the Jacobi weight, j < 2n, in s: the rule must integrate
-    # 2^{2d+j} s^{2d+2j+1} (1+s^2)^{-2d-j} to 2^{2d+j-1} B(d+j+1, d-1) exactly.
-    # delta = 1.0035 is mode 0 at M = 4.007, where scipy's Gauss-Jacobi
-    # weights alone miss these integrals by up to 5e-9 relative; at
-    # delta = 1000 scipy's roots_jacobi returns NaN nodes
+    # the pencil's integrands, P(t) (1-t)^{delta-2} (1+t)^delta with deg P <=
+    # 2n - 3, in s: for P = (1+t)^j the rule must integrate 2^{2d+j}
+    # s^{2d+2j+1} (1+s^2)^{-2d-j} to 2^{2d+j-1} B(d+j+1, d-1), by 40-digit
+    # mpmath.  delta = 1.0035 is mode 0 at M = 4.007, where scipy's
+    # Gauss-Jacobi weights alone once missed these integrals by up to 5e-9
+    # relative; at delta = 1000 scipy's roots_jacobi returns NaN nodes
     rule = JacobiRule.build(n, delta)
-    for j in range(0, 2 * n, 7):
+    for j in list(range(0, 2 * n - 2, 7)) + [2 * n - 3]:
         log_f = ((2 * delta + j) * math.log(2.0) + (2 * delta + 2 * j + 1) * rule.u
                  - (2 * delta + j) * np.logaddexp(0.0, 2.0 * rule.u))
-        want = (2 * delta + j - 1) * math.log(2.0) + betaln(delta + j + 1, delta - 1)
-        assert abs(logsumexp(rule.log_w + log_f) - want) <= 1e-10
+        with mpmath.workdps(40):
+            d = mpmath.mpf(delta)
+            want = float((2 * d + j - 1) * mpmath.log(2)
+                         + mpmath.log(mpmath.beta(d + j + 1, d - 1)))
+        terms = rule.log_w + log_f
+        top = float(terms.max())
+        assert abs(top + math.log(float(np.exp(terms - top).sum())) - want) <= 1e-10
 
 
-@pytest.mark.parametrize("delta", [1.0035, 3.5, 40.0, 1000.0])
-@pytest.mark.parametrize("n", [68, 168, 408])
+@pytest.mark.parametrize("delta", [1.0001, 1.0035, 1.5, 3.5, 40.0, 1000.0])
+@pytest.mark.parametrize("n", [68, 69, 168, 408])
 def test_jacobi_rule_matches_single_family_loop(n, delta):
-    # the stacked pass gives the rule bit for bit as the Christoffel sum run
-    # alone (conftest.christoffel_rule).  From 168 nodes every delta here
-    # reaches the rescaling test; at 408 nodes and delta = 1000 the terms
-    # pass 1e100 (up to 8e142) and are rescaled
-    diag, off, _ = spectrum._jacobi_recurrence(n, [delta - 2.0], [delta])
-    assert bool(spectrum._rescale_schedule(diag, off)) == (n >= 168 or delta == 1000.0)
-    s, u, log_w, rescaled = christoffel_rule(n, delta)
-    assert rescaled == (n == 408 and delta == 1000.0)
+    # the rule against the 40-digit Gauss-Gegenbauer rule of its family, run
+    # alone on its plain recurrence in fixed point (conftest.gegenbauer_rule):
+    # the nodes within 1e-13 relative in h = 1 - |t|, read off u = ln s as
+    # 2/(1 + s^2), and the log-weights within 1e-13, or 1e-15 delta where
+    # the terms delta ln h of a log-weight are hundreds (their rounding alone
+    # reads 3.7e-13 at delta = 1000).  The nodes come in exact pairs +-t,
+    # s and 1/s; delta = 1.5 is a = -1/2, where the recurrence's first
+    # coefficients are taken in their cancelled forms, and n = 69 has its
+    # middle node at t = 0
+    h_ref, log_chr = gegenbauer_rule(n, delta)
     rule = JacobiRule.build(n, delta)
-    for got, want in zip((rule.s, rule.u, rule.log_w), (s, u, log_w)):
-        assert np.array_equal(got, want)
+    neg = n // 2
+    assert np.array_equal(rule.t[:neg], -rule.t[::-1][:neg])
+    assert np.array_equal(rule.u[:neg], -rule.u[::-1][:neg])
+    assert (n % 2 == 0) or (rule.t[neg] == 0.0 and rule.u[neg] == 0.0)
+    with mpmath.workdps(40):
+        d = mpmath.mpf(delta)
+        h = [2 / (1 + mpmath.exp(2 * mpmath.mpf(float(u)))) for u in rule.u[neg:]]
+        node_err = max(abs(x / y - 1) for x, y in zip(h, h_ref))
+        # ds = s dt / (1-t^2) over the weight: ln W - (d - 1/2) ln h - (d - 3/2) ln(2 - h)
+        # at t, and the same with h and 2 - h swapped at -t
+        ln_h = [mpmath.log(x) for x in h_ref]
+        ln_2h = [mpmath.log(2 - x) for x in h_ref]
+        pos = [c - (d - 0.5) * x - (d - 1.5) * y for c, x, y in zip(log_chr, ln_h, ln_2h)]
+        neg_side = [c - (d - 1.5) * x - (d - 0.5) * y for c, x, y in zip(log_chr, ln_h, ln_2h)]
+        # in increasing |t|: the nodes -t < 0, then t >= 0
+        got = np.concatenate((rule.log_w[:neg][::-1], rule.log_w[neg:]))
+        want = neg_side[len(h_ref) - neg:] + pos
+        weight_err = max(abs(mpmath.mpf(float(x)) - y) for x, y in zip(got, want))
+    assert node_err <= 1e-13
+    assert weight_err <= max(1e-13, 1e-15 * delta)
+
+
+@pytest.mark.parametrize("a", [-1 + 1e-12, -0.9999, -0.5, 0.3, 3.7, 7.99, 8.0, 10.5, 40.1, 998.0,
+                               1e4 + 0.3, 1e6])
+def test_log_mu0_against_mpmath(a):
+    # ln of the mass sqrt(pi) Gamma(a+1)/Gamma(a+3/2) of the weight (1-t^2)^a:
+    # lgamma's difference below a = 8, the Stirling series of ln
+    # Gamma(x+1/2)/Gamma(x) from there, against 40-digit mpmath
+    with mpmath.workdps(40):
+        x = mpmath.mpf(a)
+        want = (mpmath.log(mpmath.pi) / 2 + mpmath.loggamma(x + 1)
+                - mpmath.loggamma(x + mpmath.mpf(3) / 2))
+    assert abs(spectrum._log_mu0(a) - float(want)) <= 4e-15
+
+
+def test_jacobi_rule_certifies_its_weights(monkeypatch):
+    # a rule whose Christoffel numbers do not sum to the weight's mass is
+    # refused by name, and so is one whose Newton steps do not settle
+    step = spectrum._newton_step
+
+    def heavy(*args):
+        h, moved, log_chr = step(*args)
+        return h, moved, log_chr + 1e-9
+
+    monkeypatch.setattr(spectrum, "_newton_step", heavy)
+    with pytest.raises(QuadratureFailure, match=r"^Gauss-Jacobi rule with 168 nodes at delta=3\.5: "
+                                                r"the weights sum to 1\.00000000(09|10)"):
+        JacobiRule.build(168, 3.5)
+
+    def restless(*args):
+        h, moved, log_chr = step(*args)
+        return h, h, log_chr
+
+    monkeypatch.setattr(spectrum, "_newton_step", restless)
+    with pytest.raises(QuadratureFailure, match=r"delta=3\.5: Newton's steps from the seeds did "
+                                                r"not settle in 8$"):
+        JacobiRule.build(168, 3.5)
+
+
+@pytest.mark.parametrize("N, a, k", [(5, 1.0, 0), (5, 1.0, 2), (7, -2.0, 3), (3, "1.99", 0),
+                                     (3, "1.0001", 1)])
+def test_row_scale_is_envelope_times_root_weight(N, a, k):
+    # ln(E sqrt(w)) on a pencil's rule with its powers of 1-t and 1+t
+    # cancelled (_log_row_scale, plus the (1-delta) ln 2 the Gram products
+    # take as a factor), against its terms ln E + (ln W_s + (M-1) u)/2 summed
+    # in long double, to the rounding of the largest of them
+    p = validate_params(N, a)
+    basis = ModeBasis(p.M, p.q ** 2 * mode_lambda(k, N)[0], 160)
+    rule = JacobiRule.build(168, basis.delta)
+    LD = np.longdouble
+    u, d = rule.u.astype(LD), LD(basis.delta)
+    terms = [LD(basis.sigma0) * u, (1 - d) * np.log1p(np.exp(2 * u)), rule.log_w.astype(LD) / 2,
+             LD(p.M - 1) * u / 2]
+    got = (1.0 - basis.delta) * math.log(2.0) + spectrum._log_row_scale(rule)
+    assert np.max(np.abs(got - sum(terms))) <= 4e-16 * max(float(np.max(np.abs(x))) for x in terms)
 
 
 def _recording(monkeypatch, name):
@@ -399,14 +487,15 @@ def _fail_mode(monkeypatch, p, k, stage):
     """Make mode k's assembly raise QuadratureFailure: at its rule's nodes or at its rows."""
     delta = ModeBasis(p.M, p.q ** 2 * mode_lambda(k, p.N)[0], 160).delta
     if stage == "nodes":
-        nodes = spectrum._gauss_jacobi_nodes
+        half_rules = spectrum._half_rules
 
-        def fail(diag, off, d):
-            if d == delta:
-                raise QuadratureFailure(f"mode {k}'s nodes")
-            return nodes(diag, off, d)
+        def fail(n, deltas):
+            h, log_chr, failed = half_rules(n, deltas)
+            failed = [QuadratureFailure(f"mode {k}'s nodes") if d == delta else f
+                      for d, f in zip(deltas, failed)]
+            return h, log_chr, failed
 
-        monkeypatch.setattr(spectrum, "_gauss_jacobi_nodes", fail)
+        monkeypatch.setattr(spectrum, "_half_rules", fail)
     else:
         rows = ModeBasis.weighted_rows
 
@@ -463,9 +552,11 @@ def test_pass_grouping_cap(monkeypatch):
     # give the pencils of one assembly per mode
     p = validate_params(6, -1)
     monkeypatch.setattr(spectrum, "PASS_ROWS", 2 * 3 * 64 * 72)
+    rules = _recording(monkeypatch, "_half_rules")
     passes = _recording(monkeypatch, "_jacobi_pass")
     problems = list(spectrum.assemble_mode_problems(p, range(5), 64))
-    assert [t.shape for t in passes] == [(2, 4, 72), (2, 4, 72), (1, 4, 72)]
+    assert rules == [72, 72, 72]
+    assert [t.shape for t in passes] == [(2, 1, 36), (2, 1, 36), (1, 1, 36)]
     monkeypatch.undo()
     for k, pr in enumerate(problems):
         alone = assemble_mode_problem(p, k, nodes=64)
@@ -482,19 +573,24 @@ def test_jacobi_rule_refuses_node_at_end():
 
 @pytest.mark.parametrize("delta", [1.0035, 7.5, 120.0])
 def test_series_sum_stops_at_last_nonzero(delta):
-    # trailing zero coefficients change no bit of the sum: e_j padded to m
-    # and a random head padded to m, against the same heads cut to j + 1
-    # terms; both still sum term j, against the basis rows
+    # trailing zero coefficients change no bit of the even and odd parts:
+    # e_j padded to m and a random head padded to m, against the same heads
+    # cut to j + 1 terms; both still sum term j, at t and at -t, against the
+    # basis rows
     fam = spectrum._SymmetricJacobi(96, delta)
-    t = np.concatenate([np.linspace(-1.0, 1.0, 201), [-1 + 1e-12, -1e-300, 0.0, 1 - 1e-12]])
+    t = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-300, 1 - 1e-12]])
     head = np.random.default_rng(0).standard_normal(96)
     for j in (0, 1, 2, 5, 40, 95):
         for c in (np.eye(96)[j] * 0.7, np.where(np.arange(96) <= j, head, 0.0)):
-            got = fam.sum(c, t)
-            assert np.array_equal(got, fam.sum(c[:j + 1], t))
-            want = c[:j + 1] @ fam.rows(t, j + 1)
-            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    assert np.array_equal(fam.sum(np.zeros(96), t), np.zeros(t.size))
+            got = fam.parts(c, t)
+            for part, cut in zip(got, fam.parts(c[:j + 1], t)):
+                assert np.array_equal(part, cut)
+            rows = fam.rows(t, j + 1)
+            for sign in (1.0, -1.0):
+                want = c[:j + 1] @ (rows * sign ** np.arange(j + 1)[:, None])
+                assert np.max(np.abs(got[0] + sign * got[1] - want)) <= 1e-12 * np.max(np.abs(want))
+    for part in fam.parts(np.zeros(96), t):
+        assert np.array_equal(part, np.zeros(t.size))
 
 
 def _max_rel(got, want):
