@@ -55,8 +55,8 @@ from numpy.polynomial.chebyshev import Chebyshev
 
 from .errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum, QuadratureFailure
 from .params import Params, normalization_constant, sphere_area
-from .spectrum import (JacobiRule, ModeProblem, SpectrumResult, _assembled, _log_hypot1,
-                       _solve_pencil, _solve_pencil_cut)
+from .spectrum import (JacobiRule, ModeProblem, SpectrumResult, _assembled, _solve_pencil,
+                       _solve_pencil_cut)
 
 __all__ = [
     "remainder_curve",
@@ -117,10 +117,12 @@ def _bracketed_root(cheb: Chebyshev, x_near: float) -> float | None:
 # -- remainder quotient ---------------------------------------------------------
 
 def _star_weights(p: Params, rule: JacobiRule) -> np.ndarray:
-    """The weights wq of int U_1^{p*} f s^{M-1} ds on rule, formed in logs."""
-    C = normalization_constant(p)
-    return np.exp(rule.log_w + (p.M - 1.0) * rule.u
-                  + p.pstar * (math.log(C) - (p.M - 4.0) * _log_hypot1(rule.s)))
+    """The weights wq of int U_1^{p*} f s^{M-1} ds on rule, formed in logs.
+
+    U_1^{p*} = C^{p*} (1+s^2)^{-M} = C^{p*} ((1-t)/2)^M, as p* (M-4)/2 = M.
+    """
+    return np.exp(rule.log_w + (p.M - 1.0) * rule.u + p.pstar * math.log(normalization_constant(p))
+                  + p.M * np.log(0.5 * rule.one_minus_t))
 
 
 def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
@@ -155,7 +157,7 @@ def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
     norm_U = normalization_constant(p) / basis.p0 * math.sqrt(pr.alpha_scale * a00)
     # tau U_1 = c0 b1 psi_1 and tau^2 U_1 = c0 b1 (b2 psi_2 + b1 psi_0): ||T||^2/||U_1||^2
     # = a^2 b1^2 A_11/A_00, and <w, d^2U/dx^2>/||U_1|| = (a^2 + a/q) b1 b2 sqrt(A_22/A_00)
-    fam = basis.families[0]
+    fam = basis.family
     b1, b2 = basis.b1, float(fam.off[2])
     a = (p.M - 4.0) / (2.0 * p.q)
     tangent_sq = a * a * b1 * b1 * a11 / a00
@@ -262,7 +264,7 @@ class PerturbationProblem:
         # the working basis is the pencil's on the Legendre directions whose
         # mass is at least MASS_CUT of the largest (103 of 160 there).
         # p_j(1)/p_0 is the product of the family's closed-form ratios
-        fam = basis.families[0]
+        fam = basis.family
         with np.errstate(over="ignore"):
             gain_sq = np.concatenate(([1.0], np.cumprod(fam.ratio))) ** 2 / mu
         if gain_sq.max() * MASS_CUT <= 1.0:

@@ -16,12 +16,18 @@ diagonal, and E p_j, the Gegenbauer C_j^{(delta+1/2)} times the envelope,
 are the eigenfunctions of the continuum problem (the Paneitz spectrum on
 S^M, Beckner, Ann. Math. 138, 1993), so A is diagonal too: the
 mass-orthonormal basis of Shen's spectral-Galerkin methods (SIAM J. Sci.
-Comput. 15, 1994).  The eigenpairs are read off the diagonal, mu_j =
-A_jj / B_jj with eigenvector x_j e_j, x_j = B_jj^{-1/2} > 0, and that read
-is certified on every solve: the normalized off-diagonal couplings of both
-matrices must stay below COUPLING_TOL, which bounds the eigenvalue error by
-its square.  Every stiffness and mass integrand is a polynomial of degree
-at most 2m in t times (1-t)^{delta-2} (1+t)^{delta}, that is (1+t)^2 times
+Comput. 15, 1994).  In t, T_k X / E with X = E p is c0 p + c1 p' + c2
+p'', whose coefficients are polynomials in t that depend on delta alone
+(ModeBasis.operator_fields): sigma0 is the indicial exponent at zero, so
+M, nu and sigma0 cancel, and what is left is the Paneitz operator on S^M
+in the coordinate t.  The pencil is assembled from 1 - t and 1 + t as its
+rule holds them, and no function of s is evaluated.  The eigenpairs are
+read off the diagonal, mu_j = A_jj / B_jj with eigenvector x_j e_j, x_j =
+B_jj^{-1/2} > 0, and that read is certified on every solve: the
+normalized off-diagonal couplings of both matrices must stay below
+COUPLING_TOL, which bounds the eigenvalue error by its square.  Every
+stiffness and mass integrand is a polynomial of degree at most 2m in t
+times (1-t)^{delta-2} (1+t)^{delta}, that is (1+t)^2 times
 such a polynomial times the Gegenbauer weight (1-t^2)^{delta-2}, so the
 pencil is assembled exactly on an (m+8)-node Gauss-Gegenbauer rule, one
 rule per mode, with 13 degrees to spare.  The weight is even, so the nodes
@@ -80,8 +86,11 @@ class JacobiRule:
     degree below 2n.  The nodes come in pairs +-t, in increasing t, and t
     holds them exactly so (one node is t = 0 when n is odd); the nodes t >=
     0 and their weights come from _half_rules, within about 1e-14 relative
-    in 1 - |t| of 40-digit ones.  The weights are kept as logarithms: the
-    divided-out weight (1-t^2)^{2-delta} overflows for large delta.
+    in 1 - |t| of 40-digit ones, and 1 - t and 1 + t are kept from h = 1 -
+    |t| as h and 2 - h, with no cancellation.  The weights are kept as
+    logarithms: the divided-out weight (1-t^2)^{2-delta} overflows for
+    large delta.  Near M = 4 (delta near 1) the seed of the node nearest t
+    = 1 can round to h <= 0; Newton then starts from h = H_FLOOR.
     QuadratureFailure when a node is not strictly inside (-1, 1), where s
     would be 0 or infinite, or when _half_rules cannot certify the rule.
     """
@@ -89,6 +98,8 @@ class JacobiRule:
     s: np.ndarray
     u: np.ndarray          # ln s
     t: np.ndarray          # the map values (s^2-1)/(s^2+1)
+    one_minus_t: np.ndarray  # 1 - t and 1 + t, each h or 2 - h
+    one_plus_t: np.ndarray
     log_w: np.ndarray      # ln of the weights for int f(s) ds
     log_chr: np.ndarray    # ln of the weights for int P(t) (1-t^2)^{delta-2} dt
 
@@ -184,6 +195,10 @@ def _rescale_steps(off: np.ndarray) -> dict:
 NEWTON_TOL = 1e-7
 NEWTON_STEPS = 8
 MASS_TOL = 1e-11
+# the h Newton starts from where a seed's h rounds to 0 or below (delta within
+# about 1e-15 of 1): a node that does not leave it is refused by the steps'
+# tolerance or by the weights' mass
+H_FLOOR = 1e-30
 
 
 def _newton_step(n: int, h: np.ndarray, off: np.ndarray, ratio: np.ndarray,
@@ -265,7 +280,8 @@ def _half_rules(n: int, deltas):
     the stack of rules gives the seeds.  The eigenvalues are accurate in t,
     not in h = 1 - t near t = 1, so each rule takes Newton steps in h
     (_newton_step) until every step is below NEWTON_TOL of h, one step from
-    every seed but the most extreme.  The rule's weights, its Christoffel
+    every seed but the most extreme; a seed whose h rounds to 0 or below
+    starts from H_FLOOR.  The rule's weights, its Christoffel
     numbers, must then sum to the weight's mass exp(log_mu0) within
     MASS_TOL relative: a certificate that every node and weight is there.
 
@@ -285,11 +301,10 @@ def _half_rules(n: int, deltas):
     lam = np.linalg.eigvalsh(T) if G else np.zeros((0, half))
     log_chr = np.full((G, half), np.nan)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        h = (1.0 - lam) / (1.0 + np.sqrt(np.maximum(lam, 0.0)))
+        h = np.maximum((1.0 - lam) / (1.0 + np.sqrt(np.maximum(lam, 0.0))), H_FLOOR)
         if n % 2:
             h[:, 0] = 1.0           # the middle node
-        inside = (h > 0.0).all(axis=1)
-        todo, converged = np.flatnonzero(inside), np.zeros(G, dtype=bool)
+        todo, converged = np.arange(G), np.zeros(G, dtype=bool)
         for _ in range(NEWTON_STEPS):
             if not todo.size:
                 break
@@ -298,7 +313,7 @@ def _half_rules(n: int, deltas):
             done = (np.abs(step) <= NEWTON_TOL * h[todo]).all(axis=1)
             converged[todo[done]] = True
             todo = todo[~done]
-        inside &= (h > 0.0).all(axis=1)
+        inside = (h > 0.0).all(axis=1)
         w = np.exp(log_chr - log_mu0[:, None])
         mass = 2.0 * w.sum(axis=1) - (w[:, 0] if n % 2 else 0.0)
     failed = []
@@ -378,9 +393,11 @@ def _rules_and_rows(deltas, n: int, m: int):
         return np.concatenate((neg_side[:, ::-1][:, :neg], pos_side), axis=1)
 
     U = whole(-u, u)
-    rules = [JacobiRule(s=np.exp(U[g]), u=U[g], t=tt, log_w=lw, log_chr=lc)
-             for g, (tt, lw, lc) in enumerate(zip(whole(-t, t), whole(log_w_neg, log_w_pos),
-                                                 whole(log_chr, log_chr)))]
+    rules = [JacobiRule(s=np.exp(U[g]), u=U[g], t=tt, one_minus_t=lo, one_plus_t=hi, log_w=lw,
+                        log_chr=lc)
+             for g, (tt, lo, hi, lw, lc) in enumerate(zip(
+                 whole(-t, t), whole(2.0 - h, h), whole(h, 2.0 - h), whole(log_w_neg, log_w_pos),
+                 whole(log_chr, log_chr)))]
     rows = np.empty((G, 3, m, n))
     if m:
         off, _, log_mu0 = _jacobi_recurrence(m, d + np.arange(3.0))
@@ -460,106 +477,66 @@ class ModeBasis:
         self._dscale = [np.sqrt(n * (n + 2.0 * (self.delta + i) + 1.0)) for i in range(2)]
 
     @functools.cached_property
-    def families(self) -> list:
-        """The (delta+i, delta+i) families, i = 0, 1, 2, whose rows give p_j, p_j' and p_j''.
+    def family(self) -> _SymmetricJacobi:
+        """The (delta, delta) family p_j, built on first use.
 
-        Built on first use: the pencil's assembly takes their rows from its
-        own pass (_rules_and_rows), and only the reduction reads a family.
+        The pencil's assembly takes its rows from its own pass
+        (_rules_and_rows), and only the reduction reads the family.
         """
-        return [_SymmetricJacobi(self.m - i, self.delta + i) for i in range(3)]
+        return _SymmetricJacobi(self.m, self.delta)
 
     @property
     def p0(self) -> float:
         """The constant p_0: psi_0 = p0 E."""
-        return self.families[0].p0
+        return self.family.p0
 
     @property
     def b1(self) -> float:
         """The recurrence's first off-diagonal coefficient: t = (b1/p0) p_1."""
-        return float(self.families[0].off[1])
+        return float(self.family.off[1])
 
-    def _log_envelope(self, s: np.ndarray) -> np.ndarray:
-        # ln E computed as a sum so that s^{sigma0} and (1+s^2)^{1-delta}
-        # cannot overflow separately (they can for large modes or large M)
-        out = 2.0 * (1.0 - self.delta) * _log_hypot1(s)
-        if self.sigma0 != 0.0:
-            out = out + self.sigma0 * np.log(s)
-        return out
+    def operator_fields(self, one_minus_t: np.ndarray, one_plus_t: np.ndarray):
+        """(c0, c1, c2) with T_k psi / E = c0 p + c1 p' + c2 p'', psi = E p(t), at 1 -+ t.
 
-    @staticmethod
-    def _map(s: np.ndarray) -> np.ndarray:
-        """Map value t = (s^2-1)/(s^2+1), in z = s^{-2} for s > 1 as in _frame_coeffs."""
-        t = np.empty_like(s)
-        low = s <= 1.0
-        if np.any(low):
-            s2 = s[low] * s[low]
-            t[low] = (s2 - 1.0) / (s2 + 1.0)
-        if np.any(~low):
-            sl = s[~low]
-            z = 1.0 / (sl * sl)
-            t[~low] = (1.0 - z) / (1.0 + z)
-        return t
-
-    def _frame_coeffs(self, s: np.ndarray):
-        """Map value t and the rational coefficient fields, overflow-safe.
-
-        For s > 1 the fields are rewritten in z = s^{-2}; their direct forms
-        overflow in (1+s^2)^2 and (1+s^2)^3 long before the fields themselves
-        leave the representable range.
+        In s the fields are c0 = a^2 + a' + (M-1) a/s - nu/s^2, c1 = 2 a t'
+        + t'' + (M-1) t'/s and c2 = t'^2, a = E'/E.  With 1 + s^2 = 2/(1-t)
+        and s^2 = (1+t)/(1-t) they are polynomials in t that depend on delta
+        alone, as M, nu and sigma0 cancel through the indicial identity
+        sigma0^2 + (M-2) sigma0 = nu:
+            c0 = (1-delta)(1-t)(2 + delta(1-t)),
+            c1 = 2(1-t)^2 (1 - delta t),
+            c2 = (1+t)(1-t)^3,
+        the operator of the Paneitz problem on S^M in the coordinate t.  From
+        1 - t and 1 + t as the rule holds them they carry no cancellation and
+        cannot overflow.
         """
-        sig, dl = self.sigma0, self.delta
-        t = self._map(s)
-        a = np.empty_like(s)
-        ap = np.empty_like(s)
-        tp = np.empty_like(s)
-        tpp = np.empty_like(s)
-        low = s <= 1.0
-        if np.any(low):
-            ss = s[low]
-            s2 = ss * ss
-            a[low] = sig / ss + 2.0 * (1.0 - dl) * ss / (1.0 + s2)
-            ap[low] = -sig / s2 + 2.0 * (1.0 - dl) * (1.0 - s2) / (1.0 + s2) ** 2
-            tp[low] = 4.0 * ss / (1.0 + s2) ** 2
-            tpp[low] = (4.0 - 12.0 * s2) / (1.0 + s2) ** 3
-        if np.any(~low):
-            sl = s[~low]
-            z = 1.0 / (sl * sl)
-            zp = 1.0 + z
-            a[~low] = sig / sl + 2.0 * (1.0 - dl) / (sl * zp)
-            ap[~low] = -sig * z + 2.0 * (1.0 - dl) * z * (z - 1.0) / zp ** 2
-            tp[~low] = 4.0 * (z / sl) / zp ** 2
-            tpp[~low] = z * z * (4.0 * z - 12.0) / zp ** 3
-        return t, a, ap, tp, tpp
+        d, lo = self.delta, one_minus_t
+        return ((1.0 - d) * lo * (2.0 + d * lo), 2.0 * lo * lo * (1.0 - d + d * lo),
+                one_plus_t * lo * lo * lo)
 
-    def _operator_coeffs(self, s: np.ndarray):
-        t, a, ap, tp, tpp = self._frame_coeffs(s)
-        M, nu = self.M, self.nu_coeff
-        inv_s = 1.0 / s
-        c0 = a * a + ap + (M - 1.0) * a * inv_s - nu * inv_s * inv_s
-        c1 = 2.0 * a * tp + tpp + (M - 1.0) * tp * inv_s
-        c2 = tp * tp
-        return t, a, ap, tp, tpp, c0, c1, c2
-
-    def weighted_rows(self, s: np.ndarray, log_scale: np.ndarray, log_pot: np.ndarray, P):
+    def weighted_rows(self, one_minus_t: np.ndarray, one_plus_t: np.ndarray,
+                      log_scale: np.ndarray, log_pot: np.ndarray, P):
         """(p exp(log_scale + log_pot/2), (T_k psi / E) exp(log_scale)), in log space.
 
-        log_scale is ln(c E sqrt(w)) at s, E the envelope, w the quadrature
-        weight with its s^{M-1} and c a constant, so the rows are c psi
-        sqrt(w pot) and c T_k psi sqrt(w); _log_row_scale gives it on a
-        pencil's own rule.  P holds the three families' (m, s.size) rows
-        p_k(t), k < m, at the map values t of s, as _rules_and_rows gives
-        them.  Derivatives in t go to the next families through d/dt
-        p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, by shifting the
-        rows by the order and scaling.  The derivative rows are worked in
-        place and end as the two results, so the assembly needs a single
-        temporary of their size, and the rows of P are left as they were.
-        Folding the square roots of the quadrature weight and the potential
-        into the envelope keeps every factor representable even when s^{M-1}
-        or the envelope overflow on their own.  Raises QuadratureFailure
-        where a row is still not finite (p_j overflows where the weight
-        underflows, at extreme delta).
+        one_minus_t and one_plus_t are 1 - t and 1 + t at the map values t
+        of the points s, log_scale is ln(c E sqrt(w)) there, E the envelope,
+        w the quadrature weight with its s^{M-1} and c a constant, so the
+        rows are c psi sqrt(w pot) and c T_k psi sqrt(w); _log_row_scale
+        gives it on a pencil's own rule.  P holds the three families' (m,
+        s.size) rows p_k(t), k < m, as _rules_and_rows gives them.  The rows
+        are formed in t alone: T_k psi / E is operator_fields' polynomials
+        times p, p' and p''.  Derivatives in t go to the next families
+        through d/dt p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, by
+        shifting the rows by the order and scaling.  The derivative rows are
+        worked in place and end as the two results, so the assembly needs a
+        single temporary of their size, and the rows of P are left as they
+        were.  Folding the square roots of the quadrature weight and the
+        potential into the envelope keeps every factor representable even
+        when s^{M-1} or the envelope overflow on their own.  Raises
+        QuadratureFailure where a row is still not finite (p_j overflows
+        where the weight underflows, at extreme delta).
         """
-        _, _, _, _, _, c0, c1, c2 = self._operator_coeffs(s)
+        c0, c1, c2 = self.operator_fields(one_minus_t, one_plus_t)
         m = self.m
         P, dP, d2P = P
         with np.errstate(over="ignore", invalid="ignore"):
@@ -608,20 +585,10 @@ class ModeProblem:
         return sphere_area(p.N) / p.q ** 3
 
 
-def _log_hypot1(s: np.ndarray) -> np.ndarray:
-    """0.5 * log(1 + s^2) without overflow in the square."""
-    s = np.asarray(s, dtype=float)
-    out = np.empty_like(s)
-    low = s < 1e150
-    out[low] = 0.5 * np.log1p(s[low] * s[low])
-    out[~low] = np.log(s[~low])
-    return out
-
-
-def _log_potential(M: float, s: np.ndarray) -> np.ndarray:
-    """ln of the sharp potential (M-4)(M-2)M(M+2) (1 + s^2)^{-4}."""
+def _log_potential(M: float, one_minus_t: np.ndarray) -> np.ndarray:
+    """ln of the sharp potential (M-4)(M-2)M(M+2) (1+s^2)^{-4} = P4 ((1-t)/2)^4."""
     P4 = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-    return math.log(P4) - 8.0 * _log_hypot1(s)
+    return math.log(P4) + 4.0 * np.log(0.5 * one_minus_t)
 
 
 def _log_row_scale(rule: JacobiRule) -> np.ndarray:
@@ -643,8 +610,9 @@ def _log_row_scale(rule: JacobiRule) -> np.ndarray:
 
 
 def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, P):
-    rows_mass, rows_stiff = basis.weighted_rows(rule.s, _log_row_scale(rule),
-                                                _log_potential(M, rule.s), P)
+    rows_mass, rows_stiff = basis.weighted_rows(rule.one_minus_t, rule.one_plus_t,
+                                                _log_row_scale(rule),
+                                                _log_potential(M, rule.one_minus_t), P)
     scale = 4.0 ** (1.0 - basis.delta)
     A = rows_stiff @ rows_stiff.T
     B = rows_mass @ rows_mass.T
@@ -773,11 +741,11 @@ def _solve_pencil_cut(pr: ModeProblem, cut: float):
     basis, rule = pr.basis, pr.grid
     family = _SymmetricJacobi(basis.m, 0.0)
     t = rule.t
-    env = 2.0 ** (1.0 - basis.delta) * np.exp(_log_row_scale(rule)
-                                              + 0.5 * _log_potential(pr.params.M, rule.s))
+    env = 2.0 ** (1.0 - basis.delta) * np.exp(
+        _log_row_scale(rule) + 0.5 * _log_potential(pr.params.M, rule.one_minus_t))
     rows = env * family.rows(t, basis.m)
     # E p_k = sum_j L_jk psi_j, read off the mass products on the exact rule
-    L = (env * basis.families[0].rows(t, basis.m)) @ rows.T / np.diag(pr.B)[:, None]
+    L = (env * basis.family.rows(t, basis.m)) @ rows.T / np.diag(pr.B)[:, None]
     lam, V = np.linalg.eigh(rows @ rows.T)
     keep = lam > lam[-1] * cut
     T = V[:, keep] / np.sqrt(lam[keep])

@@ -15,7 +15,7 @@ from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
 import ckn4.reduction as reduction
 from ckn4.reduction import PerturbationProblem, solve_correction
-from ckn4.spectrum import JacobiRule, ModeBasis
+from ckn4.spectrum import JacobiRule, _SymmetricJacobi
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]
@@ -45,6 +45,11 @@ def log_rule(m, u_min, u_max, panel_pts):
     return u, s, np.concatenate(ws) * s
 
 
+def frame(u):
+    """(t, 1-t, 1+t) at u = ln s: t = (s^2-1)/(s^2+1) = tanh u and 1 -+ t = 2/(1 + e^{+-2u})."""
+    return np.tanh(u), 2.0 / (1.0 + np.exp(2.0 * u)), 2.0 / (1.0 + np.exp(-2.0 * u))
+
+
 def composite_rule(m, u_min, u_max, panel_pts):
     """log_rule as a JacobiRule: the same nodes s, u = ln s and log-weights for ds.
 
@@ -52,7 +57,9 @@ def composite_rule(m, u_min, u_max, panel_pts):
     integrals but assembles no pencil.
     """
     u, s, w = log_rule(m, u_min, u_max, panel_pts)
-    return JacobiRule(s=s, u=u, t=ModeBasis._map(s), log_w=np.log(w), log_chr=None)
+    t, one_minus_t, one_plus_t = frame(u)
+    return JacobiRule(s=s, u=u, t=t, one_minus_t=one_minus_t, one_plus_t=one_plus_t,
+                      log_w=np.log(w), log_chr=None)
 
 
 # fractional bits of gegenbauer_rule's fixed-point recurrence
@@ -174,14 +181,37 @@ def jacobi_rows(basis, t, order=0):
     return P * np.exp(log_c - 0.5 * log_h)
 
 
+def s_frame(basis, s):
+    """(t, ln E, a, a', t', t'') of a ModeBasis at the points s: its chain rule in s.
+
+    psi_j = E p_j(t) with t = (s^2-1)/(s^2+1) and the envelope E =
+    s^{sigma0} (1+s^2)^{1-delta}, so psi' = E (a p + t' p') and psi'' = E
+    ((a^2 + a') p + (2 a t' + t'') p' + t'^2 p'') with a = E'/E =
+    sigma0/s + 2(1-delta) s/(1+s^2).  Written in u = ln s through t = tanh u
+    and 2s/(1+s^2) = sech u, so that no power of 1+s^2 is formed: a =
+    sigma0/s + (1-delta) sech u, a' = -sigma0/s^2 - (1-delta) t sech u / s,
+    t' = sech^2 u / s and t'' = -(1 + 2t) sech^2 u / s^2.  A reference
+    for ModeBasis.weighted_rows, which works in t alone.
+    """
+    sig, d = basis.sigma0, basis.delta
+    u = np.log(s)
+    t, sech = np.tanh(u), 1.0 / np.cosh(u)
+    log_E = sig * u + (1.0 - d) * np.logaddexp(0.0, 2.0 * u)
+    a = sig / s + (1.0 - d) * sech
+    ap = -sig / (s * s) - (1.0 - d) * t * sech / s
+    tp = sech * sech / s
+    tpp = -(1.0 + 2.0 * t) * sech * sech / (s * s)
+    return t, log_E, a, ap, tp, tpp
+
+
 def values_and_derivs(basis, s):
     """(psi, psi', psi'') matrices of shape (m, n) of a ModeBasis at the points s (n,).
 
     The polynomials come from jacobi_rows, the envelope and the chain rule
-    from the basis's own map.
+    from s_frame.
     """
-    E = np.exp(basis._log_envelope(s))
-    t, a, ap, tp, tpp = basis._frame_coeffs(s)
+    t, log_E, a, ap, tp, tpp = s_frame(basis, s)
+    E = np.exp(log_E)
     P, dP, d2P = (jacobi_rows(basis, t, i) for i in range(3))
     psi = E * P
     dpsi = E * (a * P + tp * dP)
@@ -222,11 +252,15 @@ def log_potential(p, s, weight_lambda=1.0):
             - 4.0 * np.logaddexp(0.0, 2.0 * (np.log(s) + ln_nu)))
 
 
-def family_rows(basis, s):
-    """(3, m, s.size) rows of a basis's three families at t = _map(s), for weighted_rows."""
-    t = basis._map(s)
-    return np.stack([f.rows(t, basis.m) for f in basis.families])
+def families(basis):
+    """A ModeBasis's (delta+i, delta+i) families, i = 0, 1, 2: the rows of p_j, p_j', p_j''."""
+    return [basis.family] + [_SymmetricJacobi(basis.m - i, basis.delta + i) for i in (1, 2)]
 
+
+def family_rows(basis, s):
+    """(3, m, s.size) rows of a basis's three families at t = tanh(ln s), for weighted_rows."""
+    t = np.tanh(np.log(s))
+    return np.stack([f.rows(t, basis.m) for f in families(basis)])
 
 
 def composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
@@ -242,8 +276,9 @@ def composite_grid_pencil(pr, weight_lambda=1.0, chunk=4096):
     for lo in range(0, s.size, chunk):
         sl = slice(lo, lo + chunk)
         log_w = np.log(w[sl]) + (M - 1.0) * u[sl]
+        _, one_minus_t, one_plus_t = frame(u[sl])
         rows_mass, rows_stiff = pr.basis.weighted_rows(
-            s[sl], pr.basis._log_envelope(s[sl]) + 0.5 * log_w,
+            one_minus_t, one_plus_t, s_frame(pr.basis, s[sl])[1] + 0.5 * log_w,
             log_potential(pr.params, s[sl], weight_lambda), family_rows(pr.basis, s[sl]))
         A += rows_stiff @ rows_stiff.T
         B += rows_mass @ rows_mass.T
@@ -254,11 +289,17 @@ def applied(basis, s):
     """(psi, T_k psi) with T_k psi = psi'' + (M-1)psi'/s - nu psi/s^2, shape (m, n).
 
     A reference for the rows ModeBasis.weighted_rows assembles the pencil
-    from, without the quadrature weight; the polynomials come from
+    from, without the quadrature weight: T_k psi = E (c0 p + c1 p' + c2
+    p''), c0 = a^2 + a' + (M-1) a/s - nu/s^2, c1 = 2 a t' + t'' + (M-1)
+    t'/s and c2 = t'^2, from s_frame's chain rule; the polynomials come from
     jacobi_rows.
     """
-    E = np.exp(basis._log_envelope(s))
-    t, _, _, _, _, c0, c1, c2 = basis._operator_coeffs(s)
+    M, nu = basis.M, basis.nu_coeff
+    t, log_E, a, ap, tp, tpp = s_frame(basis, s)
+    E = np.exp(log_E)
+    c0 = a * a + ap + (M - 1.0) * a / s - nu / (s * s)
+    c1 = 2.0 * a * tp + tpp + (M - 1.0) * tp / s
+    c2 = tp * tp
     P, dP, d2P = (jacobi_rows(basis, t, i) for i in range(3))
     return E * P, E * (c0 * P + c1 * dP + c2 * d2P)
 
@@ -285,7 +326,7 @@ def full_grid_energy(pp, lam, result):
     u, s, w = log_rule(basis.m, -half, half, panel_pts=64)
     x = u + ln_nu                                        # ln(nu s)
     C = normalization_constant(p)
-    P = jacobi_rows(basis, basis._map(np.exp(x)))
+    P = jacobi_rows(basis, np.tanh(x))
     ratio = 1.0 + (pp.X @ result.coeffs) @ P / C
     h = 0.0 if pp.h is None else np.asarray(pp.h(s ** p.q), dtype=float)
     star = pp.star_scale * C ** p.pstar * float(np.sum(

@@ -702,11 +702,11 @@ def test_large_M_working_basis_is_cut(pp51):
     # so the working basis is the pencil's on the Legendre directions the
     # mass controls: fewer than m, holding the bubble at mu = 1 and the
     # dilation tangent.  At (5, 1) the diagonal basis stands, uncut
-    assert pp51.family is pp51.problem.basis.families[0]
+    assert pp51.family is pp51.problem.basis.family
     assert pp51.kept == pp51.problem.basis.m
     p = validate_params(10, 1.7)
     pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
-    assert pp.family is not pp.problem.basis.families[0]
+    assert pp.family is not pp.problem.basis.family
     assert 64 < pp.kept < 160
     assert pp.G[0] / pp.scale == pytest.approx(1.0, rel=1e-10)
     assert np.sum(pp.bU ** 2 / pp.G) == pytest.approx(pp.norm0, rel=1e-9)
@@ -722,7 +722,7 @@ def test_phi_diagonal_product_is_exact(N, a):
     p = validate_params(N, a)
     pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
     basis = pp.problem.basis
-    assert (pp.family is basis.families[0]) == ((N, a) != (10, 1.7))
+    assert (pp.family is basis.family) == ((N, a) != (10, 1.7))
     rows = pp.family.rows(pp.problem.grid.t, basis.m)
     assert np.array_equal(pp.phi, pp.W.T @ rows / normalization_constant(p))
 
@@ -733,7 +733,7 @@ def test_gain_closed_form_matches_recurrence(N, a):
     # family's closed-form ratios; against the recurrence run at t = 1
     p = validate_params(N, a)
     pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
-    fam = pp.problem.basis.families[0]
+    fam = pp.problem.basis.family
     m = pp.problem.basis.m
     closed = np.concatenate(([1.0], np.cumprod(fam.ratio)))
     with np.errstate(over="ignore"):

@@ -24,9 +24,9 @@ from ckn4.spectrum import (
     mode_eigenvalues,
     verify_kernel,
 )
-from conftest import (PARAM_SETS, alignment, applied, composite_grid_pencil, family_rows,
-                      gegenbauer_rule, jacobi_rows, log_potential, random_valid_params,
-                      values_and_derivs, wide_log_rule)
+from conftest import (PARAM_SETS, alignment, applied, composite_grid_pencil, families,
+                      family_rows, gegenbauer_rule, jacobi_rows, log_potential,
+                      random_valid_params, s_frame, values_and_derivs, wide_log_rule)
 
 
 def test_constant_identity(rng):
@@ -72,7 +72,7 @@ def test_pencil_symmetry_and_weight_positivity():
     pr = assemble_mode_problem(p, 0, nodes=96)
     defect = np.max(np.abs(pr.A - pr.A.T)) / np.max(np.abs(pr.A))
     assert defect < 1e-8
-    assert np.all(np.exp(spectrum._log_potential(p.M, pr.grid.s)) > 0)
+    assert np.all(np.exp(spectrum._log_potential(p.M, pr.grid.one_minus_t)) > 0)
     with pytest.raises(GridTooCoarse):
         assemble_mode_problem(p, 0, nodes=32)
 
@@ -262,11 +262,11 @@ def test_series_block_matches_columns_and_legval(N, a, k):
     basis = ModeBasis(p.M, p.q ** 2 * lam_k, 96)
     nus = 10.0 ** (np.linspace(-2.0, 2.0, 5) / p.q)
     coeffs = np.random.default_rng(k).standard_normal((basis.m, nus.size))
-    t = basis._map(nus * wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7, None])
+    t = np.tanh(np.log(nus * wide_log_rule(basis.m, p.M, panel_pts=64)[1][::7, None]))
     for l in range(nus.size):
         c = coeffs[:, l]
         for order, want in enumerate(_extended_sums(basis.delta, c, t[:, l])):
-            even, odd = basis.families[order].parts(c, np.abs(t[:, l]))
+            even, odd = families(basis)[order].parts(c, np.abs(t[:, l]))
             got = even + np.sign(t[:, l]) * odd
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
             if order < 2:
@@ -282,7 +282,7 @@ def test_rows_and_series_match_jacobi_reference(N, a, k):
     p = validate_params(N, a)
     pr = assemble_mode_problem(p, k, nodes=96)
     basis, rule = pr.basis, pr.grid
-    t = basis._map(rule.s)
+    t = rule.t
     j = np.arange(basis.m)[:, None]
     d = basis.delta
     log_h = ((2 * d + 1) * math.log(2.0) + 2 * gammaln(j + d + 1) - np.log(2 * j + 2 * d + 1)
@@ -296,7 +296,8 @@ def test_rows_and_series_match_jacobi_reference(N, a, k):
         assert np.max(np.abs(got[i:] - want[i:]) / scale) <= 1e-12
     log_w = rule.log_w + (p.M - 1.0) * rule.u
     log_pot = log_potential(p, rule.s)
-    got = basis.weighted_rows(rule.s, basis._log_envelope(rule.s) + 0.5 * log_w, log_pot,
+    got = basis.weighted_rows(rule.one_minus_t, rule.one_plus_t,
+                              s_frame(basis, rule.s)[1] + 0.5 * log_w, log_pot,
                               family_rows(basis, rule.s))
     psi, tpsi = applied(basis, rule.s)
     want = (psi * np.exp(0.5 * (log_w + log_pot)), tpsi * np.exp(0.5 * log_w))
@@ -563,12 +564,69 @@ def test_pass_grouping_cap(monkeypatch):
         assert np.array_equal(pr.A, alone.A) and np.array_equal(pr.B, alone.B)
 
 
-def test_jacobi_rule_refuses_node_at_end():
-    # at delta = 1 + 2^-52 (M = 4 + 4e-16) the node nearest t = 1 rounds to
-    # 1, where s is infinite: a typed failure, not a log1p(-1) warning
+def test_jacobi_rule_refuses_node_at_end(monkeypatch):
+    # a node that ends at t = 1, where s is infinite, is refused by name: a
+    # typed failure, not a log1p(-1) warning.  Newton's steps are made to
+    # leave the node nearest t = 1 there, as seeds that round to it no
+    # longer are refused (test_jacobi_rule_builds_near_m4)
+    step = spectrum._newton_step
+
+    def to_end(*args):
+        h, moved, log_chr = step(*args)
+        h[:, -1] = 0.0
+        return h, moved, log_chr
+
+    monkeypatch.setattr(spectrum, "_newton_step", to_end)
     with pytest.raises(QuadratureFailure, match=r"68 nodes at delta=1: a node is not strictly "
                                                 r"inside \(-1, 1\)"):
         JacobiRule.build(68, 1 + 2 ** -52)
+
+
+@pytest.mark.parametrize("n", [72, 168, 1032, 2056])
+@pytest.mark.parametrize("delta", [1 + 2e-15, 1 + 2 ** -52, 1 + 1e-15])
+def test_jacobi_rule_builds_near_m4(delta, n):
+    # delta within a few ulps of 1 (M within 1e-14 of 4): the seed of the
+    # node nearest t = 1 rounds to h <= 0, and Newton starts from H_FLOOR
+    # instead; the rule must still settle, stay inside and pass the mass
+    # certificate, or build raises
+    rule = JacobiRule.build(n, delta)
+    assert rule.n == n
+    assert (rule.one_minus_t > 0.0).all() and (rule.one_plus_t > 0.0).all()
+    assert np.isfinite(rule.log_w).all() and np.isfinite(rule.s).all()
+    assert 0.0 < rule.one_minus_t[-1] < 1e-18
+
+
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(3, "1.0001"), (3, "1.99"), (12, "-7.99")])
+def test_operator_fields_match_s_frame(N, a):
+    # operator_fields' polynomials in 1 -+ t against the s-frame fields c0 =
+    # a^2 + a' + (M-1) a/s - nu/s^2, c1 = 2 a t' + t'' + (M-1) t'/s and c2 =
+    # t'^2, a = E'/E, summed from those definitions in 40-digit mpmath, with
+    # delta and sigma0 taken there from the basis's M and nu; c0's s^{-2}
+    # terms cancel, at a cost of at most 11 of the digits for |ln s| <= 12.
+    # Modes 0-4, within 1e-14 of each field's sup
+    p = validate_params(N, a)
+    u = np.linspace(-12.0, 12.0, 97)
+    for k in range(5):
+        basis = ModeBasis(p.M, p.q ** 2 * mode_lambda(k, N)[0], 8)
+        want = []
+        with mpmath.workdps(40):
+            M, nu = mpmath.mpf(basis.M), mpmath.mpf(basis.nu_coeff)
+            d = mpmath.sqrt(((M - 2) / 2) ** 2 + nu)
+            sig = d - (M - 2) / 2
+            lo, hi = [], []
+            for x in u:
+                s = mpmath.exp(mpmath.mpf(x))
+                S = 1 + s * s
+                lo.append(float(2 / S))
+                hi.append(float(2 * s * s / S))
+                A = sig / s + 2 * (1 - d) * s / S
+                Ap = -sig / (s * s) + 2 * (1 - d) * (1 - s * s) / S ** 2
+                tp, tpp = 4 * s / S ** 2, (4 - 12 * s * s) / S ** 3
+                want.append([float(A * A + Ap + (M - 1) * A / s - nu / (s * s)),
+                             float(2 * A * tp + tpp + (M - 1) * tp / s), float(tp * tp)])
+        got = basis.operator_fields(np.array(lo), np.array(hi))
+        for g, w in zip(got, np.array(want).T):
+            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), k
 
 
 @pytest.mark.parametrize("delta", [1.0035, 7.5, 120.0])
