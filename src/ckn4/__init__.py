@@ -46,7 +46,6 @@ from .reduction import (
     remainder_curve,
     PerturbationProblem,
     solve_correction,
-    reduced_energy,
     find_perturbed_solution,
 )
 

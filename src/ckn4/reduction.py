@@ -37,12 +37,12 @@ converge only algebraically on any rule the scales share.  The fixed
 point works on that ratio and on phi_i/U_1, with the weights of
 int U_1^{p*} f s^{M-1} ds formed in logs; in the diagonal basis on the
 pencil's rule phi_i/U_1 comes from the assembly pass's own rows.  The star
-term of the reduced energy is summed in the same frame, from the fixed
-point's own arrays, when each scale converges, with the weight it iterated
-with (reduced_energies).  The program so assumes the dilation invariance of
-the reduced energy; the tests measure it, against the star term
-integrated in the physical frame on a composite grid widened to each
-scale.
+term and the reduced energy itself are summed in the same frame, from the
+fixed point's own arrays, when each scale converges, with the weight it
+iterated with (CorrectionResult.energy).  The program so assumes the
+dilation invariance of the reduced energy; the tests measure it, against
+the star term integrated in the physical frame on a composite grid
+widened to each scale.
 """
 
 from __future__ import annotations
@@ -64,8 +64,6 @@ __all__ = [
     "CorrectionResult",
     "solve_correction",
     "solve_corrections",
-    "reduced_energy",
-    "reduced_energies",
     "find_perturbed_solution",
     "BUILTIN_H",
 ]
@@ -192,6 +190,11 @@ PIVOT_FLOOR = 1e-6
 STEP_FLOOR_ULPS = 64.0
 # update norm below which the fixed point counts as converged
 STEP_TOL = 1e-10
+# sweeps of the fixed point before a scale stops unconverged
+MAX_ITER = 100
+# observed contraction factor at which the fixed point is refused: the
+# perturbation is too large for it (ContractionFailure)
+REFUSE_FACTOR = 0.9
 # smallest mass, relative to the largest, of a Legendre direction the
 # perturbation's working basis keeps where the diagonal basis does not fix
 # (U + w)/U pointwise (PerturbationProblem)
@@ -336,8 +339,6 @@ class PerturbationProblem:
         """h(r/lam) at r = r_of_s: shape (n,) for one scale, (L, n) for L scales."""
         with np.errstate(over="ignore"):
             r = r_of_s / np.asarray(lam, dtype=float)[..., None]
-        if self.h is None:
-            return np.zeros(r.shape)
         return np.asarray(self.h(r.ravel()), dtype=float).reshape(r.shape)
 
     def _solve_jacobian(self, r: np.ndarray, r_l):
@@ -358,7 +359,7 @@ class PerturbationProblem:
         x[..., j] = (self._schur * r_j + d_j * b) / det
         return x, l
 
-    def _forcing(self, lams, eps: float) -> np.ndarray:
+    def _forcing(self, lams) -> np.ndarray:
         """star_scale wq (1 + eps h(r/lam)), the nonlinear term's weight at each scale.
 
         Raises ContractionFailure where |eps h| exceeds 1 at one of the
@@ -366,9 +367,9 @@ class PerturbationProblem:
         sign.
         """
         f = self._h_values(self.r_of_s, lams)
-        f *= eps
+        f *= self.eps
         probe = self._h_values(self.r_probe, lams)
-        sup = max(float(np.max(np.abs(f))), abs(eps) * float(np.max(np.abs(probe))))
+        sup = max(float(np.max(np.abs(f))), abs(self.eps) * float(np.max(np.abs(probe))))
         if sup > 1.0:
             raise ContractionFailure(f"|eps| sup|h| = {sup:.3f} exceeds 1")
         f += 1.0
@@ -418,51 +419,53 @@ class CorrectionResult:
     residual: float               # dual norm of the projected residual
     unprojected_residual: float
     star: float                   # int (1 + eps h(r/lam)) |x|^{-a} u_+^{p*} in the scale-1 frame
+    energy: float                 # reduced energy 1/2 ||U_lam + w||^2 - star/p*
     converged: bool
     problem: PerturbationProblem
 
 
-def solve_correction(pp: PerturbationProblem, lam: float, eps: float | None = None,
-                     max_iter: int = 100, refuse_factor: float = 0.9) -> CorrectionResult:
+def solve_correction(pp: PerturbationProblem, lam: float) -> CorrectionResult:
     """Fixed-point iteration for the constrained correction at scale lam.
 
     The one-scale case of solve_corrections.
     """
-    return solve_corrections(pp, [lam], eps, max_iter, refuse_factor)[0]
+    return solve_corrections(pp, [lam])[0]
 
 
-def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
-                      max_iter: int = 100, refuse_factor: float = 0.9) -> list[CorrectionResult]:
+def solve_corrections(pp: PerturbationProblem, lams) -> list[CorrectionResult]:
     """Fixed-point iteration for the constrained correction at every scale in lams.
 
     Iterates the frozen-Jacobian map for (w, l) with the orthogonality
     constraint <w, tangent> = 0 until the update norm drops below STEP_TOL,
     or below STEP_FLOOR_ULPS ulps of ||U_lam + w||_alpha when that is larger:
-    such a step is rounding noise.
+    such a step is rounding noise; a scale still above it after MAX_ITER
+    sweeps stops unconverged.
     The scales not yet in pp's cache are iterated in lockstep: each sweep
     takes the residuals of all of them as two matrix products over the
     (L, kept) coefficient block, and each scale leaves the sweeps at its
     own convergence, with its own iteration count and contraction factor.
+    There its star term and reduced energy are summed, in the scale-1 frame
+    and with the weight 1 + eps h(r/lam) it iterated with: scaling is an
+    isometry of both terms but that weight, so the quadratic part is taken
+    in coefficient space (PerturbationProblem.norm_sq).
     Raises ContractionFailure when the observed contraction factor reaches
-    `refuse_factor` (the perturbation is too large for the fixed point);
+    REFUSE_FACTOR (the perturbation is too large for the fixed point);
     after every scale has been swept it names the first failing one in the
     order of lams.  The other results are cached either way.
     """
-    eps = pp.eps if eps is None else float(eps)
     lams = [float(lam) for lam in np.atleast_1d(lams)]
-    keys = [(lam, eps, max_iter, refuse_factor) for lam in lams]
-    todo = list(dict.fromkeys(lam for lam, key in zip(lams, keys) if key not in pp._cache))
+    todo = list(dict.fromkeys(lam for lam in lams if lam not in pp._cache))
     if not todo:
-        return [pp._cache[key] for key in keys]
+        return [pp._cache[lam] for lam in lams]
     sqrtG = np.sqrt(pp.G)
     at = np.arange(len(todo))                # positions in todo of the scales still iterated
-    forcing = pp._forcing(todo, eps)
+    forcing = pp._forcing(todo)
     c = np.zeros((len(todo), pp.kept))
     l_hat = np.zeros(len(todo))
     prev_step = np.zeros(len(todo))
     factor = np.zeros(len(todo))
     failures = {}                            # position in todo -> message
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITER + 1):
         res = pp._residual(c, forcing)
         dc, dl = pp._solve_jacobian(-(res - l_hat[:, None] * pp.d), -(c @ pp.d))
         c += dc
@@ -473,28 +476,30 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
         # STEP_TOL, or the step's rounding floor where the solution is huge
         tol_l = np.maximum(STEP_TOL, STEP_FLOOR_ULPS * np.finfo(float).eps
                            * np.sqrt(pp.norm_sq(c)))
-        failed = (ratio >= refuse_factor) & (step > tol_l)
+        failed = (ratio >= REFUSE_FACTOR) & (step > tol_l)
         for i, r in zip(at[failed], ratio[failed]):
-            failures[int(i)] = f"contraction factor {r:.3f} >= {refuse_factor} at scale {todo[i]}"
+            failures[int(i)] = f"contraction factor {r:.3f} >= {REFUSE_FACTOR} at scale {todo[i]}"
         prev_step = step
         converged = step < tol_l
-        done = (converged | (it == max_iter)) & ~failed
+        done = (converged | (it == MAX_ITER)) & ~failed
         if done.any():
             c_done, forcing_done = c[done], forcing[done]
             plus = pp._ratio_plus(c_done)
             res = pp._residual(c_done, forcing_done, plus)
             star = pp._star(c_done, forcing_done, plus)
+            energy = 0.5 * pp.norm_sq(c_done) - star / pp.params.pstar
             proj = res - l_hat[done, None] * pp.d
             residual = np.sqrt(np.sum(proj ** 2 / pp.G, axis=1))
             unproj = np.sqrt(np.sum(res ** 2 / pp.G, axis=1))
             for k, i in enumerate(np.flatnonzero(done)):
                 lam = todo[at[i]]
-                pp._cache[(lam, eps, max_iter, refuse_factor)] = CorrectionResult(
-                    lam=lam, eps=eps, coeffs=c[i].copy(), l=lam * float(l_hat[i]),
+                pp._cache[lam] = CorrectionResult(
+                    lam=lam, eps=pp.eps, coeffs=c[i].copy(), l=lam * float(l_hat[i]),
                     iterations=it, contraction_factor=float(factor[i]),
                     omega_norm=math.sqrt(float(np.sum(pp.G * c[i] ** 2))),
                     residual=float(residual[k]), unprojected_residual=float(unproj[k]),
-                    star=float(star[k]), converged=bool(converged[i]), problem=pp)
+                    star=float(star[k]), energy=float(energy[k]),
+                    converged=bool(converged[i]), problem=pp)
         going = ~(done | failed)
         if not going.any():
             break
@@ -503,36 +508,7 @@ def solve_corrections(pp: PerturbationProblem, lams, eps: float | None = None,
                 a[going] for a in (at, forcing, c, l_hat, prev_step, factor))
     if failures:
         raise ContractionFailure(failures[min(failures)])
-    return [pp._cache[key] for key in keys]
-
-
-def reduced_energy(pp: PerturbationProblem, lam: float, eps: float | None = None,
-                   result: CorrectionResult | None = None) -> float:
-    """Energy of U_lam + correction at scale lam.
-
-    The one-scale case of reduced_energies.
-    """
-    return float(reduced_energies(pp, [lam], eps, None if result is None else [result])[0])
-
-
-def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
-                     results: list | None = None) -> np.ndarray:
-    """Energy of U_lam + correction at every scale in lams.
-
-    Scaling is an isometry of both terms but the explicit h-weight, so each
-    is taken in the scale-1 frame the fixed point works in: the quadratic
-    part in coefficient space (PerturbationProblem.norm_sq), the star term
-    as summed by solve_corrections on the fixed point's grid with the weight
-    1 + eps h(r/lam) it iterated with (CorrectionResult.star), so that
-    weight is built once per scale.  The dilation invariance this assumes
-    is measured by the tests, against the star term integrated in the
-    physical frame at scale lam.  results, when given, are the solutions at
-    lams; otherwise they are solved here.
-    """
-    results = results or solve_corrections(pp, lams, eps)
-    c = np.array([res.coeffs for res in results])          # (L, kept)
-    star = np.array([res.star for res in results])
-    return 0.5 * pp.norm_sq(c) - star / pp.params.pstar
+    return [pp._cache[lam] for lam in lams]
 
 
 # |l| / lam below this many ulps of ||U_lam + w||_alpha / ||T||, T the dilation
@@ -540,43 +516,42 @@ def reduced_energies(pp: PerturbationProblem, lams, eps: float | None = None,
 # 0, where l vanishes in exact arithmetic) it reads at most 469 such ulps over
 # 32 points with N <= 12 and M from 4.0001 to 82, the most at M near 4
 L_FLOOR_ULPS = 4096.0
+# the scales of the reduced curve Gamma(lam), solved as one block
+CURVE_SCALES = np.logspace(-2, 2, 33)
 
 
-def find_perturbed_solution(pp: PerturbationProblem,
-                            lam_grid: np.ndarray | None = None) -> dict:
+def find_perturbed_solution(pp: PerturbationProblem) -> dict:
     """Locate an interior extremum of the reduced energy and assemble the solution.
 
-    The reduced curve is sampled on a log grid, all of its scales as one
+    The reduced curve is sampled at CURVE_SCALES, all of them as one
     block.  Its extrema are read off the multiplier l(lam), which every
     curve scale carries: l is proportional to the derivative of the curve
     and analytic in x = ln lam, and an interior extremum is a sign change
     of l between curve scales where |l| is above its rounding floor
-    (L_FLOOR_ULPS).  Where l is below that floor at every scale the curve
-    is constant, every scale is critical, and NoInteriorExtremum is raised.
+    (L_FLOOR_ULPS).  NoInteriorExtremum is raised where there is none:
+    where l is below that floor at every scale the curve is constant and
+    every scale is critical, and where l keeps one sign above it the
+    curve is monotone across its scales.
     Of several sign changes (l_sign_changes) the one whose bracket reaches
     furthest from E0 is taken (l_sign_change_taken, from 0 in increasing
     lam).  lambda* is polished across that bracket: l/lam is solved at
     POLISH_POINTS Chebyshev-Lobatto points in x (the ends are curve scales,
-    so POLISH_POINTS - 2 new ones, one block), and lambda* is the root of
-    its Chebyshev interpolant (Boyd's Chebyshev-proxy root finder): an
-    eigenvalue of the interpolant's colleague matrix, with no further
-    fixed-point solves.  Of several real roots in the bracket the one
-    nearest the secant root of its ends is taken.  When l keeps one sign
-    above its floor, the curve is monotone across the grid: the extremum
-    is refined by a parabolic fit at the interior scale furthest from E0,
-    and lambda_star_polished is false, as it is when the interpolant has no
-    real root in its bracket (the secant root stands).  The solution at
+    so polish_scales = POLISH_POINTS - 2 new ones, one block), and lambda*
+    is the root of its Chebyshev interpolant (Boyd's Chebyshev-proxy root
+    finder): an eigenvalue of the interpolant's colleague matrix, with no
+    further fixed-point solves.  Of several real roots in the bracket the
+    one nearest the secant root of its ends is taken;
+    lambda_star_polished is false only when the interpolant has no real
+    root in the bracket, and the secant root stands.  The solution at
     lambda* is then solved from a zero start, as every scale is, so its
     iterations and contraction factor mean what they mean elsewhere.
-    polish_scales counts the new scales, polish_l_ratio is |l(lambda*)|
-    over the larger |l| at the bracket's ends.
+    polish_l_ratio is |l(lambda*)| over the larger |l| at the bracket's
+    ends.
     """
     p = pp.params
-    lam_grid = np.logspace(-2, 2, 33) if lam_grid is None else np.asarray(lam_grid, dtype=float)
-    curve = solve_corrections(pp, lam_grid)
-    gammas = reduced_energies(pp, lam_grid, results=curve)
-    E0 = pp.unperturbed_energy
-    dev = np.abs(gammas - E0)
+    curve = solve_corrections(pp, CURVE_SCALES)
+    gammas = np.array([res.energy for res in curve])
+    dev = np.abs(gammas - pp.unperturbed_energy)
 
     l_hat = np.array([res.l / res.lam for res in curve])
     c = np.array([res.coeffs for res in curve])
@@ -585,46 +560,34 @@ def find_perturbed_solution(pp: PerturbationProblem,
     sig = np.flatnonzero(np.abs(l_hat) > floor)
     if sig.size == 0:
         raise NoInteriorExtremum(
-            f"l is below its rounding floor at all {lam_grid.size} scales of the curve "
+            f"l is below its rounding floor at all {CURVE_SCALES.size} scales of the curve "
             f"(largest |l/lam| {float(np.max(np.abs(l_hat))):.3e}); the reduced energy is "
             f"constant and every scale is critical")
     flips = [(int(a), int(b)) for a, b in zip(sig[:-1], sig[1:]) if l_hat[a] * l_hat[b] < 0]
+    if not flips:
+        sign = "positive" if l_hat[sig[0]] > 0 else "negative"
+        raise NoInteriorExtremum(
+            f"l/lam is {sign} above its rounding floor at {sig.size} of the "
+            f"{CURVE_SCALES.size} scales of the curve, lam from {CURVE_SCALES[0]:g} to "
+            f"{CURVE_SCALES[-1]:g}, and changes sign at none: the reduced energy is "
+            f"monotone there")
 
-    polish_scales = 0
-    taken = None
-    if flips:
-        taken = int(np.argmax([max(dev[a], dev[b]) for a, b in flips]))
-        ia, ib = flips[taken]
-        la, lb = float(lam_grid[ia]), float(lam_grid[ib])
-        ends = [curve[ia], curve[ib]]
-        # Chebyshev-Lobatto points in ln lam, from xa up to xb; the ends are
-        # set to the curve's own scales so that they are cache hits
-        xa, xb = math.log(la), math.log(lb)
-        x_sec = xa + (xb - xa) * l_hat[ia] / (l_hat[ia] - l_hat[ib])
-        xs = _lobatto(xa, xb)
-        lams = np.exp(xs)
-        lams[0], lams[-1] = la, lb
-        l_pol = [res.l / res.lam for res in solve_corrections(pp, lams)]
-        cheb = Chebyshev.fit(xs, l_pol, POLISH_POINTS - 1, domain=[xa, xb])
-        x_star = _bracketed_root(cheb, x_sec)
-        polished = x_star is not None
-        lam_star = math.exp(x_star if polished else x_sec)
-        polish_scales = POLISH_POINTS - 2
-    else:
-        interior = np.arange(1, len(lam_grid) - 1)
-        i_star = int(interior[np.argmax(dev[interior])])
-        x = np.log(lam_grid[i_star - 1:i_star + 2])
-        y = gammas[i_star - 1:i_star + 2]
-        denom = (y[0] - 2.0 * y[1] + y[2])
-        if denom != 0.0:
-            x_par = x[1] - 0.5 * (x[2] - x[0]) * (y[2] - y[0]) / (2.0 * denom)
-            lam_star = float(np.exp(np.clip(x_par, x[0], x[2])))
-        else:
-            lam_star = float(lam_grid[i_star])
-        ends = [curve[i_star - 1], curve[i_star + 1]]
-        polished = False
+    taken = int(np.argmax([max(dev[a], dev[b]) for a, b in flips]))
+    ia, ib = flips[taken]
+    la, lb = float(CURVE_SCALES[ia]), float(CURVE_SCALES[ib])
+    # Chebyshev-Lobatto points in ln lam, from xa up to xb; the ends are set
+    # to the curve's own scales so that they are cache hits
+    xa, xb = math.log(la), math.log(lb)
+    x_sec = xa + (xb - xa) * l_hat[ia] / (l_hat[ia] - l_hat[ib])
+    xs = _lobatto(xa, xb)
+    lams = np.exp(xs)
+    lams[0], lams[-1] = la, lb
+    l_pol = [res.l / res.lam for res in solve_corrections(pp, lams)]
+    cheb = Chebyshev.fit(xs, l_pol, POLISH_POINTS - 1, domain=[xa, xb])
+    x_star = _bracketed_root(cheb, x_sec)
+    polished = x_star is not None
+    lam_star = math.exp(x_star if polished else x_sec)
     final = solve_correction(pp, lam_star)
-    energy = reduced_energy(pp, lam_star, result=final)
     # in mode 0 the bubble is C E and w = E sum_k (W c)_k p_k(t), so at every
     # scale (U_lam + w_lam)/U_lam = 1 + sum_k (W c)_k p_k(t)/C, a polynomial
     # in t = (s^2-1)/(s^2+1) of degree below m, whose minimum over all of
@@ -636,11 +599,10 @@ def find_perturbed_solution(pp: PerturbationProblem,
     even, odd = pp.family.parts(pp.W @ final.coeffs, t)
     ratio = 1.0 + np.concatenate((even + odd, even - odd)) / normalization_constant(p)
     min_ratio = float(ratio.min())
-    l_ends = max(abs(ends[0].l), abs(ends[1].l))
     return {
-        "lambda_star": float(lam_star),
-        "lambda_star_polished": bool(polished),
-        "energy": float(energy),
+        "lambda_star": lam_star,
+        "lambda_star_polished": polished,
+        "energy": final.energy,
         "omega_norm": final.omega_norm,
         "l": final.l,
         "residual": final.unprojected_residual,
@@ -649,10 +611,10 @@ def find_perturbed_solution(pp: PerturbationProblem,
         "contraction_factor": final.contraction_factor,
         "min_ratio_to_bubble": min_ratio,
         "positive": min_ratio > 0.0,
-        "polish_scales": polish_scales,
+        "polish_scales": POLISH_POINTS - 2,
         "l_sign_changes": len(flips),
         "l_sign_change_taken": taken,
-        "polish_l_ratio": abs(final.l) / l_ends if l_ends > 0.0 else 0.0,
-        "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(lam_grid, gammas)],
+        "polish_l_ratio": abs(final.l) / max(abs(curve[ia].l), abs(curve[ib].l)),
+        "gamma_curve": [{"lam": float(l), "gamma": float(g)} for l, g in zip(CURVE_SCALES, gammas)],
         "result": final,
     }

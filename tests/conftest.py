@@ -307,8 +307,8 @@ def applied(basis, s):
 def full_grid_energy(pp, lam, result):
     """Reduced energy at scale lam with the star term integrated in the physical frame.
 
-    A reference for reduction.reduced_energies, which sums the star term in
-    the scale-1 frame of the fixed point and so assumes its dilation
+    A reference for reduction.CorrectionResult.energy, whose star term is
+    summed in the scale-1 frame of the fixed point and so assumes its dilation
     invariance.  Here the bubble U_lam sits at ln s = -ln nu, nu =
     lam^{1/q}, and h at r = s^q, on a rule of its own whose window
     |ln s| <= 12 + |ln nu| + arccosh(e^{32/M}) reaches past that centre by
@@ -328,7 +328,7 @@ def full_grid_energy(pp, lam, result):
     C = normalization_constant(p)
     P = jacobi_rows(basis, np.tanh(x))
     ratio = 1.0 + (pp.X @ result.coeffs) @ P / C
-    h = 0.0 if pp.h is None else np.asarray(pp.h(s ** p.q), dtype=float)
+    h = np.asarray(pp.h(s ** p.q), dtype=float)
     star = pp.star_scale * C ** p.pstar * float(np.sum(
         w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.eps * h)
         * np.maximum(ratio, 0.0) ** p.pstar))

@@ -31,7 +31,6 @@ from ckn4.reduction import (
     BUILTIN_H,
     PerturbationProblem,
     find_perturbed_solution,
-    reduced_energy,
     remainder_curve,
     solve_correction,
 )
@@ -181,7 +180,7 @@ def test_criterion_8_lyapunov_schmidt():
     eps = 1e-3
     pp = PerturbationProblem(p, h, eps, nodes=220)
     res = solve_correction(pp, 1.0)
-    r_half = solve_correction(pp, 1.0, eps=eps / 2.0)
+    r_half = solve_correction(PerturbationProblem(p, h, eps / 2.0, nodes=220), 1.0)
     ratio = res.omega_norm / r_half.omega_norm
 
     # Gamma_0 in the physical frame: the program sums it at scale 1, where
@@ -192,7 +191,7 @@ def test_criterion_8_lyapunov_schmidt():
     gamma0_span = float(g0.max() - g0.min())
 
     E0 = pp.unperturbed_energy
-    endpoint_dev = max(abs(reduced_energy(pp, lam) - E0) for lam in (1e-3, 1e3))
+    endpoint_dev = max(abs(solve_correction(pp, lam).energy - E0) for lam in (1e-3, 1e3))
     endpoint_rel = endpoint_dev / abs(E0)
 
     rep = find_perturbed_solution(pp)

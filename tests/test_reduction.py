@@ -19,8 +19,6 @@ from ckn4.reduction import (
     PerturbationProblem,
     _bracketed_root,
     find_perturbed_solution,
-    reduced_energies,
-    reduced_energy,
     remainder_curve,
     solve_correction,
     solve_corrections,
@@ -254,8 +252,9 @@ def test_remainder_scan_limit(p51, modes51):
     assert 9.0 < ratio < 11.0
 
 
-def test_correction_zero_eps(p51, pp51):
-    res = solve_correction(pp51, 1.0, eps=0.0)
+def test_correction_zero_eps(p51):
+    pp0 = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 0.0, nodes=180)
+    res = solve_correction(pp0, 1.0)
     assert res.omega_norm < 1e-8
     assert abs(res.l) < 1e-10
 
@@ -271,9 +270,10 @@ def tangent_norm(pp):
     return math.sqrt(weighted_hessian_norm_sq(pp.params, dilation_tangent(pp.params)))
 
 
-def test_correction_linear_regime(pp51):
-    r1 = solve_correction(pp51, 1.0, eps=1e-3)
-    r2 = solve_correction(pp51, 1.0, eps=5e-4)
+def test_correction_linear_regime(p51, pp51):
+    r1 = solve_correction(pp51, 1.0)
+    pp_half = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 5e-4, nodes=180)
+    r2 = solve_correction(pp_half, 1.0)
     assert 1.8 <= r1.omega_norm / r2.omega_norm <= 2.2
     assert r1.contraction_factor < 0.9
     assert r1.converged and r1.iterations <= 100
@@ -283,17 +283,21 @@ def test_correction_linear_regime(pp51):
     assert abs(overlap) <= 1e-8 * r1.omega_norm * tangent_norm(pp51)
 
 
-def test_correction_linear_response_oracle(pp51):
+def test_correction_linear_response_oracle(monkeypatch, p51, pp51):
     # first-order prediction: a single frozen-Jacobian step solves the
     # linearized system for the eps-forcing alone; the converged fixed point
     # may differ from it only at second order in eps
-    eps = 1e-3
-    res = solve_correction(pp51, 1.0, eps=eps)
-    lin = solve_correction(pp51, 1.0, eps=eps, max_iter=1)
+    eps = pp51.eps
+    h = BUILTIN_H["exp_bump"]
+    res = solve_correction(pp51, 1.0)
+    with monkeypatch.context() as m:
+        m.setattr(reduction, "MAX_ITER", 1)
+        lin = solve_correction(PerturbationProblem(p51, h, eps, nodes=180), 1.0)
+    assert lin.iterations == 1 and not lin.converged
     diffG = math.sqrt(float(np.sum(pp51.G * (res.coeffs - lin.coeffs) ** 2)))
     assert diffG < 20.0 * res.omega_norm * eps
     # and scaling eps by 8 scales the response by 8 up to the same order
-    res8 = solve_correction(pp51, 1.0, eps=eps / 8.0)
+    res8 = solve_correction(PerturbationProblem(p51, h, eps / 8.0, nodes=180), 1.0)
     diff8 = math.sqrt(float(np.sum(pp51.G * (res.coeffs - 8.0 * res8.coeffs) ** 2)))
     assert diff8 < 20.0 * res.omega_norm * eps
 
@@ -330,7 +334,7 @@ def test_jacobian_closed_form_backward_error(N, a):
     K[np.diag_indices(k)] = pp.D
     K[:k, k] = -pp.d
     K[k, :k] = pp.d
-    res = pp._residual(np.zeros(k), pp._forcing(1.0, pp.eps))
+    res = pp._residual(np.zeros(k), pp._forcing(1.0))
     rng = np.random.default_rng(8)
     # the first fixed-point step's right-hand side, and a random one on the G scale
     for b in (np.append(-res, 0.0), np.append(rng.standard_normal(k) * np.sqrt(pp.G), 1.0)):
@@ -361,23 +365,15 @@ def test_contraction_guard(p51):
         solve_correction(pp, 1.0)
 
 
-def test_correction_cache_keeps_refuse_factor(p51):
-    # a result cached under the default refuse_factor must not stand in for
-    # a call whose stricter refuse_factor rejects the same iteration
-    pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=96)
-    assert solve_correction(pp, 1.0).converged
-    with pytest.raises(ContractionFailure):
-        solve_correction(pp, 1.0, refuse_factor=1e-6)
-
-
 @pytest.mark.parametrize("N, a", PARAM_SETS)
 def test_lockstep_matches_single_scale(N, a):
     # every column of the lockstep block on the default curve grid against
     # the same scale solved alone with a fresh cache, relative to the
     # solution U_lam + w_lam: far from h the correction itself sits at the
-    # rounding floor of the fixed point, which is set by the bubble
+    # rounding floor of the fixed point, which is set by the bubble; the
+    # energies of the two solves agree to rounding
     pp = PerturbationProblem(validate_params(N, a), BUILTIN_H["exp_bump"], 1e-3, nodes=160)
-    lams = np.logspace(-2, 2, 33)
+    lams = reduction.CURVE_SCALES
     block = solve_corrections(pp, lams)
     assert all(solve_correction(pp, lam) is res for lam, res in zip(lams, block))
     for lam, res in zip(lams, block):
@@ -386,21 +382,23 @@ def test_lockstep_matches_single_scale(N, a):
         diff = math.sqrt(float(np.sum(pp.G * (res.coeffs - one.coeffs) ** 2)))
         assert diff <= 1e-12 * math.sqrt(pp.norm_sq(one.coeffs))
         assert (res.iterations, res.converged) == (one.iterations, one.converged)
+        assert abs(res.energy / one.energy - 1.0) <= 1e-14
 
 
-def test_lockstep_failure_names_first_scale(p51):
+def test_lockstep_failure_names_first_scale(monkeypatch, p51):
     # at eps = 1 the observed contraction factor is 0.1252, then 0.1303 at
     # lam = 0.9 and 0.1276 at lam = 1: under a refuse factor of 0.1265,
     # lam = 1 fails at the second sweep and lam = 0.9 only at the third,
     # yet the block names the first failing scale in its order, as the
     # scale-by-scale solve would
+    monkeypatch.setattr(reduction, "REFUSE_FACTOR", 0.1265)
     pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1.0, nodes=96)
     with pytest.raises(ContractionFailure, match=r"factor 0\.130 >= 0\.1265 at scale 0\.9$"):
-        solve_corrections(pp, [0.9, 1.0, 0.5], refuse_factor=0.1265)
+        solve_corrections(pp, [0.9, 1.0, 0.5])
     with pytest.raises(ContractionFailure, match=r"factor 0\.128 >= 0\.1265 at scale 1\.0$"):
-        solve_correction(pp, 1.0, refuse_factor=0.1265)
+        solve_correction(pp, 1.0)
     # the scale that passed was cached, the failing ones were not
-    assert [key[0] for key in pp._cache] == [0.5]
+    assert list(pp._cache) == [0.5]
 
 
 def test_weight_sign_checked_at_every_scale(p51):
@@ -418,10 +416,10 @@ def test_weight_sign_checked_at_every_scale(p51):
 def test_gamma_flat_at_zero_eps(p51):
     pp0 = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 0.0, nodes=160)
     lams = np.logspace(-1, 1, 7)
-    g = np.array([reduced_energy(pp0, lam) for lam in lams])
+    g = np.array([res.energy for res in solve_corrections(pp0, lams)])
     assert g.max() - g.min() < 1e-9 * abs(pp0.unperturbed_energy)
-    with pytest.raises(NoInteriorExtremum):
-        find_perturbed_solution(pp0, lam_grid=np.logspace(-1, 1, 9))
+    with pytest.raises(NoInteriorExtremum, match="constant and every scale is critical"):
+        find_perturbed_solution(pp0)
 
 
 @pytest.mark.parametrize("N, a", [(5, 1.0), (6, -1.0), (7, -2.0)])
@@ -434,7 +432,7 @@ def test_perturbation_grid_converged(N, a):
     lams = (1e-2, 1.0, 1e2)
 
     def gammas(pp):
-        return np.array([reduced_energy(pp, lam) for lam in lams])
+        return np.array([res.energy for res in solve_corrections(pp, lams)])
 
     pp = PerturbationProblem(p, h, 1e-3, nodes=220)
     own = gammas(pp)
@@ -465,7 +463,7 @@ def test_star_window_converged(N, a):
     lams = (1e-3, 1.0, 1e3)
 
     def gammas(pp):
-        return np.array([reduced_energy(pp, lam) for lam in lams])
+        return np.array([res.energy for res in solve_corrections(pp, lams)])
 
     pp = PerturbationProblem(p, h, 1e-3, nodes=160)
     wide = perturbation_on(composite_rule(160, -22.0, 22.0, 64), p, h, 1e-3, nodes=160)
@@ -526,7 +524,7 @@ def test_windowed_energy_matches_full_grid(N, a):
     pp = PerturbationProblem(validate_params(N, a), BUILTIN_H["exp_bump"], 1e-3, nodes=160)
     lams = np.array([1e-4, 1e-3, 1.0, 1e3, 1e4])
     results = solve_corrections(pp, lams)
-    got = reduced_energies(pp, lams, results=results)
+    got = np.array([res.energy for res in results])
     want = np.array([full_grid_energy(pp, lam, res) for lam, res in zip(lams, results)])
     assert np.max(np.abs(got / want - 1.0)) <= 1e-13
 
@@ -557,7 +555,7 @@ def test_coefficient_norm_matches_quadrature(N, a):
 def test_gamma_limits(pp51):
     E0 = pp51.unperturbed_energy
     for lam in (1e-3, 1e3):
-        assert abs(reduced_energy(pp51, lam) - E0) < 1e-5 * abs(E0)
+        assert abs(solve_correction(pp51, lam).energy - E0) < 1e-5 * abs(E0)
 
 
 def test_exp_bump_does_not_overflow():
@@ -618,11 +616,11 @@ def test_block_polish_matches_brentq(N, a):
     pp = PerturbationProblem(validate_params(N, a), BUILTIN_H["exp_bump"], 1e-3, nodes=160)
     rep = find_perturbed_solution(pp)
     assert rep["lambda_star_polished"]
-    grid = np.logspace(-2, 2, 33)
+    grid = reduction.CURVE_SCALES
     j = int(np.searchsorted(grid, rep["lambda_star"]))
     lam_ref = brentq_lambda_star(pp, grid[j - 1], grid[j])
     assert abs(rep["lambda_star"] / lam_ref - 1.0) <= 1e-10
-    energy_ref = reduced_energy(pp, lam_ref, result=solve_correction(pp, lam_ref))
+    energy_ref = solve_correction(pp, lam_ref).energy
     assert abs(rep["energy"] / energy_ref - 1.0) <= 1e-14
 
 
@@ -659,15 +657,17 @@ def test_block_polish_work(p51):
     assert rep["polish_l_ratio"] < 1e-10
 
 
-def test_unpolished_lambda_star_is_reported(pp51):
-    # a curve grid wholly below lambda* brackets no sign change of l: the
-    # parabolic scale stands, and the report says it was not polished
-    grid = np.logspace(-2, -0.5, 7)
-    rep = find_perturbed_solution(pp51, lam_grid=grid)
-    assert not rep["lambda_star_polished"]
-    assert rep["polish_scales"] == 0
-    assert grid[-3] <= rep["lambda_star"] <= grid[-1]
-    assert abs(rep["l"]) > 1e-10
+@pytest.mark.parametrize("lo, hi, sign", [(-2.0, -0.5, "negative"), (0.5, 2.0, "positive")])
+def test_curve_without_sign_change_is_typed(monkeypatch, p51, lo, hi, sign):
+    # a curve wholly below or wholly above lambda* brackets no sign change
+    # of l: the reduced energy is monotone across it, and no scale is taken
+    # for a critical point
+    monkeypatch.setattr(reduction, "CURVE_SCALES", np.logspace(lo, hi, 7))
+    pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=180)
+    with pytest.raises(NoInteriorExtremum, match=rf"l/lam is {sign} above its rounding floor "
+                                                 rf"at 7 of the 7 scales of the curve, lam "
+                                                 rf"from {10 ** lo:g} to {10 ** hi:g}"):
+        find_perturbed_solution(pp)
 
 
 @pytest.mark.parametrize("N, a", [(6, -1.0), (5, 1.0), (7, -2.0)])
@@ -752,9 +752,9 @@ def test_forcing_built_once_per_scale(monkeypatch, p51):
     built = []
     forcing = PerturbationProblem._forcing
 
-    def counting(self, lams, eps):
+    def counting(self, lams):
         built.extend(np.atleast_1d(lams).tolist())
-        return forcing(self, lams, eps)
+        return forcing(self, lams)
 
     monkeypatch.setattr(PerturbationProblem, "_forcing", counting)
     pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=96)
@@ -762,7 +762,7 @@ def test_forcing_built_once_per_scale(monkeypatch, p51):
     assert len(built) == len(set(built)) == 33 + rep["polish_scales"] + 1
     res = rep["result"]
     c = res.coeffs[None, :]
-    star = pp._star(c, forcing(pp, [res.lam], res.eps))
+    star = pp._star(c, forcing(pp, [res.lam]))
     assert res.star == pytest.approx(float(star[0]), rel=1e-14)
 
 
