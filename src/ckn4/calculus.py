@@ -170,22 +170,19 @@ def star_integral(p: Params, dim: float, weight_pow: float, u, grid: RadialGrid)
     return grid.integrate(r ** weight_pow * np.abs(u.eval(r)) ** p.pstar * r ** (dim - 1))
 
 
-def weighted_hessian_norm_sq(p: Params, u, grid: RadialGrid | None = None) -> float:
-    """Squared norm omega int r^alpha (u'' + (N-1)u'/r)^2 r^{N-1} dr."""
-    grid = grid or default_grid()
-    return sphere_area(p.N) * hessian_integral(p, p.N, p.alpha, u, grid)
+def weighted_hessian_norm_sq(p: Params, u) -> float:
+    """Squared norm omega int r^alpha (u'' + (N-1)u'/r)^2 r^{N-1} dr, on the default grid."""
+    return sphere_area(p.N) * hessian_integral(p, p.N, p.alpha, u, default_grid())
 
 
-def weighted_star_norm(p: Params, u, grid: RadialGrid | None = None) -> float:
-    """Norm (omega int r^{-alpha} |u|^{p*} r^{N-1} dr)^{1/p*}."""
-    grid = grid or default_grid()
-    return (sphere_area(p.N) * star_integral(p, p.N, -p.alpha, u, grid)) ** (1.0 / p.pstar)
+def weighted_star_norm(p: Params, u) -> float:
+    """Norm (omega int r^{-alpha} |u|^{p*} r^{N-1} dr)^{1/p*}, on the default grid."""
+    return (sphere_area(p.N) * star_integral(p, p.N, -p.alpha, u, default_grid())) ** (1.0 / p.pstar)
 
 
-def rayleigh_quotient(p: Params, u, grid: RadialGrid | None = None) -> float:
+def rayleigh_quotient(p: Params, u) -> float:
     """Quotient ||u||^2 / ||u||_*^2 whose infimum is the sharp constant."""
-    grid = grid or default_grid()
-    star = weighted_star_norm(p, u, grid)
+    star = weighted_star_norm(p, u)
     if star == 0.0:
         raise ZeroFunction("star norm vanishes; quotient undefined")
-    return weighted_hessian_norm_sq(p, u, grid) / star ** 2
+    return weighted_hessian_norm_sq(p, u) / star ** 2

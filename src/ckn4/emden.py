@@ -94,26 +94,26 @@ def _relative_gap(p: Params, name: str, lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(lhs, rhs)
 
 
-def norm_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[float, float, float]:
-    """Both sides of the Hessian-seminorm identity and their relative gap.
+def norm_identity_check(p: Params, u) -> tuple[float, float, float]:
+    """Both sides of the Hessian-seminorm identity on the default grid, and their relative gap.
 
     lhs = int r^alpha (u'' + (N-1)u'/r)^2 r^{N-1} dr
     rhs = q^{-3} int (v'' + (M-1)v'/s)^2 s^{M-1} ds,  v(s) = u(s^q).
     """
-    grid = grid or default_grid()
+    grid = default_grid()
     lhs = hessian_integral(p, p.N, p.alpha, u, grid)
     v = to_sobolev(p, u)
     rhs = hessian_integral(p, p.M, 0.0, v, induced_sobolev_grid(p, grid)) / p.q ** 3
     return lhs, rhs, _relative_gap(p, "norm identity", lhs, rhs)
 
 
-def star_identity_check(p: Params, u, grid: RadialGrid | None = None) -> tuple[float, float, float]:
-    """Both sides of the critical-integral identity and their relative gap.
+def star_identity_check(p: Params, u) -> tuple[float, float, float]:
+    """Both sides of the critical-integral identity on the default grid, and their relative gap.
 
     lhs = int r^{-alpha} |u|^{p*} r^{N-1} dr
     rhs = q * int |v|^{2M/(M-4)} s^{M-1} ds,  v(s) = u(s^q).
     """
-    grid = grid or default_grid()
+    grid = default_grid()
     lhs = star_integral(p, p.N, -p.alpha, u, grid)
     v = to_sobolev(p, u)
     rhs = p.q * star_integral(p, p.M, 0.0, v, induced_sobolev_grid(p, grid))

@@ -273,9 +273,8 @@ BIRADIAL_BOX = 6.0
 BIRADIAL_EXCLUDE = 0.5
 
 
-def biradial_residual(profile: BiradialProfile, n: int = 200,
-                      return_fields: bool = False) -> dict:
-    """Discrete residual of the two-block equation on an offset tensor grid.
+def biradial_residual(profile: BiradialProfile, n: int, return_fields: bool = False) -> dict:
+    """Discrete residual of the two-block equation on an offset n x n tensor grid.
 
     Returns the sup of Delta(|x|^{-2} Delta v) - |x|^2 v^{p*-1} relative to
     the sup of the source term, together with the step and the region

@@ -229,16 +229,16 @@ def _star_rule(problem: ModeProblem, q: float) -> JacobiRule:
 class PerturbationProblem:
     """Discretization of the correction equation for a given (h, eps).
 
-    The working basis is the spectral basis {phi_i} of the mode-0 pencil at
-    scale 1, the trial functions themselves scaled to unit weighted mass,
-    phi_i = x_i psi_i, or at large M the pencil's eigenvectors on a cut of
-    the trial space (_solve_pencil_cut): it is orthogonal in the
-    alpha-inner product with <phi_i, phi_i> = scale * mu_i, contains the
-    extremal and the dilation tangent, and makes the frozen Jacobian
-    diagonal plus border.
+    The working basis is the spectral basis {phi_i} of the mode-0 pencil of
+    `nodes` trial functions at scale 1, the trial functions themselves
+    scaled to unit weighted mass, phi_i = x_i psi_i, or at large M the
+    pencil's eigenvectors on a cut of the trial space (_solve_pencil_cut):
+    it is orthogonal in the alpha-inner product with <phi_i, phi_i> =
+    scale * mu_i, contains the extremal and the dilation tangent, and makes
+    the frozen Jacobian diagonal plus border.
     """
 
-    def __init__(self, params: Params, h, eps: float, nodes: int = 220):
+    def __init__(self, params: Params, h, eps: float, nodes: int):
         self.params = params
         self.h = h
         self.eps = float(eps)
@@ -410,7 +410,6 @@ class CorrectionResult:
     """Fixed-point output for one scale."""
 
     lam: float
-    eps: float
     coeffs: np.ndarray
     l: float                      # physical multiplier (frame value times lam)
     iterations: int
@@ -494,7 +493,7 @@ def solve_corrections(pp: PerturbationProblem, lams) -> list[CorrectionResult]:
             for k, i in enumerate(np.flatnonzero(done)):
                 lam = todo[at[i]]
                 pp._cache[lam] = CorrectionResult(
-                    lam=lam, eps=pp.eps, coeffs=c[i].copy(), l=lam * float(l_hat[i]),
+                    lam=lam, coeffs=c[i].copy(), l=lam * float(l_hat[i]),
                     iterations=it, contraction_factor=float(factor[i]),
                     omega_norm=math.sqrt(float(np.sum(pp.G * c[i] ** 2))),
                     residual=float(residual[k]), unprojected_residual=float(unproj[k]),
@@ -536,10 +535,10 @@ def find_perturbed_solution(pp: PerturbationProblem) -> dict:
     furthest from E0 is taken (l_sign_change_taken, from 0 in increasing
     lam).  lambda* is polished across that bracket: l/lam is solved at
     POLISH_POINTS Chebyshev-Lobatto points in x (the ends are curve scales,
-    so polish_scales = POLISH_POINTS - 2 new ones, one block), and lambda*
-    is the root of its Chebyshev interpolant (Boyd's Chebyshev-proxy root
-    finder): an eigenvalue of the interpolant's colleague matrix, with no
-    further fixed-point solves.  Of several real roots in the bracket the
+    so POLISH_POINTS - 2 new ones, one block), and lambda* is the root of
+    its Chebyshev interpolant (Boyd's Chebyshev-proxy root finder): an
+    eigenvalue of the interpolant's colleague matrix, with no further
+    fixed-point solves.  Of several real roots in the bracket the
     one nearest the secant root of its ends is taken;
     lambda_star_polished is false only when the interpolant has no real
     root in the bracket, and the secant root stands.  The solution at
@@ -611,7 +610,6 @@ def find_perturbed_solution(pp: PerturbationProblem) -> dict:
         "contraction_factor": final.contraction_factor,
         "min_ratio_to_bubble": min_ratio,
         "positive": min_ratio > 0.0,
-        "polish_scales": POLISH_POINTS - 2,
         "l_sign_changes": len(flips),
         "l_sign_change_taken": taken,
         "polish_l_ratio": abs(final.l) / max(abs(curve[ia].l), abs(curve[ib].l)),

@@ -635,7 +635,7 @@ def _modes_per_pass(nodes: int) -> int:
     return max(1, PASS_ROWS // (3 * nodes * (nodes + 8)))
 
 
-def assemble_mode_problems(p: Params, ks, nodes: int = 160):
+def assemble_mode_problems(p: Params, ks, nodes: int):
     """Yield the weak-form pencils (A, B) of the modes ks, in order, `nodes` trial functions each.
 
     The modes' rules and basis rows come from one recurrence pass per
@@ -681,7 +681,7 @@ def _assemble_pass(p: Params, ks: list, nodes: int):
         raise rule_failure or failure
 
 
-def assemble_mode_problem(p: Params, k: int, nodes: int = 160) -> ModeProblem:
+def assemble_mode_problem(p: Params, k: int, nodes: int) -> ModeProblem:
     """Build the weak-form pencil (A, B) for mode k with `nodes` trial functions."""
     return next(assemble_mode_problems(p, [k], nodes))
 
@@ -757,14 +757,12 @@ def _solve_pencil_cut(pr: ModeProblem, cut: float):
 
 @dataclass
 class SpectrumResult:
-    """Computed eigenpairs of one mode pencil."""
+    """Computed eigenpairs of one mode pencil; its basis size is diagnostics["basis_size"]."""
 
     problem: ModeProblem
     eigenvalues: np.ndarray
     coefficients: np.ndarray      # (m, n_eigs), columns B-orthonormal
     residual_norms: np.ndarray    # ||A x - mu B x|| / ||B x||: the coupling of the read
-    nodes: int
-    kept_rank: int                # always the basis size: nothing is cut
     diagnostics: dict             # quad_nodes, basis_size, stiffness/mass coupling
 
 
@@ -792,7 +790,7 @@ def exact_rel_errors(p: Params, k: int, eigenvalues) -> np.ndarray:
     return np.abs(mu / exact_eigenvalues(p, k, mu.size) - 1.0)
 
 
-def mode_eigenvalues(p: Params, k: int, n_eigs: int = 6, nodes: int = 160) -> SpectrumResult:
+def mode_eigenvalues(p: Params, k: int, n_eigs: int, nodes: int) -> SpectrumResult:
     """Smallest mode-k eigenpairs, eigenvector j = B_jj^{-1/2} e_j, and their residual norms."""
     return _read_spectrum(assemble_mode_problem(p, k, nodes=nodes), n_eigs)
 
@@ -814,7 +812,7 @@ def _read_spectrum(pr: ModeProblem, n_eigs: int) -> SpectrumResult:
         res[i] = np.linalg.norm(ax - mu[i] * bx) / np.linalg.norm(bx)
     diagnostics = {"quad_nodes": pr.grid.n, "basis_size": m, **couplings}
     return SpectrumResult(problem=pr, eigenvalues=mu, coefficients=X, residual_norms=res,
-                          nodes=m, kept_rank=m, diagnostics=diagnostics)
+                          diagnostics=diagnostics)
 
 
 def kernel_residual(p: Params, profile: RadialProfile, k: int, mu: float | None = None) -> float:
@@ -837,17 +835,23 @@ def kernel_residual(p: Params, profile: RadialProfile, k: int, mu: float | None 
     return float(np.max(np.abs(res.eval(r)) / scale))
 
 
-def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160,
-                  n_eigs: int = 8) -> dict:
+# a mode holds the eigenvalue p*-1 when one of its KERNEL_EIGS smallest
+# eigenvalues is within KERNEL_TOL of it, relative
+KERNEL_TOL = 1e-3
+KERNEL_EIGS = 8
+
+
+def verify_kernel(p: Params, k_max: int, nodes: int) -> dict:
     """Compare the algebraic kernel condition with the discrete spectra.
 
     For each mode k <= k_max the condition q^2 lambda_k in {0, M-1} is
     decided exactly, as k = 0 or alpha = -2(k-1) (even_alpha_info), and
-    checked against the presence of the eigenvalue p*-1 in the discrete
-    pencil, all of whose modes are assembled together
-    (assemble_mode_problems).  Disagreement raises InconsistentKernel.  The total
-    kernel dimension (radial element plus harmonic multiplicities) must
-    reproduce the even-case count.
+    checked against the presence of the eigenvalue p*-1 among the
+    KERNEL_EIGS smallest of the discrete pencil, within KERNEL_TOL
+    relative; all the modes' pencils, `nodes` trial functions each, are
+    assembled together (assemble_mode_problems).  Disagreement raises
+    InconsistentKernel.  The total kernel dimension (radial element plus
+    harmonic multiplicities) must reproduce the even-case count.
     """
     info = even_alpha_info(p)
     target = p.pstar - 1.0
@@ -857,9 +861,9 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
     for k in range(k_max + 1):
         lam_k, mult = mode_lambda(k, p.N)
         analytic = k == 0 or info.k == k
-        result = _read_spectrum(next(problems), n_eigs)
+        result = _read_spectrum(next(problems), KERNEL_EIGS)
         dist = float(np.min(np.abs(result.eigenvalues - target)) / target)
-        numeric = dist < tol
+        numeric = dist < KERNEL_TOL
         if numeric != analytic:
             raise InconsistentKernel(
                 f"mode {k}: analytic={analytic} numeric={numeric} (rel dist {dist:.2e})")
@@ -882,7 +886,7 @@ def verify_kernel(p: Params, k_max: int = 6, tol: float = 1e-3, nodes: int = 160
         "N": p.N,
         "alpha": p.alpha,
         "target_eigenvalue": target,
-        "tol": tol,
+        "tol": KERNEL_TOL,
         "modes": modes,
         "kernel_dim": kernel_dim,
         "is_even_case": info.is_even_case,

@@ -330,7 +330,7 @@ def full_grid_energy(pp, lam, result):
     ratio = 1.0 + (pp.X @ result.coeffs) @ P / C
     h = np.asarray(pp.h(s ** p.q), dtype=float)
     star = pp.star_scale * C ** p.pstar * float(np.sum(
-        w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.eps * h)
+        w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.problem.eps * h)
         * np.maximum(ratio, 0.0) ** p.pstar))
     return 0.5 * pp.norm_sq(result.coeffs) - star / p.pstar
 

@@ -146,11 +146,11 @@ def test_criterion_6_kernel_dimension_jump():
     match = {}
     for a in (-2.5, -2.0, -1.5):
         p = validate_params(7, a)
-        rep = verify_kernel(p, k_max=3, tol=1e-3, nodes=160)
+        rep = verify_kernel(p, k_max=3, nodes=160)
         dims[a] = rep["kernel_dim"]
         mode2 = next(m for m in rep["modes"] if m["k"] == 2)
         match[a] = mode2["rel_distance_to_target"] < 1e-3
-    rep50 = verify_kernel(validate_params(5, 0), k_max=3, tol=1e-3, nodes=160)
+    rep50 = verify_kernel(validate_params(5, 0), k_max=3, nodes=160)
     ok = (match == {-2.5: False, -2.0: True, -1.5: False}
           and dims == {-2.5: 1, -2.0: 28, -1.5: 1}
           and rep50["kernel_dim"] == 6)

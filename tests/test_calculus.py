@@ -198,11 +198,11 @@ def test_cauchy_schwarz(rng):
 
 
 def test_quadrature_convergence():
-    # a function without a closed form, so both norms run on the grids
+    # a function without a closed form, so both integrals run on the grids
     p = validate_params(7, -2)
     u = PolyGaussProfile([1.0, 0.0, -0.4], 0.8)
-    base = weighted_hessian_norm_sq(p, u, RadialGrid.log_gauss(n=512))
-    fine = weighted_hessian_norm_sq(p, u, RadialGrid.log_gauss(n=1024))
+    base = hessian_integral(p, p.N, p.alpha, u, RadialGrid.log_gauss(n=512))
+    fine = hessian_integral(p, p.N, p.alpha, u, RadialGrid.log_gauss(n=1024))
     assert abs(base - fine) < 1e-10 * abs(fine)
 
 

@@ -86,7 +86,7 @@ def test_spectrum_command(capsys):
     assert code == 0
     rep = json.loads(out)
     data = rep["data"]
-    assert data["k"] == 0 and data["nodes"] == 96
+    assert data["k"] == 0 and rep["diagnostics"]["basis_size"] == 96
     assert len(data["eigenvalues"]) == 4
     assert data["eigenvalues"][0] == pytest.approx(1.0, abs=1e-8)
     assert len(data["residuals"]) == 4
@@ -414,7 +414,6 @@ def test_perturb_command(capsys, tmp_path):
     assert 0 < diag["kept_rank"] <= diag["basis_size"]
     # lambda* came from the root solve on l
     assert diag["lambda_star_polished"] is True
-    assert diag["polish_scales"] == reduction.POLISH_POINTS - 2
     assert 0.0 <= diag["polish_l_ratio"] < 1e-10
     assert "energy_window_nodes" not in diag
     assert diag["l_sign_changes"] == 1 and diag["l_sign_change_taken"] == 0
@@ -569,6 +568,26 @@ def test_h_file_one_column_line(capsys, tmp_path):
     assert out == ""
     assert err.startswith("error:") and f"{path}: line 1" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("body", ["", "r,h\n", "r,h\n0.5,1\n"])
+def test_h_file_with_fewer_than_two_rows(capsys, tmp_path, body):
+    path = tmp_path / "h.csv"
+    path.write_text(body)
+    code, out, err = run(capsys, "perturb", "--h-file", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: --h-file {path}: need at least two (r, h) rows\n"
+
+
+@pytest.mark.parametrize("target, reason", [("no/such/dir/x.json", "No such file or directory"),
+                                            (".", "Is a directory")])
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path, target, reason):
+    # a report that cannot be written is a usage error naming --out, in one
+    # line, where it was an OSError traceback and exit 1
+    path = tmp_path / target
+    code, out, err = run(capsys, "constants", "--out", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: --out {path}: cannot write: {reason}\n"
 
 
 @pytest.mark.parametrize("row", ["-1,0.5", "nan,0.5", "inf,0.5", "0.5,nan", "0.5,-inf"])

@@ -653,7 +653,6 @@ def test_block_polish_work(p51):
     rep = find_perturbed_solution(pp)
     assert rep["lambda_star_polished"]
     assert len(pp._cache) == 33 + reduction.POLISH_POINTS - 2 + 1
-    assert rep["polish_scales"] == reduction.POLISH_POINTS - 2
     assert rep["polish_l_ratio"] < 1e-10
 
 
@@ -759,7 +758,7 @@ def test_forcing_built_once_per_scale(monkeypatch, p51):
     monkeypatch.setattr(PerturbationProblem, "_forcing", counting)
     pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=96)
     rep = find_perturbed_solution(pp)
-    assert len(built) == len(set(built)) == 33 + rep["polish_scales"] + 1
+    assert len(built) == len(set(built)) == 33 + reduction.POLISH_POINTS - 2 + 1
     res = rep["result"]
     c = res.coeffs[None, :]
     star = pp._star(c, forcing(pp, [res.lam]))
@@ -785,5 +784,5 @@ def test_independent_residual_oracle(p51, pp51):
         pair = inner_alpha(p51, u, eta, grid)
         forc = sphere_area(p51.N) * grid.integrate(
             (1.0 + pp51.eps * h(r)) * r ** (-p51.alpha) * uplus * eta.eval(r) * r ** (p51.N - 1))
-        nrm = math.sqrt(weighted_hessian_norm_sq(p51, eta, grid))
+        nrm = math.sqrt(weighted_hessian_norm_sq(p51, eta))            # on default_grid()
         assert abs(pair - forc) / nrm < 1e-6

@@ -168,13 +168,14 @@ def test_kernel_residuals_closed_forms():
     assert kernel_residual(p, kernel_Zk_radial(p, 1), 1) < 1e-8
 
 
-def test_inconsistent_kernel_detected():
+def test_inconsistent_kernel_detected(monkeypatch):
     # an absurdly loose matching tolerance makes the numeric verdict disagree
     # with the algebraic condition, which must be flagged, not papered over
     from ckn4.errors import InconsistentKernel
 
+    monkeypatch.setattr(spectrum, "KERNEL_TOL", 0.5)
     with pytest.raises(InconsistentKernel):
-        verify_kernel(validate_params(7, -2.5), k_max=2, tol=0.5, nodes=96)
+        verify_kernel(validate_params(7, -2.5), k_max=2, nodes=96)
 
 
 def test_eigensolve_failure_on_overask():
@@ -317,7 +318,7 @@ def test_off_diagonal_stiffness_is_typed(monkeypatch):
     monkeypatch.setattr(spectrum, "_gram_matrices", coupled)
     with pytest.raises(EigensolveFailure, match=r"N=5, alpha=1\.0, mode 0, 104 nodes: "
                                                 r"stiffness coupling 1\.000e-06 exceeds 1e-09"):
-        mode_eigenvalues(validate_params(5, 1), 0, nodes=96)
+        mode_eigenvalues(validate_params(5, 1), 0, n_eigs=6, nodes=96)
 
 
 @pytest.mark.parametrize("k", [0, 1, 2, 3])
@@ -474,12 +475,13 @@ def test_verify_kernel_matches_mode_eigenvalues(monkeypatch, N, a):
     # eigenvalues and diagnostics are bit for bit those of its own assembly
     p = validate_params(N, a)
     problems = _recording(monkeypatch, "_read_spectrum")
-    rep = verify_kernel(p, k_max=4)
+    rep = verify_kernel(p, k_max=4, nodes=160)
     monkeypatch.undo()
     assert [pr.k for pr in problems] == list(range(5))
     for k, (pr, mode) in enumerate(zip(problems, rep["modes"])):
-        alone = mode_eigenvalues(p, k, n_eigs=8)
-        assert np.array_equal(spectrum._read_spectrum(pr, 8).eigenvalues, alone.eigenvalues)
+        alone = mode_eigenvalues(p, k, n_eigs=spectrum.KERNEL_EIGS, nodes=160)
+        assert np.array_equal(spectrum._read_spectrum(pr, spectrum.KERNEL_EIGS).eigenvalues,
+                              alone.eigenvalues)
         assert mode["diagnostics"] == alone.diagnostics
         assert np.array_equal(pr.A, alone.problem.A) and np.array_equal(pr.B, alone.problem.B)
 
@@ -519,7 +521,7 @@ def test_kernel_first_error_in_mode_order(monkeypatch, stage):
     solved = _recording(monkeypatch, "_read_spectrum")
     with pytest.raises(InconsistentKernel,
                        match=r"^mode 3: analytic=False numeric=True \(rel dist 3\.47e-05\)$"):
-        verify_kernel(p, k_max=6)
+        verify_kernel(p, k_max=6, nodes=160)
     assert [pr.k for pr in solved] == [0, 1, 2, 3]
 
 
@@ -530,7 +532,7 @@ def test_kernel_assembly_failure_raised_in_its_turn(monkeypatch, stage):
     _fail_mode(monkeypatch, p, 2, stage)
     solved = _recording(monkeypatch, "_read_spectrum")
     with pytest.raises(QuadratureFailure, match=f"^mode 2's {stage}$"):
-        verify_kernel(p, k_max=4)
+        verify_kernel(p, k_max=4, nodes=160)
     assert [pr.k for pr in solved] == [0, 1]
 
 
@@ -538,7 +540,7 @@ def test_mode_error_before_any_assembly():
     # a mode that fails before its rule is built raises its own error, also
     # when its pass assembles no mode at all
     with pytest.raises(NegativeMode, match="got -1"):
-        mode_eigenvalues(validate_params(5, 1), -1)
+        mode_eigenvalues(validate_params(5, 1), -1, n_eigs=6, nodes=160)
 
 
 def test_pass_grouping_cap(monkeypatch):
