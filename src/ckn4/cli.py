@@ -12,6 +12,7 @@ import copy
 import json
 import math
 import sys
+from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
@@ -377,6 +378,16 @@ def finite_float(text: str) -> float:
     return value
 
 
+def exact_decimal(text: str) -> str:
+    """argparse type of --alpha: a finite decimal, kept as its string so the weight stays exact."""
+    try:
+        if Decimal(text).is_finite():
+            return text
+    except InvalidOperation:
+        pass
+    raise argparse.ArgumentTypeError(f"need a finite decimal number, got {text!r}")
+
+
 # remainder --t-values: each offset t, relative to ||U_1||, in (0, T_MAX]; there
 # u/U_1 = 1 + v stays above 1 - T_MAX/sqrt(2) > 0.92 (reduction.remainder_curve)
 T_MAX = 0.1
@@ -426,7 +437,7 @@ ALPHA_COMMANDS = ("constants", "verify-extremal", "transform-check", "spectrum",
 # every flag with the subcommands whose code reads it
 FLAGS = [
     ("--N", dict(type=int, default=5), tuple(COMMANDS)),
-    ("--alpha", dict(type=str, default="1", help="weight exponent as an exact decimal string"),
+    ("--alpha", dict(type=exact_decimal, default="1", help="weight exponent, an exact decimal"),
      ALPHA_COMMANDS),
     ("--scan-alpha", dict(type=str, default=None, metavar="a0:a1:step"), ALPHA_COMMANDS),
     ("--lam", dict(type=finite_float, default=1.0), ("verify-extremal",)),

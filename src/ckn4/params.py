@@ -119,8 +119,11 @@ def validate_params(N, alpha) -> Params:
 
 
 def sphere_area(N: int) -> float:
-    """Surface measure of the unit sphere in R^N."""
-    return float(np.exp(math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)))
+    """Surface measure of the unit sphere in R^N; MOutOfRange where subnormal (N >= 439)."""
+    value = float(np.exp(math.log(2.0) + 0.5 * N * math.log(math.pi) - math.lgamma(0.5 * N)))
+    if not value >= np.finfo(float).tiny:
+        raise MOutOfRange(f"sphere area at N={N} is {value!r}, below the normal float range")
+    return value
 
 
 def sobolev_constant_C_forms(M: float) -> tuple[float, float]:

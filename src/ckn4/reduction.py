@@ -53,10 +53,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.chebyshev import Chebyshev
 
+from .calculus import JacobiRule
 from .errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum, QuadratureFailure
 from .params import Params, normalization_constant, sphere_area
-from .spectrum import (JacobiRule, ModeProblem, SpectrumResult, _assembled, _solve_pencil,
-                       _solve_pencil_cut)
+from .spectrum import ModeProblem, SpectrumResult, _assembled, _solve_pencil, _solve_pencil_cut
 
 __all__ = [
     "remainder_curve",

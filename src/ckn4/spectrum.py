@@ -30,13 +30,9 @@ stiffness and mass integrand is a polynomial of degree at most 2m in t
 times (1-t)^{delta-2} (1+t)^{delta}, that is (1+t)^2 times
 such a polynomial times the Gegenbauer weight (1-t^2)^{delta-2}, so the
 pencil is assembled exactly on an (m+8)-node Gauss-Gegenbauer rule, one
-rule per mode, with 13 degrees to spare.  The weight is even, so the nodes
-come in pairs +-t: the t >= 0 are seeded from an eigenproblem of half the
-size, polished by a Newton step in h = 1 - |t| (Hale & Townsend, SIAM J.
-Sci. Comput. 35, 2013), and weighted by the Christoffel-Darboux formula
-from the same step, their sum certified against the weight's mass
-(_half_rules), all in numpy.  The trial functions' rows at the nodes t >=
-0 come from one recurrence pass over the degree, stacked over all the
+rule per mode, with 13 degrees to spare (calculus.JacobiRule, whose
+builder stacks the modes' rules).  The trial functions' rows at the nodes
+t >= 0 come from one recurrence pass over the degree, stacked over all the
 modes a command assembles (assemble_mode_problems); the rows at -t are
 (-1)^k times those, and their scale carries no power of 1 +- t
 (_log_row_scale), whose sums would cost digits.  Mode 0's rule also
@@ -52,6 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .calculus import JacobiRule, _jacobi_recurrence, _jacobi_rules
 from .errors import (CknError, EigensolveFailure, GridTooCoarse, InconsistentKernel,
                      QuadratureFailure)
 from .params import (
@@ -64,7 +61,6 @@ from .params import (
 from .profiles import RadialProfile
 
 __all__ = [
-    "JacobiRule",
     "ModeBasis",
     "ModeProblem",
     "SpectrumResult",
@@ -76,261 +72,6 @@ __all__ = [
     "verify_kernel",
     "kernel_residual",
 ]
-
-
-@dataclass(frozen=True)
-class JacobiRule:
-    """Gauss-Gegenbauer rule for int_0^inf f(s) ds under t = (s^2-1)/(s^2+1).
-
-    Exact when f(s) ds = P(t) (1-t^2)^{delta-2} dt with P a polynomial of
-    degree below 2n.  The nodes come in pairs +-t, in increasing t, and t
-    holds them exactly so (one node is t = 0 when n is odd); the nodes t >=
-    0 and their weights come from _half_rules, within about 1e-14 relative
-    in 1 - |t| of 40-digit ones, and 1 - t and 1 + t are kept from h = 1 -
-    |t| as h and 2 - h, with no cancellation.  The weights are kept as
-    logarithms: the divided-out weight (1-t^2)^{2-delta} overflows for
-    large delta.  Near M = 4 (delta near 1) the seed of the node nearest t
-    = 1 can round to h <= 0; Newton then starts from h = H_FLOOR.
-    QuadratureFailure when a node is not strictly inside (-1, 1), where s
-    would be 0 or infinite, or when _half_rules cannot certify the rule.
-    """
-
-    s: np.ndarray
-    u: np.ndarray          # ln s
-    t: np.ndarray          # the map values (s^2-1)/(s^2+1)
-    one_minus_t: np.ndarray  # 1 - t and 1 + t, each h or 2 - h
-    one_plus_t: np.ndarray
-    log_w: np.ndarray      # ln of the weights for int f(s) ds
-    log_chr: np.ndarray    # ln of the weights for int P(t) (1-t^2)^{delta-2} dt
-
-    @classmethod
-    def build(cls, n: int, delta: float) -> "JacobiRule":
-        rules, _, failure = _rules_and_rows([delta], n, 0)
-        if failure is not None:
-            raise failure
-        return rules[0]
-
-    @property
-    def n(self) -> int:
-        return self.s.size
-
-
-_HALF_LOG_PI = 0.5 * math.log(math.pi)
-# ln Gamma(x+1/2)/Gamma(x) = ln(x)/2 + sum_j c_j x^{1-j}, j = 2, 4, ..., 14: the
-# Bernoulli terms (2^{1-j} - 2) B_j / (j(j-1)) of the two Stirling series
-_HALF_GAMMA_SERIES = (-1 / 8, 1 / 192, -1 / 640, 17 / 14336, -31 / 18432, 691 / 180224,
-                      -5461 / 425984)
-
-
-def _log_mu0(a: float) -> float:
-    """ln of the mass sqrt(pi) Gamma(a+1)/Gamma(a+3/2) of the weight (1-t^2)^a on (-1, 1).
-
-    That is 2^{2a+1} B(a+1, a+1), by the duplication formula.  The lgamma
-    difference loses digits to cancellation as a grows (4e-13 at a = 1000),
-    so from a = 8 on ln Gamma(x+1/2)/Gamma(x), x = a+1, is summed from its
-    Stirling series, whose next term is below 4e-16 there; both are within
-    4e-15 of 40-digit mpmath over a > -1.
-    """
-    if a < 8.0:
-        return _HALF_LOG_PI + math.lgamma(a + 1.0) - math.lgamma(a + 1.5)
-    x = a + 1.0
-    y = 1.0 / (x * x)
-    tail = 0.0
-    for c in reversed(_HALF_GAMMA_SERIES):
-        tail = tail * y + c
-    return _HALF_LOG_PI - 0.5 * math.log(x) - tail / x
-
-
-def _jacobi_recurrence(n: int, a):
-    """(off, ratio, log_mu0) of the orthonormal Jacobi P^{(a,a)} polynomials p_k, k < n.
-
-    t p_k = off[k+1] p_{k+1} + off[k] p_{k-1} with off[0] = 0: the weight
-    (1-t^2)^a is even, so the diagonal is 0.  ratio[k] = p_k(1)/p_{k-1}(1),
-    k >= 1 (ratio[0] = 1), in closed form from P_k(1) = binom(k+a, k) and the
-    norms, and p_0 = exp(-log_mu0/2), log_mu0 = _log_mu0(a).  a may be an
-    array, a family per element: off and ratio then carry its shape before
-    the degree axis, and log_mu0 has it.  At k = 1 both are taken in their
-    cancelled forms, off[1] = 1/sqrt(3+2a) and ratio[1] = sqrt(3+2a): the
-    textbook forms carry a factor (1+2a)/(1+2a), 0/0 at a = -1/2.
-    """
-    a = np.asarray(a, dtype=float)
-    log_mu0 = np.array([_log_mu0(v) for v in a.ravel().tolist()]).reshape(a.shape)
-    a = a[..., None]
-    k = np.arange(2.0, n)
-    c = 2.0 * k + 2.0 * a
-    off = np.zeros(a.shape[:-1] + (n,))
-    ratio = np.ones_like(off)
-    off[..., 2:] = np.sqrt(k * (k + 2.0 * a) / ((c + 1.0) * (c - 1.0)))
-    ratio[..., 2:] = np.sqrt((c + 1.0) * (k + 2.0 * a) / ((c - 1.0) * k))
-    if n > 1:
-        ratio[..., 1] = np.sqrt(3.0 + 2.0 * a[..., 0])
-        off[..., 1] = 1.0 / ratio[..., 1]
-    return off, ratio, log_mu0
-
-
-def _rescale_steps(off: np.ndarray) -> dict:
-    """Steps k at which _newton_step tests each rule's terms for rescaling: {k: [rules]}.
-
-    off (G, n+1) are the rules' recurrences.  With |t| < 1 step k multiplies
-    max(|p_k|, |p_{k-1}|) by at most g_k = max(1, (1 + off[k-1]) / off[k]);
-    a rule's test runs as a step starts after the product of its g_k has
-    passed another 1e50 since the last.  Each rule keeps its own steps, so
-    its nodes do not depend on what it is stacked with.
-    """
-    growth = np.cumsum(np.log(np.maximum(1.0, (1.0 + off[:, :-1]) / off[:, 1:])), axis=1)
-    block = np.floor(growth / (50.0 * math.log(10.0)))
-    schedule: dict = {}
-    for g, i in zip(*np.nonzero(np.diff(block, axis=1) > 0)):
-        schedule.setdefault(int(i) + 3, []).append(int(g))
-    return schedule
-
-
-# a Newton step of at most this share of h leaves the node within about 1e-14
-# of it relative (the step squares the error), so the rule is done; a rule
-# whose step stays larger after NEWTON_STEPS steps, or whose weights do not
-# sum to its weight's mass within MASS_TOL relative, is refused.  One step
-# is enough from every seed measured but those of delta within about 1e-8 of
-# 1 at a thousand nodes or more, where the end node's h is below the seeds'
-# absolute accuracy
-NEWTON_TOL = 1e-7
-NEWTON_STEPS = 8
-MASS_TOL = 1e-11
-# the h Newton starts from where a seed's h rounds to 0 or below (delta within
-# about 1e-15 of 1): a node that does not leave it is refused by the steps'
-# tolerance or by the weights' mass
-H_FLOOR = 1e-30
-
-
-def _newton_step(n: int, h: np.ndarray, off: np.ndarray, ratio: np.ndarray,
-                 log_mu0: np.ndarray):
-    """One Newton step on p_n in h = 1 - t, for each rule's nodes t >= 0: (h, step, log_chr).
-
-    h (G, ceil(n/2)) are the nodes before the step, off and ratio (G, n+1)
-    the rules' recurrences (_jacobi_recurrence).  The step runs the
-    recurrence in Reinsch's form (as _SymmetricJacobi.parts does), with
-    (1-t^2) p_k' = k (h p_k - D_k), D_k = p_k - ratio[k] p_{k-1}: in h the
-    nodes near t = 1 keep their relative accuracy.  By Christoffel-Darboux
-    sum_{k<n} p_k^2 = off[n] p_n' p_{n-1} = n ratio[n] off[n] p_{n-1}^2 /
-    (1-t^2) at a node, with p_{n-1} taken at the new node to first order
-    from the same pass; log_chr is ln 1/sum_{k<n} p_k(t)^2 there.  Terms
-    that grow large (large delta) are rescaled on _rescale_steps, the scale
-    kept as a logarithm.
-    """
-    G, half = h.shape
-    damp = np.zeros_like(off)
-    damp[:, 1:] = 1.0 / off[:, 1:] - ratio[:, 1:]
-    back = np.zeros_like(off)
-    back[:, 1:] = off[:, :-1] / off[:, 1:]
-    # (degree, G, 1)
-    O, R, P, B = (np.moveaxis(x, -1, 0)[..., None] for x in (off, ratio, damp, back))
-    checks = _rescale_steps(off)
-    t = 1.0 - h
-    with np.errstate(divide="ignore"):
-        h_off, t_off = h / O, t / O                     # (degree, G, nodes)
-    # (p, D) in Reinsch's form and (q, q_prev) on the plain recurrence, both p_k
-    p, q = np.ones((G, half)), np.ones((G, half))
-    D, q_prev = np.zeros((G, half)), np.zeros((G, half))
-    tmp, new = np.empty_like(p), np.empty_like(p)
-    log_scale = np.zeros((G, half))
-    for k in range(1, n + 1):
-        if k in checks:
-            big = np.zeros((G, half), dtype=bool)
-            g = checks[k]
-            big[g] = np.maximum(np.abs(p[g]), np.abs(D[g])) > 1e100
-            if big.any():
-                for x in (p, D, q, q_prev):
-                    x[big] *= 1e-100
-                log_scale[big] += 100.0 * math.log(10.0)
-        if k == n:
-            p_last, D_last, q_last, q_before = p.copy(), D.copy(), q.copy(), q_prev.copy()
-        np.multiply(h_off[k], p, out=tmp)
-        D *= P[k]
-        D -= tmp
-        p *= R[k]
-        p += D
-        np.multiply(t_off[k], q, out=new)
-        np.multiply(B[k], q_prev, out=tmp)
-        new -= tmp
-        q_prev, q, new = q, new, q_prev
-    one_t2 = h * (2.0 - h)
-    step = p * one_t2 / (n * (h * p - D))        # p_n / p_n'
-    if n % 2:
-        step[:, 0] = 0.0                         # the middle node, t = 0
-    # p_{n-1} at h + step to first order, dp_{n-1}/dh = -p_{n-1}': in Reinsch's
-    # form where t > 1/2, whose terms cancel as t nears 0 (a bias of 5e-14 in
-    # the log-weights there at delta = 100), and on the plain recurrence,
-    # which loses 1/h to cancellation near t = 1, elsewhere
-    near_one = p_last - (n - 1.0) * (h * p_last - D_last) / one_t2 * step
-    near_zero = q_last - (n - 1.0) * (R[n - 1] * q_before - t * q_last) / one_t2 * step
-    last = np.where(t > 0.5, near_one, near_zero)
-    h = h + step
-    log_chr = (log_mu0[:, None] + np.log(h * (2.0 - h)) - np.log(n * R[n] * O[n])
-               - 2.0 * (np.log(np.abs(last)) + log_scale))
-    return h, step, log_chr
-
-
-def _half_rules(n: int, deltas):
-    """The nodes t >= 0 of the n-node Gauss-Gegenbauer rules in each delta, with their weights.
-
-    Each rule's weight is (1-t^2)^a, a = delta - 2, and its Jacobi matrix J
-    (the recurrence's, Golub & Welsch, Math. Comp. 23, 1969) has a zero
-    diagonal, so J^2 splits into its even- and odd-indexed halves, and the
-    squares of the nodes t >= 0 are the eigenvalues of the even half, a
-    tridiagonal matrix of size ceil(n/2): one np.linalg.eigvalsh call over
-    the stack of rules gives the seeds.  The eigenvalues are accurate in t,
-    not in h = 1 - t near t = 1, so each rule takes Newton steps in h
-    (_newton_step) until every step is below NEWTON_TOL of h, one step from
-    every seed but the most extreme; a seed whose h rounds to 0 or below
-    starts from H_FLOOR.  The rule's weights, its Christoffel
-    numbers, must then sum to the weight's mass exp(log_mu0) within
-    MASS_TOL relative: a certificate that every node and weight is there.
-
-    Returns (h, log_chr, failed): (G, ceil(n/2)) arrays of h = 1 - t and of
-    the log-Christoffel values ln 1/sum_{k<n} p_k(t)^2, in increasing t (for
-    odd n the first node is t = 0 exactly), and for each rule None or the
-    QuadratureFailure that refuses it.
-    """
-    G, half = len(deltas), (n + 1) // 2
-    off, ratio, log_mu0 = _jacobi_recurrence(n + 1, np.asarray(deltas, dtype=float) - 2.0)
-    b = off.copy()
-    b[:, n] = 0.0                   # J is n x n
-    j = np.arange(half)
-    T = np.zeros((G, half, half))
-    T[:, j, j] = b[:, 2 * j] ** 2 + b[:, 2 * j + 1] ** 2
-    T[:, j[1:], j[:-1]] = T[:, j[:-1], j[1:]] = b[:, 2 * j[:-1] + 1] * b[:, 2 * j[:-1] + 2]
-    lam = np.linalg.eigvalsh(T) if G else np.zeros((0, half))
-    log_chr = np.full((G, half), np.nan)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        h = np.maximum((1.0 - lam) / (1.0 + np.sqrt(np.maximum(lam, 0.0))), H_FLOOR)
-        if n % 2:
-            h[:, 0] = 1.0           # the middle node
-        todo, converged = np.arange(G), np.zeros(G, dtype=bool)
-        for _ in range(NEWTON_STEPS):
-            if not todo.size:
-                break
-            h[todo], step, log_chr[todo] = _newton_step(n, h[todo], off[todo], ratio[todo],
-                                                       log_mu0[todo])
-            done = (np.abs(step) <= NEWTON_TOL * h[todo]).all(axis=1)
-            converged[todo[done]] = True
-            todo = todo[~done]
-        inside = (h > 0.0).all(axis=1)
-        w = np.exp(log_chr - log_mu0[:, None])
-        mass = 2.0 * w.sum(axis=1) - (w[:, 0] if n % 2 else 0.0)
-    failed = []
-    for g, delta in enumerate(deltas):
-        where = f"Gauss-Jacobi rule with {n} nodes at delta={delta:.6g}"
-        if not inside[g]:
-            failed.append(QuadratureFailure(f"{where}: a node is not strictly inside (-1, 1)"))
-        elif not converged[g]:
-            failed.append(QuadratureFailure(
-                f"{where}: Newton's steps from the seeds did not settle in {NEWTON_STEPS}"))
-        elif not abs(mass[g] - 1.0) <= MASS_TOL:
-            failed.append(QuadratureFailure(
-                f"{where}: the weights sum to {mass[g]:.17g} of the weight's mass "
-                f"(tolerance {MASS_TOL:g})"))
-        else:
-            failed.append(None)
-    return h, log_chr, failed
 
 
 def _jacobi_pass(t: np.ndarray, off: np.ndarray, p0: np.ndarray, n_rows: int,
@@ -365,50 +106,6 @@ def _jacobi_pass(t: np.ndarray, off: np.ndarray, p0: np.ndarray, n_rows: int,
     return rows
 
 
-def _rules_and_rows(deltas, n: int, m: int):
-    """n-node Gauss-Gegenbauer rules in each delta and, for m > 0, their basis rows, in one pass.
-
-    The rows are p_k(t), k < m, of the (delta+i, delta+i) families, i = 0, 1,
-    2, at each rule's map values t, (G, 3, m, n): the values
-    ModeBasis.weighted_rows takes.  The pass runs at the nodes t >= 0, and the
-    rows at -t are mirrored from them with the sign (-1)^k.  Returns (rules,
-    rows, failure): the rules of the leading deltas whose nodes were found,
-    and the QuadratureFailure of the first one whose nodes were not (None if
-    none), for the caller to raise in that delta's turn.
-    """
-    h, log_chr, failed = _half_rules(n, deltas)
-    G = next((g for g, f in enumerate(failed) if f is not None), len(failed))
-    failure = failed[G] if G < len(failed) else None
-    d = np.asarray(deltas[:G], dtype=float)[:, None]
-    h, log_chr, neg = h[:G], log_chr[:G], n // 2
-    t = 1.0 - h
-    lm, lp = np.log(h), np.log(2.0 - h)          # ln(1-t), ln(1+t)
-    u = 0.5 * (lp - lm)
-    # ds = s dt / (1-t^2); dividing out the weight leaves W / (s (1-t)^delta
-    # (1+t)^(delta-2)), and at -t the same with u and the logs swapped
-    log_w_pos = log_chr - u - d * lm - (d - 2.0) * lp
-    log_w_neg = log_chr + u - d * lp - (d - 2.0) * lm
-
-    def whole(neg_side, pos_side):
-        return np.concatenate((neg_side[:, ::-1][:, :neg], pos_side), axis=1)
-
-    U = whole(-u, u)
-    rules = [JacobiRule(s=np.exp(U[g]), u=U[g], t=tt, one_minus_t=lo, one_plus_t=hi, log_w=lw,
-                        log_chr=lc)
-             for g, (tt, lo, hi, lw, lc) in enumerate(zip(
-                 whole(-t, t), whole(2.0 - h, h), whole(h, 2.0 - h), whole(log_w_neg, log_w_pos),
-                 whole(log_chr, log_chr)))]
-    rows = np.empty((G, 3, m, n))
-    if m:
-        off, _, log_mu0 = _jacobi_recurrence(m, d + np.arange(3.0))
-        # p_0 = exp(-log_mu0/2) by libm's exp, as _SymmetricJacobi takes it
-        p0 = np.array([math.exp(-0.5 * v) for v in log_mu0.ravel().tolist()]).reshape(G, 3)
-        _jacobi_pass(t[:, None], off, p0, m, out=rows[..., neg:])
-        rows[..., :neg] = rows[..., ::-1][..., :neg]
-        rows[:, :, 1::2, :neg] *= -1.0
-    return rules, rows, failure
-
-
 class _SymmetricJacobi:
     """The orthonormal Jacobi P^{(a,a)} family p_k, k < n: rows and sums.
 
@@ -417,12 +114,11 @@ class _SymmetricJacobi:
     """
 
     def __init__(self, n: int, a: float):
-        off, ratio, log_mu0 = _jacobi_recurrence(n + 2, a)
-        self.off = off
+        self.off, ratio, log_mu0 = _jacobi_recurrence(n + 2, a)
         self.p0 = math.exp(-0.5 * float(log_mu0))
         # r_k = p_k(1)/p_{k-1}(1), k = 1, ..., n-1
         self.ratio = ratio[1:n]
-        self.damp = 1.0 / off[1:n] - self.ratio
+        self.damp = 1.0 / self.off[1:n] - self.ratio
 
     def rows(self, t: np.ndarray, n: int) -> np.ndarray:
         """(n, t.size) values p_k(t), k < n."""
@@ -478,11 +174,7 @@ class ModeBasis:
 
     @functools.cached_property
     def family(self) -> _SymmetricJacobi:
-        """The (delta, delta) family p_j, built on first use.
-
-        The pencil's assembly takes its rows from its own pass
-        (_rules_and_rows), and only the reduction reads the family.
-        """
+        """The (delta, delta) family p_j, built on first use: the pencils take no rows from it."""
         return _SymmetricJacobi(self.m, self.delta)
 
     @property
@@ -523,7 +215,7 @@ class ModeBasis:
         w the quadrature weight with its s^{M-1} and c a constant, so the
         rows are c psi sqrt(w pot) and c T_k psi sqrt(w); _log_row_scale
         gives it on a pencil's own rule.  P holds the three families' (m,
-        s.size) rows p_k(t), k < m, as _rules_and_rows gives them.  The rows
+        s.size) rows p_k(t), k < m, as _assemble_pass gives them.  The rows
         are formed in t alone: T_k psi / E is operator_fields' polynomials
         times p, p' and p''.  Derivatives in t go to the next families
         through d/dt p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, by
@@ -639,7 +331,7 @@ def assemble_mode_problems(p: Params, ks, nodes: int):
     """Yield the weak-form pencils (A, B) of the modes ks, in order, `nodes` trial functions each.
 
     The modes' rules and basis rows come from one recurrence pass per
-    _modes_per_pass modes (_rules_and_rows); each pencil's weighted rows
+    _modes_per_pass modes (_assemble_pass); each pencil's weighted rows
     and Gram products are formed when its turn comes.  A mode that fails to
     assemble raises in its own turn, so a later mode's failure never
     pre-empts what the caller does with an earlier one.
@@ -664,7 +356,12 @@ def _assembled(p: Params, ks, nodes: int):
 
 
 def _assemble_pass(p: Params, ks: list, nodes: int):
-    """Yield (pencil, family-0 rows) of the modes ks, from one recurrence pass, in order."""
+    """Yield (pencil, family-0 rows) of the modes ks, from one recurrence pass, in order.
+
+    The modes' n = nodes+8 node rules come from one calculus._jacobi_rules
+    call, and the rows of their (delta+i, delta+i) families, i < 3, (modes,
+    3, nodes, n), from one _jacobi_pass at the nodes t >= 0, mirrored to -t.
+    """
     staged, failure = [], None
     try:
         for k in ks:
@@ -672,7 +369,17 @@ def _assemble_pass(p: Params, ks: list, nodes: int):
             staged.append((k, lam_k, ModeBasis(p.M, p.q ** 2 * lam_k, nodes)))
     except (CknError, ValueError) as exc:
         failure = exc
-    rules, rows, rule_failure = _rules_and_rows([b.delta for _, _, b in staged], nodes + 8, nodes)
+    deltas, n = [b.delta for _, _, b in staged], nodes + 8
+    rules, rule_failure = _jacobi_rules(deltas, n)
+    G, neg = len(rules), n // 2
+    off, _, log_mu0 = _jacobi_recurrence(nodes, np.asarray(deltas[:G])[:, None] + np.arange(3.0))
+    # p_0 = exp(-log_mu0/2) by libm's exp, as _SymmetricJacobi takes it
+    p0 = np.array([math.exp(-0.5 * v) for v in log_mu0.ravel().tolist()]).reshape(G, 3)
+    rows = np.empty((G, 3, nodes, n))
+    _jacobi_pass(np.reshape([rule.t[neg:] for rule in rules], (G, 1, n - neg)), off, p0, nodes,
+                 out=rows[..., neg:])
+    rows[..., :neg] = rows[..., ::-1][..., :neg]
+    rows[:, :, 1::2, :neg] *= -1.0
     for g, ((k, lam_k, basis), grid) in enumerate(zip(staged, rules)):
         A, B = _gram_matrices(basis, grid, p.M, rows[g])
         problem = ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid, A=A, B=B)

@@ -9,13 +9,13 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gammaln, roots_legendre
 
-from ckn4.calculus import RadialGrid, default_grid
+from ckn4.calculus import JacobiRule, RadialGrid, default_grid
 from ckn4.emden import ComposedRadial
 from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
 import ckn4.reduction as reduction
 from ckn4.reduction import PerturbationProblem, solve_correction
-from ckn4.spectrum import JacobiRule, _SymmetricJacobi
+from ckn4.spectrum import _SymmetricJacobi
 
 # the five working parameter pairs exercised across the suite
 PARAM_SETS = [(5, 1.0), (5, 0.5), (6, -1.0), (3, 1.5), (7, -2.0)]

@@ -40,6 +40,31 @@ def test_constants_usage_error(capsys):
     assert "AlphaOutOfRange" in err
 
 
+@pytest.mark.parametrize("N, alpha", [(454, "-449"), (446, "-441.9"), (460, "1")])
+def test_constants_refuses_subnormal_sphere_area(capsys, N, alpha):
+    # omega_{N-1} is subnormal from N = 439 and 0 from N = 456: (460, 1) once
+    # ended in a ZeroDivisionError traceback, and (454, -449) reported a
+    # best constant 2.8e-3 off, (446, -441.9) one 8.0e-10 off
+    code, out, err = run(capsys, "constants", "--N", str(N), f"--alpha={alpha}")
+    assert code == 2 and out == ""
+    assert err.startswith("error: MOutOfRange: sphere area at N=") and err.count("\n") == 1
+
+
+def test_constants_at_large_n_against_mpmath(capsys):
+    # omega_349 = 3.1e-229 is still a normal float: S^rad(350, -345.5) =
+    # 2.77e-224 by 40-digit mpmath (measured 2.5e-14 relative)
+    code, out, _ = run(capsys, "constants", "--N", "350", "--alpha=-345.5")
+    assert code == 0
+    with mpmath.workdps(40):
+        N, a = mpmath.mpf(350), mpmath.mpf("-345.5")
+        q, M, pstar = 2 / (2 - a), 2 * (N - a) / (2 - a), 2 * (N - a) / (N - 4 + a)
+        omega = 2 * mpmath.pi ** (N / 2) / mpmath.gamma(N / 2)
+        C = (M - 4) * (M - 2) * M * (M + 2) * (mpmath.gamma(M / 2) ** 2
+                                                / (2 * mpmath.gamma(M))) ** (4 / M)
+        want = float(q ** (-3 - (M - 4) / M) * omega ** (1 - 2 / pstar) * C)
+    assert abs(json.loads(out)["data"]["best_constant_radial"] / want - 1.0) <= 1e-13
+
+
 def test_constants_even_case(capsys):
     code, out, _ = run(capsys, "constants", "--N", "5", "--alpha", "0")
     assert code == 0
@@ -131,7 +156,7 @@ def test_kernel_assembles_its_modes_in_one_pass(capsys, monkeypatch):
     from ckn4 import spectrum
 
     rules, passes = [], []
-    half_rules, run_pass = spectrum._half_rules, spectrum._jacobi_pass
+    half_rules, run_pass = calculus._half_rules, spectrum._jacobi_pass
 
     def counted_rules(n, deltas):
         rules.append((n, len(deltas)))
@@ -141,7 +166,7 @@ def test_kernel_assembles_its_modes_in_one_pass(capsys, monkeypatch):
         passes.append(t.shape)
         return run_pass(t, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum, "_half_rules", counted_rules)
+    monkeypatch.setattr(calculus, "_half_rules", counted_rules)
     monkeypatch.setattr(spectrum, "_jacobi_pass", counted)
     code, _, _ = run(capsys, "kernel", "--N", "5", "--alpha", "1", "--k-max", "4")
     assert code == 0
@@ -321,6 +346,23 @@ def test_float_flag_refuses_non_finite(capsys, name, flag, value):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "Infinity", "nan", "abc"])
+@pytest.mark.parametrize("name", ["constants", "spectrum"])
+def test_alpha_refuses_non_decimal(capsys, name, value):
+    # inf, -inf and Infinity once ended in an OverflowError traceback from
+    # Fraction(Decimal(...)), and nan and abc in messages that did not name
+    # the flag
+    with pytest.raises(SystemExit) as exc:
+        main([name, f"--alpha={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --alpha:" in err and "Traceback" not in err
+
+
+def test_alpha_kept_as_its_string():
+    assert build_parser().parse_args(["constants", "--alpha", "1.990"]).alpha == "1.990"
 
 
 # every int-valued flag, read off FLAGS: each carries its range but --N,
@@ -717,6 +759,31 @@ def test_no_command_loads_scipy_optimize():
     rows = json.loads(proc.stdout)
     assert [code for _, code, _ in rows] == [0] * len(rows)
     assert [(name, mods) for name, _, mods in rows if mods] == []
+
+
+def test_quadrature_layer_loads_no_pencil_layer():
+    # the Gauss rules live in calculus, and spectrum and reduction import them
+    # from there, not the other way round: a fresh interpreter imports
+    # ckn4.calculus alone (its package made a bare namespace, so that
+    # ckn4/__init__.py does not import every module first) and builds a rule
+    # and the default grid
+    script = textwrap.dedent("""
+        import importlib, json, sys, types
+        package = types.ModuleType("ckn4")
+        package.__path__ = [sys.argv[1]]
+        sys.modules["ckn4"] = package
+        calculus = importlib.import_module("ckn4.calculus")
+        calculus.JacobiRule.build(72, 3.5)
+        calculus.default_grid()
+        print(json.dumps(sorted(m for m in sys.modules if m.startswith("ckn4."))))
+    """)
+    package = str(Path(__file__).resolve().parents[1] / "src" / "ckn4")
+    proc = subprocess.run([sys.executable, "-c", script, package], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "ckn4.calculus" in loaded
+    assert [m for m in loaded if m in ("ckn4.spectrum", "ckn4.reduction")] == []
 
 
 def test_log_gauss_grids_are_shared_and_read_only(capsys, monkeypatch):

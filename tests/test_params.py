@@ -163,6 +163,15 @@ def test_sphere_area_gamma_accuracy():
         assert abs(sphere_area(N) - want) <= 1e-14 * want
 
 
+def test_sphere_area_refused_below_normal_range():
+    # the last N whose omega_{N-1} is a normal float, and the first two that are not
+    want = 2 * mpmath.pi ** 219 / mpmath.gamma(219)
+    assert abs(sphere_area(438) / want - 1) <= 1e-12
+    for N in (439, 456):
+        with pytest.raises(MOutOfRange, match=f"^sphere area at N={N} is "):
+            sphere_area(N)
+
+
 def test_no_overflow_near_alpha_two():
     # effective dimension ~ 200; everything must stay finite via log-Gamma
     p = validate_params(12, 1.9)

@@ -9,7 +9,7 @@ from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
 import ckn4.reduction as reduction
-from ckn4.calculus import RadialGrid, weighted_hessian_norm_sq
+from ckn4.calculus import JacobiRule, RadialGrid, weighted_hessian_norm_sq
 from ckn4.emden import from_sobolev, sobolev_bubble
 from ckn4.errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum
 from ckn4.params import normalization_constant, sphere_area, validate_params
@@ -23,7 +23,7 @@ from ckn4.reduction import (
     solve_correction,
     solve_corrections,
 )
-from ckn4.spectrum import JacobiRule, mode_eigenvalues
+from ckn4.spectrum import mode_eigenvalues
 from conftest import (PARAM_SETS, ModeFunction, _star_log_rule, applied, brentq_lambda_star,
                       composite_rule, full_grid_energy, h_weighted_star_norm, inner_alpha,
                       omega_hat, perturbation_on, remainder_ratio, solution_radial,

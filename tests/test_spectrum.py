@@ -6,8 +6,10 @@ import pytest
 import scipy.linalg
 from scipy.special import eval_jacobi, gammaln
 
+import ckn4.calculus as calculus
 import ckn4.spectrum as spectrum
 
+from ckn4.calculus import JacobiRule
 from ckn4.cli import MODE_RANGE
 from ckn4.emden import sobolev_bubble
 from ckn4.errors import (EigensolveFailure, GridTooCoarse, InconsistentKernel,
@@ -16,7 +18,6 @@ from ckn4.forms import PowerForm
 from ckn4.params import mode_lambda, normalization_constant, validate_params
 from ckn4.profiles import extremal_U, kernel_Z0, kernel_Zk_radial
 from ckn4.spectrum import (
-    JacobiRule,
     ModeBasis,
     assemble_mode_problem,
     exact_eigenvalues,
@@ -411,19 +412,19 @@ def test_log_mu0_against_mpmath(a):
         x = mpmath.mpf(a)
         want = (mpmath.log(mpmath.pi) / 2 + mpmath.loggamma(x + 1)
                 - mpmath.loggamma(x + mpmath.mpf(3) / 2))
-    assert abs(spectrum._log_mu0(a) - float(want)) <= 4e-15
+    assert abs(calculus._log_mu0(a) - float(want)) <= 4e-15
 
 
 def test_jacobi_rule_certifies_its_weights(monkeypatch):
     # a rule whose Christoffel numbers do not sum to the weight's mass is
     # refused by name, and so is one whose Newton steps do not settle
-    step = spectrum._newton_step
+    step = calculus._newton_step
 
     def heavy(*args):
         h, moved, log_chr = step(*args)
         return h, moved, log_chr + 1e-9
 
-    monkeypatch.setattr(spectrum, "_newton_step", heavy)
+    monkeypatch.setattr(calculus, "_newton_step", heavy)
     with pytest.raises(QuadratureFailure, match=r"^Gauss-Jacobi rule with 168 nodes at delta=3\.5: "
                                                 r"the weights sum to 1\.00000000(09|10)"):
         JacobiRule.build(168, 3.5)
@@ -432,7 +433,7 @@ def test_jacobi_rule_certifies_its_weights(monkeypatch):
         h, moved, log_chr = step(*args)
         return h, h, log_chr
 
-    monkeypatch.setattr(spectrum, "_newton_step", restless)
+    monkeypatch.setattr(calculus, "_newton_step", restless)
     with pytest.raises(QuadratureFailure, match=r"delta=3\.5: Newton's steps from the seeds did "
                                                 r"not settle in 8$"):
         JacobiRule.build(168, 3.5)
@@ -456,16 +457,16 @@ def test_row_scale_is_envelope_times_root_weight(N, a, k):
     assert np.max(np.abs(got - sum(terms))) <= 4e-16 * max(float(np.max(np.abs(x))) for x in terms)
 
 
-def _recording(monkeypatch, name):
-    """Wrap spectrum.<name> so that its calls' first arguments are recorded."""
+def _recording(monkeypatch, name, module=spectrum):
+    """Wrap module.<name> so that its calls' first arguments are recorded."""
     calls = []
-    fn = getattr(spectrum, name)
+    fn = getattr(module, name)
 
     def record(first, *args, **kwargs):
         calls.append(first)
         return fn(first, *args, **kwargs)
 
-    monkeypatch.setattr(spectrum, name, record)
+    monkeypatch.setattr(module, name, record)
     return calls
 
 
@@ -490,7 +491,7 @@ def _fail_mode(monkeypatch, p, k, stage):
     """Make mode k's assembly raise QuadratureFailure: at its rule's nodes or at its rows."""
     delta = ModeBasis(p.M, p.q ** 2 * mode_lambda(k, p.N)[0], 160).delta
     if stage == "nodes":
-        half_rules = spectrum._half_rules
+        half_rules = calculus._half_rules
 
         def fail(n, deltas):
             h, log_chr, failed = half_rules(n, deltas)
@@ -498,7 +499,7 @@ def _fail_mode(monkeypatch, p, k, stage):
                       for d, f in zip(deltas, failed)]
             return h, log_chr, failed
 
-        monkeypatch.setattr(spectrum, "_half_rules", fail)
+        monkeypatch.setattr(calculus, "_half_rules", fail)
     else:
         rows = ModeBasis.weighted_rows
 
@@ -555,7 +556,7 @@ def test_pass_grouping_cap(monkeypatch):
     # give the pencils of one assembly per mode
     p = validate_params(6, -1)
     monkeypatch.setattr(spectrum, "PASS_ROWS", 2 * 3 * 64 * 72)
-    rules = _recording(monkeypatch, "_half_rules")
+    rules = _recording(monkeypatch, "_half_rules", calculus)
     passes = _recording(monkeypatch, "_jacobi_pass")
     problems = list(spectrum.assemble_mode_problems(p, range(5), 64))
     assert rules == [72, 72, 72]
@@ -571,14 +572,14 @@ def test_jacobi_rule_refuses_node_at_end(monkeypatch):
     # typed failure, not a log1p(-1) warning.  Newton's steps are made to
     # leave the node nearest t = 1 there, as seeds that round to it no
     # longer are refused (test_jacobi_rule_builds_near_m4)
-    step = spectrum._newton_step
+    step = calculus._newton_step
 
     def to_end(*args):
         h, moved, log_chr = step(*args)
         h[:, -1] = 0.0
         return h, moved, log_chr
 
-    monkeypatch.setattr(spectrum, "_newton_step", to_end)
+    monkeypatch.setattr(calculus, "_newton_step", to_end)
     with pytest.raises(QuadratureFailure, match=r"68 nodes at delta=1: a node is not strictly "
                                                 r"inside \(-1, 1\)"):
         JacobiRule.build(68, 1 + 2 ** -52)
