@@ -47,7 +47,6 @@ __all__ = [
 
 _EVEN_TOL = 1e-12
 _K_GUARD = 20
-_N_GUARD = 64
 
 
 @dataclass(frozen=True)
@@ -209,8 +208,8 @@ def spherical_multiplicity(k: int, N: int) -> int:
     """Dimension of the degree-k spherical-harmonic eigenspace on S^{N-1}."""
     if k < 0:
         raise NegativeMode(f"need k >= 0, got {k}")
-    if k > _K_GUARD or N > _N_GUARD:
-        raise ValueError(f"factorial guard exceeded (k<={_K_GUARD}, N<={_N_GUARD})")
+    if k > _K_GUARD:
+        raise ValueError(f"factorial guard exceeded (k<={_K_GUARD})")
     if k == 0:
         return 1
     return (N + 2 * k - 2) * math.factorial(N + k - 3) // (math.factorial(N - 2) * math.factorial(k))

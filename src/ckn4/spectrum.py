@@ -8,9 +8,10 @@ effective dimension M,
 
 with mu normalized so the extremal itself sits at mu = 1.  The problem is
 discretized in weak form: trial functions psi_j = E(s) p_j(t), E =
-s^{sigma0} (1+s^2)^{1-delta}, t = (s^2-1)/(s^2+1), where sigma0 and the
-decay power are the indicial exponents of T_k at zero and infinity and
-p_j, j < m, are the orthonormal Jacobi P^{(delta,delta)} polynomials.
+s^{sigma0} ((1+s^2)/2)^{1-delta}, t = (s^2-1)/(s^2+1), where sigma0 and
+the decay power are the indicial exponents of T_k at zero and infinity,
+E(1) = 1, and p_j, j < m, are the orthonormal Jacobi P^{(delta,delta)}
+polynomials.
 Under that map the mass integrand is p_i p_j (1-t^2)^delta, so B is
 diagonal, and E p_j, the Gegenbauer C_j^{(delta+1/2)} times the envelope,
 are the eigenfunctions of the continuum problem (the Paneitz spectrum on
@@ -22,10 +23,7 @@ p'', whose coefficients are polynomials in t that depend on delta alone
 M, nu and sigma0 cancel, and what is left is the Paneitz operator on S^M
 in the coordinate t.  The pencil is assembled from 1 - t and 1 + t as its
 rule holds them, and no function of s is evaluated.  The eigenpairs are
-read off the diagonal, mu_j = A_jj / B_jj with eigenvector x_j e_j, x_j =
-B_jj^{-1/2} > 0, and that read is certified on every solve: the
-normalized off-diagonal couplings of both matrices must stay below
-COUPLING_TOL, which bounds the eigenvalue error by its square.  Every
+read off the diagonal, a read every solve certifies (_solve_pencil).  Every
 stiffness and mass integrand is a polynomial of degree at most 2m in t
 times (1-t)^{delta-2} (1+t)^{delta}, that is (1+t)^2 times
 such a polynomial times the Gegenbauer weight (1-t^2)^{delta-2}, so the
@@ -34,8 +32,9 @@ rule per mode, with 13 degrees to spare (calculus.JacobiRule, whose
 builder stacks the modes' rules).  The trial functions' rows at the nodes
 t >= 0 come from one recurrence pass over the degree, stacked over all the
 modes a command assembles (assemble_mode_problems); the rows at -t are
-(-1)^k times those, and their scale carries no power of 1 +- t
-(_log_row_scale), whose sums would cost digits.  Mode 0's rule also
+(-1)^k times those, and their scale carries no power of 1 +- t and no
+constant (_log_row_scale): its sums would cost digits, and a constant
+such as 4^{1-delta} underflows at large delta.  Mode 0's rule also
 carries the perturbation's star-type integrals (reduction): there the star
 measure U^{p*} s^{M-1} ds is the rule's weight times (1-t^2)^2.
 """
@@ -158,9 +157,11 @@ class _SymmetricJacobi:
 class ModeBasis:
     """Decay-adapted trial functions for one mode.
 
-    psi_j = E(s) p_j(t), E = s^{sigma0} (1+s^2)^{1-delta}, p_j the
+    psi_j = E(s) p_j(t), E = s^{sigma0} ((1+s^2)/2)^{1-delta}, p_j the
     orthonormal Jacobi P^{(delta,delta)} polynomials: E p_j are the
-    continuum eigenfunctions, so both pencil matrices are diagonal.
+    continuum eigenfunctions, so both pencil matrices are diagonal.  E is 1
+    at s = 1, so the pencil carries no common factor; only the bubble's
+    coefficient in the basis shows the normalization (reduction).
     """
 
     def __init__(self, M: float, nu_coeff: float, m: int):
@@ -176,16 +177,6 @@ class ModeBasis:
     def family(self) -> _SymmetricJacobi:
         """The (delta, delta) family p_j, built on first use: the pencils take no rows from it."""
         return _SymmetricJacobi(self.m, self.delta)
-
-    @property
-    def p0(self) -> float:
-        """The constant p_0: psi_0 = p0 E."""
-        return self.family.p0
-
-    @property
-    def b1(self) -> float:
-        """The recurrence's first off-diagonal coefficient: t = (b1/p0) p_1."""
-        return float(self.family.off[1])
 
     def operator_fields(self, one_minus_t: np.ndarray, one_plus_t: np.ndarray):
         """(c0, c1, c2) with T_k psi / E = c0 p + c1 p' + c2 p'', psi = E p(t), at 1 -+ t.
@@ -284,19 +275,17 @@ def _log_potential(M: float, one_minus_t: np.ndarray) -> np.ndarray:
 
 
 def _log_row_scale(rule: JacobiRule) -> np.ndarray:
-    """ln(2^{delta-1} E sqrt(w)) on a pencil's own rule: ln(W)/2 + 2u.
+    """ln(E sqrt(w)) on a pencil's own rule: ln(W)/2 + 2u.
 
-    E = s^{sigma0} (1+s^2)^{1-delta} is the envelope and w = W_s s^{M-1}
+    E = s^{sigma0} ((1+s^2)/2)^{1-delta} is the envelope and w = W_s s^{M-1}
     the weight of int f s^{M-1} ds, W_s the rule's weights for ds.  With
-    1+s^2 = 2/(1-t), s^2 = (1+t)/(1-t), W_s = W s/(1-t^2)^{delta-1} (W the
-    Christoffel numbers of the weight (1-t^2)^{delta-2}, rule.log_chr) and
-    sigma0 = delta - (M-2)/2, the powers of 1-t and 1+t carrying delta, M
-    and sigma0 cancel exactly, for every mode, and what is left besides is
-    the constant (1-delta) ln 2, which the Gram products take as the factor
-    4^{1-delta} (_gram_matrices).  Summed as floats those terms reach delta
-    |ln(1-t)|, hundreds at large M, and the rounding of their exponentials
-    read a median 1e-13 in 1 - mu2/mu3 (remainder's limit_is_paneitz) near
-    M = 202, against 8.5e-15 with them cancelled.
+    (1+s^2)/2 = 1/(1-t), s^2 = (1+t)/(1-t), W_s = W s/(1-t^2)^{delta-1} (W
+    the Christoffel numbers of the weight (1-t^2)^{delta-2}, rule.log_chr)
+    and sigma0 = delta - (M-2)/2, the powers of 1-t and 1+t carrying delta,
+    M and sigma0 cancel exactly, for every mode.  Summed as floats those
+    terms reach delta |ln(1-t)|, hundreds at large M, and the rounding of
+    their exponentials read a median 1e-13 in 1 - mu2/mu3 (remainder's
+    limit_is_paneitz) near M = 202, against 8.5e-15 with them cancelled.
     """
     return 0.5 * rule.log_chr + 2.0 * rule.u
 
@@ -305,12 +294,7 @@ def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, P):
     rows_mass, rows_stiff = basis.weighted_rows(rule.one_minus_t, rule.one_plus_t,
                                                 _log_row_scale(rule),
                                                 _log_potential(M, rule.one_minus_t), P)
-    scale = 4.0 ** (1.0 - basis.delta)
-    A = rows_stiff @ rows_stiff.T
-    B = rows_mass @ rows_mass.T
-    A *= scale
-    B *= scale
-    return A, B
+    return rows_stiff @ rows_stiff.T, rows_mass @ rows_mass.T
 
 
 # --nodes, the trial functions of a mode pencil: the smallest the assembly takes,
@@ -448,8 +432,7 @@ def _solve_pencil_cut(pr: ModeProblem, cut: float):
     basis, rule = pr.basis, pr.grid
     family = _SymmetricJacobi(basis.m, 0.0)
     t = rule.t
-    env = 2.0 ** (1.0 - basis.delta) * np.exp(
-        _log_row_scale(rule) + 0.5 * _log_potential(pr.params.M, rule.one_minus_t))
+    env = np.exp(_log_row_scale(rule) + 0.5 * _log_potential(pr.params.M, rule.one_minus_t))
     rows = env * family.rows(t, basis.m)
     # E p_k = sum_j L_jk psi_j, read off the mass products on the exact rule
     L = (env * basis.family.rows(t, basis.m)) @ rows.T / np.diag(pr.B)[:, None]
@@ -509,17 +492,12 @@ def _read_spectrum(pr: ModeProblem, n_eigs: int) -> SpectrumResult:
     if m < n_eigs:
         raise EigensolveFailure(f"only {m} trial functions, need {n_eigs} eigenvalues")
     mu = mu[:n_eigs]
-    X = np.zeros((m, n_eigs))
-    X[np.arange(n_eigs), np.arange(n_eigs)] = x[:n_eigs]
-    res = np.empty(n_eigs)
-    for i in range(n_eigs):
-        # A and B times the eigenvector x_i e_i
-        ax = x[i] * pr.A[:, i]
-        bx = x[i] * pr.B[:, i]
-        res[i] = np.linalg.norm(ax - mu[i] * bx) / np.linalg.norm(bx)
+    # the residual of the eigenvector x_i e_i does not depend on x_i
+    A, B = pr.A[:, :n_eigs], pr.B[:, :n_eigs]
+    res = np.linalg.norm(A - mu * B, axis=0) / np.linalg.norm(B, axis=0)
     diagnostics = {"quad_nodes": pr.grid.n, "basis_size": m, **couplings}
-    return SpectrumResult(problem=pr, eigenvalues=mu, coefficients=X, residual_norms=res,
-                          diagnostics=diagnostics)
+    return SpectrumResult(problem=pr, eigenvalues=mu, coefficients=np.eye(m, n_eigs) * x[:n_eigs],
+                          residual_norms=res, diagnostics=diagnostics)
 
 
 def kernel_residual(p: Params, profile: RadialProfile, k: int, mu: float | None = None) -> float:

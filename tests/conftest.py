@@ -185,8 +185,8 @@ def s_frame(basis, s):
     """(t, ln E, a, a', t', t'') of a ModeBasis at the points s: its chain rule in s.
 
     psi_j = E p_j(t) with t = (s^2-1)/(s^2+1) and the envelope E =
-    s^{sigma0} (1+s^2)^{1-delta}, so psi' = E (a p + t' p') and psi'' = E
-    ((a^2 + a') p + (2 a t' + t'') p' + t'^2 p'') with a = E'/E =
+    s^{sigma0} ((1+s^2)/2)^{1-delta}, so psi' = E (a p + t' p') and psi'' =
+    E ((a^2 + a') p + (2 a t' + t'') p' + t'^2 p'') with a = E'/E =
     sigma0/s + 2(1-delta) s/(1+s^2).  Written in u = ln s through t = tanh u
     and 2s/(1+s^2) = sech u, so that no power of 1+s^2 is formed: a =
     sigma0/s + (1-delta) sech u, a' = -sigma0/s^2 - (1-delta) t sech u / s,
@@ -196,7 +196,7 @@ def s_frame(basis, s):
     sig, d = basis.sigma0, basis.delta
     u = np.log(s)
     t, sech = np.tanh(u), 1.0 / np.cosh(u)
-    log_E = sig * u + (1.0 - d) * np.logaddexp(0.0, 2.0 * u)
+    log_E = sig * u + (1.0 - d) * (np.logaddexp(0.0, 2.0 * u) - math.log(2.0))
     a = sig / s + (1.0 - d) * sech
     ap = -sig / (s * s) - (1.0 - d) * t * sech / s
     tp = sech * sech / s
@@ -315,9 +315,9 @@ def full_grid_energy(pp, lam, result):
     the distance beyond which (2 cosh)^{-M} is below e^{-32} of its peak.
     With U_lam = C nu^{(M-4)/2} (1 + nu^2 s^2)^{-(M-4)/2}, U_lam^{p*}
     s^{M-1} ds = C^{p*} (2 cosh(ln s + ln nu))^{-M} d(ln s), and in mode 0
-    (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j p_j(t(nu s))/C: the correction
-    is summed from the (m, n) matrix of jacobi_rows, and no factor leaves
-    the float range.
+    (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j p_j(t(nu s))/(c0 p0), c0 the
+    bubble's coefficient (reduction._bubble): the correction is summed from
+    the (m, n) matrix of jacobi_rows, and no factor leaves the float range.
     """
     p = pp.params
     basis = pp.problem.basis
@@ -327,7 +327,7 @@ def full_grid_energy(pp, lam, result):
     x = u + ln_nu                                        # ln(nu s)
     C = normalization_constant(p)
     P = jacobi_rows(basis, np.tanh(x))
-    ratio = 1.0 + (pp.X @ result.coeffs) @ P / C
+    ratio = 1.0 + (pp.X @ result.coeffs) @ P / (reduction._bubble(pp.problem)[0] * basis.family.p0)
     h = np.asarray(pp.h(s ** p.q), dtype=float)
     star = pp.star_scale * C ** p.pstar * float(np.sum(
         w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.problem.eps * h)
@@ -448,15 +448,15 @@ def omega_hat(res):
 def solution_radial(res):
     """U_lam + P_lam(w) of a CorrectionResult on the weighted side, as one function.
 
-    The bubble is (C/p0) psi_0 in the transported frame, so it is added to
-    the correction's coefficients (omega_hat), and the sum is pulled back
-    to scale lam: lam^{(N-4+alpha)/2} X((lam r)^{1/q}).
+    The bubble is c0 psi_0 in the transported frame (reduction._bubble), so
+    it is added to the correction's coefficients (omega_hat), and the sum
+    is pulled back to scale lam: lam^{(N-4+alpha)/2} X((lam r)^{1/q}).
     """
     pp = res.problem
     p = pp.params
     basis = pp.problem.basis
     coeffs = pp.X @ res.coeffs
-    coeffs[0] += normalization_constant(p) / basis.p0
+    coeffs[0] += reduction._bubble(pp.problem)[0]
     pre = res.lam ** ((p.N - 4.0 + p.alpha) / 2.0)
     return ComposedRadial(ModeFunction(basis, coeffs), 1.0 / p.q, scale=res.lam, amp=pre)
 

@@ -50,6 +50,17 @@ def test_constants_refuses_subnormal_sphere_area(capsys, N, alpha):
     assert err.startswith("error: MOutOfRange: sphere area at N=") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("constants", "--N", "200", "--alpha", "0"),
+                                  ("kernel", "--N", "200", "--alpha=-2", "--k-max", "2"),
+                                  ("spectrum", "--N", "65", "--alpha", "1")])
+def test_large_n_reports_pass(capsys, argv):
+    # the spherical multiplicities are exact integers at any N: these once
+    # stopped with a usage error for N > 64
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["passed"]
+
+
 def test_constants_at_large_n_against_mpmath(capsys):
     # omega_349 = 3.1e-229 is still a normal float: S^rad(350, -345.5) =
     # 2.77e-224 by 40-digit mpmath (measured 2.5e-14 relative)
@@ -175,19 +186,40 @@ def test_kernel_assembles_its_modes_in_one_pass(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("N, alpha, err", [
-    (12, "1.999", "EigensolveFailure: pencil at N=12, alpha=1.999, mode 0, 168 nodes: "
-                  "a diagonal entry is not finite and positive"),
+    (8, "1.99999", "QuadratureFailure: Gauss-Jacobi rule with 168 nodes at delta=600000: "
+                   "the weights sum to 0.99999999998930833 of the weight's mass (tolerance 1e-11)"),
     (8, "-3.9999", "InconsistentKernel: mode 3: analytic=False numeric=True (rel dist 3.47e-05)"),
 ])
 def test_kernel_reports_first_failing_mode(capsys, N, alpha, err):
     # the first failure in mode order, word for word as with one assembly
     # per mode.  Both are known faults, pinned here for the order only: at
-    # M = 20002 mode 0's pencil underflows to 0; next to the even weight -4,
-    # mode 3 holds p*-1 within the fixed matching tolerance (a false verdict).
-    # When either is mended, take another failing point
+    # M = 1.2e6 mode 0's rule misses its mass certificate; next to the even
+    # weight -4, mode 3 holds p*-1 within the fixed matching tolerance (a
+    # false verdict).  When either is mended, take another failing point
     code, out, got = run(capsys, "kernel", "--N", str(N), "--alpha", alpha, "--k-max", "6")
     assert code == 2 and out == ""
     assert got == f"error: {err}\n"
+
+
+@pytest.mark.parametrize("N, alpha", [(3, "1.99"), (3, "1.999"), (5, "1.99")])
+def test_remainder_passes_near_alpha_two(capsys, N, alpha):
+    # D is a ratio of two sums on the pencil's rule, whose weights are taken
+    # relative to the largest: at (3, 1.999) the absolute ones underflowed
+    # to 0, a ZeroDivisionError.  dist is t ||U_1||_alpha, formed from its
+    # logarithm, and stays a positive normal float (2.9e-303 at (3, 1.999))
+    code, out, err = run(capsys, "remainder", "--N", str(N), "--alpha", alpha)
+    assert code == 0 and err == ""
+    for row in json.loads(out)["data"]["curve"]:
+        assert np.finfo(float).tiny <= row["dist"] < np.inf
+
+
+def test_remainder_refuses_an_underflowing_bubble(capsys):
+    # at M = 20002 the bubble's coefficient c0 = 2^{1-delta} C/p0 is e^-6932:
+    # a typed refusal, not dist = 0.0
+    code, out, err = run(capsys, "remainder", "--N", "3", "--alpha", "1.9999")
+    assert code == 2 and out == ""
+    assert err == ("error: MOutOfRange: the bubble's c0 at N=3, alpha=1.9999 (M=20002) is "
+                   "e^-6932.3, outside the normal float range\n")
 
 
 def test_scan_alpha(capsys):

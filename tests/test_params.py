@@ -132,6 +132,16 @@ def test_even_alpha_info():
     assert not even_alpha_info(validate_params(7, "-2.0000001")).is_even_case
 
 
+@pytest.mark.parametrize("N", [65, 200])
+def test_spherical_multiplicity_at_large_n(N):
+    # the degree-k harmonics on S^{N-1}: homogeneous polynomials of degree k
+    # less those of degree k-2, C(N+k-1, k) - C(N+k-3, k-2), for every k the
+    # mode flags take; exact integers, with no cap on N
+    for k in range(21):
+        want = math.comb(N + k - 1, k) - (math.comb(N + k - 3, k - 2) if k >= 2 else 0)
+        assert mode_lambda(k, N) == (float(k * (N - 2 + k)), want)
+
+
 def test_mode_lambda():
     assert mode_lambda(0, 5) == (0.0, 1)
     assert mode_lambda(1, 5) == (4.0, 5)

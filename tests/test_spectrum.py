@@ -443,17 +443,17 @@ def test_jacobi_rule_certifies_its_weights(monkeypatch):
                                      (3, "1.0001", 1)])
 def test_row_scale_is_envelope_times_root_weight(N, a, k):
     # ln(E sqrt(w)) on a pencil's rule with its powers of 1-t and 1+t
-    # cancelled (_log_row_scale, plus the (1-delta) ln 2 the Gram products
-    # take as a factor), against its terms ln E + (ln W_s + (M-1) u)/2 summed
-    # in long double, to the rounding of the largest of them
+    # cancelled (_log_row_scale), against its terms ln E + (ln W_s + (M-1)
+    # u)/2 summed in long double, E = s^sigma0 ((1+s^2)/2)^{1-delta}, to the
+    # rounding of the largest of them
     p = validate_params(N, a)
     basis = ModeBasis(p.M, p.q ** 2 * mode_lambda(k, N)[0], 160)
     rule = JacobiRule.build(168, basis.delta)
     LD = np.longdouble
     u, d = rule.u.astype(LD), LD(basis.delta)
-    terms = [LD(basis.sigma0) * u, (1 - d) * np.log1p(np.exp(2 * u)), rule.log_w.astype(LD) / 2,
-             LD(p.M - 1) * u / 2]
-    got = (1.0 - basis.delta) * math.log(2.0) + spectrum._log_row_scale(rule)
+    terms = [LD(basis.sigma0) * u, (1 - d) * (np.log1p(np.exp(2 * u)) - np.log(LD(2))),
+             rule.log_w.astype(LD) / 2, LD(p.M - 1) * u / 2]
+    got = spectrum._log_row_scale(rule)
     assert np.max(np.abs(got - sum(terms))) <= 4e-16 * max(float(np.max(np.abs(x))) for x in terms)
 
 

@@ -10,7 +10,10 @@ also lie within 5 % of the Paneitz limit 8/(M+6).  So does `branch` over
 displacements a in [-0.5, 0.5], non-finite and overflowing ones, and grid
 sizes inside and outside its range, or it stops with a usage error.  A NaN or overflow shows up as a
 RuntimeWarning, which the suite turns into an error.  The examples are
-derandomized, so every run draws the same ones.
+derandomized, so every run draws the same ones.  At alpha = 2 - 10^-k,
+k = 2, 3, 4 (M from 202 to 2.4e5), modes 0-4 must pass, and `remainder`
+and `perturb` must pass, fail a check they name or stop with one typed
+line.
 """
 
 import contextlib
@@ -21,13 +24,14 @@ import traceback
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from ckn4 import errors
 from ckn4.cli import GRID_N_RANGE, main
 from ckn4.errors import CknError
 from ckn4.params import validate_params
-from ckn4.spectrum import exact_rel_errors, mode_eigenvalues
+from ckn4.spectrum import exact_rel_errors, mode_eigenvalues, verify_kernel
 
 
 @st.composite
@@ -55,6 +59,21 @@ def test_spectrum_matches_closed_form_or_is_typed(point, k_mode, m):
         return
     assert np.isfinite(res.eigenvalues).all()
     assert exact_rel_errors(p, k_mode, res.eigenvalues).max() <= 1e-10
+
+
+# alpha = 2 - 10^-k, k = 2, 3, 4, as the command line writes it
+NEAR_TWO = [(N, f"{2 - 10.0 ** -k:.{k}f}") for N in (3, 5, 8, 12) for k in (2, 3, 4)]
+
+
+@pytest.mark.parametrize("N, alpha", NEAR_TWO)
+def test_spectrum_passes_near_alpha_two(N, alpha):
+    # the pencils carry no common factor, so none underflows: the certified
+    # read of modes 0-4 matches the closed-form Paneitz spectrum out to M =
+    # 2.4e5, and the kernel is mode 0's alone
+    rep = verify_kernel(validate_params(N, alpha), 4, 160)
+    assert [m["k"] for m in rep["modes"]] == list(range(5)) and rep["kernel_dim"] == 1
+    for mode in rep["modes"]:
+        assert mode["exact_rel_error_max"] <= 1e-10, (N, alpha, mode["k"])
 
 
 CKN_ERRORS = {name for name, obj in vars(errors).items()
@@ -168,3 +187,22 @@ def test_remainder_reports_are_right_or_typed(point):
     assert abs(q_small / paneitz - 1.0) <= 0.05, argv
     for row in data["curve"]:
         assert row["curvature"] < 0.0 and 0.0 < row["dist"] < math.inf, (argv, row)
+
+
+@pytest.mark.parametrize("command", ["remainder", "perturb"])
+@pytest.mark.parametrize("N, alpha", NEAR_TWO)
+def test_reports_near_alpha_two_are_right_or_typed(command, N, alpha):
+    # each report passes, fails a check it names, or stops with one typed
+    # line (MOutOfRange where the bubble leaves the float range, and
+    # QuadratureFailure where perturb's star rule would outgrow the assembly)
+    argv = [command, "--N", str(N), "--alpha", alpha]
+    code, out, err = _run_cli(argv)
+    if code == 2:
+        name = err.removeprefix("error: ").split(":", 1)[0]
+        assert out == "" and name in CKN_ERRORS and err.count("\n") == 1, (argv, err)
+        assert "nan" not in err.lower(), (argv, err)
+        return
+    report = json.loads(out)
+    assert err == "", (argv, err)
+    failed = [c["name"] for c in report["checks"] if not c["passed"]]
+    assert (code == 1) == bool(failed) and code in (0, 1), (argv, code, failed)
