@@ -13,23 +13,36 @@ at scale lam with perturbation weight h(x) is the same problem as solving
 at scale 1 with weight h(x/lam), because the scaling map is an isometry of
 every functional involved except the explicit h-term.  The discrete space
 is the spectral basis of the mode-0 linearized pencil, in which the frozen
-Jacobian of the fixed-point map is diagonal plus a one-dimensional border,
-solved in closed form with no LAPACK call (_solve_jacobian).  The scales of
-the Gamma curve, and those that polish lambda*, are solved as blocks
-(solve_corrections, find_perturbed_solution).
+Jacobian of the fixed-point map is diagonal plus a one-dimensional border.
+U_1 is nondegenerate, so only the dilation tangent's diagonal entry is near
+zero, and each step is solved in closed form: every other row is eliminated
+directly, leaving a 2x2 system in the tangent coefficient and the
+multiplier, with no LAPACK call.  The scales of the Gamma curve are
+solved as one block (solve_corrections): their fixed-point sweeps run in
+lockstep over an (L, kept) coefficient block, two matrix products per
+sweep, and each scale stops at its own tolerance, or at the rounding floor
+of ||U_lam + w||_alpha where that norm is huge.  lambda* is polished the
+same way: the multiplier l, proportional to Gamma', is analytic in ln lam,
+so it is sampled at Chebyshev-Lobatto scales of the bracket, all as one
+block, and lambda* is the root of its Chebyshev interpolant.
 The quadratic terms of the reduced energy are exact in that basis: the
-bubble is c0 psi_0 (_bubble), so its alpha-products come from the
-pencil's stiffness matrix, and scaling is an isometry of the alpha-norm.
-Only the star and h terms are integrated, at scale 1, on the mode-0
-pencil's own Gauss-Gegenbauer rule or a larger one in the same delta
-(_star_rule): (U_1 + w)/U_1 and phi_i/U_1, on which the fixed point works,
-are polynomials in t, so every such integrand is the rule's weight times a
-smooth function of t where h(r/lam) is smooth; a CSV h's kinks, which move
-with lam, converge only algebraically on any rule the scales share.  The
-star term and the reduced energy are summed in the same frame when each
-scale converges (CorrectionResult.energy): the program so assumes the
-dilation invariance of the reduced energy, which the tests measure against
-the star term integrated in the physical frame.
+bubble is c0 psi_0, so its alpha-products come from the pencil's stiffness
+matrix, and scaling is an isometry of the alpha-norm.  Only the star and h
+terms are integrated, at scale 1, on the mode-0 pencil's own (m+8)-node
+Gauss-Gegenbauer rule: the star measure U_1^{p*} s^{M-1} ds is the rule's
+weight times (1-t^2)^2, and (U_1 + w)/U_1 is a polynomial in t, so every
+such integrand is the rule's weight times a smooth function of t; h(r/lam)
+is smooth for the built-in h, and a CSV h's kinks, which move with lam,
+converge only algebraically on any rule the scales share.  The fixed
+point works on that ratio and on phi_i/U_1, with the weights of
+int U_1^{p*} f s^{M-1} ds formed in logs; in the diagonal basis on the
+pencil's rule phi_i/U_1 comes from the assembly pass's own rows.  The star
+term and the reduced energy itself are summed in the same frame, from the
+fixed point's own arrays, when each scale converges, with the weight it
+iterated with (CorrectionResult.energy).  The program so assumes the
+dilation invariance of the reduced energy; the tests measure it, against
+the star term integrated in the physical frame on a composite grid
+widened to each scale.
 """
 
 from __future__ import annotations
@@ -44,8 +57,7 @@ from .calculus import JacobiRule
 from .errors import (ContractionFailure, EigensolveFailure, MOutOfRange, NoInteriorExtremum,
                      QuadratureFailure)
 from .params import Params, normalization_constant, sphere_area
-from .spectrum import (NODES_RANGE, ModeProblem, SpectrumResult, _assembled, _solve_pencil,
-                       _solve_pencil_cut)
+from .spectrum import ModeProblem, SpectrumResult, _assembled, _solve_pencil, _solve_pencil_cut
 
 __all__ = [
     "remainder_curve",
@@ -111,26 +123,24 @@ def _log_star_weights(p: Params, rule: JacobiRule) -> np.ndarray:
     return rule.log_w + (p.M - 1.0) * rule.u + p.M * np.log(0.5 * rule.one_minus_t)
 
 
-def _bubble(pr: ModeProblem) -> tuple[float, float]:
-    """(c0, ||U_1||_alpha) of the bubble U_1 = c0 psi_0 in mode 0's basis, formed in logs.
+def _log_bubble_coeff(p: Params, delta: float) -> float:
+    """ln c of the bubble U_1 = c E in mode 0, E = ((1+s^2)/2)^{1-delta} the basis's envelope.
 
-    U_1 = C (1+s^2)^{1-delta} (sigma0 = 0 in mode 0) and psi_0 = p0
-    ((1+s^2)/2)^{1-delta}, so ln c0 = ln C + (1-delta) ln 2 - ln p0, and
-    ||U_1||_alpha^2 = scale c0^2 A_00.  MOutOfRange names the first of the
-    two that is not a positive normal float (at large M, with 2^{1-delta} C).
+    U_1 = C (1+s^2)^{1-delta} (sigma0 = 0 in mode 0), so ln c = ln C +
+    (1-delta) ln 2, and U_1 = c0 psi_0 with c0 = c/p0: the one place the
+    envelope's normalization E(1) = 1 shows.  c leaves the float range at
+    large M, where 2^{1-delta} underflows.
     """
-    p, basis = pr.params, pr.basis
-    log_c0 = (math.log(normalization_constant(p)) + (1.0 - basis.delta) * math.log(2.0)
-              - math.log(basis.family.p0))
-    out = []
-    for name, v in (("c0", log_c0),
-                    ("||U_1||_alpha", log_c0 + 0.5 * math.log(pr.alpha_scale * float(pr.A[0, 0])))):
-        with np.errstate(over="ignore"):
-            out.append(float(np.exp(v)))
-        if not np.finfo(float).tiny <= out[-1] < math.inf:
-            raise MOutOfRange(f"the bubble's {name} at N={p.N}, alpha={p.alpha} (M={p.M:.6g}) "
-                              f"is e^{v:.6g}, outside the normal float range")
-    return out[0], out[1]
+    return math.log(normalization_constant(p)) + (1.0 - delta) * math.log(2.0)
+
+
+def _normal_exp(log_v: float, what: str) -> float:
+    """e^log_v, or MOutOfRange naming what where that is not a positive normal float."""
+    with np.errstate(over="ignore"):
+        v = float(np.exp(log_v))
+    if not np.finfo(float).tiny <= v < math.inf:
+        raise MOutOfRange(f"{what} is e^{log_v:.6g}, outside the normal float range")
+    return v
 
 
 def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
@@ -139,7 +149,7 @@ def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
     res is the mode-0 spectrum, whose solve certified the pencil diagonal,
     and w = x_2 psi_2 / sqrt(scale mu_3) = psi_2 / ||psi_2|| its third
     eigenfunction at unit alpha-norm, ||psi_j||^2 = scale A_jj.  In the map
-    value tau = (s^2-1)/(s^2+1), U_1 = c0 psi_0 (_bubble), the dilation
+    value tau = (s^2-1)/(s^2+1), U_1 = c0 psi_0 (c0 = c/p0), the dilation
     tangent T = dU_{e^x}/dx at x = 0 is -a tau U_1 with a = (M-4)/(2q),
     proportional to psi_1, and d^2U/dx^2 = ((a^2 + a/q) tau^2 - a/q) U_1.
     w is alpha-orthogonal to U_1 and to T, so f(x) = <u, U_{e^x}> has f'(0)
@@ -155,7 +165,8 @@ def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
     t ||U_1|| w/U_1, a quadratic in tau.  Both integrals run on the pencil's
     own Gauss-Gegenbauer rule, whose weight times (1-tau^2)^2 is the star
     measure; D is their ratio, so it takes the weights relative to the largest
-    and needs no C.  MOutOfRange where dist = t ||U_1||_alpha is not normal.
+    and needs no C.  dist is formed from ln ||U_1||_alpha, which carries ln c
+    (_log_bubble_coeff): MOutOfRange where it is not a positive normal float.
     v is smallest at tau = 0, where it is above -t/sqrt(2), so 1 + v > 0.92
     for t <= 0.1.  QuadratureFailure where (1+v)^{p*} overflows, near M = 4,
     where p* is huge.
@@ -163,10 +174,12 @@ def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
     pr = res.problem
     p, basis = pr.params, pr.basis
     a00, a11, a22 = (float(pr.A[j, j]) for j in range(3))
-    norm_U = _bubble(pr)[1]
+    fam = basis.family
+    # ln ||U_1||_alpha, ||U_1||_alpha^2 = scale c0^2 A_00
+    log_norm_U = (_log_bubble_coeff(p, basis.delta) - math.log(fam.p0)
+                  + 0.5 * math.log(pr.alpha_scale * a00))
     # tau U_1 = c0 b1 psi_1 and tau^2 U_1 = c0 b1 (b2 psi_2 + b1 psi_0): ||T||^2/||U_1||^2
     # = a^2 b1^2 A_11/A_00, and <w, d^2U/dx^2>/||U_1|| = (a^2 + a/q) b1 b2 sqrt(A_22/A_00)
-    fam = basis.family
     b1, b2 = float(fam.off[1]), float(fam.off[2])
     a = (p.M - 4.0) / (2.0 * p.q)
     tangent_sq = a * a * b1 * b1 * a11 / a00
@@ -187,10 +200,9 @@ def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
                 f"remainder at N={p.N}, alpha={p.alpha} (M={p.M:.6g}), t={t:g}: "
                 f"(1 + v)^p* overflows on the rule, p* = {p.pstar:.6g}")
         deficit = t * t - math.expm1(2.0 / p.pstar * math.log1p(D))
-        dist = t * norm_U
-        if not np.finfo(float).tiny <= dist < math.inf:
-            raise MOutOfRange(f"remainder at N={p.N}, alpha={p.alpha} (M={p.M:.6g}), t={t:g}: "
-                              f"dist = t ||U_1||_alpha = {dist!r} is outside the normal float range")
+        dist = _normal_exp(math.log(t) + log_norm_U,
+                           f"remainder at N={p.N}, alpha={p.alpha} (M={p.M:.6g}), t={t:g}: "
+                           f"dist = t ||U_1||_alpha")
         rows.append({"t": float(t), "quotient": deficit / (t * t), "dist": dist,
                      "curvature": t * bend - tangent_sq})
     return rows
@@ -223,6 +235,10 @@ MASS_CUT = 1e-13
 # and, at 2 000, less than composite references with other panels differ
 # (3e-9).  Up to q = 20 the pencil's rule holds lambda* within 1e-10
 H_NODES_PER_Q = 10.0
+# the largest rule of the star-type integrals, 10 q at N = 3 and M = 1 079
+# (q = 1 077): building it holds a 5 385^2 seed matrix, and perturb there
+# peaks near 1.1 GB of memory.  A larger rule is refused before it is built
+STAR_NODES_MAX = 10_770
 # ln s of the probe on which the weight's sign is checked besides the rule's
 # nodes, in steps of 1/4; it has no quadrature role
 SIGN_PROBE = np.linspace(-12.0, 12.0, 97)
@@ -236,16 +252,16 @@ def _star_rule(problem: ModeProblem, q: float) -> JacobiRule:
     that measure times a smooth function of the ratio (U_1 + w)/U_1, a
     polynomial in t, and of h(r/lam), r = s^q.  Where q is large the rule is
     too coarse for h, and one of H_NODES_PER_Q q nodes in the same delta is
-    built, or refused (QuadratureFailure) before anything is allocated where
-    it would outgrow the assembly's largest, NODES_RANGE[1] + 8 nodes.
+    built, or refused (QuadratureFailure) where that is more than
+    STAR_NODES_MAX.
     """
     n = math.ceil(H_NODES_PER_Q * q)
     if problem.grid.n >= n:
         return problem.grid
-    if n > NODES_RANGE[1] + 8:
+    if n > STAR_NODES_MAX:
         raise QuadratureFailure(f"star-type integrals at q={q:.6g}: the rule needs {n} nodes "
-                                f"({H_NODES_PER_Q:g} per unit of q), more than the "
-                                f"{NODES_RANGE[1] + 8} the assembly is sized for")
+                                f"({H_NODES_PER_Q:g} per unit of q), more than the largest, "
+                                f"{STAR_NODES_MAX}")
     return JacobiRule.build(n, problem.basis.delta)
 
 
@@ -277,12 +293,16 @@ class PerturbationProblem:
         # the weights wq of int U_1^{p*} f s^{M-1} ds on _star_rule
         rule = _star_rule(self.problem, p.q)
         self.s = rule.s
-        self.c0 = c0 = _bubble(self.problem)[0]
+        # the bubble U_1 = c E = c0 psi_0
+        self.c = c = _normal_exp(_log_bubble_coeff(p, basis.delta),
+                                 f"the bubble's coefficient c at N={p.N}, alpha={p.alpha} "
+                                 f"(M={p.M:.6g})")
+        c0 = c / basis.family.p0
         self.wq = np.exp(_log_star_weights(p, rule) + p.pstar * math.log(normalization_constant(p)))
 
         # phi_i = E sum_k W_ki p_k(t) with p_k of self.family, = sum_j X_ji psi_j.
         # In the diagonal basis W = X = diag(x), and (U + w)/U = 1 + sum_j
-        # x_j c_j p_j(t)/(c0 p0); |p_j| peaks at t = 1 (delta > 1 in mode 0), so a
+        # x_j c_j p_j(t)/c; |p_j| peaks at t = 1 (delta > 1 in mode 0), so a
         # change of c_j by a given alpha-norm, relative to the bubble's, moves
         # the ratio by up to gain_j = (p_j(1)/p_0)/sqrt(mu_j) times that.
         # Where a gain_j^2 exceeds 1/MASS_CUT (at most 5e5 at the PARAM_SETS,
@@ -299,20 +319,21 @@ class PerturbationProblem:
         else:
             mu, self.W, self.X, self.family = _solve_pencil_cut(self.problem, MASS_CUT)
         self.kept = kept = mu.size
-        # phi_i / U_1 = sum_k W_ki p_k(t) / (c0 p0) on the rule, (kept, n); in
-        # the diagonal basis x_i p_i(t) / (c0 p0), the same product without its
-        # zeros, whose rows the assembly pass has made where the rule is the pencil's
+        # phi_i / U_1 = sum_k W_ki p_k(t) / c on the rule, (kept, n); in the
+        # diagonal basis x_i p_i(t) / c, the same product without its zeros,
+        # whose rows the assembly pass has made where the rule is the pencil's
         if self.family is fam:
             P = rows if rule is self.problem.grid else fam.rows(rule.t, basis.m)
-            self.phi = x[:, None] * P / (c0 * fam.p0)
+            self.phi = x[:, None] * P / c
         else:
-            self.phi = self.W.T @ self.family.rows(rule.t, basis.m) / (c0 * fam.p0)
+            self.phi = self.W.T @ self.family.rows(rule.t, basis.m) / c
 
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
         # the bubble is c0 psi_0: its alpha-products are read off the stiffness matrix
         self.bU = self.scale * c0 * (self.X.T @ A[:, 0])
         self.norm0 = self.scale * c0 * c0 * float(A[0, 0])
-        # dilation tangent at scale 1 on the s side: -c t U_1 = -c c0 off[1] psi_1
+        # dilation tangent at scale 1 on the s side: -a t U_1 = -a c0 off[1] psi_1,
+        # a = (N-4+alpha)/2
         c1 = c0 * (p.N - 4.0 + p.alpha) / 2.0 * float(fam.off[1])
         self.d = -self.scale * c1 * (self.X.T @ A[:, 1])
 
@@ -607,8 +628,8 @@ def find_perturbed_solution(pp: PerturbationProblem) -> dict:
     polished = x_star is not None
     lam_star = math.exp(x_star if polished else x_sec)
     final = solve_correction(pp, lam_star)
-    # in mode 0 the bubble is c0 p0 E and w = E sum_k (W c)_k p_k(t), so at every
-    # scale (U_lam + w_lam)/U_lam = 1 + sum_k (W c)_k p_k(t)/(c0 p0), a polynomial
+    # in mode 0 the bubble is c E and w = E sum_k (W c)_k p_k(t), so at every
+    # scale (U_lam + w_lam)/U_lam = 1 + sum_k (W c)_k p_k(t)/c, a polynomial
     # in t = (s^2-1)/(s^2+1) of degree below m, whose minimum over all of
     # [-1, 1] is sampled at 16 m + 1 Chebyshev-Lobatto points (ends included):
     # the series is summed at the 8 m + 1 with t >= 0, and its even and odd
@@ -616,7 +637,7 @@ def find_perturbed_solution(pp: PerturbationProblem) -> dict:
     n_t = 16 * pp.problem.basis.m
     t = np.cos(np.pi * np.arange(n_t // 2 + 1) / n_t)
     even, odd = pp.family.parts(pp.W @ final.coeffs, t)
-    ratio = 1.0 + np.concatenate((even + odd, even - odd)) / (pp.c0 * pp.problem.basis.family.p0)
+    ratio = 1.0 + np.concatenate((even + odd, even - odd)) / pp.c
     min_ratio = float(ratio.min())
     return {
         "lambda_star": lam_star,

@@ -23,7 +23,10 @@ p'', whose coefficients are polynomials in t that depend on delta alone
 M, nu and sigma0 cancel, and what is left is the Paneitz operator on S^M
 in the coordinate t.  The pencil is assembled from 1 - t and 1 + t as its
 rule holds them, and no function of s is evaluated.  The eigenpairs are
-read off the diagonal, a read every solve certifies (_solve_pencil).  Every
+read off the diagonal, mu_j = A_jj / B_jj with eigenvector x_j e_j, x_j =
+B_jj^{-1/2} > 0, and that read is certified on every solve: the
+normalized off-diagonal couplings of both matrices must stay below
+COUPLING_TOL, which bounds the eigenvalue error by its square.  Every
 stiffness and mass integrand is a polynomial of degree at most 2m in t
 times (1-t)^{delta-2} (1+t)^{delta}, that is (1+t)^2 times
 such a polynomial times the Gegenbauer weight (1-t^2)^{delta-2}, so the
@@ -32,9 +35,8 @@ rule per mode, with 13 degrees to spare (calculus.JacobiRule, whose
 builder stacks the modes' rules).  The trial functions' rows at the nodes
 t >= 0 come from one recurrence pass over the degree, stacked over all the
 modes a command assembles (assemble_mode_problems); the rows at -t are
-(-1)^k times those, and their scale carries no power of 1 +- t and no
-constant (_log_row_scale): its sums would cost digits, and a constant
-such as 4^{1-delta} underflows at large delta.  Mode 0's rule also
+(-1)^k times those, and their scale carries no power of 1 +- t
+(_log_row_scale), whose sums would cost digits.  Mode 0's rule also
 carries the perturbation's star-type integrals (reduction): there the star
 measure U^{p*} s^{M-1} ds is the rule's weight times (1-t^2)^2.
 """
@@ -492,12 +494,17 @@ def _read_spectrum(pr: ModeProblem, n_eigs: int) -> SpectrumResult:
     if m < n_eigs:
         raise EigensolveFailure(f"only {m} trial functions, need {n_eigs} eigenvalues")
     mu = mu[:n_eigs]
-    # the residual of the eigenvector x_i e_i does not depend on x_i
-    A, B = pr.A[:, :n_eigs], pr.B[:, :n_eigs]
-    res = np.linalg.norm(A - mu * B, axis=0) / np.linalg.norm(B, axis=0)
+    X = np.zeros((m, n_eigs))
+    X[np.arange(n_eigs), np.arange(n_eigs)] = x[:n_eigs]
+    res = np.empty(n_eigs)
+    for i in range(n_eigs):
+        # A and B times the eigenvector x_i e_i
+        ax = x[i] * pr.A[:, i]
+        bx = x[i] * pr.B[:, i]
+        res[i] = np.linalg.norm(ax - mu[i] * bx) / np.linalg.norm(bx)
     diagnostics = {"quad_nodes": pr.grid.n, "basis_size": m, **couplings}
-    return SpectrumResult(problem=pr, eigenvalues=mu, coefficients=np.eye(m, n_eigs) * x[:n_eigs],
-                          residual_norms=res, diagnostics=diagnostics)
+    return SpectrumResult(problem=pr, eigenvalues=mu, coefficients=X, residual_norms=res,
+                          diagnostics=diagnostics)
 
 
 def kernel_residual(p: Params, profile: RadialProfile, k: int, mu: float | None = None) -> float:

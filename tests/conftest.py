@@ -304,6 +304,11 @@ def applied(basis, s):
     return E * P, E * (c0 * P + c1 * dP + c2 * d2P)
 
 
+def bubble_c(pp):
+    """c in a PerturbationProblem's bubble U_1 = C (1+s^2)^{1-delta} = c ((1+s^2)/2)^{1-delta}."""
+    return float(np.exp(reduction._log_bubble_coeff(pp.params, pp.problem.basis.delta)))
+
+
 def full_grid_energy(pp, lam, result):
     """Reduced energy at scale lam with the star term integrated in the physical frame.
 
@@ -315,9 +320,9 @@ def full_grid_energy(pp, lam, result):
     the distance beyond which (2 cosh)^{-M} is below e^{-32} of its peak.
     With U_lam = C nu^{(M-4)/2} (1 + nu^2 s^2)^{-(M-4)/2}, U_lam^{p*}
     s^{M-1} ds = C^{p*} (2 cosh(ln s + ln nu))^{-M} d(ln s), and in mode 0
-    (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j p_j(t(nu s))/(c0 p0), c0 the
-    bubble's coefficient (reduction._bubble): the correction is summed from
-    the (m, n) matrix of jacobi_rows, and no factor leaves the float range.
+    (U_lam + w_lam)/U_lam = 1 + sum_j (X c)_j p_j(t(nu s))/c, U_1 = c E
+    (bubble_c): the correction is summed from the (m, n) matrix of
+    jacobi_rows, and no factor leaves the float range.
     """
     p = pp.params
     basis = pp.problem.basis
@@ -327,7 +332,7 @@ def full_grid_energy(pp, lam, result):
     x = u + ln_nu                                        # ln(nu s)
     C = normalization_constant(p)
     P = jacobi_rows(basis, np.tanh(x))
-    ratio = 1.0 + (pp.X @ result.coeffs) @ P / (reduction._bubble(pp.problem)[0] * basis.family.p0)
+    ratio = 1.0 + (pp.X @ result.coeffs) @ P / bubble_c(pp)
     h = np.asarray(pp.h(s ** p.q), dtype=float)
     star = pp.star_scale * C ** p.pstar * float(np.sum(
         w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.problem.eps * h)
@@ -448,15 +453,16 @@ def omega_hat(res):
 def solution_radial(res):
     """U_lam + P_lam(w) of a CorrectionResult on the weighted side, as one function.
 
-    The bubble is c0 psi_0 in the transported frame (reduction._bubble), so
-    it is added to the correction's coefficients (omega_hat), and the sum
-    is pulled back to scale lam: lam^{(N-4+alpha)/2} X((lam r)^{1/q}).
+    The bubble is c0 psi_0 = (c/p0) psi_0 in the transported frame
+    (bubble_c), so it is added to the correction's coefficients (omega_hat),
+    and the sum is pulled back to scale lam: lam^{(N-4+alpha)/2} X((lam
+    r)^{1/q}).
     """
     pp = res.problem
     p = pp.params
     basis = pp.problem.basis
     coeffs = pp.X @ res.coeffs
-    coeffs[0] += reduction._bubble(pp.problem)[0]
+    coeffs[0] += bubble_c(pp) / basis.family.p0
     pre = res.lam ** ((p.N - 4.0 + p.alpha) / 2.0)
     return ComposedRadial(ModeFunction(basis, coeffs), 1.0 / p.q, scale=res.lam, amp=pre)
 

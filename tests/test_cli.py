@@ -214,12 +214,13 @@ def test_remainder_passes_near_alpha_two(capsys, N, alpha):
 
 
 def test_remainder_refuses_an_underflowing_bubble(capsys):
-    # at M = 20002 the bubble's coefficient c0 = 2^{1-delta} C/p0 is e^-6932:
-    # a typed refusal, not dist = 0.0
+    # at M = 20002 the bubble's coefficient c = 2^{1-delta} C is e^-6930,
+    # and dist = t ||U_1||_alpha at t = 0.01 is e^-6932: a typed refusal,
+    # not dist = 0.0
     code, out, err = run(capsys, "remainder", "--N", "3", "--alpha", "1.9999")
     assert code == 2 and out == ""
-    assert err == ("error: MOutOfRange: the bubble's c0 at N=3, alpha=1.9999 (M=20002) is "
-                   "e^-6932.3, outside the normal float range\n")
+    assert err == ("error: MOutOfRange: remainder at N=3, alpha=1.9999 (M=20002), t=0.01: "
+                   "dist = t ||U_1||_alpha is e^-6932.07, outside the normal float range\n")
 
 
 def test_scan_alpha(capsys):

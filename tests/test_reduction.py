@@ -25,7 +25,7 @@ from ckn4.reduction import (
 )
 from ckn4.spectrum import mode_eigenvalues
 from conftest import (PARAM_SETS, ModeFunction, _star_log_rule, applied, brentq_lambda_star,
-                      composite_rule, full_grid_energy, h_weighted_star_norm, inner_alpha,
+                      bubble_c, composite_rule, full_grid_energy, h_weighted_star_norm, inner_alpha,
                       omega_hat, perturbation_on, remainder_ratio, solution_radial,
                       star_overlaps, weighted_H, wide_log_rule)
 
@@ -492,17 +492,17 @@ def test_lambda_star_matches_composite_reference(N, a):
     assert abs(rep["energy"] / ref["energy"] - 1.0) <= 1e-14
 
 
-@pytest.mark.parametrize("alpha, nodes", [("1.999", 20001), ("1.9999", 200001)])
+@pytest.mark.parametrize("alpha, nodes", [("1.9982", 11112), ("1.999", 20001), ("1.9999", 200001)])
 def test_star_rule_is_refused_before_it_is_built(monkeypatch, alpha, nodes):
     # at (3, 1.999), q = 2000, a rule of 10 q nodes would take an 800 MB
-    # seed matrix, and at (3, 1.9999) 80 GB: past the largest rule the
-    # assembly is sized for, the star rule is refused before it is built
+    # seed matrix, and at (3, 1.9999) 80 GB: past STAR_NODES_MAX = 10 770
+    # (q = 1 077) the star rule is refused before it is built
     monkeypatch.setattr(JacobiRule, "build", classmethod(
         lambda cls, n, delta: pytest.fail(f"a {n}-node rule was built")))
     p = validate_params(3, alpha)
-    with pytest.raises(QuadratureFailure, match=rf"^star-type integrals at q=\d+: the rule needs "
+    with pytest.raises(QuadratureFailure, match=rf"^star-type integrals at q=[\d.]+: the rule needs "
                                                 rf"{nodes} nodes \(10 per unit of q\), more "
-                                                rf"than the 2056 the assembly is sized for$"):
+                                                rf"than the largest, 10770$"):
         PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
 
 
@@ -728,17 +728,16 @@ def test_large_M_working_basis_is_cut(pp51):
 
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(10, 1.7)])
 def test_phi_diagonal_product_is_exact(N, a):
-    # in the diagonal basis phi_i/U_1 = x_i p_i(t)/(c0 p0) is formed row by
-    # row, from the rows of the assembly pass, bit for bit the product W^T P
-    # / (c0 p0) with W = diag(x), P the family's own rows at the rule's map
-    # values and c0 the bubble's coefficient; the cut basis at (10, 1.7)
-    # still forms that product
+    # in the diagonal basis phi_i/U_1 = x_i p_i(t)/c is formed row by row,
+    # from the rows of the assembly pass, bit for bit the product W^T P / c
+    # with W = diag(x), P the family's own rows at the rule's map values and
+    # U_1 = c E; the cut basis at (10, 1.7) still forms that product
     p = validate_params(N, a)
     pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
     basis = pp.problem.basis
     assert (pp.family is basis.family) == ((N, a) != (10, 1.7))
     rows = pp.family.rows(pp.problem.grid.t, basis.m)
-    assert np.array_equal(pp.phi, pp.W.T @ rows / (reduction._bubble(pp.problem)[0] * basis.family.p0))
+    assert np.array_equal(pp.phi, pp.W.T @ rows / bubble_c(pp))
 
 
 @pytest.mark.parametrize("N, a", [(5, 1.0), (7, -2.0), (3, 1.5), (10, 1.7)])
