@@ -30,12 +30,11 @@ from .profiles import (
     biradial_residual,
 )
 from .calculus import (
-    RadialGrid,
     weighted_hessian_norm_sq,
     weighted_star_norm,
     rayleigh_quotient,
 )
-from .emden import to_sobolev, from_sobolev, norm_identity_check, star_identity_check
+from .emden import to_sobolev, norm_identity_check, star_identity_check
 from .spectrum import (
     assemble_mode_problem,
     mode_eigenvalues,

@@ -1,4 +1,4 @@
-"""Grids, Gauss rules, weighted quadrature, and the functionals of the problem.
+"""Gauss rules, and the functionals of the problem in closed form.
 
 Every Gauss rule of the program is a symmetric Gauss-Gegenbauer rule in
 (1-t^2)^{delta-2} on (-1, 1), from one numpy builder (_half_rules): seeds
@@ -6,31 +6,26 @@ from an eigenproblem of half the size, a Newton step in h = 1 - |t| (Hale &
 Townsend, SIAM J. Sci. Comput. 35, 2013) and Christoffel-Darboux weights,
 certified against the weight's mass and divided by their sum.  Under t =
 (s^2-1)/(s^2+1) the rules (JacobiRule) carry the mode pencils (spectrum)
-and the perturbation's star integrals (reduction); the delta = 2 rule,
-Gauss-Legendre, in ln r is the radial grid (RadialGrid.log_gauss), which
-converges spectrally on the integrands at hand, smooth in ln r and
-power-decaying.  A library profile's Hessian integral, and its star
-integral when its form is a single term, are exact Beta sums
-(PowerForm.integral) that touch no grid.  The sphere factor omega_{N-1} is
-folded into every full-space integral, so reported norms match the R^N
-definitions.
+and the perturbation's star integrals (reduction).  A radial profile is
+integrated one way only, exactly: its Hessian integral, and its star
+integral when its form is a single term, are Beta sums (PowerForm) or
+Gamma sums (ExpForm) that touch no rule, so the closed-form commands build
+none.  The sphere factor omega_{N-1} is folded into every full-space
+integral, so reported norms match the R^N definitions.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import QuadratureFailure, ZeroFunction
+from .errors import NoClosedForm, QuadratureFailure, ZeroFunction
 from .params import Params, sphere_area
 
 __all__ = [
-    "RadialGrid",
     "JacobiRule",
-    "default_grid",
     "hessian_integral",
     "star_integral",
     "weighted_hessian_norm_sq",
@@ -38,29 +33,6 @@ __all__ = [
     "rayleigh_quotient",
     "in_float_range",
 ]
-
-
-@dataclass(frozen=True)
-class RadialGrid:
-    """Quadrature nodes/weights for integrals int_0^inf f(r) dr."""
-
-    nodes: np.ndarray
-    weights: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.nodes.size
-
-    @classmethod
-    def log_gauss(cls, r_min: float = 1e-6, r_max: float = 1e6, n: int = 512) -> "RadialGrid":
-        """Gauss-Legendre in ln r, the delta = 2 JacobiRule; weights include dr = r d(ln r).
-
-        Built once per (r_min, r_max, n) and shared, so its arrays are read-only.
-        """
-        return _log_gauss(float(r_min), float(r_max), int(n))
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.weights @ values)
 
 
 @dataclass(frozen=True)
@@ -351,20 +323,6 @@ def _jacobi_rules(deltas, n: int):
     return rules, failure
 
 
-@functools.lru_cache(maxsize=None)
-def _log_gauss(r_min: float, r_max: float, n: int) -> RadialGrid:
-    rule = JacobiRule.build(n, 2.0)     # Gauss-Legendre
-    a, b = math.log(r_min), math.log(r_max)
-    r = np.exp(0.5 * (a + b) + 0.5 * (b - a) * rule.t)
-    weights = 0.5 * (b - a) * np.exp(rule.log_chr) * r
-    r.flags.writeable = weights.flags.writeable = False
-    return RadialGrid(nodes=r, weights=weights)
-
-
-def default_grid() -> RadialGrid:
-    return RadialGrid.log_gauss()
-
-
 # -- functionals ---------------------------------------------------------------
 
 
@@ -382,40 +340,33 @@ def _exact(p: Params, name: str, form, value: float) -> float:
     return value if not any(form.terms.values()) else in_float_range(p, name, value)
 
 
-def hessian_integral(p: Params, dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
-    """int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr, without the sphere factor.
+def hessian_integral(p: Params, dim: float, weight_pow: float, u) -> float:
+    """Exact int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr from u's form, no sphere factor."""
+    form = u.form
+    lap = form.radial_laplacian(dim)
+    return _exact(p, "Hessian integral", form, (lap * lap).integral(weight_pow + dim - 1.0))
 
-    A Beta sum when u carries a form, else the grid sum.
+
+def star_integral(p: Params, dim: float, weight_pow: float, u) -> float:
+    """Exact int r^weight_pow |u|^{p*} r^{dim-1} dr from u's form, no sphere factor.
+
+    |u|^{p*} of several terms is no form, and no command takes it: NoClosedForm.
     """
-    form = getattr(u, "form", None)
-    if form is not None:
-        lap = form.radial_laplacian(dim)
-        return _exact(p, "Hessian integral", form, (lap * lap).integral(weight_pow + dim - 1.0))
-    r = grid.nodes
-    lap_u = u.deriv(r, 2) + (dim - 1) * u.deriv(r, 1) / r
-    return grid.integrate(r ** weight_pow * (lap_u * lap_u) * r ** (dim - 1))
-
-
-def star_integral(p: Params, dim: float, weight_pow: float, u, grid: RadialGrid) -> float:
-    """int r^weight_pow |u|^{p*} r^{dim-1} dr, without the sphere factor.
-
-    Exact when u is a single-term form, else the grid sum.
-    """
-    form = getattr(u, "form", None)
-    if form is not None and len(form.terms) == 1:
-        return _exact(p, "star integral", form, form.integral(weight_pow + dim - 1.0, p.pstar))
-    r = grid.nodes
-    return grid.integrate(r ** weight_pow * np.abs(u.eval(r)) ** p.pstar * r ** (dim - 1))
+    form = u.form
+    if len(form.terms) > 1:
+        raise NoClosedForm(f"star integral at N={p.N}, alpha={p.alpha}: |u|^p* of a form "
+                           f"of {len(form.terms)} terms has no closed form")
+    return _exact(p, "star integral", form, form.integral(weight_pow + dim - 1.0, p.pstar))
 
 
 def weighted_hessian_norm_sq(p: Params, u) -> float:
-    """Squared norm omega int r^alpha (u'' + (N-1)u'/r)^2 r^{N-1} dr, on the default grid."""
-    return sphere_area(p.N) * hessian_integral(p, p.N, p.alpha, u, default_grid())
+    """Squared norm omega int r^alpha (u'' + (N-1)u'/r)^2 r^{N-1} dr."""
+    return sphere_area(p.N) * hessian_integral(p, p.N, p.alpha, u)
 
 
 def weighted_star_norm(p: Params, u) -> float:
-    """Norm (omega int r^{-alpha} |u|^{p*} r^{N-1} dr)^{1/p*}, on the default grid."""
-    return (sphere_area(p.N) * star_integral(p, p.N, -p.alpha, u, default_grid())) ** (1.0 / p.pstar)
+    """Norm (omega int r^{-alpha} |u|^{p*} r^{N-1} dr)^{1/p*}."""
+    return (sphere_area(p.N) * star_integral(p, p.N, -p.alpha, u)) ** (1.0 / p.pstar)
 
 
 def rayleigh_quotient(p: Params, u) -> float:

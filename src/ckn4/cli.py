@@ -47,10 +47,6 @@ def _check(name, passed, value, tol):
     return {"name": name, "passed": bool(passed), "value": value, "tol": tol}
 
 
-def _gaussian():
-    return profiles.PolyGaussProfile([1.0], 1.0)
-
-
 def load_h_csv(path: str):
     """Two-column CSV (r, h(r)), optional header; zero outside the sample range.
 
@@ -179,7 +175,8 @@ def cmd_transform_check(args) -> dict:
     p = validate_params(args.N, args.alpha)
     out = []
     checks = []
-    for label, u in (("extremal", profiles.extremal_U(p)), ("gaussian", _gaussian())):
+    for label, u in (("extremal", profiles.extremal_U(p)),
+                     ("gaussian", profiles.PolyGaussProfile([1.0], 1.0))):
         lhs_n, rhs_n, rel_n = emden.norm_identity_check(p, u)
         lhs_s, rhs_s, rel_s = emden.star_identity_check(p, u)
         out.append({"profile": label,
@@ -388,17 +385,22 @@ def exact_decimal(text: str) -> str:
     raise argparse.ArgumentTypeError(f"need a finite decimal number, got {text!r}")
 
 
-# remainder --t-values: each offset t, relative to ||U_1||, in (0, T_MAX]; there
-# u/U_1 = 1 + v stays above 1 - T_MAX/sqrt(2) > 0.92 (reduction.remainder_curve)
+# remainder --t-values: each offset t, relative to ||U_1||, in [T_MIN, T_MAX].
+# Up to T_MAX, u/U_1 = 1 + v stays above 1 - T_MAX/sqrt(2) > 0.92
+# (reduction.remainder_curve).  The quotient's distance from its limit is O(t)
+# plus the rounding of g = expm1(p* log1p v) - p* v, 3e-18/t to 3e-16/t: at
+# (5, 1), (3, 1.5) and (12, 1.39948) at most 1.8e-9 at t = 1e-8, 2.1e-6 at
+# 1e-10 and 1.1e-2 at 1e-14.  Below T_MIN it only loses digits, all by 1e-20
+T_MIN = 1e-10
 T_MAX = 0.1
 
 
 def t_values(text: str) -> list[float]:
-    """argparse type of remainder --t-values: comma-separated offsets, each 0 < t <= T_MAX."""
+    """argparse type of remainder --t-values: comma-separated offsets, each T_MIN <= t <= T_MAX."""
     values = [finite_float(part) for part in text.split(",")]
     for t in values:
-        if not 0.0 < t <= T_MAX:
-            raise argparse.ArgumentTypeError(f"need 0 < t <= {T_MAX:g}, got {t!r}")
+        if not T_MIN <= t <= T_MAX:
+            raise argparse.ArgumentTypeError(f"need {T_MIN:g} <= t <= {T_MAX:g}, got {t!r}")
     return values
 
 

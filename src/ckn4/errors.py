@@ -41,6 +41,10 @@ class NonIntegrable(CknError):
     pass
 
 
+class NoClosedForm(CknError):
+    """An integral that the term algebra does not take exactly."""
+
+
 class QuadratureFailure(CknError):
     """A quadrature overflows, or an exact value leaves the float range."""
 

@@ -1,16 +1,17 @@
-"""Exact calculus on the closed-form radial family.
+"""Exact calculus on the closed-form radial families.
 
 Every library profile (extremals, kernel elements, dilation tangents) and
 everything radial differential operators produce from them is a finite sum
 
     sum_j  c_j * r^(a_j*g - b_j) * (1 + w r^g) ** (e0 - m_j)
 
-with a fixed base (g, w, e0), integer triples (a_j, b_j, m_j) and float
-coefficients c_j.  The family is closed under d/dr, under multiplication by
-r^(a*g-b), and under products of forms sharing (g, w), so fourth-order
-operators applied to library profiles are evaluated exactly (no numerical
-differentiation), and each term's integral over (0, inf) is a Beta function
-(PowerForm.integral), so no integral of a form needs a grid.
+with a fixed base (g, w, e0), whole a_j and m_j, and float coefficients c_j
+(PowerForm); the polynomial-Gaussian family has exp(-beta r^kappa) for the
+last factor (ExpForm).  Each is closed under d/dr, under multiplication by
+r^(a*g-b), under products on one base (the betas adding) and under r = s^q,
+which scales g and every b_j by q, so fourth-order operators apply exactly
+and each term's integral over (0, inf) is a Beta or a Gamma function: no
+integral of a form needs a grid.
 """
 
 from __future__ import annotations
@@ -21,10 +22,12 @@ import numpy as np
 
 from .errors import NonIntegrable
 
-__all__ = ["PowerForm"]
+__all__ = ["PowerForm", "ExpForm"]
 
 # |ln x| of the normal double range, with a margin: e^-700 = 9.9e-305
 LOG_NORMAL = 700.0
+# ln of the largest double: e^x overflows beyond it
+LOG_MAX = math.log(np.finfo(float).max)
 
 
 def _beta_ratio(x: float, y: float, i: int, j: int) -> float:
@@ -130,6 +133,11 @@ class PowerForm:
             out = out + self.mul_rpow(b=2).scaled(-lam_k)
         return out
 
+    def substitute(self, q: float) -> "PowerForm":
+        """The form in s, r = s^q: r^(a*g-b) = s^(a*q*g - q*b)."""
+        return PowerForm(q * self.gamma, self.w, self.e0,
+                         {(a, q * b, m): c for (a, b, m), c in self.terms.items()})
+
     # -- evaluation --------------------------------------------------------
 
     def eval(self, r):
@@ -184,13 +192,8 @@ class PowerForm:
 
     def term_magnitude(self, r):
         """Sum of absolute term values; the scale for relative residuals."""
-        r = np.asarray(r, dtype=float)
-        wr = 1.0 + self.w * r ** self.gamma
-        out = np.zeros_like(r)
-        for (a, b, m), c in self.terms.items():
-            p = a * self.gamma - b
-            out = out + abs(c) * r ** p * wr ** (self.e0 - m)
-        return out if out.shape else float(out)
+        return PowerForm(self.gamma, self.w, self.e0,
+                         {k: abs(c) for k, c in self.terms.items()}).eval(r)
 
     # -- integrals ---------------------------------------------------------
 
@@ -236,4 +239,93 @@ class PowerForm:
                 out += math.copysign(math.exp(log_term), s)
             except OverflowError:
                 out += math.copysign(math.inf, s)
+        return out
+
+
+class ExpForm:
+    """Finite sum of terms c * r^(a*kappa-b) * exp(-beta r^kappa), beta > 0, kappa > 0."""
+
+    __slots__ = ("kappa", "beta", "terms")
+
+    def __init__(self, kappa: float, beta: float, pairs=()):
+        """The (key, c) pairs are summed by key (a, b); zero sums are dropped."""
+        self.kappa, self.beta = float(kappa), float(beta)
+        terms: dict = {}
+        for key, c in pairs:
+            terms[key] = terms.get(key, 0.0) + c
+        self.terms = {key: c for key, c in terms.items() if c != 0.0}
+
+    # -- algebra ----------------------------------------------------------
+
+    def scaled(self, c: float) -> "ExpForm":
+        return ExpForm(self.kappa, self.beta, ((key, v * c) for key, v in self.terms.items()))
+
+    def mul_rpow(self, a: int = 0, b: float = 0) -> "ExpForm":
+        """Multiply by r^(a*kappa - b)."""
+        return ExpForm(self.kappa, self.beta,
+                       (((ka + a, kb + b), c) for (ka, kb), c in self.terms.items()))
+
+    def __add__(self, other: "ExpForm") -> "ExpForm":
+        if not isinstance(other, ExpForm) or (self.kappa, self.beta) != (other.kappa, other.beta):
+            raise ValueError("cannot add a form of another family or base")
+        return ExpForm(self.kappa, self.beta, [*self.terms.items(), *other.terms.items()])
+
+    __sub__ = PowerForm.__sub__
+    radial_laplacian = PowerForm.radial_laplacian
+
+    def __mul__(self, other: "ExpForm") -> "ExpForm":
+        if not isinstance(other, ExpForm) or self.kappa != other.kappa:
+            raise ValueError("cannot multiply by a form of another family or kappa")
+        return ExpForm(self.kappa, self.beta + other.beta,
+                       (((a1 + a2, b1 + b2), c1 * c2) for (a1, b1), c1 in self.terms.items()
+                        for (a2, b2), c2 in other.terms.items()))
+
+    def deriv(self) -> "ExpForm":
+        """d/dr, exact within the family."""
+        k, beta = self.kappa, self.beta
+        return ExpForm(k, beta, (pair for (a, b), c in self.terms.items() for pair in
+                                 (((a, b + 1), c * (a * k - b)), ((a + 1, b + 1), -c * beta * k))))
+
+    def substitute(self, q: float) -> "ExpForm":
+        """The form in s, r = s^q: kappa and every b scale by q."""
+        return ExpForm(q * self.kappa, self.beta,
+                       (((a, q * b), c) for (a, b), c in self.terms.items()))
+
+    # -- evaluation and integrals --------------------------------------------
+
+    def eval(self, r):
+        r = np.asarray(r, dtype=float)
+        out = sum((c * r ** (a * self.kappa - b) for (a, b), c in self.terms.items()),
+                  np.zeros_like(r)) * np.exp(-self.beta * r ** self.kappa)
+        return out if out.shape else float(out)
+
+    def integral(self, extra: float = 0.0, power: float = 1.0) -> float:
+        """Exact int_0^inf r^extra * self dr, or of r^extra |self|^power for one term.
+
+        Each term c r^p e^(-beta r^kappa) integrates to c Gamma(x) / (kappa
+        beta^x), x = (p+1)/kappa.  As in PowerForm.integral, terms sharing b
+        lie whole numbers apart in x, so a group is summed as c (x0)_i beta^-i
+        before its one logarithm is taken; a group beyond the float range
+        gives +-inf.
+        """
+        k, beta = self.kappa, power * self.beta
+        groups: dict = {}
+        for (a, b), c in self.terms.items():
+            x = (power * (a * k - b) + extra + 1.0) / k
+            if not x > 0.0:
+                raise NonIntegrable(f"term r^{x * k - 1.0} exp(-{beta} r^{k}) has no convergent "
+                                    f"Gamma integral")
+            groups.setdefault(b, []).append((x, c))
+        out = 0.0
+        for group in groups.values():
+            x0 = min(x for x, _ in group)
+            if power == 1.0:
+                s = sum(c * math.prod(x0 + j for j in range(round(x - x0))) / beta ** round(x - x0)
+                        for x, c in group)
+                log_s = math.log(abs(s)) if s else -math.inf
+            else:
+                ((_, c),) = group
+                s, log_s = 1.0, power * math.log(abs(c))
+            log_term = log_s - math.log(k) - x0 * math.log(beta) + math.lgamma(x0)
+            out += math.copysign(math.exp(log_term) if log_term < LOG_MAX else math.inf, s)
         return out

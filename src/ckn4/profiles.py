@@ -1,10 +1,10 @@
 """Closed-form radial families and pointwise equation residuals.
 
 The extremal profile, the radial kernel elements of the linearized
-operator, and the dilation tangent are all of power-law type and carry
-exact derivatives through the term algebra in ``forms``.  A polynomial
-times Gaussian family provides smooth off-manifold trial functions, and
-the two-block profile at alpha = -2 covers the nonradial branch.
+operator, and the dilation tangent are of power-law type, and a polynomial
+times Gaussian family provides smooth off-manifold trial functions; each
+carries a form of ``forms``, and with it exact derivatives and integrals.
+The two-block profile at alpha = -2 covers the nonradial branch.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from .errors import (
     QuadratureFailure,
     ZeroFunction,
 )
-from .forms import PowerForm
+from .forms import ExpForm, PowerForm
 from .params import Params, normalization_constant, require_even_case, validate_params
 
 __all__ = [
     "ProfileKind",
+    "FormProfile",
     "RadialProfile",
     "extremal_U",
     "kernel_Z0",
@@ -52,9 +53,28 @@ class ProfileKind(str, enum.Enum):
     CUSTOM = "Custom"
 
 
+class FormProfile:
+    """Radial function given by a form (PowerForm or ExpForm), with exact derivatives."""
+
+    def __init__(self, form):
+        self.form = form
+
+    def _form_deriv(self, order: int):
+        derivs = self.__dict__.setdefault("_derivs", [self.form])
+        while len(derivs) <= order:
+            derivs.append(derivs[-1].deriv())
+        return derivs[order]
+
+    def eval(self, r):
+        return self.form.eval(r)
+
+    def deriv(self, r, order: int = 1):
+        return self._form_deriv(order).eval(r)
+
+
 @dataclass
-class RadialProfile:
-    """Radial function with exact derivatives up to (at least) order 4."""
+class RadialProfile(FormProfile):
+    """A library profile: its form, with what it is and the scale and amplitude it has."""
 
     params: Params
     kind: ProfileKind
@@ -62,20 +82,6 @@ class RadialProfile:
     amplitude: float
     form: PowerForm
     k: int | None = None
-
-    def __post_init__(self):
-        self._derivs = [self.form]
-
-    def _form_deriv(self, order: int) -> PowerForm:
-        while len(self._derivs) <= order:
-            self._derivs.append(self._derivs[-1].deriv())
-        return self._derivs[order]
-
-    def eval(self, r):
-        return self.form.eval(r)
-
-    def deriv(self, r, order: int = 1):
-        return self._form_deriv(order).eval(r)
 
 
 def extremal_U(p: Params, lam: float = 1.0, amplitude: float | None = None) -> RadialProfile:
@@ -172,29 +178,15 @@ def el_residual_relative(p: Params, u: RadialProfile, r):
 # -- smooth trial profiles ---------------------------------------------------
 
 
-class PolyGaussProfile:
-    """q(r) exp(-b r^2) with polynomial q; exact derivatives to any order."""
+class PolyGaussProfile(FormProfile):
+    """q(r) exp(-b r^2), q's coefficients from the constant up.
+
+    r^k is the key (k // 2, -(k % 2)): ExpForm.integral groups terms by b.
+    """
 
     def __init__(self, coeffs, b: float):
-        self.poly = np.polynomial.Polynomial(np.asarray(coeffs, dtype=float))
-        self.b = float(b)
-        self._dpolys = [self.poly]
-
-    def _dpoly(self, order: int):
-        # d/dr [q e^{-b r^2}] = (q' - 2 b r q) e^{-b r^2}
-        while len(self._dpolys) <= order:
-            q = self._dpolys[-1]
-            shifted = np.polynomial.Polynomial([0.0, -2.0 * self.b]) * q
-            self._dpolys.append(q.deriv() + shifted)
-        return self._dpolys[order]
-
-    def eval(self, r):
-        r = np.asarray(r, dtype=float)
-        return self.poly(r) * np.exp(-self.b * r * r)
-
-    def deriv(self, r, order: int = 1):
-        r = np.asarray(r, dtype=float)
-        return self._dpoly(order)(r) * np.exp(-self.b * r * r)
+        super().__init__(ExpForm(2.0, b, (((k // 2, -(k % 2)), float(c))
+                                          for k, c in enumerate(coeffs))))
 
 
 # -- nonradial branch at alpha = -2 -------------------------------------------

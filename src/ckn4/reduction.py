@@ -236,8 +236,10 @@ MASS_CUT = 1e-13
 # (3e-9).  Up to q = 20 the pencil's rule holds lambda* within 1e-10
 H_NODES_PER_Q = 10.0
 # the largest rule of the star-type integrals, 10 q at N = 3 and M = 1 079
-# (q = 1 077): building it holds a 5 385^2 seed matrix, and perturb there
-# peaks near 1.1 GB of memory.  A larger rule is refused before it is built
+# (q = 1 077); perturb there peaks near 1.14 GB, 0.93 GB of it the rule
+# build's two (n+1) x ceil(n/2) tables h/O and t/O (calculus._newton_step)
+# beside a 0.23 GB seed matrix (at 4 000 nodes: 122 MB and 31 MB of a 153 MB
+# peak).  A larger rule is refused before it is built
 STAR_NODES_MAX = 10_770
 # ln s of the probe on which the weight's sign is checked besides the rule's
 # nodes, in steps of 1/4; it has no quadrature role
@@ -362,6 +364,13 @@ class PerturbationProblem:
         self._inv_D[others] = 1.0 / D[others]
         self._d_over_D = self.d * self._inv_D
         self._schur = float(self._d_over_D @ self.d)      # sum_{i != j} d_i^2 / D_i
+        D_j, d_j = float(D[j]), float(self.d[j])
+        self._det = det = D_j * self._schur + d_j * d_j
+        if not abs(det) >= np.finfo(float).tiny:
+            raise EigensolveFailure(
+                f"perturbation Jacobian at N={p.N}, alpha={p.alpha} (M={p.M:.6g}): its 2x2 "
+                f"determinant D_j sum d_i^2/D_i + d_j^2 is {det:.3e}, not a normal float; "
+                f"d_j = {d_j:.3e}, with the bubble's coefficient c = {c:.3e}")
         self._cache: dict = {}
 
         # the star term with no correction and eps = 0
@@ -392,8 +401,7 @@ class PerturbationProblem:
         (L, kept) with r_l of shape (L,), solved row by row.
         """
         j = self.i_tan
-        D_j, d_j = float(self.D[j]), float(self.d[j])
-        det = D_j * self._schur + d_j * d_j
+        D_j, d_j, det = float(self.D[j]), float(self.d[j]), self._det
         r_j = r[..., j]
         b = r_l - r @ self._d_over_D
         l = (D_j * b - d_j * r_j) / det

@@ -1,5 +1,6 @@
 import functools
 import math
+from dataclasses import dataclass
 from types import SimpleNamespace
 from unittest import mock
 
@@ -9,8 +10,7 @@ import pytest
 from scipy.optimize import brentq
 from scipy.special import gammaln, roots_legendre
 
-from ckn4.calculus import JacobiRule, RadialGrid, default_grid
-from ckn4.emden import ComposedRadial
+from ckn4.calculus import JacobiRule, weighted_hessian_norm_sq
 from ckn4.params import normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
 import ckn4.reduction as reduction
@@ -60,6 +60,100 @@ def composite_rule(m, u_min, u_max, panel_pts):
     t, one_minus_t, one_plus_t = frame(u)
     return JacobiRule(s=s, u=u, t=t, one_minus_t=one_minus_t, one_plus_t=one_plus_t,
                       log_w=np.log(w), log_chr=None)
+
+
+@dataclass(frozen=True)
+class RadialGrid:
+    """Quadrature nodes/weights for integrals int_0^inf f(r) dr.
+
+    The program integrates every radial profile exactly (a Beta or Gamma
+    sum of its form); these grid sums are the tests' independent oracle
+    for those sums, and integrate functions that carry no form.
+    """
+
+    nodes: np.ndarray
+    weights: np.ndarray
+
+    @property
+    def n(self):
+        return self.nodes.size
+
+    @classmethod
+    def log_gauss(cls, r_min=1e-6, r_max=1e6, n=512):
+        """Gauss-Legendre in ln r, the delta = 2 JacobiRule; weights include dr = r d(ln r).
+
+        Built once per (r_min, r_max, n) and shared, so its arrays are read-only.
+        """
+        return _log_gauss(float(r_min), float(r_max), int(n))
+
+    def integrate(self, values):
+        return float(self.weights @ values)
+
+
+@functools.cache
+def _log_gauss(r_min, r_max, n):
+    rule = JacobiRule.build(n, 2.0)     # Gauss-Legendre
+    a, b = math.log(r_min), math.log(r_max)
+    r = np.exp(0.5 * (a + b) + 0.5 * (b - a) * rule.t)
+    weights = 0.5 * (b - a) * np.exp(rule.log_chr) * r
+    r.flags.writeable = weights.flags.writeable = False
+    return RadialGrid(nodes=r, weights=weights)
+
+
+def default_grid():
+    return RadialGrid.log_gauss()
+
+
+class ComposedRadial:
+    """amp * u((scale * s)^power) (power > 0) with chain-rule derivatives up to order 2."""
+
+    def __init__(self, u, power, scale=1.0, amp=1.0):
+        self.u = u
+        self.power = float(power)
+        self.scale = float(scale)
+        self.amp = float(amp)
+
+    def eval(self, s):
+        s = np.asarray(s, dtype=float)
+        return self.amp * self.u.eval((self.scale * s) ** self.power)
+
+    def deriv(self, s, order=1):
+        s = np.asarray(s, dtype=float)
+        q = self.power
+        rr = self.scale * s
+        r = rr ** q
+        dr = q * rr ** (q - 1.0) * self.scale
+        if order == 1:
+            return self.amp * self.u.deriv(r, 1) * dr
+        if order == 2:
+            d2r = q * (q - 1.0) * rr ** (q - 2.0) * self.scale * self.scale
+            return self.amp * (self.u.deriv(r, 2) * dr ** 2 + self.u.deriv(r, 1) * d2r)
+        raise ValueError("composed profiles support derivatives up to order 2")
+
+
+def grid_hessian_integral(p, dim, weight_pow, u, grid=None):
+    """int r^weight_pow (u'' + (dim-1)u'/r)^2 r^{dim-1} dr on the grid (default_grid unless given)."""
+    grid = grid or default_grid()
+    r = grid.nodes
+    lap_u = u.deriv(r, 2) + (dim - 1) * u.deriv(r, 1) / r
+    return grid.integrate(r ** weight_pow * (lap_u * lap_u) * r ** (dim - 1))
+
+
+def grid_star_integral(p, dim, weight_pow, u, grid=None):
+    """int r^weight_pow |u|^{p*} r^{dim-1} dr on the grid (default_grid unless given)."""
+    grid = grid or default_grid()
+    r = grid.nodes
+    return grid.integrate(r ** weight_pow * np.abs(u.eval(r)) ** p.pstar * r ** (dim - 1))
+
+
+def trial_rayleigh_quotient(p, u):
+    """||u||^2 / ||u||_*^2 of a trial profile: the exact Hessian norm over the grid's star norm.
+
+    |u|^{p*} of a polynomial-Gaussian trial of several terms has no closed
+    form, so its star integral is the grid sum.
+    """
+    star = (sphere_area(p.N) * grid_star_integral(p, p.N, -p.alpha, u)) ** (1.0 / p.pstar)
+    return weighted_hessian_norm_sq(p, u) / star ** 2
 
 
 # fractional bits of gegenbauer_rule's fixed-point recurrence
@@ -353,14 +447,17 @@ def brentq_lambda_star(pp, la, lb):
 def inner_alpha(p, u, v, grid=None):
     """Inner product omega int r^alpha (lap u)(lap v) r^{N-1} dr.
 
-    A Beta sum when u and v carry forms on one base, else the sum on the
-    grid (default_grid unless given).  An oracle for the program's norms,
-    which take only u = v (calculus.hessian_integral).
+    A Beta or Gamma sum when u and v carry forms that multiply (one base),
+    else the sum on the grid (default_grid unless given).  An oracle for the
+    program's norms, which take only u = v (calculus.hessian_integral).
     """
     fu, fv = getattr(u, "form", None), getattr(v, "form", None)
-    if fu is not None and fv is not None and (fu.gamma, fu.w) == (fv.gamma, fv.w):
-        lap = fu.radial_laplacian(p.N) * fv.radial_laplacian(p.N)
-        return sphere_area(p.N) * lap.integral(p.alpha + p.N - 1.0)
+    if fu is not None and type(fu) is type(fv):
+        try:
+            lap = fu.radial_laplacian(p.N) * fv.radial_laplacian(p.N)
+            return sphere_area(p.N) * lap.integral(p.alpha + p.N - 1.0)
+        except ValueError:      # two bases that do not multiply
+            pass
     grid = grid or default_grid()
     r = grid.nodes
     lap_u = u.deriv(r, 2) + (p.N - 1) * u.deriv(r, 1) / r

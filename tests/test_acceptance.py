@@ -10,9 +10,10 @@ import time
 
 import numpy as np
 import scipy.linalg
-from conftest import alignment, composite_grid_pencil, full_grid_energy, random_trial_profiles
+from conftest import (alignment, composite_grid_pencil, full_grid_energy, random_trial_profiles,
+                      trial_rayleigh_quotient)
 
-from ckn4.calculus import RadialGrid, rayleigh_quotient
+from ckn4.calculus import rayleigh_quotient
 from ckn4.params import (
     best_constant_radial,
     fourth_order_sobolev_constant,
@@ -74,7 +75,7 @@ def test_criterion_2_extremality():
         rq = rayleigh_quotient(p, extremal_U(p))
         worst_rq = max(worst_rq, abs(rq - S) / S)
         for trial in random_trial_profiles(50, seed=hash((N, int(10 * a))) % 2 ** 31):
-            worst_gap = min(worst_gap, rayleigh_quotient(p, trial) - S)
+            worst_gap = min(worst_gap, trial_rayleigh_quotient(p, trial) - S)
     ok = worst_rq <= 1e-8 and worst_gap >= -1e-8
     _verdict(2, "extremality", ok,
              f"extremal quotient rel dev {worst_rq:.2e} (tol 1e-8); "

@@ -6,7 +6,6 @@ from scipy.special import roots_legendre
 
 from ckn4.calculus import (
     JacobiRule,
-    RadialGrid,
     _log_mu0,
     hessian_integral,
     rayleigh_quotient,
@@ -14,10 +13,12 @@ from ckn4.calculus import (
     weighted_hessian_norm_sq,
     weighted_star_norm,
 )
-from ckn4.errors import NonIntegrable, ZeroFunction
-from ckn4.forms import PowerForm
+from ckn4.emden import to_sobolev
+from ckn4.errors import NoClosedForm, NonIntegrable, QuadratureFailure, ZeroFunction
+from ckn4.forms import ExpForm, PowerForm
 from ckn4.params import best_constant_radial, normalization_constant, sphere_area, validate_params
 from ckn4.profiles import (
+    FormProfile,
     PolyGaussProfile,
     RadialProfile,
     ProfileKind,
@@ -25,7 +26,8 @@ from ckn4.profiles import (
     extremal_U,
     kernel_Z0,
 )
-from conftest import PARAM_SETS, inner_alpha, random_trial_profiles, weighted_H
+from conftest import (PARAM_SETS, RadialGrid, grid_hessian_integral, inner_alpha,
+                      random_trial_profiles, trial_rayleigh_quotient, weighted_H)
 
 
 def _quad_norms(p):
@@ -96,9 +98,8 @@ def test_beta_integrals_against_mpmath_beta(N, a, bound):
     p = validate_params(N, a)
     # lam = 3 puts w = 3^g != 1 into every term
     U = extremal_U(p, 3.0)
-    grid = RadialGrid.log_gauss()
-    hess = hessian_integral(p, p.N, p.alpha, U, grid)
-    star = star_integral(p, p.N, -p.alpha, U, grid)
+    hess = hessian_integral(p, p.N, p.alpha, U)
+    star = star_integral(p, p.N, -p.alpha, U)
     lf = U.form.radial_laplacian(p.N)
     with mpmath.workdps(40):
         alpha = mpmath.mpf(p.alpha)
@@ -106,6 +107,52 @@ def test_beta_integrals_against_mpmath_beta(N, a, bound):
         want_star = _mp_beta_sum(U.form, -alpha + p.N - 1, mpmath.mpf(p.pstar))
         assert abs(hess / want_hess - 1) <= bound
         assert abs(star / want_star - 1) <= bound
+
+
+def _mp_poly_gauss_hessian(coeffs, b, N, a):
+    """40-digit int r^a (lap u)^2 r^{N-1} dr of u = P(r) e^{-b r^2}, by mpmath.quad.
+
+    lap u = (P'' + (N-1) P'/r - 2b (N P + 2 r P') + 4 b^2 r^2 P) e^{-b r^2},
+    worked by hand: independent of the term algebra and of the Gamma sums.
+    """
+    P = [mpmath.mpf(c) for c in coeffs]
+    b, a = mpmath.mpf(b), mpmath.mpf(a)
+
+    def lap(r):
+        val = sum(c * r ** k for k, c in enumerate(P))
+        d1 = sum(k * c * r ** (k - 1) for k, c in enumerate(P) if k)
+        d2 = sum(k * (k - 1) * c * r ** (k - 2) for k, c in enumerate(P) if k > 1)
+        return (d2 + (N - 1) * d1 / r - 2 * b * (N * val + 2 * r * d1)
+                + 4 * b * b * r * r * val) * mpmath.exp(-b * r * r)
+
+    return mpmath.quad(lambda r: r ** a * lap(r) ** 2 * r ** (N - 1), [0, 1, 3, mpmath.inf])
+
+
+# near M = 4 and near alpha = 2 (q = 2 000) as well as inside the range
+@pytest.mark.parametrize("N,a", [(5, 1.0), (7, -2.0), (12, -7.99), (3, 1.999), (6, 0.5)])
+def test_gamma_integrals_against_mpmath(N, a):
+    # polynomial-Gaussian trials: the Hessian integral on the r side and, by
+    # the identity, q^3 times the s side's, each from its own form (at most
+    # 4.4e-14 off, for the quartic trial, whose terms cancel by about 100);
+    # and the star integral of a one-term trial, Gamma(x)/(2 (b p*)^x)
+    p = validate_params(N, a)
+    trials = [PolyGaussProfile(c, b) for c, b in
+              (([1.0], 1.0), ([0.3, 0.0, -1.2, 0.0, 0.5], 0.7), ([0.5, 0.2, 1.0], 1.3))]
+    with mpmath.workdps(40):
+        for u in trials:
+            coeffs = [u.form.terms.get((k // 2, -(k % 2)), 0.0) for k in range(5)]
+            want = _mp_poly_gauss_hessian(coeffs, u.form.beta, N, p.alpha)
+            lhs = hessian_integral(p, p.N, p.alpha, u)
+            rhs = hessian_integral(p, p.M, 0.0, to_sobolev(p, u)) / p.q ** 3
+            assert abs(lhs / want - 1) <= 2e-13 and abs(rhs / want - 1) <= 2e-13
+        u = PolyGaussProfile([0.0, 0.0, 1.5], 0.7)
+        x = (p.N - mpmath.mpf(p.alpha) + 2 * mpmath.mpf(p.pstar)) / 2
+        want = mpmath.mpf(1.5) ** p.pstar * mpmath.gamma(x) / (2 * (0.7 * mpmath.mpf(p.pstar)) ** x)
+        if want < 1e-300:       # at p* = 3998 (12, -7.99) it is e^-2 700: typed
+            with pytest.raises(QuadratureFailure, match="outside the float range"):
+                star_integral(p, p.N, -p.alpha, u)
+        else:
+            assert abs(star_integral(p, p.N, -p.alpha, u) / want - 1) <= 1e-13
 
 
 def test_norm_homogeneity_and_dilation_invariance():
@@ -133,15 +180,9 @@ def test_rayleigh_quotient_properties():
         rayleigh_quotient(p, U), rel=1e-12)
     assert rayleigh_quotient(p, extremal_U(p, 3.0)) == pytest.approx(S, rel=1e-8)
 
-    class Zero:
-        def eval(self, r):
-            return np.zeros_like(np.asarray(r))
-
-        def deriv(self, r, order=1):
-            return np.zeros_like(np.asarray(r))
-
+    # a form of no terms: its exact integrals are 0
     with pytest.raises(ZeroFunction):
-        rayleigh_quotient(p, Zero())
+        rayleigh_quotient(p, FormProfile(ExpForm(2.0, 1.0)))
     # a zero-amplitude extremal keeps its c = 0 term; its exact integrals are 0
     with pytest.raises(ZeroFunction):
         rayleigh_quotient(p, extremal_U(p, 1.0, amplitude=0.0))
@@ -155,7 +196,7 @@ def test_ckn_inequality_on_random_trials(rng):
         p = validate_params(N, a)
         S = best_constant_radial(p)
         for trial in random_trial_profiles(10, seed=N):
-            assert rayleigh_quotient(p, trial) >= S - 1e-8
+            assert trial_rayleigh_quotient(p, trial) >= S - 1e-8
 
 
 def test_inner_alpha():
@@ -199,12 +240,23 @@ def test_cauchy_schwarz(rng):
 
 
 def test_quadrature_convergence():
-    # a function without a closed form, so both integrals run on the grids
+    # the exact Gamma sum of a polynomial-Gaussian's Hessian integral against
+    # the log-Gauss grid sums, which converge to it
     p = validate_params(7, -2)
     u = PolyGaussProfile([1.0, 0.0, -0.4], 0.8)
-    base = hessian_integral(p, p.N, p.alpha, u, RadialGrid.log_gauss(n=512))
-    fine = hessian_integral(p, p.N, p.alpha, u, RadialGrid.log_gauss(n=1024))
-    assert abs(base - fine) < 1e-10 * abs(fine)
+    exact = hessian_integral(p, p.N, p.alpha, u)
+    for n in (512, 1024):
+        grid = grid_hessian_integral(p, p.N, p.alpha, u, RadialGrid.log_gauss(n=n))
+        assert abs(grid - exact) < 1e-12 * abs(exact)
+
+
+def test_star_integral_of_several_terms_is_refused():
+    # |u|^p* of a sum of terms is no term of the algebra
+    p = validate_params(5, 1)
+    with pytest.raises(NoClosedForm, match="2 terms"):
+        star_integral(p, p.N, -p.alpha, PolyGaussProfile([1.0, 0.0, -0.4], 0.8))
+    with pytest.raises(NoClosedForm):
+        star_integral(p, p.N, -p.alpha, kernel_Z0(p))
 
 
 def test_nonintegrable_detection():

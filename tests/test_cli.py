@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ckn4 import calculus, profiles, reduction
-from ckn4.cli import COMMANDS, FLAGS, build_parser, load_h_csv, main
+from ckn4.cli import COMMANDS, FLAGS, T_MAX, T_MIN, build_parser, load_h_csv, main
 from ckn4.params import normalization_constant, validate_params
 from ckn4.reduction import BUILTIN_H
 
@@ -291,14 +291,33 @@ def test_transform_check_extremal_is_exact_next_to_alpha_2(capsys, N, alpha, bou
                 assert abs(ext[identity][side] / want - 1) <= bound, (identity, side)
 
 
-@pytest.mark.parametrize("alpha", ["1.999", "1.0000000000000002"])
+@pytest.mark.parametrize("alpha", ["1.999"])
 def test_transform_check_underflow_is_typed(capsys, alpha):
-    # at M = 3998 the extremal's exact integrals round to 0; at p* = 1.8e16
-    # the Gaussian's |u|^p* underflows on both grids
+    # at M = 3998 the extremal's exact integrals round to 0
     code, out, err = run(capsys, "transform-check", "--N", "3", "--alpha", alpha)
     assert code == 2 and out == ""
     assert err.startswith("error: QuadratureFailure") and "Traceback" not in err
     assert "N=3" in err and f"alpha={alpha}" in err
+
+
+def test_transform_check_gaussian_is_exact_at_huge_pstar(capsys):
+    # at p* = 1.8e16 the Gaussian's |u|^p* once underflowed on the radial
+    # grids (a QuadratureFailure); in closed form its star integral is
+    # Gamma(x)/(2 p*^x), x = (N-alpha)/2, about 2.8e-17 on both sides.  The
+    # report fails on the extremal's rows alone: at M - 4 = 4e-16 its Beta
+    # sums keep no digit, as in verify-extremal's quotient (ROADMAP item 12)
+    alpha = "1.0000000000000002"
+    code, out, err = run(capsys, "transform-check", "--N", "3", "--alpha", alpha)
+    assert code == 1 and err == ""
+    rep = json.loads(out)
+    assert [c["name"] for c in rep["checks"] if not c["passed"]] == [
+        "norm_identity_extremal", "star_identity_extremal"]
+    p = validate_params(3, alpha)
+    with mpmath.workdps(40):
+        x = (3 - mpmath.mpf(p.alpha)) / 2
+        want = mpmath.gamma(x) / (2 * mpmath.mpf(p.pstar) ** x)
+    star = rep["data"]["identities"][1]["star_identity"]
+    assert abs(star["lhs"] / want - 1) <= 1e-13 and abs(star["rhs"] / want - 1) <= 1e-13
 
 
 @pytest.mark.parametrize("alpha", ["1.9999", "1.99999", "1.999999"])
@@ -440,11 +459,14 @@ def test_int_flag_range(capsys, monkeypatch, name, flag, bounds):
 
 
 @pytest.mark.parametrize("values", ["nan", "inf,0.01", "0.01,-inf", "0.01,x", "",
-                                    "0", "-0.01", "0.2", "1e300"])
+                                    "0", "-0.01", "0.2", "1e300", "9.9e-11", "0.01,1e-12",
+                                    "1e-150", "1e-200"])
 def test_t_values_refuse_non_finite(capsys, monkeypatch, values):
     # nan and inf,0.01 once ended in an IndexError traceback from the empty
-    # curve, and 1e300 in eight overflow warnings and a NaN quotient; t is
-    # relative to ||U_1|| and must lie in (0, 0.1]
+    # curve, and 1e300 in eight overflow warnings and a NaN quotient; 1e-150
+    # gave a quotient of rounding alone and a false failure, and 1e-200 a
+    # ZeroDivisionError traceback (t^2 underflows).  t is relative to
+    # ||U_1|| and must lie in [T_MIN, T_MAX] = [1e-10, 0.1]
     def refuse(*args, **kwargs):
         raise AssertionError("remainder ran with a refused --t-values")
 
@@ -459,6 +481,8 @@ def test_t_values_refuse_non_finite(capsys, monkeypatch, values):
 def test_t_values_parsed_as_floats():
     args = build_parser().parse_args(["remainder", "--t-values", "0.01,1e-3"])
     assert args.t_values == [0.01, 0.001]
+    assert build_parser().parse_args(["remainder", "--t-values", "1e-10,0.1"]).t_values == [
+        T_MIN, T_MAX]
     assert build_parser().parse_args(["remainder"]).t_values == [0.01, 0.001]
 
 
@@ -760,9 +784,19 @@ def test_no_command_loads_scipy_optimize():
     # one fresh interpreter runs every command, spectral ones at the default
     # and at a larger --nodes too: none loads any scipy module (scipy.special
     # and scipy.linalg alone cost about 0.3 s and 30 MB of start-up), and so
-    # none loads scipy.optimize
+    # none loads scipy.optimize.  It counts the numpy eigensolver calls of
+    # each command too: the closed-form commands, run first, build no Gauss
+    # rule, so they make no LAPACK eigensolve (whose threaded first call can
+    # stall), and the spectral ones make some
     script = textwrap.dedent("""
         import contextlib, io, json, sys
+        import numpy as np
+        calls = []
+        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+            def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+                calls.append(1)
+                return _solve(*args, **kwargs)
+            setattr(np.linalg, name, counted)
         from ckn4.cli import main
         runs = [
             ["constants", "--N", "5", "--alpha", "1"],
@@ -777,10 +811,11 @@ def test_no_command_loads_scipy_optimize():
         ]
         out = []
         for argv in runs:
+            before = len(calls)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-            out.append([argv[0], code, loaded])
+            out.append([argv[0], code, loaded, len(calls) - before])
         print(json.dumps(out))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -790,8 +825,12 @@ def test_no_command_loads_scipy_optimize():
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
-    assert [code for _, code, _ in rows] == [0] * len(rows)
-    assert [(name, mods) for name, _, mods in rows if mods] == []
+    assert [code for _, code, _, _ in rows] == [0] * len(rows)
+    assert [(name, mods) for name, _, mods, _ in rows if mods] == []
+    eigensolves = {name: n for name, _, _, n in rows[:4]}
+    assert eigensolves == {"constants": 0, "verify-extremal": 0, "transform-check": 0,
+                           "branch": 0}
+    assert all(n > 0 for _, _, _, n in rows[4:])
 
 
 def test_quadrature_layer_loads_no_pencil_layer():
@@ -799,7 +838,6 @@ def test_quadrature_layer_loads_no_pencil_layer():
     # from there, not the other way round: a fresh interpreter imports
     # ckn4.calculus alone (its package made a bare namespace, so that
     # ckn4/__init__.py does not import every module first) and builds a rule
-    # and the default grid
     script = textwrap.dedent("""
         import importlib, json, sys, types
         package = types.ModuleType("ckn4")
@@ -807,7 +845,6 @@ def test_quadrature_layer_loads_no_pencil_layer():
         sys.modules["ckn4"] = package
         calculus = importlib.import_module("ckn4.calculus")
         calculus.JacobiRule.build(72, 3.5)
-        calculus.default_grid()
         print(json.dumps(sorted(m for m in sys.modules if m.startswith("ckn4."))))
     """)
     package = str(Path(__file__).resolve().parents[1] / "src" / "ckn4")
@@ -817,24 +854,6 @@ def test_quadrature_layer_loads_no_pencil_layer():
     loaded = json.loads(proc.stdout)
     assert "ckn4.calculus" in loaded
     assert [m for m in loaded if m in ("ckn4.spectrum", "ckn4.reduction")] == []
-
-
-def test_log_gauss_grids_are_shared_and_read_only(capsys, monkeypatch):
-    grid = calculus.RadialGrid.log_gauss(1e-6, 1e6, 256)
-    assert calculus.RadialGrid.log_gauss(n=256) is grid
-    assert calculus.default_grid() is calculus.default_grid()
-    for a in (grid.nodes, grid.weights):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 1.0
-    # the report on shared grids against one on grids built afresh each call;
-    # transform-check integrates its Gaussian on them
-    argv = ("transform-check", "--N", "7", "--alpha", "-2")
-    _, shared, _ = run(capsys, *argv)
-    monkeypatch.setattr(calculus, "_log_gauss", calculus._log_gauss.__wrapped__)
-    assert calculus.default_grid() is not calculus.default_grid()
-    _, fresh, _ = run(capsys, *argv)
-    assert fresh == shared
 
 
 def test_remainder_diagnostics(capsys):

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from ckn4.emden import (
-    ComposedRadial,
-    from_sobolev,
     norm_identity_check,
     sobolev_bubble,
     star_identity_check,
@@ -15,8 +13,8 @@ from ckn4.params import (
     sphere_area,
     validate_params,
 )
-from ckn4.profiles import PolyGaussProfile, extremal_U
-from conftest import PARAM_SETS, random_valid_params
+from ckn4.profiles import PolyGaussProfile, dilation_tangent, extremal_U, kernel_Z0
+from conftest import ComposedRadial, PARAM_SETS, random_valid_params
 
 
 def test_extremal_maps_to_bubble():
@@ -44,11 +42,16 @@ def test_alpha_zero_is_identity():
 
 
 def test_round_trip():
+    # the s-side form, taken back by the chain rule and by the inverse substitution
     p = validate_params(5, 0.5)
-    g = PolyGaussProfile([0.5, 0.0, 1.0], 1.3)
-    back = from_sobolev(p, to_sobolev(p, g))
     r = np.logspace(-3, 3, 100)
-    assert np.allclose(back.eval(r), g.eval(r), rtol=1e-12)
+    for g in (PolyGaussProfile([0.5, 0.0, 1.0], 1.3), kernel_Z0(p), dilation_tangent(p, 1.7)):
+        v = to_sobolev(p, g)
+        back = ComposedRadial(v, 1.0 / p.q)
+        assert np.allclose(back.eval(r), g.eval(r), rtol=1e-12)
+        assert np.allclose(v.form.substitute(1.0 / p.q).eval(r), g.eval(r), rtol=1e-12)
+        for order in (1, 2):
+            assert np.allclose(back.deriv(r, order), g.deriv(r, order), rtol=1e-10, atol=0.0)
 
 
 @pytest.mark.parametrize("N,a", PARAM_SETS)

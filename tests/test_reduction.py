@@ -9,8 +9,8 @@ from numpy.polynomial.chebyshev import Chebyshev
 from scipy.optimize import brentq
 
 import ckn4.reduction as reduction
-from ckn4.calculus import JacobiRule, RadialGrid, weighted_hessian_norm_sq
-from ckn4.emden import from_sobolev, sobolev_bubble
+from ckn4.calculus import JacobiRule, weighted_hessian_norm_sq
+from ckn4.emden import sobolev_bubble
 from ckn4.errors import ContractionFailure, EigensolveFailure, NoInteriorExtremum, QuadratureFailure
 from ckn4.params import sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, dilation_tangent, extremal_U, kernel_Z0
@@ -24,10 +24,11 @@ from ckn4.reduction import (
     solve_corrections,
 )
 from ckn4.spectrum import mode_eigenvalues
-from conftest import (PARAM_SETS, ModeFunction, _star_log_rule, applied, brentq_lambda_star,
-                      bubble_c, composite_rule, full_grid_energy, h_weighted_star_norm, inner_alpha,
-                      omega_hat, perturbation_on, remainder_ratio, solution_radial,
-                      star_overlaps, weighted_H, wide_log_rule)
+from conftest import (PARAM_SETS, ComposedRadial, ModeFunction, RadialGrid, _star_log_rule,
+                      applied, brentq_lambda_star, bubble_c, composite_rule, default_grid,
+                      full_grid_energy, h_weighted_star_norm, inner_alpha, omega_hat,
+                      perturbation_on, remainder_ratio, solution_radial, star_overlaps,
+                      weighted_H, wide_log_rule)
 
 
 @pytest.fixture(scope="module")
@@ -126,7 +127,8 @@ def test_dist_z0(p51, modes51):
     # stiffness form on a radial grid: why the fit at scale 1 is stationary
     grid = RadialGrid.log_gauss(1e-8, 1e8, 1024)
     mu3 = float(modes51.eigenvalues[2])
-    psi2 = from_sobolev(p51, ModeFunction(modes51.problem.basis, modes51.coefficients[:, 2]))
+    psi2 = ComposedRadial(ModeFunction(modes51.problem.basis, modes51.coefficients[:, 2]),
+                          1.0 / p51.q)
     norm_w = math.sqrt(modes51.problem.alpha_scale * mu3)
     Z0 = kernel_Z0(p51)
     for f in (Z0, extremal_U(p51)):
@@ -143,13 +145,11 @@ def test_dist_two_bubbles_global_maximum(p51):
 
 
 def test_dist_profile_evaluations(monkeypatch, p51, modes51):
-    # the quotient runs on the pencil's own rule: it builds no rule and no
-    # radial grid
+    # the quotient runs on the pencil's own rule: it builds no rule
     def refuse(*args, **kwargs):
-        raise AssertionError("remainder_curve built a rule or a radial grid")
+        raise AssertionError("remainder_curve built a rule")
 
     monkeypatch.setattr(JacobiRule, "build", refuse)
-    monkeypatch.setattr(RadialGrid, "log_gauss", refuse)
     rows = remainder_curve(modes51, [1e-2, 1e-3])
     assert [row["t"] for row in rows] == [1e-2, 1e-3]
 
@@ -356,6 +356,19 @@ def test_jacobian_second_small_pivot_is_typed(monkeypatch, p51, offset):
 
     monkeypatch.setattr(reduction, "_solve_pencil", patched)
     with pytest.raises(EigensolveFailure, match=r"perturbation Jacobian at N=5, alpha=1\.0 \(M=8\)"):
+        PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=96)
+
+
+def test_jacobian_determinant_underflow_is_typed(monkeypatch, p51):
+    # perturb --N 3 --alpha 1.9981 has c = 1.2e-158, so d_j^2 and sum
+    # d_i^2/D_i underflow and the determinant is 0: its solve gave NaN
+    # multipliers with two RuntimeWarnings, read as a constant energy.  The
+    # same bubble here, c scaled by e^-400, builds in milliseconds
+    log_bubble_coeff = reduction._log_bubble_coeff
+    monkeypatch.setattr(reduction, "_log_bubble_coeff",
+                        lambda p, delta: log_bubble_coeff(p, delta) - 400.0)
+    with pytest.raises(EigensolveFailure, match=r"perturbation Jacobian at N=5, alpha=1\.0 "
+                       r"\(M=8\): its 2x2 determinant .* is 0\.000e\+00, not a normal float"):
         PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=96)
 
 
@@ -788,7 +801,6 @@ def test_independent_residual_oracle(p51, pp51):
     res = res or solve_correction(pp51, lam)
     u = solution_radial(res)
     h = BUILTIN_H["exp_bump"]
-    from ckn4.calculus import default_grid, sphere_area
     grid = default_grid()
     r = grid.nodes
     uplus = np.maximum(u.eval(r), 0.0) ** (p51.pstar - 1.0)
@@ -798,5 +810,5 @@ def test_independent_residual_oracle(p51, pp51):
         pair = inner_alpha(p51, u, eta, grid)
         forc = sphere_area(p51.N) * grid.integrate(
             (1.0 + pp51.eps * h(r)) * r ** (-p51.alpha) * uplus * eta.eval(r) * r ** (p51.N - 1))
-        nrm = math.sqrt(weighted_hessian_norm_sq(p51, eta))            # on default_grid()
+        nrm = math.sqrt(weighted_hessian_norm_sq(p51, eta))            # exact
         assert abs(pair - forc) / nrm < 1e-6

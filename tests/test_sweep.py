@@ -13,7 +13,9 @@ RuntimeWarning, which the suite turns into an error.  The examples are
 derandomized, so every run draws the same ones.  At alpha = 2 - 10^-k,
 k = 2, 3, 4 (M from 202 to 2.4e5), modes 0-4 must pass, and `remainder`
 and `perturb` must pass, fail a check they name or stop with one typed
-line.
+line.  At both ends, alpha = 2 - 10^-k and 4 - N + 10^-k, `verify-extremal`
+and `transform-check` pass or stop typed where the extremal does, and the
+Gaussian's identity sides match 40-digit Gamma functions.
 """
 
 import contextlib
@@ -23,14 +25,17 @@ import math
 import traceback
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from ckn4 import errors
 from ckn4.cli import GRID_N_RANGE, main
+from ckn4.emden import norm_identity_check, star_identity_check
 from ckn4.errors import CknError
 from ckn4.params import validate_params
+from ckn4.profiles import PolyGaussProfile
 from ckn4.spectrum import exact_rel_errors, mode_eigenvalues, verify_kernel
 
 
@@ -187,6 +192,58 @@ def test_remainder_reports_are_right_or_typed(point):
     assert abs(q_small / paneitz - 1.0) <= 0.05, argv
     for row in data["curve"]:
         assert row["curvature"] < 0.0 and 0.0 < row["dist"] < math.inf, (argv, row)
+
+
+# alpha = 4 - N + 10^-k, k = 2, 3, 4, as the command line writes it
+NEAR_M4 = [(N, f"{4 - N + 10.0 ** -k:.{k}f}") for N in (3, 5, 8, 12) for k in (2, 3, 4)]
+# where verify-extremal and transform-check stop on the extremal (ROADMAP
+# item 22): its normalization constant C overflows, or at N = 3 an integral
+# or the residual's sampled values of the extremal underflow to 0
+CLOSED_FORM_STOPS = {point: "MOutOfRange" for point in NEAR_TWO
+                     if point not in ((3, "1.99"), (5, "1.99"))}
+CLOSED_FORM_STOPS.update({(3, "1.999"): "QuadratureFailure", (3, "1.9999"): "QuadratureFailure"})
+
+
+def _gaussian_sides(p):
+    """(Hessian, star) integrals of e^{-r^2} by 40-digit Gamma functions, at p's own floats.
+
+    Delta e^{-r^2} = (4r^2 - 2N) e^{-r^2}, and int r^g e^{-b r^2} dr =
+    Gamma((g+1)/2) / (2 b^{(g+1)/2}).  Each identity's two sides are equal,
+    so both are checked against these; alpha and p* are the floats the
+    program carries (p* from float alpha is itself conditioned like 1/(N-4+alpha)).
+    """
+    with mpmath.workdps(40):
+        a, pstar = mpmath.mpf(p.alpha), mpmath.mpf(p.pstar)
+        I = lambda g, b: mpmath.gamma((g + 1) / 2) / (2 * b ** ((g + 1) / 2))  # noqa: E731
+        g0, N = a + p.N - 1, p.N
+        hess = 16 * I(g0 + 4, 2) - 16 * N * I(g0 + 2, 2) + 4 * N * N * I(g0, 2)
+        return hess, I(N - 1 - a, pstar)
+
+
+@pytest.mark.parametrize("N, alpha", NEAR_TWO + NEAR_M4)
+def test_closed_form_reports_at_the_range_ends(N, alpha):
+    # each report passes or stops with one typed line, and each side of the
+    # Gaussian's identities, integrated in closed form on its own side, is
+    # within 1e-13 of the Gamma oracle, also where the extremal stops the report
+    p = validate_params(N, alpha)
+    hess, star = _gaussian_sides(p)
+    for command in ("verify-extremal", "transform-check"):
+        code, out, err = _run_cli([command, "--N", str(N), "--alpha", alpha])
+        if (N, alpha) in CLOSED_FORM_STOPS:
+            assert code == 2 and out == "" and err.count("\n") == 1, (command, code, err)
+            assert err.startswith(f"error: {CLOSED_FORM_STOPS[N, alpha]}: "), (command, err)
+            continue
+        assert code == 0 and err == "", (command, code, err)
+        if command == "transform-check":
+            row = json.loads(out)["data"]["identities"][1]
+            assert row["profile"] == "gaussian"
+            for identity, want in (("norm_identity", hess), ("star_identity", star)):
+                for side in ("lhs", "rhs"):
+                    assert abs(row[identity][side] / want - 1) <= 1e-13, (identity, side)
+    gauss = PolyGaussProfile([1.0], 1.0)
+    sides = [*norm_identity_check(p, gauss)[:2], *star_identity_check(p, gauss)[:2]]
+    for value, want in zip(sides, (hess, hess, star, star)):
+        assert abs(value / want - 1) <= 1e-13, (sides, hess, star)
 
 
 # perturb's exit codes where its star rule has 10 q nodes, 2 500 to 6 667:
