@@ -4,9 +4,12 @@ Every Gauss rule of the program is a symmetric Gauss-Gegenbauer rule in
 (1-t^2)^{delta-2} on (-1, 1), from one numpy builder (_half_rules): seeds
 from an eigenproblem of half the size, a Newton step in h = 1 - |t| (Hale &
 Townsend, SIAM J. Sci. Comput. 35, 2013) and Christoffel-Darboux weights,
-certified against the weight's mass and divided by their sum.  Under t =
-(s^2-1)/(s^2+1) the rules (JacobiRule) carry the mode pencils (spectrum)
-and the perturbation's star integrals (reduction).  A radial profile is
+certified against the weight's mass and divided by their sum.  The Newton
+step, like the basis rows' recurrence (spectrum._jacobi_pass), runs a block
+of DEGREE_BLOCK degrees at a time on contiguous operands of one shape, and
+holds no table over all the degrees.  Under t = (s^2-1)/(s^2+1) the rules
+(JacobiRule) carry the mode pencils (spectrum) and the perturbation's star
+integrals (reduction).  A radial profile is
 integrated one way only, exactly: its Hessian integral, and its star
 integral when its form is a single term, are Beta sums (PowerForm) or
 Gamma sums (ExpForm) that touch no rule, so the closed-form commands build
@@ -154,6 +157,15 @@ MASS_TOL = 1e-11
 # about 1e-15 of 1): a node that does not leave it is refused by the steps'
 # tolerance or by the weights' mass
 H_FLOOR = 1e-30
+# degrees per block of the recurrences of _newton_step and spectrum._jacobi_pass,
+# each block's coefficients formed at the nodes' full shape: the length changes
+# no bit, only the memory the blocks take
+DEGREE_BLOCK = 64
+
+
+def _degree_blocks(lo: int, hi: int) -> list:
+    """(start, stop) of the consecutive blocks of DEGREE_BLOCK degrees that cover range(lo, hi)."""
+    return [(k, min(k + DEGREE_BLOCK, hi)) for k in range(lo, hi, DEGREE_BLOCK)]
 
 
 def _newton_step(n: int, h: np.ndarray, off: np.ndarray, ratio: np.ndarray,
@@ -169,7 +181,11 @@ def _newton_step(n: int, h: np.ndarray, off: np.ndarray, ratio: np.ndarray,
     (1-t^2) at a node, with p_{n-1} taken at the new node to first order
     from the same pass; log_chr is ln 1/sum_{k<n} p_k(t)^2 there.  Terms
     that grow large (large delta) are rescaled on _rescale_steps, the scale
-    kept as a logarithm.
+    kept as a logarithm.  Each degree's coefficients, h/off and t/off and
+    the recurrence's factors broadcast to the nodes' shape, are formed one
+    block of DEGREE_BLOCK degrees at a time (_degree_blocks), so each step's
+    numpy calls take contiguous operands of one shape and the build holds
+    no table of all n degrees.
     """
     G, half = h.shape
     damp = np.zeros_like(off)
@@ -180,33 +196,35 @@ def _newton_step(n: int, h: np.ndarray, off: np.ndarray, ratio: np.ndarray,
     O, R, P, B = (np.moveaxis(x, -1, 0)[..., None] for x in (off, ratio, damp, back))
     checks = _rescale_steps(off)
     t = 1.0 - h
-    with np.errstate(divide="ignore"):
-        h_off, t_off = h / O, t / O                     # (degree, G, nodes)
     # (p, D) in Reinsch's form and (q, q_prev) on the plain recurrence, both p_k
     p, q = np.ones((G, half)), np.ones((G, half))
     D, q_prev = np.zeros((G, half)), np.zeros((G, half))
     tmp, new = np.empty_like(p), np.empty_like(p)
     log_scale = np.zeros((G, half))
-    for k in range(1, n + 1):
-        if k in checks:
-            big = np.zeros((G, half), dtype=bool)
-            g = checks[k]
-            big[g] = np.maximum(np.abs(p[g]), np.abs(D[g])) > 1e100
-            if big.any():
-                for x in (p, D, q, q_prev):
-                    x[big] *= 1e-100
-                log_scale[big] += 100.0 * math.log(10.0)
-        if k == n:
-            p_last, D_last, q_last, q_before = p.copy(), D.copy(), q.copy(), q_prev.copy()
-        np.multiply(h_off[k], p, out=tmp)
-        D *= P[k]
-        D -= tmp
-        p *= R[k]
-        p += D
-        np.multiply(t_off[k], q, out=new)
-        np.multiply(B[k], q_prev, out=tmp)
-        new -= tmp
-        q_prev, q, new = q, new, q_prev
+    for lo, hi in _degree_blocks(1, n + 1):
+        with np.errstate(divide="ignore"):
+            h_off, t_off = h / O[lo:hi], t / O[lo:hi]       # (block, G, nodes)
+        P_k, R_k, B_k = (np.broadcast_to(x[lo:hi], h_off.shape).copy() for x in (P, R, B))
+        for i, k in enumerate(range(lo, hi)):
+            if k in checks:
+                big = np.zeros((G, half), dtype=bool)
+                g = checks[k]
+                big[g] = np.maximum(np.abs(p[g]), np.abs(D[g])) > 1e100
+                if big.any():
+                    for x in (p, D, q, q_prev):
+                        x[big] *= 1e-100
+                    log_scale[big] += 100.0 * math.log(10.0)
+            if k == n:
+                p_last, D_last, q_last, q_before = p.copy(), D.copy(), q.copy(), q_prev.copy()
+            np.multiply(h_off[i], p, out=tmp)
+            D *= P_k[i]
+            D -= tmp
+            p *= R_k[i]
+            p += D
+            np.multiply(t_off[i], q, out=new)
+            np.multiply(B_k[i], q_prev, out=tmp)
+            new -= tmp
+            q_prev, q, new = q, new, q_prev
     one_t2 = h * (2.0 - h)
     step = p * one_t2 / (n * (h * p - D))        # p_n / p_n'
     if n % 2:

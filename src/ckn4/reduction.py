@@ -236,10 +236,9 @@ MASS_CUT = 1e-13
 # (3e-9).  Up to q = 20 the pencil's rule holds lambda* within 1e-10
 H_NODES_PER_Q = 10.0
 # the largest rule of the star-type integrals, 10 q at N = 3 and M = 1 079
-# (q = 1 077); perturb there peaks near 1.14 GB, 0.93 GB of it the rule
-# build's two (n+1) x ceil(n/2) tables h/O and t/O (calculus._newton_step)
-# beside a 0.23 GB seed matrix (at 4 000 nodes: 122 MB and 31 MB of a 153 MB
-# peak).  A larger rule is refused before it is built
+# (q = 1 077).  The seed matrix sets the rule build's memory, 0.23 GB there
+# (its build alone peaks at 476 MB RSS; perturb at (3, 1.998), a 10 000-node
+# rule, at 417 MB).  A larger rule is refused before it is built
 STAR_NODES_MAX = 10_770
 # ln s of the probe on which the weight's sign is checked besides the rule's
 # nodes, in steps of 1/4; it has no quadrature role

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import JacobiRule, _jacobi_recurrence, _jacobi_rules
+from .calculus import JacobiRule, _degree_blocks, _jacobi_recurrence, _jacobi_rules
 from .errors import (CknError, EigensolveFailure, GridTooCoarse, InconsistentKernel,
                      QuadratureFailure)
 from .params import (
@@ -84,26 +84,39 @@ def _jacobi_pass(t: np.ndarray, off: np.ndarray, p0: np.ndarray, n_rows: int,
     1, nodes) for one set of points per group.  One recurrence over the
     degree runs them all, and every element takes the same operations in the
     same order, so a family's rows do not depend on what it is stacked with,
-    and its rows at -t are (-1)^k times those at t, bit for bit.  Returns
-    (G, F, n_rows, nodes), written into out when given.  The rows are not
-    rescaled: where they overflow the caller's weight has underflowed, and
-    the caller checks its products.
+    and its rows at -t are (-1)^k times those at t, bit for bit.  The
+    recurrence runs one block of calculus.DEGREE_BLOCK degrees at a time in
+    a degree-major buffer, with t and off at its full shape, so each of its
+    numpy calls takes contiguous operands of one shape; each finished block
+    is copied into the rows.  Returns (G, F, n_rows, nodes), written into
+    out when given.  The rows are not rescaled: where they overflow the
+    caller's weight has underflowed, and the caller checks its products.
     """
     G, F = off.shape[:2]
     nodes = t.shape[-1]
     rows = np.empty((G, F, n_rows, nodes)) if out is None else out
+    if not n_rows:
+        return rows
     O = np.moveaxis(off, -1, 0)[..., None]           # (degree, G, F, 1)
-    p_prev, tmp = np.zeros((G, F, nodes)), np.empty((G, F, nodes))
-    if n_rows:
-        rows[:, :, 0] = np.asarray(p0, dtype=float)[..., None]
+    t = np.ascontiguousarray(np.broadcast_to(t, (G, F, nodes)))
+    rows[:, :, 0] = np.asarray(p0, dtype=float)[..., None]
+    blocks = _degree_blocks(1, n_rows)
+    # buf[0] and buf[1] hold the two rows before the block's, buf[2:] its rows
+    buf = np.empty((max((hi - lo for lo, hi in blocks), default=0) + 2, G, F, nodes))
+    buf[0], buf[1] = 0.0, rows[:, :, 0]
+    tmp = np.empty((G, F, nodes))
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(n_rows - 1):
-            p, new = rows[:, :, j], rows[:, :, j + 1]
-            np.multiply(t, p, out=new)
-            np.multiply(O[j], p_prev, out=tmp)
-            new -= tmp
-            new /= O[j + 1]
-            p_prev = p
+        for lo, hi in blocks:
+            # off[j-1] and off[j] of row j, as Ob[j - lo] and Ob[j - lo + 1]
+            Ob = np.broadcast_to(O[lo - 1:hi], (hi - lo + 1, G, F, nodes)).copy()
+            for i in range(hi - lo):
+                new = buf[i + 2]
+                np.multiply(t, buf[i + 1], out=new)
+                np.multiply(Ob[i], buf[i], out=tmp)
+                new -= tmp
+                new /= Ob[i + 1]
+            rows[:, :, lo:hi] = np.moveaxis(buf[2:hi - lo + 2], 0, 2)
+            buf[:2] = buf[hi - lo:hi - lo + 2]
     return rows
 
 

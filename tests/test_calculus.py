@@ -1,3 +1,5 @@
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -324,3 +326,17 @@ def test_jacobi_rule_integrates_its_mass(delta, n):
     # and 5.3e-15 off it at the first three)
     rule = JacobiRule.build(n, delta)
     assert abs(np.exp(rule.log_chr).sum() / np.exp(_log_mu0(delta - 2.0)) - 1.0) <= 1e-15
+
+
+def test_rule_build_memory_is_bounded():
+    # the Newton step forms its coefficients a block of degrees at a time and
+    # holds no table over all n degrees: at 4 000 nodes the build peaks at
+    # 39 MiB under tracemalloc, 31 MiB of it the seed matrix, where tables of
+    # h/off and t/off over the degrees took it to 153 MiB
+    tracemalloc.start()
+    try:
+        JacobiRule.build(4000, 300.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50 * 2 ** 20

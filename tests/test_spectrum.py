@@ -415,6 +415,58 @@ def test_log_mu0_against_mpmath(a):
     assert abs(calculus._log_mu0(a) - float(want)) <= 4e-15
 
 
+BLOCK_DELTAS = [1 + 1e-9, 1.5, 100.0, 1000.0, 6e5]
+
+
+def _by_block(monkeypatch, run):
+    """run() with calculus.DEGREE_BLOCK at 1, 5 and its own length, in that order."""
+    results = []
+    for block in (1, 5, calculus.DEGREE_BLOCK):
+        monkeypatch.setattr(calculus, "DEGREE_BLOCK", block)
+        results.append(run())
+    return results
+
+
+@pytest.mark.parametrize("n", [65, 168, 169, 1031])
+def test_rule_build_does_not_depend_on_degree_block(monkeypatch, n):
+    # the Newton step forms its coefficients a block of degrees at a time; the
+    # block's length changes no bit of the nodes or the log-Christoffel
+    # values, of a rule alone or in the mixed stack, where the 6e5 rule's
+    # terms are rescaled by 1e-100 on its own steps at 1031 nodes
+    def run():
+        return [calculus._half_rules(n, deltas)[:2]
+                for deltas in [[d] for d in BLOCK_DELTAS] + [BLOCK_DELTAS]]
+
+    first, *others = _by_block(monkeypatch, run)
+    for other in others:
+        for (h, log_chr), (h_b, log_chr_b) in zip(first, other):
+            assert np.array_equal(h, h_b) and np.array_equal(log_chr, log_chr_b)
+
+
+def test_basis_rows_do_not_depend_on_degree_block(monkeypatch):
+    # the rows of a stacked (G, 3) pass, the (delta+i, delta+i) families at
+    # their rules' nodes t >= 0 as _assemble_pass takes them, are those of
+    # each family run alone, bit for bit, at every block length
+    deltas = [1.0035, 3.5, 40.0, 1000.0]
+    nodes, n = 160, 168
+    rules, _ = calculus._jacobi_rules(deltas, n)
+    t = np.reshape([rule.t[n // 2:] for rule in rules], (len(deltas), 1, n - n // 2))
+    a = np.asarray(deltas)[:, None] + np.arange(3.0)
+    off, _, log_mu0 = calculus._jacobi_recurrence(nodes, a)
+    p0 = np.exp(-0.5 * log_mu0)
+
+    def run():
+        alone = np.stack([np.concatenate([
+            spectrum._jacobi_pass(t[g:g + 1], off[g:g + 1, f:f + 1], p0[g:g + 1, f:f + 1], nodes)
+            for f in range(3)], axis=1) for g in range(len(deltas))])[:, 0]
+        return spectrum._jacobi_pass(t, off, p0, nodes), alone
+
+    results = _by_block(monkeypatch, run)
+    for stacked, alone in results:
+        assert np.array_equal(stacked, alone, equal_nan=True)
+        assert np.array_equal(stacked, results[0][0], equal_nan=True)
+
+
 def test_jacobi_rule_certifies_its_weights(monkeypatch):
     # a rule whose Christoffel numbers do not sum to the weight's mass is
     # refused by name, and so is one whose Newton steps do not settle
