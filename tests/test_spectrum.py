@@ -456,9 +456,9 @@ def test_basis_rows_do_not_depend_on_degree_block(monkeypatch):
     p0 = np.exp(-0.5 * log_mu0)
 
     def run():
-        alone = np.stack([np.concatenate([
-            spectrum._jacobi_pass(t[g:g + 1], off[g:g + 1, f:f + 1], p0[g:g + 1, f:f + 1], nodes)
-            for f in range(3)], axis=1) for g in range(len(deltas))])[:, 0]
+        alone = np.array([[spectrum._jacobi_pass(t[g:g + 1], off[g:g + 1, f:f + 1],
+                                                 p0[g:g + 1, f:f + 1], nodes)[0, 0]
+                           for f in range(3)] for g in range(len(deltas))])
         return spectrum._jacobi_pass(t, off, p0, nodes), alone
 
     results = _by_block(monkeypatch, run)
