@@ -424,7 +424,7 @@ def int_in(lo: int, hi: int):
 # float field 32 MiB, and a residual holds at most six at once (192 MiB)
 GRID_N_RANGE = (5, 1024)
 # --nodes, the trial functions of a mode pencil, the range the assembly is sized
-# for: at 2048, perturb --N 5 --alpha 1 takes 0.9 s and 267 MB, spectrum 0.6 s
+# for: at 2048, perturb --N 5 --alpha 1 takes 1.0 s and 234 MB, spectrum 0.7 s
 # and 203 MB (in process, one BLAS thread, 2-vCPU Intel Xeon VM)
 NODES_RANGE = spectrum.NODES_RANGE
 # --num-eigs: mode 0's checks read mu_1 to mu_3

@@ -318,7 +318,7 @@ class PerturbationProblem:
             self.family, self.W = fam, np.diag(x)
             self.X = self.W
         else:
-            mu, self.W, self.X, self.family = _solve_pencil_cut(self.problem, MASS_CUT)
+            mu, self.W, self.X, self.family = _solve_pencil_cut(self.problem, rows, MASS_CUT)
         self.kept = kept = mu.size
         # phi_i / U_1 = sum_k W_ki p_k(t) / c on the rule, (kept, n); in the
         # diagonal basis x_i p_i(t) / c, the same product without its zeros,
@@ -420,7 +420,9 @@ class PerturbationProblem:
         probe = self._h_values(self.r_probe, lams)
         sup = max(float(np.max(np.abs(f))), abs(self.eps) * float(np.max(np.abs(probe))))
         if sup > 1.0:
-            raise ContractionFailure(f"|eps| sup|h| = {sup:.3f} exceeds 1")
+            p = self.params
+            raise ContractionFailure(f"weight 1 + eps h at N={p.N}, alpha={p.alpha}, "
+                                     f"eps={self.eps:.3g}: |eps| sup|h| = {sup:.3g} exceeds 1")
         f += 1.0
         f *= self.star_scale * self.wq
         return f

@@ -17,18 +17,18 @@ diagonal, and E p_j, the Gegenbauer C_j^{(delta+1/2)} times the envelope,
 are the eigenfunctions of the continuum problem (the Paneitz spectrum on
 S^M, Beckner, Ann. Math. 138, 1993), so A is diagonal too: the
 mass-orthonormal basis of Shen's spectral-Galerkin methods (SIAM J. Sci.
-Comput. 15, 1994).  In t, T_k X / E with X = E p is c0 p + c1 p' + c2
-p'', whose coefficients are polynomials in t that depend on delta alone
-(ModeBasis.operator_fields): sigma0 is the indicial exponent at zero, so
-M, nu and sigma0 cancel, and what is left is the Paneitz operator on S^M
-in the coordinate t.  The pencil is assembled from 1 - t and 1 + t as its
-rule holds them, and no function of s is evaluated.  The eigenpairs are
-read off the diagonal, mu_j = A_jj / B_jj with eigenvector x_j e_j, x_j =
-B_jj^{-1/2} > 0, and that read is certified on every solve: the
-normalized off-diagonal couplings of both matrices must stay below
-COUPLING_TOL, which bounds the eigenvalue error by its square.  Every
-stiffness and mass integrand is a polynomial of degree at most 2m in t
-times (1-t)^{delta-2} (1+t)^{delta}, that is (1+t)^2 times
+Comput. 15, 1994).  In t, T_k psi_j / E is (1-t) times c_j p_j + 2(1-t^2)
+p_j', c_j a polynomial in t that depends on delta and j alone
+(ModeBasis.weighted_rows): sigma0 is the indicial exponent at zero, so M,
+nu and sigma0 cancel, the Gegenbauer equation eliminates p_j'', and what
+is left is the Paneitz operator on S^M in the coordinate t.  The pencil is
+assembled from 1 - t and 1 + t as its rule holds them, and no function of
+s is evaluated.  The eigenpairs are read off the diagonal, mu_j = A_jj /
+B_jj with eigenvector x_j e_j, x_j = B_jj^{-1/2} > 0, and that read is
+certified on every solve: the normalized off-diagonal couplings of both
+matrices must stay below COUPLING_TOL, which bounds the eigenvalue error by
+its square.  Every stiffness and mass integrand is a polynomial of degree
+at most 2m in t times (1-t)^{delta-2} (1+t)^{delta}, that is (1+t)^2 times
 such a polynomial times the Gegenbauer weight (1-t^2)^{delta-2}, so the
 pencil is assembled exactly on an (m+8)-node Gauss-Gegenbauer rule, one
 rule per mode, with 13 degrees to spare (calculus.JacobiRule, whose
@@ -185,32 +185,11 @@ class ModeBasis:
         self.m = int(m)
         self.delta = math.sqrt(((M - 2.0) / 2.0) ** 2 + nu_coeff)
         self.sigma0 = self.delta - (M - 2.0) / 2.0
-        n = np.arange(self.m, dtype=float)
-        self._dscale = [np.sqrt(n * (n + 2.0 * (self.delta + i) + 1.0)) for i in range(2)]
 
     @functools.cached_property
     def family(self) -> _SymmetricJacobi:
         """The (delta, delta) family p_j, built on first use: the pencils take no rows from it."""
         return _SymmetricJacobi(self.m, self.delta)
-
-    def operator_fields(self, one_minus_t: np.ndarray, one_plus_t: np.ndarray):
-        """(c0, c1, c2) with T_k psi / E = c0 p + c1 p' + c2 p'', psi = E p(t), at 1 -+ t.
-
-        In s the fields are c0 = a^2 + a' + (M-1) a/s - nu/s^2, c1 = 2 a t'
-        + t'' + (M-1) t'/s and c2 = t'^2, a = E'/E.  With 1 + s^2 = 2/(1-t)
-        and s^2 = (1+t)/(1-t) they are polynomials in t that depend on delta
-        alone, as M, nu and sigma0 cancel through the indicial identity
-        sigma0^2 + (M-2) sigma0 = nu:
-            c0 = (1-delta)(1-t)(2 + delta(1-t)),
-            c1 = 2(1-t)^2 (1 - delta t),
-            c2 = (1+t)(1-t)^3,
-        the operator of the Paneitz problem on S^M in the coordinate t.  From
-        1 - t and 1 + t as the rule holds them they carry no cancellation and
-        cannot overflow.
-        """
-        d, lo = self.delta, one_minus_t
-        return ((1.0 - d) * lo * (2.0 + d * lo), 2.0 * lo * lo * (1.0 - d + d * lo),
-                one_plus_t * lo * lo * lo)
 
     def weighted_rows(self, one_minus_t: np.ndarray, one_plus_t: np.ndarray,
                       log_scale: np.ndarray, log_pot: np.ndarray, P):
@@ -220,37 +199,43 @@ class ModeBasis:
         of the points s, log_scale is ln(c E sqrt(w)) there, E the envelope,
         w the quadrature weight with its s^{M-1} and c a constant, so the
         rows are c psi sqrt(w pot) and c T_k psi sqrt(w); _log_row_scale
-        gives it on a pencil's own rule.  P holds the three families' (m,
+        gives it on a pencil's own rule.  P holds the two families' (m,
         s.size) rows p_k(t), k < m, as _assemble_pass gives them.  The rows
-        are formed in t alone: T_k psi / E is operator_fields' polynomials
-        times p, p' and p''.  Derivatives in t go to the next families
-        through d/dt p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, by
-        shifting the rows by the order and scaling.  The derivative rows are
-        worked in place and end as the two results, so the assembly needs a
-        single temporary of their size, and the rows of P are left as they
-        were.  Folding the square roots of the quadrature weight and the
-        potential into the envelope keeps every factor representable even
-        when s^{M-1} or the envelope overflow on their own.  Raises
-        QuadratureFailure where a row is still not finite (p_j overflows
-        where the weight underflows, at extreme delta).
+        are formed in t alone.  In s, T_k psi / E = c0 p + c1 p' + c2 p''
+        with c0 = a^2 + a' + (M-1) a/s - nu/s^2, c1 = 2 a t' + t'' + (M-1)
+        t'/s, c2 = t'^2 and a = E'/E; with 1 + s^2 = 2/(1-t) and s^2 =
+        (1+t)/(1-t), M, nu and sigma0 cancel through the indicial identity
+        sigma0^2 + (M-2) sigma0 = nu, and the Gegenbauer equation (1-t^2)
+        p_j'' = 2(delta+1) t p_j' - j(j+2delta+1) p_j eliminates p'':
+            T_k psi_j / E = (1-t) [((1-delta)(2 + delta(1-t))
+                                    - j(j+2delta+1)(1-t)) p_j + 2(1-t)(1+t) p_j'],
+        the Paneitz operator on S^M in the coordinate t, free of cancellation
+        in 1 -+ t.  p' comes from the next family through d/dt p_n^{(a,a)} =
+        sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, its rows shifted by one and
+        scaled in place; they end as the stiffness rows and one temporary as
+        the mass rows, so the rows of p are left as they were.  Folding the
+        square roots of the quadrature weight and the potential into the
+        envelope keeps every factor representable even when s^{M-1} or the
+        envelope overflow on their own.  Raises QuadratureFailure where a row
+        is still not finite (p_j overflows where the weight underflows, at
+        extreme delta).
         """
-        c0, c1, c2 = self.operator_fields(one_minus_t, one_plus_t)
-        m = self.m
-        P, dP, d2P = P
+        d, lo = self.delta, one_minus_t
+        j = np.arange(self.m, dtype=float)
+        eig = (j * (j + 2.0 * d + 1.0))[:, None]
+        P, dP = P
         with np.errstate(over="ignore", invalid="ignore"):
-            scale = np.ones(m)
-            for i, R in ((1, dP), (2, d2P)):
-                scale[i:] *= self._dscale[i - 1][1:m - i + 1]
-                R[i:] = R[:m - i] * scale[i:, None]
-                R[:i] = 0.0
-            # E (c0 P + c1 P' + c2 P''), summed in that order in the rows of
-            # P', and the mass rows in those of P''
-            np.multiply(c1, dP, out=dP)
-            dP += c0 * P
-            np.multiply(c2, d2P, out=d2P)
-            dP += d2P
-            rows_stiff = np.multiply(np.exp(log_scale), dP, out=dP)
-            rows_mass = np.multiply(np.exp(log_scale + 0.5 * log_pot), P, out=d2P)
+            dP[1:] = dP[:-1] * np.sqrt(eig[1:])
+            dP[0] = 0.0
+            # (1-t) E (c p + 2(1-t)(1+t) p'), summed in the rows of p', with
+            # c p, then the mass rows, in one temporary
+            np.multiply(2.0 * lo * one_plus_t, dP, out=dP)
+            tmp = np.multiply(eig, lo)
+            np.subtract((1.0 - d) * (2.0 + d * lo), tmp, out=tmp)
+            tmp *= P
+            dP += tmp
+            rows_stiff = np.multiply(lo * np.exp(log_scale), dP, out=dP)
+            rows_mass = np.multiply(np.exp(log_scale + 0.5 * log_pot), P, out=tmp)
         if not (np.isfinite(rows_mass).all() and np.isfinite(rows_stiff).all()):
             raise QuadratureFailure(
                 f"mode pencil rows at M={self.M:.6g}, delta={self.delta:.6g}, "
@@ -315,15 +300,15 @@ def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, P):
 # --nodes, the trial functions of a mode pencil: the smallest the assembly takes,
 # and the largest the command line takes
 NODES_RANGE = (64, 2048)
-# the most basis rows one assembly pass stacks: one mode's three (m, m+8) blocks
-# at the largest node count, so a pass over several modes holds no more rows
-# than a single mode does there
-PASS_ROWS = 3 * NODES_RANGE[1] * (NODES_RANGE[1] + 8)
+# the most basis rows one assembly pass stacks: one mode's two (m, m+8) blocks,
+# of p and p', at the largest node count, so a pass over several modes holds no
+# more rows than a single mode does there
+PASS_ROWS = 2 * NODES_RANGE[1] * (NODES_RANGE[1] + 8)
 
 
 def _modes_per_pass(nodes: int) -> int:
     """How many modes of `nodes` trial functions one assembly pass takes."""
-    return max(1, PASS_ROWS // (3 * nodes * (nodes + 8)))
+    return max(1, PASS_ROWS // (2 * nodes * (nodes + 8)))
 
 
 def assemble_mode_problems(p: Params, ks, nodes: int):
@@ -358,8 +343,9 @@ def _assemble_pass(p: Params, ks: list, nodes: int):
     """Yield (pencil, family-0 rows) of the modes ks, from one recurrence pass, in order.
 
     The modes' n = nodes+8 node rules come from one calculus._jacobi_rules
-    call, and the rows of their (delta+i, delta+i) families, i < 3, (modes,
-    3, nodes, n), from one _jacobi_pass at the nodes t >= 0, mirrored to -t.
+    call, and the rows of their (delta, delta) and (delta+1, delta+1)
+    families, (modes, 2, nodes, n), from one _jacobi_pass at the nodes t >=
+    0, mirrored to -t.
     """
     staged, failure = [], None
     try:
@@ -371,10 +357,10 @@ def _assemble_pass(p: Params, ks: list, nodes: int):
     deltas, n = [b.delta for _, _, b in staged], nodes + 8
     rules, rule_failure = _jacobi_rules(deltas, n)
     G, neg = len(rules), n // 2
-    off, _, log_mu0 = _jacobi_recurrence(nodes, np.asarray(deltas[:G])[:, None] + np.arange(3.0))
+    off, _, log_mu0 = _jacobi_recurrence(nodes, np.asarray(deltas[:G])[:, None] + np.arange(2.0))
     # p_0 = exp(-log_mu0/2) by libm's exp, as _SymmetricJacobi takes it
-    p0 = np.array([math.exp(-0.5 * v) for v in log_mu0.ravel().tolist()]).reshape(G, 3)
-    rows = np.empty((G, 3, nodes, n))
+    p0 = np.array([math.exp(-0.5 * v) for v in log_mu0.ravel().tolist()]).reshape(G, 2)
+    rows = np.empty((G, 2, nodes, n))
     _jacobi_pass(np.reshape([rule.t[neg:] for rule in rules], (G, 1, n - neg)), off, p0, nodes,
                  out=rows[..., neg:])
     rows[..., :neg] = rows[..., ::-1][..., :neg]
@@ -433,14 +419,15 @@ def _solve_pencil(A: np.ndarray, B: np.ndarray, where: str):
     return mu, 1.0 / np.sqrt(b), couplings
 
 
-def _solve_pencil_cut(pr: ModeProblem, cut: float):
+def _solve_pencil_cut(pr: ModeProblem, rows0: np.ndarray, cut: float):
     """Eigenpairs of the pencil on the Legendre directions its mass controls.
 
-    The functions E p_k(t), p_k the orthonormal Legendre polynomials, k < m,
-    span the trial space too.  The pencil is solved densely on the
-    eigenvectors of their mass matrix whose mass exceeds `cut` times the
-    largest; the others, polynomials large where the weight is negligible,
-    are left out.  Returns (mu, W, X, family): the eigenvalues, the
+    rows0 are the (m, n) rows p_j(t) of the trial functions' family on the
+    pencil's rule, as _assembled gives them.  The functions E p_k(t), p_k
+    the orthonormal Legendre polynomials, k < m, span the trial space too.
+    The pencil is solved densely on the eigenvectors of their mass matrix
+    whose mass exceeds `cut` times the largest; the others, polynomials
+    large where the weight is negligible, are left out.  Returns (mu, W, X, family): the eigenvalues, the
     B-orthonormal eigenvectors as coefficients W of the E p_k and X of the
     trial functions psi_j, and the Legendre family.
     """
@@ -450,7 +437,7 @@ def _solve_pencil_cut(pr: ModeProblem, cut: float):
     env = np.exp(_log_row_scale(rule) + 0.5 * _log_potential(pr.params.M, rule.one_minus_t))
     rows = env * family.rows(t, basis.m)
     # E p_k = sum_j L_jk psi_j, read off the mass products on the exact rule
-    L = (env * basis.family.rows(t, basis.m)) @ rows.T / np.diag(pr.B)[:, None]
+    L = (env * rows0) @ rows.T / np.diag(pr.B)[:, None]
     lam, V = np.linalg.eigh(rows @ rows.T)
     keep = lam > lam[-1] * cut
     T = V[:, keep] / np.sqrt(lam[keep])

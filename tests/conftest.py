@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 from scipy.optimize import brentq
-from scipy.special import gammaln, roots_legendre
+from scipy.special import roots_legendre
 
 from ckn4.calculus import JacobiRule, weighted_hessian_norm_sq
 from ckn4.params import normalization_constant, sphere_area, validate_params
@@ -240,13 +240,34 @@ def wide_log_rule(m, M, panel_pts=256):
     return log_rule(m, u_min, u_max, panel_pts)
 
 
+@functools.lru_cache(maxsize=None)
+def log_norms(d, m, order):
+    """(m, 1) values ln(Gamma(j+2d+1+order) / (2^order Gamma(j+2d+1)) / sqrt(h_j)), j < m.
+
+    h_j = 2^{2d+1} Gamma(j+d+1)^2 / ((2j+2d+1) j! Gamma(j+2d+1)) is the
+    closed-form norm of P_j^{(d,d)}, and the i-th derivative of P_j^{(d,d)}
+    is Gamma(j+2d+1+i) / (2^i Gamma(j+2d+1)) P_{j-i}^{(d+i,d+i)}.  Summed in
+    40-digit mpmath: at d = 500 (M = 202, mode 2) the log-gamma terms reach
+    6e3, and their float rounding put 6e-13 into the rows.
+    """
+    with mpmath.workdps(40):
+        D, ln2 = mpmath.mpf(d), mpmath.log(2)
+        out = []
+        for j in range(m):
+            log_h = ((2 * D + 1) * ln2 + 2 * mpmath.loggamma(j + D + 1)
+                     - mpmath.log(2 * j + 2 * D + 1) - mpmath.loggamma(j + 1)
+                     - mpmath.loggamma(j + 2 * D + 1))
+            log_c = (mpmath.loggamma(j + 2 * D + 1 + order) - order * ln2
+                     - mpmath.loggamma(j + 2 * D + 1))
+            out.append(float(log_c - log_h / 2))
+    return np.array(out)[:, None]
+
+
 def jacobi_rows(basis, t, order=0):
     """(m, n) matrix of the order-th t-derivative of the basis polynomials p_j at t.
 
-    p_j = P_j^{(d,d)} / sqrt(h_j), d = basis.delta, with the closed-form norm
-    h_j = 2^{2d+1} Gamma(j+d+1)^2 / ((2j+2d+1) j! Gamma(j+2d+1)); the i-th
-    derivative of P_j^{(d,d)} is Gamma(j+2d+1+i) / (2^i Gamma(j+2d+1))
-    P_{j-i}^{(d+i,d+i)}.  The classical P_j^{(a,a)} come from their
+    p_j = P_j^{(d,d)} / sqrt(h_j), d = basis.delta, and its derivatives are
+    the classical P^{(a,a)} scaled by log_norms.  These come from their
     unnormalized three-term recurrence (DLMF 18.9.2), which
     test_rows_and_series_match_jacobi_reference checks against scipy's
     eval_jacobi: a reference for ModeBasis independent of its orthonormal
@@ -268,11 +289,7 @@ def jacobi_rows(basis, t, order=0):
         P[order + n + 1] = ((k + 1.0) * (k + 2.0) * k * t * P[order + n]
                             - 2.0 * (n + a) ** 2 * (k + 2.0) * P[order + n - 1]) / (
                                2.0 * (n + 1.0) * (n + 2.0 * a + 1.0) * k)
-    j = np.arange(basis.m)[:, None]
-    log_h = ((2 * d + 1) * math.log(2.0) + 2 * gammaln(j + d + 1) - np.log(2 * j + 2 * d + 1)
-             - gammaln(j + 1) - gammaln(j + 2 * d + 1))
-    log_c = gammaln(j + 2 * d + 1 + order) - order * math.log(2.0) - gammaln(j + 2 * d + 1)
-    return P * np.exp(log_c - 0.5 * log_h)
+    return P * np.exp(log_norms(float(d), basis.m, order))
 
 
 def s_frame(basis, s):
@@ -347,12 +364,12 @@ def log_potential(p, s, weight_lambda=1.0):
 
 
 def families(basis):
-    """A ModeBasis's (delta+i, delta+i) families, i = 0, 1, 2: the rows of p_j, p_j', p_j''."""
-    return [basis.family] + [_SymmetricJacobi(basis.m - i, basis.delta + i) for i in (1, 2)]
+    """A ModeBasis's (delta, delta) and (delta+1, delta+1) families: the rows of p_j and p_j'."""
+    return [basis.family, _SymmetricJacobi(basis.m - 1, basis.delta + 1)]
 
 
 def family_rows(basis, s):
-    """(3, m, s.size) rows of a basis's three families at t = tanh(ln s), for weighted_rows."""
+    """(2, m, s.size) rows of a basis's two families at t = tanh(ln s), for weighted_rows."""
     t = np.tanh(np.log(s))
     return np.stack([f.rows(t, basis.m) for f in families(basis)])
 

@@ -422,7 +422,8 @@ def test_weight_sign_checked_at_every_scale(p51):
 
     pp = PerturbationProblem(p51, h, -0.9, nodes=96)
     assert solve_correction(pp, 1.0).converged
-    with pytest.raises(ContractionFailure, match=r"\|eps\| sup\|h\| = 1\.800 exceeds 1"):
+    with pytest.raises(ContractionFailure, match=r"^weight 1 \+ eps h at N=5, alpha=1\.0, "
+                                                 r"eps=-0\.9: \|eps\| sup\|h\| = 1\.8 exceeds 1$"):
         solve_correction(pp, 0.01)
 
 

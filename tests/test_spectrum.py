@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.special import eval_jacobi, gammaln
+from scipy.special import eval_jacobi
 
 import ckn4.calculus as calculus
 import ckn4.spectrum as spectrum
@@ -26,7 +26,7 @@ from ckn4.spectrum import (
     verify_kernel,
 )
 from conftest import (PARAM_SETS, alignment, applied, composite_grid_pencil, families,
-                      family_rows, gegenbauer_rule, jacobi_rows, log_potential,
+                      family_rows, gegenbauer_rule, jacobi_rows, log_norms, log_potential,
                       random_valid_params, s_frame, values_and_derivs, wide_log_rule)
 
 
@@ -219,7 +219,7 @@ def test_extreme_effective_dimension():
 
 
 def _extended_sums(delta, coeffs, t):
-    """sum_j coeffs[j] p_j^{(i)}(t), i = 0, 1, 2, by the forward recurrence in long double.
+    """sum_j coeffs[j] p_j^{(i)}(t), i = 0, 1, by the forward recurrence in long double.
 
     The orthonormal Jacobi (d, d) recurrence and the derivative map
     d/dt p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}, written out
@@ -230,7 +230,7 @@ def _extended_sums(delta, coeffs, t):
     LD = np.longdouble
     t, c, d = t.astype(LD), coeffs.astype(LD), LD(delta)
     out = []
-    for i in range(3):
+    for i in range(2):
         if i:
             n = np.arange(1, c.size, dtype=LD)
             c = c[1:] * np.sqrt(n * (n + 2 * (d + i - 1) + 1))
@@ -255,8 +255,8 @@ def _extended_sums(delta, coeffs, t):
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(5, -0.99), (12, 1.9)])
 def test_series_block_matches_columns_and_legval(N, a, k):
     # column l of a coefficient block, summed at t(s[:, l]) by the basis's
-    # (delta+i, delta+i) families for the i-th t derivative, as even and odd
-    # parts at |t| (_SymmetricJacobi.parts), against the same sums in extended precision
+    # (delta+i, delta+i) families for the i-th t derivative, i < 2, as even
+    # and odd parts at |t| (_SymmetricJacobi.parts), against the same sums in extended precision
     # (_extended_sums); the nodes span the scales 1e-2..1e2, and (5, -0.99)
     # has M near 4 and (12, 1.9) has M above 200
     p = validate_params(N, a)
@@ -271,28 +271,28 @@ def test_series_block_matches_columns_and_legval(N, a, k):
             even, odd = families(basis)[order].parts(c, np.abs(t[:, l]))
             got = even + np.sign(t[:, l]) * odd
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-            if order < 2:
-                c = c[1:] * basis._dscale[order][1:c.size]
+            # d/dt p_n^{(a,a)} = sqrt(n(n+2a+1)) p_{n-1}^{(a+1,a+1)}
+            n = np.arange(1, c.size)
+            c = c[1:] * np.sqrt(n * (n + 2.0 * basis.delta + 1.0))
 
 
 @pytest.mark.parametrize("k", [0, 2])
-@pytest.mark.parametrize("N, a", PARAM_SETS)
+@pytest.mark.parametrize("N, a", PARAM_SETS + [(3, "1.0001"), (3, "1.99"), (12, "-7.99")])
 def test_rows_and_series_match_jacobi_reference(N, a, k):
     # the pencil's weighted rows on its own rule against conftest's
     # reference, whose polynomials are first checked against scipy's
-    # eval_jacobi and the closed-form norms on the rule's nodes
+    # eval_jacobi and the closed-form norms on the rule's nodes: rows of
+    # T_k psi built from p and p' by the Gegenbauer equation against the
+    # chain rule in s with p'' from eval_jacobi, from M near 4 to M = 202
     p = validate_params(N, a)
     pr = assemble_mode_problem(p, k, nodes=96)
     basis, rule = pr.basis, pr.grid
     t = rule.t
     j = np.arange(basis.m)[:, None]
     d = basis.delta
-    log_h = ((2 * d + 1) * math.log(2.0) + 2 * gammaln(j + d + 1) - np.log(2 * j + 2 * d + 1)
-             - gammaln(j + 1) - gammaln(j + 2 * d + 1))
     for i in range(3):
-        log_c = gammaln(j + 2 * d + 1 + i) - i * math.log(2.0) - gammaln(j + 2 * d + 1)
         want = np.where(j >= i, eval_jacobi(np.maximum(j - i, 0), d + i, d + i, t)
-                        * np.exp(log_c - 0.5 * log_h), 0.0)
+                        * np.exp(log_norms(d, basis.m, i)), 0.0)
         got = jacobi_rows(basis, t, i)
         scale = np.max(np.abs(want[i:]), axis=1, keepdims=True)
         assert np.max(np.abs(got[i:] - want[i:]) / scale) <= 1e-12
@@ -444,21 +444,21 @@ def test_rule_build_does_not_depend_on_degree_block(monkeypatch, n):
 
 
 def test_basis_rows_do_not_depend_on_degree_block(monkeypatch):
-    # the rows of a stacked (G, 3) pass, the (delta+i, delta+i) families at
+    # the rows of a stacked (G, 2) pass, the (delta+i, delta+i) families at
     # their rules' nodes t >= 0 as _assemble_pass takes them, are those of
     # each family run alone, bit for bit, at every block length
     deltas = [1.0035, 3.5, 40.0, 1000.0]
     nodes, n = 160, 168
     rules, _ = calculus._jacobi_rules(deltas, n)
     t = np.reshape([rule.t[n // 2:] for rule in rules], (len(deltas), 1, n - n // 2))
-    a = np.asarray(deltas)[:, None] + np.arange(3.0)
+    a = np.asarray(deltas)[:, None] + np.arange(2.0)
     off, _, log_mu0 = calculus._jacobi_recurrence(nodes, a)
     p0 = np.exp(-0.5 * log_mu0)
 
     def run():
         alone = np.array([[spectrum._jacobi_pass(t[g:g + 1], off[g:g + 1, f:f + 1],
                                                  p0[g:g + 1, f:f + 1], nodes)[0, 0]
-                           for f in range(3)] for g in range(len(deltas))])
+                           for f in range(2)] for g in range(len(deltas))])
         return spectrum._jacobi_pass(t, off, p0, nodes), alone
 
     results = _by_block(monkeypatch, run)
@@ -601,18 +601,25 @@ def test_pass_grouping_cap(monkeypatch):
     # every mode of the default 160 nodes fits one pass, one mode at 2048
     lo, hi = spectrum.NODES_RANGE
     for m in range(lo, hi + 1):
-        assert spectrum._modes_per_pass(m) * 3 * m * (m + 8) <= spectrum.PASS_ROWS
+        assert spectrum._modes_per_pass(m) * 2 * m * (m + 8) <= spectrum.PASS_ROWS
     assert spectrum._modes_per_pass(hi) == 1
     assert spectrum._modes_per_pass(160) >= MODE_RANGE[1] + 1
-    # under a cap of two modes at 64 nodes, five modes take three passes and
-    # give the pencils of one assembly per mode
+    # under a cap of two modes at 64 nodes, five modes take three passes, each
+    # over two families per mode (p and p'), and give the pencils of one
+    # assembly per mode
     p = validate_params(6, -1)
-    monkeypatch.setattr(spectrum, "PASS_ROWS", 2 * 3 * 64 * 72)
+    monkeypatch.setattr(spectrum, "PASS_ROWS", 2 * 2 * 64 * 72)
     rules = _recording(monkeypatch, "_half_rules", calculus)
-    passes = _recording(monkeypatch, "_jacobi_pass")
+    passes, run_pass = [], spectrum._jacobi_pass
+
+    def record(t, off, *args, **kwargs):
+        passes.append((t.shape, off.shape[:2]))
+        return run_pass(t, off, *args, **kwargs)
+
+    monkeypatch.setattr(spectrum, "_jacobi_pass", record)
     problems = list(spectrum.assemble_mode_problems(p, range(5), 64))
     assert rules == [72, 72, 72]
-    assert [t.shape for t in passes] == [(2, 1, 36), (2, 1, 36), (1, 1, 36)]
+    assert passes == [((2, 1, 36), (2, 2)), ((2, 1, 36), (2, 2)), ((1, 1, 36), (1, 2))]
     monkeypatch.undo()
     for k, pr in enumerate(problems):
         alone = assemble_mode_problem(p, k, nodes=64)
@@ -649,39 +656,6 @@ def test_jacobi_rule_builds_near_m4(delta, n):
     assert (rule.one_minus_t > 0.0).all() and (rule.one_plus_t > 0.0).all()
     assert np.isfinite(rule.log_w).all() and np.isfinite(rule.s).all()
     assert 0.0 < rule.one_minus_t[-1] < 1e-18
-
-
-@pytest.mark.parametrize("N, a", PARAM_SETS + [(3, "1.0001"), (3, "1.99"), (12, "-7.99")])
-def test_operator_fields_match_s_frame(N, a):
-    # operator_fields' polynomials in 1 -+ t against the s-frame fields c0 =
-    # a^2 + a' + (M-1) a/s - nu/s^2, c1 = 2 a t' + t'' + (M-1) t'/s and c2 =
-    # t'^2, a = E'/E, summed from those definitions in 40-digit mpmath, with
-    # delta and sigma0 taken there from the basis's M and nu; c0's s^{-2}
-    # terms cancel, at a cost of at most 11 of the digits for |ln s| <= 12.
-    # Modes 0-4, within 1e-14 of each field's sup
-    p = validate_params(N, a)
-    u = np.linspace(-12.0, 12.0, 97)
-    for k in range(5):
-        basis = ModeBasis(p.M, p.q ** 2 * mode_lambda(k, N)[0], 8)
-        want = []
-        with mpmath.workdps(40):
-            M, nu = mpmath.mpf(basis.M), mpmath.mpf(basis.nu_coeff)
-            d = mpmath.sqrt(((M - 2) / 2) ** 2 + nu)
-            sig = d - (M - 2) / 2
-            lo, hi = [], []
-            for x in u:
-                s = mpmath.exp(mpmath.mpf(x))
-                S = 1 + s * s
-                lo.append(float(2 / S))
-                hi.append(float(2 * s * s / S))
-                A = sig / s + 2 * (1 - d) * s / S
-                Ap = -sig / (s * s) + 2 * (1 - d) * (1 - s * s) / S ** 2
-                tp, tpp = 4 * s / S ** 2, (4 - 12 * s * s) / S ** 3
-                want.append([float(A * A + Ap + (M - 1) * A / s - nu / (s * s)),
-                             float(2 * A * tp + tpp + (M - 1) * tp / s), float(tp * tp)])
-        got = basis.operator_fields(np.array(lo), np.array(hi))
-        for g, w in zip(got, np.array(want).T):
-            assert np.max(np.abs(g - w)) <= 1e-14 * np.max(np.abs(w)), k
 
 
 @pytest.mark.parametrize("delta", [1.0035, 7.5, 120.0])

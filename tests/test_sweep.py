@@ -81,6 +81,21 @@ def test_spectrum_passes_near_alpha_two(N, alpha):
         assert mode["exact_rel_error_max"] <= 1e-10, (N, alpha, mode["k"])
 
 
+@pytest.mark.parametrize("nodes", [160, 400])
+@pytest.mark.parametrize("N, alpha", [(12, "-7.99999999"), (5, "-0.99999999")])
+def test_mode_zero_pencil_is_diagonal_next_to_m4(N, alpha, nodes):
+    # M - 4 = 1e-8, where the sweep above would accept a typed failure: the
+    # stiffness rows take p_j' from its own family.  Formed from p_j and
+    # p_{j-1} through (1-t^2) p_j' = j (r_j p_{j-1} - t p_j) instead, they
+    # cancel at both ends of the rule and couple the pencil by up to 8e-9.
+    # Both couplings and the closed-form error stay at rounding (<= 5.6e-14)
+    p = validate_params(N, alpha)
+    res = mode_eigenvalues(p, 0, n_eigs=6, nodes=nodes)
+    assert res.diagnostics["stiffness_coupling"] <= 1e-12
+    assert res.diagnostics["mass_coupling"] <= 1e-12
+    assert exact_rel_errors(p, 0, res.eigenvalues).max() <= 1e-12
+
+
 CKN_ERRORS = {name for name, obj in vars(errors).items()
               if isinstance(obj, type) and issubclass(obj, CknError)}
 
