@@ -7,11 +7,11 @@ Townsend, SIAM J. Sci. Comput. 35, 2013) and Christoffel-Darboux weights,
 certified against the weight's mass and divided by their sum.  The Newton
 step, like the basis rows' recurrence (spectrum._jacobi_pass), runs a block
 of DEGREE_BLOCK degrees at a time on contiguous operands of one shape, and
-holds no table over all the degrees.  Under t = (s^2-1)/(s^2+1) the rules
-(JacobiRule) carry the mode pencils (spectrum) and the perturbation's star
-integrals (reduction).  A radial profile is
-integrated one way only, exactly: its Hessian integral, and its star
-integral when its form is a single term, are Beta sums (PowerForm) or
+holds no table over all the degrees.  The rules (JacobiRule) are rules in
+t alone, for the mode pencils (spectrum) and the perturbation's star
+integrals (reduction); the map t = (s^2-1)/(s^2+1) is spectrum's.  A radial
+profile is integrated one way only, exactly: its Hessian integral, and its
+star integral when its form is a single term, are Beta sums (PowerForm) or
 Gamma sums (ExpForm) that touch no rule, so the closed-form commands build
 none.  The sphere factor omega_{N-1} is folded into every full-space
 integral, so reported norms match the R^N definitions.
@@ -40,25 +40,22 @@ __all__ = [
 
 @dataclass(frozen=True)
 class JacobiRule:
-    """Gauss-Gegenbauer rule for int_0^inf f(s) ds under t = (s^2-1)/(s^2+1).
+    """Gauss-Gegenbauer rule for int_{-1}^1 P(t) (1-t^2)^{delta-2} dt.
 
-    Exact when f(s) ds = P(t) (1-t^2)^{delta-2} dt with P a polynomial of
-    degree below 2n.  The nodes come in pairs +-t, in increasing t, and t
-    holds them exactly so (one node is t = 0 when n is odd); the nodes t >=
-    0 and their weights come from _half_rules, within about 1e-14 relative
-    in 1 - |t| of 40-digit ones, and 1 - t and 1 + t are kept from h = 1 -
-    |t| as h and 2 - h, with no cancellation.  The weights are kept as
-    logarithms: the divided-out weight (1-t^2)^{2-delta} overflows for
-    large delta.  QuadratureFailure when a node is not strictly inside (-1,
-    1), where s would be 0 or infinite, or when _half_rules cannot certify it.
+    Exact when P is a polynomial of degree below 2n.  The nodes come in
+    pairs +-t, in increasing t, and t holds them exactly so (one node is t =
+    0 when n is odd); the nodes t >= 0 and their weights come from
+    _half_rules, within about 1e-14 relative in 1 - |t| of 40-digit ones,
+    and 1 - t and 1 + t are kept from h = 1 - |t| as h and 2 - h, with no
+    cancellation.  The weights, the Christoffel numbers, are kept as
+    logarithms: they underflow for large delta.  The map to s is spectrum's
+    (spectrum._log_s).  QuadratureFailure when a node is not strictly inside
+    (-1, 1) or when _half_rules cannot certify it.
     """
 
-    s: np.ndarray
-    u: np.ndarray          # ln s
-    t: np.ndarray          # the map values (s^2-1)/(s^2+1)
+    t: np.ndarray
     one_minus_t: np.ndarray  # 1 - t and 1 + t, each h or 2 - h
     one_plus_t: np.ndarray
-    log_w: np.ndarray      # ln of the weights for int f(s) ds
     log_chr: np.ndarray    # ln of the weights for int P(t) (1-t^2)^{delta-2} dt
 
     @classmethod
@@ -70,7 +67,7 @@ class JacobiRule:
 
     @property
     def n(self) -> int:
-        return self.s.size
+        return self.t.size
 
 
 _HALF_LOG_PI = 0.5 * math.log(math.pi)
@@ -319,25 +316,13 @@ def _jacobi_rules(deltas, n: int):
     h, log_chr, failed = _half_rules(n, deltas)
     G = next((g for g, f in enumerate(failed) if f is not None), len(failed))
     failure = failed[G] if G < len(failed) else None
-    d = np.asarray(deltas[:G], dtype=float)[:, None]
     h, log_chr, neg = h[:G], log_chr[:G], n // 2
-    t = 1.0 - h
-    lm, lp = np.log(h), np.log(2.0 - h)          # ln(1-t), ln(1+t)
-    u = 0.5 * (lp - lm)
-    # ds = s dt / (1-t^2); dividing out the weight leaves W / (s (1-t)^delta
-    # (1+t)^(delta-2)), and at -t the same with u and the logs swapped
-    log_w_pos = log_chr - u - d * lm - (d - 2.0) * lp
-    log_w_neg = log_chr + u - d * lp - (d - 2.0) * lm
 
     def whole(neg_side, pos_side):
         return np.concatenate((neg_side[:, ::-1][:, :neg], pos_side), axis=1)
 
-    U = whole(-u, u)
-    rules = [JacobiRule(s=np.exp(U[g]), u=U[g], t=tt, one_minus_t=lo, one_plus_t=hi, log_w=lw,
-                        log_chr=lc)
-             for g, (tt, lo, hi, lw, lc) in enumerate(zip(
-                 whole(-t, t), whole(2.0 - h, h), whole(h, 2.0 - h), whole(log_w_neg, log_w_pos),
-                 whole(log_chr, log_chr)))]
+    rules = [JacobiRule(*fields) for fields in zip(    # t, 1 - t, 1 + t, log_chr
+        whole(h - 1.0, 1.0 - h), whole(2.0 - h, h), whole(h, 2.0 - h), whole(log_chr, log_chr))]
     return rules, failure
 
 

@@ -267,7 +267,7 @@ def cmd_perturb(args) -> dict:
     ]
     curve = rep.pop("gamma_curve")
     rep.pop("result")
-    diagnostics = {"quad_nodes": int(pp.s.size), "basis_size": pp.problem.basis.m,
+    diagnostics = {"quad_nodes": pp.rule.n, "basis_size": pp.problem.basis.m,
                    "kept_rank": pp.kept,
                    "lambda_star_polished": rep.pop("lambda_star_polished"),
                    "l_sign_changes": rep.pop("l_sign_changes"),
@@ -424,7 +424,7 @@ def int_in(lo: int, hi: int):
 # float field 32 MiB, and a residual holds at most six at once (192 MiB)
 GRID_N_RANGE = (5, 1024)
 # --nodes, the trial functions of a mode pencil, the range the assembly is sized
-# for: at 2048, perturb --N 5 --alpha 1 takes 1.0 s and 234 MB, spectrum 0.7 s
+# for: at 2048, perturb --N 5 --alpha 1 takes 0.9 s and 234 MB, spectrum 0.7 s
 # and 203 MB (in process, one BLAS thread, 2-vCPU Intel Xeon VM)
 NODES_RANGE = spectrum.NODES_RANGE
 # --num-eigs: mode 0's checks read mu_1 to mu_3

@@ -209,10 +209,11 @@ def spherical_multiplicity(k: int, N: int) -> int:
     if k < 0:
         raise NegativeMode(f"need k >= 0, got {k}")
     if k > _K_GUARD:
-        raise ValueError(f"factorial guard exceeded (k<={_K_GUARD})")
+        raise ValueError(f"degree k={k} exceeds {_K_GUARD}, the largest mode the program takes")
     if k == 0:
         return 1
-    return (N + 2 * k - 2) * math.factorial(N + k - 3) // (math.factorial(N - 2) * math.factorial(k))
+    # (N+2k-2) (N+k-3)! / ((N-2)! k!), in O(k) work however large N is
+    return (N + 2 * k - 2) * math.comb(N + k - 3, k - 1) // k
 
 
 def mode_lambda(k: int, N: int) -> tuple[float, int]:

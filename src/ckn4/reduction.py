@@ -33,16 +33,16 @@ Gauss-Gegenbauer rule: the star measure U_1^{p*} s^{M-1} ds is the rule's
 weight times (1-t^2)^2, and (U_1 + w)/U_1 is a polynomial in t, so every
 such integrand is the rule's weight times a smooth function of t; h(r/lam)
 is smooth for the built-in h, and a CSV h's kinks, which move with lam,
-converge only algebraically on any rule the scales share.  The fixed
-point works on that ratio and on phi_i/U_1, with the weights of
-int U_1^{p*} f s^{M-1} ds formed in logs; in the diagonal basis on the
-pencil's rule phi_i/U_1 comes from the assembly pass's own rows.  The star
-term and the reduced energy itself are summed in the same frame, from the
-fixed point's own arrays, when each scale converges, with the weight it
-iterated with (CorrectionResult.energy).  The program so assumes the
-dilation invariance of the reduced energy; the tests measure it, against
-the star term integrated in the physical frame on a composite grid
-widened to each scale.
+converge only algebraically on any rule the scales share.  The fixed point
+works on that ratio and on phi_i/U_1, with the weights of
+int U_1^{p*} f s^{M-1} ds formed in logs from the Christoffel numbers; in
+the diagonal basis on the pencil's rule phi_i/U_1 comes from the assembly
+pass's own rows.  The star term and the reduced energy itself are summed in
+the same frame, from the fixed point's own arrays, when each scale
+converges, with the weight it iterated with (CorrectionResult.energy).  The
+program so assumes the dilation invariance of the reduced energy; the tests
+measure it, against the star term integrated in the physical frame on a
+composite grid widened to each scale.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ from .calculus import JacobiRule
 from .errors import (ContractionFailure, EigensolveFailure, MOutOfRange, NoInteriorExtremum,
                      QuadratureFailure)
 from .params import Params, normalization_constant, sphere_area
-from .spectrum import ModeProblem, SpectrumResult, _assembled, _solve_pencil, _solve_pencil_cut
+from .spectrum import (ModeProblem, SpectrumResult, _assembled, _log_s, _solve_pencil,
+                       _solve_pencil_cut)
 
 __all__ = [
     "remainder_curve",
@@ -118,9 +119,13 @@ def _bracketed_root(cheb: Chebyshev, x_near: float) -> float | None:
 def _log_star_weights(p: Params, rule: JacobiRule) -> np.ndarray:
     """ln of the weights of int U_1^{p*} f s^{M-1} ds on rule, less p* ln C.
 
-    U_1^{p*} = C^{p*} (1+s^2)^{-M} = C^{p*} ((1-t)/2)^M, as p* (M-4)/2 = M.
+    U_1^{p*} = C^{p*} ((1-t)/2)^M and s^{M-1} ds = s^M dt/(1-t^2), so the
+    star measure is C^{p*} (1-t^2)^delta dt / 2^M, delta = (M-2)/2 the
+    rule's: the Christoffel numbers times (1-t^2)^2 / 2^M, with no terms of
+    size delta |ln(1-t)| to cancel.
     """
-    return rule.log_w + (p.M - 1.0) * rule.u + p.M * np.log(0.5 * rule.one_minus_t)
+    return (rule.log_chr + 2.0 * (np.log(rule.one_minus_t) + np.log(rule.one_plus_t))
+            - p.M * math.log(2.0))
 
 
 def _log_bubble_coeff(p: Params, delta: float) -> float:
@@ -292,8 +297,7 @@ class PerturbationProblem:
         self.star_scale = sphere_area(p.N) * p.q       # omega q
 
         # the weights wq of int U_1^{p*} f s^{M-1} ds on _star_rule
-        rule = _star_rule(self.problem, p.q)
-        self.s = rule.s
+        self.rule = rule = _star_rule(self.problem, p.q)
         # the bubble U_1 = c E = c0 psi_0
         self.c = c = _normal_exp(_log_bubble_coeff(p, basis.delta),
                                  f"the bubble's coefficient c at N={p.N}, alpha={p.alpha} "
@@ -343,7 +347,7 @@ class PerturbationProblem:
         # out to |ln s| = 12.  Where q is large r = s^q overflows to inf, and h
         # is taken at infinity there
         with np.errstate(over="ignore"):
-            self.r_of_s = np.exp(p.q * rule.u)
+            self.r_of_s = np.exp(p.q * _log_s(rule))
             self.r_probe = np.exp(p.q * SIGN_PROBE)
 
         # frozen Jacobian [[diag(D), -d], [d^T, 0]], solved by _solve_jacobian;

@@ -22,8 +22,8 @@ p_j', c_j a polynomial in t that depends on delta and j alone
 (ModeBasis.weighted_rows): sigma0 is the indicial exponent at zero, so M,
 nu and sigma0 cancel, the Gegenbauer equation eliminates p_j'', and what
 is left is the Paneitz operator on S^M in the coordinate t.  The pencil is
-assembled from 1 - t and 1 + t as its rule holds them, and no function of
-s is evaluated.  The eigenpairs are read off the diagonal, mu_j = A_jj /
+assembled from 1 - t and 1 + t as its rule holds them, and s enters only as
+ln s (_log_s).  The eigenpairs are read off the diagonal, mu_j = A_jj /
 B_jj with eigenvector x_j e_j, x_j = B_jj^{-1/2} > 0, and that read is
 certified on every solve: the normalized off-diagonal couplings of both
 matrices must stay below COUPLING_TOL, which bounds the eigenvalue error by
@@ -274,20 +274,25 @@ def _log_potential(M: float, one_minus_t: np.ndarray) -> np.ndarray:
     return math.log(P4) + 4.0 * np.log(0.5 * one_minus_t)
 
 
+def _log_s(rule: JacobiRule) -> np.ndarray:
+    """ln s = (ln(1+t) - ln(1-t))/2 at a rule's nodes, from 1 -+ t as it holds them."""
+    return 0.5 * (np.log(rule.one_plus_t) - np.log(rule.one_minus_t))
+
+
 def _log_row_scale(rule: JacobiRule) -> np.ndarray:
-    """ln(E sqrt(w)) on a pencil's own rule: ln(W)/2 + 2u.
+    """ln(E sqrt(w)) on a pencil's own rule: ln(W)/2 + 2 ln s (_log_s).
 
     E = s^{sigma0} ((1+s^2)/2)^{1-delta} is the envelope and w = W_s s^{M-1}
-    the weight of int f s^{M-1} ds, W_s the rule's weights for ds.  With
-    (1+s^2)/2 = 1/(1-t), s^2 = (1+t)/(1-t), W_s = W s/(1-t^2)^{delta-1} (W
-    the Christoffel numbers of the weight (1-t^2)^{delta-2}, rule.log_chr)
-    and sigma0 = delta - (M-2)/2, the powers of 1-t and 1+t carrying delta,
-    M and sigma0 cancel exactly, for every mode.  Summed as floats those
-    terms reach delta |ln(1-t)|, hundreds at large M, and the rounding of
-    their exponentials read a median 1e-13 in 1 - mu2/mu3 (remainder's
-    limit_is_paneitz) near M = 202, against 8.5e-15 with them cancelled.
+    the weight of int f s^{M-1} ds, W_s = W s/(1-t^2)^{delta-1} the rule's
+    Christoffel numbers W (rule.log_chr) carried to ds = s dt/(1-t^2).  With
+    (1+s^2)/2 = 1/(1-t), s^2 = (1+t)/(1-t) and sigma0 = delta - (M-2)/2, the
+    powers of 1-t and 1+t carrying delta, M and sigma0 cancel exactly, for
+    every mode.  Summed as floats those terms reach delta |ln(1-t)|, hundreds
+    at large M, and the rounding of their exponentials read a median 1e-13 in
+    1 - mu2/mu3 (remainder's limit_is_paneitz) near M = 202, against 8.5e-15
+    with them cancelled.
     """
-    return 0.5 * rule.log_chr + 2.0 * rule.u
+    return 0.5 * rule.log_chr + 2.0 * _log_s(rule)
 
 
 def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, P):
@@ -387,7 +392,9 @@ COUPLING_TOL = 1e-9
 def _coupling(K: np.ndarray) -> float:
     """max over i != j of |K_ij| / sqrt(K_ii K_jj)."""
     r = 1.0 / np.sqrt(np.diag(K))
-    C = np.abs(K) * r[:, None] * r[None, :]
+    C = np.abs(K)       # scaled in place: one m x m temporary
+    C *= r[:, None]
+    C *= r[None, :]
     np.fill_diagonal(C, 0.0)
     return float(C.max())
 

@@ -50,16 +50,32 @@ def frame(u):
     return np.tanh(u), 2.0 / (1.0 + np.exp(2.0 * u)), 2.0 / (1.0 + np.exp(-2.0 * u))
 
 
-def composite_rule(m, u_min, u_max, panel_pts):
-    """log_rule as a JacobiRule: the same nodes s, u = ln s and log-weights for ds.
+def rule_in_s(rule, delta):
+    """(s, u, log_w) of a JacobiRule in delta: its nodes s, u = ln s and log-weights for ds.
 
-    It has no Christoffel numbers in t (log_chr is None), so it carries star
-    integrals but assembles no pencil.
+    The s-frame oracle: s^2 = (1+t)/(1-t), and ds = s dt/(1-t^2) takes the
+    Christoffel numbers W of the weight (1-t^2)^{delta-2} to the weights W /
+    (s (1-t)^delta (1+t)^{delta-2}) of int f(s) ds, summed in logs term by
+    term from 1 - t and 1 + t as the rule holds them.
+    """
+    lm, lp = np.log(rule.one_minus_t), np.log(rule.one_plus_t)
+    u = 0.5 * (lp - lm)
+    log_w = rule.log_chr - u - delta * lm - (delta - 2.0) * lp
+    return SimpleNamespace(s=np.exp(u), u=u, log_w=log_w)
+
+
+def composite_rule(m, u_min, u_max, panel_pts, delta):
+    """log_rule as a JacobiRule in delta: the same nodes, as map values t = tanh u.
+
+    Its log_chr are log_rule's weights for ds carried to the weight
+    (1-t^2)^{delta-2} in t (rule_in_s inverted), so the program's star
+    integrals, which read the rule in t, run on it unchanged.
     """
     u, s, w = log_rule(m, u_min, u_max, panel_pts)
     t, one_minus_t, one_plus_t = frame(u)
-    return JacobiRule(s=s, u=u, t=t, one_minus_t=one_minus_t, one_plus_t=one_plus_t,
-                      log_w=np.log(w), log_chr=None)
+    log_chr = (np.log(w) + u + delta * np.log(one_minus_t)
+               + (delta - 2.0) * np.log(one_plus_t))
+    return JacobiRule(t=t, one_minus_t=one_minus_t, one_plus_t=one_plus_t, log_chr=log_chr)
 
 
 @dataclass(frozen=True)
@@ -603,7 +619,7 @@ def alignment(res, i, exact_fn):
     in log space; nodes where a factor underflowed to zero contribute nothing.
     """
     pr = res.problem
-    rule = pr.grid
+    rule = rule_in_s(pr.grid, pr.basis.delta)
     s = rule.s
     log_w = rule.log_w + (pr.params.M - 1.0) * rule.u + log_potential(pr.params, s)
     fnum = ModeFunction(pr.basis, res.coefficients[:, i]).eval(s)

@@ -61,6 +61,17 @@ def test_large_n_reports_pass(capsys, argv):
     assert json.loads(out)["passed"]
 
 
+def test_huge_n_kernel_is_refused_at_once(capsys):
+    # the multiplicities take O(k) work: at N = 1e9 kernel once sat in
+    # factorials of N; now mode 0's rule, delta = 5e8, is refused by its mass
+    # certificate in milliseconds
+    code, out, err = run(capsys, "kernel", "--N", "1000000000", "--alpha", "0", "--k-max", "2",
+                         "--nodes", "64")
+    assert code == 2 and out == ""
+    assert err.startswith("error: QuadratureFailure: Gauss-Jacobi rule with 72 nodes at "
+                          "delta=5e+08")
+
+
 def test_constants_at_large_n_against_mpmath(capsys):
     # omega_349 = 3.1e-229 is still a normal float: S^rad(350, -345.5) =
     # 2.77e-224 by 40-digit mpmath (measured 2.5e-14 relative)

@@ -132,7 +132,7 @@ def test_even_alpha_info():
     assert not even_alpha_info(validate_params(7, "-2.0000001")).is_even_case
 
 
-@pytest.mark.parametrize("N", [65, 200])
+@pytest.mark.parametrize("N", [65, 200, 10 ** 6, 10 ** 9])
 def test_spherical_multiplicity_at_large_n(N):
     # the degree-k harmonics on S^{N-1}: homogeneous polynomials of degree k
     # less those of degree k-2, C(N+k-1, k) - C(N+k-3, k-2), for every k the

@@ -27,8 +27,8 @@ from ckn4.spectrum import mode_eigenvalues
 from conftest import (PARAM_SETS, ComposedRadial, ModeFunction, RadialGrid, _star_log_rule,
                       applied, brentq_lambda_star, bubble_c, composite_rule, default_grid,
                       full_grid_energy, h_weighted_star_norm, inner_alpha, omega_hat,
-                      perturbation_on, remainder_ratio, solution_radial, star_overlaps,
-                      weighted_H, wide_log_rule)
+                      perturbation_on, remainder_ratio, rule_in_s, solution_radial,
+                      star_overlaps, weighted_H, wide_log_rule)
 
 
 @pytest.fixture(scope="module")
@@ -450,10 +450,11 @@ def test_perturbation_grid_converged(N, a):
 
     pp = PerturbationProblem(p, h, 1e-3, nodes=220)
     own = gammas(pp)
-    larger = JacobiRule.build(2 * pp.s.size, (p.M - 2.0) / 2.0)
-    for rule in (larger, composite_rule(220, -12.0, 12.0, 128)):
+    delta = (p.M - 2.0) / 2.0
+    larger = JacobiRule.build(2 * pp.rule.n, delta)
+    for rule in (larger, composite_rule(220, -12.0, 12.0, 128, delta)):
         ref_pp = perturbation_on(rule, p, h, 1e-3, nodes=220)
-        assert ref_pp.s is rule.s
+        assert ref_pp.rule is rule
         assert np.max(np.abs(own - gammas(ref_pp)) / np.abs(own)) <= 1e-12
 
 
@@ -462,8 +463,38 @@ def test_perturbation_grid_size(p51):
     # m = 220, where the composite log rule it replaced had 3 392 (and
     # 12 096 before that rule was sized to the basis)
     pp = PerturbationProblem(p51, BUILTIN_H["exp_bump"], 1e-3, nodes=220)
-    assert pp.s is pp.problem.grid.s
-    assert pp.s.size == 220 + 8
+    assert pp.rule is pp.problem.grid
+    assert pp.rule.n == 220 + 8
+
+
+@pytest.mark.parametrize("N, a", [(5, "1"), (3, "1.5"), (7, "-2"), (10, "1.7"), (3, "1.99"),
+                                  (12, "-7.99")])
+def test_star_weights_match_s_frame(N, a):
+    # the star weights taken in t, the Christoffel numbers times (1-t^2)^2 /
+    # 2^M, against ln W_s + (M-1) ln s + M ln((1-t)/2) summed in the s frame,
+    # whose terms of size delta |ln(1-t)| cancel to them, on mode 0's
+    # 168-node rule: within 2e-13 (measured at most 1.2e-13, at M = 202)
+    p = validate_params(N, a)
+    delta = (p.M - 2.0) / 2.0
+    rule = JacobiRule.build(168, delta)
+    srule = rule_in_s(rule, delta)
+    want = srule.log_w + (p.M - 1.0) * srule.u + p.M * np.log(0.5 * rule.one_minus_t)
+    assert np.max(np.abs(reduction._log_star_weights(p, rule) - want)) <= 2e-13
+
+
+@pytest.mark.parametrize("N, a, tol", [(3, "1.99", 6e-14), (10, "1.7", 2e-14), (5, "1", 5e-15)])
+def test_star_weights_against_mpmath(N, a, tol):
+    # ln W + 2 ln(1-t) + 2 ln(1+t) - M ln 2 summed in 40-digit mpmath from the
+    # rule's own floats: the sum in t is within tol of it (measured 5.7e-14,
+    # 1.4e-14 and 3.6e-15), where the s frame's sum of the same weights reads
+    # 1.1e-13, 4.3e-14 and 7.1e-15
+    p = validate_params(N, a)
+    rule = JacobiRule.build(168, (p.M - 2.0) / 2.0)
+    with mpmath.workdps(40):
+        want = np.array([float(mpmath.mpf(float(c)) + 2 * mpmath.log(float(x))
+                               + 2 * mpmath.log(float(y)) - p.M * mpmath.log(2))
+                         for c, x, y in zip(rule.log_chr, rule.one_minus_t, rule.one_plus_t)])
+    assert np.max(np.abs(reduction._log_star_weights(p, rule) - want)) <= tol
 
 
 @pytest.mark.parametrize("N, a", PARAM_SETS + [(9, -4.8)])
@@ -480,8 +511,10 @@ def test_star_window_converged(N, a):
         return np.array([res.energy for res in solve_corrections(pp, lams)])
 
     pp = PerturbationProblem(p, h, 1e-3, nodes=160)
-    wide = perturbation_on(composite_rule(160, -22.0, 22.0, 64), p, h, 1e-3, nodes=160)
-    assert np.log(wide.s[-1] / pp.s[-1]) > 15.0 and np.log(pp.s[0] / wide.s[0]) > 15.0
+    delta = (p.M - 2.0) / 2.0
+    wide = perturbation_on(composite_rule(160, -22.0, 22.0, 64, delta), p, h, 1e-3, nodes=160)
+    u, wide_u = rule_in_s(pp.rule, delta).u, rule_in_s(wide.rule, delta).u
+    assert wide_u[-1] - u[-1] > 15.0 and u[0] - wide_u[0] > 15.0
     own = gammas(pp)
     assert np.max(np.abs(own - gammas(wide)) / np.abs(own)) <= 1e-12
 
@@ -495,10 +528,10 @@ def test_lambda_star_matches_composite_reference(N, a):
     # 4.06, where Gamma is flat
     p = validate_params(N, a)
     h = BUILTIN_H["exp_bump"]
-    rule = composite_rule(800, -12.0, 12.0, 256)
-    assert rule.s.size == 38400
+    rule = composite_rule(800, -12.0, 12.0, 256, (p.M - 2.0) / 2.0)
+    assert rule.n == 38400
     pp = PerturbationProblem(p, h, 1e-3, nodes=160)
-    assert pp.s is pp.problem.grid.s
+    assert pp.rule is pp.problem.grid
     rep = find_perturbed_solution(pp)
     ref = find_perturbed_solution(perturbation_on(rule, p, h, 1e-3, nodes=160))
     assert rep["lambda_star_polished"] and ref["lambda_star_polished"]
@@ -532,10 +565,10 @@ def test_star_rule_grows_with_q(N, a):
     p = validate_params(N, a)
     h = BUILTIN_H["exp_bump"]
     pp = PerturbationProblem(p, h, 1e-3, nodes=160)
-    assert pp.s.size == math.ceil(reduction.H_NODES_PER_Q * p.q) > pp.problem.grid.n
+    assert pp.rule.n == math.ceil(reduction.H_NODES_PER_Q * p.q) > pp.problem.grid.n
     rep = find_perturbed_solution(pp)
-    ref = find_perturbed_solution(perturbation_on(composite_rule(800, -12.0, 12.0, 256), p, h,
-                                                  1e-3, nodes=160))
+    ref = find_perturbed_solution(perturbation_on(
+        composite_rule(800, -12.0, 12.0, 256, (p.M - 2.0) / 2.0), p, h, 1e-3, nodes=160))
     assert rep["lambda_star_polished"] and ref["lambda_star_polished"]
     assert abs(rep["lambda_star"] / ref["lambda_star"] - 1.0) <= 1e-8
     assert abs(rep["energy"] - ref["energy"]) <= 1e-14 * pp.norm0
@@ -708,18 +741,20 @@ def test_min_ratio_to_bubble(N, a):
     def solution(pp):
         return pp, find_perturbed_solution(pp)
 
+    delta = (p.M - 2.0) / 2.0
     pp, rep = solution(PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160))
     lam = rep["lambda_star"]
     nu = lam ** (1.0 / p.q)
-    bubble = sobolev_bubble(p, lam).form.eval(pp.s)
-    w = nu ** ((p.M - 4.0) / 2.0) * omega_hat(rep["result"]).eval(nu * pp.s)
+    s = rule_in_s(pp.rule, delta).s
+    bubble = sobolev_bubble(p, lam).form.eval(s)
+    w = nu ** ((p.M - 4.0) / 2.0) * omega_hat(rep["result"]).eval(nu * s)
     on_grid = float(np.min((bubble + w) / bubble))
     assert 0.0 < rep["min_ratio_to_bubble"] <= on_grid + 1e-14
     assert rep["min_ratio_to_bubble"] == pytest.approx(on_grid, abs=1e-6)
     assert rep["positive"]
-    wide_pp, wide = solution(perturbation_on(composite_rule(160, -22.0, 22.0, 64), p,
+    wide_pp, wide = solution(perturbation_on(composite_rule(160, -22.0, 22.0, 64, delta), p,
                                              BUILTIN_H["exp_bump"], 1e-3, nodes=160))
-    assert np.log(wide_pp.s[-1] / pp.s[-1]) > 15.0
+    assert rule_in_s(wide_pp.rule, delta).u[-1] - rule_in_s(pp.rule, delta).u[-1] > 15.0
     assert abs(wide["min_ratio_to_bubble"] - rep["min_ratio_to_bubble"]) <= 1e-12
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -27,7 +28,8 @@ from ckn4.spectrum import (
 )
 from conftest import (PARAM_SETS, alignment, applied, composite_grid_pencil, families,
                       family_rows, gegenbauer_rule, jacobi_rows, log_norms, log_potential,
-                      random_valid_params, s_frame, values_and_derivs, wide_log_rule)
+                      random_valid_params, rule_in_s, s_frame, values_and_derivs,
+                      wide_log_rule)
 
 
 def test_constant_identity(rng):
@@ -296,15 +298,41 @@ def test_rows_and_series_match_jacobi_reference(N, a, k):
         got = jacobi_rows(basis, t, i)
         scale = np.max(np.abs(want[i:]), axis=1, keepdims=True)
         assert np.max(np.abs(got[i:] - want[i:]) / scale) <= 1e-12
-    log_w = rule.log_w + (p.M - 1.0) * rule.u
-    log_pot = log_potential(p, rule.s)
+    srule = rule_in_s(rule, d)
+    log_w = srule.log_w + (p.M - 1.0) * srule.u
+    log_pot = log_potential(p, srule.s)
     got = basis.weighted_rows(rule.one_minus_t, rule.one_plus_t,
-                              s_frame(basis, rule.s)[1] + 0.5 * log_w, log_pot,
-                              family_rows(basis, rule.s))
-    psi, tpsi = applied(basis, rule.s)
+                              s_frame(basis, srule.s)[1] + 0.5 * log_w, log_pot,
+                              family_rows(basis, srule.s))
+    psi, tpsi = applied(basis, srule.s)
     want = (psi * np.exp(0.5 * (log_w + log_pot)), tpsi * np.exp(0.5 * log_w))
     for g, w in zip(got, want):
         assert np.max(np.abs(g - w) / np.max(np.abs(w), axis=1, keepdims=True)) <= 1e-12
+
+
+def test_coupling_holds_one_temporary():
+    # the certified diagonal read scales one |K| in place: under tracemalloc
+    # it peaks at one m x m matrix (8.07 MiB at m = 1024, against 16.07 MiB
+    # for |K| r_i r_j as two temporaries), and its value is that product's
+    # bit for bit
+    rng = np.random.default_rng(5)
+    m = 1024
+    d = 10.0 ** rng.uniform(-100.0, 100.0, m)
+    K = 1e-12 * np.sqrt(np.outer(d, d)) * rng.standard_normal((m, m))
+    np.fill_diagonal(K, d)
+    r = 1.0 / np.sqrt(np.diag(K))
+    C = np.abs(K) * r[:, None] * r[None, :]
+    np.fill_diagonal(C, 0.0)
+    want = float(C.max())
+    del C
+    tracemalloc.start()
+    try:
+        got = spectrum._coupling(K)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 1.1 * K.nbytes
 
 
 def test_off_diagonal_stiffness_is_typed(monkeypatch):
@@ -353,7 +381,7 @@ def test_jacobi_rule_is_exact(delta, n):
     # mpmath.  delta = 1.0035 is mode 0 at M = 4.007, where scipy's
     # Gauss-Jacobi weights alone once missed these integrals by up to 5e-9
     # relative; at delta = 1000 scipy's roots_jacobi returns NaN nodes
-    rule = JacobiRule.build(n, delta)
+    rule = rule_in_s(JacobiRule.build(n, delta), delta)
     for j in list(range(0, 2 * n - 2, 7)) + [2 * n - 3]:
         log_f = ((2 * delta + j) * math.log(2.0) + (2 * delta + 2 * j + 1) * rule.u
                  - (2 * delta + j) * np.logaddexp(0.0, 2.0 * rule.u))
@@ -380,13 +408,14 @@ def test_jacobi_rule_matches_single_family_loop(n, delta):
     # middle node at t = 0
     h_ref, log_chr = gegenbauer_rule(n, delta)
     rule = JacobiRule.build(n, delta)
+    srule = rule_in_s(rule, delta)
     neg = n // 2
     assert np.array_equal(rule.t[:neg], -rule.t[::-1][:neg])
-    assert np.array_equal(rule.u[:neg], -rule.u[::-1][:neg])
-    assert (n % 2 == 0) or (rule.t[neg] == 0.0 and rule.u[neg] == 0.0)
+    assert np.array_equal(srule.u[:neg], -srule.u[::-1][:neg])
+    assert (n % 2 == 0) or (rule.t[neg] == 0.0 and srule.u[neg] == 0.0)
     with mpmath.workdps(40):
         d = mpmath.mpf(delta)
-        h = [2 / (1 + mpmath.exp(2 * mpmath.mpf(float(u)))) for u in rule.u[neg:]]
+        h = [2 / (1 + mpmath.exp(2 * mpmath.mpf(float(u)))) for u in srule.u[neg:]]
         node_err = max(abs(x / y - 1) for x, y in zip(h, h_ref))
         # ds = s dt / (1-t^2) over the weight: ln W - (d - 1/2) ln h - (d - 3/2) ln(2 - h)
         # at t, and the same with h and 2 - h swapped at -t
@@ -395,7 +424,7 @@ def test_jacobi_rule_matches_single_family_loop(n, delta):
         pos = [c - (d - 0.5) * x - (d - 1.5) * y for c, x, y in zip(log_chr, ln_h, ln_2h)]
         neg_side = [c - (d - 1.5) * x - (d - 0.5) * y for c, x, y in zip(log_chr, ln_h, ln_2h)]
         # in increasing |t|: the nodes -t < 0, then t >= 0
-        got = np.concatenate((rule.log_w[:neg][::-1], rule.log_w[neg:]))
+        got = np.concatenate((srule.log_w[:neg][::-1], srule.log_w[neg:]))
         want = neg_side[len(h_ref) - neg:] + pos
         weight_err = max(abs(mpmath.mpf(float(x)) - y) for x, y in zip(got, want))
     assert node_err <= 1e-13
@@ -501,10 +530,11 @@ def test_row_scale_is_envelope_times_root_weight(N, a, k):
     p = validate_params(N, a)
     basis = ModeBasis(p.M, p.q ** 2 * mode_lambda(k, N)[0], 160)
     rule = JacobiRule.build(168, basis.delta)
+    srule = rule_in_s(rule, basis.delta)
     LD = np.longdouble
-    u, d = rule.u.astype(LD), LD(basis.delta)
+    u, d = srule.u.astype(LD), LD(basis.delta)
     terms = [LD(basis.sigma0) * u, (1 - d) * (np.log1p(np.exp(2 * u)) - np.log(LD(2))),
-             rule.log_w.astype(LD) / 2, LD(p.M - 1) * u / 2]
+             srule.log_w.astype(LD) / 2, LD(p.M - 1) * u / 2]
     got = spectrum._log_row_scale(rule)
     assert np.max(np.abs(got - sum(terms))) <= 4e-16 * max(float(np.max(np.abs(x))) for x in terms)
 
@@ -654,7 +684,8 @@ def test_jacobi_rule_builds_near_m4(delta, n):
     rule = JacobiRule.build(n, delta)
     assert rule.n == n
     assert (rule.one_minus_t > 0.0).all() and (rule.one_plus_t > 0.0).all()
-    assert np.isfinite(rule.log_w).all() and np.isfinite(rule.s).all()
+    srule = rule_in_s(rule, delta)
+    assert np.isfinite(srule.log_w).all() and np.isfinite(srule.s).all()
     assert 0.0 < rule.one_minus_t[-1] < 1e-18
 
 
