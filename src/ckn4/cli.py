@@ -8,7 +8,11 @@ tolerances used and are byte-stable across runs.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
+import ctypes
+import functools
+import importlib
 import json
 import math
 import sys
@@ -424,8 +428,10 @@ def int_in(lo: int, hi: int):
 # float field 32 MiB, and a residual holds at most six at once (192 MiB)
 GRID_N_RANGE = (5, 1024)
 # --nodes, the trial functions of a mode pencil, the range the assembly is sized
-# for: at 2048, perturb --N 5 --alpha 1 takes 0.9 s and 234 MB, spectrum 0.7 s
-# and 203 MB (in process, one BLAS thread, 2-vCPU Intel Xeon VM)
+# for: at 2048, perturb --N 5 --alpha 1 takes 0.77 s and 213 MB, spectrum 0.56 s
+# and 212 MB, on the one BLAS thread of _one_blas_thread (in process, 2-vCPU
+# Intel Xeon VM); two threads took 0.63 and 0.43 s there for 1.5 times the
+# CPU, and at 1024 no less wall time (0.16 and 0.10 s)
 NODES_RANGE = spectrum.NODES_RANGE
 # --num-eigs: mode 0's checks read mu_1 to mu_3
 NUM_EIGS_RANGE = (3, 2048)
@@ -476,6 +482,54 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _blas_thread_functions():
+    """numpy's OpenBLAS (get, set) thread-count functions, or None where it links another BLAS.
+
+    dlsym on the handle of numpy's compiled extension also searches the
+    libraries that extension links, so the bundled OpenBLAS is found without
+    a path: scipy_openblas_*64_ in numpy 2 wheels, openblas_*64_ in numpy
+    1.26 wheels, plain openblas_* in a system build.
+    """
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        except (ImportError, OSError, TypeError):
+            continue
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get = getattr(lib, name.format("get"), None)
+            set_ = getattr(lib, name.format("set"), None)
+            if get is not None and set_ is not None:
+                get.restype, get.argtypes = ctypes.c_int, []
+                set_.restype, set_.argtypes = None, [ctypes.c_int]
+                return get, set_
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore the count it had.
+
+    A report's BLAS and LAPACK calls (the m x (m+8) Gram products, the rule
+    seeds' dsyevd, the fixed point's products) are too small for a second
+    thread to save wall time up to 1024 trial functions, yet it busy-waits
+    after each call and so doubles a report's CPU.  Where numpy links
+    another BLAS the body runs unchanged.
+    """
+    fns = _blas_thread_functions()
+    if fns is None:
+        yield
+        return
+    get, set_ = fns
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
 _PARSER = None
 
 
@@ -487,16 +541,17 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     name = args.command
     try:
-        scan = getattr(args, "scan_alpha", None)
-        if not scan:
-            return _emit(_run_one(name, args), args)
-        reports = []
-        for a in _alpha_scan_values(scan):
-            sub_args = copy.copy(args)
-            sub_args.alpha = a
-            sub_args.scan_alpha = None
-            reports.append(_run_one(name, sub_args))
-        return _emit(reports, args)
+        with _one_blas_thread():
+            scan = getattr(args, "scan_alpha", None)
+            if not scan:
+                return _emit(_run_one(name, args), args)
+            reports = []
+            for a in _alpha_scan_values(scan):
+                sub_args = copy.copy(args)
+                sub_args.alpha = a
+                sub_args.scan_alpha = None
+                reports.append(_run_one(name, sub_args))
+            return _emit(reports, args)
     except CknError as exc:
         sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
         return 2

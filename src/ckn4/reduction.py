@@ -318,29 +318,34 @@ class PerturbationProblem:
         fam = basis.family
         with np.errstate(over="ignore"):
             gain_sq = np.concatenate(([1.0], np.cumprod(fam.ratio))) ** 2 / mu
+        # In the diagonal basis only x is kept: each product with W or X is
+        # the elementwise one with x, the matrix product without its zeros
         if gain_sq.max() * MASS_CUT <= 1.0:
-            self.family, self.W = fam, np.diag(x)
-            self.X = self.W
+            self.family, self.x, self.W, self.X = fam, x, None, None
         else:
             mu, self.W, self.X, self.family = _solve_pencil_cut(self.problem, rows, MASS_CUT)
+            self.x = None
         self.kept = kept = mu.size
-        # phi_i / U_1 = sum_k W_ki p_k(t) / c on the rule, (kept, n); in the
-        # diagonal basis x_i p_i(t) / c, the same product without its zeros,
-        # whose rows the assembly pass has made where the rule is the pencil's
-        if self.family is fam:
+        # phi_i / U_1 = sum_k W_ki p_k(t) / c on the rule, (kept, n), in the
+        # diagonal basis x_i p_i(t) / c from the rows the assembly pass has
+        # made where the rule is the pencil's; the bubble is c0 psi_0, so its
+        # alpha-products with phi_i are read off the stiffness matrix's first
+        # column, (X^T A)_i0, and the dilation tangent's off its second
+        if self.x is not None:
             P = rows if rule is self.problem.grid else fam.rows(rule.t, basis.m)
             self.phi = x[:, None] * P / c
+            XtA0, XtA1 = x * A[:, 0], x * A[:, 1]
         else:
             self.phi = self.W.T @ self.family.rows(rule.t, basis.m) / c
+            XtA0, XtA1 = self.X.T @ A[:, 0], self.X.T @ A[:, 1]
 
         self.G = self.scale * mu                        # diag of <phi_i, phi_j>_alpha
-        # the bubble is c0 psi_0: its alpha-products are read off the stiffness matrix
-        self.bU = self.scale * c0 * (self.X.T @ A[:, 0])
+        self.bU = self.scale * c0 * XtA0
         self.norm0 = self.scale * c0 * c0 * float(A[0, 0])
         # dilation tangent at scale 1 on the s side: -a t U_1 = -a c0 off[1] psi_1,
         # a = (N-4+alpha)/2
         c1 = c0 * (p.N - 4.0 + p.alpha) / 2.0 * float(fam.off[1])
-        self.d = -self.scale * c1 * (self.X.T @ A[:, 1])
+        self.d = -self.scale * c1 * XtA1
 
         # at 160 trial functions the rule's nodes reach only |ln s| < 6; the
         # sign of the weight 1 + eps h(r/lam) is also checked on a fixed probe
@@ -381,6 +386,10 @@ class PerturbationProblem:
         self.unperturbed_energy = 0.5 * self.norm0 - star0 / p.pstar
 
     # -- helpers ---------------------------------------------------------------
+
+    def family_coeffs(self, c: np.ndarray) -> np.ndarray:
+        """W c: the coefficients of w = sum_i c_i phi_i on self.family's E p_k(t)."""
+        return self.x * c if self.W is None else self.W @ c
 
     def norm_sq(self, c: np.ndarray):
         """||U_lam + w_lam||^2 for the correction w = sum_i c_i phi_i, at every lam.
@@ -649,7 +658,7 @@ def find_perturbed_solution(pp: PerturbationProblem) -> dict:
     # parts give it at -t too
     n_t = 16 * pp.problem.basis.m
     t = np.cos(np.pi * np.arange(n_t // 2 + 1) / n_t)
-    even, odd = pp.family.parts(pp.W @ final.coeffs, t)
+    even, odd = pp.family.parts(pp.family_coeffs(final.coeffs), t)
     ratio = 1.0 + np.concatenate((even + odd, even - odd)) / pp.c
     min_ratio = float(ratio.min())
     return {

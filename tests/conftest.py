@@ -436,6 +436,14 @@ def bubble_c(pp):
     return float(np.exp(reduction._log_bubble_coeff(pp.params, pp.problem.basis.delta)))
 
 
+def trial_coeffs(pp, c):
+    """X c: a correction's coefficients on the trial functions psi_j.
+
+    In the diagonal basis a PerturbationProblem keeps X = diag(x) as x alone.
+    """
+    return pp.x * c if pp.X is None else pp.X @ c
+
+
 def full_grid_energy(pp, lam, result):
     """Reduced energy at scale lam with the star term integrated in the physical frame.
 
@@ -459,7 +467,7 @@ def full_grid_energy(pp, lam, result):
     x = u + ln_nu                                        # ln(nu s)
     C = normalization_constant(p)
     P = jacobi_rows(basis, np.tanh(x))
-    ratio = 1.0 + (pp.X @ result.coeffs) @ P / bubble_c(pp)
+    ratio = 1.0 + trial_coeffs(pp, result.coeffs) @ P / bubble_c(pp)
     h = np.asarray(pp.h(s ** p.q), dtype=float)
     star = pp.star_scale * C ** p.pstar * float(np.sum(
         w / s * np.exp(-p.M * np.logaddexp(x, -x)) * (1.0 + result.problem.eps * h)
@@ -577,7 +585,7 @@ def remainder_ratio(p, t):
 def omega_hat(res):
     """A CorrectionResult's correction in the transported frame, as a function of s."""
     pp = res.problem
-    return ModeFunction(pp.problem.basis, pp.X @ res.coeffs)
+    return ModeFunction(pp.problem.basis, trial_coeffs(pp, res.coeffs))
 
 
 def solution_radial(res):
@@ -591,7 +599,7 @@ def solution_radial(res):
     pp = res.problem
     p = pp.params
     basis = pp.problem.basis
-    coeffs = pp.X @ res.coeffs
+    coeffs = trial_coeffs(pp, res.coeffs)
     coeffs[0] += bubble_c(pp) / basis.family.p0
     pre = res.lam ** ((p.N - 4.0 + p.alpha) / 2.0)
     return ComposedRadial(ModeFunction(basis, coeffs), 1.0 / p.q, scale=res.lam, amp=pre)

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import os
 import re
@@ -11,7 +12,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from ckn4 import calculus, profiles, reduction
+from ckn4 import calculus, cli, profiles, reduction
 from ckn4.cli import COMMANDS, FLAGS, T_MAX, T_MIN, build_parser, load_h_csv, main
 from ckn4.params import normalization_constant, validate_params
 from ckn4.reduction import BUILTIN_H
@@ -797,8 +798,9 @@ def test_no_command_loads_scipy_optimize():
     # and scipy.linalg alone cost about 0.3 s and 30 MB of start-up), and so
     # none loads scipy.optimize.  It counts the numpy eigensolver calls of
     # each command too: the closed-form commands, run first, build no Gauss
-    # rule, so they make no LAPACK eigensolve (whose threaded first call can
-    # stall), and the spectral ones make some
+    # rule, so they make no LAPACK eigensolve (each costs a rule's dsyevd
+    # seed call, on the one BLAS thread every command runs on), and the
+    # spectral ones make some
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import numpy as np
@@ -842,6 +844,73 @@ def test_no_command_loads_scipy_optimize():
     assert eigensolves == {"constants": 0, "verify-extremal": 0, "transform-check": 0,
                            "branch": 0}
     assert all(n > 0 for _, _, _, n in rows[4:])
+
+
+def test_each_command_runs_blas_on_one_thread():
+    # a fresh interpreter sets numpy's OpenBLAS to two threads, then records
+    # the count inside every Gram product and after each main call: the
+    # command's scope holds one thread from the first product to the last,
+    # across a whole --scan-alpha loop, and restores two on every way out of
+    # main (exit 0, a failed check, a typed error, an unwritable --out)
+    script = textwrap.dedent("""
+        import contextlib, io, json, sys, tempfile
+        from ckn4 import cli, spectrum
+        fns = cli._blas_thread_functions()
+        if fns is None:
+            print("null")
+            raise SystemExit(0)
+        get, set_ = fns
+        set_(2)
+        inside = []
+        gram = spectrum._gram_matrices
+        def recorded(*args, **kwargs):
+            inside.append(get())
+            return gram(*args, **kwargs)
+        spectrum._gram_matrices = recorded
+        runs = [
+            ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "200"],
+            ["kernel", "--N", "5", "--scan-alpha=0.9:1.1:0.1", "--k-max", "2", "--nodes", "96"],
+            ["perturb", "--N", "5", "--alpha", "1"],
+            ["perturb", "--N", "10", "--alpha", "1.7"],
+            ["remainder", "--N", "8", "--alpha", "-3.99999999"],
+            ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "96",
+             "--out", tempfile.gettempdir()],
+        ]
+        out = []
+        for argv in runs:
+            inside.clear()
+            with contextlib.redirect_stdout(io.StringIO()), \\
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(argv)
+            out.append([argv[0], code, sorted(set(inside)), len(inside), get()])
+        print(json.dumps(out))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    if rows is None:
+        pytest.skip("numpy links no OpenBLAS whose thread count the scope can set")
+    assert [code for _, code, _, _, _ in rows] == [0, 0, 0, 1, 2, 2]
+    assert [counts for _, _, counts, _, _ in rows] == [[1]] * len(rows)
+    # the scan's three alpha values each assemble modes 0 to 2
+    assert rows[1][3] >= 3
+    assert [after for *_, after in rows] == [2] * len(rows)
+
+
+def test_one_blas_thread_keeps_report_bytes(capsys, monkeypatch):
+    # the scope changes how many threads run a product, not what a report
+    # prints: at (5, 1) the spectral commands and perturb print the same
+    # bytes with the scope made a no-op
+    runs = [("spectrum",), ("kernel",), ("remainder",), ("perturb",)]
+    scoped = [run(capsys, *argv, "--N", "5", "--alpha", "1") for argv in runs]
+    monkeypatch.setattr(cli, "_one_blas_thread", contextlib.nullcontext)
+    plain = [run(capsys, *argv, "--N", "5", "--alpha", "1") for argv in runs]
+    assert [code for code, _, _ in scoped] == [0] * len(runs)
+    assert scoped == plain
 
 
 def test_quadrature_layer_loads_no_pencil_layer():

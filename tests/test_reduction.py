@@ -28,7 +28,7 @@ from conftest import (PARAM_SETS, ComposedRadial, ModeFunction, RadialGrid, _sta
                       applied, brentq_lambda_star, bubble_c, composite_rule, default_grid,
                       full_grid_energy, h_weighted_star_norm, inner_alpha, omega_hat,
                       perturbation_on, remainder_ratio, rule_in_s, solution_radial,
-                      star_overlaps, weighted_H, wide_log_rule)
+                      star_overlaps, trial_coeffs, weighted_H, wide_log_rule)
 
 
 @pytest.fixture(scope="module")
@@ -602,7 +602,7 @@ def test_coefficient_norm_matches_quadrature(N, a):
     wq = w * s ** (p.M - 1.0)
     for lam in (1e-2, 1.0, 1e2):
         res = solve_correction(pp, lam)
-        coeffs = pp.X @ res.coeffs
+        coeffs = trial_coeffs(pp, res.coeffs)
         nu = lam ** (1.0 / p.q)
         lap_u = sobolev_bubble(p, lam).form.radial_laplacian(p.M).eval(s)
         for lo in range(0, s.size, 4096):
@@ -780,13 +780,25 @@ def test_phi_diagonal_product_is_exact(N, a):
     # in the diagonal basis phi_i/U_1 = x_i p_i(t)/c is formed row by row,
     # from the rows of the assembly pass, bit for bit the product W^T P / c
     # with W = diag(x), P the family's own rows at the rule's map values and
-    # U_1 = c E; the cut basis at (10, 1.7) still forms that product
+    # U_1 = c E; the cut basis at (10, 1.7) still forms that product.  So are
+    # the bubble's and the tangent's products with phi_i, x_i A_i0 and x_i A_i1,
+    # and the positivity series' coefficients W c
     p = validate_params(N, a)
     pp = PerturbationProblem(p, BUILTIN_H["exp_bump"], 1e-3, nodes=160)
     basis = pp.problem.basis
     assert (pp.family is basis.family) == ((N, a) != (10, 1.7))
+    assert (pp.W is None) == (pp.family is basis.family)
+    W = np.diag(pp.x) if pp.W is None else pp.W
     rows = pp.family.rows(pp.problem.grid.t, basis.m)
-    assert np.array_equal(pp.phi, pp.W.T @ rows / bubble_c(pp))
+    assert np.array_equal(pp.phi, W.T @ rows / bubble_c(pp))
+    X = W if pp.X is None else pp.X
+    A = pp.problem.A
+    c0 = bubble_c(pp) / basis.family.p0
+    assert np.array_equal(pp.bU, pp.scale * c0 * (X.T @ A[:, 0]))
+    c1 = c0 * (p.N - 4.0 + p.alpha) / 2.0 * float(basis.family.off[1])
+    assert np.array_equal(pp.d, -pp.scale * c1 * (X.T @ A[:, 1]))
+    c = np.random.default_rng(0).standard_normal(pp.kept)
+    assert np.array_equal(pp.family_coeffs(c), W @ c)
 
 
 @pytest.mark.parametrize("N, a", [(5, 1.0), (7, -2.0), (3, 1.5), (10, 1.7)])
