@@ -39,7 +39,6 @@ from .spectrum import (
     assemble_mode_problem,
     mode_eigenvalues,
     verify_kernel,
-    kernel_residual,
 )
 from .reduction import (
     remainder_curve,

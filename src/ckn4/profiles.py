@@ -10,11 +10,10 @@ The two-block profile at alpha = -2 covers the nonradial branch.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import (
     DimensionTooSmall,
@@ -194,19 +193,26 @@ class PolyGaussProfile(FormProfile):
 
 @dataclass
 class BiradialProfile:
-    """Two-block profile C (1 + |x|^4 - 2a(t1^2 - t2^2) + a^2)^{-(N-6)/4}."""
+    """Two-block profile v = C (1 + rho)^beta, beta = -(N-6)/4, in closed form.
+
+    With u = t1^2, w = t2^2 and z = t1 + i t2, rho = |z^2 - a|^2 = (u - w - a)^2
+    + 4uw, so 1 + rho = 1 + |x|^4 - 2a(t1^2 - t2^2) + a^2.  ``rho`` holds its
+    coefficients, rho[i, j] of u^i w^j, and ``form`` is C (1 + rho)^beta as a
+    PowerForm in rho (gamma = 1, w = 1); eval and biradial_residual read both.
+    """
 
     N: int
     a: float
-    amplitude: float
     pstar: float
+    rho: np.ndarray
+    form: PowerForm
+
+    def rho_at(self, t1, t2):
+        u, w = np.broadcast_arrays(np.square(t1, dtype=float), np.square(t2, dtype=float))
+        return polyval2d(u, w, self.rho)
 
     def eval(self, t1, t2):
-        t1 = np.asarray(t1, dtype=float)
-        t2 = np.asarray(t2, dtype=float)
-        r2 = t1 * t1 + t2 * t2
-        arg = 1.0 + r2 * r2 - 2.0 * self.a * (t1 * t1 - t2 * t2) + self.a * self.a
-        return self.amplitude * arg ** (-(self.N - 6.0) / 4.0)
+        return self.form.eval(self.rho_at(t1, t2))
 
 
 def nonradial_branch(N: int, a: float) -> BiradialProfile:
@@ -216,103 +222,71 @@ def nonradial_branch(N: int, a: float) -> BiradialProfile:
     if N < 8:
         raise DimensionTooSmall(f"need N >= 8, got {N}")
     p = validate_params(N, -2)
-    return BiradialProfile(N=N, a=float(a), amplitude=normalization_constant(p), pstar=p.pstar)
+    a = float(a)
+    # (u - w - a)^2 + 4uw = u^2 + 2uw + w^2 - 2au + 2aw + a^2
+    rho = np.array([[a * a, 2.0 * a, 1.0],
+                    [-2.0 * a, 2.0, 0.0],
+                    [1.0, 0.0, 0.0]])
+    form = PowerForm.single(1.0, 1.0, -(N - 6.0) / 4.0, coef=normalization_constant(p))
+    return BiradialProfile(N=N, a=a, pstar=p.pstar, rho=rho, form=form)
 
 
-# fourth-order central weights of f(t + (k-2)h), k = 0..4: 12h f' and 12h^2 f''
-_D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
-_D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0])
+def _two_block_T(f: PowerForm, m: float) -> PowerForm:
+    """T[F] = 8(m+2) F' + 16 rho F'': the two-block Laplacian of F(rho), over |x|^2."""
+    d1 = f.deriv()
+    return d1.scaled(8.0 * (m + 2.0)) + d1.deriv().mul_rpow(a=1).scaled(16.0)
 
 
-def _row_pass(G: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """sum_k C[i, k] G[i + k, j + 2]: row i's five-tap stencil, for i, j < len(C).
+def biradial_residual(profile: BiradialProfile) -> dict:
+    """Exact residual of Delta(|x|^-2 Delta v) = |x|^2 v^{p*-1}, and its two chain-rule identities.
 
-    G carries two ghost rows and columns on its low sides.
+    In u = t1^2, w = t2^2 the two-block Laplacian is L = 4u d_u^2 + 2(m+1) d_u
+    plus the same in w, m = N/2 - 1, and rho satisfies L rho = 8(m+2) S and
+    4u rho_u^2 + 4w rho_w^2 = 16 S rho with S = u + w = |x|^2.  So L F(rho) =
+    S T[F](rho) for every F, and the equation is T[T[v]](rho) = v(rho)^{p*-1},
+    S cancelled, with its left side exact through v's form.  On rho(t1, t2),
+    t1 and t2 each over t = 10^-3 ... 10^3 (61 points), it returns the sup of
+    the residual relative as in el_residual_relative, and the sup of each
+    identity's defect relative to the sum of its terms' magnitudes, the
+    polynomials summed from rho's coefficient array.
     """
-    nt = C.shape[0]
-    return np.einsum("ijk,ik->ij", sliding_window_view(G[:, 2:2 + nt], 5, axis=0), C)
-
-
-def _biradial_lap(F: np.ndarray, t: np.ndarray, h: float, m: float) -> np.ndarray:
-    """Two-block radial Laplacian by fourth-order central differences.
-
-    F holds samples at the offset nodes (t_i, t_j); even reflection across
-    each axis supplies the ghost values at -h/2 and -3h/2, so stencils stay
-    central everywhere.  Along each axis, d^2/dt^2 + (m/t) d/dt is one
-    five-tap stencil whose weights C[i, k] = D2_k/(12h^2) + (m/t_i) D1_k/(12h)
-    depend on the row; it is applied over sliding windows, to the columns
-    through a transposed copy.  The two far rows/columns, where right
-    neighbors run out, are dropped: the result has shape (n-2, n-2).
-    """
-    nt = F.shape[0] - 2
-    C = _D2 / (12.0 * h * h) + (m / t[:nt, None]) * (_D1 / (12.0 * h))
-    G = np.pad(F, ((2, 0), (2, 0)), mode="symmetric")
-    out = _row_pass(G, C)
-    out += _row_pass(np.ascontiguousarray(G.T), C).T
-    return out
-
-
-def _sup_outside(F: np.ndarray, k0: int, corner: np.ndarray) -> float:
-    """max |F| outside the excluded ball, which lies in the k0 x k0 corner block."""
-    parts = [part for part in (F[k0:], F[:k0, k0:], F[:k0, :k0][corner]) if part.size]
-    # max |F| is |max F| or |min F|; np.max keeps a NaN
-    return float(np.max([abs(e) for part in parts for e in (part.max(), part.min())]))
-
-
-# the grid covers [0, BIRADIAL_BOX]^2 in (t1, t2); the sups leave out the
-# ball |x| < BIRADIAL_EXCLUDE
-BIRADIAL_BOX = 6.0
-BIRADIAL_EXCLUDE = 0.5
-
-
-def biradial_residual(profile: BiradialProfile, n: int, return_fields: bool = False) -> dict:
-    """Discrete residual of the two-block equation on an offset n x n tensor grid.
-
-    Returns the sup of Delta(|x|^{-2} Delta v) - |x|^2 v^{p*-1} relative to
-    the sup of the source term, together with the step and the region
-    measured.  A fixed ball around the origin is excluded: the 1/|x|^2
-    factor between the two difference stages amplifies truncation error
-    there without bound as h -> 0.
-    """
-    pstar = profile.pstar
     m = profile.N / 2.0 - 1.0
-    box, exclude = BIRADIAL_BOX, BIRADIAL_EXCLUDE
-    h = box / n
-    t = (np.arange(n) + 0.5) * h
-    V = profile.eval(t[:, None], t[None, :])
+    t = np.logspace(-3.0, 3.0, 61)
+    u, w = np.meshgrid(t * t, t * t, indexing="ij")
+    S = u + w
+    c = profile.rho
 
-    n1 = n - 2
-    W = _biradial_lap(V, t, h, m)                   # (n-2, n-2)
-    W /= t[:n1, None] ** 2 + t[None, :n1] ** 2
-    lap_w = _biradial_lap(W, t[:n1], h, m)          # (n-4, n-4)
+    def value_and_magnitude(coeffs):
+        return polyval2d(u, w, coeffs), polyval2d(u, w, np.abs(coeffs))
 
-    n2 = n - 4
-    R2i = t[:n2, None] ** 2 + t[None, :n2] ** 2
-    rhs = R2i * V[:n2, :n2] ** (pstar - 1.0)
-    res = lap_w - rhs
-
-    # nodes with t_i >= exclude or t_j >= exclude lie outside the ball
-    k0 = min(int(np.searchsorted(t, exclude)), n2)
-    corner = R2i[:k0, :k0] >= exclude ** 2
-    sup_rhs = _sup_outside(rhs, k0, corner)
-    sup_res = _sup_outside(res, k0, corner)
-    if not (0.0 < sup_rhs < math.inf and math.isfinite(sup_res)):
+    v = profile.form
+    lhs_form = _two_block_T(_two_block_T(v, m), m)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        rho, rho_mag = value_and_magnitude(c)
+        rhs = np.maximum(v.eval(rho), 0.0) ** (profile.pstar - 1.0)
+        scale = lhs_form.term_magnitude(rho) + rhs
+    if not (np.all(np.isfinite(rho_mag)) and np.all(rhs >= np.finfo(float).tiny)
+            and np.all(np.isfinite(scale))):
         raise QuadratureFailure(
-            f"two-block residual at N={profile.N}, a={profile.a!r}, n={n}: the sup of "
-            f"the source is {sup_rhs!r} and of the residual {sup_res!r}; the profile "
-            f"leaves the float range, so no relative residual exists")
-    out = {
-        "rel_sup": sup_res / sup_rhs,
-        "sup_residual": sup_res,
-        "sup_source": sup_rhs,
-        "h": h,
-        "n": n,
-        "box": box,
-        "exclude": exclude,
+            f"two-block residual at N={profile.N}, a={profile.a!r}: rho or the source "
+            f"v^(p*-1) leaves the normal float range on t in [1e-3, 1e3], so no "
+            f"relative residual exists")
+    residual = np.abs(lhs_form.eval(rho) - rhs) / scale
+
+    (ru, ru_mag), (rw, rw_mag) = (value_and_magnitude(polyder(c, 1, axis=k)) for k in (0, 1))
+    (ruu, ruu_mag), (rww, rww_mag) = (value_and_magnitude(polyder(c, 2, axis=k)) for k in (0, 1))
+    k1, k2 = 2.0 * (m + 1.0), 8.0 * (m + 2.0)
+    laplacian = (np.abs(4.0 * u * ruu + k1 * ru + 4.0 * w * rww + k1 * rw - k2 * S)
+                 / (4.0 * u * ruu_mag + k1 * ru_mag + 4.0 * w * rww_mag + k1 * rw_mag + k2 * S))
+    gradient = (np.abs(4.0 * u * ru * ru + 4.0 * w * rw * rw - 16.0 * S * rho)
+                / (4.0 * u * ru_mag ** 2 + 4.0 * w * rw_mag ** 2 + 16.0 * S * rho_mag))
+    return {
+        "rel_sup": float(residual.max()),
+        "laplacian_identity": float(laplacian.max()),
+        "gradient_identity": float(gradient.max()),
+        "t_range": [float(t[0]), float(t[-1])],
+        "n": t.size,
     }
-    if return_fields:
-        out["fields"] = {"lap_w": lap_w, "rhs": rhs, "mask": R2i >= exclude ** 2, "t": t[:n2]}
-    return out
 
 
 # -- serialization -------------------------------------------------------------

@@ -56,10 +56,8 @@ from .params import (
     Params,
     even_alpha_info,
     mode_lambda,
-    normalization_constant,
     sphere_area,
 )
-from .profiles import RadialProfile
 
 __all__ = [
     "ModeBasis",
@@ -71,7 +69,6 @@ __all__ = [
     "exact_eigenvalues",
     "exact_rel_errors",
     "verify_kernel",
-    "kernel_residual",
 ]
 
 
@@ -512,26 +509,6 @@ def _read_spectrum(pr: ModeProblem, n_eigs: int) -> SpectrumResult:
     diagnostics = {"quad_nodes": pr.grid.n, "basis_size": m, **couplings}
     return SpectrumResult(problem=pr, eigenvalues=mu, coefficients=X, residual_norms=res,
                           diagnostics=diagnostics)
-
-
-def kernel_residual(p: Params, profile: RadialProfile, k: int, mu: float | None = None) -> float:
-    """Sup over log-spaced radii of the relative mode-k ODE residual.
-
-    The residual of L_k(r^alpha L_k u) = mu K r^{-alpha} (1+r^{2-a})^{-4} u is
-    evaluated exactly through the term algebra; mu defaults to p*-1.
-    """
-    if mu is None:
-        mu = p.pstar - 1.0
-    lam_k, _ = mode_lambda(k, p.N)
-    K = normalization_constant(p) ** (p.pstar - 2.0)
-    form = profile.form
-    inner = form.radial_laplacian(p.N, lam_k).mul_rpow(a=-1, b=-2)
-    lhs = inner.radial_laplacian(p.N, lam_k)
-    rhs = form.mul_wpow(-4).mul_rpow(a=1, b=2).scaled(mu * K)
-    res = lhs - rhs
-    r = np.logspace(-3, 3, 121)
-    scale = lhs.term_magnitude(r) + np.abs(rhs.eval(r))
-    return float(np.max(np.abs(res.eval(r)) / scale))
 
 
 # a mode holds the eigenvalue p*-1 when one of its KERNEL_EIGS smallest

@@ -11,7 +11,7 @@ from scipy.optimize import brentq
 from scipy.special import roots_legendre
 
 from ckn4.calculus import JacobiRule, weighted_hessian_norm_sq
-from ckn4.params import normalization_constant, sphere_area, validate_params
+from ckn4.params import mode_lambda, normalization_constant, sphere_area, validate_params
 from ckn4.profiles import PolyGaussProfile, extremal_U
 import ckn4.reduction as reduction
 from ckn4.reduction import PerturbationProblem, solve_correction
@@ -662,11 +662,9 @@ def _diff_1d(G, h, axis):
 def biradial_lap_two_stage(F, t, h, m):
     """Two-block radial Laplacian, first and second differences taken apart.
 
-    A reference for profiles._biradial_lap, which folds both differences
-    and the m/t factor into one five-tap stencil per axis: here each axis's
-    d1 and d2 are separate shifted-slice sums over the padded field, and
-    d2 + (m/t) d1 is formed afterwards, the stencil the two-block residual
-    used before.  Same even-reflection ghosts; result shape (n-2, n-2).
+    Each axis's fourth-order d1 and d2 are separate shifted-slice sums over
+    the padded field, and d2 + (m/t) d1 is formed afterwards.  Even
+    reflection across each axis gives the ghosts; result shape (n-2, n-2).
     """
     n = F.shape[0]
     G = np.pad(F, ((2, 0), (2, 0)), mode="symmetric")
@@ -676,6 +674,51 @@ def biradial_lap_two_stage(F, t, h, m):
     inv_t = m / t[:nt]
     return (d2a[:, 2:2 + nt] + d1a[:, 2:2 + nt] * inv_t[:, None]
             + d2b[2:2 + nt, :] + d1b[2:2 + nt, :] * inv_t[None, :])
+
+
+def biradial_fd_residual(profile, n, box=6.0, exclude=0.5):
+    """Difference oracle of the two-block equation Delta(|x|^-2 Delta v) = |x|^2 v^{p*-1}.
+
+    Samples v on the offset n x n grid t_i = (i + 1/2) h, h = box/n, applies
+    biradial_lap_two_stage, divides by |x|^2 and applies it again.  Returns
+    the sup of the residual over the sup of the source, both outside the ball
+    |x| < exclude, where the 1/|x|^2 between the stages amplifies truncation
+    error without bound as h -> 0, with the fields: lap_w, the source rhs,
+    the mask of nodes outside the ball and their t, each (n-4) a side.
+    """
+    m = profile.N / 2.0 - 1.0
+    h = box / n
+    t = (np.arange(n) + 0.5) * h
+    V = profile.eval(t[:, None], t[None, :])
+    W = biradial_lap_two_stage(V, t, h, m)
+    W /= t[:n - 2, None] ** 2 + t[None, :n - 2] ** 2
+    lap_w = biradial_lap_two_stage(W, t[:n - 2], h, m)
+    t = t[:n - 4]
+    R2 = t[:, None] ** 2 + t[None, :] ** 2
+    rhs = R2 * V[:n - 4, :n - 4] ** (profile.pstar - 1.0)
+    mask = R2 >= exclude ** 2
+    rel_sup = np.abs(lap_w - rhs)[mask].max() / np.abs(rhs)[mask].max()
+    return {"rel_sup": float(rel_sup), "lap_w": lap_w, "rhs": rhs, "mask": mask, "t": t}
+
+
+def kernel_residual(p, profile, k, mu=None):
+    """Sup over log-spaced radii of the relative mode-k ODE residual.
+
+    The residual of L_k(r^alpha L_k u) = mu K r^{-alpha} (1+r^{2-a})^{-4} u is
+    evaluated exactly through the term algebra; mu defaults to p*-1.
+    """
+    if mu is None:
+        mu = p.pstar - 1.0
+    lam_k, _ = mode_lambda(k, p.N)
+    K = normalization_constant(p) ** (p.pstar - 2.0)
+    form = profile.form
+    inner = form.radial_laplacian(p.N, lam_k).mul_rpow(a=-1, b=-2)
+    lhs = inner.radial_laplacian(p.N, lam_k)
+    rhs = form.mul_wpow(-4).mul_rpow(a=1, b=2).scaled(mu * K)
+    res = lhs - rhs
+    r = np.logspace(-3, 3, 121)
+    scale = lhs.term_magnitude(r) + np.abs(rhs.eval(r))
+    return float(np.max(np.abs(res.eval(r)) / scale))
 
 
 @pytest.fixture(scope="session")

@@ -10,8 +10,8 @@ import time
 
 import numpy as np
 import scipy.linalg
-from conftest import (alignment, composite_grid_pencil, full_grid_energy, random_trial_profiles,
-                      trial_rayleigh_quotient)
+from conftest import (alignment, biradial_fd_residual, composite_grid_pencil, full_grid_energy,
+                      random_trial_profiles, trial_rayleigh_quotient)
 
 from ckn4.calculus import rayleigh_quotient
 from ckn4.params import (
@@ -217,22 +217,22 @@ def test_criterion_9_nonradial_branch():
     ok = True
     for a in (0.0, 0.3):
         prof = nonradial_branch(8, a)
-        sups = [biradial_residual(prof, n=n)["rel_sup"] for n in (100, 200, 400)]
+        sups = [biradial_fd_residual(prof, n)["rel_sup"] for n in (100, 200, 400)]
         orders = [math.log2(s1 / s2) for s1, s2 in zip(sups, sups[1:])]
-        ok = ok and sups[1] < 1e-3 and min(orders) >= 2.0
-        details.append(f"a={a}: rel {sups[1]:.2e} at n=200, orders {[f'{o:.2f}' for o in orders]}")
-    # at a = 0 the discrete operator field reproduces the exact closed-form
-    # image of the radial profile to discretization error
+        exact = biradial_residual(prof)
+        ok = ok and sups[1] < 1e-3 and min(orders) >= 2.0 and exact["rel_sup"] <= 1e-13
+        details.append(f"a={a}: rel {sups[1]:.2e} at n=200, orders {[f'{o:.2f}' for o in orders]}, "
+                       f"exact {exact['rel_sup']:.1e} <= 1e-13")
+    # at a = 0 the difference oracle's operator field reproduces the exact
+    # closed-form image of the radial profile to discretization error
     p = validate_params(8, -2)
-    prof0 = nonradial_branch(8, 0.0)
-    rep = biradial_residual(prof0, n=200, return_fields=True)
+    rep = biradial_fd_residual(nonradial_branch(8, 0.0), 200)
     U = extremal_U(p)
     lhs_form = U.form.radial_laplacian(p.N).mul_rpow(a=-1, b=-2).radial_laplacian(p.N)
-    f = rep["fields"]
-    R = np.sqrt(f["t"][:, None] ** 2 + f["t"][None, :] ** 2)
+    R = np.sqrt(rep["t"][:, None] ** 2 + rep["t"][None, :] ** 2)
     exact = lhs_form.eval(R.ravel()).reshape(R.shape)
-    mask = f["mask"]
-    dev = np.abs(f["lap_w"] - exact)[mask].max() / np.abs(exact)[mask].max()
+    mask = rep["mask"]
+    dev = np.abs(rep["lap_w"] - exact)[mask].max() / np.abs(exact)[mask].max()
     ok = ok and dev < 1e-3
     details.append(f"a=0 field vs exact radial image: rel sup {dev:.2e} < 1e-3")
     _verdict(9, "nonradial branch", ok, "; ".join(details), t0, budget=120.0)

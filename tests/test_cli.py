@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import json
 import os
 import re
@@ -14,6 +15,7 @@ import pytest
 
 from ckn4 import calculus, cli, profiles, reduction
 from ckn4.cli import COMMANDS, FLAGS, T_MAX, T_MIN, build_parser, load_h_csv, main
+from ckn4.forms import PowerForm
 from ckn4.params import normalization_constant, validate_params
 from ckn4.reduction import BUILTIN_H
 
@@ -353,18 +355,67 @@ def test_remainder_csv(capsys):
 
 
 def test_branch_command(capsys):
-    code, out, _ = run(capsys, "branch", "--N", "8", "--a", "0.3", "--grid-n", "100")
+    code, out, _ = run(capsys, "branch", "--N", "8", "--a", "0.3")
     assert code == 0
     rep = json.loads(out)
-    assert rep["data"]["observed_order"] >= 2.0
+    assert [c["name"] for c in rep["checks"]] == ["residual_small", "chain_rule_identities"]
+    assert all(c["tol"] == 1e-13 for c in rep["checks"])
+    assert rep["data"]["t_range"] == [1e-3, 1e3] and rep["data"]["n"] == 61
 
 
-@pytest.mark.parametrize("grid_n", ["0", "3", "4", "1025", "100000"])
+@pytest.mark.parametrize("a", ["0", "0.3", "0.45", "1.5"])
+@pytest.mark.parametrize("N", ["8", "10", "12", "16"])
+def test_branch_is_exact(capsys, N, a):
+    # the exact residual and the chain-rule identities sit at rounding level
+    # (at most 1.1e-15 and 3.0e-16 measured at these points)
+    code, out, _ = run(capsys, "branch", "--N", N, "--a", a)
+    assert code == 0
+    assert all(c["value"] <= 1e-14 for c in json.loads(out)["checks"])
+
+
+def _mutant(name):
+    """nonradial_branch at (8, 0.3) with one fault put in, and _two_block_T."""
+    prof = profiles.nonradial_branch(8, 0.3)
+    T = profiles._two_block_T
+    if name == "no_first_derivative_in_T":
+        def T(f, m):
+            return f.deriv().deriv().mul_rpow(a=1).scaled(16.0)
+    elif name == "beta_off_by_a_quarter":
+        form = prof.form
+        prof = dataclasses.replace(prof, form=PowerForm(form.gamma, form.w, form.e0 + 0.25,
+                                                        form.terms))
+    elif name == "2uw_for_4uw_in_rho":
+        rho = prof.rho.copy()
+        rho[1, 1] -= 2.0
+        prof = dataclasses.replace(prof, rho=rho)
+    elif name == "mirror_rho":
+        # rho with +a, the mirror solution (u - w + a)^2 + 4uw: a solution
+        # too, rightly accepted; eval's test pins the sign of a
+        prof = dataclasses.replace(prof, rho=profiles.nonradial_branch(8, -0.3).rho)
+    return prof, T
+
+
+@pytest.mark.parametrize("name, failed", [
+    ("no_first_derivative_in_T", ["residual_small"]),
+    ("beta_off_by_a_quarter", ["residual_small"]),
+    ("2uw_for_4uw_in_rho", ["chain_rule_identities"]),
+    ("mirror_rho", []),
+])
+def test_branch_mutant_fails_a_check(capsys, monkeypatch, name, failed):
+    prof, T = _mutant(name)
+    monkeypatch.setattr(profiles, "nonradial_branch", lambda N, a: prof)
+    monkeypatch.setattr(profiles, "_two_block_T", T)
+    code, out, _ = run(capsys, "branch", "--N", "8", "--a", "0.3")
+    assert code == (1 if failed else 0)
+    assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == failed
+
+
+@pytest.mark.parametrize("grid_n", ["0", "3", "4", "100", "200", "1025", "100000"])
 def test_branch_grid_n_out_of_range_is_usage_error(capsys, monkeypatch, grid_n):
-    # refused while parsing: no profile is built and no array allocated
-    # (100000 once asked numpy for 74.5 GiB)
+    # branch takes no grid: every --grid-n is refused while parsing, before
+    # any profile is built
     def refuse(*args, **kwargs):
-        raise AssertionError("branch reached the profile with an out-of-range --grid-n")
+        raise AssertionError("branch reached the profile with --grid-n")
 
     monkeypatch.setattr(profiles, "nonradial_branch", refuse)
     monkeypatch.setattr(profiles, "biradial_residual", refuse)
@@ -372,16 +423,18 @@ def test_branch_grid_n_out_of_range_is_usage_error(capsys, monkeypatch, grid_n):
         main(["branch", "--N", "8", "--grid-n", grid_n])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert "argument --grid-n" in err and f"got {grid_n}" in err
+    assert f"unrecognized arguments: --grid-n {grid_n}" in err
     assert "Traceback" not in err
 
 
 def test_branch_source_underflow_is_typed(capsys):
-    # a^2 overflows: the profile, its source and their sups are all 0
-    code, out, err = run(capsys, "branch", "--N", "8", "--a", "1e200")
-    assert code == 2 and out == ""
-    assert err.startswith("error: QuadratureFailure: two-block residual")
-    assert "N=8, a=1e+200, n=200" in err and "Traceback" not in err
+    # a^2 overflows at 1e200; at 1e50 and 1e150 the source v^(p*-1)
+    # underflows on the sample
+    for a in ("1e50", "1e150", "1e200", "-1e200"):
+        code, out, err = run(capsys, "branch", "--N", "8", f"--a={a}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: QuadratureFailure: two-block residual")
+        assert f"N=8, a={float(a)!r}" in err and "Traceback" not in err
 
 
 def test_verify_extremal_zero_amplitude_is_zero_function(capsys):
@@ -440,7 +493,7 @@ INT_FLAGS = [(name, flag, getattr(kwargs["type"], "range", None))
 def test_int_flags_are_found():
     flags = {flag: bounds for _, flag, bounds in INT_FLAGS}
     assert flags == {"--N": None, "--mode": (0, 20), "--num-eigs": (3, 2048),
-                     "--nodes": (64, 2048), "--k-max": (0, 20), "--grid-n": (5, 1024)}
+                     "--nodes": (64, 2048), "--k-max": (0, 20)}
 
 
 @pytest.mark.parametrize("name, flag, bounds", INT_FLAGS)
@@ -739,7 +792,7 @@ COMMAND_FLAGS = {
     "kernel": {"--N", "--alpha", "--k-max", "--nodes"},
     "remainder": {"--N", "--alpha", "--nodes", "--t-values"},
     "perturb": {"--N", "--alpha", "--eps", "--h", "--h-file", "--nodes"},
-    "branch": {"--N", "--a", "--grid-n"},
+    "branch": {"--N", "--a"},
 }
 
 
@@ -761,11 +814,11 @@ def test_help_lists_only_the_flags_each_command_reads(capsys):
         listed = set(re.findall(r"--[\w-]+", capsys.readouterr().out)) - {"--help"}
         assert listed == expected_flags(name), name
         total += len(listed)
-    assert total == 47
+    assert total == 46
 
 
 @pytest.mark.parametrize("argv", [
-    ["constants", "--grid-n", "7"],
+    ["constants", "--nodes", "64"],
     ["verify-extremal", "--a", "0.3"],       # no abbreviation of --alpha either
     ["transform-check", "--format", "csv"],
     ["spectrum", "--eps", "5"],
@@ -815,7 +868,7 @@ def test_no_command_loads_scipy_optimize():
             ["constants", "--N", "5", "--alpha", "1"],
             ["verify-extremal", "--N", "5", "--alpha", "1"],
             ["transform-check", "--N", "5", "--alpha", "1"],
-            ["branch", "--N", "8", "--a", "0.3", "--grid-n", "100"],
+            ["branch", "--N", "8", "--a", "0.3"],
             ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "96"],
             ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "500"],
             ["kernel", "--N", "5", "--alpha", "1", "--k-max", "2", "--nodes", "96"],

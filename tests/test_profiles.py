@@ -1,9 +1,11 @@
+import functools
 import json
 import math
 
 import mpmath
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval2d
 
 from ckn4.errors import (
     DimensionTooSmall,
@@ -15,9 +17,8 @@ from ckn4.errors import (
 from ckn4.params import normalization_constant, validate_params
 from ckn4.profiles import (
     PolyGaussProfile,
-    _biradial_lap,
     _lhs_form,
-    biradial_residual,
+    _two_block_T,
     dilation_tangent,
     el_residual_relative,
     extremal_U,
@@ -26,7 +27,7 @@ from ckn4.profiles import (
     nonradial_branch,
     profile_to_json,
 )
-from conftest import PARAM_SETS, biradial_lap_two_stage
+from conftest import PARAM_SETS, biradial_fd_residual
 
 
 STENCILS = {
@@ -219,31 +220,74 @@ def test_biradial_reduces_to_radial_at_a0():
     assert np.allclose(prof.eval(T1, T2), U.eval(R), rtol=1e-13)
 
 
+def test_biradial_eval_is_the_closed_form():
+    # eval reads rho's coefficient array: C (1 + |x|^4 - 2a(t1^2 - t2^2) + a^2)^{-(N-6)/4}
+    t = np.logspace(-2, 2, 41)
+    T1, T2 = np.meshgrid(t, t, indexing="ij")
+    for N, a in [(8, 0.3), (10, -0.4), (12, 1.5), (16, 0.0)]:
+        C = normalization_constant(validate_params(N, -2))
+        Q = 1.0 + (T1 ** 2 + T2 ** 2) ** 2 - 2.0 * a * (T1 ** 2 - T2 ** 2) + a * a
+        assert np.allclose(nonradial_branch(N, a).eval(T1, T2), C * Q ** (-(N - 6.0) / 4.0),
+                           rtol=1e-13, atol=0.0)
+
+
 def test_biradial_residual_converges():
     for a in (0.0, 0.3):
         prof = nonradial_branch(8, a)
-        sups = [biradial_residual(prof, n=n)["rel_sup"] for n in (100, 200)]
+        sups = [biradial_fd_residual(prof, n)["rel_sup"] for n in (100, 200)]
         assert sups[1] < 1e-3
         order = math.log2(sups[0] / sups[1])
         assert order >= 2.0
 
 
+@functools.cache
+def _exact_lhs_gap(N, a, n):
+    """sup |lap_w - S T[T[v]](rho)| / sup |S T[T[v]](rho)| outside the oracle's ball."""
+    prof = nonradial_branch(N, a)
+    m = N / 2.0 - 1.0
+    lhs = _two_block_T(_two_block_T(prof.form, m), m)
+    oracle = biradial_fd_residual(prof, n)
+    t1, t2 = oracle["t"][:, None], oracle["t"][None, :]
+    exact = (t1 ** 2 + t2 ** 2) * lhs.eval(prof.rho_at(t1, t2))
+    mask = oracle["mask"]
+    return np.abs(oracle["lap_w"] - exact)[mask].max() / np.abs(exact)[mask].max()
+
+
 @pytest.mark.parametrize("n", [100, 200, 400])
 @pytest.mark.parametrize("N, a", [(8, 0.0), (8, 0.3), (12, 0.45), (10, -0.4)])
 def test_biradial_lap_matches_two_stage_reference(N, a, n):
-    # both stages of the residual against the two-stage reference on the same
-    # input; the sums run in another order, so they agree to rounding (at
-    # most 1.0e-12 of max|field| measured), not bitwise
-    prof = nonradial_branch(N, a)
-    m = N / 2.0 - 1.0
-    h = 6.0 / n
-    t = (np.arange(n) + 0.5) * h
-    V = prof.eval(t[:, None], t[None, :])
-    lap_v = _biradial_lap(V, t, h, m)
-    ref_v = biradial_lap_two_stage(V, t, h, m)
-    assert np.abs(lap_v - ref_v).max() <= 1e-11 * np.abs(ref_v).max()
-    W = lap_v / (t[:n - 2, None] ** 2 + t[None, :n - 2] ** 2)
-    ref_w = biradial_lap_two_stage(W, t[:n - 2], h, m)
-    lap_w = biradial_residual(prof, n=n, return_fields=True)["fields"]["lap_w"]
-    assert lap_w.shape == ref_w.shape == (n - 4, n - 4)
-    assert np.abs(lap_w - ref_w).max() <= 1e-11 * np.abs(ref_w).max()
+    # the exact left side |x|^2 T[T[v]](rho) of the two-block equation against
+    # the two-stage difference oracle's Delta(|x|^-2 Delta v) outside its ball:
+    # at most 5e-4 from n = 200 on (measured 5.9e-5 to 2.0e-4 at 200, 3.8e-6
+    # to 1.3e-5 at 400), and an observed order of at least 2 from n to 2n
+    # (3.9 to 4.0 measured)
+    gap = _exact_lhs_gap(N, a, n)
+    if n >= 200:
+        assert gap <= 5e-4
+    lo, hi = (n, 2 * n) if n < 400 else (n // 2, n)
+    assert math.log2(_exact_lhs_gap(N, a, lo) / _exact_lhs_gap(N, a, hi)) >= 2.0
+
+
+@pytest.mark.parametrize("N", [8, 10, 12])
+def test_branch_tangent_is_the_mode2_kernel_element(N):
+    # d v/d a at a = 0 is v'(rho) d rho/d a = -2 C beta Q^(beta-1) (t1^2 - t2^2),
+    # and t1^2 - t2^2 is |x|^2 times a degree-2 harmonic: the branch leaves the
+    # bubble along C (N-6)/2 kernel_Zk_radial(p, 2)(r) (t1^2 - t2^2)/r^2
+    prof = nonradial_branch(N, 0.0)
+    p = validate_params(N, -2)
+    # rho is quadratic in a, so its central difference over a = +-1 is exact
+    drho = (nonradial_branch(N, 1.0).rho - nonradial_branch(N, -1.0).rho) / 2.0
+    t = np.logspace(-2, 2, 41)
+    T1, T2 = np.meshgrid(t, t, indexing="ij")
+    off = T1 != T2
+    U, W = T1[off] ** 2, T2[off] ** 2
+    tangent = prof.form.deriv().eval(prof.rho_at(T1[off], T2[off])) * polyval2d(U, W, drho)
+    R = np.sqrt(U + W)
+    kernel = (normalization_constant(p) * (N - 6.0) / 2.0
+              * kernel_Zk_radial(p, 2).eval(R) * (U - W) / R ** 2)
+    assert np.max(np.abs(tangent - kernel) / np.abs(kernel)) <= 1e-13
+    # and the profile's own values move that way: a central difference in a
+    h = 1e-6
+    fd = (nonradial_branch(N, h).eval(T1[off], T2[off])
+          - nonradial_branch(N, -h).eval(T1[off], T2[off])) / (2.0 * h)
+    assert np.max(np.abs(fd - kernel)) <= 1e-6 * np.max(np.abs(kernel))

@@ -22,13 +22,12 @@ from ckn4.spectrum import (
     ModeBasis,
     assemble_mode_problem,
     exact_eigenvalues,
-    kernel_residual,
     mode_eigenvalues,
     verify_kernel,
 )
 from conftest import (PARAM_SETS, alignment, applied, composite_grid_pencil, families,
-                      family_rows, gegenbauer_rule, jacobi_rows, log_norms, log_potential,
-                      random_valid_params, rule_in_s, s_frame, values_and_derivs,
+                      family_rows, gegenbauer_rule, jacobi_rows, kernel_residual, log_norms,
+                      log_potential, random_valid_params, rule_in_s, s_frame, values_and_derivs,
                       wide_log_rule)
 
 

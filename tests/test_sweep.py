@@ -7,9 +7,9 @@ closed-form reports of verify-extremal and transform-check either pass
 with every norm a positive float, fail a check they name, or stop with a
 typed CknError.  So do `remainder` reports, whose passing quotients must
 also lie within 5 % of the Paneitz limit 8/(M+6).  So does `branch` over
-displacements a in [-0.5, 0.5], non-finite and overflowing ones, and grid
-sizes inside and outside its range, or it stops with a usage error.  A NaN or overflow shows up as a
-RuntimeWarning, which the suite turns into an error.  The examples are
+displacements a in [-0.5, 0.5] and ones whose source leaves the float
+range, or it stops with a usage error on a non-finite one.  A NaN or
+overflow shows up as a RuntimeWarning, which the suite turns into an error.  The examples are
 derandomized, so every run draws the same ones.  At alpha = 2 - 10^-k,
 k = 2, 3, 4 (M from 202 to 2.4e5), modes 0-4 must pass, and `remainder`
 and `perturb` must pass, fail a check they name or stop with one typed
@@ -31,7 +31,7 @@ import pytest
 from hypothesis import given, seed, settings, strategies as st
 
 from ckn4 import errors
-from ckn4.cli import GRID_N_RANGE, main
+from ckn4.cli import main
 from ckn4.emden import norm_identity_check, star_identity_check
 from ckn4.errors import CknError
 from ckn4.params import validate_params
@@ -148,32 +148,27 @@ def test_closed_form_reports_are_right_or_typed(point):
         assert all(math.isfinite(v) and v > 0.0 for v in values), (argv, values)
 
 
-LO, HI = GRID_N_RANGE
-
-
 @seed(20261020)
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(N=st.sampled_from([8, 10, 12]),
-       a=st.floats(-0.5, 0.5) | st.sampled_from([math.nan, math.inf, -math.inf, 1e200]),
-       grid_n=st.integers(LO, 160) | st.sampled_from([-1, 0, LO - 1, HI + 1, 10 ** 6]))
-def test_branch_reports_are_right_or_typed(N, a, grid_n):
-    argv = ["branch", "--N", str(N), f"--a={a!r}", f"--grid-n={grid_n}"]
+       a=st.floats(-0.5, 0.5) | st.sampled_from([math.nan, math.inf, -math.inf,
+                                                1e50, 1e150, 1e200]))
+def test_branch_reports_are_right_or_typed(N, a):
+    argv = ["branch", "--N", str(N), f"--a={a!r}"]
     code, out, err = _run_cli(argv)
     finite_a = math.isfinite(a)
     if code == 2:
         assert out == "", argv
-        if finite_a and LO <= grid_n <= HI:
+        if finite_a:
             name = err.removeprefix("error: ").split(":", 1)[0]
             assert name in CKN_ERRORS, (argv, err)
         else:
-            flag = "--grid-n" if finite_a else "--a"
-            assert f"error: argument {flag}:" in err, (argv, err)
+            assert "error: argument --a:" in err, (argv, err)
         return
-    assert finite_a and LO <= grid_n <= HI and err == "", (argv, err)
+    assert finite_a and err == "", (argv, err)
     report = json.loads(out)
     data = report["data"]
-    assert data["coarse"]["n"] == grid_n and data["fine"]["n"] == 2 * grid_n
-    values = [data["coarse"]["rel_sup"], data["fine"]["rel_sup"], data["observed_order"]]
+    values = [data["rel_sup"], data["laplacian_identity"], data["gradient_identity"]]
     assert all(math.isfinite(v) for v in values), (argv, values)
     if code == 1:
         assert not all(c["passed"] for c in report["checks"]), argv
