@@ -25,7 +25,7 @@ from .profiles import (
     kernel_Z0,
     kernel_Zk_radial,
     dilation_tangent,
-    el_residual_relative,
+    el_residual_sup,
     nonradial_branch,
     biradial_residual,
 )

@@ -148,8 +148,7 @@ def cmd_verify_extremal(args) -> dict:
     if args.perturb_amplitude != 1.0:
         amp = args.perturb_amplitude * normalization_constant(p)
     U = profiles.extremal_U(p, args.lam, amplitude=amp)
-    r = np.logspace(-3, 3, 241)
-    el = float(np.max(profiles.el_residual_relative(p, U, r)))
+    el = profiles.el_residual_sup(p, U)
     S = best_constant_radial(p)
     rq = calculus.rayleigh_quotient(p, U)
     rq_rel = abs(rq - S) / S

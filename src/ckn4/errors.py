@@ -29,10 +29,6 @@ class NotEvenCase(CknError):
     pass
 
 
-class NonpositiveRadius(CknError):
-    pass
-
-
 class OddDimension(CknError):
     pass
 

@@ -39,6 +39,7 @@ __all__ = [
     "best_constant_radial",
     "best_constant_radial_report",
     "normalization_constant",
+    "source_constant",
     "even_alpha_info",
     "mode_lambda",
     "spherical_multiplicity",
@@ -193,11 +194,15 @@ def best_constant_radial_report(p: Params) -> dict:
     }
 
 
+def source_constant(p: Params) -> float:
+    """K = C^{p*-2} = (N-4+a)(N-2)(N-a)(N+2-2a): moderate where C is not."""
+    return (p.N - 4.0 + p.alpha) * (p.N - 2.0) * (p.N - p.alpha) * (p.N + 2.0 - 2.0 * p.alpha)
+
+
 def normalization_constant(p: Params) -> float:
     """Amplitude making the extremal profile an exact solution of the equation."""
-    K = (p.N - 4.0 + p.alpha) * (p.N - 2.0) * (p.N - p.alpha) * (p.N + 2.0 - 2.0 * p.alpha)
     try:
-        return K ** ((p.N - 4.0 + p.alpha) / (8.0 - 4.0 * p.alpha))
+        return source_constant(p) ** ((p.N - 4.0 + p.alpha) / (8.0 - 4.0 * p.alpha))
     except OverflowError:
         raise MOutOfRange(
             f"normalization constant at N={p.N}, alpha={p.alpha} (M={p.M:.6g}) "

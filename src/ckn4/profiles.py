@@ -1,15 +1,17 @@
-"""Closed-form radial families and pointwise equation residuals.
+"""Closed-form radial families and their equations, checked exactly.
 
 The extremal profile, the radial kernel elements of the linearized
 operator, and the dilation tangent are of power-law type, and a polynomial
 times Gaussian family provides smooth off-manifold trial functions; each
 carries a form of ``forms``, and with it exact derivatives and integrals.
-The two-block profile at alpha = -2 covers the nonradial branch.
+The two-block profile at alpha = -2 covers the nonradial branch.  Both
+equations reduce to one identity in one variable, compared power by power.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,14 +19,14 @@ from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import (
     DimensionTooSmall,
-    NonpositiveRadius,
     NonpositiveScale,
     OddDimension,
     QuadratureFailure,
     ZeroFunction,
 )
-from .forms import ExpForm, PowerForm
-from .params import Params, normalization_constant, require_even_case, validate_params
+from .forms import LOG_NORMAL, ExpForm, PowerForm
+from .params import (Params, normalization_constant, require_even_case, source_constant,
+                     validate_params)
 
 __all__ = [
     "ProfileKind",
@@ -34,7 +36,7 @@ __all__ = [
     "kernel_Z0",
     "kernel_Zk_radial",
     "dilation_tangent",
-    "el_residual_relative",
+    "el_residual_sup",
     "PolyGaussProfile",
     "BiradialProfile",
     "nonradial_branch",
@@ -141,37 +143,79 @@ def dilation_tangent(p: Params, lam: float = 1.0) -> RadialProfile:
     return RadialProfile(params=p, kind=ProfileKind.DILATION_TANGENT, lam=lam, amplitude=C, form=form)
 
 
-# -- Euler-Lagrange residual ------------------------------------------------
+# -- the equation in one variable ---------------------------------------------
 
 
-def _lhs_form(p: Params, u: RadialProfile) -> PowerForm:
-    """Delta(r^alpha Delta u) as an exact form: r^alpha = r^(2 - gamma)."""
-    inner = u.form.radial_laplacian(p.N).mul_rpow(a=-1, b=-2)
-    return inner.radial_laplacian(p.N)
+def _radial_T(f: PowerForm, g: float, N: float) -> PowerForm:
+    """T_g[F] = g^2 X F'' + g(N-2+g) F' of a form F in X (gamma = 1).
 
-
-def el_residual_relative(p: Params, u: RadialProfile, r):
-    """Residual Delta(|x|^a Delta u) - r^{-a} u_+^{p*-1} at the radii r, relative.
-
-    Normalized by the magnitude of the terms entering it; the left side is
-    exact through u's form.
+    For radial f = F(r^g), Delta f = r^(g-2) T_g[F](r^g).  With g = 2 - alpha,
+    r^alpha r^(g-2) = 1 and r^-alpha = r^(g-2), so Delta(|x|^alpha Delta u) =
+    |x|^-alpha u^(p*-1) reads T_g[T_g[F]] = F^(p*-1) in X alone.
     """
-    r = np.asarray(r, dtype=float)
-    if np.any(r <= 0):
-        raise NonpositiveRadius("residual defined for r > 0")
+    d1 = f.deriv()
+    return d1.scaled(g * (N - 2.0 + g)) + d1.deriv().mul_rpow(a=1).scaled(g * g)
+
+
+def _source(p: Params, ratio: float, lam: float = 1.0) -> float | None:
+    """The source c^(p*-2) w^-2 = K ratio^(p*-2) lam^((p*-2)(N-4+a)/2 - 2g) in y = wX.
+
+    F = c (1 + wX)^e0 with c = A lam^((N-4+a)/2), w = lam^g and ratio = A/C
+    solves the equation when T_g[T_g[(1+y)^e0]] is it times (1+y)^(e0 (p*-1)).
+    K = C^(p*-2) comes from params, never from the float C, whose rounding
+    p*-2 would multiply; ratio and lam enter as logarithms, the factor capped
+    where it would outweigh every left coefficient.  None where A < 0: u_+ = 0.
+    """
+    if ratio < 0.0:
+        return None
+    K = source_constant(p)
+    log_factor = ((p.pstar - 2.0) * math.log(ratio)
+                  + ((p.pstar - 2.0) * p.decay_exp / 2.0 - 2.0 * p.gamma_exp) * math.log(lam))
+    return K * math.exp(min(log_factor, LOG_NORMAL - math.log(K)))
+
+
+def _equation_defect(e0: float, g: float, N: float, pstar: float, source) -> float:
+    """Exact relative defect of T_g[T_g[(1+y)^e0]] = source (1+y)^(e0 (p*-1)).
+
+    Each left term c y^k (1+y)^(e0-m), k >= 0, expands by y = (1+y) - 1 into
+    powers (1+y)^(e0+n), n whole.  The source's power lies e0 (p*-2) = -4
+    from e0; it takes the whole n nearest that offset when within 16 eps
+    |e0| p* of it (the offset's rounding), else a power of its own.  Returns
+    max_n |lhs_n - rhs_n| / (sum of |contributions to n|): for every y > 0,
+    so every r > 0, |lhs - rhs| is at most that times the sum of the
+    contributions' magnitudes.  With source None the right side is 0.
+    """
+    lhs = _radial_T(_radial_T(PowerForm.single(1.0, 1.0, e0), g, N), g, N)
+    value, size = {}, {}
+
+    def put(n, c):
+        value[n] = value.get(n, 0.0) + c
+        size[n] = size.get(n, 0.0) + abs(c)
+
+    for (a, b, m), c in lhs.terms.items():
+        k = a - b
+        for i in range(k + 1):
+            put(i - m, c * math.comb(k, i) * (-1.0) ** (k - i))
+    if source is not None:
+        offset = e0 * (pstar - 1.0) - e0
+        n = round(offset)
+        near = abs(offset - n) <= 16.0 * np.finfo(float).eps * abs(e0) * pstar
+        put(n if near else None, -source)
+    return max((abs(value[n]) / size[n] for n in size if size[n] > 0.0), default=0.0)
+
+
+def el_residual_sup(p: Params, u: RadialProfile) -> float:
+    """Relative residual of Delta(|x|^a Delta u) = |x|^-a u_+^(p*-1), bounded over every r > 0.
+
+    u is an extremal-family profile A lam^((N-4+a)/2) (1 + (lam r)^g)^e0; the
+    equation is checked as one exact identity in y = (lam r)^g
+    (_equation_defect), the amplitude and the scale taken as logarithms.
+    """
     if not any(u.form.terms.values()):
         raise ZeroFunction(f"EL residual at N={p.N}, alpha={p.alpha}: the profile is "
                            f"identically 0, so no relative residual exists")
-    rhs = r ** (-p.alpha) * np.maximum(u.eval(r), 0.0) ** (p.pstar - 1.0)
-    lhs_form = _lhs_form(p, u)
-    lhs = lhs_form.eval(r)
-    scale = lhs_form.term_magnitude(r) + np.abs(rhs)
-    if not np.all(scale > 0.0):
-        raise QuadratureFailure(
-            f"EL residual at N={p.N}, alpha={p.alpha}: both sides are 0 at "
-            f"r = {float(r[~(scale > 0.0)].flat[0])!r} (they underflow, or u vanishes), "
-            f"so no relative residual exists")
-    return np.abs(lhs - rhs) / scale
+    source = _source(p, u.amplitude / normalization_constant(p), u.lam)
+    return _equation_defect(u.form.e0, u.form.gamma, p.N, p.pstar, source)
 
 
 # -- smooth trial profiles ---------------------------------------------------
@@ -231,62 +275,63 @@ def nonradial_branch(N: int, a: float) -> BiradialProfile:
     return BiradialProfile(N=N, a=a, pstar=p.pstar, rho=rho, form=form)
 
 
-def _two_block_T(f: PowerForm, m: float) -> PowerForm:
-    """T[F] = 8(m+2) F' + 16 rho F'': the two-block Laplacian of F(rho), over |x|^2."""
-    d1 = f.deriv()
-    return d1.scaled(8.0 * (m + 2.0)) + d1.deriv().mul_rpow(a=1).scaled(16.0)
+def _polymul2(*factors) -> np.ndarray:
+    """Product of polynomials in (u, w), arrays [i, j] of u^i w^j, to degree 4 in each."""
+    out = np.zeros((5, 5))
+    out[0, 0] = 1.0
+    for f in factors:
+        prod = np.zeros((5, 5))
+        for i, j in zip(*np.nonzero(f)):
+            prod[i:, j:] += f[i, j] * out[:5 - i, :5 - j]
+        out = prod
+    return out
+
+
+def _finite(profile: BiradialProfile, name: str, coeffs: np.ndarray) -> None:
+    bad = np.argwhere(~np.isfinite(coeffs))
+    if bad.size:
+        raise QuadratureFailure(
+            f"two-block residual at N={profile.N}, a={profile.a!r}: the coefficient of "
+            f"u^{bad[0][0]} w^{bad[0][1]} in {name} is not finite")
+
+
+def _identity_defect(profile: BiradialProfile, name: str, terms) -> float:
+    """max over coefficients of |sum of the terms c f1 f2 ...| / sum of |contributions|."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = sum(c * _polymul2(*f) for c, *f in terms)
+        size = sum(abs(c) * _polymul2(*map(np.abs, f)) for c, *f in terms)
+    _finite(profile, name, size)
+    nonzero = size > 0.0
+    return float(np.max(np.abs(value[nonzero]) / size[nonzero], initial=0.0))
 
 
 def biradial_residual(profile: BiradialProfile) -> dict:
     """Exact residual of Delta(|x|^-2 Delta v) = |x|^2 v^{p*-1}, and its two chain-rule identities.
 
-    In u = t1^2, w = t2^2 the two-block Laplacian is L = 4u d_u^2 + 2(m+1) d_u
-    plus the same in w, m = N/2 - 1, and rho satisfies L rho = 8(m+2) S and
-    4u rho_u^2 + 4w rho_w^2 = 16 S rho with S = u + w = |x|^2.  So L F(rho) =
-    S T[F](rho) for every F, and the equation is T[T[v]](rho) = v(rho)^{p*-1},
-    S cancelled, with its left side exact through v's form.  On rho(t1, t2),
-    t1 and t2 each over t = 10^-3 ... 10^3 (61 points), it returns the sup of
-    the residual relative as in el_residual_relative, and the sup of each
-    identity's defect relative to the sum of its terms' magnitudes, the
-    polynomials summed from rho's coefficient array.
+    In u = t1^2, w = t2^2 the two-block Laplacian is L = 4u d_u^2 + N d_u plus
+    the same in w, and rho satisfies L rho = 4(N+2) S and 4u rho_u^2 + 4w
+    rho_w^2 = 16 S rho, S = u + w = |x|^2.  So L F(rho) = S T_4[F](rho) for
+    every F, and the equation is T_4[T_4[v]](rho) = v(rho)^{p*-1}: the
+    identity of el_residual_sup at alpha = -2, in X = rho.  The chain-rule
+    identities are checked as polynomial identities in (u, w) on rho's
+    coefficient array.  QuadratureFailure where a coefficient of rho or of an
+    identity is not finite (|a| from about 2.4e153).
     """
-    m = profile.N / 2.0 - 1.0
-    t = np.logspace(-3.0, 3.0, 61)
-    u, w = np.meshgrid(t * t, t * t, indexing="ij")
-    S = u + w
+    p = validate_params(profile.N, -2)
     c = profile.rho
-
-    def value_and_magnitude(coeffs):
-        return polyval2d(u, w, coeffs), polyval2d(u, w, np.abs(coeffs))
-
-    v = profile.form
-    lhs_form = _two_block_T(_two_block_T(v, m), m)
-    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
-        rho, rho_mag = value_and_magnitude(c)
-        rhs = np.maximum(v.eval(rho), 0.0) ** (profile.pstar - 1.0)
-        scale = lhs_form.term_magnitude(rho) + rhs
-    if not (np.all(np.isfinite(rho_mag)) and np.all(rhs >= np.finfo(float).tiny)
-            and np.all(np.isfinite(scale))):
-        raise QuadratureFailure(
-            f"two-block residual at N={profile.N}, a={profile.a!r}: rho or the source "
-            f"v^(p*-1) leaves the normal float range on t in [1e-3, 1e3], so no "
-            f"relative residual exists")
-    residual = np.abs(lhs_form.eval(rho) - rhs) / scale
-
-    (ru, ru_mag), (rw, rw_mag) = (value_and_magnitude(polyder(c, 1, axis=k)) for k in (0, 1))
-    (ruu, ruu_mag), (rww, rww_mag) = (value_and_magnitude(polyder(c, 2, axis=k)) for k in (0, 1))
-    k1, k2 = 2.0 * (m + 1.0), 8.0 * (m + 2.0)
-    laplacian = (np.abs(4.0 * u * ruu + k1 * ru + 4.0 * w * rww + k1 * rw - k2 * S)
-                 / (4.0 * u * ruu_mag + k1 * ru_mag + 4.0 * w * rww_mag + k1 * rw_mag + k2 * S))
-    gradient = (np.abs(4.0 * u * ru * ru + 4.0 * w * rw * rw - 16.0 * S * rho)
-                / (4.0 * u * ru_mag ** 2 + 4.0 * w * rw_mag ** 2 + 16.0 * S * rho_mag))
-    return {
-        "rel_sup": float(residual.max()),
-        "laplacian_identity": float(laplacian.max()),
-        "gradient_identity": float(gradient.max()),
-        "t_range": [float(t[0]), float(t[-1])],
-        "n": t.size,
-    }
+    _finite(profile, "rho", c)
+    form = profile.form
+    (coef,) = form.terms.values()
+    rel_sup = _equation_defect(form.e0, p.gamma_exp, p.N, profile.pstar,
+                               _source(p, coef / normalization_constant(p)))
+    u, w, S = np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
+    ru, rw = (polyder(c, 1, axis=k) for k in (0, 1))
+    ruu, rww = (polyder(c, 2, axis=k) for k in (0, 1))
+    laplacian = _identity_defect(profile, "the Laplacian identity", [
+        (4.0, u, ruu), (p.N, ru), (4.0, w, rww), (p.N, rw), (-4.0 * (p.N + 2.0), S)])
+    gradient = _identity_defect(profile, "the gradient identity", [
+        (4.0, u, ru, ru), (4.0, w, rw, rw), (-16.0, S, c)])
+    return {"rel_sup": rel_sup, "laplacian_identity": laplacian, "gradient_identity": gradient}
 
 
 # -- serialization -------------------------------------------------------------

@@ -701,6 +701,30 @@ def biradial_fd_residual(profile, n, box=6.0, exclude=0.5):
     return {"rel_sup": float(rel_sup), "lap_w": lap_w, "rhs": rhs, "mask": mask, "t": t}
 
 
+def term_magnitude(form, r):
+    """Sum of a PowerForm's absolute term values at r: the scale of a sampled relative residual."""
+    terms = {k: abs(c) for k, c in form.terms.items()}
+    return type(form)(form.gamma, form.w, form.e0, terms).eval(r)
+
+
+def el_lhs_form(p, u):
+    """Delta(r^alpha Delta u) as an exact form in r: r^alpha = r^(2 - gamma)."""
+    inner = u.form.radial_laplacian(p.N).mul_rpow(a=-1, b=-2)
+    return inner.radial_laplacian(p.N)
+
+
+def el_residual_relative(p, u, r):
+    """Sampled EL residual oracle: |Delta(|x|^a Delta u) - r^-a u_+^{p*-1}| at radii r > 0.
+
+    Relative to the magnitude of the terms entering it; the left side is
+    exact through u's r-space form.
+    """
+    r = np.asarray(r, dtype=float)
+    rhs = r ** (-p.alpha) * np.maximum(u.eval(r), 0.0) ** (p.pstar - 1.0)
+    lhs = el_lhs_form(p, u)
+    return np.abs(lhs.eval(r) - rhs) / (term_magnitude(lhs, r) + np.abs(rhs))
+
+
 def kernel_residual(p, profile, k, mu=None):
     """Sup over log-spaced radii of the relative mode-k ODE residual.
 
@@ -717,7 +741,7 @@ def kernel_residual(p, profile, k, mu=None):
     rhs = form.mul_wpow(-4).mul_rpow(a=1, b=2).scaled(mu * K)
     res = lhs - rhs
     r = np.logspace(-3, 3, 121)
-    scale = lhs.term_magnitude(r) + np.abs(rhs.eval(r))
+    scale = term_magnitude(lhs, r) + np.abs(rhs.eval(r))
     return float(np.max(np.abs(res.eval(r)) / scale))
 
 

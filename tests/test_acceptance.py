@@ -10,8 +10,8 @@ import time
 
 import numpy as np
 import scipy.linalg
-from conftest import (alignment, biradial_fd_residual, composite_grid_pencil, full_grid_energy,
-                      random_trial_profiles, trial_rayleigh_quotient)
+from conftest import (alignment, biradial_fd_residual, composite_grid_pencil, el_residual_relative,
+                      full_grid_energy, random_trial_profiles, trial_rayleigh_quotient)
 
 from ckn4.calculus import rayleigh_quotient
 from ckn4.params import (
@@ -22,7 +22,7 @@ from ckn4.params import (
 )
 from ckn4.profiles import (
     biradial_residual,
-    el_residual_relative,
+    el_residual_sup,
     extremal_U,
     nonradial_branch,
 )
@@ -86,13 +86,15 @@ def test_criterion_2_extremality():
 def test_criterion_3_euler_lagrange_identity():
     t0 = time.time()
     r = np.logspace(-3, 3, 601)
-    worst = 0.0
+    worst = exact = 0.0
     for N, a in PARAM_SETS:
         p = validate_params(N, a)
         worst = max(worst, float(np.max(el_residual_relative(p, extremal_U(p), r))))
-    ok = worst < 1e-9
+        exact = max(exact, el_residual_sup(p, extremal_U(p)))
+    ok = worst < 1e-9 and exact <= 1e-15
     _verdict(3, "Euler-Lagrange identity", ok,
-             f"sup relative residual {worst:.2e}; tol 1e-9", t0, budget=1.0)
+             f"sampled sup relative residual {worst:.2e}; tol 1e-9; exact {exact:.1e} <= 1e-15",
+             t0, budget=1.0)
 
 
 def test_criterion_4_transform_identity():

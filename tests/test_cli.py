@@ -336,11 +336,13 @@ def test_transform_check_gaussian_is_exact_at_huge_pstar(capsys):
 
 @pytest.mark.parametrize("alpha", ["1.9999", "1.99999", "1.999999"])
 def test_verify_extremal_underflowing_residual_is_typed(capsys, alpha):
-    # both sides of the Euler-Lagrange equation underflow to 0 on the whole
-    # check grid, so their relative residual is 0/0
+    # the EL identity holds in one variable, where a sample of U underflowed
+    # to 0 on both sides; the report stops on U^p*'s integral, which rounds to 0
+    p = validate_params(3, alpha)
+    assert profiles.el_residual_sup(p, profiles.extremal_U(p)) <= 1e-15
     code, out, err = run(capsys, "verify-extremal", "--N", "3", "--alpha", alpha)
     assert code == 2 and out == ""
-    assert err.startswith("error: QuadratureFailure: EL residual")
+    assert err.startswith("error: QuadratureFailure: star integral")
     assert "N=3" in err and f"alpha={alpha}" in err
 
 
@@ -360,26 +362,31 @@ def test_branch_command(capsys):
     rep = json.loads(out)
     assert [c["name"] for c in rep["checks"]] == ["residual_small", "chain_rule_identities"]
     assert all(c["tol"] == 1e-13 for c in rep["checks"])
-    assert rep["data"]["t_range"] == [1e-3, 1e3] and rep["data"]["n"] == 61
+    # exact identities: no sample, so no sample fields
+    assert set(rep["data"]) == {"N", "a", "rel_sup", "laplacian_identity", "gradient_identity"}
 
 
 @pytest.mark.parametrize("a", ["0", "0.3", "0.45", "1.5"])
-@pytest.mark.parametrize("N", ["8", "10", "12", "16"])
+@pytest.mark.parametrize("N", ["8", "10", "12", "16", "100", "108", "200"])
 def test_branch_is_exact(capsys, N, a):
-    # the exact residual and the chain-rule identities sit at rounding level
-    # (at most 1.1e-15 and 3.0e-16 measured at these points)
+    # the exact residual and the chain-rule identities read 0 at these
+    # points; a sample of the residual failed on rounding at N = 100 and
+    # stopped on an underflowing source from N = 108 on
     code, out, _ = run(capsys, "branch", "--N", N, "--a", a)
     assert code == 0
     assert all(c["value"] <= 1e-14 for c in json.loads(out)["checks"])
 
 
+def _no_first_derivative_T(f, g, N):
+    return f.deriv().deriv().mul_rpow(a=1).scaled(g * g)
+
+
 def _mutant(name):
-    """nonradial_branch at (8, 0.3) with one fault put in, and _two_block_T."""
+    """nonradial_branch at (8, 0.3) with one fault put in, and _radial_T."""
     prof = profiles.nonradial_branch(8, 0.3)
-    T = profiles._two_block_T
+    T = profiles._radial_T
     if name == "no_first_derivative_in_T":
-        def T(f, m):
-            return f.deriv().deriv().mul_rpow(a=1).scaled(16.0)
+        T = _no_first_derivative_T
     elif name == "beta_off_by_a_quarter":
         form = prof.form
         prof = dataclasses.replace(prof, form=PowerForm(form.gamma, form.w, form.e0 + 0.25,
@@ -404,7 +411,7 @@ def _mutant(name):
 def test_branch_mutant_fails_a_check(capsys, monkeypatch, name, failed):
     prof, T = _mutant(name)
     monkeypatch.setattr(profiles, "nonradial_branch", lambda N, a: prof)
-    monkeypatch.setattr(profiles, "_two_block_T", T)
+    monkeypatch.setattr(profiles, "_radial_T", T)
     code, out, _ = run(capsys, "branch", "--N", "8", "--a", "0.3")
     assert code == (1 if failed else 0)
     assert [c["name"] for c in json.loads(out)["checks"] if not c["passed"]] == failed
@@ -428,13 +435,64 @@ def test_branch_grid_n_out_of_range_is_usage_error(capsys, monkeypatch, grid_n):
 
 
 def test_branch_source_underflow_is_typed(capsys):
-    # a^2 overflows at 1e200; at 1e50 and 1e150 the source v^(p*-1)
-    # underflows on the sample
-    for a in ("1e50", "1e150", "1e200", "-1e200"):
+    # the identities are exact in the coefficients, so a huge a passes while
+    # they stay finite; a^2 overflows at 1e200, a typed stop naming it
+    for a in ("1e50", "1e150"):
+        code, out, err = run(capsys, "branch", "--N", "8", f"--a={a}")
+        assert code == 0 and err == ""
+        assert all(c["value"] <= 1e-14 for c in json.loads(out)["checks"])
+    for a in ("1e200", "-1e200"):
         code, out, err = run(capsys, "branch", "--N", "8", f"--a={a}")
         assert code == 2 and out == ""
         assert err.startswith("error: QuadratureFailure: two-block residual")
         assert f"N=8, a={float(a)!r}" in err and "Traceback" not in err
+        assert "coefficient of u^0 w^0 in rho is not finite" in err
+
+
+@pytest.mark.parametrize("mutant", ["no_first_derivative_in_T", "beta_off_by_a_quarter",
+                                    "pstar_off_by_1e-9", "amplitude_1.01", "amplitude_-1"])
+@pytest.mark.parametrize("N, alpha", [("5", "1"), ("7", "-2"), ("3", "1.5"), ("9", "-4.99")])
+def test_verify_extremal_mutant_fails_el_residual(capsys, monkeypatch, N, alpha, mutant):
+    # each fault fails the exact EL check; amplitude 0 is a ZeroFunction
+    # (test_verify_extremal_zero_amplitude_is_zero_function)
+    argv = ["verify-extremal", "--N", N, "--alpha", alpha]
+    if mutant == "no_first_derivative_in_T":
+        monkeypatch.setattr(profiles, "_radial_T", _no_first_derivative_T)
+    elif mutant == "beta_off_by_a_quarter":
+        extremal = profiles.extremal_U
+
+        def shifted(p, lam=1.0, amplitude=None):
+            U = extremal(p, lam, amplitude)
+            form = U.form
+            # beta + 1/4: the faster decay keeps the Rayleigh integrals finite
+            return dataclasses.replace(U, form=PowerForm(form.gamma, form.w, form.e0 - 0.25,
+                                                         form.terms))
+
+        monkeypatch.setattr(profiles, "extremal_U", shifted)
+    elif mutant == "pstar_off_by_1e-9":
+        def off(N, a):
+            p = validate_params(N, a)
+            return dataclasses.replace(p, pstar=p.pstar * (1.0 + 1e-9))
+
+        monkeypatch.setattr(cli, "validate_params", off)
+    else:
+        argv += ["--perturb-amplitude", mutant.split("_")[1]]
+    code, out, _ = run(capsys, *argv)
+    assert code == 1
+    (el,) = [c for c in json.loads(out)["checks"] if c["name"] == "el_residual_sup"]
+    assert not el["passed"]
+
+
+@pytest.mark.parametrize("lam", ["1e100", "1e-100"])
+def test_verify_extremal_el_check_at_extreme_scales(capsys, lam):
+    # the scale enters the identity as a logarithm, so the EL check holds at
+    # any scale whose profile is a float; the report stops on the Hessian
+    # integral, whose Beta sum leaves the float range
+    p = validate_params(5, "1")
+    assert profiles.el_residual_sup(p, profiles.extremal_U(p, float(lam))) <= 1e-15
+    code, out, err = run(capsys, "verify-extremal", "--N", "5", "--alpha", "1", "--lam", lam)
+    assert code == 2 and out == ""
+    assert err.startswith("error: QuadratureFailure: Hessian integral at N=5")
 
 
 def test_verify_extremal_zero_amplitude_is_zero_function(capsys):
@@ -853,16 +911,24 @@ def test_no_command_loads_scipy_optimize():
     # each command too: the closed-form commands, run first, build no Gauss
     # rule, so they make no LAPACK eigensolve (each costs a rule's dsyevd
     # seed call, on the one BLAS thread every command runs on), and the
-    # spectral ones make some
+    # spectral ones make some.  It counts the calls of the forms' eval as
+    # well: no closed-form command samples a form, each checks its identities
+    # and integrals exactly
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import numpy as np
-        calls = []
+        from ckn4.forms import ExpForm, PowerForm
+        calls, evals = [], []
         for name in ("eig", "eigh", "eigvals", "eigvalsh"):
             def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
                 calls.append(1)
                 return _solve(*args, **kwargs)
             setattr(np.linalg, name, counted)
+        for cls in (PowerForm, ExpForm):
+            def counted_eval(self, r, _eval=cls.eval):
+                evals.append(1)
+                return _eval(self, r)
+            cls.eval = counted_eval
         from ckn4.cli import main
         runs = [
             ["constants", "--N", "5", "--alpha", "1"],
@@ -877,11 +943,11 @@ def test_no_command_loads_scipy_optimize():
         ]
         out = []
         for argv in runs:
-            before = len(calls)
+            before, evals_before = len(calls), len(evals)
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-            out.append([argv[0], code, loaded, len(calls) - before])
+            out.append([argv[0], code, loaded, len(calls) - before, len(evals) - evals_before])
         print(json.dumps(out))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -891,12 +957,12 @@ def test_no_command_loads_scipy_optimize():
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
-    assert [code for _, code, _, _ in rows] == [0] * len(rows)
-    assert [(name, mods) for name, _, mods, _ in rows if mods] == []
-    eigensolves = {name: n for name, _, _, n in rows[:4]}
-    assert eigensolves == {"constants": 0, "verify-extremal": 0, "transform-check": 0,
-                           "branch": 0}
-    assert all(n > 0 for _, _, _, n in rows[4:])
+    assert [code for _, code, _, _, _ in rows] == [0] * len(rows)
+    assert [(name, mods) for name, _, mods, _, _ in rows if mods] == []
+    closed_form = {"constants": 0, "verify-extremal": 0, "transform-check": 0, "branch": 0}
+    assert {name: n for name, _, _, n, _ in rows[:4]} == closed_form
+    assert {name: n for name, _, _, _, n in rows[:4]} == closed_form
+    assert all(n > 0 for _, _, _, n, _ in rows[4:])
 
 
 def test_each_command_runs_blas_on_one_thread():

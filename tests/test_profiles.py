@@ -9,7 +9,6 @@ from numpy.polynomial.polynomial import polyval2d
 
 from ckn4.errors import (
     DimensionTooSmall,
-    NonpositiveRadius,
     NonpositiveScale,
     NotEvenCase,
     OddDimension,
@@ -17,17 +16,18 @@ from ckn4.errors import (
 from ckn4.params import normalization_constant, validate_params
 from ckn4.profiles import (
     PolyGaussProfile,
-    _lhs_form,
-    _two_block_T,
+    _radial_T,
     dilation_tangent,
-    el_residual_relative,
+    el_residual_sup,
     extremal_U,
     kernel_Z0,
     kernel_Zk_radial,
     nonradial_branch,
     profile_to_json,
 )
-from conftest import PARAM_SETS, biradial_fd_residual
+from ckn4.forms import PowerForm
+from conftest import (PARAM_SETS, biradial_fd_residual, el_lhs_form, el_residual_relative,
+                      term_magnitude)
 
 
 STENCILS = {
@@ -151,10 +151,12 @@ def test_polygauss_derivatives():
 
 @pytest.mark.parametrize("N,a", PARAM_SETS)
 def test_el_residual_extremal(N, a):
+    # the sampled oracle and the exact identity in one variable
     p = validate_params(N, a)
     r = np.logspace(-3, 3, 301)
-    assert np.max(el_residual_relative(p, extremal_U(p), r)) < 1e-9
-    assert np.max(el_residual_relative(p, extremal_U(p, 3.0), r)) < 1e-9
+    for lam in (1.0, 3.0):
+        assert np.max(el_residual_relative(p, extremal_U(p, lam), r)) < 1e-9
+        assert el_residual_sup(p, extremal_U(p, lam)) <= 1e-15
 
 
 def test_el_residual_scaled_amplitude():
@@ -164,14 +166,25 @@ def test_el_residual_scaled_amplitude():
     u2 = extremal_U(p, 1.0, amplitude=2.0 * U.amplitude)
     r = np.logspace(-2, 2, 40)
     want = (2.0 - 2.0 ** (p.pstar - 1)) * r ** (-p.alpha) * U.eval(r) ** (p.pstar - 1)
-    got = _lhs_form(p, u2).eval(r) - r ** (-p.alpha) * u2.eval(r) ** (p.pstar - 1)
+    got = el_lhs_form(p, u2).eval(r) - r ** (-p.alpha) * u2.eval(r) ** (p.pstar - 1)
     assert np.allclose(got, want, rtol=1e-11)
 
 
-def test_el_residual_rejects_nonpositive_radius():
-    p = validate_params(5, 1)
-    with pytest.raises(NonpositiveRadius):
-        el_residual_relative(p, extremal_U(p), 0.0)
+@pytest.mark.parametrize("lam", [1.0, 3.0])
+@pytest.mark.parametrize("N,a", PARAM_SETS)
+def test_one_variable_operator_is_the_radial_chain(N, a, lam):
+    # r^(g-2) T_g[T_g[F]](r^g), F = c (1 + w X)^e0 in X = r^g, is
+    # Delta(r^alpha Delta u) of the r-space form, relative to the magnitude
+    # of the r-space terms (both sides cancel to the source at large r)
+    p = validate_params(N, a)
+    U = extremal_U(p, lam)
+    g = p.gamma_exp
+    F = PowerForm(1.0, U.form.w, U.form.e0, U.form.terms)
+    lhs = _radial_T(_radial_T(F, g, N), g, N)
+    r = np.logspace(-3, 3, 121)
+    chain = el_lhs_form(p, U)
+    gap = np.abs(r ** (g - 2.0) * lhs.eval(r ** g) - chain.eval(r))
+    assert np.max(gap / term_magnitude(chain, r)) <= 1e-13
 
 
 def test_kernel_zk_requires_even_case():
@@ -242,10 +255,9 @@ def test_biradial_residual_converges():
 
 @functools.cache
 def _exact_lhs_gap(N, a, n):
-    """sup |lap_w - S T[T[v]](rho)| / sup |S T[T[v]](rho)| outside the oracle's ball."""
+    """sup |lap_w - S T_4[T_4[v]](rho)| / sup |S T_4[T_4[v]](rho)| outside the oracle's ball."""
     prof = nonradial_branch(N, a)
-    m = N / 2.0 - 1.0
-    lhs = _two_block_T(_two_block_T(prof.form, m), m)
+    lhs = _radial_T(_radial_T(prof.form, 4.0, N), 4.0, N)
     oracle = biradial_fd_residual(prof, n)
     t1, t2 = oracle["t"][:, None], oracle["t"][None, :]
     exact = (t1 ** 2 + t2 ** 2) * lhs.eval(prof.rho_at(t1, t2))
