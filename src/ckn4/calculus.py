@@ -2,29 +2,34 @@
 
 Every Gauss rule of the program is a symmetric Gauss-Gegenbauer rule in
 (1-t^2)^{delta-2} on (-1, 1), from one numpy builder (_half_rules): seeds
-from an eigenproblem of half the size, a Newton step in h = 1 - |t| (Hale &
-Townsend, SIAM J. Sci. Comput. 35, 2013) and Christoffel-Darboux weights,
-certified against the weight's mass and divided by their sum.  The Newton
-step, like the basis rows' recurrence (spectrum._jacobi_pass), runs a block
-of DEGREE_BLOCK degrees at a time on contiguous operands of one shape, and
-holds no table over all the degrees.  The rules (JacobiRule) are rules in
-t alone, for the mode pencils (spectrum) and the perturbation's star
-integrals (reduction); the map t = (s^2-1)/(s^2+1) is spectrum's.  A radial
-profile is integrated one way only, exactly: its Hessian integral, and its
-star integral when its form is a single term, are Beta sums (PowerForm) or
-Gamma sums (ExpForm) that touch no rule, so the closed-form commands build
-none.  The sphere factor omega_{N-1} is folded into every full-space
-integral, so reported norms match the R^N definitions.
+from a tridiagonal eigenproblem of half the size, solved on its two
+diagonals by LAPACK's dsterf in numpy's own OpenBLAS, a Newton step in
+h = 1 - |t| (Hale & Townsend, SIAM J. Sci. Comput. 35, 2013) and
+Christoffel-Darboux weights, certified against the weight's mass and
+divided by their sum.  The Newton step, like the basis rows' recurrence
+(spectrum._jacobi_pass), runs a block of DEGREE_BLOCK degrees at a time on
+contiguous operands of one shape, and holds no table over all the degrees.
+The rules (JacobiRule) are rules in t alone, for the mode pencils
+(spectrum) and the perturbation's star integrals (reduction); the map
+t = (s^2-1)/(s^2+1) is spectrum's.  A radial profile is integrated one way
+only, exactly: its Hessian integral, and its star integral when its form is
+a single term, are Beta sums (PowerForm) or Gamma sums (ExpForm) that touch
+no rule, so the closed-form commands build none.  The sphere factor
+omega_{N-1} is folded into every full-space integral, so reported norms
+match the R^N definitions.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoClosedForm, QuadratureFailure, ZeroFunction
+from .openblas import numpy_openblas
 from .params import Params, sphere_area
 
 __all__ = [
@@ -239,6 +244,45 @@ def _newton_step(n: int, h: np.ndarray, off: np.ndarray, ratio: np.ndarray,
     return h, step, log_chr
 
 
+@functools.cache
+def _dsterf():
+    """LAPACK's dsterf (ILP64) in numpy's OpenBLAS, or None where numpy links no such routine."""
+    found = numpy_openblas()
+    if found is None or found[2] is None:
+        return None
+    lib, _, lapack = found
+    fn = getattr(lib, lapack.format("dsterf"), None)
+    if fn is not None:
+        int64 = ctypes.POINTER(ctypes.c_int64)
+        vector = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+        fn.restype, fn.argtypes = None, [int64, vector, vector, int64]
+    return fn
+
+
+def _tridiagonal_eigenvalues(d: np.ndarray, e: np.ndarray):
+    """Increasing eigenvalues of the symmetric tridiagonal matrix with diagonals d and e, or None.
+
+    d (m,) is the diagonal and e (m-1,) the off-diagonal; None when the
+    eigenvalues did not converge.  LAPACK's dsterf (root-free QR) takes the
+    two diagonals in O(m^2) time and O(m) memory.  Where numpy links no
+    dsterf, np.linalg.eigvalsh takes the dense matrix: its dsyevd reduces
+    it with reflectors that are all the identity, as it is already
+    tridiagonal, and then calls dsterf on the same d and e, so both paths
+    give the same bits.
+    """
+    if e.shape != (d.size - 1,):
+        raise ValueError(f"off-diagonal of shape {e.shape} for a diagonal of {d.size}")
+    dsterf = _dsterf()
+    if dsterf is None:
+        try:
+            return np.linalg.eigvalsh(np.diag(d) + np.diag(e, 1) + np.diag(e, -1))
+        except np.linalg.LinAlgError:
+            return None
+    lam, work, info = d.copy(), e.copy(), ctypes.c_int64()
+    dsterf(ctypes.byref(ctypes.c_int64(d.size)), lam, work, ctypes.byref(info))
+    return lam if info.value == 0 else None
+
+
 def _half_rules(n: int, deltas):
     """The nodes t >= 0 of the n-node Gauss-Gegenbauer rules in each delta, with their weights.
 
@@ -246,12 +290,12 @@ def _half_rules(n: int, deltas):
     (the recurrence's, Golub & Welsch, Math. Comp. 23, 1969) has a zero
     diagonal, so J^2 splits into its even- and odd-indexed halves, and the
     squares of the nodes t >= 0 are the eigenvalues of the even half, a
-    tridiagonal matrix of size ceil(n/2): one np.linalg.eigvalsh call over
-    the stack of rules gives the seeds.  The eigenvalues are accurate in t,
-    not in h = 1 - t near t = 1, so each rule takes Newton steps in h
-    (_newton_step) until every step is below NEWTON_TOL of h, one step from
-    every seed but the most extreme; a seed whose h rounds to 0 or below
-    starts from H_FLOOR.  The rule's weights, its Christoffel
+    tridiagonal matrix of size ceil(n/2): one _tridiagonal_eigenvalues call
+    per rule on its two diagonals gives the seeds.  The eigenvalues are
+    accurate in t, not in h = 1 - t near t = 1, so each rule takes Newton
+    steps in h (_newton_step) until every step is below NEWTON_TOL of h, one
+    step from every seed but the most extreme; a seed whose h rounds to 0
+    or below starts from H_FLOOR.  The rule's weights, its Christoffel
     numbers, must then sum to the weight's mass exp(log_mu0) within
     MASS_TOL relative: a certificate that every node and weight is there.
     A Gauss rule integrates constants exactly, so the weights are then
@@ -267,17 +311,21 @@ def _half_rules(n: int, deltas):
     off, ratio, log_mu0 = _jacobi_recurrence(n + 1, np.asarray(deltas, dtype=float) - 2.0)
     b = off.copy()
     b[:, n] = 0.0                   # J is n x n
-    j = np.arange(half)
-    T = np.zeros((G, half, half))
-    T[:, j, j] = b[:, 2 * j] ** 2 + b[:, 2 * j + 1] ** 2
-    T[:, j[1:], j[:-1]] = T[:, j[:-1], j[1:]] = b[:, 2 * j[:-1] + 1] * b[:, 2 * j[:-1] + 2]
-    lam = np.linalg.eigvalsh(T) if G else np.zeros((0, half))
+    # the even half of J^2: diagonal b_{2j}^2 + b_{2j+1}^2, off-diagonal b_{2j+1} b_{2j+2}
+    d = b[:, 0:2 * half:2] ** 2 + b[:, 1:2 * half:2] ** 2
+    e = b[:, 1:2 * half - 2:2] * b[:, 2:2 * half - 1:2]
+    lam = np.full((G, half), np.nan)
+    seeded = np.zeros(G, dtype=bool)
+    for g in range(G):
+        seeds = _tridiagonal_eigenvalues(d[g], e[g])
+        if seeds is not None:
+            lam[g], seeded[g] = seeds, True
     log_chr = np.full((G, half), np.nan)
     with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         h = np.maximum((1.0 - lam) / (1.0 + np.sqrt(np.maximum(lam, 0.0))), H_FLOOR)
         if n % 2:
             h[:, 0] = 1.0           # the middle node
-        todo, converged = np.arange(G), np.zeros(G, dtype=bool)
+        todo, converged = np.flatnonzero(seeded), np.zeros(G, dtype=bool)
         for _ in range(NEWTON_STEPS):
             if not todo.size:
                 break
@@ -293,7 +341,10 @@ def _half_rules(n: int, deltas):
     failed = []
     for g, delta in enumerate(deltas):
         where = f"Gauss-Jacobi rule with {n} nodes at delta={delta:.6g}"
-        if not inside[g]:
+        if not seeded[g]:
+            failed.append(QuadratureFailure(
+                f"{where}: the seeds' tridiagonal eigenvalues did not converge"))
+        elif not inside[g]:
             failed.append(QuadratureFailure(f"{where}: a node is not strictly inside (-1, 1)"))
         elif not converged[g]:
             failed.append(QuadratureFailure(

@@ -12,7 +12,6 @@ import contextlib
 import copy
 import ctypes
 import functools
-import importlib
 import json
 import math
 import sys
@@ -22,6 +21,7 @@ import numpy as np
 
 from . import calculus, emden, profiles, reduction, spectrum
 from .errors import CknError
+from .openblas import numpy_openblas
 from .params import (
     _K_GUARD,
     best_constant_radial,
@@ -418,10 +418,10 @@ def int_in(lo: int, hi: int):
 
 
 # --nodes, the trial functions of a mode pencil, the range the assembly is sized
-# for: at 2048, perturb --N 5 --alpha 1 takes 0.77 s and 213 MB, spectrum 0.56 s
-# and 212 MB, on the one BLAS thread of _one_blas_thread (in process, 2-vCPU
-# Intel Xeon VM); two threads took 0.63 and 0.43 s there for 1.5 times the
-# CPU, and at 1024 no less wall time (0.16 and 0.10 s)
+# for: at 2048, perturb --N 5 --alpha 1 takes 0.59 s and 204 MB, spectrum 0.42 s
+# and 203 MB, on the one BLAS thread of _one_blas_thread (first call in a fresh
+# process, 2-vCPU Intel Xeon VM); two threads took 0.47 and 0.36 s there for
+# 1.4 times the CPU, and at 1024 no less wall time (0.13 and 0.08 s)
 NODES_RANGE = spectrum.NODES_RANGE
 # --num-eigs: mode 0's checks read mu_1 to mu_3
 NUM_EIGS_RANGE = (3, 2048)
@@ -473,38 +473,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 @functools.cache
 def _blas_thread_functions():
-    """numpy's OpenBLAS (get, set) thread-count functions, or None where it links another BLAS.
-
-    dlsym on the handle of numpy's compiled extension also searches the
-    libraries that extension links, so the bundled OpenBLAS is found without
-    a path: scipy_openblas_*64_ in numpy 2 wheels, openblas_*64_ in numpy
-    1.26 wheels, plain openblas_* in a system build.
-    """
-    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-        except (ImportError, OSError, TypeError):
-            continue
-        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
-                     "openblas_{}_num_threads"):
-            get = getattr(lib, name.format("get"), None)
-            set_ = getattr(lib, name.format("set"), None)
-            if get is not None and set_ is not None:
-                get.restype, get.argtypes = ctypes.c_int, []
-                set_.restype, set_.argtypes = None, [ctypes.c_int]
-                return get, set_
-    return None
+    """numpy's OpenBLAS (get, set) thread-count functions, or None where it links another BLAS."""
+    found = numpy_openblas()
+    if found is None:
+        return None
+    lib, threads, _ = found
+    get, set_ = (getattr(lib, threads.format(x)) for x in ("get", "set"))
+    get.restype, get.argtypes = ctypes.c_int, []
+    set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return get, set_
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with numpy's OpenBLAS on one thread, then restore the count it had.
 
-    A report's BLAS and LAPACK calls (the m x (m+8) Gram products, the rule
-    seeds' dsyevd, the fixed point's products) are too small for a second
-    thread to save wall time up to 1024 trial functions, yet it busy-waits
-    after each call and so doubles a report's CPU.  Where numpy links
-    another BLAS the body runs unchanged.
+    A report's BLAS calls (the m x (m+8) Gram products, the fixed point's
+    products) are too small for a second thread to save wall time up to
+    1024 trial functions, yet it busy-waits after each call and so doubles a
+    report's CPU; the rule seeds' dsterf is serial code whichever the count.
+    Where numpy links another BLAS the body runs unchanged.
     """
     fns = _blas_thread_functions()
     if fns is None:

@@ -241,9 +241,12 @@ MASS_CUT = 1e-13
 # (3e-9).  Up to q = 20 the pencil's rule holds lambda* within 1e-10
 H_NODES_PER_Q = 10.0
 # the largest rule of the star-type integrals, 10 q at N = 3 and M = 1 079
-# (q = 1 077).  The seed matrix sets the rule build's memory, 0.23 GB there
-# (its build alone peaks at 476 MB RSS; perturb at (3, 1.998), a 10 000-node
-# rule, at 417 MB).  A larger rule is refused before it is built
+# (q = 1 077).  The rule build's time grows as n^2, its seeds' dsterf and its
+# Newton step alike: 0.93 s there (0.44 s seeds, 0.49 s Newton step), 3.2 s at
+# 20 001 nodes, and so about 5 minutes at the 200 001 of (3, 1.9999); its
+# memory grows as n, 22 MiB traced there.  perturb at (3, 1.998), a rule of
+# 10 000 nodes, takes 0.8 s and 57 MB.  A larger rule is refused before it is
+# built
 STAR_NODES_MAX = 10_770
 # ln s of the probe on which the weight's sign is checked besides the rule's
 # nodes, in steps of 1/4; it has no quadrature role

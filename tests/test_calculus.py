@@ -1,4 +1,10 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -6,6 +12,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import roots_legendre
 
+from ckn4 import calculus
 from ckn4.calculus import (
     JacobiRule,
     _log_mu0,
@@ -328,15 +335,132 @@ def test_jacobi_rule_integrates_its_mass(delta, n):
     assert abs(np.exp(rule.log_chr).sum() / np.exp(_log_mu0(delta - 2.0)) - 1.0) <= 1e-15
 
 
-def test_rule_build_memory_is_bounded():
-    # the Newton step forms its coefficients a block of degrees at a time and
-    # holds no table over all n degrees: at 4 000 nodes the build peaks at
-    # 39 MiB under tracemalloc, 31 MiB of it the seed matrix, where tables of
-    # h/off and t/off over the degrees took it to 153 MiB
+def _traced_peak(n, delta):
+    """Peak bytes under tracemalloc of JacobiRule.build(n, delta)."""
     tracemalloc.start()
     try:
-        JacobiRule.build(4000, 300.0)
+        JacobiRule.build(n, delta)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 50 * 2 ** 20
+    return peak
+
+
+def test_rule_build_memory_is_bounded():
+    # the Newton step forms its coefficients a block of degrees at a time and
+    # holds no table over all n degrees, and dsterf takes the seeds from the
+    # two diagonals: at 4 000 nodes the build peaks at 8.3 MiB under
+    # tracemalloc.  Tables of h/off and t/off over the degrees took it to
+    # 153 MiB, and the dense seed matrix, which eigvalsh still takes where
+    # numpy links no dsterf, to 39 MiB
+    limit = 16 if calculus._dsterf() is not None else 50
+    assert _traced_peak(4000, 300.0) <= limit * 2 ** 20
+
+
+def test_largest_star_rule_memory_is_bounded():
+    # reduction.STAR_NODES_MAX's rule, 10 770 nodes at delta = 538.5 (N = 3,
+    # M = 1 079): 22 MiB under tracemalloc, where its dense seed matrix took
+    # it to 243 MiB
+    if calculus._dsterf() is None:
+        pytest.skip("numpy links no dsterf: the seeds take the dense matrix")
+    assert _traced_peak(10_770, 538.5) <= 48 * 2 ** 20
+
+
+SEED_DELTAS = [1 + 1e-7, 1.3, 3.0, 19.5, 538.5, 6e5]
+
+
+@pytest.mark.parametrize("delta", SEED_DELTAS)
+@pytest.mark.parametrize("n", [64, 65, 168, 169, 408, 2056])
+def test_seeds_of_both_paths_give_the_same_rule(monkeypatch, n, delta):
+    # dsterf on the two diagonals and eigvalsh on the dense matrix, which
+    # numpy's dsyevd reduces to the same diagonals and hands to dsterf: the
+    # rules agree bit for bit
+    if calculus._dsterf() is None:
+        pytest.skip("numpy links no dsterf: eigvalsh is the only path")
+    lapack = JacobiRule.build(n, delta)
+    monkeypatch.setattr(calculus, "_dsterf", lambda: None)
+    dense = JacobiRule.build(n, delta)
+    assert np.array_equal(lapack.t, dense.t) and np.array_equal(lapack.log_chr, dense.log_chr)
+
+
+def test_stacked_seeds_of_both_paths_agree(monkeypatch):
+    # the same in one stacked _half_rules call of five rules
+    if calculus._dsterf() is None:
+        pytest.skip("numpy links no dsterf: eigvalsh is the only path")
+    lapack = calculus._half_rules(408, SEED_DELTAS[1:])
+    monkeypatch.setattr(calculus, "_dsterf", lambda: None)
+    h, log_chr, failed = calculus._half_rules(408, SEED_DELTAS[1:])
+    assert failed == lapack[2] == [None] * 5
+    assert np.array_equal(h, lapack[0]) and np.array_equal(log_chr, lapack[1])
+
+
+NO_SEEDS = "the seeds' tridiagonal eigenvalues did not converge"
+
+
+def test_dsterf_failure_refuses_its_rule(monkeypatch):
+    # a nonzero info from dsterf refuses that rule by name, and only that
+    # rule of a stack: the others keep their seeds and are built
+    dsterf = calculus._dsterf()
+    if dsterf is None:
+        pytest.skip("numpy links no dsterf")
+    calls = []
+
+    def second_fails(n, d, e, info):
+        calls.append(1)
+        dsterf(n, d, e, info)
+        if len(calls) == 2:
+            info._obj.value = 1
+
+    monkeypatch.setattr(calculus, "_dsterf", lambda: second_fails)
+    h, _, failed = calculus._half_rules(168, [1.3, 3.5, 19.5])
+    assert [f is None for f in failed] == [True, False, True]
+    assert str(failed[1]) == f"Gauss-Jacobi rule with 168 nodes at delta=3.5: {NO_SEEDS}"
+    assert np.isnan(h[1]).all() and not np.isnan(h[[0, 2]]).any()
+
+
+def test_eigvalsh_failure_is_a_typed_failure(monkeypatch):
+    # where numpy links no dsterf, eigvalsh's LinAlgError is the same typed
+    # refusal, not an escaping LinAlgError
+    def no_convergence(_):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(calculus, "_dsterf", lambda: None)
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_convergence)
+    with pytest.raises(QuadratureFailure, match=rf"^Gauss-Jacobi rule with 168 nodes at "
+                                                rf"delta=3\.5: {NO_SEEDS}$"):
+        JacobiRule.build(168, 3.5)
+
+
+def test_seeds_come_from_dsterf_where_numpy_links_openblas():
+    # a fresh interpreter: where numpy's LAPACK is an ILP64 OpenBLAS, the
+    # rules' seeds come from its dsterf and no rule calls np.linalg, so a
+    # numpy whose OpenBLAS renames the routine cannot quietly bring back the
+    # dense O(n^3) seeds
+    script = textwrap.dedent("""
+        import json
+        import numpy as np
+        from ckn4 import calculus
+        try:
+            lapack = np.show_config(mode="dicts")["Build Dependencies"]["lapack"]
+        except (KeyError, TypeError, ValueError):
+            lapack = {}
+        openblas = ("openblas" in lapack.get("name", "").lower()
+                    and "USE64BITINT" in lapack.get("openblas configuration", ""))
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigvalsh(*args, **kwargs)
+        np.linalg.eigvalsh = counted
+        calculus.JacobiRule.build(168, 3.5)
+        print(json.dumps([openblas, calculus._dsterf() is not None, len(calls)]))
+    """)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    openblas, found, eigvalsh_calls = json.loads(proc.stdout)
+    if not openblas:
+        pytest.skip("numpy's LAPACK is not an ILP64 OpenBLAS")
+    assert found and eigvalsh_calls == 0

@@ -907,23 +907,25 @@ def test_no_command_loads_scipy_optimize():
     # one fresh interpreter runs every command, spectral ones at the default
     # and at a larger --nodes too: none loads any scipy module (scipy.special
     # and scipy.linalg alone cost about 0.3 s and 30 MB of start-up), and so
-    # none loads scipy.optimize.  It counts the numpy eigensolver calls of
-    # each command too: the closed-form commands, run first, build no Gauss
-    # rule, so they make no LAPACK eigensolve (each costs a rule's dsyevd
-    # seed call, on the one BLAS thread every command runs on), and the
+    # none loads scipy.optimize.  It counts the eigensolver calls of each
+    # command too, numpy's and the Gauss rules' seed solver's (LAPACK's
+    # dsterf, or np.linalg.eigvalsh where numpy links none): the closed-form
+    # commands, run first, build no Gauss rule, so they make none, and the
     # spectral ones make some.  It counts the calls of the forms' eval as
     # well: no closed-form command samples a form, each checks its identities
     # and integrals exactly
     script = textwrap.dedent("""
         import contextlib, io, json, sys
         import numpy as np
+        from ckn4 import calculus
         from ckn4.forms import ExpForm, PowerForm
         calls, evals = [], []
-        for name in ("eig", "eigh", "eigvals", "eigvalsh"):
-            def counted(*args, _solve=getattr(np.linalg, name), **kwargs):
+        solvers = [(np.linalg, name) for name in ("eig", "eigh", "eigvals", "eigvalsh")]
+        for owner, name in solvers + [(calculus, "_tridiagonal_eigenvalues")]:
+            def counted(*args, _solve=getattr(owner, name), **kwargs):
                 calls.append(1)
                 return _solve(*args, **kwargs)
-            setattr(np.linalg, name, counted)
+            setattr(owner, name, counted)
         for cls in (PowerForm, ExpForm):
             def counted_eval(self, r, _eval=cls.eval):
                 evals.append(1)

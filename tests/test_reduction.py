@@ -523,9 +523,10 @@ def test_lambda_star_matches_composite_reference(N, a):
 
 @pytest.mark.parametrize("alpha, nodes", [("1.9982", 11112), ("1.999", 20001), ("1.9999", 200001)])
 def test_star_rule_is_refused_before_it_is_built(monkeypatch, alpha, nodes):
-    # at (3, 1.999), q = 2000, a rule of 10 q nodes would take an 800 MB
-    # seed matrix, and at (3, 1.9999) 80 GB: past STAR_NODES_MAX = 10 770
-    # (q = 1 077) the star rule is refused before it is built
+    # at (3, 1.999), q = 2000, a rule of 10 q nodes would take 3 s to build,
+    # and at (3, 1.9999) about 5 minutes, its build's time growing as n^2:
+    # past STAR_NODES_MAX = 10 770 (q = 1 077) the star rule is refused
+    # before it is built
     monkeypatch.setattr(JacobiRule, "build", classmethod(
         lambda cls, n, delta: pytest.fail(f"a {n}-node rule was built")))
     p = validate_params(3, alpha)
