@@ -2,7 +2,9 @@
 
 Every command runs a set of named checks against the central tolerance
 block and exits nonzero when any of them fails; reports carry the
-tolerances used and are byte-stable across runs.
+tolerances used and are byte-stable across runs.  Each command imports the
+modules it calls when it runs, so a closed-form report loads none of the
+spectral code; what the parser and TOLERANCES read comes from params.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from decimal import Decimal, InvalidOperation
 
 import numpy as np
 
-from . import calculus, emden, profiles, reduction, spectrum
 from .errors import CknError
 from .openblas import numpy_openblas
 from .params import (
     _K_GUARD,
+    KERNEL_TOL,
+    NODES_RANGE,
+    REFUSE_FACTOR,
     best_constant_radial,
     best_constant_radial_report,
     even_alpha_info,
@@ -39,9 +43,9 @@ TOLERANCES = {
     "el_residual": 1e-9,
     "transform_identity": 1e-7,
     "eigenvalue": 1e-4,
-    "kernel_match": spectrum.KERNEL_TOL,
+    "kernel_match": KERNEL_TOL,
     "remainder_window": 0.05,
-    "contraction": reduction.REFUSE_FACTOR,
+    "contraction": REFUSE_FACTOR,
     "perturb_residual": 1e-6,
     "biradial_residual": 1e-13,
 }
@@ -98,6 +102,8 @@ def load_h_csv(path: str):
 
 
 def _resolve_h(args):
+    from . import reduction
+
     if args.h_file:
         return load_h_csv(args.h_file)
     if args.h not in reduction.BUILTIN_H:
@@ -143,6 +149,8 @@ def cmd_constants(args) -> dict:
 
 
 def cmd_verify_extremal(args) -> dict:
+    from . import calculus, profiles
+
     p = validate_params(args.N, args.alpha)
     amp = None
     if args.perturb_amplitude != 1.0:
@@ -175,6 +183,8 @@ def cmd_verify_extremal(args) -> dict:
 
 
 def cmd_transform_check(args) -> dict:
+    from . import emden, profiles
+
     p = validate_params(args.N, args.alpha)
     out = []
     checks = []
@@ -192,6 +202,8 @@ def cmd_transform_check(args) -> dict:
 
 
 def cmd_spectrum(args) -> dict:
+    from . import spectrum
+
     p = validate_params(args.N, args.alpha)
     res = spectrum.mode_eigenvalues(p, args.mode, n_eigs=args.num_eigs, nodes=args.nodes)
     checks = []
@@ -216,6 +228,8 @@ def cmd_spectrum(args) -> dict:
 
 
 def cmd_kernel(args) -> dict:
+    from . import spectrum
+
     p = validate_params(args.N, args.alpha)
     rep = spectrum.verify_kernel(p, args.k_max, args.nodes)
     expected = even_alpha_info(p).kernel_dim
@@ -227,6 +241,8 @@ def cmd_kernel(args) -> dict:
 
 
 def cmd_remainder(args) -> dict:
+    from . import reduction, spectrum
+
     p = validate_params(args.N, args.alpha)
     res = spectrum.mode_eigenvalues(p, 0, n_eigs=4, nodes=args.nodes)
     mu2, mu3 = float(res.eigenvalues[1]), float(res.eigenvalues[2])
@@ -257,6 +273,8 @@ def cmd_remainder(args) -> dict:
 
 
 def cmd_perturb(args) -> dict:
+    from . import reduction
+
     p = validate_params(args.N, args.alpha)
     h = _resolve_h(args)
     pp = reduction.PerturbationProblem(p, h, args.eps, nodes=args.nodes)
@@ -285,6 +303,8 @@ def cmd_perturb(args) -> dict:
 
 
 def cmd_branch(args) -> dict:
+    from . import profiles
+
     rep = profiles.biradial_residual(profiles.nonradial_branch(args.N, args.a))
     identities = max(rep["laplacian_identity"], rep["gradient_identity"])
     tol = TOLERANCES["biradial_residual"]
@@ -417,12 +437,6 @@ def int_in(lo: int, hi: int):
     return parse
 
 
-# --nodes, the trial functions of a mode pencil, the range the assembly is sized
-# for: at 2048, perturb --N 5 --alpha 1 takes 0.59 s and 204 MB, spectrum 0.42 s
-# and 203 MB, on the one BLAS thread of _one_blas_thread (first call in a fresh
-# process, 2-vCPU Intel Xeon VM); two threads took 0.47 and 0.36 s there for
-# 1.4 times the CPU, and at 1024 no less wall time (0.13 and 0.08 s)
-NODES_RANGE = spectrum.NODES_RANGE
 # --num-eigs: mode 0's checks read mu_1 to mu_3
 NUM_EIGS_RANGE = (3, 2048)
 # --mode and --k-max: the spherical-harmonic degrees params.spherical_multiplicity takes

@@ -49,6 +49,22 @@ __all__ = [
 _EVEN_TOL = 1e-12
 _K_GUARD = 20
 
+# The tolerances and ranges the command line reads when it starts, kept here
+# so that it loads neither spectrum nor reduction to read them.
+# --nodes, the trial functions of a mode pencil: the smallest the assembly
+# takes, and the largest the command line takes.  At 2048, perturb --N 5
+# --alpha 1 takes 0.59 s and 204 MB, spectrum 0.42 s and 203 MB, on the one
+# BLAS thread of cli._one_blas_thread (first call in a fresh process, 2-vCPU
+# Intel Xeon VM); two threads took 0.47 and 0.36 s there for 1.4 times the
+# CPU, and at 1024 no less wall time (0.13 and 0.08 s)
+NODES_RANGE = (64, 2048)
+# a mode holds the eigenvalue p*-1 when one of its KERNEL_EIGS smallest
+# eigenvalues is within KERNEL_TOL of it, relative (spectrum.verify_kernel)
+KERNEL_TOL = 1e-3
+# observed contraction factor at which the fixed point is refused: the
+# perturbation is too large for it (ContractionFailure, reduction)
+REFUSE_FACTOR = 0.9
+
 
 @dataclass(frozen=True)
 class Params:

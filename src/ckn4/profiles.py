@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.polynomial import polyder, polyval2d
 
 from .errors import (
     DimensionTooSmall,
@@ -252,6 +251,8 @@ class BiradialProfile:
     form: PowerForm
 
     def rho_at(self, t1, t2):
+        from numpy.polynomial.polynomial import polyval2d
+
         u, w = np.broadcast_arrays(np.square(t1, dtype=float), np.square(t2, dtype=float))
         return polyval2d(u, w, self.rho)
 
@@ -285,6 +286,12 @@ def _polymul2(*factors) -> np.ndarray:
             prod[i:, j:] += f[i, j] * out[:5 - i, :5 - j]
         out = prod
     return out
+
+
+def _derivative(c: np.ndarray, axis: int) -> np.ndarray:
+    """d/du (axis 0) or d/dw (axis 1) of an array [i, j] of u^i w^j, as polyder's products."""
+    k = np.arange(1.0, c.shape[axis])
+    return k[:, None] * c[1:] if axis == 0 else c[:, 1:] * k
 
 
 def _finite(profile: BiradialProfile, name: str, coeffs: np.ndarray) -> None:
@@ -325,8 +332,8 @@ def biradial_residual(profile: BiradialProfile) -> dict:
     rel_sup = _equation_defect(form.e0, p.gamma_exp, p.N, profile.pstar,
                                _source(p, coef / normalization_constant(p)))
     u, w, S = np.array([[0.0], [1.0]]), np.array([[0.0, 1.0]]), np.array([[0.0, 1.0], [1.0, 0.0]])
-    ru, rw = (polyder(c, 1, axis=k) for k in (0, 1))
-    ruu, rww = (polyder(c, 2, axis=k) for k in (0, 1))
+    ru, rw = (_derivative(c, k) for k in (0, 1))
+    ruu, rww = _derivative(ru, 0), _derivative(rw, 1)
     laplacian = _identity_defect(profile, "the Laplacian identity", [
         (4.0, u, ruu), (p.N, ru), (4.0, w, rww), (p.N, rw), (-4.0 * (p.N + 2.0), S)])
     gradient = _identity_defect(profile, "the gradient identity", [

@@ -51,12 +51,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
 
 from .calculus import JacobiRule
 from .errors import (ContractionFailure, EigensolveFailure, MOutOfRange, NoInteriorExtremum,
                      QuadratureFailure)
-from .params import Params, normalization_constant, sphere_area
+from .params import REFUSE_FACTOR, Params, normalization_constant, sphere_area
 from .spectrum import (ModeProblem, SpectrumResult, _assembled, _log_s, _solve_pencil,
                        _solve_pencil_cut)
 
@@ -225,9 +224,6 @@ STEP_FLOOR_ULPS = 64.0
 STEP_TOL = 1e-10
 # sweeps of the fixed point before a scale stops unconverged
 MAX_ITER = 100
-# observed contraction factor at which the fixed point is refused: the
-# perturbation is too large for it (ContractionFailure)
-REFUSE_FACTOR = 0.9
 # smallest mass, relative to the largest, of a Legendre direction the
 # perturbation's working basis keeps where the diagonal basis does not fix
 # (U + w)/U pointwise (PerturbationProblem)
@@ -614,6 +610,8 @@ def find_perturbed_solution(pp: PerturbationProblem) -> dict:
     polish_l_ratio is |l(lambda*)| over the larger |l| at the bracket's
     ends.
     """
+    from numpy.polynomial.chebyshev import Chebyshev
+
     curve = solve_corrections(pp, CURVE_SCALES)
     gammas = np.array([res.energy for res in curve])
     dev = np.abs(gammas - pp.unperturbed_energy)

@@ -53,6 +53,8 @@ from .calculus import JacobiRule, _degree_blocks, _jacobi_recurrence, _jacobi_ru
 from .errors import (CknError, EigensolveFailure, GridTooCoarse, InconsistentKernel,
                      QuadratureFailure)
 from .params import (
+    KERNEL_TOL,
+    NODES_RANGE,
     Params,
     even_alpha_info,
     mode_lambda,
@@ -299,9 +301,6 @@ def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, P):
     return rows_stiff @ rows_stiff.T, rows_mass @ rows_mass.T
 
 
-# --nodes, the trial functions of a mode pencil: the smallest the assembly takes,
-# and the largest the command line takes
-NODES_RANGE = (64, 2048)
 # the most basis rows one assembly pass stacks: one mode's two (m, m+8) blocks,
 # of p and p', at the largest node count, so a pass over several modes holds no
 # more rows than a single mode does there
@@ -511,9 +510,7 @@ def _read_spectrum(pr: ModeProblem, n_eigs: int) -> SpectrumResult:
                           diagnostics=diagnostics)
 
 
-# a mode holds the eigenvalue p*-1 when one of its KERNEL_EIGS smallest
-# eigenvalues is within KERNEL_TOL of it, relative
-KERNEL_TOL = 1e-3
+# the smallest eigenvalues of a mode searched for p*-1 (KERNEL_TOL, params)
 KERNEL_EIGS = 8
 
 

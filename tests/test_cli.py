@@ -903,6 +903,21 @@ def test_readme_examples_parse():
         assert parser.parse_args(argv[1:]).command == argv[1]
 
 
+# the ckn4 modules each command loads beyond those of `import ckn4.cli`
+# (ckn4, cli, params, errors, openblas); only perturb loads numpy.polynomial
+CLI_MODULES = {"ckn4", "ckn4.cli", "ckn4.errors", "ckn4.openblas", "ckn4.params"}
+COMMAND_MODULES = {
+    "constants": set(),
+    "verify-extremal": {"calculus", "forms", "profiles"},
+    "transform-check": {"calculus", "forms", "profiles", "emden"},
+    "branch": {"forms", "profiles"},
+    "spectrum": {"calculus", "spectrum"},
+    "kernel": {"calculus", "spectrum"},
+    "remainder": {"calculus", "spectrum", "reduction"},
+    "perturb": {"calculus", "spectrum", "reduction"},
+}
+
+
 def test_no_command_loads_scipy_optimize():
     # one fresh interpreter runs every command, spectral ones at the default
     # and at a larger --nodes too: none loads any scipy module (scipy.special
@@ -913,35 +928,67 @@ def test_no_command_loads_scipy_optimize():
     # commands, run first, build no Gauss rule, so they make none, and the
     # spectral ones make some.  It counts the calls of the forms' eval as
     # well: no closed-form command samples a form, each checks its identities
-    # and integrals exactly
+    # and integrals exactly.  It records the ckn4 modules loaded after
+    # `import ckn4.cli` and after each command, and whether numpy.polynomial
+    # is: each command adds only the modules it calls (COMMAND_MODULES), so
+    # calculus and forms are counted from the moment a command loads them,
+    # and perturb, run last, is the one that loads numpy.polynomial
     script = textwrap.dedent("""
-        import contextlib, io, json, sys
+        import contextlib, importlib.machinery, io, json, sys
         import numpy as np
-        from ckn4 import calculus
-        from ckn4.forms import ExpForm, PowerForm
         calls, evals = [], []
         solvers = [(np.linalg, name) for name in ("eig", "eigh", "eigvals", "eigvalsh")]
-        for owner, name in solvers + [(calculus, "_tridiagonal_eigenvalues")]:
+
+        def count_calls(owner, name):
             def counted(*args, _solve=getattr(owner, name), **kwargs):
                 calls.append(1)
                 return _solve(*args, **kwargs)
             setattr(owner, name, counted)
-        for cls in (PowerForm, ExpForm):
-            def counted_eval(self, r, _eval=cls.eval):
-                evals.append(1)
-                return _eval(self, r)
-            cls.eval = counted_eval
+
+        def count_evals(forms):
+            for cls in (forms.PowerForm, forms.ExpForm):
+                def counted_eval(self, r, _eval=cls.eval):
+                    evals.append(1)
+                    return _eval(self, r)
+                cls.eval = counted_eval
+
+        for owner, name in solvers:
+            count_calls(owner, name)
+        on_load = {"ckn4.calculus": lambda m: count_calls(m, "_tridiagonal_eigenvalues"),
+                   "ckn4.forms": count_evals}
+
+        class CountOnLoad:
+            # counts a module's calls from its load on, whichever command loads it
+            @staticmethod
+            def find_spec(name, path, target=None):
+                if name not in on_load:
+                    return None
+                spec = importlib.machinery.PathFinder.find_spec(name, path)
+                run = spec.loader.exec_module
+                def exec_module(module):
+                    run(module)
+                    on_load[name](module)
+                spec.loader.exec_module = exec_module
+                return spec
+
+        sys.meta_path.insert(0, CountOnLoad)
+
+        def footprint():
+            return (sorted(m for m in sys.modules if m == "ckn4" or m.startswith("ckn4.")),
+                    "numpy.polynomial" in sys.modules)
+
         from ckn4.cli import main
+        start = footprint()
         runs = [
+            ["branch", "--N", "8", "--a", "0.3"],
             ["constants", "--N", "5", "--alpha", "1"],
             ["verify-extremal", "--N", "5", "--alpha", "1"],
             ["transform-check", "--N", "5", "--alpha", "1"],
-            ["branch", "--N", "8", "--a", "0.3"],
             ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "96"],
             ["spectrum", "--N", "5", "--alpha", "1", "--nodes", "500"],
             ["kernel", "--N", "5", "--alpha", "1", "--k-max", "2", "--nodes", "96"],
-            ["perturb", "--N", "5", "--alpha", "1", "--nodes", "160"],
             ["remainder", "--N", "5", "--alpha", "1", "--nodes", "96", "--t-values", "0.01"],
+            ["perturb", "--N", "5", "--alpha", "1", "--nodes", "160"],
         ]
         out = []
         for argv in runs:
@@ -949,8 +996,9 @@ def test_no_command_loads_scipy_optimize():
             with contextlib.redirect_stdout(io.StringIO()):
                 code = main(argv)
             loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-            out.append([argv[0], code, loaded, len(calls) - before, len(evals) - evals_before])
-        print(json.dumps(out))
+            out.append([argv[0], code, loaded, len(calls) - before, len(evals) - evals_before,
+                        *footprint()])
+        print(json.dumps([start, out]))
     """)
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
@@ -958,13 +1006,19 @@ def test_no_command_loads_scipy_optimize():
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    rows = json.loads(proc.stdout)
-    assert [code for _, code, _, _, _ in rows] == [0] * len(rows)
-    assert [(name, mods) for name, _, mods, _, _ in rows if mods] == []
+    start, rows = json.loads(proc.stdout)
+    assert [code for _, code, *_ in rows] == [0] * len(rows)
+    assert [(name, mods) for name, _, mods, *_ in rows if mods] == []
     closed_form = {"constants": 0, "verify-extremal": 0, "transform-check": 0, "branch": 0}
-    assert {name: n for name, _, _, n, _ in rows[:4]} == closed_form
-    assert {name: n for name, _, _, _, n in rows[:4]} == closed_form
-    assert all(n > 0 for _, _, _, n, _ in rows[4:])
+    assert {name: n for name, _, _, n, *_ in rows[:4]} == closed_form
+    assert {name: n for name, _, _, _, n, *_ in rows[:4]} == closed_form
+    assert all(n > 0 for _, _, _, n, *_ in rows[4:])
+    assert start == [sorted(CLI_MODULES), False]
+    loaded, expected = set(CLI_MODULES), []
+    for name, *_ in rows:
+        loaded |= {f"ckn4.{m}" for m in COMMAND_MODULES[name]}
+        expected.append([name, sorted(loaded), name == "perturb"])
+    assert [[name, *footprint] for name, _, _, _, _, *footprint in rows] == expected
 
 
 def test_each_command_runs_blas_on_one_thread():

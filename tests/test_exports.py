@@ -24,8 +24,24 @@ def test_all_names_resolve(module):
 
 
 def test_package_names_are_exported_by_their_module():
-    # what ckn4/__init__.py re-exports is each in its module's __all__
-    exported = {name for m in EXPORTING for name in m.__all__}
-    public = {name for name, value in vars(ckn4).items()
-              if not name.startswith("_") and not isinstance(value, type(ckn4))}
-    assert public - exported == set()
+    # each name ckn4.__all__ lists resolves through the package, on first
+    # access, to the object of the module whose __all__ exports it
+    owners = {name: m for m in EXPORTING for name in m.__all__}
+    assert len(set(ckn4.__all__)) == len(ckn4.__all__) == 31
+    assert [name for name in ckn4.__all__ if name not in owners] == []
+    for name in ckn4.__all__:
+        assert ckn4.__getattr__(name) is getattr(owners[name], name), name
+        assert getattr(ckn4, name) is getattr(owners[name], name), name
+    assert set(ckn4.__all__) <= set(dir(ckn4))
+
+
+def test_package_resolves_each_module():
+    # ckn4.<module> resolves to the module itself through the package's
+    # __getattr__, the path an access takes before the module is imported
+    for m in MODULES:
+        name = m.__name__.rpartition(".")[2]
+        assert ckn4.__getattr__(name) is m
+        assert getattr(ckn4, name) is m
+        assert name in dir(ckn4)
+    with pytest.raises(AttributeError):
+        ckn4.__getattr__("no_such_name")

@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from numpy.polynomial.polynomial import polyval2d
+from numpy.polynomial.polynomial import polyder, polyval2d
 
 from ckn4.errors import (
     DimensionTooSmall,
@@ -16,6 +16,7 @@ from ckn4.errors import (
 from ckn4.params import normalization_constant, validate_params
 from ckn4.profiles import (
     PolyGaussProfile,
+    _derivative,
     _radial_T,
     dilation_tangent,
     el_residual_sup,
@@ -251,6 +252,19 @@ def test_biradial_residual_converges():
         assert sups[1] < 1e-3
         order = math.log2(sups[0] / sups[1])
         assert order >= 2.0
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+@pytest.mark.parametrize("a", [0.0, 0.3, -0.45, 1e150])
+def test_rho_derivatives_are_polyders_bits(a, axis):
+    # biradial_residual's first and second derivatives of rho's coefficients
+    # are numpy's polyder, bit for bit, at a = 1e150 too, where a^2 overflows
+    c = nonradial_branch(8, a).rho
+    first = _derivative(c, axis)
+    for got, want in ((first, polyder(c, 1, axis=axis)),
+                      (_derivative(first, axis), polyder(c, 2, axis=axis))):
+        assert got.shape == want.shape
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 @functools.cache
