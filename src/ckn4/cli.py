@@ -116,7 +116,7 @@ def _resolve_h(args):
 
 def cmd_constants(args) -> dict:
     p = validate_params(args.N, args.alpha)
-    form_a, form_b = sobolev_constant_C_forms(p.M)
+    form_a, form_b = sobolev_constant_C_forms(p)
     rep = best_constant_radial_report(p)
     info = even_alpha_info(p)
     gap = abs(form_a - form_b) / abs(form_a)

@@ -30,8 +30,8 @@ def sobolev_bubble(p: Params, lam: float = 1.0, amplitude: float | None = None) 
     """
     A = normalization_constant(p) if amplitude is None else float(amplitude)
     nu = lam ** (1.0 / p.q)
-    coef = A * nu ** ((p.M - 4.0) / 2.0)
-    form = PowerForm.single(2.0, nu * nu, -(p.M - 4.0) / 2.0, coef=coef)
+    coef = A * nu ** (p.M_minus_4 / 2.0)
+    form = PowerForm.single(2.0, nu * nu, -p.M_minus_4 / 2.0, coef=coef)
     return RadialProfile(params=p, kind=ProfileKind.CUSTOM, lam=lam, amplitude=A, form=form)
 
 

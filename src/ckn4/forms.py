@@ -125,13 +125,10 @@ class PowerForm:
                 out[key] = out.get(key, 0.0) + ce
         return PowerForm(g, w, self.e0, out)._compact()
 
-    def radial_laplacian(self, N: float, lam_k: float = 0.0) -> "PowerForm":
-        """f'' + (N-1) f'/r - lam_k f/r^2."""
+    def radial_laplacian(self, N: float) -> "PowerForm":
+        """f'' + (N-1) f'/r."""
         d1 = self.deriv()
-        out = d1.deriv() + d1.mul_rpow(b=1).scaled(N - 1.0)
-        if lam_k:
-            out = out + self.mul_rpow(b=2).scaled(-lam_k)
-        return out
+        return d1.deriv() + d1.mul_rpow(b=1).scaled(N - 1.0)
 
     def substitute(self, q: float) -> "PowerForm":
         """The form in s, r = s^q: r^(a*g-b) = s^(a*q*g - q*b)."""

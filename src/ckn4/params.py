@@ -1,7 +1,8 @@
 """Validated problem parameters and closed-form constants.
 
 The weighted inequality lives in dimension N >= 3 with weight exponent
-alpha in (4-N, 2).  Everything else is algebra on top of that pair:
+alpha in (4-N, 2).  Everything else is algebra on top of that pair, formed
+once by validate_params, with N-4+alpha, 2-alpha and M-4, as Params fields:
 
     p* = 2(N-alpha)/(N-4+alpha)      critical exponent
     q  = 2/(2-alpha)                 radial substitution exponent, r = s^q
@@ -44,9 +45,9 @@ __all__ = [
     "mode_lambda",
     "spherical_multiplicity",
     "sphere_area",
+    "paneitz_product",
 ]
 
-_EVEN_TOL = 1e-12
 _K_GUARD = 20
 
 # The tolerances and ranges the command line reads when it starts, kept here
@@ -68,26 +69,21 @@ REFUSE_FACTOR = 0.9
 
 @dataclass(frozen=True)
 class Params:
-    """Validated (N, alpha) pair with derived exponents."""
+    """Validated (N, alpha) pair with the exponents and differences built on it.
+
+    alpha_exact is alpha exactly as given, whatever its type; alpha is the
+    float nearest it, and every later field is formed from that float.
+    """
 
     N: int
     alpha: float
+    alpha_exact: Fraction
     pstar: float
     q: float
     M: float
-    # exact rational alpha when the caller supplied one (CLI decimal strings);
-    # used for exact even-integer detection, not for arithmetic
-    alpha_exact: Fraction | None = None
-
-    @property
-    def gamma_exp(self) -> float:
-        """Power 2 - alpha appearing in every profile."""
-        return 2.0 - self.alpha
-
-    @property
-    def decay_exp(self) -> float:
-        """Power N - 4 + alpha governing extremal decay."""
-        return self.N - 4.0 + self.alpha
+    decay_exp: float       # N - 4 + alpha, governing the extremal's decay
+    gamma_exp: float       # 2 - alpha, the power of r in every profile
+    M_minus_4: float       # M - 4, the effective dimension's distance from 4
 
 
 @dataclass(frozen=True)
@@ -100,38 +96,48 @@ class EvenAlphaInfo:
     kernel_dim: int
 
 
-def _coerce_alpha(alpha) -> tuple[float, Fraction | None]:
-    if isinstance(alpha, Fraction):
-        return float(alpha), alpha
-    if isinstance(alpha, Decimal):
-        return float(alpha), Fraction(alpha)
-    if isinstance(alpha, str):
-        return float(alpha), Fraction(Decimal(alpha))
-    if isinstance(alpha, (int, np.integer)):
-        return float(alpha), Fraction(int(alpha))
-    return float(alpha), None
+def _rational(x) -> Fraction | None:
+    """x exactly, or None where it is no real number within the float range.
+
+    A str is read as the decimal it spells; a numpy longdouble is rounded to a float.
+    """
+    try:
+        try:
+            r = Fraction(Decimal(x) if isinstance(x, str) else x)
+        except TypeError:  # numpy floats other than float64, which Fraction does not take
+            r = Fraction(float(x))
+        float(r)
+    except (ArithmeticError, TypeError, ValueError):
+        return None
+    # plain ints: a numpy integer would stay one inside the Fraction, and wrap
+    return r if type(r.numerator) is int else Fraction(int(r.numerator), int(r.denominator))
 
 
 def validate_params(N, alpha) -> Params:
-    """Validate (N, alpha) and populate the derived exponents.
+    """Validate (N, alpha) and form alpha, the derived exponents and the differences.
 
-    Raises DimensionTooSmall for N < 3 and AlphaOutOfRange outside the
-    open interval (4-N, 2).
+    Raises DimensionTooSmall for an N that is below 3 or no integer within the
+    float range, and AlphaOutOfRange for an alpha that is no number within
+    the float range or lies outside the open interval (4-N, 2).
     """
-    if not isinstance(N, (int, np.integer)):
-        if float(N) != int(N):
-            raise DimensionTooSmall(f"N must be an integer, got {N!r}")
-        N = int(N)
-    N = int(N)
+    n = _rational(N)
+    if n is None or n.denominator != 1:
+        raise DimensionTooSmall(f"N must be an integer within the float range, got {N!r}")
+    N = int(n)
     if N < 3:
         raise DimensionTooSmall(f"need N >= 3, got N={N}")
-    a, a_exact = _coerce_alpha(alpha)
-    if not np.isfinite(a) or a <= 4 - N or a >= 2:
+    alpha_exact = _rational(alpha)
+    if alpha_exact is None:
+        raise AlphaOutOfRange(f"need {4 - N} < alpha < 2, got alpha={alpha}")
+    a = float(alpha_exact)
+    if a <= 4 - N or a >= 2:
         raise AlphaOutOfRange(f"need {4 - N} < alpha < 2, got alpha={a}")
-    pstar = 2.0 * (N - a) / (N - 4.0 + a)
-    q = 2.0 / (2.0 - a)
-    M = 2.0 * (N - a) / (2.0 - a)
-    return Params(N=N, alpha=a, pstar=pstar, q=q, M=M, alpha_exact=a_exact)
+    decay_exp = N - 4.0 + a
+    gamma_exp = 2.0 - a
+    M = 2.0 * (N - a) / gamma_exp
+    return Params(N=N, alpha=a, alpha_exact=alpha_exact, pstar=2.0 * (N - a) / decay_exp,
+                  q=2.0 / gamma_exp, M=M, decay_exp=decay_exp, gamma_exp=gamma_exp,
+                  M_minus_4=M - 4.0)
 
 
 def sphere_area(N: int) -> float:
@@ -142,15 +148,21 @@ def sphere_area(N: int) -> float:
     return value
 
 
-def sobolev_constant_C_forms(M: float) -> tuple[float, float]:
-    """Both printed forms of the sharp one-dimensional constant C(M).
+def paneitz_product(M, M_minus_4):
+    """(M-4)(M-2)M(M+2), the Paneitz constant in dimension M, given M and M - 4."""
+    return M_minus_4 * (M - 2.0) * M * (M + 2.0)
+
+
+def sobolev_constant_C_forms(p: Params) -> tuple[float, float]:
+    """Both printed forms of the sharp one-dimensional constant C(M) at p's M.
 
     They are algebraically identical; returning both supports the
     consistency check.
     """
-    if M <= 4:
+    M = p.M
+    if p.M_minus_4 <= 0:
         raise MOutOfRange(f"need M > 4, got M={M}")
-    poly = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
+    poly = paneitz_product(M, p.M_minus_4)
     main = float(poly * np.exp((4.0 / M) * (2.0 * math.lgamma(0.5 * M) - math.log(2.0)
                                             - math.lgamma(M))))
     # pi^2 * poly * (Gamma(M/2)/Gamma(M))^{4/M} * (2 pi^{M/2}/Gamma(M/2))^{-4/M}
@@ -163,16 +175,16 @@ def sobolev_constant_C_forms(M: float) -> tuple[float, float]:
     return main, float(np.exp(log_alt))
 
 
-def sobolev_constant_C(M: float) -> float:
-    """Sharp constant C(M) = (M-4)(M-2)M(M+2) [Gamma(M/2)^2 / (2 Gamma(M))]^{4/M}."""
-    return sobolev_constant_C_forms(M)[0]
+def sobolev_constant_C(p: Params) -> float:
+    """Sharp constant C(M) = (M-4)(M-2)M(M+2) [Gamma(M/2)^2 / (2 Gamma(M))]^{4/M} at p's M."""
+    return sobolev_constant_C_forms(p)[0]
 
 
 def fourth_order_sobolev_constant(M: float) -> float:
     """Sharp constant of the unweighted fourth-order Sobolev inequality in R^M."""
     if M <= 4:
         raise MOutOfRange(f"need M > 4, got M={M}")
-    poly = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
+    poly = paneitz_product(M, M - 4.0)
     return float(math.pi ** 2 * poly * np.exp((4.0 / M) * (math.lgamma(0.5 * M) - math.lgamma(M))))
 
 
@@ -185,8 +197,8 @@ def best_constant_radial(p: Params) -> float:
     denominator N-4 instead of N-alpha; that variant is reported for
     comparison, never used.
     """
-    pref = p.q ** (-(3.0 + (p.M - 4.0) / p.M))
-    return pref * sphere_area(p.N) ** (1.0 - 2.0 / p.pstar) * sobolev_constant_C(p.M)
+    pref = p.q ** (-(3.0 + p.M_minus_4 / p.M))
+    return pref * sphere_area(p.N) ** (1.0 - 2.0 / p.pstar) * sobolev_constant_C(p)
 
 
 def best_constant_radial_report(p: Params) -> dict:
@@ -200,8 +212,8 @@ def best_constant_radial_report(p: Params) -> dict:
         printed = None
         deviation = None
     else:
-        pref = ((2.0 - p.alpha) / 2.0) ** ((4.0 * p.N - 4.0 - 2.0 * p.alpha) / (p.N - 4.0))
-        printed = pref * sphere_area(p.N) ** ((4.0 - 2.0 * p.alpha) / (p.N - p.alpha)) * sobolev_constant_C(p.M)
+        pref = (p.gamma_exp / 2.0) ** ((4.0 * p.N - 4.0 - 2.0 * p.alpha) / (p.N - 4.0))
+        printed = pref * sphere_area(p.N) ** (2.0 * p.gamma_exp / (p.N - p.alpha)) * sobolev_constant_C(p)
         deviation = abs(printed - value) / value
     return {
         "value": value,
@@ -212,13 +224,13 @@ def best_constant_radial_report(p: Params) -> dict:
 
 def source_constant(p: Params) -> float:
     """K = C^{p*-2} = (N-4+a)(N-2)(N-a)(N+2-2a): moderate where C is not."""
-    return (p.N - 4.0 + p.alpha) * (p.N - 2.0) * (p.N - p.alpha) * (p.N + 2.0 - 2.0 * p.alpha)
+    return p.decay_exp * (p.N - 2.0) * (p.N - p.alpha) * (p.N + 2.0 - 2.0 * p.alpha)
 
 
 def normalization_constant(p: Params) -> float:
     """Amplitude making the extremal profile an exact solution of the equation."""
     try:
-        return source_constant(p) ** ((p.N - 4.0 + p.alpha) / (8.0 - 4.0 * p.alpha))
+        return source_constant(p) ** (p.decay_exp / (4.0 * p.gamma_exp))
     except OverflowError:
         raise MOutOfRange(
             f"normalization constant at N={p.N}, alpha={p.alpha} (M={p.M:.6g}) "
@@ -249,28 +261,19 @@ def mode_lambda(k: int, N: int) -> tuple[float, int]:
 def even_alpha_info(p: Params) -> EvenAlphaInfo:
     """Detect alpha = -2(k-1) and report the kernel dimension.
 
-    When the Params carry an exact rational alpha the detection is exact;
-    otherwise it uses the absolute tolerance _EVEN_TOL.
+    The detection is exact, on p.alpha_exact: a float alpha near an even
+    integer but not equal to it is not the even case.
     """
-    k = None
-    if p.alpha_exact is not None:
-        a = p.alpha_exact
-        if a.denominator == 1 and a <= 0 and (-a.numerator) % 2 == 0:
-            # alpha = -2(k-1)  <=>  k = 1 - alpha/2
-            k = 1 + (-int(a)) // 2
-    else:
-        nearest = round(p.alpha)
-        if abs(p.alpha - nearest) <= _EVEN_TOL and nearest <= 0 and nearest % 2 == 0:
-            k = 1 + (-nearest) // 2
-    if k is None or k < 1:
+    a = p.alpha_exact
+    if a.denominator != 1 or a > 0 or a.numerator % 2:
         return EvenAlphaInfo(is_even_case=False, k=None, multiplicity=None, kernel_dim=1)
+    # alpha = -2(k-1)  <=>  k = 1 - alpha/2
+    k = 1 - a.numerator // 2
     mult = spherical_multiplicity(k, p.N)
     return EvenAlphaInfo(is_even_case=True, k=k, multiplicity=mult, kernel_dim=1 + mult)
 
 
-def require_even_case(p: Params, k: int) -> EvenAlphaInfo:
+def require_even_case(p: Params, k: int) -> None:
     """Assert alpha = -2(k-1) for the requested k, else NotEvenCase."""
-    info = even_alpha_info(p)
-    if not info.is_even_case or info.k != k:
+    if even_alpha_info(p).k != k:
         raise NotEvenCase(f"alpha={p.alpha} is not -2(k-1) for k={k}")
-    return info

@@ -98,7 +98,7 @@ def _lobatto(xa: float, xb: float) -> np.ndarray:
     return 0.5 * (xa + xb) - 0.5 * (xb - xa) * np.cos(np.pi * k / (POLISH_POINTS - 1))
 
 
-def _bracketed_root(cheb: Chebyshev, x_near: float) -> float | None:
+def _bracketed_root(cheb: np.polynomial.Chebyshev, x_near: float) -> float | None:
     """The real root of cheb in its domain nearest x_near, or None if it has none.
 
     The roots are the eigenvalues of the colleague matrix (numpy's
@@ -185,7 +185,7 @@ def remainder_curve(res: SpectrumResult, t_values) -> list[dict]:
     # tau U_1 = c0 b1 psi_1 and tau^2 U_1 = c0 b1 (b2 psi_2 + b1 psi_0): ||T||^2/||U_1||^2
     # = a^2 b1^2 A_11/A_00, and <w, d^2U/dx^2>/||U_1|| = (a^2 + a/q) b1 b2 sqrt(A_22/A_00)
     b1, b2 = float(fam.off[1]), float(fam.off[2])
-    a = (p.M - 4.0) / (2.0 * p.q)
+    a = p.M_minus_4 / (2.0 * p.q)
     tangent_sq = a * a * b1 * b1 * a11 / a00
     bend = (a * a + a / p.q) * b1 * b2 * math.sqrt(a22 / a00)
     rule = pr.grid
@@ -343,7 +343,7 @@ class PerturbationProblem:
         self.norm0 = self.scale * c0 * c0 * float(A[0, 0])
         # dilation tangent at scale 1 on the s side: -a t U_1 = -a c0 off[1] psi_1,
         # a = (N-4+alpha)/2
-        c1 = c0 * (p.N - 4.0 + p.alpha) / 2.0 * float(fam.off[1])
+        c1 = c0 * p.decay_exp / 2.0 * float(fam.off[1])
         self.d = -self.scale * c1 * XtA1
 
         # at 160 trial functions the rule's nodes reach only |ln s| < 6; the

@@ -58,6 +58,7 @@ from .params import (
     Params,
     even_alpha_info,
     mode_lambda,
+    paneitz_product,
     sphere_area,
 )
 
@@ -267,10 +268,9 @@ class ModeProblem:
         return sphere_area(p.N) / p.q ** 3
 
 
-def _log_potential(M: float, one_minus_t: np.ndarray) -> np.ndarray:
+def _log_potential(p: Params, one_minus_t: np.ndarray) -> np.ndarray:
     """ln of the sharp potential (M-4)(M-2)M(M+2) (1+s^2)^{-4} = P4 ((1-t)/2)^4."""
-    P4 = (M - 4.0) * (M - 2.0) * M * (M + 2.0)
-    return math.log(P4) + 4.0 * np.log(0.5 * one_minus_t)
+    return math.log(paneitz_product(p.M, p.M_minus_4)) + 4.0 * np.log(0.5 * one_minus_t)
 
 
 def _log_s(rule: JacobiRule) -> np.ndarray:
@@ -294,10 +294,10 @@ def _log_row_scale(rule: JacobiRule) -> np.ndarray:
     return 0.5 * rule.log_chr + 2.0 * _log_s(rule)
 
 
-def _gram_matrices(basis: ModeBasis, rule: JacobiRule, M: float, P):
+def _gram_matrices(basis: ModeBasis, rule: JacobiRule, p: Params, P):
     rows_mass, rows_stiff = basis.weighted_rows(rule.one_minus_t, rule.one_plus_t,
                                                 _log_row_scale(rule),
-                                                _log_potential(M, rule.one_minus_t), P)
+                                                _log_potential(p, rule.one_minus_t), P)
     return rows_stiff @ rows_stiff.T, rows_mass @ rows_mass.T
 
 
@@ -367,7 +367,7 @@ def _assemble_pass(p: Params, ks: list, nodes: int):
     rows[..., :neg] = rows[..., ::-1][..., :neg]
     rows[:, :, 1::2, :neg] *= -1.0
     for g, ((k, lam_k, basis), grid) in enumerate(zip(staged, rules)):
-        A, B = _gram_matrices(basis, grid, p.M, rows[g])
+        A, B = _gram_matrices(basis, grid, p, rows[g])
         problem = ModeProblem(params=p, k=k, lambda_k=lam_k, basis=basis, grid=grid, A=A, B=B)
         yield problem, rows[g, 0]
     if rule_failure is not None or failure is not None:
@@ -437,7 +437,7 @@ def _solve_pencil_cut(pr: ModeProblem, rows0: np.ndarray, cut: float):
     basis, rule = pr.basis, pr.grid
     family = _SymmetricJacobi(basis.m, 0.0)
     t = rule.t
-    env = np.exp(_log_row_scale(rule) + 0.5 * _log_potential(pr.params.M, rule.one_minus_t))
+    env = np.exp(_log_row_scale(rule) + 0.5 * _log_potential(pr.params, rule.one_minus_t))
     rows = env * family.rows(t, basis.m)
     # E p_k = sum_j L_jk psi_j, read off the mass products on the exact rule
     L = (env * rows0) @ rows.T / np.diag(pr.B)[:, None]
@@ -468,11 +468,10 @@ def exact_eigenvalues(p: Params, k: int, n: int) -> np.ndarray:
     l = sigma0(k) + j, the Paneitz spectrum on S^M (Beckner, Ann. Math. 138,
     1993) in the effective dimension; an oracle for the discrete pencil.
     """
-    M = p.M
     lam_k, _ = mode_lambda(k, p.N)
-    ell = ModeBasis(M, p.q ** 2 * lam_k, n).sigma0 + np.arange(n)
-    num = (2 * ell + M - 4) * (2 * ell + M - 2) * (2 * ell + M) * (2 * ell + M + 2)
-    return num / ((M - 4) * (M - 2) * M * (M + 2))
+    ell = ModeBasis(p.M, p.q ** 2 * lam_k, n).sigma0 + np.arange(n)
+    M_ell = 2 * ell + p.M
+    return paneitz_product(M_ell, M_ell - 4) / paneitz_product(p.M, p.M_minus_4)
 
 
 def exact_rel_errors(p: Params, k: int, eigenvalues) -> np.ndarray:

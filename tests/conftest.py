@@ -736,8 +736,12 @@ def kernel_residual(p, profile, k, mu=None):
     lam_k, _ = mode_lambda(k, p.N)
     K = normalization_constant(p) ** (p.pstar - 2.0)
     form = profile.form
-    inner = form.radial_laplacian(p.N, lam_k).mul_rpow(a=-1, b=-2)
-    lhs = inner.radial_laplacian(p.N, lam_k)
+
+    def mode_laplacian(f):
+        # f'' + (N-1) f'/r - lam_k f/r^2
+        return f.radial_laplacian(p.N) + f.mul_rpow(b=2).scaled(-lam_k)
+
+    lhs = mode_laplacian(mode_laplacian(form).mul_rpow(a=-1, b=-2))
     rhs = form.mul_wpow(-4).mul_rpow(a=1, b=2).scaled(mu * K)
     res = lhs - rhs
     r = np.logspace(-3, 3, 121)
@@ -753,6 +757,11 @@ def param_sets():
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240817)
+
+
+def params_at_M(M, N=5):
+    """Params of dimension N whose effective dimension is M, up to rounding: alpha = 2(M-N)/(M-2)."""
+    return validate_params(N, 2.0 * (M - N) / (M - 2.0))
 
 
 def random_valid_params(rng, n=20):

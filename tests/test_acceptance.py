@@ -11,7 +11,7 @@ import time
 import numpy as np
 import scipy.linalg
 from conftest import (alignment, biradial_fd_residual, composite_grid_pencil, el_residual_relative,
-                      full_grid_energy, random_trial_profiles, trial_rayleigh_quotient)
+                      full_grid_energy, params_at_M, random_trial_profiles, trial_rayleigh_quotient)
 
 from ckn4.calculus import rayleigh_quotient
 from ckn4.params import (
@@ -57,7 +57,7 @@ def test_criterion_1_constant_consistency():
         worst_s = max(worst_s, abs(S - classical) / classical)
     worst_c = 0.0
     for M in (4.5, 5.0, 6.0, 8.0, 10.7):
-        thm, proof = sobolev_constant_C_forms(M)
+        thm, proof = sobolev_constant_C_forms(params_at_M(M))
         worst_c = max(worst_c, abs(thm - proof) / abs(thm))
     ok = worst_s <= 1e-12 and worst_c <= 1e-12
     _verdict(1, "constant consistency", ok,

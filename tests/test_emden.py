@@ -82,7 +82,7 @@ def test_constant_chain_matches_corrected_closed_form(rng):
     # q-prefactor with the (N - alpha) denominator reproduces the constant chain
     for p in random_valid_params(rng, 10):
         pref = ((2.0 - p.alpha) / 2.0) ** ((4 * p.N - 4 - 2 * p.alpha) / (p.N - p.alpha))
-        closed = pref * sphere_area(p.N) ** ((4 - 2 * p.alpha) / (p.N - p.alpha)) * sobolev_constant_C(p.M)
+        closed = pref * sphere_area(p.N) ** ((4 - 2 * p.alpha) / (p.N - p.alpha)) * sobolev_constant_C(p)
         assert best_constant_radial(p) == pytest.approx(closed, rel=1e-12)
 
 

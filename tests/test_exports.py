@@ -1,7 +1,9 @@
 """Every name a ckn4 module exports resolves, so a deletion leaves no stale export."""
 
 import importlib
+import inspect
 import pkgutil
+import typing
 
 import pytest
 
@@ -45,3 +47,34 @@ def test_package_resolves_each_module():
         assert name in dir(ckn4)
     with pytest.raises(AttributeError):
         ckn4.__getattr__("no_such_name")
+
+
+def _annotated(module):
+    """(qualified name, object) of each class, function and method a module defines."""
+    for name, obj in vars(module).items():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            yield name, obj
+            for attr, member in vars(obj).items():
+                # a method, or the function a property, a cached_property or a
+                # static or class method wraps
+                for fn in (member, *(getattr(member, a, None) for a in ("fget", "func", "__func__"))):
+                    if inspect.isfunction(fn):
+                        yield f"{name}.{attr}", fn
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_annotations_resolve(module):
+    # every annotation names something the module can resolve, as
+    # typing.get_type_hints does, although `from __future__ import
+    # annotations` keeps them as strings that nothing else evaluates
+    unresolved = []
+    for name, obj in _annotated(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            unresolved.append(f"{name}: {exc}")
+    assert unresolved == []

@@ -1,4 +1,6 @@
 import math
+from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -17,7 +19,7 @@ from ckn4.params import (
     sphere_area,
     validate_params,
 )
-from conftest import random_valid_params
+from conftest import params_at_M, random_valid_params
 
 mpmath.mp.dps = 40
 
@@ -62,19 +64,25 @@ def test_exponent_identities(rng):
 
 @pytest.mark.parametrize("M", [4.5, 5.0, 6.0, 8.0, 10.7])
 def test_sharp_constant_forms_and_oracle(M):
-    thm, proof = sobolev_constant_C_forms(M)
+    p = params_at_M(M)
+    thm, proof = sobolev_constant_C_forms(p)
     assert abs(thm - proof) <= 1e-12 * abs(thm)
-    oracle = float(mp_C(M))
+    oracle = float(mp_C(p.M))
     assert abs(thm - oracle) <= 1e-13 * oracle
 
 
 def test_sharp_constant_values():
     # frozen from the high-precision Gamma oracle
-    assert sobolev_constant_C(8.0) == pytest.approx(1920.0 * math.sqrt(1.0 / 280.0), rel=1e-14)
-    assert sobolev_constant_C(8.0) == pytest.approx(114.74194649610179, rel=1e-13)
-    assert sobolev_constant_C(5.0) == pytest.approx(7.481940131235264, rel=1e-13)
+    p8, p5 = validate_params(5, 1), validate_params(5, 0)
+    assert (p8.M, p5.M) == (8.0, 5.0)
+    assert sobolev_constant_C(p8) == pytest.approx(1920.0 * math.sqrt(1.0 / 280.0), rel=1e-14)
+    assert sobolev_constant_C(p8) == pytest.approx(114.74194649610179, rel=1e-13)
+    assert sobolev_constant_C(p5) == pytest.approx(7.481940131235264, rel=1e-13)
+    # at the float next above 4 - N, M rounds to 4 itself
+    p = validate_params(12, -8 + 2.0 ** -50)
+    assert (p.M, p.M_minus_4) == (4.0, 0.0)
     with pytest.raises(MOutOfRange):
-        sobolev_constant_C(4.0)
+        sobolev_constant_C(p)
 
 
 def test_best_constant_reduces_to_unweighted():
@@ -130,6 +138,44 @@ def test_even_alpha_info():
     info = even_alpha_info(validate_params(7, "-2.0"))
     assert info.is_even_case and info.k == 2
     assert not even_alpha_info(validate_params(7, "-2.0000001")).is_even_case
+    # every input is exact: a float next to an even integer is not it, and
+    # numpy numbers are read as the values they hold
+    assert not even_alpha_info(validate_params(7, -2.0 + 1e-13)).is_even_case
+    for alpha in (np.int32(-2), np.float32(-2.0), Fraction(-4, 2), Decimal("-2.000")):
+        assert even_alpha_info(validate_params(7, alpha)).k == 2
+
+
+@pytest.mark.parametrize("alpha, want", [
+    (1, Fraction(1)), (np.int64(1), Fraction(1)), (0.1, Fraction(0.1)),
+    (np.float64(0.1), Fraction(0.1)), (np.float32(0.1), Fraction(float(np.float32(0.1)))),
+    (Decimal("0.1"), Fraction(1, 10)), ("0.1", Fraction(1, 10)), ("1e-1", Fraction(1, 10)),
+    (Fraction(1, 3), Fraction(1, 3))])
+def test_alpha_is_one_exact_rational(alpha, want):
+    # alpha_exact is the value given, with plain int parts whatever the input
+    # type; alpha is the float nearest it, and the differences are formed
+    # from that float once, as the exponents are
+    p = validate_params(5, alpha)
+    assert p.alpha_exact == want and p.alpha == float(want)
+    assert type(p.alpha_exact.numerator) is int and type(p.alpha_exact.denominator) is int
+    a = p.alpha
+    assert (p.decay_exp, p.gamma_exp) == (5 - 4.0 + a, 2.0 - a)
+    assert (p.pstar, p.q, p.M) == (2.0 * (5 - a) / (5 - 4.0 + a), 2.0 / (2.0 - a),
+                                   2.0 * (5 - a) / (2.0 - a))
+    assert p.M_minus_4 == p.M - 4.0
+
+
+@pytest.mark.parametrize("N", [float("nan"), float("inf"), -float("inf"), "x", None, 5.5, "5.5",
+                               10 ** 400])
+def test_malformed_dimension_is_typed(N):
+    # 10^400 once ended in an OverflowError traceback where N meets a float
+    with pytest.raises(DimensionTooSmall, match=r"^N must be an integer within the float range, got "):
+        validate_params(N, 1)
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), "-inf", "x", None, 1j, "1e400"])
+def test_malformed_alpha_is_typed(alpha):
+    with pytest.raises(AlphaOutOfRange, match=r"^need -1 < alpha < 2, got alpha="):
+        validate_params(5, alpha)
 
 
 @pytest.mark.parametrize("N", [65, 200, 10 ** 6, 10 ** 9])
@@ -186,4 +232,4 @@ def test_no_overflow_near_alpha_two():
     # effective dimension ~ 200; everything must stay finite via log-Gamma
     p = validate_params(12, 1.9)
     assert np.isfinite(best_constant_radial(p))
-    assert np.isfinite(sobolev_constant_C(p.M))
+    assert np.isfinite(sobolev_constant_C(p))

@@ -74,7 +74,7 @@ def test_pencil_symmetry_and_weight_positivity():
     pr = assemble_mode_problem(p, 0, nodes=96)
     defect = np.max(np.abs(pr.A - pr.A.T)) / np.max(np.abs(pr.A))
     assert defect < 1e-8
-    assert np.all(np.exp(spectrum._log_potential(p.M, pr.grid.one_minus_t)) > 0)
+    assert np.all(np.exp(spectrum._log_potential(p, pr.grid.one_minus_t)) > 0)
     with pytest.raises(GridTooCoarse):
         assemble_mode_problem(p, 0, nodes=32)
 

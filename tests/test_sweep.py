@@ -24,6 +24,7 @@ import json
 import math
 import traceback
 import warnings
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -281,3 +282,30 @@ def test_reports_near_alpha_two_are_right_or_typed(command, N, alpha):
     assert err == "", (argv, err)
     failed = [c["name"] for c in report["checks"] if not c["passed"]]
     assert (code == 1) == bool(failed) and code in (0, 1), (argv, code, failed)
+
+
+# alpha = 4 - N + 10^-k, N = 3..12, k = 2..9, exactly as decimals (ROADMAP
+# item 12), and the points where verify-extremal exits 1 there: the exact
+# profile's Rayleigh quotient is further than its tolerance from S^rad, a
+# known fault at the M -> 4 end (item 12); every other check passes
+ITEM_12 = [(N, format(Decimal(4 - N) + Decimal(10) ** -k, "f")) for N in range(3, 13)
+           for k in range(2, 10)]
+ITEM_12_FAILS = {(3, "1.00000001"), (4, "0.00000001"), (4, "0.000000001"),
+                 (5, "-0.99999999"), (5, "-0.999999999"), (6, "-1.9999999"), (6, "-1.99999999"),
+                 (7, "-2.9999999"), (7, "-2.99999999"), (8, "-3.9999999"), (8, "-3.99999999"),
+                 (9, "-4.9999999"), (9, "-4.99999999"), (9, "-4.999999999"),
+                 (10, "-5.9999999"), (10, "-5.99999999"), (10, "-5.999999999"),
+                 (11, "-6.9999999"), (11, "-6.99999999"), (12, "-7.99999999")}
+
+
+def test_verify_extremal_exit_codes_next_to_m4():
+    fails = set()
+    for N, alpha in ITEM_12:
+        code, out, err = _run_cli(["verify-extremal", "--N", str(N), "--alpha", alpha])
+        assert code in (0, 1) and err == "", (N, alpha, code, err)
+        failed = [c["name"] for c in json.loads(out)["checks"] if not c["passed"]]
+        assert failed == (["rayleigh_matches_best_constant"] if code else []), (N, alpha, failed)
+        if code:
+            fails.add((N, alpha))
+    assert len(ITEM_12) == 80 and ITEM_12_FAILS <= set(ITEM_12)
+    assert fails == ITEM_12_FAILS
